@@ -8,15 +8,16 @@
 //!
 //! Usage: `figure2 [--scale small|paper|large] [--max-pes N] [--threads N] [--json]`
 
-use pwam_bench::cli::{arg_value, scale_arg, scheduler_args};
+use pwam_bench::cli::{num_arg, reject_unknown_flags, scale_arg, scheduler_args, COMMON_FLAGS};
 use pwam_bench::experiments::figure2;
 use pwam_bench::table::{f2, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(&args, &[COMMON_FLAGS.as_slice(), &[("--max-pes", true)]].concat());
     let scale = scale_arg(&args);
     scheduler_args(&args);
-    let max_pes: usize = arg_value(&args, "--max-pes").and_then(|s| s.parse().ok()).unwrap_or(40);
+    let max_pes = num_arg(&args, "--max-pes").unwrap_or(40) as usize;
 
     let pe_counts: Vec<usize> =
         [1usize, 2, 4, 6, 8, 10, 12, 16, 20, 24, 32, 40].iter().copied().filter(|&p| p <= max_pes).collect();

@@ -18,34 +18,22 @@
 //! `pwam_benchmarks::mlips::mlips_configuration`) and are recorded per
 //! report.
 //!
-//! Usage: `mlips_throughput [--runs N] [--out PATH] [--paper-scale]`
+//! Usage: `mlips_throughput [--runs N] [--out PATH] [--small-scale|--paper-scale]`
 
+use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags};
 use pwam_benchmarks::mlips::{compare_dispatch_paths, MlipsComparison, MlipsFile};
 use pwam_benchmarks::{BenchmarkId, Scale};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut runs = 5usize;
-    let mut out = String::from("BENCH_mlips.json");
-    let mut scale = Scale::Paper;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--runs" => {
-                i += 1;
-                runs = args.get(i).and_then(|s| s.parse().ok()).expect("--runs N");
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned().expect("--out PATH");
-            }
-            "--small-scale" => scale = Scale::Small,
-            "--paper-scale" => scale = Scale::Paper,
-            other => panic!("unknown argument: {other}"),
-        }
-        i += 1;
-    }
+    reject_unknown_flags(
+        &args,
+        &[("--runs", true), ("--out", true), ("--small-scale", false), ("--paper-scale", false)],
+    );
+    let runs = num_arg(&args, "--runs").unwrap_or(5) as usize;
+    let out = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_mlips.json".to_string());
+    let scale = if args.iter().any(|a| a == "--small-scale") { Scale::Small } else { Scale::Paper };
 
     let mut reports: Vec<MlipsComparison> = Vec::new();
     println!(

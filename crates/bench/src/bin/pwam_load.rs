@@ -40,7 +40,7 @@
 //! additionally reports how many simultaneous idle connections the server
 //! sustains (the event-loop-vs-threads capacity differential).
 
-use pwam_bench::cli::arg_value;
+use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags, usage_error};
 use pwam_benchmarks::{benchmark, runner::Validation, Benchmark, BenchmarkId, Scale};
 use pwam_obs::{parse_histogram, Histogram};
 use pwam_server::{AnswerResponse, Client, QueryRequest, Response};
@@ -48,18 +48,6 @@ use rand::{rngs::StdRng, RngCore, SeedableRng};
 use rapwam::{DeterminismMode, SchedulerKind};
 use serde::Serialize;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-fn num_arg(args: &[String], key: &str) -> Option<u64> {
-    arg_value(args, key).map(|v| match v.parse() {
-        Ok(n) => n,
-        Err(_) => usage_error(&format!("{key} {v} (expected a number)")),
-    })
-}
-
-fn usage_error(what: &str) -> ! {
-    eprintln!("invalid argument: {what}");
-    std::process::exit(2);
-}
 
 /// The rendered answer the registry expects for a benchmark's query
 /// variable, if its validation pins one.
@@ -256,9 +244,44 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--capacity") {
+        reject_unknown_flags(
+            &args,
+            &[
+                ("--capacity", false),
+                ("--addr", true),
+                ("--arrival-rps", true),
+                ("--duration-ms", true),
+                ("--connections", true),
+                ("--sweep-connections", true),
+                ("--workers", true),
+                ("--benchmarks", true),
+                ("--label", true),
+                ("--capacity-out", true),
+                ("--json", false),
+                ("--shutdown", false),
+            ],
+        );
         run_capacity(&args);
         return;
     }
+    reject_unknown_flags(
+        &args,
+        &[
+            ("--addr", true),
+            ("--clients", true),
+            ("--requests", true),
+            ("--benchmarks", true),
+            ("--workers", true),
+            ("--scheduler", true),
+            ("--determinism", true),
+            ("--deadline-ms", true),
+            ("--cursor-every", true),
+            ("--require-reuse", false),
+            ("--shutdown", false),
+            ("--json", false),
+            ("--bench-out", true),
+        ],
+    );
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| usage_error("--addr is required"));
     let clients = num_arg(&args, "--clients").unwrap_or(4).max(1) as usize;
     let requests = num_arg(&args, "--requests").unwrap_or(25).max(1);

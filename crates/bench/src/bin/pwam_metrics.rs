@@ -15,7 +15,7 @@
 //! exits non-zero when any assertion fails, so the CI server-smoke job
 //! can gate on "the telemetry plane actually observed the load".
 
-use pwam_bench::cli::arg_value;
+use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags, usage_error};
 use pwam_obs::{parse_sample, sum_family};
 use pwam_server::Client;
 
@@ -61,18 +61,20 @@ fn main() {
         );
         return;
     }
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| {
-        eprintln!("pwam-metrics: --addr is required");
-        std::process::exit(2);
-    });
+    reject_unknown_flags(
+        &args,
+        &[
+            ("--addr", true),
+            ("--require", true),
+            ("--require-present", true),
+            ("--events", true),
+            ("--quiet", false),
+        ],
+    );
+    let addr = arg_value(&args, "--addr").unwrap_or_else(|| usage_error("--addr is required"));
     let require = arg_values(&args, "--require");
     let require_present = arg_values(&args, "--require-present");
-    let events = arg_value(&args, "--events").map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("pwam-metrics: --events {v} (expected a number)");
-            std::process::exit(2);
-        })
-    });
+    let events = num_arg(&args, "--events");
     let quiet = args.iter().any(|a| a == "--quiet");
 
     let mut client = Client::connect(&addr).unwrap_or_else(|e| {

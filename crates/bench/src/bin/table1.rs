@@ -8,6 +8,8 @@ use pwam_bench::experiments::table1;
 use pwam_bench::table::TextTable;
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    pwam_bench::cli::reject_unknown_flags(&args, &[("--json", false)]);
     let rows = table1();
     let mut t = TextTable::new(vec!["Frame type", "area", "WAM?", "lock", "locality"]);
     for r in &rows {
@@ -21,7 +23,7 @@ fn main() {
     }
     println!("Table 1: Characteristics of RAP-WAM Storage Objects");
     println!("{}", t.render());
-    if std::env::args().any(|a| a == "--json") {
+    if args.iter().any(|a| a == "--json") {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serialise"));
     }
 }

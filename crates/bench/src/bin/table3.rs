@@ -14,6 +14,7 @@ use pwam_bench::table::{f2, f3, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    pwam_bench::cli::reject_unknown_flags(&args, &pwam_bench::cli::COMMON_FLAGS);
     let scale = pwam_bench::cli::scale_arg(&args);
     pwam_bench::cli::scheduler_args(&args);
 

@@ -14,6 +14,11 @@
 //!   `PWAM_DETERMINISM` environment variable is the fallback).  `relaxed`
 //!   frees the Threaded backend from the scheduling token (true per-arena
 //!   parallel execution) and implies `--scheduler threaded`.
+//!
+//! A flag the binary does not know, a stray positional argument and a value
+//! that does not parse are all usage errors (exit code 2), never silent
+//! fallbacks: a typo must not let a run report a configuration it never
+//! used.
 
 use crate::experiments::{set_determinism, set_scheduler, ExperimentScale};
 use rapwam::{DeterminismMode, SchedulerKind};
@@ -23,9 +28,64 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
 }
 
+/// The flags every experiment binary accepts, as [`reject_unknown_flags`]
+/// takes them: `(name, takes a value)`.
+pub const COMMON_FLAGS: [(&str, bool); 5] = [
+    ("--scale", true),
+    ("--threads", true),
+    ("--scheduler", true),
+    ("--determinism", true),
+    ("--json", false),
+];
+
+/// The first argument after the program name that is not one of `known` —
+/// each `(name, takes a value)` — or the value of one.
+fn unknown_flag<'a>(args: &'a [String], known: &[(&str, bool)]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match known.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Some(arg),
+        }
+    }
+    None
+}
+
+/// Exit with a usage error unless every argument is one of `known` — each
+/// `(name, takes a value)` — or the value of one.
+pub fn reject_unknown_flags(args: &[String], known: &[(&str, bool)]) {
+    if let Some(arg) = unknown_flag(args, known) {
+        let names: Vec<&str> = known.iter().map(|(name, _)| *name).collect();
+        usage_error(&format!("{arg} (this binary accepts: {})", names.join(" ")));
+    }
+}
+
+/// `--scale`'s value (default [`ExperimentScale::Paper`]), or the text that
+/// failed to parse.
+fn parse_scale(args: &[String]) -> Result<ExperimentScale, String> {
+    match arg_value(args, "--scale") {
+        None => Ok(ExperimentScale::Paper),
+        Some(s) => ExperimentScale::parse(&s).ok_or(s),
+    }
+}
+
 /// Parse `--scale` (default [`ExperimentScale::Paper`]).
 pub fn scale_arg(args: &[String]) -> ExperimentScale {
-    arg_value(args, "--scale").and_then(|s| ExperimentScale::parse(&s)).unwrap_or(ExperimentScale::Paper)
+    parse_scale(args)
+        .unwrap_or_else(|s| usage_error(&format!("--scale {s} (expected small, paper or large)")))
+}
+
+/// `key`'s value as a number, or the text that failed to parse.
+fn parse_num(args: &[String], key: &str) -> Result<Option<u64>, String> {
+    arg_value(args, key).map(|v| v.parse().map_err(|_| v)).transpose()
+}
+
+/// Parse the number following `key`, if the flag is present.
+pub fn num_arg(args: &[String], key: &str) -> Option<u64> {
+    parse_num(args, key).unwrap_or_else(|v| usage_error(&format!("{key} {v} (expected a number)")))
 }
 
 /// Handle `--threads N` and `--scheduler NAME`: selects the process-wide
@@ -72,7 +132,8 @@ pub fn scheduler_args(args: &[String]) -> Option<usize> {
     threads
 }
 
-fn usage_error(what: &str) -> ! {
+/// Report a malformed command line and exit with code 2.
+pub fn usage_error(what: &str) -> ! {
     eprintln!("invalid argument: {what}");
     std::process::exit(2);
 }
@@ -91,6 +152,33 @@ mod tests {
         assert_eq!(arg_value(&a, "--scale").as_deref(), Some("small"));
         assert_eq!(arg_value(&a, "--workers"), None);
         assert_eq!(scale_arg(&a), ExperimentScale::Small);
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_found() {
+        let known = [COMMON_FLAGS.as_slice(), &[("--max-pes", true)]].concat();
+        let ok = args(&["bin", "--scale", "small", "--max-pes", "4", "--json"]);
+        assert_eq!(unknown_flag(&ok, &known), None);
+        assert_eq!(unknown_flag(&args(&["bin"]), &known), None);
+        // A typo, a flag of some other binary, a stray positional.
+        assert_eq!(unknown_flag(&args(&["bin", "--jsno"]), &known), Some("--jsno"));
+        assert_eq!(unknown_flag(&args(&["bin", "--workers", "4"]), &known), Some("--workers"));
+        assert_eq!(unknown_flag(&args(&["bin", "--json", "small"]), &known), Some("small"));
+        // A value is never mistaken for a flag, even when it looks like one.
+        assert_eq!(unknown_flag(&args(&["bin", "--scale", "--json"]), &known), None);
+        // The program name is not an argument.
+        assert_eq!(unknown_flag(&args(&["--bogus"]), &known), None);
+    }
+
+    #[test]
+    fn bad_scale_and_number_values_are_errors_not_defaults() {
+        assert_eq!(parse_scale(&args(&["bin"])), Ok(ExperimentScale::Paper));
+        assert_eq!(parse_scale(&args(&["bin", "--scale", "large"])), Ok(ExperimentScale::Large));
+        assert_eq!(parse_scale(&args(&["bin", "--scale", "bogus"])), Err("bogus".to_string()));
+        assert_eq!(parse_num(&args(&["bin"]), "--workers"), Ok(None));
+        assert_eq!(parse_num(&args(&["bin", "--workers", "4"]), "--workers"), Ok(Some(4)));
+        assert_eq!(parse_num(&args(&["bin", "--workers", "x"]), "--workers"), Err("x".to_string()));
+        assert_eq!(parse_num(&args(&["bin", "--workers", "-1"]), "--workers"), Err("-1".to_string()));
     }
 
     #[test]

@@ -91,14 +91,15 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, classic_dispatc
         .prepare_with(&bench.query, options.compile_options())
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", id.name()));
     let mut config = options.engine_config();
-    // On a single PE the quantum changes nothing semantically (there is no
-    // other worker to interleave with) but it decides how often the driver
-    // re-enters `exec_batch`.  The default of 1 would measure the
-    // per-entry overhead of the driver, not the dispatch loop; a large
-    // quantum lets both paths run their batch loop properly (and is what
-    // any throughput-minded embedding would configure).  Applied to the
-    // classic path too, so the comparison stays entry-for-entry fair.
-    config.quantum = 4096;
+    // One PE runs the default configuration: its slots already run to the
+    // next scheduling event.  With several PEs the default quantum of 1
+    // would measure the token ring's per-instruction handoff, not the
+    // dispatch loop; a large quantum lets both paths run their batch loop
+    // properly.  Applied to the classic path too, so the comparison stays
+    // entry-for-entry fair.
+    if workers > 1 {
+        config.quantum = 4096;
+    }
 
     let runs = runs.max(1);
     let mut best_secs = f64::INFINITY;

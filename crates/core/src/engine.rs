@@ -61,7 +61,14 @@ pub struct EngineConfig {
     pub collect_trace: bool,
     /// Abort after this many instructions (guards against runaway programs).
     pub max_steps: u64,
-    /// Instructions executed per worker per scheduling round.
+    /// Interleave granularity of the strict backends: instructions a
+    /// `Running` worker executes per slot when the engine has **more than one
+    /// PE**.  The default of 1 is the paper's emulator methodology — PEs
+    /// interleave one instruction at a time, which is what gives the merged
+    /// trace its meaning.  With one PE there is nothing to interleave with,
+    /// so the value is unobservable and ignored: a slot runs to the next
+    /// scheduling-relevant event instead (see `Step::run_slot`).  The relaxed
+    /// backend never reads it.
     pub quantum: u32,
     /// Number of X registers per worker.
     pub num_x_regs: usize,
@@ -314,6 +321,20 @@ const SUSPENDED: u8 = 3;
 /// [`HostResult::Continue`].
 const PREEMPTED: u8 = 4;
 
+/// Most instructions one slot of a one-PE engine retires before returning
+/// to the round driver (see `Step::run_slot`).  Sized by the benchmark's
+/// `core.dispatch_ns_per_instr` rung: re-entering the driver per instruction
+/// cost 67–72 ns against 17–20 ns at 4096 instructions per entry, and
+/// anything from 128 up puts the driver's share under 1 ns per instruction.
+/// 4096 is the batch length that rung (`.q4096`) and `BENCH_mlips.json` have
+/// always measured; it also bounds how late a wall-clock deadline is noticed
+/// (one check per slot, ~0.1 ms of instructions).
+const SLOT_CAP: u32 = 4096;
+
+/// Cycles between wall-clock deadline checks in `Engine::end_round` (a
+/// power of two).
+const DEADLINE_CHECK_CYCLES: u64 = 1024;
+
 /// Everything the PEs share: program, memory, run counters, per-PE boards.
 ///
 /// All mutation goes through interior mutability (atomics and small
@@ -328,9 +349,13 @@ pub struct EngineCore<'p> {
     finished: AtomicU8,
     /// Instructions executed (all PEs), flushed per slot/batch.
     pub(crate) steps: AtomicU64,
-    /// Scheduling rounds (strict backends) or critical-path estimate
-    /// (relaxed backend).
+    /// Elapsed machine cycles: scheduling rounds on the strict backends (a
+    /// one-PE slot that retires `n` instructions counts as the `n` rounds
+    /// it stands for), critical-path estimate on the relaxed backend.
     cycles: AtomicU64,
+    /// `cycles` value at or past which `end_round` next checks the
+    /// wall-clock deadline (every 1024 cycles).
+    next_deadline_check: u64,
     pub(crate) parcalls: AtomicU64,
     parallel_goals: AtomicU64,
     goals_actually_parallel: AtomicU64,
@@ -361,6 +386,14 @@ pub struct EngineCore<'p> {
     /// scheduler last drained them (notification transport, like
     /// `steal_logs`).
     cancel_logs: Vec<Mutex<Vec<CancelEvent>>>,
+    /// Events sitting in `steal_logs` + `cancel_logs`, so the strict drivers
+    /// pay one relaxed load per slot instead of 2·N log locks when (as
+    /// almost always) nothing was logged.  Relaxed ordering suffices: the
+    /// count publishes nothing — the events themselves sit behind the log
+    /// mutexes — and only the strict drivers branch on it, where a single
+    /// thread or the token handoff already orders the slot that logged
+    /// before the check that follows it.
+    logged_events: AtomicUsize,
     /// First engine error raised on any thread of the relaxed backend.
     abort: Mutex<Option<EngineError>>,
     aborted: AtomicBool,
@@ -476,13 +509,39 @@ impl<'p> EngineCore<'p> {
 
     /// Drain the steals PE `thief` performed since the last drain.
     pub(crate) fn drain_steals_of(&self, thief: usize) -> Vec<StealEvent> {
-        std::mem::take(&mut *self.steal_logs[thief].lock().unwrap())
+        let events = std::mem::take(&mut *self.steal_logs[thief].lock().unwrap());
+        self.note_drained(events.len());
+        events
     }
 
     /// Drain the `cancel_goal` requests PE `canceller` posted since the
     /// last drain.
     pub(crate) fn drain_cancels_of(&self, canceller: usize) -> Vec<CancelEvent> {
-        std::mem::take(&mut *self.cancel_logs[canceller].lock().unwrap())
+        let events = std::mem::take(&mut *self.cancel_logs[canceller].lock().unwrap());
+        self.note_drained(events.len());
+        events
+    }
+
+    /// Take `drained` events off the pending count.  The relaxed PEs drain
+    /// their own logs every batch and almost always find them empty; those
+    /// drains must not touch the shared counter's cache line.
+    fn note_drained(&self, drained: usize) {
+        if drained != 0 {
+            self.logged_events.fetch_sub(drained, Ordering::Relaxed);
+        }
+    }
+
+    /// Log a steal for the scheduler to transport to the victim.
+    fn log_steal(&self, event: StealEvent) {
+        self.steal_logs[event.thief].lock().unwrap().push(event);
+        self.logged_events.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Log a `cancel_goal` request for the scheduler to transport to the
+    /// executor.
+    fn log_cancel(&self, event: CancelEvent) {
+        self.cancel_logs[event.canceller].lock().unwrap().push(event);
+        self.logged_events.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record the critical-path cycle estimate of a relaxed run.
@@ -614,6 +673,7 @@ impl<'p> Engine<'p> {
                 finished: AtomicU8::new(RUNNING),
                 steps: AtomicU64::new(0),
                 cycles: AtomicU64::new(0),
+                next_deadline_check: DEADLINE_CHECK_CYCLES,
                 parcalls: AtomicU64::new(0),
                 parallel_goals: AtomicU64::new(0),
                 goals_actually_parallel: AtomicU64::new(0),
@@ -627,6 +687,7 @@ impl<'p> Engine<'p> {
                 cancel_flags,
                 steal_logs,
                 cancel_logs,
+                logged_events: AtomicUsize::new(0),
                 abort: Mutex::new(None),
                 aborted: AtomicBool::new(false),
                 pending_host: Mutex::new(None),
@@ -910,12 +971,14 @@ impl<'p> Engine<'p> {
         for log in core.cancel_logs.iter_mut() {
             log.get_mut().unwrap().clear();
         }
+        *core.logged_events.get_mut() = 0;
         for flag in core.cancel_flags.iter_mut() {
             *flag.get_mut() = false;
         }
         *core.finished.get_mut() = RUNNING;
         *core.steps.get_mut() = 0;
         *core.cycles.get_mut() = 0;
+        core.next_deadline_check = DEADLINE_CHECK_CYCLES;
         *core.parcalls.get_mut() = 0;
         *core.parallel_goals.get_mut() = 0;
         *core.goals_actually_parallel.get_mut() = 0;
@@ -959,16 +1022,19 @@ impl<'p> Engine<'p> {
     // Scheduler SPI
     //
     // The stepping loop is owned by a `Scheduler` backend (see `sched`).
-    // A round gives every worker `quantum` slots:
+    // A round gives every worker one slot:
     //
     //     engine.begin_round();
     //     let mut progress = false;
     //     for w in 0..n { progress |= engine.step_slot(w)?; }
     //     engine.end_round(progress)?;
     //
-    // repeated until `finished()` reports an outcome.  The relaxed backend
-    // bypasses the round structure and drives each worker's `Step`
-    // directly.
+    // repeated until `halted()`.  A slot is one scheduling action for an
+    // idle or waiting worker, `quantum` instructions for a running worker of
+    // an N-PE engine, and a run to the next scheduling-relevant event for
+    // the running worker of a one-PE engine (see `Step::run_slot`).  The
+    // relaxed backend bypasses the round structure and drives each worker's
+    // `Step` directly.
     // -----------------------------------------------------------------
 
     /// `Some(true)` once the query succeeded, `Some(false)` once it failed.
@@ -989,12 +1055,11 @@ impl<'p> Engine<'p> {
 
     /// Start a scheduling round.
     pub fn begin_round(&mut self) {
-        self.core.cycles.fetch_add(1, Ordering::Relaxed);
+        *self.core.cycles.get_mut() += 1;
     }
 
-    /// Give worker `w` its slot of the current round (`quantum` instructions,
-    /// or one scheduling action when it is idle/waiting).  Returns `true` if
-    /// the worker made progress.  A no-op once the query has finished.
+    /// Give worker `w` its slot of the current round.  Returns `true` if the
+    /// worker made progress.  A no-op once the query has finished.
     pub fn step_slot(&mut self, w: usize) -> EngineResult<bool> {
         Step { core: &self.core, wk: &mut self.workers[w] }.run_slot()
     }
@@ -1007,10 +1072,13 @@ impl<'p> Engine<'p> {
         if self.core.steps() > self.core.config.max_steps {
             return Err(EngineError::StepLimitExceeded { limit: self.core.config.max_steps });
         }
-        // Per-request deadline, checked every 1024 rounds so `Instant::now`
-        // stays off the per-instruction path (a round is `num_workers`
-        // slots, so the check granularity is a few thousand instructions).
-        if self.core.cycles.load(Ordering::Relaxed) & 0x3ff == 0 {
+        // Per-request deadline, checked each time the cycle count crosses a
+        // 1024 boundary so `Instant::now` stays off the per-instruction path
+        // (a one-PE slot advances the count by up to `SLOT_CAP`, so there
+        // the check runs once per slot at most).
+        let cycles = *self.core.cycles.get_mut();
+        if cycles >= self.core.next_deadline_check {
+            self.core.next_deadline_check = (cycles | (DEADLINE_CHECK_CYCLES - 1)) + 1;
             self.core.check_deadline()?;
         }
         // Instruction fuel, checked every round: whole rounds always
@@ -1021,12 +1089,22 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
+    /// True when a steal or `cancel_goal` request has been logged and not
+    /// yet drained (scheduler SPI).  One relaxed load: the strict drivers
+    /// poll it every slot and only then pay for [`Engine::drain_steals`] /
+    /// [`Engine::drain_cancels`].
+    #[inline]
+    pub fn events_logged(&self) -> bool {
+        self.core.logged_events.load(Ordering::Relaxed) != 0
+    }
+
     /// Drain the steals performed since the last drain (scheduler SPI).
     pub fn drain_steals(&mut self) -> Vec<StealEvent> {
         let mut all = Vec::new();
-        for log in &self.core.steal_logs {
-            all.append(&mut log.lock().unwrap());
+        for log in &mut self.core.steal_logs {
+            all.append(log.get_mut().unwrap());
         }
+        *self.core.logged_events.get_mut() -= all.len();
         all
     }
 
@@ -1041,9 +1119,10 @@ impl<'p> Engine<'p> {
     /// (scheduler SPI, mirroring [`Engine::drain_steals`]).
     pub fn drain_cancels(&mut self) -> Vec<CancelEvent> {
         let mut all = Vec::new();
-        for log in &self.core.cancel_logs {
-            all.append(&mut log.lock().unwrap());
+        for log in &mut self.core.cancel_logs {
+            all.append(log.get_mut().unwrap());
         }
+        *self.core.logged_events.get_mut() -= all.len();
         all
     }
 
@@ -1482,7 +1561,7 @@ impl<'a, 'p> Step<'a, 'p> {
         if self.core.mem.fast() && self.own_addr(addr) {
             debug_assert_eq!(self.core.mem.map.area_of(addr), object.area());
             self.wk.ref_delta.count(object, true);
-            self.core.mem.serial_write(self.wk.id as usize, addr - self.wk.heap_base, value);
+            self.core.mem.serial_write(self.wk.id as usize, addr - self.wk.heap_base, value, object.area());
         } else {
             self.core.mem.write(self.wk.id, addr, value, object);
         }
@@ -1556,17 +1635,44 @@ impl<'a, 'p> Step<'a, 'p> {
         self.wk.env_cache_e = NONE_ADDR;
     }
 
-    /// Give this worker one slot: `quantum` instructions when running, one
-    /// scheduling action when idle or waiting.  Returns `true` if the worker
-    /// made progress.  A no-op once the query has finished.
+    /// Give this worker one slot of a strict round: one scheduling action
+    /// when idle or waiting, and when running either `quantum` instructions
+    /// (N PEs: the interleave granularity is what the merged trace means) or
+    /// a run to the next scheduling-relevant event (one PE).  Returns `true`
+    /// if the worker made progress.  A no-op once the query has finished.
+    ///
+    /// With one PE nothing can observe where a slot ends, so the running
+    /// worker executes until it parks, waits, suspends or halts (the batch
+    /// loop's own exits), until the fuel or step budget is due, or for
+    /// `SLOT_CAP` instructions, and `cycles` advances by the instructions
+    /// retired — exactly the rounds an instruction-at-a-time driver would
+    /// have counted.  Every observable therefore matches that driver: the
+    /// checks in `end_round` fire after the same instruction they always did.
     pub(crate) fn run_slot(&mut self) -> EngineResult<bool> {
-        if self.core.halted() {
+        let core = self.core;
+        if core.halted() {
             return Ok(false);
         }
         match self.wk.status {
             WorkerStatus::Stopped => Ok(false),
             WorkerStatus::Running => {
-                self.exec_batch(self.core.config.quantum)?;
+                if core.config.num_workers > 1 {
+                    self.exec_batch(core.config.quantum)?;
+                    return Ok(true);
+                }
+                // Stop where `end_round` would have acted: fuel preempts at
+                // `steps >= fuel_limit`, the step limit errors at
+                // `steps > max_steps`.  At least one instruction always
+                // runs, as in a quantum-1 round.
+                let steps = core.steps();
+                let due = core
+                    .fuel_limit
+                    .load(Ordering::Relaxed)
+                    .min(core.config.max_steps.saturating_add(1))
+                    .saturating_sub(steps);
+                let executed = self.exec_batch(due.clamp(1, SLOT_CAP as u64) as u32)?;
+                // `begin_round` counted the first instruction's cycle.
+                core.cycles.fetch_add((executed as u64).saturating_sub(1), Ordering::Relaxed);
                 Ok(true)
             }
             WorkerStatus::Idle => {
@@ -1745,7 +1851,7 @@ impl<'a, 'p> Step<'a, 'p> {
             if let Some(img) = stolen {
                 core.steal_cursor.store((victim + 1) % n, Ordering::Relaxed);
                 self.wk.goals_stolen += 1;
-                core.steal_logs[w].lock().unwrap().push(StealEvent { thief: w, victim, frame: img.frame });
+                core.log_steal(StealEvent { thief: w, victim, frame: img.frame });
                 self.start_goal(img, resume, true)?;
                 return Ok(true);
             }
@@ -2487,12 +2593,7 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             self.core.cancel_flags[executor].store(true, Ordering::Release);
             self.core.cancel_requests.fetch_add(1, Ordering::Relaxed);
-            self.core.cancel_logs[w].lock().unwrap().push(CancelEvent {
-                canceller: w,
-                executor,
-                pf,
-                slot: k,
-            });
+            self.core.log_cancel(CancelEvent { canceller: w, executor, pf, slot: k });
         }
         Ok(())
     }

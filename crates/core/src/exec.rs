@@ -744,10 +744,12 @@ impl<'a, 'p> Step<'a, 'p> {
         if n > 0 {
             core.steps.fetch_add(n as u64, Ordering::Relaxed);
         }
-        // Scheduler telemetry: classify the exit cause — quantum exhausted
-        // (the driver re-enters immediately) against leaving the running
-        // state (parked at a wait, idle, cancelled, or query over).  One
-        // predictable branch per batch, amortised over `max` instructions.
+        // Scheduler telemetry: classify the exit cause — the slot's budget
+        // ran out (the quantum on N PEs; the slot cap or a due fuel/step
+        // limit on one PE; the relaxed batch length) and the driver
+        // re-enters immediately, against leaving the running state (parked
+        // at a wait, idle, cancelled, or query over).  One predictable
+        // branch per batch, amortised over `max` instructions.
         if result.is_ok() {
             if self.wk.status == WorkerStatus::Running && !core.halted() {
                 self.wk.batch_exits_budget += 1;

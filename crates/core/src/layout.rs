@@ -34,6 +34,7 @@ impl Area {
     ];
 
     /// Stable index (used by statistics tables).
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             Area::Heap => 0,
@@ -170,6 +171,7 @@ impl ObjectKind {
     ];
 
     /// The storage area this object lives in (Table 1's "area" column).
+    #[inline]
     pub fn area(self) -> Area {
         match self {
             ObjectKind::EnvControl | ObjectKind::EnvPermVar => Area::LocalStack,

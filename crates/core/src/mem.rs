@@ -70,10 +70,14 @@ pub struct StackSetArena {
     /// This arena's slice of the reference trace (when enabled), in issue
     /// order and tagged with global sequence numbers.
     trace: Option<Vec<SeqRef>>,
-    /// One past the highest offset ever written; [`Memory::reset`] only has
-    /// to clear this prefix, so recycling a warm arena costs proportional to
-    /// what the previous run used, not the arena's capacity.
-    touched: usize,
+    /// Per area (by [`Area::index`]), one past the highest arena offset
+    /// written there; [`Memory::reset`] only has to clear each area's used
+    /// prefix, so recycling a warm arena costs proportional to what the
+    /// previous run used, not the arena's capacity.  One mark for the whole
+    /// arena would not do: the areas are laid out back to back, so a single
+    /// choice-point or trail write would put the heap's and local stack's
+    /// entire capacity below the mark.
+    touched: [usize; Area::ALL.len()],
 }
 
 impl StackSetArena {
@@ -83,8 +87,17 @@ impl StackSetArena {
             words: vec![Cell::Empty; words as usize],
             stats: AreaStats::new(num_workers),
             trace: if collect_trace { Some(Vec::new()) } else { None },
-            touched: 0,
+            touched: [0; Area::ALL.len()],
         }
+    }
+
+    /// Store `value` at `offset`, which lies in `area`, and advance that
+    /// area's reset mark.
+    #[inline(always)]
+    fn store(&mut self, offset: usize, value: Cell, area: Area) {
+        self.words[offset] = value;
+        let mark = &mut self.touched[area.index()];
+        *mark = (*mark).max(offset + 1);
     }
 
     /// Record one reference in this arena's counters (and trace buffer).
@@ -228,17 +241,17 @@ impl Memory {
         unsafe { (&(*self.arenas[idx].cell.get()).words)[offset as usize] }
     }
 
-    /// Write one word of arena `idx` at `offset` without recording — the
-    /// caller accounts the reference in a [`RefDelta`].  Maintains the
-    /// arena's `touched` high-water mark exactly like [`Memory::write`].
+    /// Write one word of arena `idx` at `offset` (which lies in `area`)
+    /// without recording — the caller accounts the reference in a
+    /// [`RefDelta`].  Maintains the area's reset mark exactly like
+    /// [`Memory::write`].
     #[inline(always)]
-    pub(crate) fn serial_write(&self, idx: usize, offset: u32, value: Cell) {
+    pub(crate) fn serial_write(&self, idx: usize, offset: u32, value: Cell, area: Area) {
         debug_assert!(self.serial);
         // SAFETY: as in `serial_read`; serial mode makes this the only
         // live borrow.
         let a = unsafe { &mut *self.arenas[idx].cell.get() };
-        a.words[offset as usize] = value;
-        a.touched = a.touched.max(offset as usize + 1);
+        a.store(offset as usize, value, area);
     }
 
     /// Fold a worker's batched fast-path reference counts into its own
@@ -366,8 +379,7 @@ impl Memory {
         );
         self.with_arena(self.map.owner(addr), |arena| {
             let offset = arena.record(&self.seq, pe, addr, true, object);
-            arena.words[offset] = value;
-            arena.touched = arena.touched.max(offset + 1);
+            arena.store(offset, value, object.area());
         });
     }
 
@@ -379,8 +391,13 @@ impl Memory {
     pub fn reset(&mut self, collect_trace: bool) {
         for slot in &mut self.arenas {
             let a = slot.cell.get_mut();
-            a.words[..a.touched].fill(Cell::Empty);
-            a.touched = 0;
+            for area in Area::ALL {
+                let start = self.map.config.area_offset(area) as usize;
+                let mark = std::mem::take(&mut a.touched[area.index()]);
+                if mark > start {
+                    a.words[start..mark].fill(Cell::Empty);
+                }
+            }
             a.stats = AreaStats::new(self.map.num_workers);
             a.trace = if collect_trace { Some(Vec::new()) } else { None };
         }
@@ -419,8 +436,7 @@ impl Memory {
                 }
             };
             let offset = arena.record(&self.seq, pe, addr, true, object);
-            arena.words[offset] = Cell::Uint(f(old));
-            arena.touched = arena.touched.max(offset + 1);
+            arena.store(offset, Cell::Uint(f(old)), object.area());
             Ok(old)
         })
     }
@@ -637,6 +653,31 @@ mod tests {
     }
 
     #[test]
+    fn reset_sweeps_each_area_only_up_to_its_own_mark() {
+        let mut m = mem();
+        let h = m.area_base(0, Area::Heap);
+        let c = m.area_base(0, Area::ControlStack);
+        m.write(0, h + 1, Cell::Int(1), ObjectKind::HeapTerm);
+        m.write(0, c, Cell::Uint(2), ObjectKind::ChoicePoint);
+        m.with_arena(0, |a| {
+            // The Control-stack word sits above the whole heap and local
+            // stack in the arena; it must not drag their marks up with it.
+            assert_eq!(a.touched[Area::Heap.index()], 2);
+            assert_eq!(a.touched[Area::LocalStack.index()], 0);
+            assert_eq!(a.touched[Area::ControlStack.index()], (c - a.base) as usize + 1);
+            // Plant a word no write accounted for, past the heap's mark: a
+            // reset that swept the heap up to the Control-stack write (one
+            // arena-wide mark) would clear it.
+            a.words[5] = Cell::Int(99);
+        });
+        m.reset(true);
+        assert_eq!(m.read_untraced(h + 1), Cell::Empty);
+        assert_eq!(m.read_untraced(c), Cell::Empty);
+        assert_eq!(m.read_untraced(h + 5), Cell::Int(99), "the heap was swept past its own mark");
+        m.with_arena(0, |a| assert_eq!(a.touched, [0; Area::ALL.len()]));
+    }
+
+    #[test]
     fn serial_mode_counts_and_traces_identically() {
         let mut locked = mem();
         let mut serial = mem();
@@ -677,11 +718,11 @@ mod tests {
         assert_eq!(slow.read(0, h, ObjectKind::HeapTerm), Cell::Int(1));
         slow.write(0, t, Cell::Uint(7), ObjectKind::TrailEntry);
         let mut delta = RefDelta::default();
-        fast.serial_write(0, h, Cell::Int(1));
+        fast.serial_write(0, h, Cell::Int(1), Area::Heap);
         delta.count(ObjectKind::HeapTerm, true);
         assert_eq!(fast.serial_read(0, h), Cell::Int(1));
         delta.count(ObjectKind::HeapTerm, false);
-        fast.serial_write(0, t, Cell::Uint(7));
+        fast.serial_write(0, t, Cell::Uint(7), Area::Trail);
         delta.count(ObjectKind::TrailEntry, true);
         // Before the flush nothing is visible; after it the aggregates match.
         assert_eq!(fast.merged_stats().total.total(), 0);
@@ -694,9 +735,10 @@ mod tests {
         assert_eq!(fs.global_refs, ss.global_refs);
         assert_eq!(fs.local_refs, ss.local_refs);
         assert_eq!(fs.per_pe, ss.per_pe);
-        // The touched high-water mark is maintained, so reset still clears.
+        // The reset marks are maintained, so reset still clears.
         fast.reset(false);
         assert_eq!(fast.serial_read(0, h), Cell::Empty);
+        assert_eq!(fast.serial_read(0, t), Cell::Empty);
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! [`DeterminismMode`]:
 //!
 //! * [`Interleaved`] — the reference semantics: one host thread steps every
-//!   worker round-robin, `quantum` instructions per slot.  This is the
+//!   worker round-robin, one slot each per round.  With several PEs a
+//!   running worker's slot is `quantum` instructions (default 1): the
 //!   deterministic software-interleaved methodology of the paper's emulator.
+//!   With one PE there is nothing to interleave, so a slot runs to the next
+//!   scheduling-relevant event (park, wait, suspension, halt, fuel or step
+//!   budget due) and sequential work costs what it costs on a sequential
+//!   WAM — see [`EngineConfig::quantum`](crate::EngineConfig::quantum).
 //! * [`Threaded`] (strict) — one OS thread per PE, connected in a ring over
 //!   crossbeam channels.  A scheduling token carrying the engine travels the
 //!   ring, so every worker is stepped on its own thread while the global
@@ -169,24 +174,30 @@ impl Scheduler for Interleaved {
                     break;
                 }
                 progress |= engine.step_slot(w)?;
-                for ev in engine.drain_steals() {
-                    engine.deliver_steal_notices(ev.victim, 1);
-                }
-                for ev in engine.drain_cancels() {
-                    engine.deliver_cancel_notices(ev.executor, 1);
-                }
+                deliver_logged_events(&mut engine);
             }
             engine.end_round(progress)?;
         }
-        // The finishing slot may itself have stolen or cancelled; fold the
-        // tail so notification accounting stays exact.
-        for ev in engine.drain_steals() {
-            engine.deliver_steal_notices(ev.victim, 1);
-        }
-        for ev in engine.drain_cancels() {
-            engine.deliver_cancel_notices(ev.executor, 1);
-        }
+        // A `resume` leg can log cancel requests before any slot runs (its
+        // backtrack happens outside the round structure) and halt at once;
+        // fold that tail so notification accounting stays exact.
+        deliver_logged_events(&mut engine);
         Ok(engine)
+    }
+}
+
+/// Deliver, in place, the steal and cancel notifications logged since the
+/// last call.  A slot that logged nothing (almost all of them) costs one
+/// relaxed load.
+fn deliver_logged_events(engine: &mut Engine<'_>) {
+    if !engine.events_logged() {
+        return;
+    }
+    for ev in engine.drain_steals() {
+        engine.deliver_steal_notices(ev.victim, 1);
+    }
+    for ev in engine.drain_cancels() {
+        engine.deliver_cancel_notices(ev.executor, 1);
     }
 }
 
@@ -408,13 +419,15 @@ fn handle_token<'p>(
     }
     // Stolen goals and cancel requests become real cross-thread messages:
     // notify each victim's / executor's thread over its channel.
-    for ev in token.engine.drain_steals() {
-        debug_assert_eq!(ev.thief, w);
-        let _ = txs[ev.victim].send(Msg::StealNote { thief: ev.thief, frame: ev.frame });
-    }
-    for ev in token.engine.drain_cancels() {
-        debug_assert_eq!(ev.canceller, w);
-        let _ = txs[ev.executor].send(Msg::CancelNote { canceller: ev.canceller });
+    if token.engine.events_logged() {
+        for ev in token.engine.drain_steals() {
+            debug_assert_eq!(ev.thief, w);
+            let _ = txs[ev.victim].send(Msg::StealNote { thief: ev.thief, frame: ev.frame });
+        }
+        for ev in token.engine.drain_cancels() {
+            debug_assert_eq!(ev.canceller, w);
+            let _ = txs[ev.executor].send(Msg::CancelNote { canceller: ev.canceller });
+        }
     }
     if txs[(w + 1) % n].send(Msg::Token(token)).is_err() {
         return Flow::Stop; // next thread already shut down

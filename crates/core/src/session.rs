@@ -233,14 +233,13 @@ impl QueryOptions {
             memory: self.memory,
             collect_trace: self.trace,
             max_steps: self.max_steps,
-            quantum: 1,
-            num_x_regs: pwam_compiler::MAX_X_REGS,
             scheduler: self.scheduler,
             determinism: self.determinism,
             stall_timeout: self.stall_timeout,
             time_budget: self.time_budget,
             fuel: self.fuel,
             classic_dispatch: self.classic_dispatch,
+            ..EngineConfig::default()
         }
     }
 }

@@ -39,7 +39,13 @@ pub struct WorkerStats {
     pub backoff_parks: u64,
     /// Microseconds spent in timed parks while idle (relaxed backend).
     pub park_micros: u64,
-    /// Flat-dispatch batch exits caused by quantum/step-budget exhaustion.
+    /// Flat-dispatch batch exits caused by the slot's instruction budget
+    /// running out while the worker was still running: the quantum on an
+    /// N-PE strict engine, the relaxed backend's batch length, and on a
+    /// one-PE strict engine the slot cap or a due fuel/step limit.  Dispatch
+    /// telemetry, not a property of the program: it counts driver
+    /// re-entries, so it is the one counter that depends on how long a slot
+    /// is.
     pub batch_exits_budget: u64,
     /// Flat-dispatch batch exits caused by leaving the running state
     /// (parked at a `pcall_wait`, went idle, cancelling, query finished).
@@ -58,9 +64,14 @@ pub struct RunStats {
     /// Reads / writes split of `data_refs`.
     pub reads: u64,
     pub writes: u64,
-    /// Scheduler rounds until the query finished; with a quantum of one
-    /// instruction this approximates the parallel critical path and is the
-    /// quantity used to compute speed-ups.
+    /// Machine cycles until the query finished, one per scheduling round of
+    /// the strict backends; with the default quantum of one instruction
+    /// this approximates the parallel critical path and is the quantity
+    /// used to compute speed-ups.  A one-PE engine retires many
+    /// instructions per slot but counts one cycle for each, so there
+    /// `elapsed_cycles == instructions + idle_cycles` exactly as if it had
+    /// been driven an instruction at a time.  The relaxed backend has no
+    /// rounds and reports the busiest PE's instructions + idle slots.
     pub elapsed_cycles: u64,
     /// Number of Parcall Frames allocated (parallel calls executed).
     pub parcalls: u64,

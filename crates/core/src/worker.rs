@@ -215,8 +215,8 @@ pub struct Worker {
     pub backoff_parks: u64,
     /// Microseconds spent in timed parks while idle (relaxed backend).
     pub park_micros: u64,
-    /// Batch exits whose cause was quantum/step-budget exhaustion while
-    /// still `Running` (the scheduler will re-enter immediately).
+    /// Batch exits whose cause was the slot's instruction budget running
+    /// out while still `Running` (the scheduler will re-enter immediately).
     pub batch_exits_budget: u64,
     /// Batch exits whose cause was leaving `Running`: parked at a
     /// `pcall_wait`, went idle after goal completion, cancelled, or the

@@ -1,0 +1,157 @@
+//! Run-to-event slots are unobservable.
+//!
+//! A one-PE engine's running worker executes up to the next
+//! scheduling-relevant event per slot instead of one instruction, and the
+//! strict drivers drain the steal/cancel logs only when something was
+//! logged.  Nothing a caller can see may move: the goldens below were
+//! recorded on the instruction-at-a-time driver this replaced, and every
+//! case runs on both strict backends through both dispatch paths.
+
+use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
+use rapwam::session::{CursorStep, QueryOptions, Session, SessionError};
+use rapwam::{EngineError, MemRef, MemoryConfig, ObjectKind, RunResult};
+
+/// The four strict combinations at `workers` PEs: scheduler × dispatch path.
+fn strict_matrix(workers: usize) -> [(&'static str, QueryOptions); 4] {
+    [
+        ("interleaved/flat", QueryOptions::parallel(workers)),
+        ("interleaved/classic", QueryOptions::parallel(workers).with_classic_dispatch()),
+        ("threaded-strict/flat", QueryOptions::threaded(workers)),
+        ("threaded-strict/classic", QueryOptions::threaded(workers).with_classic_dispatch()),
+    ]
+}
+
+fn run(id: BenchmarkId, opts: &QueryOptions) -> Result<RunResult, SessionError> {
+    let b = benchmark(id, Scale::Small);
+    Session::new(&b.program).unwrap().run(&b.query, opts)
+}
+
+/// FNV-1a over every field of every reference (the fingerprint the
+/// golden-trace suite in `scheduler_differential` uses).
+fn fingerprint(trace: &[MemRef]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |b: u8| {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for r in trace {
+        mix(r.pe);
+        for b in r.addr.to_le_bytes() {
+            mix(b);
+        }
+        mix(r.write as u8);
+        mix(r.area.index() as u8);
+        mix(ObjectKind::ALL.iter().position(|o| *o == r.object).unwrap() as u8);
+        mix(matches!(r.locality, rapwam::Locality::Global) as u8);
+        mix(r.locked as u8);
+    }
+    h
+}
+
+/// (benchmark, instructions, data_refs, elapsed_cycles) of a one-PE run at
+/// `Scale::Small`.
+const ONE_PE_GOLDENS: [(BenchmarkId, u64, u64, u64); 7] = [
+    (BenchmarkId::Deriv, 663, 1705, 663),
+    (BenchmarkId::Tak, 14160, 32357, 14160),
+    (BenchmarkId::Qsort, 4586, 7156, 4586),
+    (BenchmarkId::Matrix, 2082, 2482, 2082),
+    (BenchmarkId::Boyer, 6522, 17654, 6522),
+    (BenchmarkId::Queens, 2578, 6399, 2578),
+    (BenchmarkId::Fib, 10219, 24467, 10219),
+];
+
+#[test]
+fn one_pe_counters_match_the_per_instruction_driver() {
+    for (id, instructions, data_refs, elapsed_cycles) in ONE_PE_GOLDENS {
+        for (name, opts) in strict_matrix(1) {
+            let stats = run(id, &opts).unwrap().stats;
+            let what = format!("{} on {name}", id.name());
+            assert_eq!(stats.instructions, instructions, "{what}: instructions");
+            assert_eq!(stats.data_refs, data_refs, "{what}: data_refs");
+            assert_eq!(stats.elapsed_cycles, elapsed_cycles, "{what}: elapsed_cycles");
+            // One PE: every cycle is an instruction or an idle/waiting slot.
+            let idle: u64 = stats.workers.iter().map(|w| w.idle_cycles).sum();
+            assert_eq!(stats.elapsed_cycles, stats.instructions + idle, "{what}: cycle accounting");
+        }
+    }
+}
+
+/// Instructions retired and machine fingerprint at the first fuel
+/// preemption of a `fuel`-budgeted run.
+fn first_preemption(id: BenchmarkId, opts: &QueryOptions, fuel: u64) -> (u64, u64) {
+    let b = benchmark(id, Scale::Small);
+    // At most 300 instructions run, so the smallest arenas do (and keep
+    // 2400 engine builds cheap).
+    let opts = opts.clone().with_fuel(fuel).with_memory(MemoryConfig::small());
+    let mut session = Session::new(&b.program).unwrap();
+    let compiled = session.prepare_with(&b.query, opts.compile_options()).unwrap();
+    let mut cursor = session.open_cursor(&compiled, &opts, None).unwrap();
+    match cursor.next_step().unwrap() {
+        CursorStep::FuelExhausted => (
+            cursor.stats().expect("live engine").instructions,
+            cursor.state_fingerprint().expect("live engine"),
+        ),
+        other => panic!("{} with fuel {fuel}: expected a preemption, got {other:?}", id.name()),
+    }
+}
+
+#[test]
+fn fuel_preempts_after_exactly_k_instructions() {
+    // qsort's first 300 instructions cross calls, choice points and
+    // backtracking; queens adds deep failure-driven search.
+    for id in [BenchmarkId::Qsort, BenchmarkId::Queens] {
+        for k in 1..=300u64 {
+            let mut seen: Option<u64> = None;
+            for (name, opts) in strict_matrix(1) {
+                let (retired, fp) = first_preemption(id, &opts, k);
+                assert_eq!(retired, k, "{} on {name}: fuel {k} preempted late or early", id.name());
+                let fp0 = *seen.get_or_insert(fp);
+                assert_eq!(fp, fp0, "{} on {name}: machine state at fuel {k} diverged", id.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn step_limit_fires_at_the_same_instruction() {
+    // The limit is enforced when a round closes with `steps > max_steps`,
+    // so the failing run has retired exactly `max_steps + 1` instructions.
+    // The engine is lost with the error, so pin the boundary from both
+    // sides instead: `total - 1` is exceeded, `total` is not.
+    for (id, total, _, _) in ONE_PE_GOLDENS {
+        for (name, opts) in strict_matrix(1) {
+            for k in [1, 97, total - 1] {
+                let limited = QueryOptions { max_steps: k, ..opts.clone() };
+                match run(id, &limited) {
+                    Err(SessionError::Engine(EngineError::StepLimitExceeded { limit })) => {
+                        assert_eq!(limit, k)
+                    }
+                    other => panic!("{} on {name}: max_steps {k} gave {other:?}", id.name()),
+                }
+            }
+            let exact = QueryOptions { max_steps: total, ..opts.clone() };
+            assert!(run(id, &exact).unwrap().outcome.is_success(), "{} on {name}", id.name());
+        }
+    }
+}
+
+#[test]
+fn two_pe_trace_with_steals_is_unchanged() {
+    // (benchmark, trace length, fingerprint) on two PEs; steals happen, so
+    // the drivers' conditional log drain is on the path.
+    let goldens: [(BenchmarkId, usize, u64); 2] =
+        [(BenchmarkId::Deriv, 1725, 0xb43083a3afa69624), (BenchmarkId::Fib, 24504, 0x32fe3032bc67c83c)];
+    for (id, len, fp) in goldens {
+        for (name, opts) in strict_matrix(2) {
+            let result = run(id, &opts.with_trace()).unwrap();
+            let trace = result.trace.expect("trace requested");
+            let what = format!("{} on {name}", id.name());
+            let stolen: u64 = result.stats.workers.iter().map(|w| w.goals_stolen).sum();
+            let notices: u64 = result.stats.workers.iter().map(|w| w.steal_notices).sum();
+            assert!(stolen > 0, "{what}: no steal occurred");
+            assert_eq!(notices, stolen, "{what}: every steal must reach its victim's books");
+            assert_eq!(trace.len(), len, "{what}: trace length");
+            assert_eq!(fingerprint(&trace), fp, "{what}: trace fingerprint");
+        }
+    }
+}

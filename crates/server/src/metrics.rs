@@ -241,7 +241,7 @@ impl ServerMetrics {
         );
         let pe_batch_exits_budget = registry.counter_vec(
             "pwam_pe_batch_exits_budget_total",
-            "Flat-dispatch batch exits caused by quantum exhaustion, per PE.",
+            "Flat-dispatch batch exits caused by the slot's instruction budget running out (driver re-entries), per PE.",
             "pe",
         );
         let pe_batch_exits_park = registry.counter_vec(

@@ -3,7 +3,7 @@
 
 use pwam_obs::{parse_sample, sum_family};
 use pwam_server::{Client, ErrorKind, PoolConfig, QueryRequest, Request, Response, Server, ServerConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(pool_size: usize) -> Server {
     Server::start(ServerConfig {
@@ -242,11 +242,14 @@ fn quota_rejections_surface_in_metrics_and_stats() {
             ..QueryRequest::default()
         })
     });
-    std::thread::sleep(Duration::from_millis(200));
     let mut client = Client::connect(addr).unwrap();
-    // While the holder runs, the tenant gauge shows it...
-    let text = client.metrics().unwrap();
-    assert_eq!(parse_sample(&text, "pwam_tenant_active_queries{tenant=\"acme\"}"), Some(1));
+    // While the holder runs, the tenant gauge shows it (wait for its
+    // admission rather than sleeping a guessed interval)...
+    let waiting_since = Instant::now();
+    while parse_sample(&client.metrics().unwrap(), "pwam_tenant_active_queries{tenant=\"acme\"}") != Some(1) {
+        assert!(waiting_since.elapsed() < Duration::from_secs(10), "the holder was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // ...and a second request for the same tenant bounces at admission.
     let response = client
         .query(QueryRequest {

@@ -4,7 +4,7 @@
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use pwam_server::{Client, ErrorKind, PoolConfig, QueryRequest, Response, Server, ServerConfig};
 use rapwam::{DeterminismMode, SchedulerKind};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(pool_size: usize, max_queue: usize) -> Server {
     Server::start(ServerConfig {
@@ -173,8 +173,10 @@ fn saturated_pool_sheds_load() {
     std::thread::scope(|s| {
         let slow = s.spawn(move || {
             let mut c = Client::connect(addr).unwrap();
-            // Roughly a second of engine work at debug speeds; backtracking
-            // over `memb × memb` burns instructions in constant heap space.
+            // Seconds of engine work at debug speeds and a sixth of a
+            // second optimised — a hundred times what the collision below
+            // takes once the slot is seen busy.  Backtracking over
+            // `memb × memb` burns instructions in constant heap space.
             c.query(QueryRequest {
                 program: "range(N, N, [N]) :- !.\n\
                           range(I, N, [I|T]) :- I < N, J is I + 1, range(J, N, T).\n\
@@ -184,15 +186,20 @@ fn saturated_pool_sheds_load() {
                           burn(_).\n\
                           slow(N) :- range(1, N, L), burn(L).\n"
                     .to_string(),
-                query: "slow(700)".to_string(),
+                query: "slow(1000)".to_string(),
                 deadline_ms: Some(30_000),
                 ..QueryRequest::default()
             })
             .unwrap()
         });
-        // Give the slow query time to claim the slot, then collide.
-        std::thread::sleep(Duration::from_millis(150));
+        // Collide only once the slow query holds the slot: `pool_requests`
+        // counts slot grants, and this is the server's first.
         let mut c = Client::connect(addr).unwrap();
+        let waiting_since = Instant::now();
+        while c.stats().unwrap().get("pool_requests") != Some(1) {
+            assert!(waiting_since.elapsed() < Duration::from_secs(30), "the slow query never got its slot");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let colliding = c
             .query(QueryRequest {
                 program: "p(1).".to_string(),
