@@ -10,19 +10,20 @@
 //! `mlips-gate` CI job runs the same comparison as a test with
 //! per-benchmark floors.
 //!
-//! The output file is append-only across invocations: the new run becomes
-//! `latest` and is pushed onto `history`, so the raw-speed trajectory
-//! accumulates across PRs.  A pre-existing flat-array file (the original
-//! format) is migrated into the first history entry.  The scheduler and
-//! worker count come from `PWAM_MLIPS_SCHED` / `PWAM_MLIPS_THREADS` (see
-//! `pwam_benchmarks::mlips::mlips_configuration`) and are recorded per
-//! report.
+//! The output file is append-only across invocations
+//! (`pwam_bench::history::append_run`): the new run becomes `latest` and is
+//! pushed onto `history`, so the raw-speed trajectory accumulates across
+//! PRs.  The worker count comes from `PWAM_MLIPS_THREADS` (see
+//! `pwam_benchmarks::mlips::mlips_workers`) and is recorded per report.
 //!
 //! Usage: `mlips_throughput [--runs N] [--out PATH] [--small-scale|--paper-scale]`
 
 use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags};
-use pwam_benchmarks::mlips::{compare_dispatch_paths, MlipsComparison, MlipsFile};
+use pwam_bench::history::append_run;
+use pwam_benchmarks::mlips::{compare_dispatch_paths, MlipsComparison};
 use pwam_benchmarks::{BenchmarkId, Scale};
+use serde_json::Value;
+use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 fn main() {
@@ -54,13 +55,16 @@ fn main() {
         reports.push(c);
     }
 
-    let mut file = match std::fs::read_to_string(&out) {
-        Ok(existing) => MlipsFile::parse_or_default(&existing),
-        Err(_) => MlipsFile::default(),
-    };
     let now = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
-    file.record(now, reports);
-    let json = serde_json::to_string_pretty(&file).expect("serialise");
-    std::fs::write(&out, json + "\n").expect("write report");
-    println!("wrote {out} ({} recorded runs)", file.history.len());
+    let run = Value::Object(vec![
+        ("unix_secs".to_string(), Value::UInt(now)),
+        ("reports".to_string(), serde_json::to_value(&reports)),
+    ]);
+    match append_run(Path::new(&out), run) {
+        Ok(runs) => println!("wrote {out} ({runs} recorded runs)"),
+        Err(e) => {
+            eprintln!("mlips_throughput: cannot record the run in {out}: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -5,9 +5,8 @@
 //! ```text
 //! pwam-load --addr HOST:PORT [--clients N] [--requests M]
 //!           [--benchmarks deriv,tak,qsort,queens] [--workers W]
-//!           [--scheduler interleaved|threaded] [--determinism strict|relaxed]
-//!           [--deadline-ms N] [--cursor-every N] [--require-reuse]
-//!           [--shutdown] [--json]
+//!           [--determinism strict|relaxed] [--deadline-ms N]
+//!           [--cursor-every N] [--require-reuse] [--shutdown] [--json]
 //! ```
 //!
 //! Every client cycles through the selected registry benchmarks (at
@@ -41,12 +40,14 @@
 //! sustains (the event-loop-vs-threads capacity differential).
 
 use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags, usage_error};
+use pwam_bench::history::append_run;
 use pwam_benchmarks::{benchmark, runner::Validation, Benchmark, BenchmarkId, Scale};
 use pwam_obs::{parse_histogram, Histogram};
 use pwam_server::{AnswerResponse, Client, QueryRequest, Response};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use rapwam::{DeterminismMode, SchedulerKind};
 use serde::Serialize;
+use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// The rendered answer the registry expects for a benchmark's query
@@ -128,7 +129,7 @@ struct Report {
 }
 
 /// One recorded `pwam-load` invocation in `BENCH_server.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Serialize)]
 struct ServerBenchRun {
     /// Seconds since the Unix epoch when the run was recorded.
     unix_secs: u64,
@@ -145,46 +146,15 @@ struct ServerBenchRun {
     pool_cold_builds: u64,
 }
 
-/// On-disk shape of `BENCH_server.json`, mirroring `BENCH_mlips.json`:
-/// the most recent run plus every previously recorded one, so the serving
-/// tier accumulates a perf trajectory across PRs.
-#[derive(Debug, Clone, Default, Serialize)]
-struct ServerBenchFile {
-    latest: Option<ServerBenchRun>,
-    history: Vec<ServerBenchRun>,
-}
-
-fn bench_run_from_value(v: &serde_json::Value) -> Option<ServerBenchRun> {
-    Some(ServerBenchRun {
-        unix_secs: v.get("unix_secs")?.as_u64()?,
-        clients: v.get("clients")?.as_u64()? as usize,
-        requests: v.get("requests")?.as_u64()?,
-        throughput_rps: v.get("throughput_rps")?.as_f64()?,
-        latency_p50_us: v.get("latency_p50_us")?.as_u64()?,
-        latency_p99_us: v.get("latency_p99_us")?.as_u64()?,
-        server_request_p50_bound_us: v.get("server_request_p50_bound_us")?.as_u64()?,
-        server_request_p99_bound_us: v.get("server_request_p99_bound_us")?.as_u64()?,
-        server_mlips_x1000: v.get("server_mlips_x1000")?.as_u64()?,
-        pool_warm_hits: v.get("pool_warm_hits")?.as_u64()?,
-        pool_cold_builds: v.get("pool_cold_builds")?.as_u64()?,
-    })
-}
-
-impl ServerBenchFile {
-    /// Parse an existing `BENCH_server.json`; unparseable or absent
-    /// content starts a fresh trajectory.
-    fn parse_or_default(json: &str) -> ServerBenchFile {
-        let Ok(v) = serde_json::from_str(json) else { return ServerBenchFile::default() };
-        let parsed = || -> Option<ServerBenchFile> {
-            let latest = match v.get("latest") {
-                Some(l) if l.get("unix_secs").is_some() => Some(bench_run_from_value(l)?),
-                _ => None,
-            };
-            let history =
-                v.get("history")?.as_array()?.iter().map(bench_run_from_value).collect::<Option<Vec<_>>>()?;
-            Some(ServerBenchFile { latest, history })
-        }();
-        parsed.unwrap_or_default()
+/// Append `run` to the `{latest, history[]}` trajectory file at `path`, or
+/// exit 1 leaving the file as it was.
+fn record_run(path: &str, what: &str, run: serde_json::Value) {
+    match append_run(Path::new(path), run) {
+        Ok(runs) => eprintln!("pwam-load: recorded {what} in {path} ({runs} total)"),
+        Err(e) => {
+            eprintln!("pwam-load: cannot record {what} in {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -233,8 +203,8 @@ fn main() {
         eprintln!(
             "usage: pwam-load --addr HOST:PORT [--clients N] [--requests M]\n\
              \x20                [--benchmarks deriv,tak,qsort,queens] [--workers W]\n\
-             \x20                [--scheduler NAME] [--determinism NAME] [--deadline-ms N]\n\
-             \x20                [--cursor-every N] [--require-reuse] [--shutdown] [--json]\n\
+             \x20                [--determinism NAME] [--deadline-ms N] [--cursor-every N]\n\
+             \x20                [--require-reuse] [--shutdown] [--json]\n\
              \x20                [--bench-out BENCH_server.json]\n\
              \x20      pwam-load --capacity --addr HOST:PORT [--arrival-rps 100,200]\n\
              \x20                [--duration-ms 3000] [--connections 16]\n\
@@ -272,7 +242,6 @@ fn main() {
             ("--requests", true),
             ("--benchmarks", true),
             ("--workers", true),
-            ("--scheduler", true),
             ("--determinism", true),
             ("--deadline-ms", true),
             ("--cursor-every", true),
@@ -290,16 +259,15 @@ fn main() {
     // 0 = plain queries only; N = every Nth request per client streams
     // through a cursor instead.
     let cursor_every = num_arg(&args, "--cursor-every").unwrap_or(0) as usize;
-    let scheduler = match arg_value(&args, "--scheduler") {
-        None => SchedulerKind::Interleaved,
-        Some(name) => SchedulerKind::parse(&name).unwrap_or_else(|| {
-            usage_error(&format!("--scheduler {name} (expected interleaved or threaded)"))
-        }),
-    };
     let determinism = match arg_value(&args, "--determinism") {
         None => DeterminismMode::Strict,
         Some(name) => DeterminismMode::parse(&name)
             .unwrap_or_else(|| usage_error(&format!("--determinism {name} (expected strict or relaxed)"))),
+    };
+    // Relaxed determinism is what puts the server's PEs on threads.
+    let scheduler = match determinism {
+        DeterminismMode::Strict => SchedulerKind::Interleaved,
+        DeterminismMode::Relaxed => SchedulerKind::Threaded,
     };
     let bench_names =
         arg_value(&args, "--benchmarks").unwrap_or_else(|| "deriv,tak,qsort,queens".to_string());
@@ -581,12 +549,8 @@ fn main() {
         );
     }
 
-    // Record the run in the serving tier's perf-trajectory file (same
-    // {latest, history[]} shape as BENCH_mlips.json).
+    // Record the run in the serving tier's perf-trajectory file.
     if let Some(path) = bench_out {
-        let mut file = std::fs::read_to_string(&path)
-            .map(|json| ServerBenchFile::parse_or_default(&json))
-            .unwrap_or_default();
         let run = ServerBenchRun {
             unix_secs: SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0),
             clients: report.clients,
@@ -600,14 +564,7 @@ fn main() {
             pool_warm_hits: report.pool_warm_hits,
             pool_cold_builds: report.pool_cold_builds,
         };
-        file.latest = Some(run.clone());
-        file.history.push(run);
-        let json = serde_json::to_string_pretty(&file).expect("serialise bench record");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("pwam-load: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("pwam-load: recorded run in {path} ({} total)", file.history.len());
+        record_run(&path, "run", serde_json::to_value(&run));
     }
 
     for failure in &cross_check_failures {
@@ -652,9 +609,7 @@ struct CapacityPoint {
     latency_max_us: u64,
 }
 
-/// On-disk record of one capacity run (`BENCH_server_capacity.json` keeps
-/// `{latest, history[]}` like the other trajectory files; history entries
-/// are carried as raw JSON so old shapes survive).
+/// On-disk record of one capacity run in `BENCH_server_capacity.json`.
 #[derive(Debug, Serialize)]
 struct CapacityRun {
     unix_secs: u64,
@@ -897,28 +852,7 @@ fn run_capacity(args: &[String]) {
     }
 
     if let Some(path) = capacity_out {
-        // {latest, history[]}: prior runs (any shape) ride along as raw
-        // JSON; the fresh run becomes `latest` and joins the history.
-        let prior = std::fs::read_to_string(&path).ok().and_then(|text| serde_json::from_str(&text).ok());
-        let mut history: Vec<serde_json::Value> = prior
-            .as_ref()
-            .and_then(|v| v.get("history"))
-            .and_then(|h| h.as_array())
-            .map(<[serde_json::Value]>::to_vec)
-            .unwrap_or_default();
-        let latest = serde_json::to_value(&run);
-        history.push(latest.clone());
-        let runs = history.len();
-        let file = serde_json::Value::Object(vec![
-            ("latest".to_string(), latest),
-            ("history".to_string(), serde_json::Value::Array(history)),
-        ]);
-        let text = file.to_json_pretty();
-        if let Err(e) = std::fs::write(&path, text + "\n") {
-            eprintln!("pwam-load: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("pwam-load: recorded capacity run in {path} ({runs} total)");
+        record_run(&path, "capacity run", serde_json::to_value(&run));
     }
 
     let errors: u64 = run.points.iter().map(|p| p.errors).sum();

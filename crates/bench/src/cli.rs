@@ -3,25 +3,22 @@
 //! Every binary accepts, in addition to its own flags:
 //!
 //! * `--scale small|paper|large` — input scale (default `paper`),
-//! * `--threads N` — run every engine execution on the Threaded scheduler
-//!   (one OS thread per PE).  `N` overrides the worker count only in
-//!   binaries with a single worker knob (`table2`); the figure-style
-//!   binaries sweep their own fixed PE counts and use the flag purely as a
-//!   backend selector,
-//! * `--scheduler interleaved|threaded` — pick the execution backend
-//!   explicitly (the `PWAM_SCHEDULER` environment variable is the fallback),
+//! * `--threads N` — override the worker count in binaries with a single
+//!   worker knob (`table2`); the figure-style binaries sweep their own
+//!   fixed PE counts and ignore the value,
 //! * `--determinism strict|relaxed` — pick the determinism mode (the
-//!   `PWAM_DETERMINISM` environment variable is the fallback).  `relaxed`
-//!   frees the Threaded backend from the scheduling token (true per-arena
-//!   parallel execution) and implies `--scheduler threaded`.
+//!   `PWAM_DETERMINISM` environment variable is the fallback), and with it
+//!   the backend: `strict` interleaves the PEs on the host thread,
+//!   `relaxed` gives each PE a free-running OS thread (true per-arena
+//!   parallel execution).
 //!
 //! A flag the binary does not know, a stray positional argument and a value
 //! that does not parse are all usage errors (exit code 2), never silent
 //! fallbacks: a typo must not let a run report a configuration it never
 //! used.
 
-use crate::experiments::{set_determinism, set_scheduler, ExperimentScale};
-use rapwam::{DeterminismMode, SchedulerKind};
+use crate::experiments::{set_determinism, ExperimentScale};
+use rapwam::DeterminismMode;
 
 /// The value following `key` in `args`, if present.
 pub fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -30,13 +27,8 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
 
 /// The flags every experiment binary accepts, as [`reject_unknown_flags`]
 /// takes them: `(name, takes a value)`.
-pub const COMMON_FLAGS: [(&str, bool); 5] = [
-    ("--scale", true),
-    ("--threads", true),
-    ("--scheduler", true),
-    ("--determinism", true),
-    ("--json", false),
-];
+pub const COMMON_FLAGS: [(&str, bool); 4] =
+    [("--scale", true), ("--threads", true), ("--determinism", true), ("--json", false)];
 
 /// The first argument after the program name that is not one of `known` —
 /// each `(name, takes a value)` — or the value of one.
@@ -88,46 +80,24 @@ pub fn num_arg(args: &[String], key: &str) -> Option<u64> {
     parse_num(args, key).unwrap_or_else(|v| usage_error(&format!("{key} {v} (expected a number)")))
 }
 
-/// Handle `--threads N` and `--scheduler NAME`: selects the process-wide
-/// execution backend for every engine run, and returns the worker-count
-/// override requested by `--threads` (if any).  Callers whose experiment
-/// has a configurable worker count should honour the returned override;
-/// fixed-PE experiments ignore it by design.
+/// Handle `--threads N` and `--determinism NAME`: selects the process-wide
+/// determinism mode (and so the backend) for every engine run, and returns
+/// the worker-count override requested by `--threads` (if any).  Callers
+/// whose experiment has a configurable worker count should honour the
+/// returned override; fixed-PE experiments ignore it by design.
 ///
 /// Invalid values are usage errors (exit code 2), not silent fallbacks: a
 /// typo must not let a run claim a backend it never used.
 pub fn scheduler_args(args: &[String]) -> Option<usize> {
-    let explicit = arg_value(args, "--scheduler").map(|name| match SchedulerKind::parse(&name) {
-        Some(kind) => kind,
-        None => usage_error(&format!("--scheduler {name} (expected interleaved or threaded)")),
-    });
     let threads = arg_value(args, "--threads").map(|s| match s.parse::<usize>() {
         Ok(n) if n >= 1 => n,
         _ => usage_error(&format!("--threads {s} (expected a worker count >= 1)")),
     });
-    let determinism = arg_value(args, "--determinism").map(|name| match DeterminismMode::parse(&name) {
-        Some(mode) => mode,
-        None => usage_error(&format!("--determinism {name} (expected strict or relaxed)")),
-    });
-    if threads.is_some() && explicit == Some(SchedulerKind::Interleaved) {
-        usage_error("--threads together with --scheduler interleaved (pick one backend)");
-    }
-    if determinism == Some(DeterminismMode::Relaxed) && explicit == Some(SchedulerKind::Interleaved) {
-        // Relaxed only changes the Threaded backend; accepting the combination
-        // would let a run claim a mode that never took effect.
-        usage_error("--determinism relaxed together with --scheduler interleaved (relaxed needs threads)");
-    }
-    if let Some(kind) = explicit {
-        set_scheduler(kind);
-    }
-    if threads.is_some() {
-        set_scheduler(SchedulerKind::Threaded);
-    }
-    if let Some(mode) = determinism {
-        set_determinism(mode);
-        if mode == DeterminismMode::Relaxed {
-            set_scheduler(SchedulerKind::Threaded);
-        }
+    if let Some(name) = arg_value(args, "--determinism") {
+        match DeterminismMode::parse(&name) {
+            Some(mode) => set_determinism(mode),
+            None => usage_error(&format!("--determinism {name} (expected strict or relaxed)")),
+        };
     }
     threads
 }
@@ -184,8 +154,6 @@ mod tests {
     #[test]
     fn threads_flag_parses() {
         let a = args(&["bin", "--threads", "4"]);
-        // Only checks the parse here; the process-wide scheduler choice is
-        // first-wins and other tests may have already made it.
         assert_eq!(arg_value(&a, "--threads").and_then(|s| s.parse::<usize>().ok()), Some(4));
     }
 

@@ -8,35 +8,16 @@ use crate::paper;
 use pwam_benchmarks::{benchmark, Benchmark, BenchmarkId, Scale};
 use pwam_cachesim::{run_sweep, simulate, BusModel, BusModelResult, CacheConfig, Protocol, SimConfig};
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{DeterminismMode, MemRef, MemoryConfig, ObjectKind, RunResult, SchedulerKind};
+use rapwam::{DeterminismMode, MemRef, MemoryConfig, ObjectKind, RunResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// Process-wide scheduler selection for every engine run the experiments
-/// perform.  Binaries set it from `--threads` / `--scheduler`; when unset,
-/// the `PWAM_SCHEDULER` environment variable decides, defaulting to the
-/// reference interleaved backend.  Both backends produce identical answers
-/// and reference counts (pinned by the differential tests), so every table
-/// and figure is scheduler-independent.
-static SCHEDULER: OnceLock<SchedulerKind> = OnceLock::new();
-
-/// Select the execution backend for subsequent experiment runs.  Returns
-/// `false` if a backend was already chosen (first choice wins).
-pub fn set_scheduler(kind: SchedulerKind) -> bool {
-    SCHEDULER.set(kind).is_ok()
-}
-
-/// The execution backend experiments run on.
-pub fn scheduler() -> SchedulerKind {
-    *SCHEDULER.get_or_init(|| {
-        std::env::var("PWAM_SCHEDULER").ok().and_then(|s| SchedulerKind::parse(&s)).unwrap_or_default()
-    })
-}
-
-/// Process-wide determinism selection, mirroring [`SCHEDULER`]: binaries set
-/// it from `--determinism`; when unset, the `PWAM_DETERMINISM` environment
-/// variable decides, defaulting to strict.  Every table and figure is
+/// Process-wide determinism selection for every engine run the experiments
+/// perform: binaries set it from `--determinism`; when unset, the
+/// `PWAM_DETERMINISM` environment variable decides, defaulting to strict.
+/// It also picks the backend — strict runs interleave on the host thread,
+/// relaxed runs put each PE on its own thread.  Every table and figure is
 /// determinism-independent on the observables it reports — the relaxed CI
 /// job runs the whole small-scale experiment suite to prove exactly that.
 static DETERMINISM: OnceLock<DeterminismMode> = OnceLock::new();
@@ -101,16 +82,11 @@ pub fn experiment_memory() -> MemoryConfig {
 }
 
 fn options(workers: usize, parallel: bool, trace: bool) -> QueryOptions {
-    QueryOptions {
-        parallel,
-        workers,
-        trace,
-        memory: experiment_memory(),
-        max_steps: 2_000_000_000,
-        scheduler: scheduler(),
-        determinism: determinism(),
-        ..QueryOptions::default()
-    }
+    let backend = match determinism() {
+        DeterminismMode::Strict => QueryOptions::parallel(workers),
+        DeterminismMode::Relaxed => QueryOptions::relaxed(workers),
+    };
+    QueryOptions { parallel, trace, memory: experiment_memory(), max_steps: 2_000_000_000, ..backend }
 }
 
 /// Run one benchmark and return the engine result.

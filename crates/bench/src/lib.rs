@@ -21,6 +21,7 @@
 
 pub mod cli;
 pub mod experiments;
+pub mod history;
 pub mod paper;
 pub mod table;
 

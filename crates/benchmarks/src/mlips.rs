@@ -4,10 +4,10 @@
 //! much work the RAP-WAM does relative to the sequential WAM.  This module
 //! measures the orthogonal quantity: how fast the host executor retires
 //! those instructions.  [`measure_mlips`] runs one registry benchmark on
-//! the configured strict backend ([`mlips_configuration`]; default one
-//! interleaved PE, CI also gates Threaded×Strict at 2 PEs), times the
-//! engine run (compilation and engine construction excluded), and reports
-//! millions of instructions per second over the best of `runs` attempts.
+//! the interleaved backend ([`mlips_workers`] PEs; default one, CI also
+//! gates two), times the engine run (compilation and engine construction
+//! excluded), and reports millions of instructions per second over the
+//! best of `runs` attempts.
 //!
 //! Because wall-clock throughput is machine-dependent, the regression gate
 //! (`mlips_gate` integration test) does not pin absolute numbers.  Instead
@@ -21,40 +21,24 @@
 
 use crate::{benchmark, BenchmarkId, Scale};
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{Engine, Outcome, SchedulerKind};
-use serde::{Deserialize, Serialize};
+use rapwam::{Engine, Outcome};
+use serde::Serialize;
 use std::time::Instant;
 
-/// The scheduler×width configuration the MLIPS harness runs under,
-/// resolved from the environment so CI can gate more than one backend:
+/// The worker count the MLIPS harness runs at: `PWAM_MLIPS_THREADS`,
+/// default 1.  The backend is always the interleaved one, so flat and
+/// classic retire the *same* instruction stream and the speedup ratio stays
+/// meaningful.
 ///
-/// * `PWAM_MLIPS_SCHED` — `interleaved` (default) or `threaded`.  Both are
-///   strict (deterministic), so flat and classic retire the *same*
-///   instruction stream and the speedup ratio stays meaningful.
-/// * `PWAM_MLIPS_THREADS` — worker count, default 1.
-///
-/// CI runs the default 1-PE interleaved leg and a `threaded`×2-PE leg: the
-/// latter exercises the flat loop's driver-free goal transitions and
-/// park/steal cold exits under the token ring, where quantum boundaries
-/// and cross-PE handoffs actually occur.
-pub fn mlips_configuration() -> (SchedulerKind, usize) {
-    let scheduler = match std::env::var("PWAM_MLIPS_SCHED").as_deref() {
-        Ok("threaded") => SchedulerKind::Threaded,
-        _ => SchedulerKind::Interleaved,
-    };
-    let workers = std::env::var("PWAM_MLIPS_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
-    (scheduler, workers.max(1))
+/// CI runs the default 1-PE leg and a 2-PE leg: the latter exercises the
+/// flat loop's driver-free goal transitions and park/steal cold exits,
+/// where quantum boundaries and cross-PE handoffs actually occur.
+pub fn mlips_workers() -> usize {
+    std::env::var("PWAM_MLIPS_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1).max(1)
 }
 
-fn scheduler_name(s: SchedulerKind) -> &'static str {
-    match s {
-        SchedulerKind::Interleaved => "interleaved",
-        SchedulerKind::Threaded => "threaded",
-    }
-}
-
-/// Throughput of one benchmark on the configured strict backend.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Throughput of one benchmark on the interleaved backend.
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MlipsReport {
     pub id: BenchmarkId,
     pub scale: Scale,
@@ -75,25 +59,23 @@ impl MlipsReport {
     }
 }
 
-/// Time `id` at `scale` on the configured strict backend (see
-/// [`mlips_configuration`]; default one interleaved PE) and report the
-/// best-of-`runs` throughput.  Only the engine run is timed: compilation is cached
-/// by the session and engine construction (arena allocation) happens before
-/// the clock starts.
+/// Time `id` at `scale` on [`mlips_workers`] interleaved PEs and report the
+/// best-of-`runs` throughput.  Only the engine run is timed: compilation is
+/// cached by the session and engine construction (arena allocation) happens
+/// before the clock starts.
 pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, classic_dispatch: bool) -> MlipsReport {
     let bench = benchmark(id, scale);
     let mut session =
         Session::new(&bench.program).unwrap_or_else(|e| panic!("{}: parse failed: {e}", id.name()));
-    let (scheduler, workers) = mlips_configuration();
-    let options =
-        QueryOptions { classic_dispatch, ..QueryOptions::parallel(workers).with_scheduler(scheduler) };
+    let workers = mlips_workers();
+    let options = QueryOptions { classic_dispatch, ..QueryOptions::parallel(workers) };
     let compiled = session
         .prepare_with(&bench.query, options.compile_options())
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", id.name()));
     let mut config = options.engine_config();
     // One PE runs the default configuration: its slots already run to the
     // next scheduling event.  With several PEs the default quantum of 1
-    // would measure the token ring's per-instruction handoff, not the
+    // would measure the round driver's per-instruction handoff, not the
     // dispatch loop; a large quantum lets both paths run their batch loop
     // properly.  Applied to the classic path too, so the comparison stays
     // entry-for-entry fair.
@@ -120,7 +102,7 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, classic_dispatc
 /// One benchmark's entry in `BENCH_mlips.json`: the flattened fast path
 /// against the classic dispatch baseline, measured back to back on the same
 /// machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MlipsComparison {
     pub id: BenchmarkId,
     pub scale: Scale,
@@ -133,89 +115,8 @@ pub struct MlipsComparison {
     pub speedup: f64,
     /// The per-benchmark floor the gate enforces on `speedup`.
     pub floor: f64,
-    /// Scheduler backend the comparison ran on (`interleaved`/`threaded`).
-    pub scheduler: String,
     /// Worker count of the run.
     pub workers: usize,
-}
-
-/// One recorded `mlips_throughput` invocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MlipsRun {
-    /// Seconds since the Unix epoch when the run was recorded (0 for
-    /// entries migrated from the original flat-array file format).
-    pub unix_secs: u64,
-    pub reports: Vec<MlipsComparison>,
-}
-
-/// On-disk shape of `BENCH_mlips.json`: the most recent full-registry run
-/// plus every previously recorded run, so the raw-speed trajectory
-/// accumulates across PRs instead of each run overwriting the last.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MlipsFile {
-    pub latest: Vec<MlipsComparison>,
-    pub history: Vec<MlipsRun>,
-}
-
-fn comparison_from_value(v: &serde_json::Value) -> Option<MlipsComparison> {
-    let id = BenchmarkId::parse(&v.get("id")?.as_str()?.to_lowercase())?;
-    let scale = match v.get("scale")?.as_str()? {
-        "Paper" => Scale::Paper,
-        "Small" => Scale::Small,
-        _ => return None,
-    };
-    Some(MlipsComparison {
-        id,
-        scale,
-        instructions: v.get("instructions")?.as_u64()?,
-        classic_mips: v.get("classic_mips")?.as_f64()?,
-        flat_mips: v.get("flat_mips")?.as_f64()?,
-        speedup: v.get("speedup")?.as_f64()?,
-        floor: v.get("floor")?.as_f64()?,
-        // Absent in files written before the scheduler was configurable:
-        // every such run was one interleaved PE.
-        scheduler: v.get("scheduler").and_then(|s| s.as_str()).unwrap_or("interleaved").to_string(),
-        workers: v.get("workers").and_then(|w| w.as_u64()).unwrap_or(1) as usize,
-    })
-}
-
-fn comparisons_from_value(v: &serde_json::Value) -> Option<Vec<MlipsComparison>> {
-    v.as_array()?.iter().map(comparison_from_value).collect()
-}
-
-impl MlipsFile {
-    /// Parse an existing `BENCH_mlips.json`, accepting both the current
-    /// `{latest, history}` shape and the original flat-array format.  A
-    /// flat array migrates to a file whose single (timestampless) history
-    /// entry is the array.  Unparseable or absent content starts fresh.
-    pub fn parse_or_default(json: &str) -> MlipsFile {
-        let Ok(v) = serde_json::from_str(json) else { return MlipsFile::default() };
-        if let Some(reports) = comparisons_from_value(&v) {
-            return MlipsFile { latest: reports.clone(), history: vec![MlipsRun { unix_secs: 0, reports }] };
-        }
-        let parsed = || -> Option<MlipsFile> {
-            let latest = comparisons_from_value(v.get("latest")?)?;
-            let history = v
-                .get("history")?
-                .as_array()?
-                .iter()
-                .map(|run| {
-                    Some(MlipsRun {
-                        unix_secs: run.get("unix_secs")?.as_u64()?,
-                        reports: comparisons_from_value(run.get("reports")?)?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(MlipsFile { latest, history })
-        }();
-        parsed.unwrap_or_default()
-    }
-
-    /// Record a new run: it becomes `latest` and is appended to `history`.
-    pub fn record(&mut self, unix_secs: u64, reports: Vec<MlipsComparison>) {
-        self.latest = reports.clone();
-        self.history.push(MlipsRun { unix_secs, reports });
-    }
 }
 
 /// Measure one benchmark through both dispatch paths and report the gated
@@ -230,7 +131,6 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
     let flat2 = measure_mlips(id, scale, runs, false);
     let classic_mips = classic.mips().max(classic2.mips());
     let flat_mips = flat.mips().max(flat2.mips());
-    let (scheduler, workers) = mlips_configuration();
     MlipsComparison {
         id,
         scale,
@@ -239,8 +139,7 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
         flat_mips,
         speedup: flat_mips / classic_mips,
         floor: mlips_speedup_floor(id),
-        scheduler: scheduler_name(scheduler).to_string(),
-        workers,
+        workers: mlips_workers(),
     }
 }
 
@@ -250,8 +149,8 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
 /// pre-flattening baseline); every floor was raised once the flat loop
 /// became self-sufficient across goal boundaries (driver-free goal
 /// transitions, the wider register caches, batched accounting): local
-/// measurements sit at 2.4–3.2× on one interleaved PE and 2.2–2.5× on the
-/// strict token ring at 2 PEs, so the floors below keep generous headroom
+/// measurements sit at 2.3–3.2× on one interleaved PE and 2.2–3.0× on two,
+/// so the floors below keep generous headroom
 /// for shared-CI noise while still catching any regression that
 /// re-introduces per-access locking, bounds-checked fetch, or per-goal
 /// driver round trips.
@@ -287,46 +186,6 @@ mod tests {
         for id in BenchmarkId::EXTENDED {
             assert!(mlips_speedup_floor(id) > 0.0);
         }
-    }
-
-    #[test]
-    fn bench_file_migrates_the_flat_array_format_and_appends() {
-        let one = MlipsComparison {
-            id: BenchmarkId::Tak,
-            scale: Scale::Paper,
-            instructions: 100,
-            classic_mips: 10.0,
-            flat_mips: 15.0,
-            speedup: 1.5,
-            floor: 1.3,
-            scheduler: "interleaved".to_string(),
-            workers: 1,
-        };
-        // Original format: a bare array of comparisons (without the
-        // scheduler/workers fields, which default on deserialisation).
-        let legacy = r#"[{"id":"Tak","scale":"Paper","instructions":100,
-            "classic_mips":10.0,"flat_mips":15.0,"speedup":1.5,"floor":1.3}]"#;
-        let mut file = MlipsFile::parse_or_default(legacy);
-        assert_eq!(file.latest.len(), 1);
-        assert_eq!(file.history.len(), 1);
-        assert_eq!(file.history[0].unix_secs, 0);
-        assert_eq!(file.latest[0].workers, 1);
-        assert_eq!(file.latest[0].scheduler, "interleaved");
-
-        // A new run becomes `latest` and appends.
-        file.record(1234, vec![one.clone(), one.clone()]);
-        assert_eq!(file.latest.len(), 2);
-        assert_eq!(file.history.len(), 2);
-        assert_eq!(file.history[1].unix_secs, 1234);
-
-        // The current format round-trips through parse_or_default.
-        let json = serde_json::to_string(&file).unwrap();
-        let reparsed = MlipsFile::parse_or_default(&json);
-        assert_eq!(reparsed.history.len(), 2);
-        assert_eq!(reparsed.latest.len(), 2);
-
-        // Garbage starts fresh.
-        assert!(MlipsFile::parse_or_default("not json").latest.is_empty());
     }
 
     #[test]

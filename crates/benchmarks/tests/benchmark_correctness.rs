@@ -104,14 +104,6 @@ fn trace_collection_works_for_all_benchmarks() {
 }
 
 #[test]
-fn boyer_is_correct_on_the_threaded_scheduler() {
-    let b = benchmark(BenchmarkId::Boyer, Scale::Small);
-    let (session, result) = runner::run_benchmark_with_session(&b, &QueryOptions::threaded(4)).unwrap();
-    runner::validate(&b, &session, &result).unwrap();
-    assert!(result.stats.goals_actually_parallel > 0, "boyer never had a goal stolen");
-}
-
-#[test]
 fn boyer_rejects_a_non_theorem() {
     // Conjoin the theorem with a fresh variable v(9): and(F, v(9)) is
     // falsifiable (set v(9) to false), so the prover must answer `no`.

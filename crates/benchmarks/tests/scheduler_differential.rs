@@ -1,18 +1,14 @@
-//! Differential tests across the scheduler×determinism matrix, plus golden
+//! Differential tests across the two scheduler backends, plus golden
 //! fingerprints pinning the merged per-PE trace to the flat-memory trace of
 //! the pre-sharding engine.
 //!
-//! * The strict Threaded backend (token ring) must produce *identical*
-//!   answers, per-area/per-object reference counts, and merged traces as
-//!   the reference Interleaved backend, on the extended suite (deriv, tak,
-//!   qsort, matrix, boyer).
 //! * The relaxed Threaded backend (free-running threads over owned arenas)
 //!   must produce the *identical answer set* and the schedule-invariant
 //!   work counters (parcalls, parallel goals, logical inferences), with
 //!   exact steal-notice accounting.  Which goals take the stolen path is an
 //!   actual race in relaxed mode, so the scheduling-artifact traffic
 //!   (Markers, Messages, Parcall global slots) and the trace interleaving
-//!   legitimately vary run to run — the strict backends remain the
+//!   legitimately vary run to run — the strict backend remains the
 //!   byte-exact reference for those.
 //!
 //! The worker count defaults to 4 and can be overridden with the
@@ -21,15 +17,15 @@
 
 use pwam_benchmarks::{benchmark, run_benchmark_with_session, validate, BenchmarkId, Scale};
 use rapwam::session::QueryOptions;
-use rapwam::{Area, DeterminismMode, MemRef, ObjectKind, SchedulerKind};
+use rapwam::{Area, MemRef, ObjectKind};
 
 /// Worker count for the differential runs (`PWAM_THREADS`, default 4).
 fn threads() -> usize {
     std::env::var("PWAM_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
 }
 
-fn opts(scheduler: SchedulerKind) -> QueryOptions {
-    QueryOptions { trace: true, ..QueryOptions::parallel(threads()).with_scheduler(scheduler) }
+fn opts() -> QueryOptions {
+    QueryOptions { trace: true, ..QueryOptions::parallel(threads()) }
 }
 
 /// FNV-1a over every field of every reference, in trace order.
@@ -91,80 +87,7 @@ fn interleaved_trace_matches_pre_sharding_goldens() {
     }
 }
 
-#[test]
-fn schedulers_agree_on_the_paper_suite() {
-    for id in BenchmarkId::EXTENDED {
-        let b = benchmark(id, Scale::Small);
-        let (si, ri) = run_benchmark_with_session(&b, &opts(SchedulerKind::Interleaved)).unwrap();
-        let (st, rt) = run_benchmark_with_session(&b, &opts(SchedulerKind::Threaded)).unwrap();
-
-        // Both backends must produce the benchmark's correct answer…
-        validate(&b, &si, &ri).unwrap();
-        validate(&b, &st, &rt).unwrap();
-        // …and the *same* rendered answer set.
-        let render = |s: &rapwam::Session, r: &rapwam::RunResult| -> Vec<(String, String)> {
-            match &r.outcome {
-                rapwam::Outcome::Success(bind) => {
-                    bind.iter().map(|(n, t)| (n.clone(), s.render(t))).collect()
-                }
-                rapwam::Outcome::Failure => panic!("{} failed", id.name()),
-            }
-        };
-        assert_eq!(render(&si, &ri), render(&st, &rt), "{}: answers differ", id.name());
-
-        // Identical aggregate counts.
-        assert_eq!(ri.stats.instructions, rt.stats.instructions, "{}: instructions", id.name());
-        assert_eq!(ri.stats.data_refs, rt.stats.data_refs, "{}: total refs", id.name());
-        assert_eq!(ri.stats.reads, rt.stats.reads, "{}: reads", id.name());
-        assert_eq!(ri.stats.writes, rt.stats.writes, "{}: writes", id.name());
-        assert_eq!(ri.stats.elapsed_cycles, rt.stats.elapsed_cycles, "{}: cycles", id.name());
-        assert_eq!(
-            ri.stats.goals_actually_parallel,
-            rt.stats.goals_actually_parallel,
-            "{}: goals in parallel",
-            id.name()
-        );
-
-        // Identical per-area and per-object read/write counts.
-        for area in Area::ALL {
-            assert_eq!(
-                ri.stats.area_stats.area(area),
-                rt.stats.area_stats.area(area),
-                "{}: {} counts differ",
-                id.name(),
-                area.name()
-            );
-        }
-        for object in ObjectKind::ALL {
-            assert_eq!(
-                ri.stats.area_stats.object(object),
-                rt.stats.area_stats.object(object),
-                "{}: {} counts differ",
-                id.name(),
-                object.name()
-            );
-        }
-
-        // Identical merged traces, reference for reference.
-        let ti = ri.trace.expect("interleaved trace");
-        let tt = rt.trace.expect("threaded trace");
-        assert_eq!(ti.len(), tt.len(), "{}: trace lengths differ", id.name());
-        assert_eq!(fingerprint(&ti), fingerprint(&tt), "{}: traces differ", id.name());
-
-        // The Threaded backend must have delivered one steal notice per
-        // stolen goal and one cancel notice per cancel_goal request over
-        // its channels.
-        let stolen: u64 = rt.stats.workers.iter().map(|w| w.goals_stolen).sum();
-        let notices: u64 = rt.stats.workers.iter().map(|w| w.steal_notices).sum();
-        assert_eq!(stolen, rt.stats.goals_actually_parallel, "{}: steal accounting", id.name());
-        assert_eq!(notices, stolen, "{}: lost steal notices", id.name());
-        let cancel_notices: u64 = rt.stats.workers.iter().map(|w| w.cancel_notices).sum();
-        assert_eq!(cancel_notices, rt.stats.cancel_requests, "{}: lost cancel notices", id.name());
-        assert_eq!(rt.stats.cancel_requests, ri.stats.cancel_requests, "{}: cancel requests", id.name());
-    }
-}
-
-/// Answer/count equivalence across Strict×Relaxed×Interleaved on the
+/// Answer/count equivalence between Interleaved and Relaxed on the
 /// extended suite.  Relaxed mode guarantees the answer set and the
 /// schedule-invariant work counters; it does *not* guarantee per-area
 /// counts, because whether a goal is stolen (Markers, Messages, Parcall
@@ -174,10 +97,8 @@ fn schedulers_agree_on_the_paper_suite() {
 fn relaxed_mode_agrees_on_answers_and_logical_work() {
     for id in BenchmarkId::EXTENDED {
         let b = benchmark(id, Scale::Small);
-        let (si, ri) = run_benchmark_with_session(&b, &opts(SchedulerKind::Interleaved)).unwrap();
-        let relaxed_opts = QueryOptions { trace: false, ..opts(SchedulerKind::Threaded) }
-            .with_determinism(DeterminismMode::Relaxed);
-        let (sr, rr) = run_benchmark_with_session(&b, &relaxed_opts).unwrap();
+        let (si, ri) = run_benchmark_with_session(&b, &opts()).unwrap();
+        let (sr, rr) = run_benchmark_with_session(&b, &QueryOptions::relaxed(threads())).unwrap();
 
         // Both must produce the benchmark's correct answer…
         validate(&b, &si, &ri).unwrap();
@@ -219,7 +140,7 @@ fn relaxed_mode_agrees_on_answers_and_logical_work() {
             // depends on the race between failure and steal, so *no* work
             // counter is schedule-invariant here (with enough PEs even the
             // retraction count can be zero: every sibling is already stolen
-            // by the time its parcall fails); the strict backends remain
+            // by the time its parcall fails); the strict backend remains
             // the byte-exact reference, and this suite pins the answer set
             // plus the steal/cancel accounting below.
         }
@@ -234,14 +155,6 @@ fn relaxed_mode_agrees_on_answers_and_logical_work() {
         let cancel_notices: u64 = rr.stats.workers.iter().map(|w| w.cancel_notices).sum();
         assert_eq!(cancel_notices, rr.stats.cancel_requests, "{}: lost cancel notices", id.name());
     }
-}
-
-#[test]
-fn threaded_backend_handles_failing_queries() {
-    use rapwam::session::Session;
-    let mut s = Session::new("p :- (q & r).\nq.\nr :- fail.").unwrap();
-    let r = s.run("p", &QueryOptions::threaded(threads())).unwrap();
-    assert_eq!(r.outcome, rapwam::Outcome::Failure);
 }
 
 #[test]
@@ -261,75 +174,64 @@ fn relaxed_backend_reports_engine_errors() {
     assert!(err.to_string().contains("step limit"), "unexpected error: {err}");
 }
 
-#[test]
-fn threaded_backend_reports_engine_errors() {
-    use rapwam::session::Session;
-    let mut s = Session::new("loop :- loop.").unwrap();
-    let o = QueryOptions { max_steps: 10_000, ..QueryOptions::threaded(threads()) };
-    let err = s.run("loop", &o).unwrap_err();
-    assert!(err.to_string().contains("step limit"), "unexpected error: {err}");
-}
-
 /// The flattened pre-decoded dispatch path (PR 6) must be observationally
 /// pure: running the same benchmark through the classic enum-fetch loop
 /// (`classic_dispatch`, always-locked arenas) and through the flat path
 /// (dense stream, serial-arena fast path, cached instruction pointer) must
 /// produce identical answers, aggregate counters, per-area counts, and
-/// byte-identical merged traces — on both serialized backends.
+/// byte-identical merged traces.
 #[test]
 fn flat_dispatch_is_trace_identical_to_classic() {
     for id in [BenchmarkId::Deriv, BenchmarkId::Tak, BenchmarkId::Qsort] {
-        for scheduler in [SchedulerKind::Interleaved, SchedulerKind::Threaded] {
-            let b = benchmark(id, Scale::Small);
-            let flat_opts = opts(scheduler);
-            let classic_opts = QueryOptions { classic_dispatch: true, ..flat_opts.clone() };
-            let (sf, rf) = run_benchmark_with_session(&b, &flat_opts).unwrap();
-            let (sc, rc) = run_benchmark_with_session(&b, &classic_opts).unwrap();
+        let b = benchmark(id, Scale::Small);
+        let flat_opts = opts();
+        let classic_opts = QueryOptions { classic_dispatch: true, ..flat_opts.clone() };
+        let (sf, rf) = run_benchmark_with_session(&b, &flat_opts).unwrap();
+        let (sc, rc) = run_benchmark_with_session(&b, &classic_opts).unwrap();
 
-            validate(&b, &sf, &rf).unwrap();
-            validate(&b, &sc, &rc).unwrap();
-            let render = |s: &rapwam::Session, r: &rapwam::RunResult| -> Vec<(String, String)> {
-                match &r.outcome {
-                    rapwam::Outcome::Success(bind) => {
-                        bind.iter().map(|(n, t)| (n.clone(), s.render(t))).collect()
-                    }
-                    rapwam::Outcome::Failure => panic!("{} failed", id.name()),
+        validate(&b, &sf, &rf).unwrap();
+        validate(&b, &sc, &rc).unwrap();
+        let render = |s: &rapwam::Session, r: &rapwam::RunResult| -> Vec<(String, String)> {
+            match &r.outcome {
+                rapwam::Outcome::Success(bind) => {
+                    bind.iter().map(|(n, t)| (n.clone(), s.render(t))).collect()
                 }
-            };
-            assert_eq!(render(&sf, &rf), render(&sc, &rc), "{} {scheduler:?}: answers differ", id.name());
-
-            assert_eq!(rf.stats.instructions, rc.stats.instructions, "{}: instructions", id.name());
-            assert_eq!(rf.stats.inferences, rc.stats.inferences, "{}: inferences", id.name());
-            assert_eq!(rf.stats.data_refs, rc.stats.data_refs, "{}: total refs", id.name());
-            assert_eq!(rf.stats.elapsed_cycles, rc.stats.elapsed_cycles, "{}: cycles", id.name());
-            for area in Area::ALL {
-                assert_eq!(
-                    rf.stats.area_stats.area(area),
-                    rc.stats.area_stats.area(area),
-                    "{} {scheduler:?}: {} counts differ",
-                    id.name(),
-                    area.name()
-                );
+                rapwam::Outcome::Failure => panic!("{} failed", id.name()),
             }
-            for object in ObjectKind::ALL {
-                assert_eq!(
-                    rf.stats.area_stats.object(object),
-                    rc.stats.area_stats.object(object),
-                    "{} {scheduler:?}: {} counts differ",
-                    id.name(),
-                    object.name()
-                );
-            }
+        };
+        assert_eq!(render(&sf, &rf), render(&sc, &rc), "{}: answers differ", id.name());
 
-            let tf = rf.trace.expect("flat trace");
-            let tc = rc.trace.expect("classic trace");
-            assert_eq!(tf.len(), tc.len(), "{} {scheduler:?}: trace lengths differ", id.name());
+        assert_eq!(rf.stats.instructions, rc.stats.instructions, "{}: instructions", id.name());
+        assert_eq!(rf.stats.inferences, rc.stats.inferences, "{}: inferences", id.name());
+        assert_eq!(rf.stats.data_refs, rc.stats.data_refs, "{}: total refs", id.name());
+        assert_eq!(rf.stats.elapsed_cycles, rc.stats.elapsed_cycles, "{}: cycles", id.name());
+        for area in Area::ALL {
             assert_eq!(
-                fingerprint(&tf),
-                fingerprint(&tc),
-                "{} {scheduler:?}: flat dispatch drifted from the classic trace",
-                id.name()
+                rf.stats.area_stats.area(area),
+                rc.stats.area_stats.area(area),
+                "{}: {} counts differ",
+                id.name(),
+                area.name()
             );
         }
+        for object in ObjectKind::ALL {
+            assert_eq!(
+                rf.stats.area_stats.object(object),
+                rc.stats.area_stats.object(object),
+                "{}: {} counts differ",
+                id.name(),
+                object.name()
+            );
+        }
+
+        let tf = rf.trace.expect("flat trace");
+        let tc = rc.trace.expect("classic trace");
+        assert_eq!(tf.len(), tc.len(), "{}: trace lengths differ", id.name());
+        assert_eq!(
+            fingerprint(&tf),
+            fingerprint(&tc),
+            "{}: flat dispatch drifted from the classic trace",
+            id.name()
+        );
     }
 }

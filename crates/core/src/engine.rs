@@ -38,7 +38,7 @@ use crate::frames::{choice, env, goal_frame, marker, message, parcall};
 use crate::known;
 use crate::layout::{board, Area, MemoryConfig, ObjectKind};
 use crate::mem::Memory;
-use crate::sched::{scheduler_for, DeterminismMode, SchedulerKind};
+use crate::sched::{free_running, scheduler_for, DeterminismMode, SchedulerKind};
 use crate::stats::{RunStats, WorkerStats};
 use crate::trace::MemRef;
 use crate::worker::{GoalContext, Mode, Resume, Worker, WorkerStatus};
@@ -61,7 +61,7 @@ pub struct EngineConfig {
     pub collect_trace: bool,
     /// Abort after this many instructions (guards against runaway programs).
     pub max_steps: u64,
-    /// Interleave granularity of the strict backends: instructions a
+    /// Interleave granularity of the strict backend: instructions a
     /// `Running` worker executes per slot when the engine has **more than one
     /// PE**.  The default of 1 is the paper's emulator methodology — PEs
     /// interleave one instruction at a time, which is what gives the merged
@@ -89,11 +89,10 @@ pub struct EngineConfig {
     /// `run`/`resume` re-arms it, mirroring the per-leg deadline clock).
     /// `None` (the default) means unlimited.  Unlike `time_budget`, fuel is
     /// counted in executed instructions, so where a run stops is a pure
-    /// function of the program: the strict backends preempt at the first
+    /// function of the program: the strict backend preempts at the first
     /// round boundary at or past the budget (checked in `end_round`, which
-    /// both dispatch paths and both strict backends funnel through), leaving
-    /// the machine state byte-identical across flat/classic dispatch and
-    /// interleaved/threaded-strict scheduling.  The relaxed backend checks
+    /// both dispatch paths funnel through), leaving the machine state
+    /// byte-identical across flat/classic dispatch.  The relaxed backend checks
     /// fuel at its existing batch boundaries, so preemption is prompt but
     /// the exact stop point is schedule-dependent there (same contract as
     /// every other relaxed-mode observable).  A preempted one-shot run
@@ -272,7 +271,7 @@ pub struct CancelEvent {
 /// Per-PE scheduling state that other PEs may inspect or update: the mirror
 /// of the Goal Stack (for stealing) and the Message Buffer allocation state
 /// (for completion messages).  Every access takes the board's lock; under
-/// the strict backends the lock is trivially uncontended, under the relaxed
+/// the strict backend the lock is trivially uncontended, under the relaxed
 /// backend it is the word-level lock of the paper's Goal Stack / Message
 /// Buffer rows of Table 1.
 #[derive(Debug, Default)]
@@ -349,7 +348,7 @@ pub struct EngineCore<'p> {
     finished: AtomicU8,
     /// Instructions executed (all PEs), flushed per slot/batch.
     pub(crate) steps: AtomicU64,
-    /// Elapsed machine cycles: scheduling rounds on the strict backends (a
+    /// Elapsed machine cycles: scheduling rounds on the strict backend (a
     /// one-PE slot that retires `n` instructions counts as the `n` rounds
     /// it stands for), critical-path estimate on the relaxed backend.
     cycles: AtomicU64,
@@ -386,13 +385,13 @@ pub struct EngineCore<'p> {
     /// scheduler last drained them (notification transport, like
     /// `steal_logs`).
     cancel_logs: Vec<Mutex<Vec<CancelEvent>>>,
-    /// Events sitting in `steal_logs` + `cancel_logs`, so the strict drivers
-    /// pay one relaxed load per slot instead of 2·N log locks when (as
+    /// Events sitting in `steal_logs` + `cancel_logs`, so the strict driver
+    /// pays one relaxed load per slot instead of 2·N log locks when (as
     /// almost always) nothing was logged.  Relaxed ordering suffices: the
     /// count publishes nothing — the events themselves sit behind the log
-    /// mutexes — and only the strict drivers branch on it, where a single
-    /// thread or the token handoff already orders the slot that logged
-    /// before the check that follows it.
+    /// mutexes — and only the strict driver branches on it, where a single
+    /// thread already orders the slot that logged before the check that
+    /// follows it.
     logged_events: AtomicUsize,
     /// First engine error raised on any thread of the relaxed backend.
     abort: Mutex<Option<EngineError>>,
@@ -630,14 +629,11 @@ impl<'p> Engine<'p> {
         assert!(config.num_workers <= 255, "at most 255 workers are supported");
         let config_fuel = config.fuel;
         // Only the relaxed threaded backend lets more than one thread touch
-        // the memory at a time; every other backend serialises access by
-        // construction (interleaved: single thread; strict threaded: the
-        // token channel's send/recv orders the handoff), so those runs may
-        // skip the per-arena locks.  The classic dispatch path keeps them:
-        // it prices the pre-flattening cost model the MLIPS gate compares
-        // against.
-        let relaxed =
-            config.scheduler == SchedulerKind::Threaded && config.determinism == DeterminismMode::Relaxed;
+        // the memory at a time; the interleaved one is a single thread, so
+        // its runs may skip the per-arena locks.  The classic dispatch path
+        // keeps them: it prices the pre-flattening cost model the MLIPS
+        // gate compares against.
+        let relaxed = free_running(config.scheduler, config.determinism);
         mem.set_serial(!config.classic_dispatch && !relaxed);
         let mut workers: Vec<Worker> =
             (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map, config.num_x_regs)).collect();
@@ -1083,15 +1079,15 @@ impl<'p> Engine<'p> {
         }
         // Instruction fuel, checked every round: whole rounds always
         // complete before a preemption, so the stop point is a deterministic
-        // function of the program (both strict backends close rounds
+        // function of the program (the strict backend closes rounds
         // through here, on both dispatch paths).
         self.core.check_fuel();
         Ok(())
     }
 
     /// True when a steal or `cancel_goal` request has been logged and not
-    /// yet drained (scheduler SPI).  One relaxed load: the strict drivers
-    /// poll it every slot and only then pay for [`Engine::drain_steals`] /
+    /// yet drained (scheduler SPI).  One relaxed load: the strict driver
+    /// polls it every slot and only then pays for [`Engine::drain_steals`] /
     /// [`Engine::drain_cancels`].
     #[inline]
     pub fn events_logged(&self) -> bool {
@@ -1151,7 +1147,7 @@ impl<'p> Engine<'p> {
     /// excluded: they may legitimately differ across dispatch paths while
     /// the machine state is identical.  The fuel differential suite uses
     /// this to pin the preemption point byte-identical across flat/classic
-    /// dispatch and interleaved/threaded-strict scheduling.
+    /// dispatch.
     ///
     /// Reads memory untraced only, so fingerprinting never perturbs
     /// statistics.

@@ -10,8 +10,8 @@
 //! Each worker's Stack Set is its own memory arena, and execution is
 //! pluggable behind the [`Scheduler`] trait: the default [`Interleaved`]
 //! backend is a deterministic, software-interleaved emulator — the same
-//! methodology the paper used — while [`Threaded`] runs one OS thread per
-//! PE (token ring over channels) with identical observable behaviour.
+//! methodology the paper used — while [`ThreadedRelaxed`] free-runs one OS
+//! thread per PE (same answers, racy steal placement, real speedup).
 //! Every run produces:
 //!
 //! * the query's answer substitution,
@@ -64,9 +64,7 @@ pub use error::{EngineError, EngineResult};
 pub use layout::{Area, Locality, MemoryConfig, ObjectKind};
 pub use mem::{Memory, StackSetArena};
 pub use pwam_front::term::Term;
-pub use sched::{
-    scheduler_for, DeterminismMode, Interleaved, Scheduler, SchedulerKind, Threaded, ThreadedRelaxed,
-};
+pub use sched::{scheduler_for, DeterminismMode, Interleaved, Scheduler, SchedulerKind, ThreadedRelaxed};
 pub use session::{CursorStep, HostFn, QueryCursor, QueryOptions, Session, SessionError};
 pub use stats::{RunStats, WorkerStats};
 pub use trace::{AreaStats, MemRef};

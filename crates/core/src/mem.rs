@@ -25,7 +25,7 @@
 //! directly — a PE reaches into another PE's Stack Set only for the Global
 //! object kinds of Table 1, so in steady state every lock is uncontended and
 //! almost all traffic stays on the accessing thread's own arena.  Under the
-//! strict (token-ring or interleaved) backends only one thread touches the
+//! strict (interleaved) backend only one thread touches the
 //! memory at a time and the recorded order is exactly the reference order;
 //! under the relaxed backend the per-reference order is whatever the race
 //! produced (the sequence numbers still give a total order for the merge).
@@ -126,7 +126,7 @@ impl StackSetArena {
 ///
 /// The arena lives in an [`UnsafeCell`] rather than inside the mutex so a
 /// backend that serialises memory access *by construction* (interleaved
-/// round-robin, or the token ring of the strict threaded scheduler) can
+/// round-robin on one host thread) can
 /// reach it without an atomic operation per reference — the lock is only
 /// taken when [`Memory::serial`] is off.
 #[derive(Debug)]

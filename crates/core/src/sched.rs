@@ -2,9 +2,9 @@
 //!
 //! The engine exposes a small scheduler SPI — [`Engine::begin_round`],
 //! [`Engine::step_slot`], [`Engine::end_round`], [`Engine::finished`] — and
-//! a [`Scheduler`] drives it until the query completes.  Three backends ship
-//! with the crate, selected by a [`SchedulerKind`] plus a
-//! [`DeterminismMode`]:
+//! a [`Scheduler`] drives it until the query completes.  Two backends ship
+//! with the crate, the paper's two execution regimes, selected by a
+//! [`SchedulerKind`] plus a [`DeterminismMode`]:
 //!
 //! * [`Interleaved`] — the reference semantics: one host thread steps every
 //!   worker round-robin, one slot each per round.  With several PEs a
@@ -14,20 +14,17 @@
 //!   scheduling-relevant event (park, wait, suspension, halt, fuel or step
 //!   budget due) and sequential work costs what it costs on a sequential
 //!   WAM — see [`EngineConfig::quantum`](crate::EngineConfig::quantum).
-//! * [`Threaded`] (strict) — one OS thread per PE, connected in a ring over
-//!   crossbeam channels.  A scheduling token carrying the engine travels the
-//!   ring, so every worker is stepped on its own thread while the global
-//!   instruction interleaving — and therefore the answer set, the per-area
-//!   reference counts and the merged trace — stays exactly the reference
-//!   order.  The token serialises execution: it proves the threading
-//!   machinery, not the speedup.
+//!   [`DeterminismMode::Strict`] names exactly this one schedule, so every
+//!   strict run — whatever its [`SchedulerKind`] — is driven here: putting
+//!   the PEs on OS threads and then serialising them to reproduce the same
+//!   interleaving would buy nothing the host thread does not already give.
 //! * [`ThreadedRelaxed`] — true per-arena parallel execution: every OS
-//!   thread free-runs over its *own* worker and Stack Set arena, with no
-//!   token at all.  Cross-PE traffic — goal-steal pops, completion-counter
-//!   updates, messages, bindings that cross an arena boundary — goes through
-//!   the per-arena locks and per-PE boards of the shared
-//!   [`crate::engine::EngineCore`], and steal notifications travel over
-//!   crossbeam channels to the victim's thread.
+//!   thread free-runs over its *own* worker and Stack Set arena.  Cross-PE
+//!   traffic — goal-steal pops, completion-counter updates, messages,
+//!   bindings that cross an arena boundary — goes through the per-arena
+//!   locks and per-PE boards of the shared [`crate::engine::EngineCore`],
+//!   and steal notifications travel over crossbeam channels to the victim's
+//!   thread.
 //!
 //! # What relaxed determinism does and does not change
 //!
@@ -41,7 +38,7 @@
 //! decided by an actual race, exactly as on the paper's real hardware.
 //! Reference counts for those scheduling-artifact objects, the trace
 //! interleaving and the per-PE attribution may therefore differ run to run;
-//! the differential suite pins the invariants and the strict backends remain
+//! the differential suite pins the invariants and the strict backend remains
 //! the byte-exact reference.
 
 use crate::engine::Engine;
@@ -59,13 +56,14 @@ pub enum SchedulerKind {
     /// reference semantics).
     #[default]
     Interleaved,
-    /// One OS thread per PE.  [`DeterminismMode`] selects between the
-    /// token-ring (strict) and free-running (relaxed) drivers.
+    /// One free-running OS thread per PE under
+    /// [`DeterminismMode::Relaxed`].  A strict run has one schedule by
+    /// definition and is driven by [`Interleaved`] whatever the kind.
     Threaded,
 }
 
 impl SchedulerKind {
-    /// Parse a `--scheduler` / env-var value.
+    /// Parse a wire-header value.
     ///
     /// ```
     /// use rapwam::SchedulerKind;
@@ -93,8 +91,7 @@ impl SchedulerKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum DeterminismMode {
     /// Reproduce the reference interleaving exactly: identical answers,
-    /// counts *and* traces.  The `Threaded` backend serialises through a
-    /// scheduling token.
+    /// counts *and* traces.
     #[default]
     Strict,
     /// Free-running threads: identical answers and schedule-invariant
@@ -145,14 +142,21 @@ pub trait Scheduler {
     fn drive<'p>(&self, engine: Engine<'p>) -> EngineResult<Engine<'p>>;
 }
 
+/// True for the one pair that free-runs the PEs on threads.  Only threads
+/// may race, and only a relaxed run lets them; every other pair names the
+/// one deterministic schedule.  The engine sizes its memory locking by the
+/// same answer [`scheduler_for`] picks the driver by.
+pub(crate) fn free_running(kind: SchedulerKind, determinism: DeterminismMode) -> bool {
+    kind == SchedulerKind::Threaded && determinism == DeterminismMode::Relaxed
+}
+
 /// Resolve a [`SchedulerKind`] × [`DeterminismMode`] to its backend
-/// implementation.  The interleaved backend is deterministic by
-/// construction, so it ignores the mode.
+/// implementation.
 pub fn scheduler_for(kind: SchedulerKind, determinism: DeterminismMode) -> Box<dyn Scheduler> {
-    match (kind, determinism) {
-        (SchedulerKind::Interleaved, _) => Box::new(Interleaved),
-        (SchedulerKind::Threaded, DeterminismMode::Strict) => Box::new(Threaded),
-        (SchedulerKind::Threaded, DeterminismMode::Relaxed) => Box::new(ThreadedRelaxed),
+    if free_running(kind, determinism) {
+        Box::new(ThreadedRelaxed)
+    } else {
+        Box::new(Interleaved)
     }
 }
 
@@ -201,240 +205,6 @@ fn deliver_logged_events(engine: &mut Engine<'_>) {
     }
 }
 
-/// Messages exchanged between the per-PE threads of the strict [`Threaded`]
-/// backend.
-enum Msg<'p> {
-    /// The scheduling token: whoever holds it steps its worker, then passes
-    /// it to the next PE in the ring.
-    Token(Box<Token<'p>>),
-    /// A goal was taken from this PE's Goal Stack by `thief`.
-    StealNote { thief: usize, frame: u32 },
-    /// An in-flight goal this PE is executing was cancelled by `canceller`
-    /// (backward execution).  The semantic request rides the shared boards;
-    /// this message is the cross-thread notification, like `StealNote`.
-    CancelNote { canceller: usize },
-    /// The query finished (or errored); the thread should exit.
-    Shutdown,
-}
-
-/// The token circulating the ring: the engine plus the open round's state.
-struct Token<'p> {
-    engine: Engine<'p>,
-    /// Whether any worker made progress in the round in flight.
-    progress: bool,
-    /// True once PE 0 has opened a round (so it knows to close the previous
-    /// one when the token comes back around).
-    round_open: bool,
-}
-
-/// One OS thread per PE under a scheduling token (strict determinism).  A
-/// token (carrying the engine) travels a ring of crossbeam channels; the
-/// thread holding it steps its own worker.  Because the token enforces the
-/// reference round-robin order, this backend produces the same answers,
-/// reference counts and merged trace as [`Interleaved`] — the property the
-/// differential tests pin down — while every instruction is executed on the
-/// thread of the PE it belongs to.  [`ThreadedRelaxed`] retires the token.
-pub struct Threaded;
-
-impl Scheduler for Threaded {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn drive<'p>(&self, engine: Engine<'p>) -> EngineResult<Engine<'p>> {
-        let n = engine.num_workers();
-        let (txs, rxs): (Vec<Sender<Msg<'p>>>, Vec<Receiver<Msg<'p>>>) = (0..n).map(|_| unbounded()).unzip();
-        let (done_tx, done_rx) = unbounded::<EngineResult<Engine<'p>>>();
-        // Final-reconciliation channel: on shutdown every thread reports the
-        // steal and cancel notes it had not yet folded into the engine, so
-        // none are lost when the query finishes in the same round as the
-        // event.
-        let (notes_tx, notes_rx) = unbounded::<(usize, u64, u64)>();
-
-        thread::scope(|scope| {
-            for (w, rx) in rxs.into_iter().enumerate() {
-                let txs = txs.clone();
-                let done_tx = done_tx.clone();
-                let notes_tx = notes_tx.clone();
-                let notes_rx = notes_rx.clone();
-                scope.spawn(move || pe_thread(w, n, rx, txs, done_tx, notes_tx, notes_rx));
-            }
-            // Drop the originals so the channels disconnect once every PE
-            // thread has exited: if a thread panics (torn-down ring, no
-            // result sent), `done_rx.recv()` unblocks with a disconnect
-            // error instead of hanging, and `thread::scope` then re-raises
-            // the panic at join.
-            drop(done_tx);
-            drop(notes_tx);
-            txs[0]
-                .send(Msg::Token(Box::new(Token { engine, progress: false, round_open: false })))
-                .map_err(|_| EngineError::Internal("threaded scheduler: ring closed early".into()))?;
-            done_rx.recv().map_err(|_| {
-                EngineError::Internal("threaded scheduler: no thread produced a result".into())
-            })?
-        })
-    }
-}
-
-/// Broadcast `Shutdown` so every ring thread exits.
-fn shutdown_ring(txs: &[Sender<Msg<'_>>], me: usize) {
-    for (w, tx) in txs.iter().enumerate() {
-        if w != me {
-            let _ = tx.send(Msg::Shutdown);
-        }
-    }
-}
-
-/// What a thread should do after handling one token visit.
-enum Flow {
-    Continue,
-    Stop,
-}
-
-/// The body of one PE's OS thread (strict token ring).
-fn pe_thread<'p>(
-    w: usize,
-    n: usize,
-    rx: Receiver<Msg<'p>>,
-    txs: Vec<Sender<Msg<'p>>>,
-    done_tx: Sender<EngineResult<Engine<'p>>>,
-    notes_tx: Sender<(usize, u64, u64)>,
-    notes_rx: Receiver<(usize, u64, u64)>,
-) {
-    // Steal/cancel notes received while another PE holds the token; folded
-    // into the engine's books the next time the token arrives here, or
-    // reported over the reconciliation channel at shutdown.
-    let mut pending_notes: u64 = 0;
-    let mut pending_cancel_notes: u64 = 0;
-    loop {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => return, // ring torn down
-        };
-        match msg {
-            Msg::Shutdown => {
-                let _ = notes_tx.send((w, pending_notes, pending_cancel_notes));
-                return;
-            }
-            Msg::StealNote { thief, frame } => {
-                debug_assert!(thief != w, "worker {w} cannot steal goal frame {frame:#x} from itself");
-                pending_notes += 1;
-            }
-            Msg::CancelNote { canceller } => {
-                debug_assert!(canceller != w, "worker {w} cannot cancel its own in-flight goal");
-                pending_cancel_notes += 1;
-            }
-            Msg::Token(token) => {
-                // A panic while holding the token would leave every other
-                // thread blocked on its channel: tear the ring down first,
-                // then let the panic propagate through the scope.
-                let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_token(
-                        w,
-                        n,
-                        token,
-                        &mut pending_notes,
-                        &mut pending_cancel_notes,
-                        &txs,
-                        &done_tx,
-                        &notes_rx,
-                    )
-                }));
-                match handled {
-                    Ok(Flow::Continue) => {}
-                    Ok(Flow::Stop) => return,
-                    Err(payload) => {
-                        // The panic re-raises through thread::scope, so the
-                        // caller observes it directly; the broadcast only
-                        // keeps the other threads from blocking forever.
-                        shutdown_ring(&txs, w);
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Handle one visit of the scheduling token at PE `w`.
-#[allow(clippy::too_many_arguments)]
-fn handle_token<'p>(
-    w: usize,
-    n: usize,
-    mut token: Box<Token<'p>>,
-    pending_notes: &mut u64,
-    pending_cancel_notes: &mut u64,
-    txs: &[Sender<Msg<'p>>],
-    done_tx: &Sender<EngineResult<Engine<'p>>>,
-    notes_rx: &Receiver<(usize, u64, u64)>,
-) -> Flow {
-    let engine = &mut token.engine;
-    if *pending_notes > 0 {
-        engine.deliver_steal_notices(w, *pending_notes);
-        *pending_notes = 0;
-    }
-    if *pending_cancel_notes > 0 {
-        engine.deliver_cancel_notices(w, *pending_cancel_notes);
-        *pending_cancel_notes = 0;
-    }
-    // PE 0 is the round closer: finish the previous round, check for
-    // completion, open the next round.
-    if w == 0 {
-        if token.round_open {
-            if let Err(e) = engine.end_round(token.progress) {
-                let _ = done_tx.send(Err(e));
-                shutdown_ring(txs, w);
-                return Flow::Stop;
-            }
-        }
-        if engine.halted() {
-            // Reconcile steal/cancel notes still pending on the other
-            // threads (an event from the finishing round may not have
-            // reached its target's books yet): every thread reports its
-            // counts on shutdown, and no further token will circulate.
-            shutdown_ring(txs, w);
-            for _ in 0..n - 1 {
-                match notes_rx.recv() {
-                    Ok((peer, steals, cancels)) => {
-                        engine.deliver_steal_notices(peer, steals);
-                        engine.deliver_cancel_notices(peer, cancels);
-                    }
-                    Err(_) => break, // a thread died; stats stay partial
-                }
-            }
-            let _ = done_tx.send(Ok(token.engine));
-            return Flow::Stop;
-        }
-        engine.begin_round();
-        token.progress = false;
-        token.round_open = true;
-    }
-    match engine.step_slot(w) {
-        Ok(p) => token.progress |= p,
-        Err(e) => {
-            let _ = done_tx.send(Err(e));
-            shutdown_ring(txs, w);
-            return Flow::Stop;
-        }
-    }
-    // Stolen goals and cancel requests become real cross-thread messages:
-    // notify each victim's / executor's thread over its channel.
-    if token.engine.events_logged() {
-        for ev in token.engine.drain_steals() {
-            debug_assert_eq!(ev.thief, w);
-            let _ = txs[ev.victim].send(Msg::StealNote { thief: ev.thief, frame: ev.frame });
-        }
-        for ev in token.engine.drain_cancels() {
-            debug_assert_eq!(ev.canceller, w);
-            let _ = txs[ev.executor].send(Msg::CancelNote { canceller: ev.canceller });
-        }
-    }
-    if txs[(w + 1) % n].send(Msg::Token(token)).is_err() {
-        return Flow::Stop; // next thread already shut down
-    }
-    Flow::Continue
-}
-
 // ---------------------------------------------------------------------
 // The relaxed backend: free-running threads over owned arenas.
 // ---------------------------------------------------------------------
@@ -449,7 +219,7 @@ fn handle_token<'p>(
 /// a free-running PE can overrun a query finish by up to one batch of
 /// instructions.  That tail work is discarded with the worker's arenas —
 /// relaxed mode never reports per-PE reference attribution as exact — and
-/// the strict backends are unaffected (their interleavings check between
+/// the strict backend is unaffected (its interleaving checks between
 /// slots).
 const RELAXED_BATCH: u32 = 128;
 
@@ -463,8 +233,8 @@ const DEADLINE_CHECK_BATCHES: u32 = 8;
 /// True per-arena parallel execution (relaxed determinism): one free-running
 /// OS thread per PE, each mutating only its own worker state and Stack Set
 /// arena through `Step`; cross-PE traffic rides the
-/// per-arena locks, the per-PE boards and the steal-note channels.  No
-/// scheduling token exists, so `--threads N` buys real wall-clock speedup;
+/// per-arena locks, the per-PE boards and the steal-note channels.  Nothing
+/// serialises the threads, so `--threads N` buys real wall-clock speedup;
 /// see the module docs for exactly which observables stay invariant.
 pub struct ThreadedRelaxed;
 
@@ -531,7 +301,7 @@ impl Scheduler for ThreadedRelaxed {
         if !engine.halted() {
             return Err(EngineError::Internal("relaxed scheduler exited without an outcome".into()));
         }
-        // Rounds do not exist without the token; report the critical-path
+        // Free-running threads have no rounds; report the critical-path
         // estimate (the busiest worker's slot count) as elapsed cycles.
         let critical_path = engine.workers.iter().map(|w| w.instructions + w.idle_cycles).max().unwrap_or(0);
         engine.core().set_cycles(critical_path);
@@ -667,16 +437,15 @@ mod tests {
 
     #[test]
     fn scheduler_for_resolves_every_backend() {
-        assert_eq!(scheduler_for(SchedulerKind::Interleaved, DeterminismMode::Strict).name(), "interleaved");
-        assert_eq!(
-            scheduler_for(SchedulerKind::Interleaved, DeterminismMode::Relaxed).name(),
-            "interleaved",
-            "the interleaved backend is deterministic by construction"
-        );
-        assert_eq!(scheduler_for(SchedulerKind::Threaded, DeterminismMode::Strict).name(), "threaded");
-        assert_eq!(
-            scheduler_for(SchedulerKind::Threaded, DeterminismMode::Relaxed).name(),
-            "threaded-relaxed"
-        );
+        use DeterminismMode::{Relaxed, Strict};
+        use SchedulerKind::{Interleaved, Threaded};
+        for (kind, mode, backend) in [
+            (Interleaved, Strict, "interleaved"),
+            (Interleaved, Relaxed, "interleaved"),
+            (Threaded, Strict, "interleaved"),
+            (Threaded, Relaxed, "threaded-relaxed"),
+        ] {
+            assert_eq!(scheduler_for(kind, mode).name(), backend, "{kind:?} x {mode:?}");
+        }
     }
 }

@@ -83,9 +83,9 @@ pub struct QueryOptions {
     /// OS thread per PE.
     pub scheduler: SchedulerKind,
     /// Strict (reference interleaving, the default) or relaxed determinism.
-    /// Relaxed only changes how the `Threaded` backend drives the PEs: the
-    /// threads free-run over their own arenas instead of serialising
-    /// through a scheduling token.  Answers are identical either way.
+    /// Relaxed lets the `Threaded` backend's threads free-run over their
+    /// own arenas; a strict run is the host-thread interleaving whatever
+    /// the backend asked for.  Answers are identical either way.
     pub determinism: DeterminismMode,
     /// How long the relaxed backend tolerates a machine-wide stall before
     /// aborting (a safety net for engine bugs; default 5s).
@@ -137,12 +137,6 @@ impl QueryOptions {
         QueryOptions { parallel: true, workers: n, ..Default::default() }
     }
 
-    /// RAP-WAM with `n` PEs, each on its own OS thread (strict: the token
-    /// ring reproduces the reference interleaving exactly).
-    pub fn threaded(n: usize) -> Self {
-        QueryOptions { scheduler: SchedulerKind::Threaded, ..QueryOptions::parallel(n) }
-    }
-
     /// RAP-WAM with `n` PEs, each free-running on its own OS thread
     /// (relaxed determinism: same answers, real wall-clock speedup).
     ///
@@ -159,7 +153,11 @@ impl QueryOptions {
     /// assert_eq!(session.render(s), "14");
     /// ```
     pub fn relaxed(n: usize) -> Self {
-        QueryOptions { determinism: DeterminismMode::Relaxed, ..QueryOptions::threaded(n) }
+        QueryOptions {
+            scheduler: SchedulerKind::Threaded,
+            determinism: DeterminismMode::Relaxed,
+            ..QueryOptions::parallel(n)
+        }
     }
 
     /// Enable trace collection.
@@ -184,19 +182,6 @@ impl QueryOptions {
     /// Override the per-worker memory sizes.
     pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
         self.memory = memory;
-        self
-    }
-
-    /// Select the execution backend.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Select the determinism mode (only meaningful for the `Threaded`
-    /// backend; the interleaved reference is strict by construction).
-    pub fn with_determinism(mut self, determinism: DeterminismMode) -> Self {
-        self.determinism = determinism;
         self
     }
 

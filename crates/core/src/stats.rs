@@ -32,7 +32,7 @@ pub struct WorkerStats {
     /// every other PE's Goal Stack once; `goals_stolen` counts successes).
     pub steal_attempts: u64,
     /// Idle-backoff transitions from spinning to yielding (relaxed
-    /// backend's idle ladder; zero on the strict backends).
+    /// backend's idle ladder; zero on the strict backend).
     pub backoff_yields: u64,
     /// Idle-backoff transitions from yielding to timed parking (relaxed
     /// backend).
@@ -65,7 +65,7 @@ pub struct RunStats {
     pub reads: u64,
     pub writes: u64,
     /// Machine cycles until the query finished, one per scheduling round of
-    /// the strict backends; with the default quantum of one instruction
+    /// the strict backend; with the default quantum of one instruction
     /// this approximates the parallel critical path and is the quantity
     /// used to compute speed-ups.  A one-PE engine retires many
     /// instructions per slot but counts one cycle for each, so there

@@ -189,7 +189,7 @@ pub struct Worker {
     /// Goals this worker took from another worker's Goal Stack.
     pub goals_stolen: u64,
     /// Steal notifications received as a victim (delivered by the scheduler:
-    /// over channels on the Threaded backend, in place on the reference one).
+    /// over channels on the relaxed backend, in place on the reference one).
     pub steal_notices: u64,
     /// `cancel_goal` notifications received as the executor of an in-flight
     /// stolen goal (delivered by the scheduler alongside steal notices).

@@ -134,7 +134,6 @@ fn run_rejects_host_suspension() {
 fn cursor_streams_under_every_backend() {
     for opts in [
         QueryOptions::parallel(2),
-        QueryOptions::threaded(2),
         QueryOptions::relaxed(2),
         QueryOptions::sequential().with_classic_dispatch(),
     ] {

@@ -1,8 +1,8 @@
 //! Deterministic instruction fuel: the preemption point must be a pure
 //! function of the program, pinned byte-identical across both dispatch
-//! paths (flat and classic) and both serialized backends (interleaved and
-//! threaded-strict), and a fuelled run resumed to completion must
-//! reproduce the unfuelled run's answers, counters and traces exactly.
+//! paths (flat and classic) of the strict backend, and a fuelled run
+//! resumed to completion must reproduce the unfuelled run's answers,
+//! counters and traces exactly.
 
 use rapwam::session::{CursorStep, QueryOptions, Session};
 use rapwam::{EngineError, Term};
@@ -57,11 +57,6 @@ fn preemption_point_is_byte_identical_across_dispatch_and_backends() {
         let configs: Vec<(&str, QueryOptions)> = vec![
             ("interleaved/flat", QueryOptions::parallel(workers).with_fuel(97)),
             ("interleaved/classic", QueryOptions::parallel(workers).with_fuel(97).with_classic_dispatch()),
-            ("threaded-strict/flat", QueryOptions::threaded(workers).with_fuel(97)),
-            (
-                "threaded-strict/classic",
-                QueryOptions::threaded(workers).with_fuel(97).with_classic_dispatch(),
-            ),
         ];
         // Pin the first and a later preemption point: the first exercises
         // run_resumable's fuel leg, the later ones the resume(Continue)

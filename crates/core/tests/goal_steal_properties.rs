@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{Engine, EngineConfig, MemoryConfig, Outcome, SchedulerKind};
+use rapwam::{Engine, EngineConfig, MemoryConfig, Outcome};
 
 /// A program whose parallel goals backtrack through `pick/2` alternatives
 /// before succeeding, and whose parallel call fails outright when no list
@@ -84,25 +84,6 @@ proptest! {
         let par = run_checked(&list, k, workers);
         let seq = run_sequential(&list, k);
         prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn both_schedulers_agree_under_goal_failure(
-        list in prop::collection::vec(-20i64..20, 1..8),
-        k in -20i64..20,
-        workers in 2usize..6,
-    ) {
-        let query = format!("try({}, {k}, R)", render_list(&list));
-        let render = |scheduler: SchedulerKind| {
-            let mut session = Session::new(PROGRAM).expect("program parses");
-            let opts = QueryOptions::parallel(workers).with_scheduler(scheduler);
-            let r = session.run(&query, &opts).expect("run");
-            match &r.outcome {
-                Outcome::Success(_) => session.render(r.outcome.binding("R").expect("R bound")),
-                Outcome::Failure => "failure".to_string(),
-            }
-        };
-        prop_assert_eq!(render(SchedulerKind::Interleaved), render(SchedulerKind::Threaded));
     }
 }
 

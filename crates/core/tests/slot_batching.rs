@@ -2,22 +2,20 @@
 //!
 //! A one-PE engine's running worker executes up to the next
 //! scheduling-relevant event per slot instead of one instruction, and the
-//! strict drivers drain the steal/cancel logs only when something was
+//! strict driver drains the steal/cancel logs only when something was
 //! logged.  Nothing a caller can see may move: the goldens below were
 //! recorded on the instruction-at-a-time driver this replaced, and every
-//! case runs on both strict backends through both dispatch paths.
+//! case runs through both dispatch paths.
 
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use rapwam::session::{CursorStep, QueryOptions, Session, SessionError};
 use rapwam::{EngineError, MemRef, MemoryConfig, ObjectKind, RunResult};
 
-/// The four strict combinations at `workers` PEs: scheduler × dispatch path.
-fn strict_matrix(workers: usize) -> [(&'static str, QueryOptions); 4] {
+/// The strict backend at `workers` PEs through both dispatch paths.
+fn strict_matrix(workers: usize) -> [(&'static str, QueryOptions); 2] {
     [
         ("interleaved/flat", QueryOptions::parallel(workers)),
         ("interleaved/classic", QueryOptions::parallel(workers).with_classic_dispatch()),
-        ("threaded-strict/flat", QueryOptions::threaded(workers)),
-        ("threaded-strict/classic", QueryOptions::threaded(workers).with_classic_dispatch()),
     ]
 }
 
@@ -138,7 +136,7 @@ fn step_limit_fires_at_the_same_instruction() {
 #[test]
 fn two_pe_trace_with_steals_is_unchanged() {
     // (benchmark, trace length, fingerprint) on two PEs; steals happen, so
-    // the drivers' conditional log drain is on the path.
+    // the driver's conditional log drain is on the path.
     let goldens: [(BenchmarkId, usize, u64); 2] =
         [(BenchmarkId::Deriv, 1725, 0xb43083a3afa69624), (BenchmarkId::Fib, 24504, 0x32fe3032bc67c83c)];
     for (id, len, fp) in goldens {

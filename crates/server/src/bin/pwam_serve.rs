@@ -3,8 +3,7 @@
 //! ```text
 //! pwam-serve [--addr 127.0.0.1:0] [--pool N] [--max-queue N]
 //!            [--queue-timeout-ms N] [--deadline-ms N] [--max-workers N]
-//!            [--mode event-loop|threads] [--event-workers N]
-//!            [--max-connections N] [--default-fuel N]
+//!            [--event-workers N] [--max-connections N] [--default-fuel N]
 //!            [--tenant-max-active N] [--io-idle-timeout-ms N]
 //! ```
 //!
@@ -12,7 +11,7 @@
 //! resolves to an ephemeral port — scripts parse this line), then serves
 //! until a `shutdown` request arrives (e.g. `pwam-load --shutdown`).
 
-use pwam_server::{PoolConfig, Server, ServerConfig, ServingMode};
+use pwam_server::{PoolConfig, Server, ServerConfig};
 use std::time::Duration;
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -35,8 +34,7 @@ fn main() {
         eprintln!(
             "usage: pwam-serve [--addr HOST:PORT] [--pool N] [--max-queue N]\n\
              \x20                 [--queue-timeout-ms N] [--deadline-ms N] [--max-workers N]\n\
-             \x20                 [--mode event-loop|threads] [--event-workers N]\n\
-             \x20                 [--max-connections N] [--default-fuel N]\n\
+             \x20                 [--event-workers N] [--max-connections N] [--default-fuel N]\n\
              \x20                 [--tenant-max-active N] [--io-idle-timeout-ms N]"
         );
         return;
@@ -61,15 +59,6 @@ fn main() {
     if let Some(n) = num_arg(&args, "--max-workers") {
         config.max_workers = n.max(1) as usize;
     }
-    if let Some(mode) = arg_value(&args, "--mode") {
-        config.mode = match ServingMode::parse(&mode) {
-            Some(m) => m,
-            None => {
-                eprintln!("invalid argument: --mode {mode} (expected event-loop or threads)");
-                std::process::exit(2);
-            }
-        };
-    }
     if let Some(n) = num_arg(&args, "--event-workers") {
         config.event_workers = n.max(1) as usize;
     }
@@ -87,15 +76,14 @@ fn main() {
     }
     config.pool = pool;
 
-    let mode = config.mode;
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("pwam-serve: failed to bind: {e}");
+            eprintln!("pwam-serve: failed to start: {e}");
             std::process::exit(1);
         }
     };
-    println!("pwam-serve listening on {} ({} mode)", server.addr(), mode.name());
+    println!("pwam-serve listening on {}", server.addr());
     server.wait();
     println!("pwam-serve: shut down");
 }

@@ -3,16 +3,16 @@
 //!
 //! ## Why not thread-per-connection?
 //!
-//! The baseline server (`accept_loop` in the `server` module) pins a full OS
-//! thread per connection.  A thread costs a stack and a scheduler slot
-//! even while its connection sits idle between requests, which is most of
-//! the time for interactive clients — so the baseline's connection
-//! ceiling is set by thread memory, hundreds at best, while actual engine
-//! concurrency is bounded far lower by the pool.  This module inverts the
-//! structure: connections are *state machines* (a read buffer, a write
-//! buffer, a pipeline of outstanding requests) owned by one event loop,
-//! and only the bounded engine work runs on threads.  Ten thousand idle
-//! connections cost ten thousand buffers, not ten thousand stacks.
+//! A thread per connection costs a stack and a scheduler slot even while
+//! the connection sits idle between requests, which is most of the time
+//! for interactive clients — so the connection ceiling would be set by
+//! thread memory, hundreds at best, while actual engine concurrency is
+//! bounded far lower by the pool (`BENCH_server_capacity.json` records the
+//! comparison: 1024 connections sustained here against 256 that way).
+//! Here connections are *state machines* (a read buffer, a write buffer, a
+//! pipeline of outstanding requests) owned by one event loop, and only the
+//! bounded engine work runs on threads.  Ten thousand idle connections
+//! cost ten thousand buffers, not ten thousand stacks.
 //!
 //! ## Structure
 //!
@@ -267,14 +267,12 @@ impl Conn {
 // The loop
 // ---------------------------------------------------------------------
 
-/// Serve `listener` with the event loop until shutdown.  If the poller or
-/// the self-pipe cannot be built (exotic platform), falls back to the
-/// thread-per-connection loop so the server still works.
-pub(crate) fn serve(listener: TcpListener, state: Arc<ServerState>) {
-    match EventLoop::new(&listener, Arc::clone(&state)) {
-        Ok(event_loop) => event_loop.run(),
-        Err(_) => crate::server::accept_loop_fallback(listener, state),
-    }
+/// Build the event loop around `listener` and run it on a thread of its
+/// own until shutdown.  Whatever keeps the loop from being built — the
+/// poller, the self-pipe, a worker thread — is the caller's error.
+pub(crate) fn spawn(listener: TcpListener, state: Arc<ServerState>) -> io::Result<JoinHandle<()>> {
+    let event_loop = EventLoop::new(listener, state)?;
+    thread::Builder::new().name("pwam-accept".to_string()).spawn(move || event_loop.run())
 }
 
 struct EventLoop {
@@ -289,12 +287,11 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(listener: &TcpListener, state: Arc<ServerState>) -> io::Result<EventLoop> {
+    fn new(listener: TcpListener, state: Arc<ServerState>) -> io::Result<EventLoop> {
         let mut poller = Poller::new()?;
         let (waker_rx, waker_tx) = UnixStream::pair()?;
         waker_rx.set_nonblocking(true)?;
         waker_tx.set_nonblocking(true)?;
-        let listener = listener.try_clone()?;
         listener.set_nonblocking(true)?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(waker_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
@@ -361,7 +358,7 @@ impl EventLoop {
             let _ = worker.join();
         }
         let open = self.conns.len() as u64;
-        self.state.counters.connections_active.fetch_sub(open, Ordering::AcqRel);
+        self.state.connections_active.fetch_sub(open, Ordering::AcqRel);
     }
 
     fn accept_ready(&mut self) {
@@ -403,8 +400,8 @@ impl EventLoop {
             if self.poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
                 continue;
             }
-            self.state.counters.connections.fetch_add(1, Ordering::Relaxed);
-            self.state.counters.connections_active.fetch_add(1, Ordering::AcqRel);
+            self.state.metrics.connections.inc();
+            self.state.connections_active.fetch_add(1, Ordering::AcqRel);
             self.conns.insert(token, Conn::new(stream));
         }
     }
@@ -444,7 +441,7 @@ impl EventLoop {
                 // Unframeable: there is no trustworthy frame boundary to
                 // resynchronise at.  One last well-framed error, then the
                 // connection closes after the flush.
-                self.state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                self.state.metrics.protocol_errors.inc();
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 let payload = protocol::encode_response(&Response::Error {
@@ -464,7 +461,7 @@ impl EventLoop {
             let seq = conn.next_seq;
             conn.next_seq += 1;
             let Ok(payload) = String::from_utf8(payload_bytes) else {
-                self.state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                self.state.metrics.protocol_errors.inc();
                 let reply = protocol::encode_response(&Response::Error {
                     kind: ErrorKind::Protocol,
                     message: "frame is not UTF-8".to_string(),
@@ -518,7 +515,7 @@ impl EventLoop {
                     // A malformed *request* inside a well-formed frame is
                     // recoverable: answer with a protocol error and keep
                     // the connection (framing is still in sync).
-                    self.state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    self.state.metrics.protocol_errors.inc();
                     let reply = protocol::encode_response(&Response::Error {
                         kind: ErrorKind::Protocol,
                         message: e.to_string(),
@@ -584,7 +581,7 @@ impl EventLoop {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.state.counters.connections_active.fetch_sub(1, Ordering::AcqRel);
+            self.state.connections_active.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }

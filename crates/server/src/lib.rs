@@ -15,10 +15,8 @@
 //! * a **length-prefixed text protocol** ([`protocol`]) served over
 //!   `std::net::TcpListener` by a readiness-driven event loop
 //!   ([`event_loop`]) that multiplexes every connection through one poller
-//!   thread with pipelined, order-preserving responses — or, behind
-//!   [`server::ServingMode::ThreadPerConnection`], the thread-per-connection
-//!   baseline it is benchmarked against — plus a small blocking
-//!   [`client::Client`];
+//!   thread with pipelined, order-preserving responses, plus a small
+//!   blocking [`client::Client`];
 //! * **admission and preemption controls**: per-tenant concurrency quotas
 //!   ([`tenant::TenantTable`]) and deterministic instruction fuel (the
 //!   `fuel` header) so one client can neither hog the pool nor wedge an
@@ -52,7 +50,6 @@
 
 pub mod cache;
 pub mod client;
-#[cfg(unix)]
 pub mod event_loop;
 pub mod metrics;
 pub mod pool;
@@ -65,5 +62,5 @@ pub use client::Client;
 pub use metrics::{FlightRecorder, FLIGHT_RECORDER_CAP};
 pub use pool::{AcquireError, CursorStats, CursorTable, EnginePool, ParkedQuery, PoolConfig, PoolStats};
 pub use protocol::{AnswerResponse, ErrorKind, QueryRequest, Request, Response, StatsResponse};
-pub use server::{Server, ServerConfig, ServingMode, THREAD_MODE_MAX_CONNECTIONS};
+pub use server::{Server, ServerConfig};
 pub use tenant::{TenantStats, TenantTable};

@@ -2,28 +2,30 @@
 //! over every layer of the stack, plus a bounded flight recorder of query
 //! lifecycle events.
 //!
-//! Three kinds of series live here, distinguished by where the truth is:
+//! Two kinds of series live here, distinguished by where the truth is:
 //!
-//! * **Histograms** are the source of truth for request latency.  The
-//!   handlers observe into them directly (three relaxed `fetch_add`s per
-//!   observation — no locks on the request path).
-//! * **Mirrored counters** shadow monotonic totals whose truth lives in
-//!   another subsystem (the server counters, the pool, the cache, the
-//!   cursor table).  `ServerMetrics::render` copies the upstream values
-//!   in immediately before rendering, so the exposition is always a
-//!   consistent read of the owning atomics and the request path pays
-//!   nothing twice.
-//! * **Folded counters** aggregate per-run engine statistics
-//!   ([`rapwam::RunStats`]) that only exist when a run completes: per-PE
-//!   scheduler telemetry and the per-predicate instruction profile.
-//!   `ServerMetrics::record_run` folds one run's worth in on the
-//!   (already cold) completion path.
+//! * **Owned series** are the source of truth themselves.  The latency
+//!   histograms and the server's own request counters (connections,
+//!   queries, the error kinds, instructions, engine time) are updated in
+//!   place by the handlers — relaxed `fetch_add`s, no locks on the request
+//!   path — and the `stats` verb reads the same handles.  The per-PE
+//!   scheduler telemetry and the per-predicate instruction profile are
+//!   owned too; they only exist when a run completes, so
+//!   `ServerMetrics::record_run` folds one run's [`rapwam::RunStats`] in
+//!   on the (already cold) completion path.
+//! * **Mirrored series** shadow totals whose truth lives under another
+//!   subsystem's lock (the pool, the cache, the cursor table, the tenant
+//!   table).  `ServerMetrics::render` copies the upstream values in
+//!   immediately before rendering, so the exposition is always a
+//!   consistent read of the owners and the request path pays nothing
+//!   twice.
 
 use crate::server::ServerState;
 use pwam_obs::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 use rapwam::RunStats;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -58,27 +60,34 @@ pub(crate) struct ServerMetrics {
     /// percentiles against.
     pub request_us: Arc<Histogram>,
 
-    // --- direct counters (incremented on the request path) ---
+    // --- request counters (incremented on the request path) ---
     /// Queries preempted before completion, labelled by why: a
     /// `deadline` preemption is a wall-clock kill (terminal, timing
     /// dependent), a `fuel` preemption is the deterministic instruction
     /// budget (terminal for one-shot queries, resumable for cursors).
     pub query_preempted: Arc<CounterVec>,
+    pub connections: Arc<Counter>,
+    pub queries: Arc<Counter>,
+    pub protocol_errors: Arc<Counter>,
+    pub compile_errors: Arc<Counter>,
+    pub engine_errors: Arc<Counter>,
+    pub deadline_errors: Arc<Counter>,
+    /// One-shot queries killed by fuel exhaustion (terminal).
+    pub fuel_errors: Arc<Counter>,
+    /// Cursor legs preempted by fuel exhaustion (resumable: the cursor
+    /// stays parked and the next `query-next` continues it).
+    pub fuel_preemptions: Arc<Counter>,
+    /// Requests turned away by their tenant's admission quota.
+    pub quota_rejections: Arc<Counter>,
+    /// Abstract-machine instructions retired by successful queries.
+    pub instructions: Arc<Counter>,
+    /// Wall-clock engine time of successful queries, in microseconds —
+    /// the denominator of the cumulative-MLIPS figure in `stats`.
+    pub engine_micros: Arc<Counter>,
 
     // --- mirrored monotonic counters (synced at render time) ---
-    connections: Arc<Counter>,
-    queries: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    compile_errors: Arc<Counter>,
-    engine_errors: Arc<Counter>,
-    deadline_errors: Arc<Counter>,
-    fuel_errors: Arc<Counter>,
-    fuel_preemptions: Arc<Counter>,
-    quota_rejections: Arc<Counter>,
     tenants_admitted: Arc<Counter>,
     tenants_rejected: Arc<Counter>,
-    instructions: Arc<Counter>,
-    engine_micros: Arc<Counter>,
     pool_requests: Arc<Counter>,
     pool_warm_hits: Arc<Counter>,
     pool_cold_builds: Arc<Counter>,
@@ -363,21 +372,8 @@ impl ServerMetrics {
         let cache = state.cache.stats();
         let cursors = state.cursors.stats();
         let tenants = state.tenants.stats();
-        let c = &state.counters;
-        use std::sync::atomic::Ordering::Relaxed;
-        self.connections.store(c.connections.load(Relaxed));
-        self.queries.store(c.queries.load(Relaxed));
-        self.protocol_errors.store(c.protocol_errors.load(Relaxed));
-        self.compile_errors.store(c.compile_errors.load(Relaxed));
-        self.engine_errors.store(c.engine_errors.load(Relaxed));
-        self.deadline_errors.store(c.deadline_errors.load(Relaxed));
-        self.fuel_errors.store(c.fuel_errors.load(Relaxed));
-        self.fuel_preemptions.store(c.fuel_preemptions.load(Relaxed));
-        self.quota_rejections.store(c.quota_rejections.load(Relaxed));
         self.tenants_admitted.store(tenants.admitted);
         self.tenants_rejected.store(tenants.rejected);
-        self.instructions.store(c.instructions.load(Relaxed));
-        self.engine_micros.store(c.engine_micros.load(Relaxed));
         self.pool_requests.store(pool.requests);
         self.pool_warm_hits.store(pool.warm_hits);
         self.pool_cold_builds.store(pool.cold_builds);
@@ -394,7 +390,7 @@ impl ServerMetrics {
         self.pool_queue_depth.set(pool.queue_depth);
         self.cursors_parked.set(cursors.parked);
         self.cache_programs.set(cache.programs);
-        self.connections_active.set(c.connections_active.load(Relaxed));
+        self.connections_active.set(state.connections_active.load(Ordering::Relaxed));
         self.tenants_active.replace(state.tenants.active_snapshot());
         self.registry.render()
     }

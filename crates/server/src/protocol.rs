@@ -129,7 +129,8 @@ pub struct QueryRequest {
     pub workers: usize,
     /// Compile CGEs to parallel code (RAP-WAM) or sequential (WAM).
     pub parallel: bool,
-    /// Execution backend.
+    /// Execution backend.  `threaded` takes effect under `relaxed`
+    /// determinism; a strict request is served interleaved either way.
     pub scheduler: SchedulerKind,
     /// Determinism mode of the backend.
     pub determinism: DeterminismMode,

@@ -1,27 +1,17 @@
-//! The TCP serving tier, in two interchangeable shapes behind
-//! [`ServingMode`]:
+//! The TCP serving tier: one readiness-driven thread multiplexes every
+//! connection through the vendored [`polling`] poller, with non-blocking
+//! framed I/O, per-connection pipelining, and a small worker pool running
+//! engine requests off the loop (see [`crate::event_loop`]).  Concurrent
+//! connections cost a buffer each, not a thread each.
 //!
-//! * **Event loop** (the default): one readiness-driven thread multiplexes
-//!   every connection through the vendored [`polling`] poller, with
-//!   non-blocking framed I/O, per-connection pipelining, and a small
-//!   worker pool running engine requests off the loop (see
-//!   [`crate::event_loop`]).  Concurrent connections cost a buffer each,
-//!   not a thread each.
-//! * **Thread per connection** (the differential baseline): one blocking
-//!   worker thread per accepted connection, shed beyond
-//!   [`THREAD_MODE_MAX_CONNECTIONS`] — each idle connection pins a full
-//!   thread stack, so this mode's capacity ceiling is set by thread
-//!   memory, not by sockets.
-//!
-//! Both shapes share every handler below and the same `ServerState`
-//! (pool, cache, cursor table, tenant quotas, metrics), so their observable
-//! protocol behaviour is identical — only the concurrency structure
-//! differs.
+//! This module holds the configuration, the shared `ServerState` (pool,
+//! cache, cursor table, tenant quotas, metrics) and the verb handlers the
+//! loop's workers call.
 
 use crate::cache::ProgramCache;
 use crate::metrics::{FlightRecorder, ServerMetrics, FLIGHT_RECORDER_CAP};
 use crate::pool::{AcquireError, CursorTable, EnginePool, ParkedQuery, PoolConfig, SlotGuard};
-use crate::protocol::{self, AnswerResponse, ErrorKind, QueryRequest, Request, Response, StatsResponse};
+use crate::protocol::{AnswerResponse, ErrorKind, QueryRequest, Response, StatsResponse};
 use crate::tenant::TenantTable;
 use rapwam::session::{CursorStep, QueryOptions, SessionError};
 use rapwam::{EngineError, MemoryConfig, Outcome};
@@ -29,42 +19,8 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Hard ceiling on concurrent connections in thread-per-connection mode.
-/// Each connection pins a whole thread (stack, scheduler slot) even while
-/// idle, so the baseline sheds far earlier than the event loop does; this
-/// constant is the denominator of the capacity comparison the event loop
-/// is measured against.
-pub const THREAD_MODE_MAX_CONNECTIONS: usize = 256;
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServingMode {
-    /// One readiness-driven event loop plus a small engine worker pool.
-    EventLoop,
-    /// One blocking thread per connection (the differential baseline,
-    /// capped at [`THREAD_MODE_MAX_CONNECTIONS`]).
-    ThreadPerConnection,
-}
-
-impl ServingMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ServingMode::EventLoop => "event-loop",
-            ServingMode::ThreadPerConnection => "threads",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "event-loop" => ServingMode::EventLoop,
-            "threads" => ServingMode::ThreadPerConnection,
-            _ => return None,
-        })
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -93,15 +49,11 @@ pub struct ServerConfig {
     /// Upper bound on concurrently parked cursors; `query-open` beyond it
     /// is rejected (each parked cursor holds a full engine's arenas).
     pub max_cursors: usize,
-    /// How connections are multiplexed.
-    pub mode: ServingMode,
     /// Engine worker threads behind the event loop (requests that run the
-    /// engine are executed here so the loop itself never blocks).  Ignored
-    /// in thread-per-connection mode.
+    /// engine are executed here so the loop itself never blocks).
     pub event_workers: usize,
     /// Upper bound on concurrent connections; arrivals beyond it get a
-    /// well-framed `rejected` error and an immediate close.  Thread mode
-    /// additionally clamps this to [`THREAD_MODE_MAX_CONNECTIONS`].
+    /// well-framed `rejected` error and an immediate close.
     pub max_connections: usize,
     /// Instruction-fuel budget applied to requests that do not carry their
     /// own `fuel` header (`None` = unlimited).
@@ -137,7 +89,6 @@ impl Default for ServerConfig {
             max_workers: 16,
             cursor_idle_timeout: Duration::from_secs(60),
             max_cursors: 128,
-            mode: ServingMode::EventLoop,
             event_workers: 4,
             max_connections: 1024,
             default_fuel: None,
@@ -147,40 +98,18 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-server request counters (the pool and cache keep their own).
-#[derive(Debug, Default)]
-pub(crate) struct ServerCounters {
-    pub connections: AtomicU64,
-    pub queries: AtomicU64,
-    pub protocol_errors: AtomicU64,
-    pub compile_errors: AtomicU64,
-    pub engine_errors: AtomicU64,
-    pub deadline_errors: AtomicU64,
-    /// One-shot queries killed by fuel exhaustion (terminal).
-    pub fuel_errors: AtomicU64,
-    /// Cursor legs preempted by fuel exhaustion (resumable: the cursor
-    /// stays parked and the next `query-next` continues it).
-    pub fuel_preemptions: AtomicU64,
-    /// Requests turned away by their tenant's admission quota.
-    pub quota_rejections: AtomicU64,
-    /// Connections open right now (a gauge, despite living here: both
-    /// serving modes balance increments with decrements).
-    pub connections_active: AtomicU64,
-    /// Abstract-machine instructions retired by successful queries.
-    pub instructions: AtomicU64,
-    /// Wall-clock engine time of successful queries, in microseconds —
-    /// the denominator of the cumulative-MLIPS figure in `stats`.
-    pub engine_micros: AtomicU64,
-}
-
-/// State shared by every connection thread.
+/// State shared by the event loop and its workers.
 pub(crate) struct ServerState {
     pub config: ServerConfig,
     pub pool: EnginePool,
     pub cache: ProgramCache,
     pub cursors: CursorTable,
     pub tenants: TenantTable,
-    pub counters: ServerCounters,
+    /// Connections open right now (the loop balances increments with
+    /// decrements; `metrics` publishes it as a gauge).
+    pub connections_active: AtomicU64,
+    /// The registry; its counters are the server's own request counters
+    /// (the pool, cache, cursor table and tenants keep theirs).
     pub metrics: ServerMetrics,
     pub flight: FlightRecorder,
     pub shutdown: AtomicBool,
@@ -195,31 +124,23 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind and start serving in the configured [`ServingMode`].
+    /// Bind and start serving.  Fails when the socket cannot be bound or
+    /// the event loop (poller, wakeup pipe, worker threads) cannot be built.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let mode = config.mode;
         let state = Arc::new(ServerState {
             pool: EnginePool::new(config.pool.clone()),
             cache: ProgramCache::new(config.max_programs),
             cursors: CursorTable::new(config.cursor_idle_timeout, config.max_cursors),
             tenants: TenantTable::new(config.tenant_max_active),
-            counters: ServerCounters::default(),
+            connections_active: AtomicU64::new(0),
             metrics: ServerMetrics::new(),
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAP),
             shutdown: AtomicBool::new(false),
             config,
         });
-        let accept_state = Arc::clone(&state);
-        let accept_thread =
-            thread::Builder::new().name("pwam-accept".to_string()).spawn(move || match mode {
-                #[cfg(unix)]
-                ServingMode::EventLoop => crate::event_loop::serve(listener, accept_state),
-                #[cfg(not(unix))]
-                ServingMode::EventLoop => accept_loop(listener, accept_state),
-                ServingMode::ThreadPerConnection => accept_loop(listener, accept_state),
-            })?;
+        let accept_thread = crate::event_loop::spawn(listener, Arc::clone(&state))?;
         Ok(Server { addr, state, accept_thread: Some(accept_thread) })
     }
 
@@ -246,12 +167,11 @@ impl Server {
         self.state.flight.render(limit)
     }
 
-    /// Stop accepting connections and join the accept loop.  In-flight
-    /// connection threads finish their current request and exit when their
-    /// client disconnects.
+    /// Stop accepting connections and join the event loop, which first
+    /// flushes the responses still in flight.
     pub fn shutdown(mut self) {
         self.state.shutdown.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
+        // Wake the loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -266,115 +186,11 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    let cap = state.config.max_connections.min(THREAD_MODE_MAX_CONNECTIONS);
-    loop {
-        let conn = listener.accept();
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match conn {
-            Ok((mut stream, _)) => {
-                // Shed beyond the thread cap *before* spawning: every
-                // admitted connection costs a full thread here, which is
-                // exactly the scaling wall the event loop removes.
-                if state.counters.connections_active.load(Ordering::Acquire) >= cap as u64 {
-                    let reply = protocol::encode_response(&Response::Error {
-                        kind: ErrorKind::Rejected,
-                        message: format!("server is at its connection limit ({cap})"),
-                    });
-                    let _ = protocol::write_frame(&mut stream, &reply);
-                    continue;
-                }
-                state.counters.connections.fetch_add(1, Ordering::Relaxed);
-                state.counters.connections_active.fetch_add(1, Ordering::AcqRel);
-                let conn_state = Arc::clone(&state);
-                let spawned = thread::Builder::new().name("pwam-conn".to_string()).spawn(move || {
-                    handle_connection(stream, Arc::clone(&conn_state));
-                    conn_state.counters.connections_active.fetch_sub(1, Ordering::AcqRel);
-                });
-                if spawned.is_err() {
-                    // Thread exhaustion: the connection was counted in but
-                    // never served — balance the gauge.
-                    state.counters.connections_active.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(_) => {
-                if state.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // Transient accept error: keep serving.
-            }
-        }
-    }
-}
-
-/// Fallback for [`ServingMode::EventLoop`] on platforms where the poller
-/// cannot be built: restore blocking accepts (the event loop's setup may
-/// already have flipped the listener's shared file-status flags) and serve
-/// one thread per connection instead.
-#[cfg(unix)]
-pub(crate) fn accept_loop_fallback(listener: TcpListener, state: Arc<ServerState>) {
-    let _ = listener.set_nonblocking(false);
-    accept_loop(listener, state);
-}
-
-/// Serve one connection: a sequence of framed requests.
-fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
-    // Responses are written as two small writes (length prefix, body);
-    // with Nagle enabled the body stalls behind the client's delayed ACK,
-    // inflating client-observed latency by tens of milliseconds over what
-    // the request histograms record server-side.
-    let _ = stream.set_nodelay(true);
-    loop {
-        let payload = match protocol::read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // client closed
-            Err(_) => {
-                state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        let response = match protocol::decode_request(&payload) {
-            Ok(Request::Ping) => Response::Pong,
-            Ok(Request::Stats) => Response::Stats(stats_response(&state)),
-            Ok(Request::Metrics) => {
-                sweep_idle_cursors(&state);
-                Response::Metrics { text: state.metrics.render(&state) }
-            }
-            Ok(Request::Events { limit }) => Response::Events { text: state.flight.render(limit) },
-            Ok(Request::Shutdown) => {
-                state.shutdown.store(true, Ordering::Release);
-                let reply = protocol::encode_response(&Response::Bye);
-                let _ = protocol::write_frame(&mut stream, &reply);
-                // Unblock the accept loop so the server exits.
-                if let Ok(addr) = stream.local_addr() {
-                    let _ = TcpStream::connect(addr);
-                }
-                return;
-            }
-            Ok(Request::Query(q)) => handle_query(&state, *q, Instant::now()),
-            Ok(Request::QueryOpen(q)) => handle_query_open(&state, *q),
-            Ok(Request::QueryNext { cursor }) => handle_query_next(&state, cursor),
-            Ok(Request::QueryClose { cursor }) => handle_query_close(&state, cursor),
-            Err(e) => {
-                state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Response::Error { kind: ErrorKind::Protocol, message: e.to_string() }
-            }
-        };
-        let reply = protocol::encode_response(&response);
-        if protocol::write_frame(&mut stream, &reply).is_err() {
-            return;
-        }
-    }
-}
-
 /// Execute one query request: time the whole request into the
 /// `request_us` histogram and log its outcome to the flight recorder,
 /// with the actual work in [`run_query`].  `arrived` is when the frame
-/// was read off the wire — in the event loop that predates worker-queue
-/// wait, which is part of the request (for both the histogram and the
-/// deadline budget).
+/// was read off the wire — that predates worker-queue wait, which is part
+/// of the request (for both the histogram and the deadline budget).
 pub(crate) fn handle_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Response {
     let response = run_query(state, req, arrived);
     let us = arrived.elapsed().as_micros() as u64;
@@ -390,9 +206,9 @@ pub(crate) fn handle_query(state: &ServerState, req: QueryRequest, arrived: Inst
 
 /// Execute one query request against the cache + pool.
 fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Response {
-    state.counters.queries.fetch_add(1, Ordering::Relaxed);
+    state.metrics.queries.inc();
     if req.workers == 0 || req.workers > state.config.max_workers {
-        state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        state.metrics.protocol_errors.inc();
         return Response::Error {
             kind: ErrorKind::Protocol,
             message: format!("workers must be 1..={}", state.config.max_workers),
@@ -443,7 +259,7 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
     // the engine's remaining time budget.
     let remaining = deadline.map(|d| d.saturating_sub(arrived.elapsed()));
     if remaining.is_some_and(|r| r.is_zero()) {
-        state.counters.deadline_errors.fetch_add(1, Ordering::Relaxed);
+        state.metrics.deadline_errors.inc();
         return Response::Error {
             kind: ErrorKind::Deadline,
             message: "deadline exhausted before the engine could start".to_string(),
@@ -473,8 +289,8 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
                 Outcome::Failure => Vec::new(),
             };
             let elapsed_us = started.elapsed().as_micros() as u64;
-            state.counters.instructions.fetch_add(result.stats.instructions, Ordering::Relaxed);
-            state.counters.engine_micros.fetch_add(elapsed_us, Ordering::Relaxed);
+            state.metrics.instructions.add(result.stats.instructions);
+            state.metrics.engine_micros.add(elapsed_us);
             state.metrics.execute_us.observe(elapsed_us);
             state.metrics.record_run(&result.stats);
             Response::Answer(AnswerResponse {
@@ -492,15 +308,15 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
             let (kind, counter) = match &e {
                 SessionError::Engine(EngineError::DeadlineExceeded { .. }) => {
                     state.metrics.query_preempted.add("deadline", 1);
-                    (ErrorKind::Deadline, &state.counters.deadline_errors)
+                    (ErrorKind::Deadline, &state.metrics.deadline_errors)
                 }
                 SessionError::Engine(EngineError::FuelExhausted { .. }) => {
                     state.metrics.query_preempted.add("fuel", 1);
-                    (ErrorKind::Fuel, &state.counters.fuel_errors)
+                    (ErrorKind::Fuel, &state.metrics.fuel_errors)
                 }
-                _ => (ErrorKind::Engine, &state.counters.engine_errors),
+                _ => (ErrorKind::Engine, &state.metrics.engine_errors),
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
             Response::Error { kind, message: e.to_string() }
         }
     }
@@ -508,7 +324,7 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
 
 /// Reject a request whose tenant is already at its admission quota.
 fn quota_rejected(state: &ServerState, req: &QueryRequest, active: u64) -> Response {
-    state.counters.quota_rejections.fetch_add(1, Ordering::Relaxed);
+    state.metrics.quota_rejections.inc();
     let tenant = req.tenant.as_deref().unwrap_or("");
     state.flight.record("quota", &format!("tenant={tenant} active={active}"));
     Response::Error {
@@ -521,7 +337,7 @@ fn quota_rejected(state: &ServerState, req: &QueryRequest, active: u64) -> Respo
 }
 
 fn compile_error(state: &ServerState, e: SessionError) -> Response {
-    state.counters.compile_errors.fetch_add(1, Ordering::Relaxed);
+    state.metrics.compile_errors.inc();
     Response::Error { kind: ErrorKind::Compile, message: e.to_string() }
 }
 
@@ -547,7 +363,7 @@ fn acquire_error(e: AcquireError) -> Response {
 pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Response {
     sweep_idle_cursors(state);
     if req.workers == 0 || req.workers > state.config.max_workers {
-        state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        state.metrics.protocol_errors.inc();
         return Response::Error {
             kind: ErrorKind::Protocol,
             message: format!("workers must be 1..={}", state.config.max_workers),
@@ -600,7 +416,7 @@ pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Respo
         match session.open_cursor(&compiled, &options, recycled) {
             Ok(c) => c,
             Err(e) => {
-                state.counters.engine_errors.fetch_add(1, Ordering::Relaxed);
+                state.metrics.engine_errors.inc();
                 return Response::Error { kind: ErrorKind::Engine, message: e.to_string() };
             }
         }
@@ -668,10 +484,10 @@ pub(crate) fn handle_query_next(state: &ServerState, id: u64) -> Response {
             let delta = stats.instructions.saturating_sub(parked.instructions_seen);
             parked.instructions_seen = stats.instructions;
             parked.micros_seen += elapsed_us;
-            state.counters.instructions.fetch_add(delta, Ordering::Relaxed);
-            state.counters.engine_micros.fetch_add(elapsed_us, Ordering::Relaxed);
+            state.metrics.instructions.add(delta);
+            state.metrics.engine_micros.add(elapsed_us);
             state.metrics.resume_us.observe(elapsed_us);
-            state.counters.fuel_preemptions.fetch_add(1, Ordering::Relaxed);
+            state.metrics.fuel_preemptions.inc();
             state.metrics.query_preempted.add("fuel", 1);
             state.flight.record("resume", &format!("cursor={id} status=fuel us={elapsed_us}"));
             state.cursors.repark(id, parked);
@@ -691,11 +507,11 @@ pub(crate) fn handle_query_next(state: &ServerState, id: u64) -> Response {
             let (kind, counter) = match &e {
                 SessionError::Engine(EngineError::DeadlineExceeded { .. }) => {
                     state.metrics.query_preempted.add("deadline", 1);
-                    (ErrorKind::Deadline, &state.counters.deadline_errors)
+                    (ErrorKind::Deadline, &state.metrics.deadline_errors)
                 }
-                _ => (ErrorKind::Engine, &state.counters.engine_errors),
+                _ => (ErrorKind::Engine, &state.metrics.engine_errors),
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
             Response::Error { kind, message: e.to_string() }
         }
     }
@@ -743,8 +559,8 @@ fn cursor_answer(
     let delta = stats.instructions.saturating_sub(parked.instructions_seen);
     parked.instructions_seen = stats.instructions;
     parked.micros_seen += elapsed_us;
-    state.counters.instructions.fetch_add(delta, Ordering::Relaxed);
-    state.counters.engine_micros.fetch_add(elapsed_us, Ordering::Relaxed);
+    state.metrics.instructions.add(delta);
+    state.metrics.engine_micros.add(elapsed_us);
     state.metrics.resume_us.observe(elapsed_us);
     AnswerResponse {
         success,
@@ -788,16 +604,16 @@ pub(crate) fn cumulative_mlips_x1000(instructions: u64, engine_micros: u64) -> u
     scaled.min(u64::MAX as u128) as u64
 }
 
-/// Flatten pool + cache + server counters into the wire stats shape.
+/// Flatten pool + cache + registry counters into the wire stats shape.
 pub(crate) fn stats_response(state: &ServerState) -> StatsResponse {
     sweep_idle_cursors(state);
     let pool = state.pool.stats();
     let cache = state.cache.stats();
     let cursors = state.cursors.stats();
     let tenants = state.tenants.stats();
-    let c = &state.counters;
-    let instructions = c.instructions.load(Ordering::Relaxed);
-    let engine_micros = c.engine_micros.load(Ordering::Relaxed);
+    let m = &state.metrics;
+    let instructions = m.instructions.get();
+    let engine_micros = m.engine_micros.get();
     let mlips_x1000 = cumulative_mlips_x1000(instructions, engine_micros);
     StatsResponse {
         fields: vec![
@@ -819,16 +635,16 @@ pub(crate) fn stats_response(state: &ServerState) -> StatsResponse {
             ("cursors_opened".to_string(), cursors.opened),
             ("cursors_closed".to_string(), cursors.closed),
             ("cursors_evicted".to_string(), cursors.evicted),
-            ("connections".to_string(), c.connections.load(Ordering::Relaxed)),
-            ("connections_active".to_string(), c.connections_active.load(Ordering::Relaxed)),
-            ("queries".to_string(), c.queries.load(Ordering::Relaxed)),
-            ("protocol_errors".to_string(), c.protocol_errors.load(Ordering::Relaxed)),
-            ("compile_errors".to_string(), c.compile_errors.load(Ordering::Relaxed)),
-            ("engine_errors".to_string(), c.engine_errors.load(Ordering::Relaxed)),
-            ("deadline_errors".to_string(), c.deadline_errors.load(Ordering::Relaxed)),
-            ("fuel_errors".to_string(), c.fuel_errors.load(Ordering::Relaxed)),
-            ("fuel_preemptions".to_string(), c.fuel_preemptions.load(Ordering::Relaxed)),
-            ("quota_rejections".to_string(), c.quota_rejections.load(Ordering::Relaxed)),
+            ("connections".to_string(), m.connections.get()),
+            ("connections_active".to_string(), state.connections_active.load(Ordering::Relaxed)),
+            ("queries".to_string(), m.queries.get()),
+            ("protocol_errors".to_string(), m.protocol_errors.get()),
+            ("compile_errors".to_string(), m.compile_errors.get()),
+            ("engine_errors".to_string(), m.engine_errors.get()),
+            ("deadline_errors".to_string(), m.deadline_errors.get()),
+            ("fuel_errors".to_string(), m.fuel_errors.get()),
+            ("fuel_preemptions".to_string(), m.fuel_preemptions.get()),
+            ("quota_rejections".to_string(), m.quota_rejections.get()),
             ("tenants_admitted".to_string(), tenants.admitted),
             ("tenants_rejected".to_string(), tenants.rejected),
             ("tenants_active".to_string(), tenants.active),

@@ -2,28 +2,23 @@
 //! behind the paper's Figure 2 — in both senses the suite supports:
 //!
 //! 1. **Emulated speedup** (elapsed-cycle ratio): the paper's own metric,
-//!    identical on the interleaved and strict-threaded backends because the
-//!    strict backends reproduce one reference interleaving.
-//! 2. **Wall-clock speedup** (relaxed determinism): the `Threaded` backend
-//!    with `DeterminismMode::Relaxed` retires the scheduling token, so every
-//!    PE free-runs on its own OS thread over its own Stack Set arena and
-//!    `--threads N` finally buys real time.  Answers are identical to the
-//!    strict backends; only scheduling placement and trace interleaving are
-//!    racy.
+//!    taken on the deterministic interleaved backend.
+//! 2. **Wall-clock speedup** (relaxed determinism): on the `Threaded`
+//!    backend with `DeterminismMode::Relaxed` every PE free-runs on its own
+//!    OS thread over its own Stack Set arena, so more PEs buy real time.
+//!    Answers are identical to the strict backend's; only scheduling
+//!    placement and trace interleaving are racy.
 //!
 //! ```text
-//! cargo run --release --example parallel_speedup [-- --threaded] [--skip-emulated]
+//! cargo run --release --example parallel_speedup [-- --skip-emulated]
 //! ```
 //!
-//! With `--threaded` the emulated section runs on the strict token-ring
-//! backend (same cycles, pinned by the differential suite).  Wall-clock
-//! speedup beyond 1.0x needs actual hardware parallelism: the example
-//! prints the host's available parallelism and, on a single-core host,
-//! still shows the relaxed backend's throughput win over the emulator.
+//! Wall-clock speedup beyond 1.0x needs actual hardware parallelism: the
+//! example prints the host's available parallelism and, on a single-core
+//! host, still shows the relaxed backend's throughput win over the emulator.
 
 use pwam_suite::benchmarks::{all_benchmarks, benchmark, BenchmarkId, Scale};
 use pwam_suite::rapwam::session::{QueryOptions, Session};
-use pwam_suite::rapwam::SchedulerKind;
 use std::time::{Duration, Instant};
 
 /// Best-of-three wall-clock time for one run.
@@ -38,12 +33,9 @@ fn time_run(session: &mut Session, query: &str, opts: &QueryOptions) -> Duration
     best
 }
 
-fn emulated_section(scheduler: SchedulerKind) {
+fn emulated_section() {
     let pe_counts = [1usize, 2, 4, 8, 16];
-    println!(
-        "emulated speed-up over the sequential WAM (elapsed-cycle ratio), Scale::Paper inputs, {} backend\n",
-        scheduler.name()
-    );
+    println!("emulated speed-up over the sequential WAM (elapsed-cycle ratio), Scale::Paper inputs\n");
     println!("{:>10} {:>8} {:>8} {:>8} {:>8} {:>8}", "benchmark", "1 PE", "2 PE", "4 PE", "8 PE", "16 PE");
 
     for bench in all_benchmarks(Scale::Paper) {
@@ -53,8 +45,7 @@ fn emulated_section(scheduler: SchedulerKind) {
 
         let mut row = format!("{:>10}", bench.id.name());
         for &pes in &pe_counts {
-            let opts = QueryOptions::parallel(pes).with_scheduler(scheduler);
-            let par = session.run(&bench.query, &opts).expect("parallel run");
+            let par = session.run(&bench.query, &QueryOptions::parallel(pes)).expect("parallel run");
             assert!(par.outcome.is_success());
             row.push_str(&format!(" {:>8.2}", base / par.stats.elapsed_cycles as f64));
         }
@@ -96,7 +87,7 @@ fn wall_clock_section() {
     if cores < 2 {
         println!("note: this host exposes a single core, so adding threads cannot reduce");
         println!("wall time — the relaxed backend still beats the interleaved emulator by");
-        println!("retiring the token and the per-instruction round bookkeeping.  Re-run on");
+        println!("retiring the per-instruction round bookkeeping.  Re-run on");
         println!("a multi-core host to see >1x in the `best x` column.");
     } else {
         println!("`best x` is the speedup of the fastest relaxed thread count over 1 thread;");
@@ -106,13 +97,8 @@ fn wall_clock_section() {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scheduler = if args.iter().any(|a| a == "--threaded") {
-        SchedulerKind::Threaded
-    } else {
-        SchedulerKind::Interleaved
-    };
     if !args.iter().any(|a| a == "--skip-emulated") {
-        emulated_section(scheduler);
+        emulated_section();
         println!("matrix (coarse grain) scales best; deriv/tak/qsort show the medium");
         println!("parallelism the paper targets; all answers are identical to the WAM's.\n");
     }

@@ -1,10 +1,10 @@
 //! The experiment harness run end-to-end on small inputs: every table and
 //! figure entry point must produce data with the paper's qualitative shape.
 //!
-//! The suite honours `PWAM_SCHEDULER` / `PWAM_DETERMINISM` like the
+//! The suite honours `PWAM_DETERMINISM` like the
 //! binaries do.  Under relaxed determinism two classes of assertions are
-//! skipped: elapsed-cycle speedup (rounds do not exist without the
-//! scheduling token — relaxed runs report a critical-path estimate) and
+//! skipped: elapsed-cycle speedup (free-running threads have no rounds —
+//! relaxed runs report a critical-path estimate) and
 //! goal-placement counts (which PE steals which goal is an actual race,
 //! and on a single-core host the parent usually wins).  Everything
 //! answer- and work-invariant stays asserted in both modes.
@@ -62,7 +62,7 @@ fn figure2_work_stays_bounded_and_speedup_grows() {
     }
     // Speed-up must increase from 1 to 8 PEs (deriv has enough parallelism
     // even at the small scale).  Elapsed cycles are an emulation metric of
-    // the strict backends; relaxed runs report a critical-path estimate
+    // the strict backend; relaxed runs report a critical-path estimate
     // instead, so the growth assertion only holds under strict determinism.
     if strict() {
         let s1 = fig.points[0].speedup;
