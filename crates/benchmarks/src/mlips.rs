@@ -61,8 +61,11 @@ impl MlipsReport {
 
 /// Time `id` at `scale` on [`mlips_workers`] interleaved PEs and report the
 /// best-of-`runs` throughput.  Only the engine run is timed: compilation is
-/// cached by the session and engine construction (arena allocation) happens
-/// before the clock starts.
+/// cached by the session, and the attempts share one engine, reset between
+/// them outside the clock.  Arenas are allocated as untouched zero pages, so
+/// the first attempt pays the kernel's page faults for every page the program
+/// reaches; from the second on the Stack Sets are warm and the clock sees the
+/// dispatch loop alone, which is what best-of-`runs` then reports.
 pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, classic_dispatch: bool) -> MlipsReport {
     let bench = benchmark(id, scale);
     let mut session =
@@ -86,15 +89,18 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, classic_dispatc
     let runs = runs.max(1);
     let mut best_secs = f64::INFINITY;
     let mut instructions = 0;
+    let mut engine = Engine::new(&compiled, config);
     for _ in 0..runs {
-        let engine = Engine::new(&compiled, config.clone());
         let start = Instant::now();
-        let result =
-            engine.run(session.symbols()).unwrap_or_else(|e| panic!("{}: run failed: {e}", id.name()));
+        let (result, finished) = engine
+            .run_reusable(session.symbols())
+            .unwrap_or_else(|e| panic!("{}: run failed: {e}", id.name()));
         let secs = start.elapsed().as_secs_f64();
         assert!(matches!(result.outcome, Outcome::Success(_)), "{}: benchmark query failed", id.name());
         instructions = result.stats.instructions;
         best_secs = best_secs.min(secs.max(1e-9));
+        engine = finished;
+        engine.reset();
     }
     MlipsReport { id, scale, classic_dispatch, instructions, best_secs, runs }
 }
@@ -152,8 +158,10 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
 /// measurements sit at 2.3–3.2× on one interleaved PE and 2.2–3.0× on two,
 /// so the floors below keep generous headroom
 /// for shared-CI noise while still catching any regression that
-/// re-introduces per-access locking, bounds-checked fetch, or per-goal
-/// driver round trips.
+/// re-introduces per-access recording under the book lock, bounds-checked
+/// fetch, or per-goal driver round trips.  The classic baseline stays what
+/// it was when the floors were set — every reference recorded, under the
+/// arena's lock, never on the owner path — so the ratio keeps its meaning.
 pub fn mlips_speedup_floor(id: BenchmarkId) -> f64 {
     match id {
         BenchmarkId::Tak | BenchmarkId::Deriv => 1.5,

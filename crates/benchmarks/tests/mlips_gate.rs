@@ -3,9 +3,10 @@
 //!
 //! The gate is self-calibrating: it measures the *same* benchmark on the
 //! *same* machine through both dispatch paths — the retained classic
-//! enum-fetch loop with always-locked arenas (`classic_dispatch`), which is
-//! the exact pre-flattening executor, and the flat path (dense pre-decoded
-//! stream, serial-arena fast path, cached instruction pointer) — and
+//! enum-fetch loop (`classic_dispatch`), which keeps the pre-flattening
+//! cost model (every reference recorded in the arena's book, under its
+//! lock), and the flat path (dense pre-decoded stream, unrecorded owner-path
+//! references with batched accounting, cached instruction pointer) — and
 //! asserts the flat/classic speedup floor per benchmark.  Absolute MIPS
 //! numbers vary by host; the ratio does not (both paths run back to back,
 //! in-process, best-of-N with alternating rounds).

@@ -5,9 +5,13 @@
 //! with raw code addresses and unsigned counters used by control frames
 //! (environments, choice points, Parcall Frames, Markers, Goal Frames).
 //!
-//! Rust stores a cell in 16 bytes; conceptually each cell occupies one
-//! machine word, and the memory-performance experiments count *words*, so the
-//! host representation does not affect any reported ratio.
+//! [`Cell`] is the value the machine computes with (registers, operands,
+//! results of a load).  In a data area a cell is *stored* as one 16-byte
+//! arena word, a lock-free pair of atomics that [`crate::mem`] encodes and
+//! decodes — tag, arity and 32-bit payload in one half, the `i64` of an
+//! `Int` in the other, `Empty` as all zeros.  Conceptually each cell occupies
+//! one machine word, and the memory-performance experiments count *words*,
+//! so the host representation does not affect any reported ratio.
 
 use pwam_front::atoms::Atom;
 use serde::{Deserialize, Serialize};

@@ -101,7 +101,8 @@ pub struct EngineConfig {
     /// [`HostResult::Continue`].
     pub fuel: Option<u64>,
     /// Execute through the classic (pre-flattening) dispatch path: indexed
-    /// `Vec<Instr>` fetch and always-locked arena access.  The MLIPS gate
+    /// `Vec<Instr>` fetch, and every reference recorded in its arena's book
+    /// under the arena's lock (never on the owner path).  The MLIPS gate
     /// measures the flattened fast path against this baseline on the same
     /// machine; the differential suite pins both paths byte-identical.
     pub classic_dispatch: bool,
@@ -597,6 +598,13 @@ pub(crate) struct Step<'a, 'p> {
     pub(crate) wk: &'a mut Worker,
 }
 
+/// Whether an engine's workers take the owner path ([`Worker::owner_path`]):
+/// the memory records no trace, and the dispatch is not the classic one,
+/// which must keep recording every access under the arena lock.
+fn owner_path(mem: &Memory, config: &EngineConfig) -> bool {
+    mem.fast() && !config.classic_dispatch
+}
+
 impl<'p> Engine<'p> {
     /// Create an engine ready to run the program's query.
     pub fn new(program: &'p CompiledProgram, config: EngineConfig) -> Self {
@@ -630,14 +638,17 @@ impl<'p> Engine<'p> {
         let config_fuel = config.fuel;
         // Only the relaxed threaded backend lets more than one thread touch
         // the memory at a time; the interleaved one is a single thread, so
-        // its runs may skip the per-arena locks.  The classic dispatch path
-        // keeps them: it prices the pre-flattening cost model the MLIPS
-        // gate compares against.
+        // its recorded accesses may skip the per-arena book locks.  The
+        // classic dispatch path keeps them (and, below, stays off the owner
+        // path): it prices the pre-flattening cost model the MLIPS gate
+        // compares against — every access recorded, under the arena lock.
         let relaxed = free_running(config.scheduler, config.determinism);
         mem.set_serial(!config.classic_dispatch && !relaxed);
+        let owner_path = owner_path(&mem, &config);
         let mut workers: Vec<Worker> =
             (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map, config.num_x_regs)).collect();
         for wk in &mut workers {
+            wk.owner_path = owner_path;
             // Per-predicate profile storage, indexed by code address (entry
             // points of the predicates actually called).  The query body is
             // charged to `query_start` until the first call.
@@ -945,6 +956,7 @@ impl<'p> Engine<'p> {
             // the code length) is fixed for the engine's lifetime.
             let mut prof = std::mem::take(&mut wk.prof_counts);
             *wk = Worker::new(wk.id, &core.mem.map, core.config.num_x_regs);
+            wk.owner_path = owner_path(&core.mem, &core.config);
             prof.clear();
             prof.resize(core.program.code_len(), 0);
             wk.prof_counts = prof;
@@ -1519,19 +1531,22 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     // -----------------------------------------------------------------
-    // Own-arena fast-path accessors
+    // Owner-path accessors
     // -----------------------------------------------------------------
     //
-    // When the memory is in serial mode with tracing off ([`Memory::fast`]),
-    // accesses that land in this worker's own Stack Set skip the arena
-    // dispatch entirely: the word moves through [`Memory::serial_read`] /
-    // [`Memory::serial_write`] and the reference is *counted* in the
-    // worker-local [`crate::trace::RefDelta`], which `flush_ref_delta`
-    // folds back into the arena's counters at batch boundaries.  Aggregate
-    // statistics are identical to unbatched accounting (the access itself
-    // still happens at the same point in the instruction stream); with
-    // tracing on the fast path is disabled and every access takes the fully
-    // recorded path, so traces are byte-for-byte unchanged.
+    // On the owner path ([`Worker::owner_path`]: tracing off, flat
+    // dispatch — either backend), accesses that land in this worker's own
+    // Stack Set skip the arena dispatch and the book lock entirely: the word
+    // moves through [`Memory::owner_read`] / [`Memory::owner_write`] and the
+    // reference is *counted* in the worker-local [`crate::trace::RefDelta`],
+    // which `flush_ref_delta` folds back into the arena's counters at batch
+    // boundaries.  Aggregate statistics are identical to unbatched
+    // accounting (the access itself still happens at the same point in the
+    // instruction stream); with tracing on the owner path is off and every
+    // access takes the fully recorded path, so traces are byte-for-byte
+    // unchanged.  Parcall Frame words never come this way: their counters
+    // are only atomic against other *recorded* accesses
+    // ([`Memory::rmw_uint`]).
 
     /// Whether `addr` lies in this worker's own Stack Set.
     #[inline(always)]
@@ -1539,25 +1554,40 @@ impl<'a, 'p> Step<'a, 'p> {
         addr >= self.wk.heap_base && addr < self.wk.arena_end
     }
 
-    /// Read one word, through the unrecorded own-arena path when available.
+    /// Whether an access to `addr` as `object` takes the owner path.
+    #[inline(always)]
+    fn on_owner_path(&self, addr: u32, object: ObjectKind) -> bool {
+        let own = self.wk.owner_path && self.own_addr(addr);
+        if own {
+            debug_assert_eq!(self.core.mem.map.area_of(addr), object.area());
+            debug_assert!(
+                !matches!(
+                    object,
+                    ObjectKind::ParcallLocal | ObjectKind::ParcallGlobal | ObjectKind::ParcallCount
+                ),
+                "Parcall Frame word {addr} on the unlocked owner path"
+            );
+        }
+        own
+    }
+
+    /// Read one word, through the unrecorded owner path when available.
     #[inline(always)]
     pub(crate) fn mem_read(&mut self, addr: u32, object: ObjectKind) -> Cell {
-        if self.core.mem.fast() && self.own_addr(addr) {
-            debug_assert_eq!(self.core.mem.map.area_of(addr), object.area());
+        if self.on_owner_path(addr, object) {
             self.wk.ref_delta.count(object, false);
-            self.core.mem.serial_read(self.wk.id as usize, addr - self.wk.heap_base)
+            self.core.mem.owner_read(self.wk.id as usize, addr - self.wk.heap_base)
         } else {
             self.core.mem.read(self.wk.id, addr, object)
         }
     }
 
-    /// Write one word, through the unrecorded own-arena path when available.
+    /// Write one word, through the unrecorded owner path when available.
     #[inline(always)]
     pub(crate) fn mem_write(&mut self, addr: u32, value: Cell, object: ObjectKind) {
-        if self.core.mem.fast() && self.own_addr(addr) {
-            debug_assert_eq!(self.core.mem.map.area_of(addr), object.area());
+        if self.on_owner_path(addr, object) {
             self.wk.ref_delta.count(object, true);
-            self.core.mem.serial_write(self.wk.id as usize, addr - self.wk.heap_base, value, object.area());
+            self.core.mem.owner_write(self.wk.id as usize, addr - self.wk.heap_base, value, object.area());
         } else {
             self.core.mem.write(self.wk.id, addr, value, object);
         }
@@ -1612,7 +1642,7 @@ impl<'a, 'p> Step<'a, 'p> {
         }
     }
 
-    /// Fold this worker's deferred fast-path reference counts into its
+    /// Fold this worker's deferred owner-path reference counts into its
     /// arena's counters (no-op when nothing is deferred).
     #[inline]
     pub(crate) fn flush_ref_delta(&mut self) {

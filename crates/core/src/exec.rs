@@ -1003,7 +1003,7 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             DenseOp::Deallocate => {
                 let e = self.wk.e;
-                let (ce, cp, n) = if self.core.mem.fast() && self.wk.env_cache_e == e {
+                let (ce, cp, n) = if self.wk.owner_path && self.wk.env_cache_e == e {
                     // Register-cache hit: the continuation words were
                     // written by this worker's own `allocate` and nothing
                     // restored `E` since (every such transition drops the

@@ -18,23 +18,56 @@
 //!
 //! # Concurrency
 //!
-//! Each arena sits behind its own mutex and the sequence counter is atomic,
-//! so the memory is shared-state safe: any number of OS threads may access
-//! it concurrently, and an access is one short critical section on the
-//! *owning* arena's lock.  This models the paper's shared-memory machine
-//! directly — a PE reaches into another PE's Stack Set only for the Global
-//! object kinds of Table 1, so in steady state every lock is uncontended and
-//! almost all traffic stays on the accessing thread's own arena.  Under the
-//! strict (interleaved) backend only one thread touches the
-//! memory at a time and the recorded order is exactly the reference order;
-//! under the relaxed backend the per-reference order is whatever the race
-//! produced (the sequence numbers still give a total order for the merge).
+//! This is the paper's shared memory: any PE may load or store any word, and
+//! only the bookkeeping of an access costs a lock.
+//!
+//! **Words are atomics.**  An arena word is a lock-free pair of `AtomicU64`s
+//! (`Word`), so loading or storing a cell never takes a lock and is sound from
+//! any thread, for any program — including one whose parallel goals are *not*
+//! independent and race on a variable cell.  A store writes the high half
+//! (the `i64` of a [`Cell::Int`], nothing else uses it) and then
+//! Release-stores the low half (tag, arity, 32-bit payload); a load
+//! Acquire-loads the low half and reads the high half only for an `Int`.
+//! Whatever the interleaving, a load returns a well-formed cell whose tag and
+//! payload were each stored by some writer: a torn `Int` is still an `Int`
+//! carrying a value that was written.  The Release/Acquire pair on the low
+//! half also publishes what a cell points at: a PE that loads a `Str` another
+//! PE stored sees the functor and arguments that PE built first.  No `&mut`
+//! to the words exists while a query runs; only [`Memory::reset`]
+//! (`&mut self`) forms one.
+//!
+//! **The book is locked.**  Each arena's *book* — its [`AreaStats`], its
+//! trace buffer and the reset marks of recorded writes — sits behind the
+//! arena's mutex.  An access is one of two kinds:
+//!
+//! * *Recorded* ([`Memory::read`], [`Memory::write`], [`Memory::rmw_uint`]):
+//!   takes the owning arena's book lock (skipped in serial mode, see
+//!   [`Memory::set_serial`]), counts the reference, appends the trace record
+//!   when tracing is on, and moves the word inside the critical section.
+//!   Remote references, every Parcall Frame / Goal Frame / Marker / Message
+//!   reference, and every reference of a traced or classic-dispatch run are
+//!   recorded.
+//! * *Owner-path* (the crate-private `owner_read` / `owner_write`): a PE's
+//!   untraced reference to its own Stack Set.  It takes no lock and touches
+//!   no shared counter; the PE counts it in its worker-local [`RefDelta`] and
+//!   folds the batch into the book with [`Memory::flush_delta`].  Both
+//!   backends use it, because almost every reference stays inside the issuing
+//!   PE's own Stack Set — the paper's central finding.
 //!
 //! Read-modify-write sequences that must be atomic under concurrency (the
 //! Parcall Frame scheduling/completion counters) use [`Memory::rmw_uint`],
-//! which holds the owning arena's lock across the read and the write while
-//! recording exactly the same two references the split read/write pair
-//! would have recorded.
+//! which holds the book lock across the load and the store while recording
+//! exactly the same two references the split read/write pair would have
+//! recorded.  Every other access to those words is a recorded access under
+//! the same lock, so no increment is lost; the lock's release/acquire is also
+//! the happens-before edge of the counter-last completion commit (a parent
+//! that reads the final count sees every binding the children stored before
+//! incrementing it).
+//!
+//! Under the strict (interleaved) backend only one thread touches the memory
+//! and the recorded order is exactly the reference order; under the relaxed
+//! backend the per-reference order is whatever the race produced (the
+//! sequence numbers still give a total order for the merge).
 //!
 //! Answer extraction and debugging use [`Memory::read_untraced`] so that
 //! inspecting a result does not perturb the measured reference counts.  The
@@ -45,9 +78,118 @@ use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
 use crate::layout::{AddressMap, Area, MemoryConfig, ObjectKind, SHARED_REGION_WORDS};
 use crate::trace::{AreaStats, MemRef, RefDelta};
+use pwam_front::atoms::Atom;
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+// Tags of the low half of a `Word`.  `Empty` is all-zero so a zero-filled
+// allocation is a pristine arena.
+const TAG_EMPTY: u8 = 0;
+const TAG_REF: u8 = 1;
+const TAG_STR: u8 = 2;
+const TAG_LIS: u8 = 3;
+const TAG_CON: u8 = 4;
+const TAG_INT: u8 = 5;
+const TAG_FUN: u8 = 6;
+const TAG_CODE: u8 = 7;
+const TAG_UINT: u8 = 8;
+
+#[inline(always)]
+const fn pack(tag: u8, arity: u8, payload: u32) -> u64 {
+    tag as u64 | (arity as u64) << 8 | (payload as u64) << 32
+}
+
+/// The two halves of a cell's stored form: `lo = tag | arity << 8 |
+/// payload << 32`; `hi` is the value of an `Int` and zero otherwise.
+#[inline(always)]
+fn encode(cell: Cell) -> (u64, u64) {
+    match cell {
+        Cell::Empty => (pack(TAG_EMPTY, 0, 0), 0),
+        Cell::Ref(a) => (pack(TAG_REF, 0, a), 0),
+        Cell::Str(a) => (pack(TAG_STR, 0, a), 0),
+        Cell::Lis(a) => (pack(TAG_LIS, 0, a), 0),
+        Cell::Con(Atom(a)) => (pack(TAG_CON, 0, a), 0),
+        Cell::Int(v) => (pack(TAG_INT, 0, 0), v as u64),
+        Cell::Fun(Atom(a), n) => (pack(TAG_FUN, n, a), 0),
+        Cell::Code(a) => (pack(TAG_CODE, 0, a), 0),
+        Cell::Uint(v) => (pack(TAG_UINT, 0, v), 0),
+    }
+}
+
+/// Rebuild a cell from its low half, fetching the high half only when the
+/// tag says it carries the value.
+#[inline(always)]
+fn decode(lo: u64, hi: impl FnOnce() -> u64) -> Cell {
+    let payload = (lo >> 32) as u32;
+    match lo as u8 {
+        TAG_REF => Cell::Ref(payload),
+        TAG_STR => Cell::Str(payload),
+        TAG_LIS => Cell::Lis(payload),
+        TAG_CON => Cell::Con(Atom(payload)),
+        TAG_INT => Cell::Int(hi() as i64),
+        TAG_FUN => Cell::Fun(Atom(payload), (lo >> 8) as u8),
+        TAG_CODE => Cell::Code(payload),
+        TAG_UINT => Cell::Uint(payload),
+        tag => {
+            debug_assert_eq!(tag, TAG_EMPTY, "arena word with an unknown tag");
+            Cell::Empty
+        }
+    }
+}
+
+/// One arena word: a tagged cell stored as a lock-free atomic pair.
+///
+/// Only `store` writes the halves, always `hi` before `lo`, and `load` reads
+/// them `lo` before `hi`; see the module's Concurrency section for what that
+/// order guarantees.  On x86-64 every one of these is a plain `mov`.
+#[derive(Debug)]
+#[repr(C, align(16))]
+struct Word {
+    lo: AtomicU64,
+    hi: AtomicU64,
+}
+
+impl Word {
+    #[inline(always)]
+    fn load(&self) -> Cell {
+        // Acquire pairs with the Release in `store`: having seen this `lo`,
+        // the `hi` load below cannot return a value older than the one its
+        // writer stored, and neither can loads of the words the cell points at.
+        decode(self.lo.load(Ordering::Acquire), || self.hi.load(Ordering::Relaxed))
+    }
+
+    #[inline(always)]
+    fn store(&self, cell: Cell) {
+        let (lo, hi) = encode(cell);
+        if lo as u8 == TAG_INT {
+            // Ordered before the tag by the Release below.
+            self.hi.store(hi, Ordering::Relaxed);
+        }
+        self.lo.store(lo, Ordering::Release);
+    }
+}
+
+/// `n` words of zeroed storage, every one reading [`Cell::Empty`].  Asking
+/// the allocator for zeroed memory (rather than writing `n` empty words)
+/// leaves the untouched tail of a Stack Set as never-faulted zero pages.
+fn empty_words(n: usize) -> Box<[Word]> {
+    let layout = Layout::array::<Word>(n).expect("arena size overflows the address space");
+    if layout.size() == 0 {
+        return Box::default();
+    }
+    // SAFETY: `layout` has non-zero size.  The all-zero bit pattern is a
+    // valid `Word` (two `AtomicU64`s holding 0), so the `n` zeroed elements
+    // are initialised, and `Box<[Word]>` frees them with this same layout.
+    unsafe {
+        let p = alloc_zeroed(layout).cast::<Word>();
+        if p.is_null() {
+            handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, n))
+    }
+}
 
 /// One reference record tagged with its position in the global interleaving
 /// order, so per-arena trace buffers can be merged deterministically.
@@ -57,51 +199,39 @@ struct SeqRef {
     r: MemRef,
 }
 
-/// The storage of one PE's Stack Set: its words, its reference counters and
-/// (optionally) its share of the reference trace.
+/// Per area (by [`Area::index`]), one past the highest arena offset written
+/// there; [`Memory::reset`] only has to clear each area's used prefix, so
+/// recycling a warm arena costs proportional to what the previous run used,
+/// not the arena's capacity.  One mark for the whole arena would not do: the
+/// areas are laid out back to back, so a single choice-point or trail write
+/// would put the heap's and local stack's entire capacity below the mark.
+type Marks<T> = [T; Area::ALL.len()];
+
+/// The bookkeeping of an arena's *recorded* accesses, guarded by the arena's
+/// lock.
 #[derive(Debug)]
-pub struct StackSetArena {
-    /// Global address of the arena's first word.
-    base: u32,
-    words: Vec<Cell>,
+struct Book {
     /// Reference counters for accesses landing in this arena (indexed by
     /// issuing PE in `stats.per_pe`, which may differ from the owner).
     stats: AreaStats,
     /// This arena's slice of the reference trace (when enabled), in issue
     /// order and tagged with global sequence numbers.
     trace: Option<Vec<SeqRef>>,
-    /// Per area (by [`Area::index`]), one past the highest arena offset
-    /// written there; [`Memory::reset`] only has to clear each area's used
-    /// prefix, so recycling a warm arena costs proportional to what the
-    /// previous run used, not the arena's capacity.  One mark for the whole
-    /// arena would not do: the areas are laid out back to back, so a single
-    /// choice-point or trail write would put the heap's and local stack's
-    /// entire capacity below the mark.
-    touched: [usize; Area::ALL.len()],
+    /// Reset marks of the recorded writes (any PE, under the lock).
+    marks: Marks<usize>,
 }
 
-impl StackSetArena {
-    fn new(base: u32, words: u32, num_workers: usize, collect_trace: bool) -> Self {
-        StackSetArena {
-            base,
-            words: vec![Cell::Empty; words as usize],
+impl Book {
+    fn new(num_workers: usize, collect_trace: bool) -> Self {
+        Book {
             stats: AreaStats::new(num_workers),
             trace: if collect_trace { Some(Vec::new()) } else { None },
-            touched: [0; Area::ALL.len()],
+            marks: [0; Area::ALL.len()],
         }
     }
 
-    /// Store `value` at `offset`, which lies in `area`, and advance that
-    /// area's reset mark.
-    #[inline(always)]
-    fn store(&mut self, offset: usize, value: Cell, area: Area) {
-        self.words[offset] = value;
-        let mark = &mut self.touched[area.index()];
-        *mark = (*mark).max(offset + 1);
-    }
-
     /// Record one reference in this arena's counters (and trace buffer).
-    fn record(&mut self, seq: &AtomicU64, pe: u8, addr: u32, write: bool, object: ObjectKind) -> usize {
+    fn record(&mut self, seq: &AtomicU64, pe: u8, addr: u32, write: bool, object: ObjectKind) {
         let r = MemRef {
             pe,
             addr,
@@ -118,54 +248,82 @@ impl StackSetArena {
         if let Some(t) = &mut self.trace {
             t.push(SeqRef { seq: seq.fetch_add(1, Ordering::Relaxed), r });
         }
-        (addr - self.base) as usize
     }
 }
 
-/// One arena plus the lock that guards it when the memory is shared.
-///
-/// The arena lives in an [`UnsafeCell`] rather than inside the mutex so a
-/// backend that serialises memory access *by construction* (interleaved
-/// round-robin on one host thread) can
-/// reach it without an atomic operation per reference — the lock is only
-/// taken when [`Memory::serial`] is off.
+/// The storage of one PE's Stack Set: its words, and behind the arena's lock
+/// its reference counters and (optionally) its share of the reference trace.
 #[derive(Debug)]
-struct ArenaSlot {
-    cell: UnsafeCell<StackSetArena>,
+pub struct StackSetArena {
+    /// Global address of the arena's first word.
+    base: u32,
+    words: Box<[Word]>,
+    /// Reset marks of the owner-path writes.  Only the thread stepping the
+    /// owning PE moves them (a Relaxed load and a conditional Relaxed store,
+    /// never a shared read-modify-write); nothing reads them until
+    /// [`Memory::reset`], which has `&mut self`.
+    owner_marks: Marks<AtomicUsize>,
+    /// Guards `book` when the memory is shared.  The book lives in an
+    /// [`UnsafeCell`] rather than inside the mutex so a backend that
+    /// serialises memory access *by construction* (interleaved round-robin
+    /// on one host thread) can reach it without an atomic operation per
+    /// recorded reference — the lock is only taken when [`Memory::serial`]
+    /// is off.
     lock: Mutex<()>,
+    book: UnsafeCell<Book>,
 }
 
-// SAFETY: the arena behind `cell` is only accessed through
-// `Memory::with_arena`, which either holds `lock` for the duration of the
-// access or runs in serial mode, where the execution backend guarantees at
-// most one thread touches the memory at a time (with the backend's
-// channel/join synchronisation providing the happens-before edges between
-// consecutive accessors).
-unsafe impl Sync for ArenaSlot {}
+// SAFETY: every field but `book` is `Sync` on its own (the words and owner
+// marks are atomics).  `book` is only reached through `Memory::with_arena`,
+// which either holds `lock` for the duration of the access or runs in serial
+// mode, where a single host thread drives every PE (see
+// `Memory::set_serial`), and through `&mut Memory`.
+unsafe impl Sync for StackSetArena {}
 
-impl ArenaSlot {
-    fn new(arena: StackSetArena) -> Self {
-        ArenaSlot { cell: UnsafeCell::new(arena), lock: Mutex::new(()) }
+impl StackSetArena {
+    fn new(base: u32, words: u32, num_workers: usize, collect_trace: bool) -> Self {
+        StackSetArena {
+            base,
+            words: empty_words(words as usize),
+            owner_marks: Default::default(),
+            lock: Mutex::new(()),
+            book: UnsafeCell::new(Book::new(num_workers, collect_trace)),
+        }
+    }
+
+    /// The word at global address `addr`, which this arena owns.
+    #[inline(always)]
+    fn word(&self, addr: u32) -> &Word {
+        &self.words[(addr - self.base) as usize]
+    }
+
+    /// Store `value` at `addr` (which lies in `area`) as a recorded write:
+    /// the caller holds the book, whose reset mark advances.
+    #[inline(always)]
+    fn store_recorded(&self, book: &mut Book, addr: u32, value: Cell, area: Area) {
+        self.word(addr).store(value);
+        let mark = &mut book.marks[area.index()];
+        *mark = (*mark).max((addr - self.base) as usize + 1);
     }
 }
 
-/// The word-addressed data memory, sharded into one lockable arena per PE.
+/// The word-addressed data memory, sharded into one arena per PE.
 ///
 /// The public address space is unchanged from the flat layout: word `addr`
 /// belongs to arena `map.owner(addr)` at offset `addr - arena.base`, and the
 /// shared region sits above the last Stack Set.
 #[derive(Debug)]
 pub struct Memory {
-    arenas: Vec<ArenaSlot>,
+    arenas: Vec<StackSetArena>,
     /// The shared coordination region (query board); untraced by design.
     shared: Mutex<Vec<Cell>>,
     pub map: AddressMap,
     /// Next global sequence number (total references recorded so far).
     seq: AtomicU64,
     collect_trace: bool,
-    /// When set, arena accesses skip the per-arena lock entirely.  Sound
-    /// only while the execution backend serialises every memory access (see
-    /// [`Memory::set_serial`]); the default is the always-locked shared mode.
+    /// When set, recorded accesses skip the per-arena book lock.  Sound only
+    /// while one thread performs every memory access (see
+    /// [`Memory::set_serial`]); the default is the locked shared mode.
     serial: bool,
 }
 
@@ -175,14 +333,7 @@ impl Memory {
         let map = AddressMap::new(config, num_workers);
         let set_words = config.stack_set_words();
         let arenas = (0..num_workers)
-            .map(|w| {
-                ArenaSlot::new(StackSetArena::new(
-                    w as u32 * set_words,
-                    set_words,
-                    num_workers,
-                    collect_trace,
-                ))
-            })
+            .map(|w| StackSetArena::new(w as u32 * set_words, set_words, num_workers, collect_trace))
             .collect();
         Memory {
             arenas,
@@ -194,102 +345,97 @@ impl Memory {
         }
     }
 
-    /// Switch the memory between serial (lock-free) and shared (per-arena
-    /// locked) access.
+    /// Switch recorded accesses between serial (no book lock) and shared
+    /// (per-arena book lock) mode.  Word loads and stores are lock-free
+    /// atomics in both.
     ///
     /// # Soundness contract
     ///
-    /// Serial mode may only be enabled while the execution backend
-    /// guarantees that at most one thread performs memory accesses at any
-    /// moment, with a happens-before edge between consecutive accessors.
-    /// The interleaved scheduler (single-threaded by construction) and the
-    /// strict threaded scheduler (its token channel's send/recv pair orders
-    /// the handoff) both qualify; the relaxed backend, where workers run
-    /// free, does not and must keep the locks.  The classic dispatch path
-    /// also keeps the locks so it prices the pre-flattening cost model.
+    /// Serial mode may only be enabled while a single thread performs every
+    /// memory access, which is what the interleaved scheduler does: it steps
+    /// all PEs round-robin on one host thread.  The relaxed backend, where
+    /// every PE free-runs on its own thread, must keep the book locks.  The
+    /// classic dispatch path also keeps them (and records every reference)
+    /// so it prices the pre-flattening cost model.
     pub fn set_serial(&mut self, serial: bool) {
         self.serial = serial;
     }
 
-    /// Whether arena accesses currently bypass the per-arena locks.
+    /// Whether recorded accesses currently bypass the per-arena book locks.
     pub fn serial(&self) -> bool {
         self.serial
     }
 
-    /// Whether the batched-accounting fast path is available: serial mode
-    /// (no locks to take) *and* tracing off (no per-reference record to
-    /// append, and no sequence number to claim).  When this is true, the
-    /// executor may serve own-arena accesses through the private
-    /// `serial_read` / `serial_write` helpers and count them in the
-    /// worker's [`RefDelta`] instead of the arena's [`AreaStats`]; the
+    /// Whether the memory allows the unrecorded owner path: tracing is off,
+    /// so there is no per-reference record to append and no sequence number
+    /// to claim.  A PE may then serve references to its own Stack Set through
+    /// the private `owner_read` / `owner_write` helpers and count them in
+    /// its worker's [`RefDelta`] instead of the arena's [`AreaStats`]; the
     /// flush ([`Memory::flush_delta`]) restores identical aggregate counts.
+    /// Locking does not enter into it: the words are atomics either way.
     #[inline(always)]
     pub fn fast(&self) -> bool {
-        self.serial && !self.collect_trace
+        !self.collect_trace
     }
 
-    /// Read one word of arena `idx` at `offset` without recording — the
-    /// caller accounts the reference in a [`RefDelta`].  Only callable in
-    /// serial mode (checked in debug builds); same soundness argument as
-    /// the serial branch of `with_arena`.
+    /// Load one word of arena `idx` at `offset` without recording — the
+    /// caller, the PE that owns the arena, accounts the reference in a
+    /// [`RefDelta`].
     #[inline(always)]
-    pub(crate) fn serial_read(&self, idx: usize, offset: u32) -> Cell {
-        debug_assert!(self.serial);
-        // SAFETY: serial mode promises external serialisation of all
-        // accessors (see `set_serial`), so this shared access cannot alias
-        // a live exclusive borrow.
-        unsafe { (&(*self.arenas[idx].cell.get()).words)[offset as usize] }
+    pub(crate) fn owner_read(&self, idx: usize, offset: u32) -> Cell {
+        self.arenas[idx].words[offset as usize].load()
     }
 
-    /// Write one word of arena `idx` at `offset` (which lies in `area`)
-    /// without recording — the caller accounts the reference in a
-    /// [`RefDelta`].  Maintains the area's reset mark exactly like
-    /// [`Memory::write`].
+    /// Store one word of arena `idx` at `offset` (which lies in `area`)
+    /// without recording — the caller, the PE that owns the arena, accounts
+    /// the reference in a [`RefDelta`].  Advances the owner's reset mark.
     #[inline(always)]
-    pub(crate) fn serial_write(&self, idx: usize, offset: u32, value: Cell, area: Area) {
-        debug_assert!(self.serial);
-        // SAFETY: as in `serial_read`; serial mode makes this the only
-        // live borrow.
-        let a = unsafe { &mut *self.arenas[idx].cell.get() };
-        a.store(offset as usize, value, area);
+    pub(crate) fn owner_write(&self, idx: usize, offset: u32, value: Cell, area: Area) {
+        let arena = &self.arenas[idx];
+        arena.words[offset as usize].store(value);
+        // Relaxed: the owning PE's thread is the mark's only writer, and
+        // `reset` reads it through `&mut self`.
+        let mark = &arena.owner_marks[area.index()];
+        if offset as usize >= mark.load(Ordering::Relaxed) {
+            mark.store(offset as usize + 1, Ordering::Relaxed);
+        }
     }
 
-    /// Fold a worker's batched fast-path reference counts into its own
+    /// Fold a worker's batched owner-path reference counts into its own
     /// arena's counters and clear the delta.  Called at batch boundaries
     /// and before counters are read out, so aggregate statistics are
-    /// indistinguishable from unbatched accounting.  (Fast-path accesses
+    /// indistinguishable from unbatched accounting.  (Owner-path accesses
     /// are own-arena by construction, so `own` — the worker id — is always
     /// the arena every deferred count belongs to.)
     pub fn flush_delta(&self, own: usize, delta: &mut RefDelta) {
         if delta.total == 0 {
             return;
         }
-        self.with_arena(own, |a| a.stats.bulk_record(own as u8, &delta.counts));
+        self.with_arena(own, |_, book| book.stats.bulk_record(own as u8, &delta.counts));
         delta.clear();
     }
 
-    /// Run `f` with exclusive access to arena `idx`, taking its lock unless
-    /// the memory is in serial mode.
+    /// Run `f` on arena `idx` with exclusive access to its book, taking the
+    /// book lock unless the memory is in serial mode.
     #[inline(always)]
-    fn with_arena<R>(&self, idx: usize, f: impl FnOnce(&mut StackSetArena) -> R) -> R {
-        let slot = &self.arenas[idx];
+    fn with_arena<R>(&self, idx: usize, f: impl FnOnce(&StackSetArena, &mut Book) -> R) -> R {
+        let arena = &self.arenas[idx];
         if self.serial {
-            // SAFETY: serial mode promises external serialisation of all
-            // accessors (see `set_serial`), so the exclusive borrow cannot
-            // alias another live borrow.
-            f(unsafe { &mut *slot.cell.get() })
+            // SAFETY: serial mode promises that one thread performs every
+            // access (see `set_serial`) and `f` cannot re-enter, so the
+            // exclusive borrow of the book cannot alias another live borrow.
+            f(arena, unsafe { &mut *arena.book.get() })
         } else {
-            let _guard = slot.lock.lock().unwrap();
+            let _guard = arena.lock.lock().expect("a thread panicked holding an arena's book lock");
             // SAFETY: `lock` is held for the whole access.
-            f(unsafe { &mut *slot.cell.get() })
+            f(arena, unsafe { &mut *arena.book.get() })
         }
     }
 
     /// Total number of words in the memory: every Stack Set arena plus the
     /// shared region.
     pub fn len(&self) -> usize {
-        (0..self.arenas.len()).map(|i| self.with_arena(i, |a| a.words.len())).sum::<usize>()
-            + self.shared.lock().unwrap().len()
+        self.arenas.iter().map(|a| a.words.len()).sum::<usize>() + SHARED_REGION_WORDS as usize
     }
 
     /// True if the memory holds no words.  Since the shared region always
@@ -305,12 +451,12 @@ impl Memory {
 
     /// A snapshot of one arena's reference counters.
     pub fn arena_stats(&self, worker: usize) -> AreaStats {
-        self.with_arena(worker, |a| a.stats.clone())
+        self.with_arena(worker, |_, book| book.stats.clone())
     }
 
     /// Number of trace records currently buffered in one arena.
     pub fn trace_len(&self, worker: usize) -> usize {
-        self.with_arena(worker, |a| a.trace.as_ref().map_or(0, Vec::len))
+        self.with_arena(worker, |_, book| book.trace.as_ref().map_or(0, Vec::len))
     }
 
     /// Merge every arena's counters into one aggregate view (what a flat
@@ -318,7 +464,7 @@ impl Memory {
     pub fn merged_stats(&self) -> AreaStats {
         let mut total = AreaStats::new(self.map.num_workers);
         for i in 0..self.arenas.len() {
-            self.with_arena(i, |a| total.merge(&a.stats));
+            self.with_arena(i, |_, book| total.merge(&book.stats));
         }
         total
     }
@@ -338,12 +484,10 @@ impl Memory {
             return None;
         }
         let mut all: Vec<SeqRef> = Vec::with_capacity(*self.seq.get_mut() as usize);
-        for slot in &mut self.arenas {
-            let a = slot.cell.get_mut();
-            if let Some(t) = &mut a.trace {
-                all.append(t);
+        for arena in &mut self.arenas {
+            if let Some(mut t) = arena.book.get_mut().trace.take() {
+                all.append(&mut t);
             }
-            a.trace = None;
         }
         self.collect_trace = false;
         all.sort_unstable_by_key(|s| s.seq);
@@ -363,9 +507,9 @@ impl Memory {
             object.area(),
             "object kind {object:?} used outside its area"
         );
-        self.with_arena(self.map.owner(addr), |arena| {
-            let offset = arena.record(&self.seq, pe, addr, false, object);
-            arena.words[offset]
+        self.with_arena(self.map.owner(addr), |arena, book| {
+            book.record(&self.seq, pe, addr, false, object);
+            arena.word(addr).load()
         })
     }
 
@@ -377,9 +521,9 @@ impl Memory {
             object.area(),
             "object kind {object:?} used outside its area"
         );
-        self.with_arena(self.map.owner(addr), |arena| {
-            let offset = arena.record(&self.seq, pe, addr, true, object);
-            arena.store(offset, value, object.area());
+        self.with_arena(self.map.owner(addr), |arena, book| {
+            book.record(&self.seq, pe, addr, true, object);
+            arena.store_recorded(book, addr, value, object.area());
         });
     }
 
@@ -389,17 +533,22 @@ impl Memory {
     /// reborn, and the global sequence counter restarts.  The warm-engine
     /// path of the serving layer goes through here.
     pub fn reset(&mut self, collect_trace: bool) {
-        for slot in &mut self.arenas {
-            let a = slot.cell.get_mut();
+        for arena in &mut self.arenas {
+            let book = arena.book.get_mut();
             for area in Area::ALL {
                 let start = self.map.config.area_offset(area) as usize;
-                let mark = std::mem::take(&mut a.touched[area.index()]);
+                // A remote recorded write (a Message, a binding) can land
+                // above anything the owner wrote, and the other way round.
+                let mark = std::mem::take(&mut book.marks[area.index()])
+                    .max(std::mem::take(arena.owner_marks[area.index()].get_mut()));
                 if mark > start {
-                    a.words[start..mark].fill(Cell::Empty);
+                    for word in &mut arena.words[start..mark] {
+                        *word.lo.get_mut() = 0;
+                        *word.hi.get_mut() = 0;
+                    }
                 }
             }
-            a.stats = AreaStats::new(self.map.num_workers);
-            a.trace = if collect_trace { Some(Vec::new()) } else { None };
+            *book = Book::new(self.map.num_workers, collect_trace);
         }
         self.shared.get_mut().unwrap().fill(Cell::Empty);
         *self.seq.get_mut() = 0;
@@ -407,14 +556,16 @@ impl Memory {
     }
 
     /// Atomically read the unsigned word at `addr`, apply `f`, and write the
-    /// result back, holding the owning arena's lock across both accesses.
+    /// result back, holding the owning arena's book lock across both
+    /// accesses.
     ///
     /// Records exactly the read reference followed by the write reference —
     /// the same traffic as a split [`Memory::read`]/[`Memory::write`] pair —
     /// so strict-mode traces are unchanged, while concurrent updates of the
     /// same counter word (Parcall Frame scheduling/completion counts under
-    /// the relaxed backend) can no longer lose increments.  Returns the value
-    /// read.
+    /// the relaxed backend) can no longer lose increments: every access to
+    /// such a word is a recorded access under this lock, never an owner-path
+    /// one.  Returns the value read.
     pub fn rmw_uint(
         &self,
         pe: u8,
@@ -427,16 +578,16 @@ impl Memory {
             object.area(),
             "object kind {object:?} used outside its area"
         );
-        self.with_arena(self.map.owner(addr), |arena| {
-            let offset = arena.record(&self.seq, pe, addr, false, object);
-            let old = match arena.words[offset] {
+        self.with_arena(self.map.owner(addr), |arena, book| {
+            book.record(&self.seq, pe, addr, false, object);
+            let old = match arena.word(addr).load() {
                 Cell::Uint(v) => v,
                 other => {
                     return Err(EngineError::Internal(format!("rmw on non-uint word at {addr}: {other:?}")))
                 }
             };
-            let offset = arena.record(&self.seq, pe, addr, true, object);
-            arena.store(offset, Cell::Uint(f(old)), object.area());
+            book.record(&self.seq, pe, addr, true, object);
+            arena.store_recorded(book, addr, Cell::Uint(f(old)), object.area());
             Ok(old)
         })
     }
@@ -445,7 +596,7 @@ impl Memory {
     /// debugging, scheduler shadow checks).
     #[inline]
     pub fn read_untraced(&self, addr: u32) -> Cell {
-        self.with_arena(self.map.owner(addr), |arena| arena.words[(addr - arena.base) as usize])
+        self.arenas[self.map.owner(addr)].word(addr).load()
     }
 
     /// Read a word of the shared region (query board).  Untraced: the shared
@@ -485,6 +636,45 @@ mod tests {
 
     fn mem() -> Memory {
         Memory::new(MemoryConfig::small(), 2, true)
+    }
+
+    /// One of every `Cell` variant, with the extreme payloads.
+    fn every_variant() -> Vec<Cell> {
+        vec![
+            Cell::Empty,
+            Cell::Ref(0),
+            Cell::Ref(u32::MAX),
+            Cell::Str(u32::MAX),
+            Cell::Lis(u32::MAX),
+            Cell::Con(Atom(u32::MAX)),
+            Cell::Int(0),
+            Cell::Int(-1),
+            Cell::Int(i64::MIN),
+            Cell::Int(i64::MAX),
+            Cell::Fun(Atom(u32::MAX), 255),
+            Cell::Fun(Atom(7), 0),
+            Cell::Code(u32::MAX),
+            Cell::Uint(u32::MAX),
+        ]
+    }
+
+    #[test]
+    fn words_round_trip_every_cell_variant() {
+        assert_eq!(std::mem::size_of::<Word>(), 16);
+        assert_eq!(encode(Cell::Empty), (0, 0), "a zeroed word must read Empty");
+        let word = &empty_words(1)[0];
+        assert_eq!(word.load(), Cell::Empty);
+        for cell in every_variant() {
+            let (lo, hi) = encode(cell);
+            assert_eq!(decode(lo, || hi), cell);
+            word.store(cell);
+            assert_eq!(word.load(), cell);
+        }
+        // A non-`Int` store leaves the stale high half alone and no load
+        // looks at it.
+        word.store(Cell::Int(i64::MIN));
+        word.store(Cell::Uint(3));
+        assert_eq!(word.load(), Cell::Uint(3));
     }
 
     #[test]
@@ -582,19 +772,94 @@ mod tests {
     fn concurrent_rmw_never_loses_increments() {
         let m = Memory::new(MemoryConfig::small(), 2, false);
         let pf = m.area_base(0, Area::LocalStack);
+        let rounds = if cfg!(miri) { 50 } else { 1000 };
         m.write(0, pf, Cell::Uint(0), ObjectKind::ParcallCount);
         std::thread::scope(|s| {
             for pe in 0..2u8 {
                 let m = &m;
                 s.spawn(move || {
-                    for _ in 0..1000 {
+                    for _ in 0..rounds {
                         m.rmw_uint(pe, pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
                     }
                 });
             }
         });
-        assert_eq!(m.read_untraced(pf), Cell::Uint(2000));
-        assert_eq!(m.merged_stats().total.total(), 4001);
+        assert_eq!(m.read_untraced(pf), Cell::Uint(2 * rounds));
+        assert_eq!(m.merged_stats().total.total(), 4 * rounds as u64 + 1);
+    }
+
+    /// The relaxed backend's access mix on one arena, all at once: the owner
+    /// on its unrecorded path, a remote PE on the recorded path (different
+    /// words), and both incrementing one Parcall counter.
+    #[test]
+    fn owner_path_remote_writes_and_rmw_share_an_arena() {
+        let m = Memory::new(MemoryConfig::small(), 2, false);
+        let rounds: u32 = if cfg!(miri) { 40 } else { 20_000 };
+        let heap = m.area_base(0, Area::Heap);
+        let (own, remote) = (heap, heap + 1);
+        let count = m.area_base(0, Area::LocalStack);
+        m.write(0, count, Cell::Uint(0), ObjectKind::ParcallCount);
+        // Each writer cycles through cells only it stores, so a loaded cell
+        // is "one that was stored" iff it belongs to its word's own cycle.
+        let own_cycle = |i: u32| if i.is_multiple_of(2) { Cell::Int(-(i as i64)) } else { Cell::Str(i) };
+        let remote_cycle = |i: u32| {
+            if i.is_multiple_of(2) {
+                Cell::Int(i as i64 + (1 << 40))
+            } else {
+                Cell::Fun(Atom(i), 9)
+            }
+        };
+        let from_own = |c: Cell| match c {
+            Cell::Int(v) => v <= 0 && v > -(rounds as i64) && v % 2 == 0,
+            Cell::Str(i) => i < rounds && i % 2 == 1,
+            _ => false,
+        };
+        let from_remote = |c: Cell| match c {
+            Cell::Int(v) => (v - (1 << 40)) >= 0 && (v - (1 << 40)) < rounds as i64 && v % 2 == 0,
+            Cell::Fun(Atom(i), 9) => i < rounds && i % 2 == 1,
+            Cell::Empty => true, // before the remote PE's first store
+            _ => false,
+        };
+        let barrier = std::sync::Barrier::new(2);
+        let mut delta = RefDelta::default();
+        std::thread::scope(|s| {
+            let (m, barrier) = (&m, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for i in 0..rounds {
+                    m.write(1, remote, remote_cycle(i), ObjectKind::HeapTerm);
+                    assert!(
+                        from_own(m.read(1, own, ObjectKind::HeapTerm)),
+                        "remote load of the owner's word"
+                    );
+                    m.rmw_uint(1, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+                }
+            });
+            // The owner: its heap word on the owner path, the counter on the
+            // recorded one.
+            m.owner_write(0, own - heap, own_cycle(0), Area::Heap);
+            delta.count(ObjectKind::HeapTerm, true);
+            barrier.wait();
+            for i in 1..rounds {
+                m.owner_write(0, own - heap, own_cycle(i), Area::Heap);
+                delta.count(ObjectKind::HeapTerm, true);
+                assert!(from_remote(m.owner_read(0, remote - heap)), "owner load of the remote PE's word");
+                delta.count(ObjectKind::HeapTerm, false);
+                m.rmw_uint(0, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+            }
+        });
+        m.flush_delta(0, &mut delta);
+        assert_eq!(m.read_untraced(count), Cell::Uint(2 * rounds - 1), "an increment was lost");
+        assert_eq!(m.read_untraced(own), own_cycle(rounds - 1));
+        assert_eq!(m.read_untraced(remote), remote_cycle(rounds - 1));
+        let (n, stats) = (rounds as u64, m.merged_stats());
+        // Owner: n writes + (n-1) reads + (n-1) rmw pairs; remote: n writes +
+        // n reads + n rmw pairs; plus the counter's initialising write.
+        assert_eq!(stats.per_pe[0], crate::trace::RwCount { reads: 2 * (n - 1), writes: n + (n - 1) + 1 });
+        assert_eq!(stats.per_pe[1], crate::trace::RwCount { reads: 2 * n, writes: 2 * n });
+        assert_eq!(stats.total.total(), 8 * n - 2);
+        assert_eq!(stats.object(ObjectKind::ParcallCount).total(), 2 * (2 * n - 1) + 1);
+        assert_eq!(stats.locked_refs, stats.object(ObjectKind::ParcallCount).total());
     }
 
     #[test]
@@ -625,6 +890,43 @@ mod tests {
         assert!(!m.tracing());
         assert!(m.take_trace().is_none());
         assert_eq!(m.merged_stats().total.writes, 1);
+    }
+
+    /// First, middle and last word of every area of every arena.
+    fn probes(m: &Memory) -> Vec<u32> {
+        let mut out = Vec::new();
+        for w in 0..m.num_arenas() {
+            for area in Area::ALL {
+                let (base, end) = (m.area_base(w, area), m.map.area_end(w, area));
+                out.extend([base, base + (end - base) / 2, end - 1]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fresh_and_reset_memories_read_empty_everywhere_probed() {
+        let mut m = mem();
+        for addr in probes(&m) {
+            assert_eq!(m.read_untraced(addr), Cell::Empty, "fresh word {addr}");
+        }
+        // Dirty every probe through whichever path reaches it — the owner's
+        // unrecorded one for even addresses, a remote PE's recorded one for
+        // odd — then reset.
+        for addr in probes(&m) {
+            let (owner, area) = (m.map.owner(addr), m.map.area_of(addr));
+            if addr % 2 == 0 {
+                m.owner_write(owner, addr - m.area_base(owner, Area::Heap), Cell::Int(i64::MIN), area);
+            } else {
+                let kind = *ObjectKind::ALL.iter().find(|k| k.area() == area).unwrap();
+                m.write(1 - owner as u8, addr, Cell::Fun(Atom(u32::MAX), 255), kind);
+            }
+            assert_ne!(m.read_untraced(addr), Cell::Empty);
+        }
+        m.reset(false);
+        for addr in probes(&m) {
+            assert_eq!(m.read_untraced(addr), Cell::Empty, "reset word {addr}");
+        }
     }
 
     #[test]
@@ -659,22 +961,55 @@ mod tests {
         let c = m.area_base(0, Area::ControlStack);
         m.write(0, h + 1, Cell::Int(1), ObjectKind::HeapTerm);
         m.write(0, c, Cell::Uint(2), ObjectKind::ChoicePoint);
-        m.with_arena(0, |a| {
+        m.with_arena(0, |a, book| {
             // The Control-stack word sits above the whole heap and local
             // stack in the arena; it must not drag their marks up with it.
-            assert_eq!(a.touched[Area::Heap.index()], 2);
-            assert_eq!(a.touched[Area::LocalStack.index()], 0);
-            assert_eq!(a.touched[Area::ControlStack.index()], (c - a.base) as usize + 1);
+            assert_eq!(book.marks[Area::Heap.index()], 2);
+            assert_eq!(book.marks[Area::LocalStack.index()], 0);
+            assert_eq!(book.marks[Area::ControlStack.index()], (c - a.base) as usize + 1);
             // Plant a word no write accounted for, past the heap's mark: a
             // reset that swept the heap up to the Control-stack write (one
             // arena-wide mark) would clear it.
-            a.words[5] = Cell::Int(99);
+            a.words[5].store(Cell::Int(99));
         });
         m.reset(true);
         assert_eq!(m.read_untraced(h + 1), Cell::Empty);
         assert_eq!(m.read_untraced(c), Cell::Empty);
         assert_eq!(m.read_untraced(h + 5), Cell::Int(99), "the heap was swept past its own mark");
-        m.with_arena(0, |a| assert_eq!(a.touched, [0; Area::ALL.len()]));
+        m.with_arena(0, |_, book| assert_eq!(book.marks, [0; Area::ALL.len()]));
+    }
+
+    #[test]
+    fn reset_honours_the_owner_marks_and_the_recorded_marks() {
+        let mut m = Memory::new(MemoryConfig::small(), 2, false);
+        let h = m.area_base(0, Area::Heap);
+        let msg = m.area_base(0, Area::MessageBuffer);
+        // The owner writes low on its own path; a remote PE's recorded
+        // writes land above it in the same area (a binding) and in an area
+        // the owner never wrote (a Message).
+        m.owner_write(0, 2, Cell::Int(1), Area::Heap);
+        m.write(1, h + 9, Cell::Ref(h + 9), ObjectKind::HeapTerm);
+        m.write(1, msg + 4, Cell::Uint(7), ObjectKind::Message);
+        // And the other way round: the owner above the recorded mark.
+        m.write(1, h + 20, Cell::Int(2), ObjectKind::HeapTerm);
+        m.owner_write(0, 40, Cell::Int(3), Area::Heap);
+        let a = &m.arenas[0];
+        assert_eq!(a.owner_marks[Area::Heap.index()].load(Ordering::Relaxed), 41);
+        assert_eq!(a.owner_marks[Area::MessageBuffer.index()].load(Ordering::Relaxed), 0);
+        m.with_arena(0, |a, book| {
+            assert_eq!(book.marks[Area::Heap.index()], 21);
+            assert_eq!(book.marks[Area::MessageBuffer.index()], (msg - a.base) as usize + 5);
+        });
+        // A lower owner write does not pull its mark back.
+        m.owner_write(0, 1, Cell::Int(4), Area::Heap);
+        assert_eq!(m.arenas[0].owner_marks[Area::Heap.index()].load(Ordering::Relaxed), 41);
+        m.reset(false);
+        for addr in [h + 1, h + 2, h + 9, h + 20, h + 40, msg + 4] {
+            assert_eq!(m.read_untraced(addr), Cell::Empty, "word {addr} survived the reset");
+        }
+        let a = &mut m.arenas[0];
+        assert!(a.owner_marks.iter_mut().all(|mark| *mark.get_mut() == 0));
+        assert_eq!(a.book.get_mut().marks, [0; Area::ALL.len()]);
     }
 
     #[test]
@@ -705,40 +1040,45 @@ mod tests {
 
     #[test]
     fn fast_path_flush_counts_identically_to_recorded_accesses() {
-        let slow = Memory::new(MemoryConfig::small(), 1, false);
-        let mut fast = Memory::new(MemoryConfig::small(), 1, false);
-        fast.set_serial(true);
-        assert!(fast.fast());
-        assert!(!slow.fast(), "locked mode must not advertise the fast path");
-        // Same access pattern through both paths (arena 0's base is 0, so
-        // global addresses double as offsets).
-        let h = slow.area_base(0, Area::Heap);
-        let t = slow.area_base(0, Area::Trail);
-        slow.write(0, h, Cell::Int(1), ObjectKind::HeapTerm);
-        assert_eq!(slow.read(0, h, ObjectKind::HeapTerm), Cell::Int(1));
-        slow.write(0, t, Cell::Uint(7), ObjectKind::TrailEntry);
-        let mut delta = RefDelta::default();
-        fast.serial_write(0, h, Cell::Int(1), Area::Heap);
-        delta.count(ObjectKind::HeapTerm, true);
-        assert_eq!(fast.serial_read(0, h), Cell::Int(1));
-        delta.count(ObjectKind::HeapTerm, false);
-        fast.serial_write(0, t, Cell::Uint(7), Area::Trail);
-        delta.count(ObjectKind::TrailEntry, true);
-        // Before the flush nothing is visible; after it the aggregates match.
-        assert_eq!(fast.merged_stats().total.total(), 0);
-        fast.flush_delta(0, &mut delta);
-        assert_eq!(delta.total, 0);
-        let (fs, ss) = (fast.merged_stats(), slow.merged_stats());
-        assert_eq!(fs.total, ss.total);
-        assert_eq!(fs.per_area, ss.per_area);
-        assert_eq!(fs.per_object, ss.per_object);
-        assert_eq!(fs.global_refs, ss.global_refs);
-        assert_eq!(fs.local_refs, ss.local_refs);
-        assert_eq!(fs.per_pe, ss.per_pe);
-        // The reset marks are maintained, so reset still clears.
-        fast.reset(false);
-        assert_eq!(fast.serial_read(0, h), Cell::Empty);
-        assert_eq!(fast.serial_read(0, t), Cell::Empty);
+        // The owner path is the same in locked and serial mode; tracing is
+        // what turns it off.
+        for serial in [false, true] {
+            let slow = Memory::new(MemoryConfig::small(), 1, false);
+            let mut fast = Memory::new(MemoryConfig::small(), 1, false);
+            fast.set_serial(serial);
+            assert!(fast.fast());
+            assert!(!mem().fast(), "a tracing memory must not advertise the owner path");
+            // Same access pattern through both paths (arena 0's base is 0,
+            // so global addresses double as offsets).
+            let h = slow.area_base(0, Area::Heap);
+            let t = slow.area_base(0, Area::Trail);
+            slow.write(0, h, Cell::Int(1), ObjectKind::HeapTerm);
+            assert_eq!(slow.read(0, h, ObjectKind::HeapTerm), Cell::Int(1));
+            slow.write(0, t, Cell::Uint(7), ObjectKind::TrailEntry);
+            let mut delta = RefDelta::default();
+            fast.owner_write(0, h, Cell::Int(1), Area::Heap);
+            delta.count(ObjectKind::HeapTerm, true);
+            assert_eq!(fast.owner_read(0, h), Cell::Int(1));
+            delta.count(ObjectKind::HeapTerm, false);
+            fast.owner_write(0, t, Cell::Uint(7), Area::Trail);
+            delta.count(ObjectKind::TrailEntry, true);
+            // Before the flush nothing is visible; after it the aggregates
+            // match.
+            assert_eq!(fast.merged_stats().total.total(), 0);
+            fast.flush_delta(0, &mut delta);
+            assert_eq!(delta.total, 0);
+            let (fs, ss) = (fast.merged_stats(), slow.merged_stats());
+            assert_eq!(fs.total, ss.total);
+            assert_eq!(fs.per_area, ss.per_area);
+            assert_eq!(fs.per_object, ss.per_object);
+            assert_eq!(fs.global_refs, ss.global_refs);
+            assert_eq!(fs.local_refs, ss.local_refs);
+            assert_eq!(fs.per_pe, ss.per_pe);
+            // The reset marks are maintained, so reset still clears.
+            fast.reset(false);
+            assert_eq!(fast.owner_read(0, h), Cell::Empty);
+            assert_eq!(fast.owner_read(0, t), Cell::Empty);
+        }
     }
 
     #[test]
@@ -759,5 +1099,203 @@ mod tests {
         assert_eq!(m.len(), expected);
         assert!(!m.is_empty());
         assert_eq!(m.len() as u64, m.map.total_words());
+    }
+
+    // -----------------------------------------------------------------
+    // The word protocol, exhaustively interleaved
+    // -----------------------------------------------------------------
+    //
+    // A model, not the atomics themselves: the halves are plain `u64`s, each
+    // step below is one atomic operation of `Word::store` / `Word::load` /
+    // `Memory::rmw_uint` in the order the real code issues it (through the
+    // real `encode` / `decode`), and `interleave` runs every schedule of the
+    // threads' steps.  Schedules are sequentially consistent, so what this
+    // checks is the *step order*; the Release store / Acquire load of `lo`
+    // (and the book lock's own release/acquire) are what make other threads
+    // observe that order on real hardware.
+
+    /// One atomic step of a model thread over shared state `S`; `false`
+    /// means "blocked, try another thread" and must leave `S` untouched.
+    type ModelStep<S> = fn(&mut S) -> bool;
+
+    /// Depth-first over every interleaving of `threads`, calling `check` on
+    /// each final state.  Returns the number of complete schedules.
+    fn interleave<S: Clone>(
+        state: &S,
+        threads: &[&[ModelStep<S>]],
+        pcs: &mut [usize],
+        check: &mut dyn FnMut(&S),
+    ) -> usize {
+        let (mut schedules, mut live) = (0, false);
+        for t in 0..threads.len() {
+            let Some(step) = threads[t].get(pcs[t]) else { continue };
+            live = true;
+            let mut next = state.clone();
+            if step(&mut next) {
+                pcs[t] += 1;
+                schedules += interleave(&next, threads, pcs, check);
+                pcs[t] -= 1;
+            }
+        }
+        if !live {
+            check(state);
+            return 1;
+        }
+        assert!(schedules > 0, "deadlock: every unfinished model thread is blocked");
+        schedules
+    }
+
+    #[derive(Clone, Default)]
+    struct ModelWord {
+        lo: u64,
+        hi: u64,
+        /// The loader's registers: the `lo` it read, then the decoded cell.
+        seen_lo: u64,
+        loaded: Option<Cell>,
+    }
+
+    fn model_store_hi<const WHICH: usize>(w: &mut ModelWord) -> bool {
+        w.hi = encode(STORED[WHICH]).1;
+        true
+    }
+    fn model_store_lo<const WHICH: usize>(w: &mut ModelWord) -> bool {
+        w.lo = encode(STORED[WHICH]).0;
+        true
+    }
+
+    /// What the writer of the first model stores, in order.
+    const STORED: [Cell; 3] = [Cell::Int(-5), Cell::Ref(17), Cell::Int(i64::MAX)];
+
+    #[test]
+    fn every_interleaving_of_stores_and_a_load_yields_a_stored_cell() {
+        // `Word::store` skips `hi` for a non-`Int`, hence no `hi` step for
+        // the `Ref`.
+        let writer: &[ModelStep<ModelWord>] = &[
+            model_store_hi::<0>,
+            model_store_lo::<0>,
+            model_store_lo::<1>,
+            model_store_hi::<2>,
+            model_store_lo::<2>,
+        ];
+        let loader: &[ModelStep<ModelWord>] = &[
+            |w| {
+                w.seen_lo = w.lo;
+                true
+            },
+            |w| {
+                // `decode` asks for `hi` only for an `Int`; reading it here
+                // regardless is the later of the two possible moments.
+                let hi = w.hi;
+                w.loaded = Some(decode(w.seen_lo, || hi));
+                true
+            },
+        ];
+        let mut seen = Vec::new();
+        let schedules = interleave(&ModelWord::default(), &[writer, loader], &mut [0, 0], &mut |w| {
+            let cell = w.loaded.unwrap();
+            assert!(cell == Cell::Empty || STORED.contains(&cell), "loaded {cell:?}, which nobody stored");
+            if !seen.contains(&cell) {
+                seen.push(cell);
+            }
+        });
+        assert_eq!(schedules, 21, "C(7, 2) schedules of 5 + 2 steps");
+        assert_eq!(seen.len(), 4, "every stored cell and the initial Empty is reachable: {seen:?}");
+        // The order matters: a writer that published the tag first would let
+        // a load pair the new tag with the previous value.
+        let tag_first: &[ModelStep<ModelWord>] = &[model_store_lo::<0>, model_store_hi::<0>];
+        let mut torn = false;
+        interleave(&ModelWord::default(), &[tag_first, loader], &mut [0, 0], &mut |w| {
+            torn |= w.loaded == Some(Cell::Int(0));
+        });
+        assert!(torn, "the model cannot tell a correct store order from a wrong one");
+    }
+
+    /// The counter-last completion commit: a child PE binds a variable (an
+    /// unlocked store), then bumps the Parcall Frame's completion count
+    /// under the parent arena's book lock; the parent reads the count under
+    /// that lock and then loads the binding.
+    #[derive(Clone, Default)]
+    struct ModelCommit {
+        binding: ModelWord,
+        completed: u32,
+        /// Which thread holds the book lock (1 = child, 2 = parent).
+        lock: u8,
+        child_old: u32,
+        parent_saw: u32,
+    }
+
+    const BINDING: Cell = Cell::Int(42);
+
+    fn model_lock<const WHO: u8>(s: &mut ModelCommit) -> bool {
+        if s.lock != 0 {
+            return false;
+        }
+        s.lock = WHO;
+        true
+    }
+    fn model_unlock<const WHO: u8>(s: &mut ModelCommit) -> bool {
+        assert_eq!(s.lock, WHO, "unlocking a lock held by someone else");
+        s.lock = 0;
+        true
+    }
+
+    #[test]
+    fn a_parent_that_saw_the_completion_count_sees_the_binding() {
+        let child: &[ModelStep<ModelCommit>] = &[
+            |s| {
+                s.binding.hi = encode(BINDING).1;
+                true
+            },
+            |s| {
+                s.binding.lo = encode(BINDING).0;
+                true
+            },
+            model_lock::<1>,
+            |s| {
+                s.child_old = s.completed;
+                true
+            },
+            |s| {
+                s.completed = s.child_old + 1;
+                true
+            },
+            model_unlock::<1>,
+        ];
+        let parent: &[ModelStep<ModelCommit>] = &[
+            model_lock::<2>,
+            |s| {
+                s.parent_saw = s.completed;
+                true
+            },
+            model_unlock::<2>,
+            |s| {
+                s.binding.seen_lo = s.binding.lo;
+                true
+            },
+            |s| {
+                let hi = s.binding.hi;
+                s.binding.loaded = Some(decode(s.binding.seen_lo, || hi));
+                true
+            },
+        ];
+        let (mut committed, mut early) = (0, 0);
+        interleave(&ModelCommit::default(), &[child, parent], &mut [0, 0], &mut |s| {
+            assert_eq!(s.completed, 1);
+            if s.parent_saw == 1 {
+                committed += 1;
+                assert_eq!(s.binding.loaded, Some(BINDING), "saw the count but not the binding");
+            } else {
+                early += 1;
+            }
+        });
+        assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
+        // Counter-*first* is the bug the protocol's name rules out.
+        let counter_first: Vec<ModelStep<ModelCommit>> =
+            child[2..].iter().chain(&child[..2]).copied().collect();
+        let mut broken = false;
+        interleave(&ModelCommit::default(), &[counter_first.as_slice(), parent], &mut [0, 0], &mut |s| {
+            broken |= s.parent_saw == 1 && s.binding.loaded != Some(BINDING);
+        });
+        assert!(broken, "the model cannot tell counter-last from counter-first");
     }
 }

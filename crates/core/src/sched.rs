@@ -19,12 +19,15 @@
 //!   the PEs on OS threads and then serialising them to reproduce the same
 //!   interleaving would buy nothing the host thread does not already give.
 //! * [`ThreadedRelaxed`] — true per-arena parallel execution: every OS
-//!   thread free-runs over its *own* worker and Stack Set arena.  Cross-PE
-//!   traffic — goal-steal pops, completion-counter updates, messages,
-//!   bindings that cross an arena boundary — goes through the per-arena
-//!   locks and per-PE boards of the shared [`crate::engine::EngineCore`],
-//!   and steal notifications travel over crossbeam channels to the victim's
-//!   thread.
+//!   thread free-runs over its *own* worker and Stack Set arena, whose words
+//!   it loads and stores without any lock (the owner path of
+//!   [`crate::mem`]).  Cross-PE traffic — goal-steal pops,
+//!   completion-counter updates, messages, bindings that cross an arena
+//!   boundary — is recorded under the owning arena's book lock and ordered
+//!   by it and by the per-PE boards of the shared
+//!   [`crate::engine::EngineCore`]; the words themselves are atomics, so
+//!   even a reference that races is sound.  Steal notifications travel over
+//!   crossbeam channels to the victim's thread.
 //!
 //! # What relaxed determinism does and does not change
 //!
@@ -144,8 +147,9 @@ pub trait Scheduler {
 
 /// True for the one pair that free-runs the PEs on threads.  Only threads
 /// may race, and only a relaxed run lets them; every other pair names the
-/// one deterministic schedule.  The engine sizes its memory locking by the
-/// same answer [`scheduler_for`] picks the driver by.
+/// one deterministic schedule.  The engine decides whether recorded accesses
+/// need the arenas' book locks by the same answer [`scheduler_for`] picks
+/// the driver by.
 pub(crate) fn free_running(kind: SchedulerKind, determinism: DeterminismMode) -> bool {
     kind == SchedulerKind::Threaded && determinism == DeterminismMode::Relaxed
 }
@@ -231,9 +235,9 @@ const STALL_CHECK_INTERVAL: u32 = 256;
 const DEADLINE_CHECK_BATCHES: u32 = 8;
 
 /// True per-arena parallel execution (relaxed determinism): one free-running
-/// OS thread per PE, each mutating only its own worker state and Stack Set
-/// arena through `Step`; cross-PE traffic rides the
-/// per-arena locks, the per-PE boards and the steal-note channels.  Nothing
+/// OS thread per PE, each mutating only its own worker state through `Step`
+/// and referencing its own Stack Set arena lock-free; cross-PE traffic rides
+/// the per-arena book locks, the per-PE boards and the steal-note channels.  Nothing
 /// serialises the threads, so `--threads N` buys real wall-clock speedup;
 /// see the module docs for exactly which observables stay invariant.
 pub struct ThreadedRelaxed;

@@ -100,7 +100,8 @@ pub struct QueryOptions {
     /// serving layer can preempt long queries and re-admit them fairly.
     pub fuel: Option<u64>,
     /// Run the executor through the classic (pre-flattening) dispatch path:
-    /// indexed `Vec<Instr>` fetch and always-locked arena access.  Off by
+    /// indexed `Vec<Instr>` fetch, and every reference recorded under its
+    /// arena's lock (never on the unrecorded owner path).  Off by
     /// default; the MLIPS gate turns it on to measure the flattened fast
     /// path against the baseline on the same machine, and the differential
     /// suite uses it to pin both dispatch paths against each other.

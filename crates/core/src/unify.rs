@@ -7,9 +7,10 @@
 //! All operations run on a `Step` (one worker's exclusive state plus the
 //! shared core).  Under the relaxed backend several workers unify
 //! concurrently; the CGE independence conditions guarantee that two goals
-//! running in parallel never bind the same variable, and every single-word
-//! access is atomic (the owning arena's lock), so no torn cell is ever
-//! observed.  Bindings into *another* PE's arena are always trailed
+//! running in parallel never bind the same variable, and every arena word is
+//! a lock-free atomic (see [`crate::mem`]), so no torn cell is ever observed
+//! — not even by a program whose unconditional `&` lies about independence.
+//! Bindings into *another* PE's arena are always trailed
 //! (conditional trailing applies only within the own Stack Set), which keeps
 //! the trail traffic independent of which PE happened to execute the goal.
 

@@ -260,10 +260,15 @@ pub struct Worker {
     pub pdl_end: u32,
     /// One past the last word of this worker's whole Stack Set (equals
     /// `msg_base + message_words`).  `heap_base..arena_end` is the own-arena
-    /// address test the serial-mode fast path uses in place of
-    /// `AddressMap::owner`.
+    /// address test the owner path uses in place of `AddressMap::owner`.
     pub arena_end: u32,
-    /// Batched reference accounting for the serial-mode fast path: counts
+    /// Whether this worker's references to its own Stack Set take the
+    /// unrecorded, unlocked owner path (`Step::mem_read` / `mem_write`).
+    /// Decided once per engine — tracing off and flat dispatch, whichever
+    /// backend drives — and cached here so the hot accessors test a worker
+    /// field instead of re-reading the shared core.
+    pub owner_path: bool,
+    /// Batched reference accounting for the owner path: counts
     /// accumulated here instead of in the arena's `AreaStats`, flushed by
     /// `Memory::flush_delta` at batch boundaries and before stats are read.
     pub ref_delta: RefDelta,
@@ -359,6 +364,7 @@ impl Worker {
             trail_end,
             pdl_end,
             arena_end,
+            owner_path: false,
             ref_delta: RefDelta::default(),
             env_cache_e: NONE_ADDR,
             env_cache_ce: NONE_ADDR,

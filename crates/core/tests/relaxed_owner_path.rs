@@ -1,0 +1,95 @@
+//! The relaxed backend on the owner path.
+//!
+//! A free-running PE serves references to its own Stack Set without the
+//! arena's book lock and counts them in its worker-local `RefDelta`, exactly
+//! as an interleaved PE does.  Two things pin that:
+//!
+//! * With **one** PE there is nothing to race, so a relaxed run must count
+//!   what the interleaved reference counts, reference for reference — any
+//!   owner-path access the relaxed driver failed to flush, or flushed twice,
+//!   shows up here.
+//! * Word soundness holds for **any** program, including one whose
+//!   unconditional `&` lies about independence: two PEs racing on one
+//!   variable cell may produce either binding, a failure or a typed error,
+//!   but never a panic, a hang or a cell nobody stored.
+
+use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
+use rapwam::session::{QueryOptions, Session};
+use rapwam::Outcome;
+use std::time::Duration;
+
+#[test]
+fn one_relaxed_pe_counts_exactly_what_one_interleaved_pe_counts() {
+    for id in BenchmarkId::EXTENDED {
+        let b = benchmark(id, Scale::Small);
+        let mut session = Session::new(&b.program).unwrap();
+        let strict = session.run(&b.query, &QueryOptions::parallel(1)).unwrap();
+        let relaxed = session.run(&b.query, &QueryOptions::relaxed(1)).unwrap();
+        let name = id.name();
+        assert!(strict.outcome.is_success(), "{name}: the reference run failed");
+        assert_eq!(relaxed.outcome, strict.outcome, "{name}: answers");
+        let (r, s) = (&relaxed.stats, &strict.stats);
+        assert_eq!(r.instructions, s.instructions, "{name}: instructions");
+        assert_eq!(r.data_refs, s.data_refs, "{name}: data_refs");
+        assert_eq!((r.reads, r.writes), (s.reads, s.writes), "{name}: read/write split");
+        assert_eq!(r.area_stats.per_object, s.area_stats.per_object, "{name}: per_object");
+        assert_eq!(r.area_stats.per_area, s.area_stats.per_area, "{name}: per_area");
+        assert_eq!(r.area_stats.global_refs, s.area_stats.global_refs, "{name}: global_refs");
+        assert_eq!(r.area_stats.local_refs, s.area_stats.local_refs, "{name}: local_refs");
+        assert_eq!(r.area_stats.locked_refs, s.area_stats.locked_refs, "{name}: locked_refs");
+    }
+}
+
+#[test]
+fn a_traced_relaxed_run_records_every_reference() {
+    // Tracing turns the owner path off: every reference of every PE takes
+    // the recorded path, so the merged trace is as long as the count.
+    let b = benchmark(BenchmarkId::Fib, Scale::Small);
+    let mut session = Session::new(&b.program).unwrap();
+    for workers in [1, 4] {
+        let run = session.run(&b.query, &QueryOptions::relaxed(workers).with_trace()).unwrap();
+        assert!(run.outcome.is_success());
+        let trace = run.trace.expect("tracing was requested");
+        assert_eq!(trace.len() as u64, run.stats.data_refs, "{workers} PEs: trace length vs data_refs");
+        assert_eq!(run.stats.data_refs, run.stats.area_stats.total.total());
+    }
+}
+
+/// `p/1`'s unconditional `&` claims `a(X)` and `b(X)` are independent; they
+/// both bind `X`.  The spin gives an idle PE time to steal `b(X)`, so the
+/// two bindings really do race.
+const DEPENDENT_GOALS: &str = "\
+    spin(0).\n\
+    spin(N) :- N > 0, M is N - 1, spin(M).\n\
+    a(X) :- spin(40), X = 1.\n\
+    b(X) :- spin(40), X = 2.\n\
+    p(X) :- a(X) & b(X).";
+
+#[test]
+fn racing_on_one_variable_never_panics_or_hangs() {
+    let mut session = Session::new(DEPENDENT_GOALS).unwrap();
+    // A hang would surface as a typed error through the stall watchdog or
+    // the time budget, never as a stuck test.
+    let options = QueryOptions::relaxed(8)
+        .with_stall_timeout(Duration::from_secs(2))
+        .with_time_budget(Duration::from_secs(20));
+    let (mut answers, mut failures, mut errors) = (0, 0, 0);
+    for _ in 0..200 {
+        match session.run("p(X)", &options) {
+            Ok(run) => match &run.outcome {
+                Outcome::Success(_) => {
+                    let x = session.render(run.outcome.binding("X").expect("X is a query variable"));
+                    assert!(x == "1" || x == "2", "X = {x}: a binding neither goal made");
+                    answers += 1;
+                }
+                Outcome::Failure => failures += 1,
+            },
+            Err(e) => {
+                eprintln!("typed error: {e}");
+                errors += 1;
+            }
+        }
+    }
+    println!("dependent goals on relaxed(8): {answers} answers, {failures} failures, {errors} typed errors");
+    assert_eq!(answers + failures + errors, 200);
+}
