@@ -1,10 +1,9 @@
 //! The multi-worker RAP-WAM engine.
 //!
 //! The engine executes a [`CompiledProgram`] on a configurable number of
-//! workers (PEs).  The stepping loop lives behind the
-//! [`crate::sched::Scheduler`] trait; the engine only defines what one
-//! worker does with one slot.  Internally the engine is split along the
-//! line an actually-parallel backend needs:
+//! workers (PEs).  The stepping loops live in [`crate::sched`]; the engine
+//! only defines what one worker does with one slot.  Internally the engine
+//! is split along the line an actually-parallel backend needs:
 //!
 //! * [`EngineCore`] — state shared by every PE, behind interior mutability:
 //!   the program, the sharded [`Memory`], atomic run counters, the
@@ -38,7 +37,7 @@ use crate::frames::{choice, env, goal_frame, marker, message, parcall};
 use crate::known;
 use crate::layout::{board, Area, MemoryConfig, ObjectKind};
 use crate::mem::Memory;
-use crate::sched::{free_running, scheduler_for, DeterminismMode, SchedulerKind};
+use crate::sched::{drive, free_running, DeterminismMode, SchedulerKind};
 use crate::stats::{RunStats, WorkerStats};
 use crate::trace::MemRef;
 use crate::worker::{GoalContext, Mode, Resume, Worker, WorkerStatus};
@@ -46,6 +45,7 @@ use pwam_compiler::CompiledProgram;
 use pwam_front::term::Term;
 use pwam_front::SymbolTable;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -70,8 +70,6 @@ pub struct EngineConfig {
     /// scheduling-relevant event instead (see `Step::run_slot`).  The relaxed
     /// backend never reads it.
     pub quantum: u32,
-    /// Number of X registers per worker.
-    pub num_x_regs: usize,
     /// Which execution backend steps the workers.
     pub scheduler: SchedulerKind,
     /// How much scheduling nondeterminism the backend may exploit.
@@ -116,7 +114,6 @@ impl Default for EngineConfig {
             collect_trace: false,
             max_steps: 2_000_000_000,
             quantum: 1,
-            num_x_regs: pwam_compiler::MAX_X_REGS,
             scheduler: SchedulerKind::Interleaved,
             determinism: DeterminismMode::Strict,
             stall_timeout: Duration::from_secs(5),
@@ -238,37 +235,6 @@ pub(crate) struct PendingHostCall {
     args: Vec<Cell>,
 }
 
-/// One goal stolen from another worker's Goal Stack, as observed by the
-/// scheduler.  The threaded backends turn these into cross-thread messages;
-/// the reference backend delivers them in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealEvent {
-    /// Worker that took the goal.
-    pub thief: usize,
-    /// Worker whose Goal Stack the frame came from.
-    pub victim: usize,
-    /// Address of the stolen Goal Frame.
-    pub frame: u32,
-}
-
-/// One `cancel_goal` request posted during parcall cancellation (backward
-/// execution), as observed by the scheduler.  Like [`StealEvent`]s, the
-/// semantic content travels through the shared per-PE boards; the scheduler
-/// additionally transports these as cross-thread notifications to the
-/// executor's thread (channel messages on the threaded backends, in-place
-/// delivery on the reference one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CancelEvent {
-    /// Worker that owns the cancelled Parcall Frame.
-    pub canceller: usize,
-    /// Worker currently executing the in-flight goal being cancelled.
-    pub executor: usize,
-    /// The cancelled Parcall Frame.
-    pub pf: u32,
-    /// Slot index of the in-flight goal within the frame.
-    pub slot: u32,
-}
-
 /// Per-PE scheduling state that other PEs may inspect or update: the mirror
 /// of the Goal Stack (for stealing) and the Message Buffer allocation state
 /// (for completion messages).  Every access takes the board's lock; under
@@ -291,6 +257,12 @@ pub(crate) struct PeBoard {
     /// this board's lock and drained by the owner at instruction-batch
     /// boundaries.
     pub cancel_requests: Vec<(u32, u32)>,
+    /// Goals thieves took from this PE's Goal Stack (a statistic, counted
+    /// inside the critical section of the pop).
+    pub steal_notices: u64,
+    /// `cancel_goal` requests posted to this PE (a statistic, counted beside
+    /// the push onto `cancel_requests`).
+    pub cancel_notices: u64,
 }
 
 /// A Goal Frame's words, read under the owning board's lock before the
@@ -358,7 +330,6 @@ pub struct EngineCore<'p> {
     next_deadline_check: u64,
     pub(crate) parcalls: AtomicU64,
     parallel_goals: AtomicU64,
-    goals_actually_parallel: AtomicU64,
     pub(crate) inferences: AtomicU64,
     /// Failures that reached a parallel-goal boundary or crossed a Parcall
     /// Frame on the failing worker's `PF` chain.  Zero here is a *logical*
@@ -370,8 +341,6 @@ pub struct EngineCore<'p> {
     parcalls_cancelled: AtomicU64,
     /// Goal Frames retracted un-executed during cancellation.
     goals_cancelled: AtomicU64,
-    /// `cancel_goal` requests posted for in-flight stolen goals.
-    cancel_requests: AtomicU64,
     /// Round-robin cursor over steal victims.
     steal_cursor: AtomicUsize,
     /// One board per PE.
@@ -379,21 +348,6 @@ pub struct EngineCore<'p> {
     /// Cheap "this PE has pending cancel_goal requests" flags, so the hot
     /// execution path pays one relaxed atomic load instead of a board lock.
     cancel_flags: Vec<AtomicBool>,
-    /// Steals performed by each PE (as thief) since the scheduler last
-    /// drained them.
-    steal_logs: Vec<Mutex<Vec<StealEvent>>>,
-    /// `cancel_goal` requests posted by each PE (as canceller) since the
-    /// scheduler last drained them (notification transport, like
-    /// `steal_logs`).
-    cancel_logs: Vec<Mutex<Vec<CancelEvent>>>,
-    /// Events sitting in `steal_logs` + `cancel_logs`, so the strict driver
-    /// pays one relaxed load per slot instead of 2·N log locks when (as
-    /// almost always) nothing was logged.  Relaxed ordering suffices: the
-    /// count publishes nothing — the events themselves sit behind the log
-    /// mutexes — and only the strict driver branches on it, where a single
-    /// thread already orders the slot that logged before the check that
-    /// follows it.
-    logged_events: AtomicUsize,
     /// First engine error raised on any thread of the relaxed backend.
     abort: Mutex<Option<EngineError>>,
     aborted: AtomicBool,
@@ -507,43 +461,6 @@ impl<'p> EngineCore<'p> {
         self.fuel_limit.store(limit, Ordering::Relaxed);
     }
 
-    /// Drain the steals PE `thief` performed since the last drain.
-    pub(crate) fn drain_steals_of(&self, thief: usize) -> Vec<StealEvent> {
-        let events = std::mem::take(&mut *self.steal_logs[thief].lock().unwrap());
-        self.note_drained(events.len());
-        events
-    }
-
-    /// Drain the `cancel_goal` requests PE `canceller` posted since the
-    /// last drain.
-    pub(crate) fn drain_cancels_of(&self, canceller: usize) -> Vec<CancelEvent> {
-        let events = std::mem::take(&mut *self.cancel_logs[canceller].lock().unwrap());
-        self.note_drained(events.len());
-        events
-    }
-
-    /// Take `drained` events off the pending count.  The relaxed PEs drain
-    /// their own logs every batch and almost always find them empty; those
-    /// drains must not touch the shared counter's cache line.
-    fn note_drained(&self, drained: usize) {
-        if drained != 0 {
-            self.logged_events.fetch_sub(drained, Ordering::Relaxed);
-        }
-    }
-
-    /// Log a steal for the scheduler to transport to the victim.
-    fn log_steal(&self, event: StealEvent) {
-        self.steal_logs[event.thief].lock().unwrap().push(event);
-        self.logged_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Log a `cancel_goal` request for the scheduler to transport to the
-    /// executor.
-    fn log_cancel(&self, event: CancelEvent) {
-        self.cancel_logs[event.canceller].lock().unwrap().push(event);
-        self.logged_events.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record the critical-path cycle estimate of a relaxed run.
     pub(crate) fn set_cycles(&self, cycles: u64) {
         self.cycles.store(cycles, Ordering::Relaxed);
@@ -588,6 +505,10 @@ impl<'p> EngineCore<'p> {
 pub struct Engine<'p> {
     pub(crate) core: EngineCore<'p>,
     pub(crate) workers: Vec<Worker>,
+    /// Makes the engine `!Sync` (it stays `Send`): a serial-mode memory's
+    /// books have no lock, so `&self` readers such as [`Engine::stats`] must
+    /// not run on two threads at once (see `Memory::set_serial`).
+    _not_sync: PhantomData<std::cell::Cell<()>>,
 }
 
 /// One worker's view of the machine: the shared core plus exclusive access
@@ -646,7 +567,7 @@ impl<'p> Engine<'p> {
         mem.set_serial(!config.classic_dispatch && !relaxed);
         let owner_path = owner_path(&mem, &config);
         let mut workers: Vec<Worker> =
-            (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map, config.num_x_regs)).collect();
+            (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map)).collect();
         for wk in &mut workers {
             wk.owner_path = owner_path;
             // Per-predicate profile storage, indexed by code address (entry
@@ -661,16 +582,12 @@ impl<'p> Engine<'p> {
         let boards = (0..config.num_workers)
             .map(|w| {
                 Mutex::new(PeBoard {
-                    goal_frames: Vec::new(),
                     goal_top: mem.map.area_base(w, Area::GoalStack),
                     msg_top: mem.map.area_base(w, Area::MessageBuffer),
-                    pending_messages: 0,
-                    cancel_requests: Vec::new(),
+                    ..PeBoard::default()
                 })
             })
             .collect();
-        let steal_logs = (0..config.num_workers).map(|_| Mutex::new(Vec::new())).collect();
-        let cancel_logs = (0..config.num_workers).map(|_| Mutex::new(Vec::new())).collect();
         let cancel_flags = (0..config.num_workers).map(|_| AtomicBool::new(false)).collect();
         Engine {
             core: EngineCore {
@@ -683,18 +600,13 @@ impl<'p> Engine<'p> {
                 next_deadline_check: DEADLINE_CHECK_CYCLES,
                 parcalls: AtomicU64::new(0),
                 parallel_goals: AtomicU64::new(0),
-                goals_actually_parallel: AtomicU64::new(0),
                 inferences: AtomicU64::new(0),
                 parcall_failures: AtomicU64::new(0),
                 parcalls_cancelled: AtomicU64::new(0),
                 goals_cancelled: AtomicU64::new(0),
-                cancel_requests: AtomicU64::new(0),
                 steal_cursor: AtomicUsize::new(0),
                 boards,
                 cancel_flags,
-                steal_logs,
-                cancel_logs,
-                logged_events: AtomicUsize::new(0),
                 abort: Mutex::new(None),
                 aborted: AtomicBool::new(false),
                 pending_host: Mutex::new(None),
@@ -702,6 +614,7 @@ impl<'p> Engine<'p> {
                 fuel_limit: AtomicU64::new(config_fuel.unwrap_or(u64::MAX)),
             },
             workers,
+            _not_sync: PhantomData,
         }
     }
 
@@ -719,8 +632,7 @@ impl<'p> Engine<'p> {
     pub fn run_reusable(mut self, syms: &SymbolTable) -> EngineResult<(RunResult, Engine<'p>)> {
         self.core.started = Instant::now();
         self.core.re_arm_fuel();
-        let scheduler = scheduler_for(self.core.config.scheduler, self.core.config.determinism);
-        let mut engine = scheduler.drive(self)?;
+        let mut engine = drive(self)?;
         if engine.core.state() == SUSPENDED {
             return Err(EngineError::Internal(
                 "query suspended at a host call; drive it through a cursor (run_resumable/resume)"
@@ -848,8 +760,7 @@ impl<'p> Engine<'p> {
     /// Drivers return immediately when the engine is already halted (e.g. a
     /// `resume(Redo)` whose backtrack exhausted the last choice point).
     fn drive_resumable(self) -> EngineResult<(RunOutcome, Engine<'p>)> {
-        let scheduler = scheduler_for(self.core.config.scheduler, self.core.config.determinism);
-        let engine = scheduler.drive(self)?;
+        let engine = drive(self)?;
         let outcome = engine.current_outcome()?;
         Ok((outcome, engine))
     }
@@ -955,7 +866,7 @@ impl<'p> Engine<'p> {
             // Recycle the profile buffer across resets: the program (and so
             // the code length) is fixed for the engine's lifetime.
             let mut prof = std::mem::take(&mut wk.prof_counts);
-            *wk = Worker::new(wk.id, &core.mem.map, core.config.num_x_regs);
+            *wk = Worker::new(wk.id, &core.mem.map);
             wk.owner_path = owner_path(&core.mem, &core.config);
             prof.clear();
             prof.resize(core.program.code_len(), 0);
@@ -972,14 +883,9 @@ impl<'p> Engine<'p> {
             b.msg_top = core.mem.map.area_base(w, Area::MessageBuffer);
             b.pending_messages = 0;
             b.cancel_requests.clear();
+            b.steal_notices = 0;
+            b.cancel_notices = 0;
         }
-        for log in core.steal_logs.iter_mut() {
-            log.get_mut().unwrap().clear();
-        }
-        for log in core.cancel_logs.iter_mut() {
-            log.get_mut().unwrap().clear();
-        }
-        *core.logged_events.get_mut() = 0;
         for flag in core.cancel_flags.iter_mut() {
             *flag.get_mut() = false;
         }
@@ -989,12 +895,10 @@ impl<'p> Engine<'p> {
         core.next_deadline_check = DEADLINE_CHECK_CYCLES;
         *core.parcalls.get_mut() = 0;
         *core.parallel_goals.get_mut() = 0;
-        *core.goals_actually_parallel.get_mut() = 0;
         *core.inferences.get_mut() = 0;
         *core.parcall_failures.get_mut() = 0;
         *core.parcalls_cancelled.get_mut() = 0;
         *core.goals_cancelled.get_mut() = 0;
-        *core.cancel_requests.get_mut() = 0;
         *core.steal_cursor.get_mut() = 0;
         *core.abort.get_mut().unwrap() = None;
         *core.aborted.get_mut() = false;
@@ -1005,31 +909,20 @@ impl<'p> Engine<'p> {
 
     /// Tear the engine down to its [`Memory`], keeping the arena allocations
     /// alive for [`Engine::with_recycled_memory`] (the pool's warm path
-    /// across *different* compiled programs).
+    /// across *different* compiled programs).  The memory leaves with its
+    /// book locks on: serial mode is the engine's private arrangement with
+    /// its driver, re-made by the next engine built around the arenas.
     pub fn into_memory(self) -> Memory {
-        self.core.mem
-    }
-
-    /// The shared core (scheduler SPI).
-    pub(crate) fn core(&self) -> &EngineCore<'p> {
-        &self.core
-    }
-
-    /// Split the engine into its shared core and the per-PE worker states
-    /// (relaxed backend: each worker goes to its own thread).
-    pub(crate) fn into_parts(self) -> (EngineCore<'p>, Vec<Worker>) {
-        (self.core, self.workers)
-    }
-
-    /// Reassemble an engine after a split run.
-    pub(crate) fn from_parts(core: EngineCore<'p>, workers: Vec<Worker>) -> Self {
-        Engine { core, workers }
+        let mut mem = self.core.mem;
+        mem.set_serial(false);
+        mem
     }
 
     // -----------------------------------------------------------------
     // Scheduler SPI
     //
-    // The stepping loop is owned by a `Scheduler` backend (see `sched`).
+    // The stepping loop is owned by `sched::drive` (tests may drive rounds
+    // by hand to inspect the machine between them).
     // A round gives every worker one slot:
     //
     //     engine.begin_round();
@@ -1095,50 +988,6 @@ impl<'p> Engine<'p> {
         // through here, on both dispatch paths).
         self.core.check_fuel();
         Ok(())
-    }
-
-    /// True when a steal or `cancel_goal` request has been logged and not
-    /// yet drained (scheduler SPI).  One relaxed load: the strict driver
-    /// polls it every slot and only then pays for [`Engine::drain_steals`] /
-    /// [`Engine::drain_cancels`].
-    #[inline]
-    pub fn events_logged(&self) -> bool {
-        self.core.logged_events.load(Ordering::Relaxed) != 0
-    }
-
-    /// Drain the steals performed since the last drain (scheduler SPI).
-    pub fn drain_steals(&mut self) -> Vec<StealEvent> {
-        let mut all = Vec::new();
-        for log in &mut self.core.steal_logs {
-            all.append(log.get_mut().unwrap());
-        }
-        *self.core.logged_events.get_mut() -= all.len();
-        all
-    }
-
-    /// Record that `count` steal notifications reached worker `victim`
-    /// (scheduler SPI: the threaded backends deliver these over channels,
-    /// the reference backend in place).
-    pub fn deliver_steal_notices(&mut self, victim: usize, count: u64) {
-        self.workers[victim].steal_notices += count;
-    }
-
-    /// Drain the `cancel_goal` requests posted since the last drain
-    /// (scheduler SPI, mirroring [`Engine::drain_steals`]).
-    pub fn drain_cancels(&mut self) -> Vec<CancelEvent> {
-        let mut all = Vec::new();
-        for log in &mut self.core.cancel_logs {
-            all.append(log.get_mut().unwrap());
-        }
-        *self.core.logged_events.get_mut() -= all.len();
-        all
-    }
-
-    /// Record that `count` cancel notifications reached worker `executor`
-    /// (scheduler SPI: the threaded backends deliver these over channels,
-    /// the reference backend in place).
-    pub fn deliver_cancel_notices(&mut self, executor: usize, count: u64) {
-        self.workers[executor].cancel_notices += count;
     }
 
     /// Goal Frames still sitting on any PE's board.  Zero once a query has
@@ -1424,21 +1273,25 @@ impl<'p> Engine<'p> {
         let workers: Vec<WorkerStats> = self
             .workers
             .iter()
-            .map(|w| WorkerStats {
-                instructions: w.instructions,
-                idle_cycles: w.idle_cycles,
-                max_usage: w.max_usage(),
-                goals_stolen: w.goals_stolen,
-                steal_notices: w.steal_notices,
-                cancel_notices: w.cancel_notices,
-                goals_aborted: w.goals_aborted,
-                goals_while_cancelling: w.goals_while_cancelling,
-                steal_attempts: w.steal_attempts,
-                backoff_yields: w.backoff_yields,
-                backoff_parks: w.backoff_parks,
-                park_micros: w.park_micros,
-                batch_exits_budget: w.batch_exits_budget,
-                batch_exits_park: w.batch_exits_park,
+            .zip(&self.core.boards)
+            .map(|(w, board)| {
+                let board = board.lock().unwrap();
+                WorkerStats {
+                    instructions: w.instructions,
+                    idle_cycles: w.idle_cycles,
+                    max_usage: w.max_usage(),
+                    goals_stolen: w.goals_stolen,
+                    steal_notices: board.steal_notices,
+                    cancel_notices: board.cancel_notices,
+                    goals_aborted: w.goals_aborted,
+                    goals_while_cancelling: w.goals_while_cancelling,
+                    steal_attempts: w.steal_attempts,
+                    backoff_yields: w.backoff_yields,
+                    backoff_parks: w.backoff_parks,
+                    park_micros: w.park_micros,
+                    batch_exits_budget: w.batch_exits_budget,
+                    batch_exits_park: w.batch_exits_park,
+                }
             })
             .collect();
         let area_stats = self.core.mem.merged_stats();
@@ -1452,12 +1305,12 @@ impl<'p> Engine<'p> {
             elapsed_cycles: self.core.cycles.load(Ordering::Relaxed),
             parcalls: self.core.parcalls.load(Ordering::Relaxed),
             parallel_goals: self.core.parallel_goals.load(Ordering::Relaxed),
-            goals_actually_parallel: self.core.goals_actually_parallel.load(Ordering::Relaxed),
+            goals_actually_parallel: workers.iter().map(|w| w.goals_stolen).sum(),
             inferences: self.core.inferences.load(Ordering::Relaxed),
             parcall_failures: self.core.parcall_failures.load(Ordering::Relaxed),
             parcalls_cancelled: self.core.parcalls_cancelled.load(Ordering::Relaxed),
             goals_cancelled: self.core.goals_cancelled.load(Ordering::Relaxed),
-            cancel_requests: self.core.cancel_requests.load(Ordering::Relaxed),
+            cancel_requests: workers.iter().map(|w| w.cancel_notices).sum(),
             area_stats,
             workers,
             predicate_profile,
@@ -1869,6 +1722,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 let mut b = core.boards[victim].lock().unwrap();
                 if let Some(frame) = b.goal_frames.pop() {
                     b.goal_top = frame;
+                    b.steal_notices += 1;
                     Some(self.read_goal_frame(frame))
                 } else {
                     None
@@ -1877,7 +1731,6 @@ impl<'a, 'p> Step<'a, 'p> {
             if let Some(img) = stolen {
                 core.steal_cursor.store((victim + 1) % n, Ordering::Relaxed);
                 self.wk.goals_stolen += 1;
-                core.log_steal(StealEvent { thief: w, victim, frame: img.frame });
                 self.start_goal(img, resume, true)?;
                 return Ok(true);
             }
@@ -1934,9 +1787,6 @@ impl<'a, 'p> Step<'a, 'p> {
         }
 
         self.core.parallel_goals.fetch_add(1, Ordering::Relaxed);
-        if stolen {
-            self.core.goals_actually_parallel.fetch_add(1, Ordering::Relaxed);
-        }
         if matches!(resume, Resume::ToCancel { .. }) {
             self.wk.goals_while_cancelling += 1;
         }
@@ -2616,10 +2466,9 @@ impl<'a, 'p> Step<'a, 'p> {
             {
                 let mut board = self.core.boards[executor].lock().unwrap();
                 board.cancel_requests.push((pf, k));
+                board.cancel_notices += 1;
             }
             self.core.cancel_flags[executor].store(true, Ordering::Release);
-            self.core.cancel_requests.fetch_add(1, Ordering::Relaxed);
-            self.core.log_cancel(CancelEvent { canceller: w, executor, pf, slot: k });
         }
         Ok(())
     }

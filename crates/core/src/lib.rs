@@ -7,11 +7,13 @@
 //! Goal Stack, Message Buffer), that cooperate on the execution of a Prolog
 //! program annotated with Conditional Graph Expressions.
 //!
-//! Each worker's Stack Set is its own memory arena, and execution is
-//! pluggable behind the [`Scheduler`] trait: the default [`Interleaved`]
-//! backend is a deterministic, software-interleaved emulator — the same
-//! methodology the paper used — while [`ThreadedRelaxed`] free-runs one OS
-//! thread per PE (same answers, racy steal placement, real speedup).
+//! Each worker's Stack Set is its own memory arena, and an engine runs on
+//! the backend its [`EngineConfig`] names: the default
+//! ([`SchedulerKind::Interleaved`], or any [`DeterminismMode::Strict`] run)
+//! is a deterministic, software-interleaved emulator — the same methodology
+//! the paper used — while [`SchedulerKind::Threaded`] under
+//! [`DeterminismMode::Relaxed`] free-runs one OS thread per PE (same
+//! answers, racy steal placement, real speedup).
 //! Every run produces:
 //!
 //! * the query's answer substitution,
@@ -48,6 +50,8 @@ pub mod frames;
 pub mod known;
 pub mod layout;
 pub mod mem;
+#[cfg(test)]
+mod model;
 pub mod sched;
 pub mod session;
 pub mod stats;
@@ -57,14 +61,13 @@ pub mod worker;
 
 pub use cell::{Cell, NONE_ADDR};
 pub use engine::{
-    CancelEvent, Engine, EngineConfig, EngineCore, HostResult, Outcome, RunOutcome, RunResult, StealEvent,
-    SuspendReason,
+    Engine, EngineConfig, EngineCore, HostResult, Outcome, RunOutcome, RunResult, SuspendReason,
 };
 pub use error::{EngineError, EngineResult};
 pub use layout::{Area, Locality, MemoryConfig, ObjectKind};
 pub use mem::{Memory, StackSetArena};
 pub use pwam_front::term::Term;
-pub use sched::{scheduler_for, DeterminismMode, Interleaved, Scheduler, SchedulerKind, ThreadedRelaxed};
+pub use sched::{DeterminismMode, SchedulerKind};
 pub use session::{CursorStep, HostFn, QueryCursor, QueryOptions, Session, SessionError};
 pub use stats::{RunStats, WorkerStats};
 pub use trace::{AreaStats, MemRef};

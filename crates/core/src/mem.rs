@@ -42,7 +42,7 @@
 //!
 //! * *Recorded* ([`Memory::read`], [`Memory::write`], [`Memory::rmw_uint`]):
 //!   takes the owning arena's book lock (skipped in serial mode, see
-//!   [`Memory::set_serial`]), counts the reference, appends the trace record
+//!   [`Memory::serial`]), counts the reference, appends the trace record
 //!   when tracing is on, and moves the word inside the critical section.
 //!   Remote references, every Parcall Frame / Goal Frame / Marker / Message
 //!   reference, and every reference of a traced or classic-dispatch run are
@@ -351,17 +351,27 @@ impl Memory {
     ///
     /// # Soundness contract
     ///
-    /// Serial mode may only be enabled while a single thread performs every
-    /// memory access, which is what the interleaved scheduler does: it steps
-    /// all PEs round-robin on one host thread.  The relaxed backend, where
-    /// every PE free-runs on its own thread, must keep the book locks.  The
+    /// Serial mode may only be on while a single thread performs every
+    /// memory access.  The crate upholds that, not the caller, which is why
+    /// this is not public: `Engine::build` is the only caller and turns
+    /// serial mode on exactly when the engine's configuration is not
+    /// `sched::free_running` — the same value `sched::drive` picks the
+    /// driver by, so a serial memory is only ever stepped by the interleaved
+    /// driver's one host thread.  An [`Engine`](crate::Engine) is not `Sync`,
+    /// so `&self` readers of a serial memory's books (statistics) stay on the
+    /// thread that holds the engine, and [`Engine::into_memory`](crate::Engine::into_memory)
+    /// hands the memory out with serial mode off.  The relaxed backend, where
+    /// every PE free-runs on its own thread, keeps the book locks.  The
     /// classic dispatch path also keeps them (and records every reference)
     /// so it prices the pre-flattening cost model.
-    pub fn set_serial(&mut self, serial: bool) {
+    pub(crate) fn set_serial(&mut self, serial: bool) {
         self.serial = serial;
     }
 
     /// Whether recorded accesses currently bypass the per-arena book locks.
+    /// Only an engine turns this on, for the one thread that drives it (the
+    /// soundness contract is on the crate-private `set_serial`); a memory
+    /// from [`Memory::new`] or out of an engine is never serial.
     pub fn serial(&self) -> bool {
         self.serial
     }
@@ -633,6 +643,7 @@ impl Memory {
 mod tests {
     use super::*;
     use crate::layout::Locality;
+    use crate::model::{interleave, ModelStep};
 
     fn mem() -> Memory {
         Memory::new(MemoryConfig::small(), 2, true)
@@ -1105,45 +1116,10 @@ mod tests {
     // The word protocol, exhaustively interleaved
     // -----------------------------------------------------------------
     //
-    // A model, not the atomics themselves: the halves are plain `u64`s, each
-    // step below is one atomic operation of `Word::store` / `Word::load` /
-    // `Memory::rmw_uint` in the order the real code issues it (through the
-    // real `encode` / `decode`), and `interleave` runs every schedule of the
-    // threads' steps.  Schedules are sequentially consistent, so what this
-    // checks is the *step order*; the Release store / Acquire load of `lo`
-    // (and the book lock's own release/acquire) are what make other threads
-    // observe that order on real hardware.
-
-    /// One atomic step of a model thread over shared state `S`; `false`
-    /// means "blocked, try another thread" and must leave `S` untouched.
-    type ModelStep<S> = fn(&mut S) -> bool;
-
-    /// Depth-first over every interleaving of `threads`, calling `check` on
-    /// each final state.  Returns the number of complete schedules.
-    fn interleave<S: Clone>(
-        state: &S,
-        threads: &[&[ModelStep<S>]],
-        pcs: &mut [usize],
-        check: &mut dyn FnMut(&S),
-    ) -> usize {
-        let (mut schedules, mut live) = (0, false);
-        for t in 0..threads.len() {
-            let Some(step) = threads[t].get(pcs[t]) else { continue };
-            live = true;
-            let mut next = state.clone();
-            if step(&mut next) {
-                pcs[t] += 1;
-                schedules += interleave(&next, threads, pcs, check);
-                pcs[t] -= 1;
-            }
-        }
-        if !live {
-            check(state);
-            return 1;
-        }
-        assert!(schedules > 0, "deadlock: every unfinished model thread is blocked");
-        schedules
-    }
+    // A model, not the atomics themselves (see `crate::model`): the halves
+    // are plain `u64`s, and each step below is one atomic operation of
+    // `Word::store` / `Word::load` / `Memory::rmw_uint` in the order the real
+    // code issues it (through the real `encode` / `decode`).
 
     #[derive(Clone, Default)]
     struct ModelWord {

@@ -1,12 +1,14 @@
-//! Pluggable execution backends for the RAP-WAM engine.
+//! The two execution backends of the RAP-WAM engine.
 //!
-//! The engine exposes a small scheduler SPI — [`Engine::begin_round`],
-//! [`Engine::step_slot`], [`Engine::end_round`], [`Engine::finished`] — and
-//! a [`Scheduler`] drives it until the query completes.  Two backends ship
-//! with the crate, the paper's two execution regimes, selected by a
-//! [`SchedulerKind`] plus a [`DeterminismMode`]:
+//! The engine exposes a small stepping SPI — [`Engine::begin_round`],
+//! [`Engine::step_slot`], [`Engine::end_round`], [`Engine::halted`] — and the
+//! crate-private `drive` runs it until the query halts.  Which of the paper's
+//! two execution regimes does the driving follows from the engine's own
+//! configuration, a [`SchedulerKind`] plus a [`DeterminismMode`] — the same
+//! value [`Engine::new`] decides the memory's locking by, so a driver and a
+//! memory mode can never be paired wrongly:
 //!
-//! * [`Interleaved`] — the reference semantics: one host thread steps every
+//! * *Interleaved* — the reference semantics: one host thread steps every
 //!   worker round-robin, one slot each per round.  With several PEs a
 //!   running worker's slot is `quantum` instructions (default 1): the
 //!   deterministic software-interleaved methodology of the paper's emulator.
@@ -18,16 +20,17 @@
 //!   strict run — whatever its [`SchedulerKind`] — is driven here: putting
 //!   the PEs on OS threads and then serialising them to reproduce the same
 //!   interleaving would buy nothing the host thread does not already give.
-//! * [`ThreadedRelaxed`] — true per-arena parallel execution: every OS
+//! * *Threaded × relaxed* — true per-arena parallel execution: every OS
 //!   thread free-runs over its *own* worker and Stack Set arena, whose words
 //!   it loads and stores without any lock (the owner path of
 //!   [`crate::mem`]).  Cross-PE traffic — goal-steal pops,
-//!   completion-counter updates, messages, bindings that cross an arena
-//!   boundary — is recorded under the owning arena's book lock and ordered
-//!   by it and by the per-PE boards of the shared
+//!   completion-counter updates, messages, `cancel_goal` requests, bindings
+//!   that cross an arena boundary — is recorded under the owning arena's
+//!   book lock and ordered by it and by the per-PE boards of the shared
 //!   [`crate::engine::EngineCore`]; the words themselves are atomics, so
-//!   even a reference that races is sound.  Steal notifications travel over
-//!   crossbeam channels to the victim's thread.
+//!   even a reference that races is sound.  As in the paper, nothing is ever
+//!   sent to the victim of a steal: a thief takes the Goal Frame under the
+//!   victim's board lock, and the steal is counted there.
 //!
 //! # What relaxed determinism does and does not change
 //!
@@ -47,7 +50,6 @@
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
 use crate::worker::WorkerStatus;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -61,7 +63,7 @@ pub enum SchedulerKind {
     Interleaved,
     /// One free-running OS thread per PE under
     /// [`DeterminismMode::Relaxed`].  A strict run has one schedule by
-    /// definition and is driven by [`Interleaved`] whatever the kind.
+    /// definition and is driven interleaved whatever the kind.
     Threaded,
 }
 
@@ -129,93 +131,52 @@ impl DeterminismMode {
     }
 }
 
-/// An execution backend: drives an engine from its initial state to
-/// `finished()`, returning the engine for answer/statistics extraction.
-///
-/// ```
-/// use rapwam::{scheduler_for, DeterminismMode, SchedulerKind};
-/// let backend = scheduler_for(SchedulerKind::Threaded, DeterminismMode::Relaxed);
-/// assert_eq!(backend.name(), "threaded-relaxed");
-/// ```
-pub trait Scheduler {
-    /// Backend name (for reporting).
-    fn name(&self) -> &'static str;
-
-    /// Run the query to completion.
-    fn drive<'p>(&self, engine: Engine<'p>) -> EngineResult<Engine<'p>>;
-}
-
 /// True for the one pair that free-runs the PEs on threads.  Only threads
 /// may race, and only a relaxed run lets them; every other pair names the
 /// one deterministic schedule.  The engine decides whether recorded accesses
-/// need the arenas' book locks by the same answer [`scheduler_for`] picks
-/// the driver by.
+/// need the arenas' book locks by the same answer [`drive`] picks the driver
+/// by.
 pub(crate) fn free_running(kind: SchedulerKind, determinism: DeterminismMode) -> bool {
     kind == SchedulerKind::Threaded && determinism == DeterminismMode::Relaxed
 }
 
-/// Resolve a [`SchedulerKind`] × [`DeterminismMode`] to its backend
-/// implementation.
-pub fn scheduler_for(kind: SchedulerKind, determinism: DeterminismMode) -> Box<dyn Scheduler> {
-    if free_running(kind, determinism) {
-        Box::new(ThreadedRelaxed)
+/// Drive `engine` until it halts (success, failure, suspension or
+/// preemption) on the backend its own configuration names, returning it for
+/// answer and statistics extraction.
+pub(crate) fn drive(engine: Engine<'_>) -> EngineResult<Engine<'_>> {
+    let config = &engine.core.config;
+    if free_running(config.scheduler, config.determinism) {
+        drive_relaxed(engine)
     } else {
-        Box::new(Interleaved)
+        drive_interleaved(engine)
     }
 }
 
 /// The reference backend: deterministic round-robin on the host thread.
-pub struct Interleaved;
-
-impl Scheduler for Interleaved {
-    fn name(&self) -> &'static str {
-        "interleaved"
-    }
-
-    fn drive<'p>(&self, mut engine: Engine<'p>) -> EngineResult<Engine<'p>> {
-        let n = engine.num_workers();
-        while !engine.halted() {
-            engine.begin_round();
-            let mut progress = false;
-            for w in 0..n {
-                if engine.halted() {
-                    break;
-                }
-                progress |= engine.step_slot(w)?;
-                deliver_logged_events(&mut engine);
+fn drive_interleaved(mut engine: Engine<'_>) -> EngineResult<Engine<'_>> {
+    let n = engine.num_workers();
+    while !engine.halted() {
+        engine.begin_round();
+        let mut progress = false;
+        for w in 0..n {
+            if engine.halted() {
+                break;
             }
-            engine.end_round(progress)?;
+            progress |= engine.step_slot(w)?;
         }
-        // A `resume` leg can log cancel requests before any slot runs (its
-        // backtrack happens outside the round structure) and halt at once;
-        // fold that tail so notification accounting stays exact.
-        deliver_logged_events(&mut engine);
-        Ok(engine)
+        engine.end_round(progress)?;
     }
-}
-
-/// Deliver, in place, the steal and cancel notifications logged since the
-/// last call.  A slot that logged nothing (almost all of them) costs one
-/// relaxed load.
-fn deliver_logged_events(engine: &mut Engine<'_>) {
-    if !engine.events_logged() {
-        return;
-    }
-    for ev in engine.drain_steals() {
-        engine.deliver_steal_notices(ev.victim, 1);
-    }
-    for ev in engine.drain_cancels() {
-        engine.deliver_cancel_notices(ev.executor, 1);
-    }
+    Ok(engine)
 }
 
 // ---------------------------------------------------------------------
 // The relaxed backend: free-running threads over owned arenas.
 // ---------------------------------------------------------------------
 
-/// Instructions a relaxed worker executes between channel polls and shared
-/// bookkeeping flushes.  Large enough to amortise the poll, small enough
-/// that completion/steal notifications are observed promptly.
+/// Instructions a relaxed worker executes per batch; between batches it
+/// re-reads the shared halted/abort flags, checks the fuel budget and
+/// flushes its shared bookkeeping.  Large enough to amortise that, small
+/// enough that a finish, an abort or a preemption is observed promptly.
 ///
 /// This is also the status-staleness bound of the flat executor's batch
 /// loop: within a batch, driver-free goal transitions keep the worker in
@@ -237,89 +198,43 @@ const DEADLINE_CHECK_BATCHES: u32 = 8;
 /// True per-arena parallel execution (relaxed determinism): one free-running
 /// OS thread per PE, each mutating only its own worker state through `Step`
 /// and referencing its own Stack Set arena lock-free; cross-PE traffic rides
-/// the per-arena book locks, the per-PE boards and the steal-note channels.  Nothing
-/// serialises the threads, so `--threads N` buys real wall-clock speedup;
-/// see the module docs for exactly which observables stay invariant.
-pub struct ThreadedRelaxed;
-
-impl Scheduler for ThreadedRelaxed {
-    fn name(&self) -> &'static str {
-        "threaded-relaxed"
-    }
-
-    fn drive<'p>(&self, engine: Engine<'p>) -> EngineResult<Engine<'p>> {
-        let n = engine.num_workers();
-        let (core, mut workers) = engine.into_parts();
-        // One note channel per PE, carrying steal notices (as the victim)
-        // and cancel notices (as the executor).  The driver keeps a
-        // receiver clone per channel to drain notes that arrive after the
-        // thread has already exited (each note is consumed exactly once:
-        // either by the owning thread or by the final drain).
-        let (txs, rxs): (Vec<Sender<RelaxedNote>>, Vec<Receiver<RelaxedNote>>) =
-            (0..n).map(|_| unbounded()).unzip();
-        let driver_rxs: Vec<Receiver<RelaxedNote>> = rxs.iter().map(Receiver::clone).collect();
-
-        thread::scope(|scope| {
-            for ((w, wk), rx) in workers.iter_mut().enumerate().zip(rxs) {
-                let core = &core;
-                let txs = txs.clone();
-                scope.spawn(move || {
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        relaxed_pe_loop(core, w, wk, &rx, &txs)
-                    }));
-                    match run {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => core.abort_with(e),
-                        Err(payload) => {
-                            // Wind the other threads down, then let the
-                            // panic re-raise through the scope join.
-                            core.abort_with(EngineError::Internal(format!(
-                                "relaxed scheduler: worker {w} thread panicked"
-                            )));
-                            std::panic::resume_unwind(payload);
-                        }
+/// the per-arena book locks and the per-PE boards.  Nothing serialises the
+/// threads, so `--threads N` buys real wall-clock speedup; see the module
+/// docs for exactly which observables stay invariant.
+fn drive_relaxed(mut engine: Engine<'_>) -> EngineResult<Engine<'_>> {
+    let core = &engine.core;
+    thread::scope(|scope| {
+        for (w, wk) in engine.workers.iter_mut().enumerate() {
+            scope.spawn(move || {
+                let run =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| relaxed_pe_loop(core, w, wk)));
+                match run {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => core.abort_with(e),
+                    Err(payload) => {
+                        // Wind the other threads down, then let the
+                        // panic re-raise through the scope join.
+                        core.abort_with(EngineError::Internal(format!(
+                            "relaxed scheduler: worker {w} thread panicked"
+                        )));
+                        std::panic::resume_unwind(payload);
                     }
-                });
-            }
-        });
-
-        let mut engine = Engine::from_parts(core, workers);
-        for (pe, rx) in driver_rxs.iter().enumerate() {
-            let (mut steals, mut cancels) = (0u64, 0u64);
-            while let Ok(note) = rx.try_recv() {
-                match note {
-                    RelaxedNote::Steal => steals += 1,
-                    RelaxedNote::Cancel => cancels += 1,
                 }
-            }
-            if steals > 0 {
-                engine.deliver_steal_notices(pe, steals);
-            }
-            if cancels > 0 {
-                engine.deliver_cancel_notices(pe, cancels);
-            }
+            });
         }
-        if let Some(e) = engine.core().take_abort() {
-            return Err(e);
-        }
-        if !engine.halted() {
-            return Err(EngineError::Internal("relaxed scheduler exited without an outcome".into()));
-        }
-        // Free-running threads have no rounds; report the critical-path
-        // estimate (the busiest worker's slot count) as elapsed cycles.
-        let critical_path = engine.workers.iter().map(|w| w.instructions + w.idle_cycles).max().unwrap_or(0);
-        engine.core().set_cycles(critical_path);
-        Ok(engine)
-    }
-}
+    });
 
-/// A cross-thread notification of the relaxed backend (the semantic content
-/// of both kinds rides the shared boards; these keep the per-worker books).
-enum RelaxedNote {
-    /// A goal was taken from this PE's Goal Stack.
-    Steal,
-    /// An in-flight goal this PE is executing was cancelled.
-    Cancel,
+    if let Some(e) = core.take_abort() {
+        return Err(e);
+    }
+    if !engine.halted() {
+        return Err(EngineError::Internal("relaxed scheduler exited without an outcome".into()));
+    }
+    // Free-running threads have no rounds; report the critical-path
+    // estimate (the busiest worker's slot count) as elapsed cycles.
+    let critical_path = engine.workers.iter().map(|w| w.instructions + w.idle_cycles).max().unwrap_or(0);
+    core.set_cycles(critical_path);
+    Ok(engine)
 }
 
 /// The body of one PE's free-running thread.
@@ -327,8 +242,6 @@ fn relaxed_pe_loop(
     core: &crate::engine::EngineCore<'_>,
     w: usize,
     wk: &mut crate::worker::Worker,
-    rx: &Receiver<RelaxedNote>,
-    txs: &[Sender<RelaxedNote>],
 ) -> EngineResult<()> {
     let stall_timeout = core.config.stall_timeout;
     let mut step = crate::engine::Step { core, wk };
@@ -340,28 +253,11 @@ fn relaxed_pe_loop(
         if core.halted() || core.is_aborted() {
             return Ok(());
         }
-        // Fold in the steal/cancel notices other PEs sent this one.
-        while let Ok(note) = rx.try_recv() {
-            match note {
-                RelaxedNote::Steal => step.wk.steal_notices += 1,
-                RelaxedNote::Cancel => step.wk.cancel_notices += 1,
-            }
-        }
         let progress = match step.wk.status {
             WorkerStatus::Stopped => return Ok(()),
             WorkerStatus::Running => step.exec_batch(RELAXED_BATCH)? > 0,
             _ => step.run_slot()?,
         };
-        // Steals and cancel requests this worker just performed become real
-        // cross-thread messages to each victim's / executor's thread.
-        for ev in core.drain_steals_of(w) {
-            debug_assert_eq!(ev.thief, w);
-            let _ = txs[ev.victim].send(RelaxedNote::Steal);
-        }
-        for ev in core.drain_cancels_of(w) {
-            debug_assert_eq!(ev.canceller, w);
-            let _ = txs[ev.executor].send(RelaxedNote::Cancel);
-        }
         if progress {
             idle_spins = 0;
             stall_since = None;
@@ -440,16 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_for_resolves_every_backend() {
+    fn only_threaded_relaxed_free_runs() {
         use DeterminismMode::{Relaxed, Strict};
         use SchedulerKind::{Interleaved, Threaded};
-        for (kind, mode, backend) in [
-            (Interleaved, Strict, "interleaved"),
-            (Interleaved, Relaxed, "interleaved"),
-            (Threaded, Strict, "interleaved"),
-            (Threaded, Relaxed, "threaded-relaxed"),
+        for (kind, mode, threads) in [
+            (Interleaved, Strict, false),
+            (Interleaved, Relaxed, false),
+            (Threaded, Strict, false),
+            (Threaded, Relaxed, true),
         ] {
-            assert_eq!(scheduler_for(kind, mode).name(), backend, "{kind:?} x {mode:?}");
+            assert_eq!(free_running(kind, mode), threads, "{kind:?} x {mode:?}");
         }
     }
 }

@@ -188,12 +188,6 @@ pub struct Worker {
     pub idle_cycles: u64,
     /// Goals this worker took from another worker's Goal Stack.
     pub goals_stolen: u64,
-    /// Steal notifications received as a victim (delivered by the scheduler:
-    /// over channels on the relaxed backend, in place on the reference one).
-    pub steal_notices: u64,
-    /// `cancel_goal` notifications received as the executor of an in-flight
-    /// stolen goal (delivered by the scheduler alongside steal notices).
-    pub cancel_notices: u64,
     /// Stolen goals this worker aborted mid-flight on a `cancel_goal`
     /// request (each still committed through the completion protocol).
     pub goals_aborted: u64,
@@ -289,7 +283,7 @@ pub struct Worker {
 
 impl Worker {
     /// Create a worker with empty areas, ready to run.
-    pub fn new(id: u8, map: &AddressMap, num_x: usize) -> Self {
+    pub fn new(id: u8, map: &AddressMap) -> Self {
         let w = id as usize;
         let heap_base = map.area_base(w, Area::Heap);
         let local_base = map.area_base(w, Area::LocalStack);
@@ -322,7 +316,7 @@ impl Worker {
             mode: Mode::Read,
             tr: trail_base,
             pdl: pdl_base,
-            x: vec![Cell::Empty; num_x + 1],
+            x: vec![Cell::Empty; pwam_compiler::MAX_X_REGS + 1],
             num_args: 0,
             pf: NONE_ADDR,
             local_top: local_base,
@@ -333,8 +327,6 @@ impl Worker {
             instructions: 0,
             idle_cycles: 0,
             goals_stolen: 0,
-            steal_notices: 0,
-            cancel_notices: 0,
             goals_aborted: 0,
             goals_while_cancelling: 0,
             steal_attempts: 0,
@@ -430,19 +422,19 @@ mod tests {
     #[test]
     fn new_worker_points_at_its_own_areas() {
         let map = AddressMap::new(MemoryConfig::small(), 3);
-        let w0 = Worker::new(0, &map, 32);
-        let w2 = Worker::new(2, &map, 32);
+        let w0 = Worker::new(0, &map);
+        let w2 = Worker::new(2, &map);
         assert_eq!(w0.heap_base, 0);
         assert!(w2.heap_base > w0.msg_base);
         assert_eq!(w0.h, w0.heap_base);
         assert_eq!(w2.status, WorkerStatus::Idle);
-        assert_eq!(w2.x.len(), 33);
+        assert_eq!(w2.x.len(), pwam_compiler::MAX_X_REGS + 1);
     }
 
     #[test]
     fn high_water_marks_track_allocation() {
         let map = AddressMap::new(MemoryConfig::small(), 1);
-        let mut w = Worker::new(0, &map, 8);
+        let mut w = Worker::new(0, &map);
         w.h += 100;
         w.tr += 5;
         w.update_high_water();

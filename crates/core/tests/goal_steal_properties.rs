@@ -47,7 +47,6 @@ fn run_checked(list: &[i64], k: i64, workers: usize) -> String {
             progress |= engine.step_slot(w).expect("step");
         }
         engine.end_round(progress).expect("round");
-        engine.drain_steals();
         engine
             .check_consistency()
             .unwrap_or_else(|e| panic!("inconsistent after round {rounds} ({workers} workers): {e}"));
@@ -95,7 +94,6 @@ fn steals_actually_happen_and_stay_consistent() {
     let compiled = session.compile("try([1,5,2,9,3,7], 4, R)", true).expect("compiles");
     let config = EngineConfig { num_workers: 4, memory: MemoryConfig::small(), ..EngineConfig::default() };
     let mut engine = Engine::new(&compiled, config);
-    let mut steals = 0usize;
     while engine.finished().is_none() {
         engine.begin_round();
         let mut progress = false;
@@ -103,10 +101,12 @@ fn steals_actually_happen_and_stay_consistent() {
             progress |= engine.step_slot(w).expect("step");
         }
         engine.end_round(progress).expect("round");
-        steals += engine.drain_steals().len();
         engine.check_consistency().expect("consistent between rounds");
     }
-    assert!(steals > 0, "no goal was ever stolen");
+    let stats = engine.stats();
+    let notices: u64 = stats.workers.iter().map(|w| w.steal_notices).sum();
+    assert!(notices > 0, "no goal was ever stolen");
+    assert_eq!(notices, stats.goals_actually_parallel);
     let result = engine.into_result(session.symbols()).expect("result");
     assert_eq!(session.render(result.outcome.binding("R").expect("R")), "pair(5,5)");
 }

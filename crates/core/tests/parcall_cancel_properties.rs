@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{scheduler_for, DeterminismMode, Engine, EngineConfig, MemoryConfig, Outcome, SchedulerKind};
+use rapwam::{DeterminismMode, Engine, EngineConfig, MemoryConfig, Outcome, SchedulerKind};
 
 /// Worker count for the parallel runs (`PWAM_THREADS`, default 4).
 fn threads() -> usize {
@@ -94,8 +94,7 @@ fn run_config(
         determinism,
         ..EngineConfig::default()
     };
-    let engine = Engine::new(&compiled, config);
-    let engine = scheduler_for(scheduler, determinism).drive(engine).expect("drive");
+    let (_, engine) = Engine::new(&compiled, config).run_resumable().expect("drive");
     assert_eq!(
         engine.pending_goal_frames(),
         0,

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{scheduler_for, DeterminismMode, Engine, EngineConfig, MemoryConfig, Outcome, SchedulerKind};
+use rapwam::{DeterminismMode, Engine, EngineConfig, MemoryConfig, Outcome, SchedulerKind};
 
 /// A program whose parallel goals backtrack through `pick/2` alternatives
 /// before succeeding, and whose parallel call fails outright when no list
@@ -45,9 +45,7 @@ fn run_relaxed_checked(program: &str, query: &str, workers: usize) -> String {
         determinism: DeterminismMode::Relaxed,
         ..EngineConfig::default()
     };
-    let engine = Engine::new(&compiled, config);
-    let backend = scheduler_for(SchedulerKind::Threaded, DeterminismMode::Relaxed);
-    let engine = backend.drive(engine).expect("relaxed drive");
+    let (_, engine) = Engine::new(&compiled, config).run_resumable().expect("relaxed drive");
     engine
         .check_consistency()
         .unwrap_or_else(|e| panic!("inconsistent stack sets after relaxed run ({workers} workers): {e}"));

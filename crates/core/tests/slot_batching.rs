@@ -136,7 +136,7 @@ fn step_limit_fires_at_the_same_instruction() {
 #[test]
 fn two_pe_trace_with_steals_is_unchanged() {
     // (benchmark, trace length, fingerprint) on two PEs; steals happen, so
-    // the driver's conditional log drain is on the path.
+    // the per-board steal count is on the path.
     let goldens: [(BenchmarkId, usize, u64); 2] =
         [(BenchmarkId::Deriv, 1725, 0xb43083a3afa69624), (BenchmarkId::Fib, 24504, 0x32fe3032bc67c83c)];
     for (id, len, fp) in goldens {
@@ -148,6 +148,10 @@ fn two_pe_trace_with_steals_is_unchanged() {
             let notices: u64 = result.stats.workers.iter().map(|w| w.steal_notices).sum();
             assert!(stolen > 0, "{what}: no steal occurred");
             assert_eq!(notices, stolen, "{what}: every steal must reach its victim's books");
+            // With two PEs the victim of a steal is the other one.
+            let pes = &result.stats.workers;
+            assert_eq!(pes[0].steal_notices, pes[1].goals_stolen, "{what}: PE 0 as victim");
+            assert_eq!(pes[1].steal_notices, pes[0].goals_stolen, "{what}: PE 1 as victim");
             assert_eq!(trace.len(), len, "{what}: trace length");
             assert_eq!(fingerprint(&trace), fp, "{what}: trace fingerprint");
         }

@@ -8,11 +8,12 @@
 //! cache, cursor table, tenant quotas, metrics) and the verb handlers the
 //! loop's workers call.
 
-use crate::cache::ProgramCache;
+use crate::cache::{CacheEntry, ProgramCache};
 use crate::metrics::{FlightRecorder, ServerMetrics, FLIGHT_RECORDER_CAP};
 use crate::pool::{AcquireError, CursorTable, EnginePool, ParkedQuery, PoolConfig, SlotGuard};
 use crate::protocol::{AnswerResponse, ErrorKind, QueryRequest, Response, StatsResponse};
-use crate::tenant::TenantTable;
+use crate::tenant::{TenantGuard, TenantTable};
+use pwam_compiler::CompiledProgram;
 use rapwam::session::{CursorStep, QueryOptions, SessionError};
 use rapwam::{EngineError, MemoryConfig, Outcome};
 use std::io;
@@ -207,32 +208,12 @@ pub(crate) fn handle_query(state: &ServerState, req: QueryRequest, arrived: Inst
 /// Execute one query request against the cache + pool.
 fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Response {
     state.metrics.queries.inc();
-    if req.workers == 0 || req.workers > state.config.max_workers {
-        state.metrics.protocol_errors.inc();
-        return Response::Error {
-            kind: ErrorKind::Protocol,
-            message: format!("workers must be 1..={}", state.config.max_workers),
-        };
-    }
-    // Tenant quota first: a tenant at its cap must not consume compile
-    // time or a pool slot.  The guard spans the whole request.
-    let _tenant = match state.tenants.admit(req.tenant.as_deref()) {
-        Ok(guard) => guard,
-        Err(active) => return quota_rejected(state, &req, active),
+    // The tenant guard spans the whole request.
+    let Admitted { _tenant, deadline, entry, compiled, compile_us, mut options } = match admit(state, &req) {
+        Ok(admitted) => admitted,
+        Err(response) => return response,
     };
-    let deadline = req.deadline_ms.map(Duration::from_millis).or(state.config.default_deadline);
-
-    // Program + query compilation (cached).
-    let compile_started = Instant::now();
-    let entry = match state.cache.entry(&req.program) {
-        Ok(e) => e,
-        Err(e) => return compile_error(state, e),
-    };
-    let compiled = match entry.prepared(&req.query, req.parallel) {
-        Ok(c) => c,
-        Err(e) => return compile_error(state, e),
-    };
-    state.metrics.compile_us.observe(compile_started.elapsed().as_micros() as u64);
+    state.metrics.compile_us.observe(compile_us);
 
     // Admission: one pool slot per running engine.  The queue-wait
     // histogram records successful admissions (rejections and timeouts
@@ -240,18 +221,7 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
     let wait_started = Instant::now();
     let mut slot = match state.pool.acquire(deadline) {
         Ok(s) => s,
-        Err(AcquireError::Rejected) => {
-            return Response::Error {
-                kind: ErrorKind::Rejected,
-                message: "server is at capacity (wait queue full)".to_string(),
-            }
-        }
-        Err(AcquireError::Timeout) => {
-            return Response::Error {
-                kind: ErrorKind::QueueTimeout,
-                message: "no engine slot freed up within the wait budget".to_string(),
-            }
-        }
+        Err(e) => return acquire_error(e),
     };
     state.metrics.queue_wait_us.observe(wait_started.elapsed().as_micros() as u64);
 
@@ -265,17 +235,7 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
             message: "deadline exhausted before the engine could start".to_string(),
         };
     }
-    let options = QueryOptions {
-        parallel: req.parallel,
-        workers: req.workers,
-        memory: state.config.memory,
-        scheduler: req.scheduler,
-        determinism: req.determinism,
-        stall_timeout: state.config.stall_timeout,
-        time_budget: remaining,
-        fuel: req.fuel.or(state.config.default_fuel),
-        ..QueryOptions::default()
-    };
+    options.time_budget = remaining;
 
     let recycled = slot.take_memory();
     let started = Instant::now();
@@ -322,6 +282,57 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
     }
 }
 
+/// What a query-shaped request (`query`, `query-open`) settles before it
+/// asks for a pool slot.
+struct Admitted<'a> {
+    /// The tenant's admission, released when the request is done with it.
+    _tenant: TenantGuard<'a>,
+    /// The request's deadline, or the server's default.
+    deadline: Option<Duration>,
+    entry: Arc<CacheEntry>,
+    compiled: Arc<CompiledProgram>,
+    /// What the (cached) program + query compilation took.
+    compile_us: u64,
+    /// The engine options of the request, with `deadline` as the time
+    /// budget and fuel as sent or defaulted.  Both are *per-leg* budgets:
+    /// the engine re-arms them at every resume, so each `query-next` gets
+    /// the full allotment and a preempted leg picks up where it stopped.
+    options: QueryOptions,
+}
+
+/// The admission prologue of `query` and `query-open`: worker-count check,
+/// tenant quota, deadline, cached compilation, engine options.
+fn admit<'a>(state: &'a ServerState, req: &QueryRequest) -> Result<Admitted<'a>, Response> {
+    if req.workers == 0 || req.workers > state.config.max_workers {
+        state.metrics.protocol_errors.inc();
+        return Err(Response::Error {
+            kind: ErrorKind::Protocol,
+            message: format!("workers must be 1..={}", state.config.max_workers),
+        });
+    }
+    // Tenant quota first: a tenant at its cap must not consume compile
+    // time or a pool slot.
+    let _tenant =
+        state.tenants.admit(req.tenant.as_deref()).map_err(|active| quota_rejected(state, req, active))?;
+    let deadline = req.deadline_ms.map(Duration::from_millis).or(state.config.default_deadline);
+    let compile_started = Instant::now();
+    let entry = state.cache.entry(&req.program).map_err(|e| compile_error(state, e))?;
+    let compiled = entry.prepared(&req.query, req.parallel).map_err(|e| compile_error(state, e))?;
+    let compile_us = compile_started.elapsed().as_micros() as u64;
+    let options = QueryOptions {
+        parallel: req.parallel,
+        workers: req.workers,
+        memory: state.config.memory,
+        scheduler: req.scheduler,
+        determinism: req.determinism,
+        stall_timeout: state.config.stall_timeout,
+        time_budget: deadline,
+        fuel: req.fuel.or(state.config.default_fuel),
+        ..QueryOptions::default()
+    };
+    Ok(Admitted { _tenant, deadline, entry, compiled, compile_us, options })
+}
+
 /// Reject a request whose tenant is already at its admission quota.
 fn quota_rejected(state: &ServerState, req: &QueryRequest, active: u64) -> Response {
     state.metrics.quota_rejections.inc();
@@ -362,31 +373,14 @@ fn acquire_error(e: AcquireError) -> Response {
 /// engine work beyond the acquire itself.
 pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Response {
     sweep_idle_cursors(state);
-    if req.workers == 0 || req.workers > state.config.max_workers {
-        state.metrics.protocol_errors.inc();
-        return Response::Error {
-            kind: ErrorKind::Protocol,
-            message: format!("workers must be 1..={}", state.config.max_workers),
-        };
-    }
     // The quota covers the open itself; a *parked* cursor holds no tenant
     // slot (parked means not executing), just as it holds no pool slot.
-    let _tenant = match state.tenants.admit(req.tenant.as_deref()) {
-        Ok(guard) => guard,
-        Err(active) => return quota_rejected(state, &req, active),
-    };
     // The request deadline becomes the *per-leg* time budget: `resume`
     // re-arms the engine clock, so each `query-next` gets the full budget
     // rather than the whole stream sharing one.
-    let deadline = req.deadline_ms.map(Duration::from_millis).or(state.config.default_deadline);
-
-    let entry = match state.cache.entry(&req.program) {
-        Ok(e) => e,
-        Err(e) => return compile_error(state, e),
-    };
-    let compiled = match entry.prepared(&req.query, req.parallel) {
-        Ok(c) => c,
-        Err(e) => return compile_error(state, e),
+    let Admitted { _tenant, deadline, entry, compiled, options, .. } = match admit(state, &req) {
+        Ok(admitted) => admitted,
+        Err(response) => return response,
     };
 
     // Borrow a slot only to inherit its warm arenas; the engine parks
@@ -397,20 +391,6 @@ pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Respo
     };
     let warm = recycled.is_some();
     state.pool.record_run(warm);
-    let options = QueryOptions {
-        parallel: req.parallel,
-        workers: req.workers,
-        memory: state.config.memory,
-        scheduler: req.scheduler,
-        determinism: req.determinism,
-        stall_timeout: state.config.stall_timeout,
-        time_budget: deadline,
-        // Like the deadline, fuel is a *per-leg* budget: the engine
-        // re-arms it at every resume, so each `query-next` gets the full
-        // allotment and a preempted leg picks up exactly where it stopped.
-        fuel: req.fuel.or(state.config.default_fuel),
-        ..QueryOptions::default()
-    };
     let cursor = {
         let session = entry.session.read().unwrap();
         match session.open_cursor(&compiled, &options, recycled) {
