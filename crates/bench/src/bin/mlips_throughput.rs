@@ -1,7 +1,8 @@
 //! Measure executor throughput (MIPS: millions of abstract-machine
 //! instructions per second) through both dispatch paths — the flattened
-//! pre-decoded fast path and the classic pre-flattening baseline — and
-//! record the comparison in `BENCH_mlips.json`.
+//! pre-decoded fast path and the classic pre-flattening baseline — and of
+//! the same programs compiled sequentially (the WAM a CGE-annotated run is an
+//! overhead over), and record the comparison in `BENCH_mlips.json`.
 //!
 //! This is the host-speed companion to the `mlips` binary (which
 //! regenerates the paper's Section 3.3 back-of-envelope model from
@@ -38,19 +39,21 @@ fn main() {
 
     let mut reports: Vec<MlipsComparison> = Vec::new();
     println!(
-        "{:<8} {:>12} {:>14} {:>11} {:>9} {:>7}",
-        "bench", "instrs", "classic MIPS", "flat MIPS", "speedup", "floor"
+        "{:<8} {:>12} {:>14} {:>11} {:>9} {:>7} {:>10} {:>13}",
+        "bench", "instrs", "classic MIPS", "flat MIPS", "speedup", "floor", "WAM MIPS", "CGE/WAM time"
     );
     for id in BenchmarkId::EXTENDED {
         let c = compare_dispatch_paths(id, scale, runs);
         println!(
-            "{:<8} {:>12} {:>14.2} {:>11.2} {:>8.2}x {:>7.2}",
+            "{:<8} {:>12} {:>14.2} {:>11.2} {:>8.2}x {:>7.2} {:>10.2} {:>12.2}x",
             id.name(),
             c.instructions,
             c.classic_mips,
             c.flat_mips,
             c.speedup,
-            c.floor
+            c.floor,
+            c.wam_mips,
+            c.cge_over_wam_time
         );
         reports.push(c);
     }

@@ -328,9 +328,6 @@ pub struct EngineCore<'p> {
     /// `cycles` value at or past which `end_round` next checks the
     /// wall-clock deadline (every 1024 cycles).
     next_deadline_check: u64,
-    pub(crate) parcalls: AtomicU64,
-    parallel_goals: AtomicU64,
-    pub(crate) inferences: AtomicU64,
     /// Failures that reached a parallel-goal boundary or crossed a Parcall
     /// Frame on the failing worker's `PF` chain.  Zero here is a *logical*
     /// property (independence makes every goal's success or failure
@@ -598,9 +595,6 @@ impl<'p> Engine<'p> {
                 steps: AtomicU64::new(0),
                 cycles: AtomicU64::new(0),
                 next_deadline_check: DEADLINE_CHECK_CYCLES,
-                parcalls: AtomicU64::new(0),
-                parallel_goals: AtomicU64::new(0),
-                inferences: AtomicU64::new(0),
                 parcall_failures: AtomicU64::new(0),
                 parcalls_cancelled: AtomicU64::new(0),
                 goals_cancelled: AtomicU64::new(0),
@@ -893,9 +887,6 @@ impl<'p> Engine<'p> {
         *core.steps.get_mut() = 0;
         *core.cycles.get_mut() = 0;
         core.next_deadline_check = DEADLINE_CHECK_CYCLES;
-        *core.parcalls.get_mut() = 0;
-        *core.parallel_goals.get_mut() = 0;
-        *core.inferences.get_mut() = 0;
         *core.parcall_failures.get_mut() = 0;
         *core.parcalls_cancelled.get_mut() = 0;
         *core.goals_cancelled.get_mut() = 0;
@@ -1303,10 +1294,10 @@ impl<'p> Engine<'p> {
             reads: area_stats.total.reads,
             writes: area_stats.total.writes,
             elapsed_cycles: self.core.cycles.load(Ordering::Relaxed),
-            parcalls: self.core.parcalls.load(Ordering::Relaxed),
-            parallel_goals: self.core.parallel_goals.load(Ordering::Relaxed),
+            parcalls: self.workers.iter().map(|w| w.parcalls).sum(),
+            parallel_goals: self.workers.iter().map(|w| w.parallel_goals).sum(),
             goals_actually_parallel: workers.iter().map(|w| w.goals_stolen).sum(),
-            inferences: self.core.inferences.load(Ordering::Relaxed),
+            inferences: self.workers.iter().map(|w| w.inferences).sum(),
             parcall_failures: self.core.parcall_failures.load(Ordering::Relaxed),
             parcalls_cancelled: self.core.parcalls_cancelled.load(Ordering::Relaxed),
             goals_cancelled: self.core.goals_cancelled.load(Ordering::Relaxed),
@@ -1387,19 +1378,27 @@ impl<'a, 'p> Step<'a, 'p> {
     // Owner-path accessors
     // -----------------------------------------------------------------
     //
-    // On the owner path ([`Worker::owner_path`]: tracing off, flat
-    // dispatch — either backend), accesses that land in this worker's own
-    // Stack Set skip the arena dispatch and the book lock entirely: the word
-    // moves through [`Memory::owner_read`] / [`Memory::owner_write`] and the
-    // reference is *counted* in the worker-local [`crate::trace::RefDelta`],
-    // which `flush_ref_delta` folds back into the arena's counters at batch
-    // boundaries.  Aggregate statistics are identical to unbatched
-    // accounting (the access itself still happens at the same point in the
-    // instruction stream); with tracing on the owner path is off and every
-    // access takes the fully recorded path, so traces are byte-for-byte
-    // unchanged.  Parcall Frame words never come this way: their counters
-    // are only atomic against other *recorded* accesses
-    // ([`Memory::rmw_uint`]).
+    // Every data reference the machine makes goes through `mem_read`,
+    // `mem_write` or `mem_rmw` (the one exception is `post_message`, which
+    // only ever writes into another PE's buffer).  On the owner path
+    // ([`Worker::owner_path`]: tracing off, flat dispatch — either backend),
+    // accesses that land in this worker's own Stack Set skip the arena
+    // dispatch and the book lock entirely, whatever their object kind: the
+    // word moves through [`Memory::owner_read`] / [`Memory::owner_write`] /
+    // [`Memory::owner_rmw_uint`] and the reference is *counted* in the
+    // worker-local [`crate::trace::RefDelta`], which `flush_ref_delta` folds
+    // back into the arena's counters at batch boundaries.  Aggregate
+    // statistics are identical to unbatched accounting (the access itself
+    // still happens at the same point in the instruction stream); with
+    // tracing on the owner path is off and every access takes the fully
+    // recorded path, so traces are byte-for-byte unchanged.  A parallel goal
+    // nobody stole therefore costs its parent no lock and no shared counter
+    // beyond the board push and pop.  Only references into *another* PE's
+    // Stack Set are recorded under that arena's book lock: a thief's reads of
+    // the Goal Frame it took, its slot and counter updates in the parent's
+    // Parcall Frame, its Message, its bindings.  The Parcall counters stay
+    // exact across the two paths because their updates are atomic in the word
+    // itself (see the Concurrency section of [`crate::mem`]).
 
     /// Whether `addr` lies in this worker's own Stack Set.
     #[inline(always)]
@@ -1411,16 +1410,7 @@ impl<'a, 'p> Step<'a, 'p> {
     #[inline(always)]
     fn on_owner_path(&self, addr: u32, object: ObjectKind) -> bool {
         let own = self.wk.owner_path && self.own_addr(addr);
-        if own {
-            debug_assert_eq!(self.core.mem.map.area_of(addr), object.area());
-            debug_assert!(
-                !matches!(
-                    object,
-                    ObjectKind::ParcallLocal | ObjectKind::ParcallGlobal | ObjectKind::ParcallCount
-                ),
-                "Parcall Frame word {addr} on the unlocked owner path"
-            );
-        }
+        debug_assert!(!own || self.core.mem.map.area_of(addr) == object.area());
         own
     }
 
@@ -1443,6 +1433,31 @@ impl<'a, 'p> Step<'a, 'p> {
             self.core.mem.owner_write(self.wk.id as usize, addr - self.wk.heap_base, value, object.area());
         } else {
             self.core.mem.write(self.wk.id, addr, value, object);
+        }
+    }
+
+    /// Atomically replace the `Uint` at `addr` by `f` of it and return the
+    /// value replaced — one read and one write, through the unrecorded owner
+    /// path when available.  `f` may run more than once when updates race.
+    #[inline(always)]
+    pub(crate) fn mem_rmw(
+        &mut self,
+        addr: u32,
+        object: ObjectKind,
+        f: impl FnMut(u32) -> u32,
+    ) -> EngineResult<u32> {
+        if self.on_owner_path(addr, object) {
+            self.wk.ref_delta.count(object, false);
+            let old = self.core.mem.owner_rmw_uint(
+                self.wk.id as usize,
+                addr - self.wk.heap_base,
+                object.area(),
+                f,
+            )?;
+            self.wk.ref_delta.count(object, true);
+            Ok(old)
+        } else {
+            self.core.mem.rmw_uint(self.wk.id, addr, object, f)
         }
     }
 
@@ -1532,8 +1547,8 @@ impl<'a, 'p> Step<'a, 'p> {
         if core.halted() {
             return Ok(false);
         }
-        match self.wk.status {
-            WorkerStatus::Stopped => Ok(false),
+        let progress = match self.wk.status {
+            WorkerStatus::Stopped => return Ok(false),
             WorkerStatus::Running => {
                 if core.config.num_workers > 1 {
                     self.exec_batch(core.config.quantum)?;
@@ -1552,11 +1567,11 @@ impl<'a, 'p> Step<'a, 'p> {
                 let executed = self.exec_batch(due.clamp(1, SLOT_CAP as u64) as u32)?;
                 // `begin_round` counted the first instruction's cycle.
                 core.cycles.fetch_add((executed as u64).saturating_sub(1), Ordering::Relaxed);
-                Ok(true)
+                return Ok(true);
             }
             WorkerStatus::Idle => {
                 self.wk.idle_cycles += 1;
-                self.try_dispatch_work(Resume::Idle)
+                self.try_dispatch_work(Resume::Idle)?
             }
             WorkerStatus::WaitingAtPcall { addr, pf } => {
                 self.wk.idle_cycles += 1;
@@ -1571,9 +1586,9 @@ impl<'a, 'p> Step<'a, 'p> {
                 if done >= n || status == parcall::STATUS_FAILED {
                     self.wk.p = addr;
                     self.wk.status = WorkerStatus::Running;
-                    Ok(true)
+                    true
                 } else {
-                    self.try_dispatch_work(Resume::ToWait { addr })
+                    self.try_dispatch_work(Resume::ToWait { addr })?
                 }
             }
             WorkerStatus::Cancelling { pf } => {
@@ -1586,7 +1601,7 @@ impl<'a, 'p> Step<'a, 'p> {
                     self.core.mem.read_untraced(pf + parcall::COMPLETED).expect_uint("pcall completed");
                 if done >= n {
                     self.finish_cancellation(pf)?;
-                    Ok(true)
+                    true
                 } else {
                     // The drain can take arbitrarily long (an in-flight
                     // stolen goal only honours its `cancel_goal` at a batch
@@ -1595,10 +1610,15 @@ impl<'a, 'p> Step<'a, 'p> {
                     // steals goals from *other* PEs meanwhile, exactly like
                     // an idle worker.  See `try_dispatch_work` for why only
                     // stolen (never own-board) goals are safe here.
-                    self.try_dispatch_work(Resume::ToCancel { pf })
+                    self.try_dispatch_work(Resume::ToCancel { pf })?
                 }
             }
-        }
+        };
+        // A scheduling action's references to this worker's own Stack Set
+        // (picking a goal up, re-reading a drained frame) were counted outside
+        // any batch: fold them in before the driver can read the counters.
+        self.flush_ref_delta();
+        Ok(progress)
     }
 
     /// Execute up to `max` instructions while the worker stays `Running` and
@@ -1742,14 +1762,12 @@ impl<'a, 'p> Step<'a, 'p> {
     /// registers), producing the image `start_goal` consumes.  Callers hold
     /// the owning board's lock.
     fn read_goal_frame(&mut self, frame: u32) -> GoalFrameImage {
-        let pe = self.wk.id;
-        let mem = &self.core.mem;
-        let code = mem.read(pe, frame + goal_frame::CODE, ObjectKind::GoalFrame).expect_code("goal code");
-        let arity = mem.read(pe, frame + goal_frame::ARITY, ObjectKind::GoalFrame).expect_uint("goal arity");
-        let pf = mem.read(pe, frame + goal_frame::PF, ObjectKind::GoalFrame).expect_uint("goal pf");
-        let slot = mem.read(pe, frame + goal_frame::SLOT, ObjectKind::GoalFrame).expect_uint("goal slot");
+        let code = self.mem_read(frame + goal_frame::CODE, ObjectKind::GoalFrame).expect_code("goal code");
+        let arity = self.mem_read(frame + goal_frame::ARITY, ObjectKind::GoalFrame).expect_uint("goal arity");
+        let pf = self.mem_read(frame + goal_frame::PF, ObjectKind::GoalFrame).expect_uint("goal pf");
+        let slot = self.mem_read(frame + goal_frame::SLOT, ObjectKind::GoalFrame).expect_uint("goal slot");
         for i in 0..arity {
-            let c = mem.read(pe, goal_frame::arg(frame, i), ObjectKind::GoalFrame);
+            let c = self.mem_read(goal_frame::arg(frame, i), ObjectKind::GoalFrame);
             self.wk.x[(i + 1) as usize] = c;
         }
         GoalFrameImage { frame, code, arity, pf, slot }
@@ -1765,32 +1783,29 @@ impl<'a, 'p> Step<'a, 'p> {
     /// parallelism overhead for not-actually-parallel goals comes from.
     fn start_goal(&mut self, img: GoalFrameImage, resume: Resume, stolen: bool) -> EngineResult<()> {
         let w = self.w();
-        let pe = self.wk.id;
-        let mem = &self.core.mem;
         let GoalFrameImage { frame: _, code, arity, pf, slot } = img;
 
         // Record the pick-up in the Parcall Frame (atomically: under the
         // relaxed backend several PEs may grab goals of one parcall at
         // once).
-        mem.rmw_uint(pe, pf + parcall::TO_SCHEDULE, ObjectKind::ParcallCount, |v| v.saturating_sub(1))?;
+        self.mem_rmw(pf + parcall::TO_SCHEDULE, ObjectKind::ParcallCount, |v| v.saturating_sub(1))?;
         if stolen {
             // The executing-PE word goes first: a cancelling parent that
             // observes `SLOT_TAKEN` must also observe a valid executor id
             // for its `cancel_goal` request (relaxed backend).
-            mem.write(pe, parcall::slot_pe(pf, slot), Cell::Uint(w as u32), ObjectKind::ParcallGlobal);
-            mem.write(
-                pe,
+            self.mem_write(parcall::slot_pe(pf, slot), Cell::Uint(w as u32), ObjectKind::ParcallGlobal);
+            self.mem_write(
                 parcall::slot_status(pf, slot),
                 Cell::Uint(parcall::SLOT_TAKEN),
                 ObjectKind::ParcallGlobal,
             );
         }
 
-        self.core.parallel_goals.fetch_add(1, Ordering::Relaxed);
+        self.wk.parallel_goals += 1;
         if matches!(resume, Resume::ToCancel { .. }) {
             self.wk.goals_while_cancelling += 1;
         }
-        self.core.inferences.fetch_add(1, Ordering::Relaxed);
+        self.wk.inferences += 1;
 
         let wk = &*self.wk;
         let (b, tr, h, local_top, e, cp, hb, sb, entry_pf) =
@@ -1799,15 +1814,15 @@ impl<'a, 'p> Step<'a, 'p> {
         // Stolen goals push a Marker delimiting the new Stack Section.
         let marker_addr = if stolen {
             let m = wk.control_top;
-            mem.check_top(w, Area::ControlStack, m + marker::SIZE)?;
-            mem.write(pe, m + marker::KIND, Cell::Uint(marker::KIND_GOAL), ObjectKind::Marker);
-            mem.write(pe, m + marker::PF, Cell::Uint(pf), ObjectKind::Marker);
-            mem.write(pe, m + marker::SLOT, Cell::Uint(slot), ObjectKind::Marker);
-            mem.write(pe, m + marker::ENTRY_B, Cell::Uint(b), ObjectKind::Marker);
-            mem.write(pe, m + marker::ENTRY_TR, Cell::Uint(tr), ObjectKind::Marker);
-            mem.write(pe, m + marker::ENTRY_H, Cell::Uint(h), ObjectKind::Marker);
-            mem.write(pe, m + marker::ENTRY_LOCAL_TOP, Cell::Uint(local_top), ObjectKind::Marker);
-            mem.write(pe, m + marker::ENTRY_E, Cell::Uint(e), ObjectKind::Marker);
+            self.check_cached_top(wk.control_end, Area::ControlStack, m + marker::SIZE)?;
+            self.mem_write(m + marker::KIND, Cell::Uint(marker::KIND_GOAL), ObjectKind::Marker);
+            self.mem_write(m + marker::PF, Cell::Uint(pf), ObjectKind::Marker);
+            self.mem_write(m + marker::SLOT, Cell::Uint(slot), ObjectKind::Marker);
+            self.mem_write(m + marker::ENTRY_B, Cell::Uint(b), ObjectKind::Marker);
+            self.mem_write(m + marker::ENTRY_TR, Cell::Uint(tr), ObjectKind::Marker);
+            self.mem_write(m + marker::ENTRY_H, Cell::Uint(h), ObjectKind::Marker);
+            self.mem_write(m + marker::ENTRY_LOCAL_TOP, Cell::Uint(local_top), ObjectKind::Marker);
+            self.mem_write(m + marker::ENTRY_E, Cell::Uint(e), ObjectKind::Marker);
             self.wk.control_top = m + marker::SIZE;
             m
         } else {
@@ -1857,29 +1872,21 @@ impl<'a, 'p> Step<'a, 'p> {
     /// target also sees every effect of the goal.  Both orders record the
     /// same reference multiset — only the interleaving differs.
     fn commit_completion(&mut self, stolen: bool, pf: u32, slot: u32, msg_kind: u32) -> EngineResult<()> {
-        let w = self.w();
-        let pe = self.wk.id;
-        let mem = &self.core.mem;
-        let notify_parent = |step: &Step<'a, 'p>| -> EngineResult<()> {
-            if stolen {
-                let parent = step
-                    .core
-                    .mem
-                    .read(pe, pf + parcall::PARENT_PE, ObjectKind::ParcallLocal)
-                    .expect_uint("parent pe") as usize;
-                if parent != w {
-                    step.post_message(parent, msg_kind, pf, slot)?;
-                }
+        // Cross-PE commit: message first, counter increment last.
+        let counter_last = self.core.config.determinism == DeterminismMode::Relaxed;
+        if !counter_last {
+            self.mem_rmw(pf + parcall::COMPLETED, ObjectKind::ParcallCount, |v| v + 1)?;
+        }
+        if stolen {
+            let parent = self
+                .mem_read(pf + parcall::PARENT_PE, ObjectKind::ParcallLocal)
+                .expect_uint("parent pe") as usize;
+            if parent != self.w() {
+                self.post_message(parent, msg_kind, pf, slot)?;
             }
-            Ok(())
-        };
-        if self.core.config.determinism == DeterminismMode::Relaxed {
-            // Cross-PE commit: message first, counter increment last.
-            notify_parent(self)?;
-            mem.rmw_uint(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount, |v| v + 1)?;
-        } else {
-            mem.rmw_uint(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount, |v| v + 1)?;
-            notify_parent(self)?;
+        }
+        if counter_last {
+            self.mem_rmw(pf + parcall::COMPLETED, ObjectKind::ParcallCount, |v| v + 1)?;
         }
         Ok(())
     }
@@ -1888,20 +1895,18 @@ impl<'a, 'p> Step<'a, 'p> {
     /// `goal_success` stub): record completion via [`Step::commit_completion`]
     /// and resume scheduling.
     pub(crate) fn finish_goal_success(&mut self) -> EngineResult<()> {
-        let pe = self.wk.id;
         let ctx = self
             .wk
             .goal_contexts
             .pop()
             .ok_or_else(|| EngineError::Internal("goal_success with no goal in progress".into()))?;
-        let mem = &self.core.mem;
         let (pf, slot) = if ctx.stolen {
             // Re-read the Marker (pf, slot) as the real machine would, record
             // the completed slot and notify the parent.
-            let pf = mem.read(pe, ctx.marker + marker::PF, ObjectKind::Marker).expect_uint("marker pf");
-            let slot = mem.read(pe, ctx.marker + marker::SLOT, ObjectKind::Marker).expect_uint("marker slot");
-            mem.write(
-                pe,
+            let pf = self.mem_read(ctx.marker + marker::PF, ObjectKind::Marker).expect_uint("marker pf");
+            let slot =
+                self.mem_read(ctx.marker + marker::SLOT, ObjectKind::Marker).expect_uint("marker slot");
+            self.mem_write(
                 parcall::slot_status(pf, slot),
                 Cell::Uint(parcall::SLOT_DONE),
                 ObjectKind::ParcallGlobal,
@@ -1975,24 +1980,22 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     fn unwind_goal(&mut self, cancelled: bool) -> EngineResult<()> {
-        let pe = self.wk.id;
         let ctx = self
             .wk
             .goal_contexts
             .pop()
             .ok_or_else(|| EngineError::Internal("goal failure with no goal in progress".into()))?;
         let (pf, slot) = (ctx.pf, ctx.slot);
-        let mem = &self.core.mem;
         if ctx.stolen {
             // Re-read the Marker, as the real machine recovers the Stack
             // Section through it.
             let m = ctx.marker;
-            let _ = mem.read(pe, m + marker::PF, ObjectKind::Marker);
-            let _ = mem.read(pe, m + marker::SLOT, ObjectKind::Marker);
-            let _ = mem.read(pe, m + marker::ENTRY_TR, ObjectKind::Marker);
-            let _ = mem.read(pe, m + marker::ENTRY_H, ObjectKind::Marker);
-            let _ = mem.read(pe, m + marker::ENTRY_LOCAL_TOP, ObjectKind::Marker);
-            let _ = mem.read(pe, m + marker::ENTRY_E, ObjectKind::Marker);
+            let _ = self.mem_read(m + marker::PF, ObjectKind::Marker);
+            let _ = self.mem_read(m + marker::SLOT, ObjectKind::Marker);
+            let _ = self.mem_read(m + marker::ENTRY_TR, ObjectKind::Marker);
+            let _ = self.mem_read(m + marker::ENTRY_H, ObjectKind::Marker);
+            let _ = self.mem_read(m + marker::ENTRY_LOCAL_TOP, ObjectKind::Marker);
+            let _ = self.mem_read(m + marker::ENTRY_E, ObjectKind::Marker);
         }
 
         // Undo the goal's bindings and recover its storage.
@@ -2021,17 +2024,16 @@ impl<'a, 'p> Step<'a, 'p> {
         // Mark the Parcall Frame.  The status merge is a `max`: plain
         // failure never downgrades a frame already under cancellation, and
         // concurrent writers (relaxed backend) cannot lose each other's
-        // update because `rmw_uint` holds the arena lock.
-        let mem = &self.core.mem;
+        // update because it is one compare-exchange on the word.
         let (slot_mark, msg_kind, status_mark) = if cancelled {
             (parcall::SLOT_CANCELLED, message::KIND_CANCELLED, parcall::STATUS_CANCELLED)
         } else {
             (parcall::SLOT_FAILED, message::KIND_FAILED, parcall::STATUS_FAILED)
         };
         if ctx.stolen {
-            mem.write(pe, parcall::slot_status(pf, slot), Cell::Uint(slot_mark), ObjectKind::ParcallGlobal);
+            self.mem_write(parcall::slot_status(pf, slot), Cell::Uint(slot_mark), ObjectKind::ParcallGlobal);
         }
-        mem.rmw_uint(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal, |v| v.max(status_mark))?;
+        self.mem_rmw(pf + parcall::STATUS, ObjectKind::ParcallLocal, |v| v.max(status_mark))?;
         self.commit_completion(ctx.stolen, pf, slot, msg_kind)?;
 
         let wk = &mut *self.wk;
@@ -2055,7 +2057,8 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// Write a completion/failure message into `parent`'s Message Buffer.
     /// The parent's board lock is held across slot allocation *and* the word
-    /// writes, so concurrent posters can never interleave on one slot.
+    /// writes, so concurrent posters can never interleave on one slot.  The
+    /// buffer is always another PE's, so the writes are recorded ones.
     fn post_message(&self, parent: usize, kind: u32, pf: u32, slot: u32) -> EngineResult<()> {
         let pe = self.wk.id;
         let base = self.core.mem.map.area_base(parent, Area::MessageBuffer);
@@ -2076,9 +2079,9 @@ impl<'a, 'p> Step<'a, 'p> {
     /// Consume this worker's pending completion messages (called when a
     /// Parcall Frame completes), generating the corresponding read traffic.
     pub(crate) fn consume_messages(&mut self) {
-        let w = self.w();
-        let pe = self.wk.id;
-        let mut board = self.core.boards[w].lock().unwrap();
+        // `core` is copied out of `self` so the guard does not pin `self`.
+        let core = self.core;
+        let mut board = core.boards[self.w()].lock().unwrap();
         let pending = board.pending_messages;
         if pending == 0 {
             return;
@@ -2088,9 +2091,9 @@ impl<'a, 'p> Step<'a, 'p> {
             // Read back the most recent messages (newest first); the values
             // only matter for the reference trace.
             addr = addr.saturating_sub(message::SIZE).max(self.wk.msg_base);
-            let _ = self.core.mem.read(pe, addr + message::KIND, ObjectKind::Message);
-            let _ = self.core.mem.read(pe, addr + message::PF, ObjectKind::Message);
-            let _ = self.core.mem.read(pe, addr + message::SLOT, ObjectKind::Message);
+            let _ = self.mem_read(addr + message::KIND, ObjectKind::Message);
+            let _ = self.mem_read(addr + message::PF, ObjectKind::Message);
+            let _ = self.mem_read(addr + message::SLOT, ObjectKind::Message);
         }
         board.pending_messages = 0;
     }
@@ -2353,38 +2356,25 @@ impl<'a, 'p> Step<'a, 'p> {
     /// [`WorkerStatus::Cancelling`] and the caller's failure is deferred —
     /// and `false` once every frame down to the target has fully drained.
     fn begin_parcall_cancellation(&mut self, target_pf: u32) -> EngineResult<bool> {
-        let pe = self.wk.id;
         let mut pf = self.wk.pf;
         while pf != target_pf && pf != NONE_ADDR {
-            let status =
-                self.core.mem.read(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
-            let n =
-                self.core.mem.read(pe, pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
-            let done = self
-                .core
-                .mem
-                .read(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount)
-                .expect_uint("completed");
+            let status = self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
+            let n = self.mem_read(pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
+            let done =
+                self.mem_read(pf + parcall::COMPLETED, ObjectKind::ParcallCount).expect_uint("completed");
             if done < n {
                 if status != parcall::STATUS_CANCELLED {
                     self.cancel_parcall_frame(pf)?;
                 }
-                let done = self
-                    .core
-                    .mem
-                    .read(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount)
-                    .expect_uint("completed");
+                let done =
+                    self.mem_read(pf + parcall::COMPLETED, ObjectKind::ParcallCount).expect_uint("completed");
                 if done < n {
                     self.wk.status = WorkerStatus::Cancelling { pf };
                     return Ok(true);
                 }
             }
             self.consume_messages();
-            pf = self
-                .core
-                .mem
-                .read(pe, pf + parcall::PREV_PF, ObjectKind::ParcallLocal)
-                .expect_uint("prev pf");
+            pf = self.mem_read(pf + parcall::PREV_PF, ObjectKind::ParcallLocal).expect_uint("prev pf");
         }
         Ok(false)
     }
@@ -2397,12 +2387,8 @@ impl<'a, 'p> Step<'a, 'p> {
     /// finishing normally or by aborting at the executor's next batch
     /// boundary.
     pub(crate) fn cancel_parcall_frame(&mut self, pf: u32) -> EngineResult<()> {
-        let pe = self.wk.id;
         let w = self.w();
-        let mem = &self.core.mem;
-        mem.rmw_uint(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal, |v| {
-            v.max(parcall::STATUS_CANCELLED)
-        })?;
+        self.mem_rmw(pf + parcall::STATUS, ObjectKind::ParcallLocal, |v| v.max(parcall::STATUS_CANCELLED))?;
         self.core.parcalls_cancelled.fetch_add(1, Ordering::Relaxed);
 
         // Retract the frame's un-stolen Goal Frames under the board lock
@@ -2411,16 +2397,17 @@ impl<'a, 'p> Step<'a, 'p> {
         // committed or in an executor's hands.
         let mut retracted = 0u32;
         {
-            let mut board = self.core.boards[w].lock().unwrap();
+            // `core` is copied out of `self` so the guard does not pin `self`.
+            let core = self.core;
+            let mut board = core.boards[w].lock().unwrap();
             let mut kept = Vec::with_capacity(board.goal_frames.len());
             for &frame in board.goal_frames.iter() {
                 let frame_pf =
-                    mem.read(pe, frame + goal_frame::PF, ObjectKind::GoalFrame).expect_uint("goal pf");
+                    self.mem_read(frame + goal_frame::PF, ObjectKind::GoalFrame).expect_uint("goal pf");
                 if frame_pf == pf {
                     let slot =
-                        mem.read(pe, frame + goal_frame::SLOT, ObjectKind::GoalFrame).expect_uint("slot");
-                    mem.write(
-                        pe,
+                        self.mem_read(frame + goal_frame::SLOT, ObjectKind::GoalFrame).expect_uint("slot");
+                    self.mem_write(
                         parcall::slot_status(pf, slot),
                         Cell::Uint(parcall::SLOT_CANCELLED),
                         ObjectKind::ParcallGlobal,
@@ -2434,7 +2421,7 @@ impl<'a, 'p> Step<'a, 'p> {
             board.goal_top = match board.goal_frames.last() {
                 Some(&top) => {
                     let arity =
-                        mem.read(pe, top + goal_frame::ARITY, ObjectKind::GoalFrame).expect_uint("arity");
+                        self.mem_read(top + goal_frame::ARITY, ObjectKind::GoalFrame).expect_uint("arity");
                     top + goal_frame::size(arity)
                 }
                 None => self.wk.goal_base,
@@ -2442,8 +2429,8 @@ impl<'a, 'p> Step<'a, 'p> {
             self.wk.goal_top = board.goal_top;
         }
         for _ in 0..retracted {
-            mem.rmw_uint(pe, pf + parcall::TO_SCHEDULE, ObjectKind::ParcallCount, |v| v.saturating_sub(1))?;
-            mem.rmw_uint(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount, |v| v + 1)?;
+            self.mem_rmw(pf + parcall::TO_SCHEDULE, ObjectKind::ParcallCount, |v| v.saturating_sub(1))?;
+            self.mem_rmw(pf + parcall::COMPLETED, ObjectKind::ParcallCount, |v| v + 1)?;
         }
         self.core.goals_cancelled.fetch_add(retracted as u64, Ordering::Relaxed);
 
@@ -2451,14 +2438,14 @@ impl<'a, 'p> Step<'a, 'p> {
         // lazily, so an untouched word means the goal was never stolen
         // (pending — just retracted — or executed by this worker through
         // the local path).
-        let n = mem.read(pe, pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
+        let n = self.mem_read(pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
         for k in 0..n {
-            let status = mem.read(pe, parcall::slot_status(pf, k), ObjectKind::ParcallGlobal);
+            let status = self.mem_read(parcall::slot_status(pf, k), ObjectKind::ParcallGlobal);
             if status != Cell::Uint(parcall::SLOT_TAKEN) {
                 continue;
             }
-            let executor = mem
-                .read(pe, parcall::slot_pe(pf, k), ObjectKind::ParcallGlobal)
+            let executor = self
+                .mem_read(parcall::slot_pe(pf, k), ObjectKind::ParcallGlobal)
                 .expect_uint("slot pe") as usize;
             if executor == w {
                 continue; // cannot happen: own goals take the local path
@@ -2478,9 +2465,8 @@ impl<'a, 'p> Step<'a, 'p> {
     /// deferred backtrack (which may immediately cancel the next frame on
     /// the chain).
     fn finish_cancellation(&mut self, pf: u32) -> EngineResult<()> {
-        let pe = self.wk.id;
-        let _ = self.core.mem.read(pe, pf + parcall::NGOALS, ObjectKind::ParcallLocal);
-        let _ = self.core.mem.read(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount);
+        let _ = self.mem_read(pf + parcall::NGOALS, ObjectKind::ParcallLocal);
+        let _ = self.mem_read(pf + parcall::COMPLETED, ObjectKind::ParcallCount);
         self.consume_messages();
         self.wk.status = WorkerStatus::Running;
         // Resuming the *same* logical failure: don't re-count it.
@@ -2508,7 +2494,6 @@ impl<'a, 'p> Step<'a, 'p> {
     /// committed, or the address was recycled) are discarded.
     fn process_cancel_requests(&mut self) -> EngineResult<()> {
         let w = self.w();
-        let pe = self.wk.id;
         let mut requests = std::mem::take(&mut self.wk.pending_cancels);
         if self.core.cancel_flags[w].load(Ordering::Acquire) {
             let mut board = self.core.boards[w].lock().unwrap();
@@ -2531,10 +2516,9 @@ impl<'a, 'p> Step<'a, 'p> {
             // The matching context pins the frame live (its parent cannot
             // pass the drain while this goal is uncommitted), so these
             // words are valid whatever incarnation the request came from.
-            let mem = &self.core.mem;
-            let status = mem.read(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
-            let slot_status = mem
-                .read(pe, parcall::slot_status(pf, slot), ObjectKind::ParcallGlobal)
+            let status = self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
+            let slot_status = self
+                .mem_read(parcall::slot_status(pf, slot), ObjectKind::ParcallGlobal)
                 .expect_uint("slot status");
             if status != parcall::STATUS_CANCELLED || slot_status != parcall::SLOT_TAKEN {
                 continue;
@@ -2542,7 +2526,7 @@ impl<'a, 'p> Step<'a, 'p> {
             // Safe to read only behind a TAKEN status (the thief writes its
             // id first; a PENDING slot's executor word is uninitialised).
             let slot_pe =
-                mem.read(pe, parcall::slot_pe(pf, slot), ObjectKind::ParcallGlobal).expect_uint("slot pe");
+                self.mem_read(parcall::slot_pe(pf, slot), ObjectKind::ParcallGlobal).expect_uint("slot pe");
             if slot_pe as usize == w {
                 self.abort_goal()?;
             }
@@ -2583,7 +2567,7 @@ impl<'a, 'p> Step<'a, 'p> {
         }
         let args: Vec<Cell> = (1..=arity as usize).map(|i| self.wk.x[i]).collect();
         *self.core.pending_host.lock().unwrap() = Some(PendingHostCall { worker: self.w(), host, args });
-        self.core.inferences.fetch_add(1, Ordering::Relaxed);
+        self.wk.inferences += 1;
         self.wk.p = cont;
         true
     }

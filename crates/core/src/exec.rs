@@ -52,7 +52,6 @@ impl<'a, 'p> Step<'a, 'p> {
         let program = self.core.program;
         let p = self.wk.p;
         let instr = &program.code[p as usize];
-        let pe = self.wk.id;
         let mut next = p + 1;
 
         match instr {
@@ -65,7 +64,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 }
                 Reg::Y(n) => {
                     let addr = self.y_addr(*n)?;
-                    self.core.mem.write(pe, addr, Cell::Ref(addr), ObjectKind::EnvPermVar);
+                    self.mem_write(addr, Cell::Ref(addr), ObjectKind::EnvPermVar);
                     self.wk.x[*a as usize] = Cell::Ref(addr);
                 }
             },
@@ -137,7 +136,7 @@ impl<'a, 'p> Step<'a, 'p> {
                         self.wk.mode = Mode::Write;
                     }
                     Cell::Str(pp) => {
-                        let fun = self.core.mem.read(pe, pp, ObjectKind::HeapTerm);
+                        let fun = self.mem_read(pp, ObjectKind::HeapTerm);
                         match fun {
                             Cell::Fun(f2, n2) if f2 == *f && n2 == *n => {
                                 self.wk.s = pp + 1;
@@ -169,7 +168,7 @@ impl<'a, 'p> Step<'a, 'p> {
             Instr::UnifyVariable { v } => match self.wk.mode {
                 Mode::Read => {
                     let s = self.wk.s;
-                    let c = self.core.mem.read(pe, s, self.core.object_for_addr(s));
+                    let c = self.mem_read(s, self.core.object_for_addr(s));
                     self.wk.s = s + 1;
                     self.write_reg(*v, c)?;
                 }
@@ -181,7 +180,7 @@ impl<'a, 'p> Step<'a, 'p> {
             Instr::UnifyValue { v } | Instr::UnifyLocalValue { v } => match self.wk.mode {
                 Mode::Read => {
                     let s = self.wk.s;
-                    let target = self.core.mem.read(pe, s, self.core.object_for_addr(s));
+                    let target = self.mem_read(s, self.core.object_for_addr(s));
                     self.wk.s = s + 1;
                     let c = self.read_reg(*v)?;
                     if !self.unify(c, target)? {
@@ -223,9 +222,9 @@ impl<'a, 'p> Step<'a, 'p> {
                 let e_new = self.wk.local_top;
                 self.core.mem.check_top(self.w(), Area::LocalStack, e_new + env::size(*n as u32))?;
                 let (e_old, cp) = (self.wk.e, self.wk.cp);
-                self.core.mem.write(pe, e_new + env::CE, Cell::Uint(e_old), ObjectKind::EnvControl);
-                self.core.mem.write(pe, e_new + env::CP, Cell::Code(cp), ObjectKind::EnvControl);
-                self.core.mem.write(pe, e_new + env::NVARS, Cell::Uint(*n as u32), ObjectKind::EnvControl);
+                self.mem_write(e_new + env::CE, Cell::Uint(e_old), ObjectKind::EnvControl);
+                self.mem_write(e_new + env::CP, Cell::Code(cp), ObjectKind::EnvControl);
+                self.mem_write(e_new + env::NVARS, Cell::Uint(*n as u32), ObjectKind::EnvControl);
                 let wk = &mut *self.wk;
                 wk.e = e_new;
                 wk.local_top = e_new + env::size(*n as u32);
@@ -233,10 +232,9 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             Instr::Deallocate => {
                 let e = self.wk.e;
-                let ce = self.core.mem.read(pe, e + env::CE, ObjectKind::EnvControl).expect_uint("env CE");
-                let cp = self.core.mem.read(pe, e + env::CP, ObjectKind::EnvControl).expect_code("env CP");
-                let n =
-                    self.core.mem.read(pe, e + env::NVARS, ObjectKind::EnvControl).expect_uint("env nvars");
+                let ce = self.mem_read(e + env::CE, ObjectKind::EnvControl).expect_uint("env CE");
+                let cp = self.mem_read(e + env::CP, ObjectKind::EnvControl).expect_code("env CP");
+                let n = self.mem_read(e + env::NVARS, ObjectKind::EnvControl).expect_uint("env nvars");
                 let wk = &mut *self.wk;
                 if e + env::size(n) == wk.local_top {
                     // Recover the frame's space, but never below the current
@@ -256,7 +254,7 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             Instr::Call { target, arity } => match target {
                 CallTarget::Code(addr) => {
-                    self.core.inferences.fetch_add(1, Ordering::Relaxed);
+                    self.wk.inferences += 1;
                     let wk = &mut *self.wk;
                     wk.cp = p + 1;
                     wk.num_args = *arity;
@@ -284,7 +282,7 @@ impl<'a, 'p> Step<'a, 'p> {
             },
             Instr::Execute { target, arity } => match target {
                 CallTarget::Code(addr) => {
-                    self.core.inferences.fetch_add(1, Ordering::Relaxed);
+                    self.wk.inferences += 1;
                     let wk = &mut *self.wk;
                     wk.num_args = *arity;
                     wk.b0 = wk.b;
@@ -324,17 +322,8 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             Instr::Retry { addr } => {
                 let b = self.wk.b;
-                let nargs = self
-                    .core
-                    .mem
-                    .read(pe, b + choice::NARGS, ObjectKind::ChoicePoint)
-                    .expect_uint("cp nargs");
-                self.core.mem.write(
-                    pe,
-                    choice::next_clause(b, nargs),
-                    Cell::Code(p + 1),
-                    ObjectKind::ChoicePoint,
-                );
+                let nargs = self.mem_read(b + choice::NARGS, ObjectKind::ChoicePoint).expect_uint("cp nargs");
+                self.mem_write(choice::next_clause(b, nargs), Cell::Code(p + 1), ObjectKind::ChoicePoint);
                 next = *addr;
             }
             Instr::Trust { addr } => {
@@ -346,17 +335,8 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             Instr::RetryMeElse { else_ } => {
                 let b = self.wk.b;
-                let nargs = self
-                    .core
-                    .mem
-                    .read(pe, b + choice::NARGS, ObjectKind::ChoicePoint)
-                    .expect_uint("cp nargs");
-                self.core.mem.write(
-                    pe,
-                    choice::next_clause(b, nargs),
-                    Cell::Code(*else_),
-                    ObjectKind::ChoicePoint,
-                );
+                let nargs = self.mem_read(b + choice::NARGS, ObjectKind::ChoicePoint).expect_uint("cp nargs");
+                self.mem_write(choice::next_clause(b, nargs), Cell::Code(*else_), ObjectKind::ChoicePoint);
             }
             Instr::TrustMe => {
                 self.pop_choice_point()?;
@@ -389,7 +369,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 let arg = self.wk.x[1];
                 match self.deref(arg) {
                     Cell::Str(pp) => {
-                        let fun = self.core.mem.read(pe, pp, ObjectKind::HeapTerm);
+                        let fun = self.mem_read(pp, ObjectKind::HeapTerm);
                         match fun {
                             Cell::Fun(f, n) => {
                                 next = table
@@ -459,27 +439,24 @@ impl<'a, 'p> Step<'a, 'p> {
                 let pf_new = self.wk.local_top;
                 self.core.mem.check_top(self.w(), Area::LocalStack, pf_new + parcall::size(n))?;
                 let prev = self.wk.pf;
-                let mem = &self.core.mem;
-                mem.write(pe, pf_new + parcall::NGOALS, Cell::Uint(n), ObjectKind::ParcallLocal);
-                mem.write(pe, pf_new + parcall::TO_SCHEDULE, Cell::Uint(n), ObjectKind::ParcallCount);
-                mem.write(pe, pf_new + parcall::COMPLETED, Cell::Uint(0), ObjectKind::ParcallCount);
-                mem.write(
-                    pe,
+                self.mem_write(pf_new + parcall::NGOALS, Cell::Uint(n), ObjectKind::ParcallLocal);
+                self.mem_write(pf_new + parcall::TO_SCHEDULE, Cell::Uint(n), ObjectKind::ParcallCount);
+                self.mem_write(pf_new + parcall::COMPLETED, Cell::Uint(0), ObjectKind::ParcallCount);
+                self.mem_write(
                     pf_new + parcall::STATUS,
                     Cell::Uint(parcall::STATUS_OK),
                     ObjectKind::ParcallLocal,
                 );
-                mem.write(
-                    pe,
+                self.mem_write(
                     pf_new + parcall::PARENT_PE,
                     Cell::Uint(self.w() as u32),
                     ObjectKind::ParcallLocal,
                 );
-                mem.write(pe, pf_new + parcall::PREV_PF, Cell::Uint(prev), ObjectKind::ParcallLocal);
+                self.mem_write(pf_new + parcall::PREV_PF, Cell::Uint(prev), ObjectKind::ParcallLocal);
                 // The parcall's backtrack point: `pcall_wait` commits the
                 // CGE to its first solution by restoring B to this value,
                 // discarding any choice points the inline branch left.
-                mem.write(pe, pf_new + parcall::ENTRY_B, Cell::Uint(self.wk.b), ObjectKind::ParcallLocal);
+                self.mem_write(pf_new + parcall::ENTRY_B, Cell::Uint(self.wk.b), ObjectKind::ParcallLocal);
                 // Slot statuses start PENDING: the local stack reuses
                 // backtracked-over words, so cancellation's slot scan must
                 // never see a stale cell that happens to read as TAKEN.
@@ -487,8 +464,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 // behind a genuine TAKEN status, which a thief writes
                 // *after* its own PE id.
                 for k in 0..n {
-                    mem.write(
-                        pe,
+                    self.mem_write(
                         parcall::slot_status(pf_new, k),
                         Cell::Uint(parcall::SLOT_PENDING),
                         ObjectKind::ParcallGlobal,
@@ -498,7 +474,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 wk.pf = pf_new;
                 wk.local_top = pf_new + parcall::size(n);
                 wk.update_high_water();
-                self.core.parcalls.fetch_add(1, Ordering::Relaxed);
+                self.wk.parcalls += 1;
             }
             Instr::PcallGoal { target, arity, slot } => {
                 let code = match target {
@@ -523,14 +499,14 @@ impl<'a, 'p> Step<'a, 'p> {
                     let mut board = core.boards[w].lock().unwrap();
                     let g = board.goal_top;
                     core.mem.check_top(w, Area::GoalStack, g + goal_frame::size(arity))?;
-                    core.mem.write(pe, g + goal_frame::CODE, Cell::Code(code), ObjectKind::GoalFrame);
-                    core.mem.write(pe, g + goal_frame::ARITY, Cell::Uint(arity), ObjectKind::GoalFrame);
-                    core.mem.write(pe, g + goal_frame::PF, Cell::Uint(pf), ObjectKind::GoalFrame);
-                    core.mem.write(pe, g + goal_frame::SLOT, Cell::Uint(*slot as u32), ObjectKind::GoalFrame);
+                    self.mem_write(g + goal_frame::CODE, Cell::Code(code), ObjectKind::GoalFrame);
+                    self.mem_write(g + goal_frame::ARITY, Cell::Uint(arity), ObjectKind::GoalFrame);
+                    self.mem_write(g + goal_frame::PF, Cell::Uint(pf), ObjectKind::GoalFrame);
+                    self.mem_write(g + goal_frame::SLOT, Cell::Uint(*slot as u32), ObjectKind::GoalFrame);
                     for i in 0..arity {
                         let c = self.wk.x[(i + 1) as usize];
                         let g_c = self.globalize(c)?;
-                        core.mem.write(pe, goal_frame::arg(g, i), g_c, ObjectKind::GoalFrame);
+                        self.mem_write(goal_frame::arg(g, i), g_c, ObjectKind::GoalFrame);
                     }
                     board.goal_frames.push(g);
                     board.goal_top = g + goal_frame::size(arity);
@@ -546,22 +522,12 @@ impl<'a, 'p> Step<'a, 'p> {
                         what: "pcall_wait without a Parcall Frame".into(),
                     });
                 }
-                let n = self
-                    .core
-                    .mem
-                    .read(pe, pf + parcall::NGOALS, ObjectKind::ParcallLocal)
-                    .expect_uint("ngoals");
-                let done = self
-                    .core
-                    .mem
-                    .read(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount)
-                    .expect_uint("completed");
+                let n = self.mem_read(pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
+                let done =
+                    self.mem_read(pf + parcall::COMPLETED, ObjectKind::ParcallCount).expect_uint("completed");
                 if done >= n {
-                    let status = self
-                        .core
-                        .mem
-                        .read(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal)
-                        .expect_uint("status");
+                    let status =
+                        self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
                     self.consume_messages();
                     // Commit the parcall to its first solution: discard any
                     // choice points the inline first branch left behind,
@@ -569,11 +535,8 @@ impl<'a, 'p> Step<'a, 'p> {
                     // (A cut inside the branch can never reach below the
                     // frame's entry B — barriers are captured at or above
                     // it — so this only ever discards, never resurrects.)
-                    let entry_b = self
-                        .core
-                        .mem
-                        .read(pe, pf + parcall::ENTRY_B, ObjectKind::ParcallLocal)
-                        .expect_uint("entry b");
+                    let entry_b =
+                        self.mem_read(pf + parcall::ENTRY_B, ObjectKind::ParcallLocal).expect_uint("entry b");
                     if self.wk.b != entry_b {
                         self.wk.b = entry_b;
                         self.wk.cp_top = NONE_ADDR;
@@ -583,11 +546,8 @@ impl<'a, 'p> Step<'a, 'p> {
                     if status != parcall::STATUS_OK {
                         return self.backtrack();
                     }
-                    let prev = self
-                        .core
-                        .mem
-                        .read(pe, pf + parcall::PREV_PF, ObjectKind::ParcallLocal)
-                        .expect_uint("prev pf");
+                    let prev =
+                        self.mem_read(pf + parcall::PREV_PF, ObjectKind::ParcallLocal).expect_uint("prev pf");
                     let wk = &mut *self.wk;
                     if pf + parcall::size(n) == wk.local_top {
                         // As in `deallocate`: never recede below the current
@@ -605,11 +565,8 @@ impl<'a, 'p> Step<'a, 'p> {
                     // remainder through the completion protocol.  Otherwise
                     // pick up one of our own goals or wait (idle PEs do
                     // the stealing).
-                    let status = self
-                        .core
-                        .mem
-                        .read(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal)
-                        .expect_uint("status");
+                    let status =
+                        self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
                     if status == parcall::STATUS_FAILED {
                         self.cancel_parcall_frame(pf)?;
                     }
@@ -1046,7 +1003,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 Ok(Flow::Next)
             }
             DenseOp::CallCode => {
-                self.core.inferences.fetch_add(1, Ordering::Relaxed);
+                self.wk.inferences += 1;
                 let wk = &mut *self.wk;
                 wk.prof_switch(di.c);
                 wk.cp = p + 1;
@@ -1060,7 +1017,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 BuiltinOutcome::Halted => Ok(Flow::Reload),
             },
             DenseOp::ExecuteCode => {
-                self.core.inferences.fetch_add(1, Ordering::Relaxed);
+                self.wk.inferences += 1;
                 let wk = &mut *self.wk;
                 wk.prof_switch(di.c);
                 wk.num_args = di.a;
@@ -1289,25 +1246,22 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// `pcall_alloc`: push a Parcall Frame with `n` goal slots.
     fn pcall_alloc(&mut self, n: u32) -> EngineResult<()> {
-        let pe = self.wk.id;
         let pf_new = self.wk.local_top;
         self.check_cached_top(self.wk.local_end, Area::LocalStack, pf_new + parcall::size(n))?;
         let prev = self.wk.pf;
-        let mem = &self.core.mem;
-        mem.write(pe, pf_new + parcall::NGOALS, Cell::Uint(n), ObjectKind::ParcallLocal);
-        mem.write(pe, pf_new + parcall::TO_SCHEDULE, Cell::Uint(n), ObjectKind::ParcallCount);
-        mem.write(pe, pf_new + parcall::COMPLETED, Cell::Uint(0), ObjectKind::ParcallCount);
-        mem.write(pe, pf_new + parcall::STATUS, Cell::Uint(parcall::STATUS_OK), ObjectKind::ParcallLocal);
-        mem.write(pe, pf_new + parcall::PARENT_PE, Cell::Uint(self.w() as u32), ObjectKind::ParcallLocal);
-        mem.write(pe, pf_new + parcall::PREV_PF, Cell::Uint(prev), ObjectKind::ParcallLocal);
+        self.mem_write(pf_new + parcall::NGOALS, Cell::Uint(n), ObjectKind::ParcallLocal);
+        self.mem_write(pf_new + parcall::TO_SCHEDULE, Cell::Uint(n), ObjectKind::ParcallCount);
+        self.mem_write(pf_new + parcall::COMPLETED, Cell::Uint(0), ObjectKind::ParcallCount);
+        self.mem_write(pf_new + parcall::STATUS, Cell::Uint(parcall::STATUS_OK), ObjectKind::ParcallLocal);
+        self.mem_write(pf_new + parcall::PARENT_PE, Cell::Uint(self.w() as u32), ObjectKind::ParcallLocal);
+        self.mem_write(pf_new + parcall::PREV_PF, Cell::Uint(prev), ObjectKind::ParcallLocal);
         // The parcall's backtrack point: `pcall_wait` commits the CGE to its
         // first solution by restoring B to this value.
-        mem.write(pe, pf_new + parcall::ENTRY_B, Cell::Uint(self.wk.b), ObjectKind::ParcallLocal);
+        self.mem_write(pf_new + parcall::ENTRY_B, Cell::Uint(self.wk.b), ObjectKind::ParcallLocal);
         // Slot statuses start PENDING — see `exec_instr` for why the scan
         // must never observe a stale TAKEN cell.
         for k in 0..n {
-            mem.write(
-                pe,
+            self.mem_write(
                 parcall::slot_status(pf_new, k),
                 Cell::Uint(parcall::SLOT_PENDING),
                 ObjectKind::ParcallGlobal,
@@ -1317,13 +1271,12 @@ impl<'a, 'p> Step<'a, 'p> {
         wk.pf = pf_new;
         wk.local_top = pf_new + parcall::size(n);
         wk.update_high_water();
-        self.core.parcalls.fetch_add(1, Ordering::Relaxed);
+        self.wk.parcalls += 1;
         Ok(())
     }
 
     /// `pcall_goal`: push a Goal Frame for `code` onto this worker's board.
     fn pcall_goal(&mut self, code: CodeAddr, arity: u32, slot: u32) -> EngineResult<()> {
-        let pe = self.wk.id;
         let pf = self.wk.pf;
         // The own board's lock is held across top read, word writes and the
         // push — see `exec_instr` for the race this prevents.
@@ -1333,14 +1286,14 @@ impl<'a, 'p> Step<'a, 'p> {
             let mut board = core.boards[w].lock().unwrap();
             let g = board.goal_top;
             core.mem.check_top(w, Area::GoalStack, g + goal_frame::size(arity))?;
-            core.mem.write(pe, g + goal_frame::CODE, Cell::Code(code), ObjectKind::GoalFrame);
-            core.mem.write(pe, g + goal_frame::ARITY, Cell::Uint(arity), ObjectKind::GoalFrame);
-            core.mem.write(pe, g + goal_frame::PF, Cell::Uint(pf), ObjectKind::GoalFrame);
-            core.mem.write(pe, g + goal_frame::SLOT, Cell::Uint(slot), ObjectKind::GoalFrame);
+            self.mem_write(g + goal_frame::CODE, Cell::Code(code), ObjectKind::GoalFrame);
+            self.mem_write(g + goal_frame::ARITY, Cell::Uint(arity), ObjectKind::GoalFrame);
+            self.mem_write(g + goal_frame::PF, Cell::Uint(pf), ObjectKind::GoalFrame);
+            self.mem_write(g + goal_frame::SLOT, Cell::Uint(slot), ObjectKind::GoalFrame);
             for i in 0..arity {
                 let c = self.wk.x[(i + 1) as usize];
                 let g_c = self.globalize(c)?;
-                core.mem.write(pe, goal_frame::arg(g, i), g_c, ObjectKind::GoalFrame);
+                self.mem_write(goal_frame::arg(g, i), g_c, ObjectKind::GoalFrame);
             }
             board.goal_frames.push(g);
             board.goal_top = g + goal_frame::size(arity);
@@ -1353,7 +1306,6 @@ impl<'a, 'p> Step<'a, 'p> {
     /// `pcall_wait` for the flattened path; `p` is the instruction's own
     /// address (the wait re-executes it until the frame completes).
     fn pcall_wait(&mut self, p: CodeAddr) -> EngineResult<Flow> {
-        let pe = self.wk.id;
         let pf = self.wk.pf;
         if pf == NONE_ADDR {
             return Err(EngineError::BadInstruction {
@@ -1361,22 +1313,14 @@ impl<'a, 'p> Step<'a, 'p> {
                 what: "pcall_wait without a Parcall Frame".into(),
             });
         }
-        let n = self.core.mem.read(pe, pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
-        let done = self
-            .core
-            .mem
-            .read(pe, pf + parcall::COMPLETED, ObjectKind::ParcallCount)
-            .expect_uint("completed");
+        let n = self.mem_read(pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
+        let done = self.mem_read(pf + parcall::COMPLETED, ObjectKind::ParcallCount).expect_uint("completed");
         if done >= n {
-            let status =
-                self.core.mem.read(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
+            let status = self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
             self.consume_messages();
             // Commit the parcall to its first solution — see `exec_instr`.
-            let entry_b = self
-                .core
-                .mem
-                .read(pe, pf + parcall::ENTRY_B, ObjectKind::ParcallLocal)
-                .expect_uint("entry b");
+            let entry_b =
+                self.mem_read(pf + parcall::ENTRY_B, ObjectKind::ParcallLocal).expect_uint("entry b");
             if self.wk.b != entry_b {
                 self.wk.b = entry_b;
                 self.wk.cp_top = NONE_ADDR;
@@ -1386,11 +1330,7 @@ impl<'a, 'p> Step<'a, 'p> {
             if status != parcall::STATUS_OK {
                 return self.fail();
             }
-            let prev = self
-                .core
-                .mem
-                .read(pe, pf + parcall::PREV_PF, ObjectKind::ParcallLocal)
-                .expect_uint("prev pf");
+            let prev = self.mem_read(pf + parcall::PREV_PF, ObjectKind::ParcallLocal).expect_uint("prev pf");
             let wk = &mut *self.wk;
             if pf + parcall::size(n) == wk.local_top {
                 // As in `deallocate`: never recede below the protected region.
@@ -1403,8 +1343,7 @@ impl<'a, 'p> Step<'a, 'p> {
             // then execute one of our own goals or park.  The program counter
             // stays at the wait instruction.
             self.wk.p = p;
-            let status =
-                self.core.mem.read(pe, pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
+            let status = self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
             if status == parcall::STATUS_FAILED {
                 self.cancel_parcall_frame(pf)?;
             }

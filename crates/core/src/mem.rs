@@ -44,25 +44,33 @@
 //!   takes the owning arena's book lock (skipped in serial mode, see
 //!   [`Memory::serial`]), counts the reference, appends the trace record
 //!   when tracing is on, and moves the word inside the critical section.
-//!   Remote references, every Parcall Frame / Goal Frame / Marker / Message
-//!   reference, and every reference of a traced or classic-dispatch run are
-//!   recorded.
-//! * *Owner-path* (the crate-private `owner_read` / `owner_write`): a PE's
-//!   untraced reference to its own Stack Set.  It takes no lock and touches
-//!   no shared counter; the PE counts it in its worker-local [`RefDelta`] and
-//!   folds the batch into the book with [`Memory::flush_delta`].  Both
-//!   backends use it, because almost every reference stays inside the issuing
-//!   PE's own Stack Set — the paper's central finding.
+//!   References into another PE's Stack Set (a thief picking up a stolen
+//!   goal, slot words, a Message to a parent, a binding) and every reference
+//!   of a traced or classic-dispatch run are recorded.
+//! * *Owner-path* (the crate-private `owner_read` / `owner_write` /
+//!   `owner_rmw_uint`): a PE's untraced reference to its own Stack Set,
+//!   whatever the object — Parcall Frames, Goal Frames, Markers and Messages
+//!   included.  It takes no lock and touches no shared counter; the PE counts
+//!   it in its worker-local [`RefDelta`] and folds the batch into the book
+//!   with [`Memory::flush_delta`].  Both backends use it, because almost
+//!   every reference stays inside the issuing PE's own Stack Set — the
+//!   paper's central finding — and a parallel goal nobody stole is one of
+//!   them.
 //!
-//! Read-modify-write sequences that must be atomic under concurrency (the
-//! Parcall Frame scheduling/completion counters) use [`Memory::rmw_uint`],
-//! which holds the book lock across the load and the store while recording
-//! exactly the same two references the split read/write pair would have
-//! recorded.  Every other access to those words is a recorded access under
-//! the same lock, so no increment is lost; the lock's release/acquire is also
-//! the happens-before edge of the counter-last completion commit (a parent
-//! that reads the final count sees every binding the children stored before
-//! incrementing it).
+//! **Counters are atomic by the word, not by the lock.**  The Parcall Frame
+//! words several PEs update (goals to schedule, goals completed, status) hold
+//! a [`Cell::Uint`], which lives wholly in the low half, so a
+//! read-modify-write of one is a single `AcqRel` compare-exchange
+//! (`Word::update_uint`).  [`Memory::rmw_uint`] and the owner path issue the
+//! same one — the recorded flavour merely brackets it with the two book
+//! records a split read/write pair would have made — so the owner's unlocked
+//! update and a remote PE's locked one cannot lose each other.  The only
+//! plain stores to those words are the ones that initialise a frame, before
+//! any of its Goal Frames is on a board.  The compare-exchange is also the
+//! happens-before edge of the counter-last completion commit: a child's
+//! bindings are ordered before its increment (Release), and a parent that
+//! loads the final count (Acquire, on either path) sees every binding the
+//! children stored before incrementing it.
 //!
 //! Under the strict (interleaved) backend only one thread touches the memory
 //! and the recorded order is exactly the reference order; under the relaxed
@@ -104,7 +112,7 @@ const fn pack(tag: u8, arity: u8, payload: u32) -> u64 {
 /// The two halves of a cell's stored form: `lo = tag | arity << 8 |
 /// payload << 32`; `hi` is the value of an `Int` and zero otherwise.
 #[inline(always)]
-fn encode(cell: Cell) -> (u64, u64) {
+pub(crate) fn encode(cell: Cell) -> (u64, u64) {
     match cell {
         Cell::Empty => (pack(TAG_EMPTY, 0, 0), 0),
         Cell::Ref(a) => (pack(TAG_REF, 0, a), 0),
@@ -121,7 +129,7 @@ fn encode(cell: Cell) -> (u64, u64) {
 /// Rebuild a cell from its low half, fetching the high half only when the
 /// tag says it carries the value.
 #[inline(always)]
-fn decode(lo: u64, hi: impl FnOnce() -> u64) -> Cell {
+pub(crate) fn decode(lo: u64, hi: impl FnOnce() -> u64) -> Cell {
     let payload = (lo >> 32) as u32;
     match lo as u8 {
         TAG_REF => Cell::Ref(payload),
@@ -141,9 +149,10 @@ fn decode(lo: u64, hi: impl FnOnce() -> u64) -> Cell {
 
 /// One arena word: a tagged cell stored as a lock-free atomic pair.
 ///
-/// Only `store` writes the halves, always `hi` before `lo`, and `load` reads
-/// them `lo` before `hi`; see the module's Concurrency section for what that
-/// order guarantees.  On x86-64 every one of these is a plain `mov`.
+/// `store` writes the halves, always `hi` before `lo`, and `load` reads them
+/// `lo` before `hi`; see the module's Concurrency section for what that order
+/// guarantees.  On x86-64 every one of these is a plain `mov`.  `update_uint`
+/// touches `lo` alone (one `lock cmpxchg`).
 #[derive(Debug)]
 #[repr(C, align(16))]
 struct Word {
@@ -168,6 +177,24 @@ impl Word {
             self.hi.store(hi, Ordering::Relaxed);
         }
         self.lo.store(lo, Ordering::Release);
+    }
+
+    /// Replace the `Uint` this word holds by `f` of it and return the value
+    /// replaced; a word holding anything else is left alone and returned as
+    /// the error.  A `Uint` lives wholly in `lo`, so the update is one
+    /// compare-exchange, atomic against every other update and store of the
+    /// word whoever issues it and whether or not they hold a lock.  The
+    /// Release half orders everything the caller stored before (a child's
+    /// bindings before its completion count); the Acquire half, like `load`'s,
+    /// shows the caller what earlier updaters stored before theirs.
+    #[inline(always)]
+    fn update_uint(&self, mut f: impl FnMut(u32) -> u32) -> Result<u32, Cell> {
+        self.lo
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |lo| {
+                (lo as u8 == TAG_UINT).then(|| pack(TAG_UINT, 0, f((lo >> 32) as u32)))
+            })
+            .map(|lo| (lo >> 32) as u32)
+            .map_err(|lo| decode(lo, || self.hi.load(Ordering::Relaxed)))
     }
 }
 
@@ -249,6 +276,13 @@ impl Book {
             t.push(SeqRef { seq: seq.fetch_add(1, Ordering::Relaxed), r });
         }
     }
+
+    /// Advance `area`'s reset mark past a recorded write at arena `offset`.
+    #[inline(always)]
+    fn mark_written(&mut self, area: Area, offset: usize) {
+        let mark = &mut self.marks[area.index()];
+        *mark = (*mark).max(offset + 1);
+    }
 }
 
 /// The storage of one PE's Stack Set: its words, and behind the arena's lock
@@ -297,14 +331,22 @@ impl StackSetArena {
         &self.words[(addr - self.base) as usize]
     }
 
-    /// Store `value` at `addr` (which lies in `area`) as a recorded write:
-    /// the caller holds the book, whose reset mark advances.
+    /// Advance the owner's reset mark of `area` past an owner-path write at
+    /// arena `offset`.
     #[inline(always)]
-    fn store_recorded(&self, book: &mut Book, addr: u32, value: Cell, area: Area) {
-        self.word(addr).store(value);
-        let mark = &mut book.marks[area.index()];
-        *mark = (*mark).max((addr - self.base) as usize + 1);
+    fn mark_owner_written(&self, area: Area, offset: usize) {
+        // Relaxed: the owning PE's thread is the mark's only writer, and
+        // `reset` reads it through `&mut self`.
+        let mark = &self.owner_marks[area.index()];
+        if offset >= mark.load(Ordering::Relaxed) {
+            mark.store(offset + 1, Ordering::Relaxed);
+        }
     }
+}
+
+/// The engine error for a counter word that does not hold a `Uint`.
+fn not_a_uint(addr: u32, found: Cell) -> EngineError {
+    EngineError::Internal(format!("rmw on non-uint word at {addr}: {found:?}"))
 }
 
 /// The word-addressed data memory, sharded into one arena per PE.
@@ -403,12 +445,26 @@ impl Memory {
     pub(crate) fn owner_write(&self, idx: usize, offset: u32, value: Cell, area: Area) {
         let arena = &self.arenas[idx];
         arena.words[offset as usize].store(value);
-        // Relaxed: the owning PE's thread is the mark's only writer, and
-        // `reset` reads it through `&mut self`.
-        let mark = &arena.owner_marks[area.index()];
-        if offset as usize >= mark.load(Ordering::Relaxed) {
-            mark.store(offset as usize + 1, Ordering::Relaxed);
-        }
+        arena.mark_owner_written(area, offset as usize);
+    }
+
+    /// [`Memory::rmw_uint`] on the owner path: atomically replace the `Uint`
+    /// at `offset` of arena `idx` (which lies in `area`) by `f` of it, without
+    /// recording — the caller, the PE that owns the arena, accounts the read
+    /// and the write in a [`RefDelta`].  Advances the owner's reset mark.
+    #[inline(always)]
+    pub(crate) fn owner_rmw_uint(
+        &self,
+        idx: usize,
+        offset: u32,
+        area: Area,
+        f: impl FnMut(u32) -> u32,
+    ) -> EngineResult<u32> {
+        let arena = &self.arenas[idx];
+        let old =
+            arena.words[offset as usize].update_uint(f).map_err(|c| not_a_uint(arena.base + offset, c))?;
+        arena.mark_owner_written(area, offset as usize);
+        Ok(old)
     }
 
     /// Fold a worker's batched owner-path reference counts into its own
@@ -533,7 +589,8 @@ impl Memory {
         );
         self.with_arena(self.map.owner(addr), |arena, book| {
             book.record(&self.seq, pe, addr, true, object);
-            arena.store_recorded(book, addr, value, object.area());
+            arena.word(addr).store(value);
+            book.mark_written(object.area(), (addr - arena.base) as usize);
         });
     }
 
@@ -566,22 +623,24 @@ impl Memory {
     }
 
     /// Atomically read the unsigned word at `addr`, apply `f`, and write the
-    /// result back, holding the owning arena's book lock across both
-    /// accesses.
+    /// result back.
     ///
     /// Records exactly the read reference followed by the write reference —
     /// the same traffic as a split [`Memory::read`]/[`Memory::write`] pair —
-    /// so strict-mode traces are unchanged, while concurrent updates of the
-    /// same counter word (Parcall Frame scheduling/completion counts under
-    /// the relaxed backend) can no longer lose increments: every access to
-    /// such a word is a recorded access under this lock, never an owner-path
-    /// one.  Returns the value read.
+    /// so strict-mode traces are unchanged.  The update is atomic by the word,
+    /// not by the lock: it is one compare-exchange (`Word::update_uint`), the
+    /// same one the owner path issues with no lock at all, so concurrent
+    /// updates of a counter word (Parcall Frame scheduling/completion counts
+    /// and status under the relaxed backend) cannot lose each other whichever
+    /// path each comes by.  The book lock held here guards the two records
+    /// and the reset mark, nothing else.  `f` may run more than once when
+    /// updates race.  Returns the value read.
     pub fn rmw_uint(
         &self,
         pe: u8,
         addr: u32,
         object: ObjectKind,
-        f: impl FnOnce(u32) -> u32,
+        f: impl FnMut(u32) -> u32,
     ) -> EngineResult<u32> {
         debug_assert_eq!(
             self.map.area_of(addr),
@@ -590,14 +649,9 @@ impl Memory {
         );
         self.with_arena(self.map.owner(addr), |arena, book| {
             book.record(&self.seq, pe, addr, false, object);
-            let old = match arena.word(addr).load() {
-                Cell::Uint(v) => v,
-                other => {
-                    return Err(EngineError::Internal(format!("rmw on non-uint word at {addr}: {other:?}")))
-                }
-            };
+            let old = arena.word(addr).update_uint(f).map_err(|c| not_a_uint(addr, c))?;
             book.record(&self.seq, pe, addr, true, object);
-            arena.store_recorded(book, addr, Cell::Uint(f(old)), object.area());
+            book.mark_written(object.area(), (addr - arena.base) as usize);
             Ok(old)
         })
     }
@@ -643,7 +697,7 @@ impl Memory {
 mod tests {
     use super::*;
     use crate::layout::Locality;
-    use crate::model::{interleave, ModelStep};
+    use crate::model::{interleave, ModelStep, ModelWord};
 
     fn mem() -> Memory {
         Memory::new(MemoryConfig::small(), 2, true)
@@ -774,9 +828,12 @@ mod tests {
         assert!(t[2].write, "then the write");
         assert_eq!(t[1].pe, 1);
         assert_eq!(t[2].addr, pf);
-        // Counter-word corruption is an engine error, not a panic.
+        // Counter-word corruption is an engine error, not a panic, on
+        // either path, and leaves the word alone.
         m.write(0, pf, Cell::Int(-1), ObjectKind::ParcallCount);
-        assert!(m.rmw_uint(0, pf, ObjectKind::ParcallCount, |v| v).is_err());
+        assert!(m.rmw_uint(0, pf, ObjectKind::ParcallCount, |v| v + 1).is_err());
+        assert!(m.owner_rmw_uint(0, pf, Area::LocalStack, |v| v + 1).is_err());
+        assert_eq!(m.read_untraced(pf), Cell::Int(-1));
     }
 
     #[test]
@@ -801,7 +858,8 @@ mod tests {
 
     /// The relaxed backend's access mix on one arena, all at once: the owner
     /// on its unrecorded path, a remote PE on the recorded path (different
-    /// words), and both incrementing one Parcall counter.
+    /// words), and both incrementing one Parcall counter — the owner with no
+    /// lock, the remote PE under the book lock.
     #[test]
     fn owner_path_remote_writes_and_rmw_share_an_arena() {
         let m = Memory::new(MemoryConfig::small(), 2, false);
@@ -846,8 +904,8 @@ mod tests {
                     m.rmw_uint(1, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
                 }
             });
-            // The owner: its heap word on the owner path, the counter on the
-            // recorded one.
+            // The owner: its heap word and the counter both on the owner
+            // path (arena 0's base is 0, so addresses double as offsets).
             m.owner_write(0, own - heap, own_cycle(0), Area::Heap);
             delta.count(ObjectKind::HeapTerm, true);
             barrier.wait();
@@ -856,9 +914,14 @@ mod tests {
                 delta.count(ObjectKind::HeapTerm, true);
                 assert!(from_remote(m.owner_read(0, remote - heap)), "owner load of the remote PE's word");
                 delta.count(ObjectKind::HeapTerm, false);
-                m.rmw_uint(0, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+                m.owner_rmw_uint(0, count, Area::LocalStack, |v| v + 1).unwrap();
+                delta.count(ObjectKind::ParcallCount, false);
+                delta.count(ObjectKind::ParcallCount, true);
             }
         });
+        // The remote PE's counts are in the book already; the owner's only
+        // once its delta is flushed.
+        assert_eq!(m.merged_stats().per_pe[0].total(), 1, "the counter's initialising write");
         m.flush_delta(0, &mut delta);
         assert_eq!(m.read_untraced(count), Cell::Uint(2 * rounds - 1), "an increment was lost");
         assert_eq!(m.read_untraced(own), own_cycle(rounds - 1));
@@ -1116,19 +1179,11 @@ mod tests {
     // The word protocol, exhaustively interleaved
     // -----------------------------------------------------------------
     //
-    // A model, not the atomics themselves (see `crate::model`): the halves
-    // are plain `u64`s, and each step below is one atomic operation of
-    // `Word::store` / `Word::load` / `Memory::rmw_uint` in the order the real
-    // code issues it (through the real `encode` / `decode`).
-
-    #[derive(Clone, Default)]
-    struct ModelWord {
-        lo: u64,
-        hi: u64,
-        /// The loader's registers: the `lo` it read, then the decoded cell.
-        seen_lo: u64,
-        loaded: Option<Cell>,
-    }
+    // A model, not the atomics themselves (see `crate::model`, which also
+    // holds the Parcall-counter and completion-commit models built on this
+    // one): the halves are plain `u64`s, and each step below is one atomic
+    // operation of `Word::store` / `Word::load` in the order the real code
+    // issues it (through the real `encode` / `decode`).
 
     fn model_store_hi<const WHICH: usize>(w: &mut ModelWord) -> bool {
         w.hi = encode(STORED[WHICH]).1;
@@ -1184,94 +1239,5 @@ mod tests {
             torn |= w.loaded == Some(Cell::Int(0));
         });
         assert!(torn, "the model cannot tell a correct store order from a wrong one");
-    }
-
-    /// The counter-last completion commit: a child PE binds a variable (an
-    /// unlocked store), then bumps the Parcall Frame's completion count
-    /// under the parent arena's book lock; the parent reads the count under
-    /// that lock and then loads the binding.
-    #[derive(Clone, Default)]
-    struct ModelCommit {
-        binding: ModelWord,
-        completed: u32,
-        /// Which thread holds the book lock (1 = child, 2 = parent).
-        lock: u8,
-        child_old: u32,
-        parent_saw: u32,
-    }
-
-    const BINDING: Cell = Cell::Int(42);
-
-    fn model_lock<const WHO: u8>(s: &mut ModelCommit) -> bool {
-        if s.lock != 0 {
-            return false;
-        }
-        s.lock = WHO;
-        true
-    }
-    fn model_unlock<const WHO: u8>(s: &mut ModelCommit) -> bool {
-        assert_eq!(s.lock, WHO, "unlocking a lock held by someone else");
-        s.lock = 0;
-        true
-    }
-
-    #[test]
-    fn a_parent_that_saw_the_completion_count_sees_the_binding() {
-        let child: &[ModelStep<ModelCommit>] = &[
-            |s| {
-                s.binding.hi = encode(BINDING).1;
-                true
-            },
-            |s| {
-                s.binding.lo = encode(BINDING).0;
-                true
-            },
-            model_lock::<1>,
-            |s| {
-                s.child_old = s.completed;
-                true
-            },
-            |s| {
-                s.completed = s.child_old + 1;
-                true
-            },
-            model_unlock::<1>,
-        ];
-        let parent: &[ModelStep<ModelCommit>] = &[
-            model_lock::<2>,
-            |s| {
-                s.parent_saw = s.completed;
-                true
-            },
-            model_unlock::<2>,
-            |s| {
-                s.binding.seen_lo = s.binding.lo;
-                true
-            },
-            |s| {
-                let hi = s.binding.hi;
-                s.binding.loaded = Some(decode(s.binding.seen_lo, || hi));
-                true
-            },
-        ];
-        let (mut committed, mut early) = (0, 0);
-        interleave(&ModelCommit::default(), &[child, parent], &mut [0, 0], &mut |s| {
-            assert_eq!(s.completed, 1);
-            if s.parent_saw == 1 {
-                committed += 1;
-                assert_eq!(s.binding.loaded, Some(BINDING), "saw the count but not the binding");
-            } else {
-                early += 1;
-            }
-        });
-        assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
-        // Counter-*first* is the bug the protocol's name rules out.
-        let counter_first: Vec<ModelStep<ModelCommit>> =
-            child[2..].iter().chain(&child[..2]).copied().collect();
-        let mut broken = false;
-        interleave(&ModelCommit::default(), &[counter_first.as_slice(), parent], &mut [0, 0], &mut |s| {
-            broken |= s.parent_saw == 1 && s.binding.loaded != Some(BINDING);
-        });
-        assert!(broken, "the model cannot tell counter-last from counter-first");
     }
 }

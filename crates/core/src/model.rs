@@ -1,13 +1,18 @@
 //! Test-only model checking: an exhaustive interleaver over small state
-//! machines, and the Goal-Stack steal pop written as one.
+//! machines, and the Goal-Stack steal pop, the Parcall counters and the
+//! completion commit written as such.  (The arena word's own store/load
+//! protocol is modelled beside the real thing, in [`crate::mem`]'s tests.)
 //!
 //! A model is not the code itself: each step below is one atomic action of
 //! the real protocol, in the order the real code issues it, and
 //! [`interleave`] runs every schedule of the model threads' steps.  Schedules
 //! are sequentially consistent, so what a model checks is the *step order*;
 //! the locks' release/acquire (and, for the arena words in [`crate::mem`],
-//! the Release store / Acquire load of the low half) are what make other
-//! threads observe that order on real hardware.
+//! the Release store / Acquire load / `AcqRel` compare-exchange of the low
+//! half) are what make other threads observe that order on real hardware.
+
+use crate::cell::Cell;
+use crate::mem::{decode, encode};
 
 /// One atomic step of a model thread over shared state `S`; `false` means
 /// "blocked, try another thread" and must leave `S` untouched.
@@ -38,6 +43,19 @@ pub(crate) fn interleave<S: Clone>(
     }
     assert!(schedules > 0, "deadlock: every unfinished model thread is blocked");
     schedules
+}
+
+/// An arena word as two plain halves, plus the registers of the one model
+/// thread that loads it.  Each step that touches a field is one atomic
+/// operation of `Word::store` / `Word::load`, through the real `encode` /
+/// `decode`.
+#[derive(Clone, Default)]
+pub(crate) struct ModelWord {
+    pub(crate) lo: u64,
+    pub(crate) hi: u64,
+    /// The loader's registers: the `lo` it read, then the decoded cell.
+    pub(crate) seen_lo: u64,
+    pub(crate) loaded: Option<Cell>,
 }
 
 // ---------------------------------------------------------------------
@@ -197,4 +215,172 @@ fn every_schedule_of_the_steal_pop_takes_each_frame_once_with_its_own_image() {
         read_last_word::<THIEF>,
     ];
     assert!(!steal_pop_holds(late_read).0, "the model cannot tell a locked image read from a late one");
+}
+
+// ---------------------------------------------------------------------
+// The Parcall counters and the completion commit
+// ---------------------------------------------------------------------
+//
+// Every goal of a Parcall Frame bumps the frame's `COMPLETED` word once.  The
+// parent bumps it for a goal nobody stole through `Step::mem_rmw` on the
+// owner path: `Word::update_uint`, one compare-exchange and no lock.  A
+// remote PE bumps it for a stolen goal through `Memory::rmw_uint`: the parent
+// arena's book lock, a record, the same compare-exchange, a record, unlock.
+// A compare-exchange loop is one step here — its failed rounds change
+// nothing.  The commit is counter-*last*: the child stores its bindings
+// before it bumps the count, and the parent's `pcall_wait` loads the count
+// (unlocked on the owner path, under the book lock in a traced run) before it
+// loads a binding.
+
+/// Book-lock holders.
+const CHILD: u8 = 1;
+const PARENT: u8 = 2;
+
+/// What the stolen goal binds its variable to.
+const BINDING: Cell = Cell::Int(42);
+
+/// One Parcall Frame in the parent's arena, a variable the stolen goal binds,
+/// and the registers of the two PEs.
+#[derive(Clone, Default)]
+struct ModelFrame {
+    /// The `COMPLETED` word (a `Uint`: it lives wholly in `lo`).
+    completed: u32,
+    binding: ModelWord,
+    /// Who holds the parent arena's book lock.
+    lock: u8,
+    /// References recorded in that book (a ghost: the real book counts by
+    /// kind).
+    recorded: u32,
+    /// The parent's register between the halves of a *split* bump.
+    parent_old: u32,
+    /// The count the parent's wait loaded.
+    parent_saw: u32,
+}
+
+fn book_lock<const WHO: u8>(f: &mut ModelFrame) -> bool {
+    if f.lock != 0 {
+        return false;
+    }
+    f.lock = WHO;
+    true
+}
+fn book_unlock<const WHO: u8>(f: &mut ModelFrame) -> bool {
+    assert_eq!(f.lock, WHO, "unlocking a lock held by someone else");
+    f.lock = 0;
+    true
+}
+fn record(f: &mut ModelFrame) -> bool {
+    assert_ne!(f.lock, 0, "the book is written outside its lock");
+    f.recorded += 1;
+    true
+}
+fn bind_hi(f: &mut ModelFrame) -> bool {
+    f.binding.hi = encode(BINDING).1;
+    true
+}
+fn bind_lo(f: &mut ModelFrame) -> bool {
+    f.binding.lo = encode(BINDING).0;
+    true
+}
+/// `Word::update_uint(|v| v + 1)`.
+fn bump_completed(f: &mut ModelFrame) -> bool {
+    f.completed += 1;
+    true
+}
+fn load_completed(f: &mut ModelFrame) -> bool {
+    f.parent_saw = f.completed;
+    true
+}
+fn load_binding_lo(f: &mut ModelFrame) -> bool {
+    f.binding.seen_lo = f.binding.lo;
+    true
+}
+fn load_binding_hi(f: &mut ModelFrame) -> bool {
+    // `decode` asks for `hi` only for an `Int`; reading it here regardless is
+    // the later of the two possible moments.
+    let hi = f.binding.hi;
+    f.binding.loaded = Some(decode(f.binding.seen_lo, || hi));
+    true
+}
+
+/// The remote PE that executed the stolen goal: bind, then commit.
+const STOLEN_GOAL: [ModelStep<ModelFrame>; 7] =
+    [bind_hi, bind_lo, book_lock::<CHILD>, record, bump_completed, record, book_unlock::<CHILD>];
+
+/// The parent's `pcall_wait` on the owner path: load the count and — were it
+/// the final one — go on to read what the child bound.
+const OWNER_WAIT: [ModelStep<ModelFrame>; 3] = [load_completed, load_binding_lo, load_binding_hi];
+
+#[test]
+fn an_unlocked_owner_bump_and_a_locked_remote_one_never_lose_each_other() {
+    // The parent runs the frame's other goal itself, then waits.
+    let parent = [&[bump_completed as ModelStep<ModelFrame>][..], &OWNER_WAIT].concat();
+    let (mut committed, mut early) = (0, 0);
+    let schedules = interleave(&ModelFrame::default(), &[&STOLEN_GOAL, &parent], &mut [0, 0], &mut |f| {
+        assert_eq!(f.completed, 2, "an increment was lost");
+        assert_eq!(f.recorded, 2, "the remote bump records a read and a write");
+        if f.parent_saw == 2 {
+            committed += 1;
+            assert_eq!(f.binding.loaded, Some(BINDING), "saw the count but not the binding");
+        } else {
+            early += 1;
+        }
+    });
+    // Nobody contends for the lock, so no step ever blocks.
+    assert_eq!(schedules, 330, "C(11, 4) schedules of 7 + 4 steps");
+    assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
+    // What the compare-exchange rules out: an owner that loads and stores the
+    // count as two unlocked steps overwrites a remote bump that lands between
+    // them.
+    let split: &[ModelStep<ModelFrame>] = &[
+        |f| {
+            f.parent_old = f.completed;
+            true
+        },
+        |f| {
+            f.completed = f.parent_old + 1;
+            true
+        },
+    ];
+    let mut lost = false;
+    interleave(&ModelFrame::default(), &[&STOLEN_GOAL, split], &mut [0, 0], &mut |f| {
+        lost |= f.completed == 1;
+    });
+    assert!(lost, "the model cannot tell a compare-exchange from a split load/store");
+}
+
+/// The same commit as a traced or classic run sees it: the parent's load of
+/// the count is a recorded read under its arena's book lock.
+#[test]
+fn a_parent_that_saw_the_completion_count_sees_the_binding() {
+    let parent: &[ModelStep<ModelFrame>] = &[
+        book_lock::<PARENT>,
+        record,
+        load_completed,
+        book_unlock::<PARENT>,
+        load_binding_lo,
+        load_binding_hi,
+    ];
+    let (mut committed, mut early) = (0, 0);
+    interleave(&ModelFrame::default(), &[&STOLEN_GOAL, parent], &mut [0, 0], &mut |f| {
+        assert_eq!(f.completed, 1);
+        if f.parent_saw == 1 {
+            committed += 1;
+            assert_eq!(f.binding.loaded, Some(BINDING), "saw the count but not the binding");
+        } else {
+            early += 1;
+        }
+    });
+    assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
+    // Counter-*first* is the bug the protocol's name rules out, whichever
+    // way the parent reads the count.
+    let counter_first: Vec<ModelStep<ModelFrame>> =
+        STOLEN_GOAL[2..].iter().chain(&STOLEN_GOAL[..2]).copied().collect();
+    for parent in [parent, &OWNER_WAIT] {
+        let mut broken = false;
+        interleave(&ModelFrame::default(), &[counter_first.as_slice(), parent], &mut [0, 0], &mut |f| {
+            broken |= f.parent_saw == 1 && f.binding.loaded != Some(BINDING);
+        });
+        assert!(broken, "the model cannot tell counter-last from counter-first");
+    }
 }

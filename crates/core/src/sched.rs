@@ -23,12 +23,15 @@
 //! * *Threaded × relaxed* — true per-arena parallel execution: every OS
 //!   thread free-runs over its *own* worker and Stack Set arena, whose words
 //!   it loads and stores without any lock (the owner path of
-//!   [`crate::mem`]).  Cross-PE traffic — goal-steal pops,
-//!   completion-counter updates, messages, `cancel_goal` requests, bindings
-//!   that cross an arena boundary — is recorded under the owning arena's
-//!   book lock and ordered by it and by the per-PE boards of the shared
-//!   [`crate::engine::EngineCore`]; the words themselves are atomics, so
-//!   even a reference that races is sound.  As in the paper, nothing is ever
+//!   [`crate::mem`]) — its own Parcall Frames, Goal Frames, Markers and
+//!   Messages included, so a goal nobody stole costs no arena lock.
+//!   References into *another* PE's Stack Set — a thief's pick-up of a
+//!   stolen goal, its completion-counter update, its message, bindings that
+//!   cross an arena boundary — are recorded under the owning arena's book
+//!   lock; what orders cross-PE traffic is the words themselves (atomics:
+//!   Release stores, Acquire loads, compare-exchange for the counters) and
+//!   the per-PE boards of the shared [`crate::engine::EngineCore`], so even
+//!   a reference that races is sound.  As in the paper, nothing is ever
 //!   sent to the victim of a steal: a thief takes the Goal Frame under the
 //!   victim's board lock, and the steal is counted there.
 //!

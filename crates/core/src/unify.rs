@@ -143,8 +143,8 @@ impl<'a, 'p> Step<'a, 'p> {
     /// Bind two unbound variables together, choosing a direction that never
     /// leaves a heap cell pointing into a (shorter-lived) local stack.
     fn bind_vars(&mut self, a1: u32, a2: u32) -> EngineResult<()> {
-        let area1 = self.core.mem.map.area_of(a1);
-        let area2 = self.core.mem.map.area_of(a2);
+        let area1 = self.object_for_addr(a1).area();
+        let area2 = self.object_for_addr(a2).area();
         let (from, to) = match (area1, area2) {
             (Area::Heap, Area::Heap) => {
                 if a1 > a2 {
@@ -174,7 +174,7 @@ impl<'a, 'p> Step<'a, 'p> {
     pub(crate) fn globalize(&mut self, cell: Cell) -> EngineResult<Cell> {
         let d = self.deref(cell);
         if let Cell::Ref(a) = d {
-            if self.core.mem.map.area_of(a) == Area::LocalStack {
+            if self.object_for_addr(a).area() == Area::LocalStack {
                 let hv = self.new_heap_var()?;
                 self.bind(a, hv)?;
                 return Ok(hv);
@@ -261,9 +261,12 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// Collect the addresses of all unbound variables reachable from `cell`.
     pub(crate) fn collect_unbound(&mut self, cell: Cell, out: &mut Vec<u32>) -> EngineResult<()> {
-        let mut work = vec![cell];
+        // The root is held aside, so a root that is atomic or unbound — what
+        // a CGE's `ground/1` check nearly always sees — allocates nothing.
+        let mut root = Some(cell);
+        let mut work = Vec::new();
         let mut visited = 0usize;
-        while let Some(c) = work.pop() {
+        while let Some(c) = root.take().or_else(|| work.pop()) {
             visited += 1;
             if visited > 10_000_000 {
                 return Err(EngineError::Internal("term too large during variable scan".into()));

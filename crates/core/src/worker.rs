@@ -186,6 +186,15 @@ pub struct Worker {
     pub instructions: u64,
     /// Cycles spent idle or waiting.
     pub idle_cycles: u64,
+    /// Logical inferences (user-predicate calls, parallel-goal starts and
+    /// host calls) this worker performed.  Worker-local like every per-call
+    /// counter here, so a `call` costs no shared read-modify-write;
+    /// [`crate::stats::RunStats`] reports the sum over workers.
+    pub inferences: u64,
+    /// Parcall Frames this worker allocated.
+    pub parcalls: u64,
+    /// Parallel goals this worker started, its own and stolen ones alike.
+    pub parallel_goals: u64,
     /// Goals this worker took from another worker's Goal Stack.
     pub goals_stolen: u64,
     /// Stolen goals this worker aborted mid-flight on a `cancel_goal`
@@ -326,6 +335,9 @@ impl Worker {
             goal_contexts: Vec::new(),
             instructions: 0,
             idle_cycles: 0,
+            inferences: 0,
+            parcalls: 0,
+            parallel_goals: 0,
             goals_stolen: 0,
             goals_aborted: 0,
             goals_while_cancelling: 0,

@@ -2,12 +2,18 @@
 //!
 //! A free-running PE serves references to its own Stack Set without the
 //! arena's book lock and counts them in its worker-local `RefDelta`, exactly
-//! as an interleaved PE does.  Two things pin that:
+//! as an interleaved PE does — Parcall Frames, Goal Frames, Markers and
+//! Messages included.  Three things pin that:
 //!
 //! * With **one** PE there is nothing to race, so a relaxed run must count
 //!   what the interleaved reference counts, reference for reference — any
 //!   owner-path access the relaxed driver failed to flush, or flushed twice,
 //!   shows up here.
+//! * When goals **are** stolen, part of the parallel machinery's traffic
+//!   moves to the recorded path (the thief's) and the rest stays on the owner
+//!   path (the parent's).  Interleaved PEs are deterministic, so an untraced
+//!   run must count, kind by kind and PE by PE, what a traced run — where
+//!   every reference is recorded — counts.
 //! * Word soundness holds for **any** program, including one whose
 //!   unconditional `&` lies about independence: two PEs racing on one
 //!   variable cell may produce either binding, a failure or a typed error,
@@ -15,7 +21,7 @@
 
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use rapwam::session::{QueryOptions, Session};
-use rapwam::Outcome;
+use rapwam::{ObjectKind, Outcome};
 use std::time::Duration;
 
 #[test]
@@ -37,6 +43,32 @@ fn one_relaxed_pe_counts_exactly_what_one_interleaved_pe_counts() {
         assert_eq!(r.area_stats.global_refs, s.area_stats.global_refs, "{name}: global_refs");
         assert_eq!(r.area_stats.local_refs, s.area_stats.local_refs, "{name}: local_refs");
         assert_eq!(r.area_stats.locked_refs, s.area_stats.locked_refs, "{name}: locked_refs");
+    }
+}
+
+#[test]
+fn the_owner_path_neither_loses_nor_invents_a_count_when_goals_are_stolen() {
+    for id in [BenchmarkId::Tak, BenchmarkId::Fib, BenchmarkId::Deriv] {
+        let b = benchmark(id, Scale::Small);
+        let mut session = Session::new(&b.program).unwrap();
+        for workers in [1, 2, 4] {
+            let what = format!("{} on {workers} interleaved PEs", id.name());
+            let untraced = session.run(&b.query, &QueryOptions::parallel(workers)).unwrap();
+            let traced = session.run(&b.query, &QueryOptions::parallel(workers).with_trace()).unwrap();
+            assert_eq!(untraced.outcome, traced.outcome, "{what}: answers");
+            let stolen = untraced.stats.goals_actually_parallel;
+            assert_eq!(stolen > 0, workers > 1, "{what}: {stolen} goals stolen");
+            let (u, t) = (&untraced.stats.area_stats, &traced.stats.area_stats);
+            // The kinds the parallel machinery adds to the WAM's: the ones an
+            // unstolen goal now touches on the owner path only.
+            for kind in ObjectKind::ALL.into_iter().filter(|k| !k.in_wam()) {
+                assert!(workers == 1 || t.object(kind).total() > 0, "{what}: no {kind:?} reference at all");
+                assert_eq!(u.object(kind), t.object(kind), "{what}: {kind:?}");
+            }
+            assert_eq!(u.locked_refs, t.locked_refs, "{what}: locked_refs");
+            assert_eq!(u.global_refs, t.global_refs, "{what}: global_refs");
+            assert_eq!(u.per_pe, t.per_pe, "{what}: per-PE totals");
+        }
     }
 }
 
