@@ -1,6 +1,6 @@
-//! Differential tests across the two scheduler backends, plus golden
+//! Differential tests across the two scheduler backends, golden
 //! fingerprints pinning the merged per-PE trace to the flat-memory trace of
-//! the pre-sharding engine.
+//! the pre-sharding engine, and the answer oracle on the registry programs.
 //!
 //! * The relaxed Threaded backend (free-running threads over owned arenas)
 //!   must produce the *identical answer set* and the schedule-invariant
@@ -15,9 +15,13 @@
 //! `PWAM_THREADS` environment variable (CI exercises exactly that knob, and
 //! a dedicated relaxed-determinism job runs this suite at 2 and 8 threads).
 
+#[path = "../../core/tests/common/sld.rs"]
+mod sld;
+
 use pwam_benchmarks::{benchmark, run_benchmark_with_session, validate, BenchmarkId, Scale};
 use rapwam::session::QueryOptions;
-use rapwam::{Area, MemRef, ObjectKind};
+use rapwam::trace::fingerprint;
+use rapwam::{Area, ObjectKind};
 
 /// Worker count for the differential runs (`PWAM_THREADS`, default 4).
 fn threads() -> usize {
@@ -28,62 +32,97 @@ fn opts() -> QueryOptions {
     QueryOptions { trace: true, ..QueryOptions::parallel(threads()) }
 }
 
-/// FNV-1a over every field of every reference, in trace order.
-fn fingerprint(trace: &[MemRef]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for r in trace {
-        mix(r.pe);
-        for b in r.addr.to_le_bytes() {
-            mix(b);
-        }
-        mix(r.write as u8);
-        mix(r.area.index() as u8);
-        mix(ObjectKind::ALL.iter().position(|o| *o == r.object).unwrap() as u8);
-        mix(matches!(r.locality, rapwam::Locality::Global) as u8);
-        mix(r.locked as u8);
-    }
-    h
-}
+/// (benchmark, workers, instructions, data_refs, trace length, fingerprint)
+/// of an interleaved run at `Scale::Small`.  The deriv and qsort
+/// fingerprints at 1/2/4 PEs were proven reference-for-reference identical to
+/// the pre-sharding engine's flat-memory traces when the arenas landed; they
+/// freeze the reference trace so any later drift in the sharded memory, the
+/// seq-keyed merge, or the reference tagging fails this test.  Regenerated
+/// (see `examples/trace_goldens.rs`) when the last-goal-inline optimisation
+/// returned: the leftmost CGE branch now runs inline on the parent (no Goal
+/// Frame traffic), the Parcall Frame gained its ENTRY_B word, and
+/// `pcall_wait` reads it to commit the parcall to its first solution — the
+/// *semantics* of that change were pinned by the answer/count equalities of
+/// the rest of this suite (and the inline-on/off differentials in
+/// `parcall_cancel_properties`) before the fingerprints were refreshed.  The
+/// other rows, and the counter columns, were recorded when the classic
+/// enum-fetch dispatch loop was deleted, from a tree in which that second
+/// executor still reproduced every row byte for byte.
+const REGISTRY_GOLDENS: [(BenchmarkId, usize, u64, u64, usize, u64); 28] = [
+    (BenchmarkId::Deriv, 1, 663, 1705, 1705, 0x00039f020862ae8b),
+    (BenchmarkId::Deriv, 2, 663, 1725, 1725, 0xb43083a3afa69624),
+    (BenchmarkId::Deriv, 4, 661, 1799, 1799, 0x17e6133e190bb124),
+    (BenchmarkId::Deriv, 8, 654, 1938, 1938, 0xf4670690e37e34bb),
+    (BenchmarkId::Tak, 1, 14160, 32357, 32357, 0xf8461eb20c2f92c4),
+    (BenchmarkId::Tak, 2, 14146, 32655, 32655, 0x8b6ea28d022caba5),
+    (BenchmarkId::Tak, 4, 14138, 32751, 32751, 0x3546dce4102b38a5),
+    (BenchmarkId::Tak, 8, 14084, 33809, 33809, 0x6872dccc0dd16c95),
+    (BenchmarkId::Qsort, 1, 4586, 7156, 7156, 0x848390a5f70a965f),
+    (BenchmarkId::Qsort, 2, 4580, 7258, 7258, 0x3e11f48376def7bf),
+    (BenchmarkId::Qsort, 4, 4576, 7406, 7406, 0x0a34a0ac7e187616),
+    (BenchmarkId::Qsort, 8, 4562, 7684, 7684, 0xdd7d26181190e1cb),
+    (BenchmarkId::Matrix, 1, 2082, 2482, 2482, 0xaffe6eb857351df7),
+    (BenchmarkId::Matrix, 2, 2082, 2502, 2502, 0x1cd1acbc3060da51),
+    (BenchmarkId::Matrix, 4, 2082, 2542, 2542, 0xe76cfee2cd19df0e),
+    (BenchmarkId::Matrix, 8, 2081, 2559, 2559, 0x898b306373934e49),
+    (BenchmarkId::Boyer, 1, 6522, 17654, 17654, 0xd493e378e2cec48e),
+    (BenchmarkId::Boyer, 2, 6519, 17725, 17725, 0x2fc73ba6a9ecea03),
+    (BenchmarkId::Boyer, 4, 6511, 17901, 17901, 0xe3d19df423c41fd9),
+    (BenchmarkId::Boyer, 8, 6497, 18119, 18119, 0xddf220e316bffd42),
+    (BenchmarkId::Queens, 1, 2578, 6399, 6399, 0xa5fb1d6cb9581d3d),
+    (BenchmarkId::Queens, 2, 3487, 9151, 9151, 0x8f617df73df406c8),
+    (BenchmarkId::Queens, 4, 4291, 11675, 11675, 0xffbab6213f70709f),
+    (BenchmarkId::Queens, 8, 4287, 11734, 11734, 0x06effeabd0a34ae7),
+    (BenchmarkId::Fib, 1, 10219, 24467, 24467, 0xae7e27132388eac5),
+    (BenchmarkId::Fib, 2, 10218, 24504, 24504, 0x32fe3032bc67c83c),
+    (BenchmarkId::Fib, 4, 10207, 24771, 24771, 0x993941430678d29a),
+    (BenchmarkId::Fib, 8, 10187, 25183, 25183, 0x78d9264d1fdfa66b),
+];
 
 #[test]
 fn interleaved_trace_matches_pre_sharding_goldens() {
-    // (benchmark, workers, trace length, fingerprint).  The original
-    // fingerprints were proven reference-for-reference identical to the
-    // pre-sharding engine's flat-memory traces when the arenas landed;
-    // they freeze the reference trace so any later drift in the sharded
-    // memory, the seq-keyed merge, or the reference tagging fails this
-    // test.  Regenerated (see `examples/trace_goldens.rs`) when the
-    // last-goal-inline optimisation returned: the leftmost CGE branch now
-    // runs inline on the parent (no Goal Frame traffic), the Parcall Frame
-    // gained its ENTRY_B word, and `pcall_wait` reads it to commit the
-    // parcall to its first solution — the *semantics* of that change were
-    // pinned by the answer/count equalities of the rest of this suite (and
-    // the inline-on/off differentials in `parcall_cancel_properties`)
-    // before the fingerprints were refreshed.
-    let goldens: [(BenchmarkId, usize, usize, u64); 6] = [
-        (BenchmarkId::Deriv, 1, 1705, 0x00039f020862ae8b),
-        (BenchmarkId::Deriv, 2, 1725, 0xb43083a3afa69624),
-        (BenchmarkId::Deriv, 4, 1799, 0x17e6133e190bb124),
-        (BenchmarkId::Qsort, 1, 7156, 0x848390a5f70a965f),
-        (BenchmarkId::Qsort, 2, 7258, 0x3e11f48376def7bf),
-        (BenchmarkId::Qsort, 4, 7406, 0x0a34a0ac7e187616),
-    ];
-    for (id, workers, len, fp) in goldens {
+    for (id, workers, instructions, data_refs, len, fp) in REGISTRY_GOLDENS {
+        for classic in [false, true] {
+            let b = benchmark(id, Scale::Small);
+            let o = QueryOptions { classic_dispatch: classic, ..QueryOptions::parallel(workers).with_trace() };
+            let (_, r) = run_benchmark_with_session(&b, &o).unwrap();
+            let what = format!("{} workers={workers} classic={classic}", id.name());
+            assert_eq!(r.stats.instructions, instructions, "{what}: instructions");
+            assert_eq!(r.stats.data_refs, data_refs, "{what}: data_refs");
+            let t = r.trace.expect("trace requested");
+            assert_eq!(t.len(), len, "{what}: trace length drifted");
+            assert_eq!(
+                fingerprint(&t),
+                fp,
+                "{what}: merged per-PE trace is not byte-identical to the flat-memory trace"
+            );
+        }
+    }
+}
+
+/// The first answer of every registry program is the answer oracle's, under
+/// the WAM compilation and under the RAP-WAM one.
+#[test]
+fn oracle_agrees_with_the_registry() {
+    for id in BenchmarkId::EXTENDED {
         let b = benchmark(id, Scale::Small);
-        let o = QueryOptions { trace: true, ..QueryOptions::parallel(workers) };
-        let (_, r) = run_benchmark_with_session(&b, &o).unwrap();
-        let t = r.trace.expect("trace requested");
-        assert_eq!(t.len(), len, "{} workers={workers}: trace length drifted", id.name());
-        assert_eq!(
-            fingerprint(&t),
-            fp,
-            "{} workers={workers}: merged per-PE trace is not byte-identical to the flat-memory trace",
-            id.name()
-        );
+        let mut oracle = sld::Oracle::new(&b.program);
+        for (cge, opts) in [
+            (sld::Cge::Conjunction, QueryOptions::sequential()),
+            (sld::Cge::FirstSolution, QueryOptions::parallel(1)),
+            (sld::Cge::FirstSolution, QueryOptions::parallel(threads())),
+        ] {
+            let expected = oracle.solutions(&b.query, cge, 1).expect("oracle proves the query");
+            let (s, r) = run_benchmark_with_session(&b, &opts).unwrap();
+            let rapwam::Outcome::Success(bindings) = &r.outcome else { panic!("{} failed", id.name()) };
+            let mut row: sld::Row = bindings
+                .iter()
+                .filter(|(n, _)| !n.starts_with('_'))
+                .map(|(n, t)| (n.clone(), s.render(t)))
+                .collect();
+            row.sort();
+            assert_eq!(vec![row], expected, "{} on {} PE(s), parallel={}", id.name(), opts.workers, opts.parallel);
+        }
     }
 }
 

@@ -27,6 +27,29 @@ pub struct MemRef {
     pub locked: bool,
 }
 
+/// The golden suites' fingerprint of a trace: FNV-1a over every field of
+/// every reference, in trace order.  The field order and encodings are
+/// frozen — the recorded goldens are values of this function.
+pub fn fingerprint(trace: &[MemRef]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |b: u8| {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for r in trace {
+        mix(r.pe);
+        for b in r.addr.to_le_bytes() {
+            mix(b);
+        }
+        mix(r.write as u8);
+        mix(r.area.index() as u8);
+        mix(r.object.index() as u8);
+        mix(matches!(r.locality, Locality::Global) as u8);
+        mix(r.locked as u8);
+    }
+    h
+}
+
 /// Read/write counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RwCount {

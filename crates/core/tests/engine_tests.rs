@@ -533,7 +533,9 @@ fn neck_cut_commits_to_the_first_matching_clause() {
     let flat = run_prog(&prog, QueryOptions::sequential().engine_config());
     assert_eq!(flat.outcome, Outcome::Failure, "neck_cut must commit p/1 to its first clause");
 
-    // Both dispatch paths must execute the patched instruction identically.
+    // Recorded while a second executor (the classic dispatch loop, since
+    // deleted) still reproduced them: the cut's own accounting.
+    assert_eq!((flat.stats.instructions, flat.stats.data_refs), (14, 26));
     let classic = run_prog(&prog, QueryOptions::sequential().with_classic_dispatch().engine_config());
     assert_eq!(classic.outcome, Outcome::Failure);
     assert_eq!(flat.stats.instructions, classic.stats.instructions);

@@ -4,77 +4,38 @@
 //! resumed to completion must reproduce the unfuelled run's answers,
 //! counters and traces exactly.
 
+mod common;
+
+use common::{state_at_preemption, FUEL_PROGRAMS, PERM, PERM_QUERY, PREEMPTIONS, PREEMPTION_FUEL};
 use rapwam::session::{CursorStep, QueryOptions, Session};
 use rapwam::{EngineError, Term};
-
-const PERM: &str = "app([],L,L).\n\
-                    app([H|T],L,[H|R]) :- app(T,L,R).\n\
-                    perm([],[]).\n\
-                    perm(L,[H|T]) :- app(V,[H|U],L), app(V,U,W), perm(W,T).";
-
-const PERM_QUERY: &str = "perm([1,2,3,4], P)";
-
-/// A CGE-bearing program so the parallel machinery (parcall frames, goal
-/// stacks, waiting workers) is live at preemption points.
-const PAR_SUM: &str = "sum([], 0).\n\
-                       sum([X|Xs], S) :- (ground(Xs) | sum(Xs, S1) & sq(X, X2)), S is S1 + X2.\n\
-                       sq(X, Y) :- Y is X * X.";
-
-const PAR_SUM_QUERY: &str = "sum([1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16], S)";
 
 fn rendered(session: &Session, answers: &[Vec<(String, Term)>]) -> Vec<Vec<(String, String)>> {
     answers.iter().map(|b| b.iter().map(|(n, t)| (n.clone(), session.render(t))).collect()).collect()
 }
 
-/// Step the cursor to its `n`-th fuel preemption and return the machine
-/// fingerprint and cumulative instruction count there.
-fn fingerprint_at_preemption(program: &str, query: &str, opts: &QueryOptions, n: usize) -> (u64, u64) {
-    let mut session = Session::new(program).unwrap();
-    let compiled = session.prepare_with(query, opts.compile_options()).unwrap();
-    let mut cursor = session.open_cursor(&compiled, opts, None).unwrap();
-    let mut preemptions = 0;
-    loop {
-        match cursor.next_step().unwrap() {
-            CursorStep::FuelExhausted => {
-                preemptions += 1;
-                if preemptions == n {
-                    let fp = cursor.state_fingerprint().expect("live engine");
-                    let steps = cursor.stats().expect("live engine").instructions;
-                    return (fp, steps);
-                }
-            }
-            CursorStep::Answer(_) => {}
-            CursorStep::Exhausted => {
-                panic!("query exhausted after {preemptions} preemption(s), before the requested {n}")
-            }
-        }
-    }
-}
+/// Per program of `FUEL_PROGRAMS`: `(machine fingerprint, instructions
+/// retired)` at each preemption of `PREEMPTIONS`.  Regenerate with `cargo run
+/// --release --example trace_goldens`.
+const PREEMPTION_GOLDENS: [[(u64, u64); 2]; 2] = [
+    [(0xde259a15005b66f3, 97), (0x14a62b67925d25e3, 376)],
+    [(0x5b90cf3b21b1d2aa, 97), (0x6b63382fec7a4d85, 292)],
+];
 
 #[test]
 fn preemption_point_is_byte_identical_across_dispatch_and_backends() {
-    for (program, query, workers) in [(PERM, PERM_QUERY, 1), (PAR_SUM, PAR_SUM_QUERY, 2)] {
-        let configs: Vec<(&str, QueryOptions)> = vec![
-            ("interleaved/flat", QueryOptions::parallel(workers).with_fuel(97)),
-            ("interleaved/classic", QueryOptions::parallel(workers).with_fuel(97).with_classic_dispatch()),
+    for ((program, query, workers), goldens) in FUEL_PROGRAMS.into_iter().zip(PREEMPTION_GOLDENS) {
+        let configs = [
+            ("interleaved/flat", QueryOptions::parallel(workers).with_fuel(PREEMPTION_FUEL)),
+            (
+                "interleaved/classic",
+                QueryOptions::parallel(workers).with_fuel(PREEMPTION_FUEL).with_classic_dispatch(),
+            ),
         ];
-        // Pin the first and a later preemption point: the first exercises
-        // run_resumable's fuel leg, the later ones the resume(Continue)
-        // re-arm path.
-        for n in [1, 3] {
-            let mut seen: Option<(u64, u64)> = None;
+        for (n, golden) in PREEMPTIONS.into_iter().zip(goldens) {
             for (name, opts) in &configs {
-                let (fp, steps) = fingerprint_at_preemption(program, query, opts, n);
-                match &seen {
-                    None => seen = Some((fp, steps)),
-                    Some((fp0, steps0)) => {
-                        assert_eq!(
-                            steps, *steps0,
-                            "{name}: instruction count at preemption {n} diverged ({query})"
-                        );
-                        assert_eq!(fp, *fp0, "{name}: machine state at preemption {n} diverged ({query})");
-                    }
-                }
+                let state = state_at_preemption(program, query, opts, n);
+                assert_eq!(state, golden, "{name}: machine state at preemption {n} diverged ({query})");
             }
         }
     }
@@ -82,7 +43,7 @@ fn preemption_point_is_byte_identical_across_dispatch_and_backends() {
 
 #[test]
 fn fuelled_run_reproduces_unfuelled_answers_counters_and_traces() {
-    for (program, query, workers) in [(PERM, PERM_QUERY, 1), (PAR_SUM, PAR_SUM_QUERY, 2)] {
+    for (program, query, workers) in FUEL_PROGRAMS {
         let unfuelled_opts = QueryOptions::parallel(workers).with_trace();
         let mut session = Session::new(program).unwrap();
         let compiled = session.prepare_with(query, unfuelled_opts.compile_options()).unwrap();

@@ -1,0 +1,104 @@
+//! Property-based differential between every backend and the answer oracle.
+//!
+//! This suite generates *random programs* — random fact tables, backtracking
+//! searches with and without cuts, optional CGEs — and checks the whole
+//! answer stream of the sequential WAM, the interleaved RAP-WAM and the
+//! relaxed threaded RAP-WAM against `common::sld`, a term-level interpreter
+//! that shares no code with the compiler or the machine.
+//!
+//! Each case also runs traced and *untraced*, which is the configuration
+//! where the owner path is live (serial arena access + batched `RefDelta`
+//! accounting + the register caches), and asserts the untraced counters equal
+//! the traced ones — proving the batching and caching are invisible to the
+//! statistics.
+//!
+//! Answers cannot pin the reference stream, so a fixed table of generator
+//! cases pins it: counters, trace length and fingerprint of the first-answer
+//! run and of the drained stream, recorded while a second executor (the
+//! classic enum-fetch dispatch loop, since deleted) still reproduced every
+//! row byte for byte.
+
+mod common;
+
+use common::*;
+use proptest::prelude::*;
+use rapwam::session::{QueryOptions, Session};
+use rapwam::{Outcome, RunResult};
+
+fn run(c: &Case, opts: QueryOptions) -> (Vec<Row>, RunResult) {
+    let mut s = Session::new(&program(c, false)).expect("program parses");
+    let r = s.run(&query(c), &opts).expect("query runs");
+    let answer = match &r.outcome {
+        Outcome::Success(b) => vec![row(&s, b)],
+        Outcome::Failure => Vec::new(),
+    };
+    (answer, r)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn backends_agree_with_the_oracle_on_random_programs(c in case_strategy()) {
+        let wam = oracle_stream(&c, Cge::Conjunction);
+        let rapwam = oracle_stream(&c, Cge::FirstSolution);
+        let (sequential, _, _) = drain(&c, false, &QueryOptions::sequential());
+        prop_assert_eq!(&sequential, &wam, "sequential stream");
+        let (interleaved, traced_stats, _) = drain(&c, false, &QueryOptions::parallel(c.workers).with_trace());
+        prop_assert_eq!(&interleaved, &rapwam, "interleaved stream");
+        let (relaxed, _, _) = drain(&c, false, &QueryOptions::relaxed(c.workers.max(2)));
+        prop_assert_eq!(&relaxed, &rapwam, "relaxed stream");
+        // STEP 1-2 ONLY: the classic path agrees too, reference for reference.
+        let (classic, classic_stats, classic_trace) =
+            drain(&c, false, &QueryOptions::parallel(c.workers).with_trace().with_classic_dispatch());
+        prop_assert_eq!(&classic, &rapwam, "classic stream");
+        assert_counters_equal(&classic_stats, &traced_stats, "classic vs flat stream");
+        let flat_trace = drain(&c, false, &QueryOptions::parallel(c.workers).with_trace()).2;
+        prop_assert_eq!(classic_trace, flat_trace);
+        let (ans_classic, classic_untraced) = run(&c, QueryOptions::parallel(c.workers).with_classic_dispatch());
+        let (ans_flat, flat_untraced) = run(&c, QueryOptions::parallel(c.workers));
+        prop_assert_eq!(&ans_classic, &ans_flat);
+        assert_counters_equal(&classic_untraced.stats, &flat_untraced.stats, "untraced classic vs flat");
+
+        // Untraced: the owner path (serial arenas, RefDelta batching,
+        // register caches) is live here.  Counters must match the traced
+        // run — batching is invisible — over the stream and to the first
+        // answer.
+        let (fast_stream, fast_stats, _) = drain(&c, false, &QueryOptions::parallel(c.workers));
+        prop_assert_eq!(&fast_stream, &rapwam, "untraced interleaved stream");
+        assert_counters_equal(&fast_stats, &traced_stats, "untraced vs traced stream");
+        let (ans_traced, traced) = run(&c, QueryOptions::parallel(c.workers).with_trace());
+        let (ans_fast, fast) = run(&c, QueryOptions::parallel(c.workers));
+        prop_assert_eq!(&ans_traced[..], &rapwam[..1]);
+        prop_assert_eq!(&ans_fast, &ans_traced);
+        assert_counters_equal(&fast.stats, &traced.stats, "untraced vs traced");
+    }
+}
+
+/// `(first-answer run, drained stream)` of [`golden_cases`], in its order.
+/// Regenerate with `cargo run --release --example trace_goldens`.
+const CASE_GOLDENS: [(Pin, Pin); 12] = [
+    ((89, 126, 126, 0x385530f5d9a1aa5c), (975, 2230, 2230, 0x68733ca07ef4f704)),
+    ((128, 218, 218, 0x761f1f4311304bdf), (901, 1804, 1804, 0xf62f0b3b47ee5415)),
+    ((167, 310, 310, 0x9dce1622cde5e7b0), (1460, 3283, 3283, 0x6717d62c3ac35d58)),
+    ((97, 177, 177, 0xacaf5468ad5f3fcd), (103, 199, 199, 0xce9a2b2573f0f8e4)),
+    ((135, 285, 285, 0xbfab018efa38c9a9), (141, 305, 305, 0x5ad097de8093e7e4)),
+    ((174, 376, 376, 0xdf47d779e67efd90), (180, 396, 396, 0x7790eaab1c2c2367)),
+    ((95, 140, 140, 0x033db4d331d11eac), (101, 162, 162, 0x3828214288bb8c61)),
+    ((134, 232, 232, 0xe1c5dccbdb7fd78e), (140, 254, 254, 0x03d1afbd316b43af)),
+    ((173, 324, 324, 0x99d9b5f853214a98), (179, 346, 346, 0xc76e6839cc112cad)),
+    ((103, 188, 188, 0x98a6904188098ea3), (109, 210, 210, 0x1f391d165436c2f2)),
+    ((141, 293, 293, 0x1cdcab3c59977b21), (147, 313, 313, 0x779b99b136fd3c1c)),
+    ((180, 384, 384, 0x375afc7408be1830), (186, 404, 404, 0x6021acfe0cb4b207)),
+];
+
+#[test]
+fn fixed_cases_match_their_recorded_streams() {
+    for (c, (first, stream)) in golden_cases().iter().zip(CASE_GOLDENS) {
+        assert!(oracle_stream(c, Cge::FirstSolution).len() >= 2, "{c:?}: a stream of one answer");
+        for classic in [false, true] {
+            assert_eq!(first_answer_pin(c, classic), first, "{c:?}: first-answer run (classic={classic})");
+            assert_eq!(stream_pin(c, classic), stream, "{c:?}: drained stream (classic={classic})");
+        }
+    }
+}

@@ -8,7 +8,7 @@
 //!
 //! * identical answers across Interleaved / Threaded-Relaxed × both
 //!   `inline_first_goal` settings (four configurations), all equal to the
-//!   sequential WAM reference;
+//!   sequential WAM reference and to the answer oracle (`common::sld`);
 //! * no leaked Goal Frames after the run (every scheduled goal was picked
 //!   up, retracted, or aborted — nothing is abandoned on a board);
 //! * [`Engine::check_consistency`] clean after the run.
@@ -16,6 +16,9 @@
 //! The worker count honours `PWAM_THREADS` (default 4); CI runs this suite
 //! at 2 and 8 threads in relaxed mode.
 
+mod common;
+
+use common::{Cge, Oracle};
 use proptest::prelude::*;
 use rapwam::session::{QueryOptions, Session};
 use rapwam::{DeterminismMode, Engine, EngineConfig, MemoryConfig, Outcome, SchedulerKind};
@@ -110,7 +113,14 @@ fn run_config(
     }
 }
 
-/// The sequential WAM reference answer.
+/// The oracle's first answer under either reading of a CGE.
+fn run_oracle(src: &str, cge: Cge) -> String {
+    let answers = Oracle::new(src).solutions("attempt(R)", cge, 1).expect("oracle proves the query");
+    answers.first().map_or("failure".to_string(), |row| row[0].1.clone())
+}
+
+/// The sequential WAM reference answer (which also exercises the
+/// sequential compilation of every generated CGE).
 fn run_sequential(src: &str) -> String {
     let mut session = Session::new(src).expect("program parses");
     let r = session.run("attempt(R)", &QueryOptions::sequential()).expect("sequential run");
@@ -127,6 +137,8 @@ proptest! {
     fn inline_branch_failure_cancels_soundly(s in shape()) {
         let src = program(&s);
         let seq = run_sequential(&src);
+        prop_assert_eq!(&seq, &run_oracle(&src, Cge::Conjunction), "sequential vs oracle");
+        prop_assert_eq!(&seq, &run_oracle(&src, Cge::FirstSolution), "the two readings of the CGE");
         let workers = threads();
         for inline in [true, false] {
             for (scheduler, determinism) in [

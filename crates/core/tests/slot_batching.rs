@@ -7,9 +7,13 @@
 //! recorded on the instruction-at-a-time driver this replaced, and every
 //! case runs through both dispatch paths.
 
+mod common;
+
+use common::{fold_fingerprints, state_at_preemption, FUEL_SWEEP, FUEL_SWEEP_PROGRAMS};
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
-use rapwam::session::{CursorStep, QueryOptions, Session, SessionError};
-use rapwam::{EngineError, MemRef, MemoryConfig, ObjectKind, RunResult};
+use rapwam::session::{QueryOptions, Session, SessionError};
+use rapwam::trace::fingerprint;
+use rapwam::{EngineError, MemoryConfig, RunResult};
 
 /// The strict backend at `workers` PEs through both dispatch paths.
 fn strict_matrix(workers: usize) -> [(&'static str, QueryOptions); 2] {
@@ -22,28 +26,6 @@ fn strict_matrix(workers: usize) -> [(&'static str, QueryOptions); 2] {
 fn run(id: BenchmarkId, opts: &QueryOptions) -> Result<RunResult, SessionError> {
     let b = benchmark(id, Scale::Small);
     Session::new(&b.program).unwrap().run(&b.query, opts)
-}
-
-/// FNV-1a over every field of every reference (the fingerprint the
-/// golden-trace suite in `scheduler_differential` uses).
-fn fingerprint(trace: &[MemRef]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for r in trace {
-        mix(r.pe);
-        for b in r.addr.to_le_bytes() {
-            mix(b);
-        }
-        mix(r.write as u8);
-        mix(r.area.index() as u8);
-        mix(ObjectKind::ALL.iter().position(|o| *o == r.object).unwrap() as u8);
-        mix(matches!(r.locality, rapwam::Locality::Global) as u8);
-        mix(r.locked as u8);
-    }
-    h
 }
 
 /// (benchmark, instructions, data_refs, elapsed_cycles) of a one-PE run at
@@ -74,38 +56,25 @@ fn one_pe_counters_match_the_per_instruction_driver() {
     }
 }
 
-/// Instructions retired and machine fingerprint at the first fuel
-/// preemption of a `fuel`-budgeted run.
-fn first_preemption(id: BenchmarkId, opts: &QueryOptions, fuel: u64) -> (u64, u64) {
-    let b = benchmark(id, Scale::Small);
-    // At most 300 instructions run, so the smallest arenas do (and keep
-    // 2400 engine builds cheap).
-    let opts = opts.clone().with_fuel(fuel).with_memory(MemoryConfig::small());
-    let mut session = Session::new(&b.program).unwrap();
-    let compiled = session.prepare_with(&b.query, opts.compile_options()).unwrap();
-    let mut cursor = session.open_cursor(&compiled, &opts, None).unwrap();
-    match cursor.next_step().unwrap() {
-        CursorStep::FuelExhausted => (
-            cursor.stats().expect("live engine").instructions,
-            cursor.state_fingerprint().expect("live engine"),
-        ),
-        other => panic!("{} with fuel {fuel}: expected a preemption, got {other:?}", id.name()),
-    }
-}
+/// Per program of `FUEL_SWEEP_PROGRAMS`: the fold of the machine
+/// fingerprints at the first preemption under every fuel of `FUEL_SWEEP`, on
+/// one PE.  Regenerate with `cargo run --release --example trace_goldens`.
+const FUEL_SWEEP_GOLDENS: [u64; 2] = [0x95455d7f9a650a92, 0x881fade52f8f4b11];
 
 #[test]
 fn fuel_preempts_after_exactly_k_instructions() {
-    // qsort's first 300 instructions cross calls, choice points and
-    // backtracking; queens adds deep failure-driven search.
-    for id in [BenchmarkId::Qsort, BenchmarkId::Queens] {
-        for k in 1..=300u64 {
-            let mut seen: Option<u64> = None;
-            for (name, opts) in strict_matrix(1) {
-                let (retired, fp) = first_preemption(id, &opts, k);
+    for (id, golden) in FUEL_SWEEP_PROGRAMS.into_iter().zip(FUEL_SWEEP_GOLDENS) {
+        let b = benchmark(id, Scale::Small);
+        for (name, opts) in strict_matrix(1) {
+            let states = FUEL_SWEEP.map(|k| {
+                // At most 300 instructions run, so the smallest arenas do
+                // (and keep the engine builds cheap).
+                let opts = opts.clone().with_fuel(k).with_memory(MemoryConfig::small());
+                let (fp, retired) = state_at_preemption(&b.program, &b.query, &opts, 1);
                 assert_eq!(retired, k, "{} on {name}: fuel {k} preempted late or early", id.name());
-                let fp0 = *seen.get_or_insert(fp);
-                assert_eq!(fp, fp0, "{} on {name}: machine state at fuel {k} diverged", id.name());
-            }
+                fp
+            });
+            assert_eq!(fold_fingerprints(states), golden, "{} on {name}: a machine state diverged", id.name());
         }
     }
 }
