@@ -14,7 +14,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     pwam_bench::cli::reject_unknown_flags(&args, &pwam_bench::cli::COMMON_FLAGS);
     let scale = pwam_bench::cli::scale_arg(&args);
-    pwam_bench::cli::scheduler_args(&args);
+    pwam_bench::cli::threads_and_determinism_args(&args);
 
     let points = ablation_alloc(scale, &paper::FIGURE4_CACHE_SIZES);
     println!("Allocate-policy ablation: deriv, 8 PEs, write-in broadcast (scale {scale:?})\n");

@@ -13,7 +13,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     pwam_bench::cli::reject_unknown_flags(&args, &pwam_bench::cli::COMMON_FLAGS);
     let scale = pwam_bench::cli::scale_arg(&args);
-    pwam_bench::cli::scheduler_args(&args);
+    pwam_bench::cli::threads_and_determinism_args(&args);
 
     let pe_counts = [1usize, 2, 4, 8, 12, 16, 24, 32, 48, 64];
     let results = ablation_bus(scale, &pe_counts);

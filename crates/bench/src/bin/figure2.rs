@@ -8,7 +8,7 @@
 //!
 //! Usage: `figure2 [--scale small|paper|large] [--max-pes N] [--threads N] [--json]`
 
-use pwam_bench::cli::{num_arg, reject_unknown_flags, scale_arg, scheduler_args, COMMON_FLAGS};
+use pwam_bench::cli::{num_arg, reject_unknown_flags, scale_arg, threads_and_determinism_args, COMMON_FLAGS};
 use pwam_bench::experiments::figure2;
 use pwam_bench::table::{f2, TextTable};
 
@@ -16,7 +16,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     reject_unknown_flags(&args, &[COMMON_FLAGS.as_slice(), &[("--max-pes", true)]].concat());
     let scale = scale_arg(&args);
-    scheduler_args(&args);
+    threads_and_determinism_args(&args);
     let max_pes = num_arg(&args, "--max-pes").unwrap_or(40) as usize;
 
     let pe_counts: Vec<usize> =

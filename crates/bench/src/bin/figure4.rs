@@ -19,7 +19,7 @@ fn main() {
     let known = [pwam_bench::cli::COMMON_FLAGS.as_slice(), &[("--all-protocols", false)]].concat();
     pwam_bench::cli::reject_unknown_flags(&args, &known);
     let scale = pwam_bench::cli::scale_arg(&args);
-    pwam_bench::cli::scheduler_args(&args);
+    pwam_bench::cli::threads_and_determinism_args(&args);
     let protocols: Vec<Protocol> = if args.iter().any(|a| a == "--all-protocols") {
         vec![
             Protocol::WriteInBroadcast,

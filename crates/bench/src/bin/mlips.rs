@@ -12,7 +12,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     pwam_bench::cli::reject_unknown_flags(&args, &pwam_bench::cli::COMMON_FLAGS);
     let scale = pwam_bench::cli::scale_arg(&args);
-    pwam_bench::cli::scheduler_args(&args);
+    pwam_bench::cli::threads_and_determinism_args(&args);
 
     let m = mlips(scale);
     println!("Section 3.3 back-of-the-envelope (scale {scale:?})");

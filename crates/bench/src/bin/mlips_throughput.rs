@@ -1,8 +1,8 @@
 //! Measure executor throughput (MIPS: millions of abstract-machine
-//! instructions per second) through both dispatch paths — the flattened
-//! pre-decoded fast path and the classic pre-flattening baseline — and of
-//! the same programs compiled sequentially (the WAM a CGE-annotated run is an
-//! overhead over), and record the comparison in `BENCH_mlips.json`.
+//! instructions per second) untraced (own references on the owner path) and
+//! traced (every reference recorded), and of the same programs compiled
+//! sequentially (the WAM a CGE-annotated run is an overhead over), and record
+//! the comparison in `BENCH_mlips.json`.
 //!
 //! This is the host-speed companion to the `mlips` binary (which
 //! regenerates the paper's Section 3.3 back-of-envelope model from
@@ -33,14 +33,14 @@ fn main() {
         &args,
         &[("--runs", true), ("--out", true), ("--small-scale", false), ("--paper-scale", false)],
     );
-    let runs = num_arg(&args, "--runs").unwrap_or(5) as usize;
+    let runs = num_arg(&args, "--runs").unwrap_or(10) as usize;
     let out = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_mlips.json".to_string());
     let scale = if args.iter().any(|a| a == "--small-scale") { Scale::Small } else { Scale::Paper };
 
     let mut reports: Vec<MlipsComparison> = Vec::new();
     println!(
         "{:<8} {:>12} {:>14} {:>11} {:>9} {:>7} {:>10} {:>13}",
-        "bench", "instrs", "classic MIPS", "flat MIPS", "speedup", "floor", "WAM MIPS", "CGE/WAM time"
+        "bench", "instrs", "traced MIPS", "flat MIPS", "speedup", "floor", "WAM MIPS", "CGE/WAM time"
     );
     for id in BenchmarkId::EXTENDED {
         let c = compare_dispatch_paths(id, scale, runs);
@@ -48,7 +48,7 @@ fn main() {
             "{:<8} {:>12} {:>14.2} {:>11.2} {:>8.2}x {:>7.2} {:>10.2} {:>12.2}x",
             id.name(),
             c.instructions,
-            c.classic_mips,
+            c.traced_mips,
             c.flat_mips,
             c.speedup,
             c.floor,

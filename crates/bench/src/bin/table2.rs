@@ -2,7 +2,9 @@
 //!
 //! Usage: `table2 [--scale small|paper|large] [--workers N] [--threads N] [--json]`
 
-use pwam_bench::cli::{num_arg, reject_unknown_flags, scale_arg, scheduler_args, usage_error, COMMON_FLAGS};
+use pwam_bench::cli::{
+    num_arg, reject_unknown_flags, scale_arg, threads_and_determinism_args, usage_error, COMMON_FLAGS,
+};
 use pwam_bench::experiments::table2;
 use pwam_bench::paper;
 use pwam_bench::table::{f2, TextTable};
@@ -11,7 +13,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     reject_unknown_flags(&args, &[COMMON_FLAGS.as_slice(), &[("--workers", true)]].concat());
     let scale = scale_arg(&args);
-    let threads = scheduler_args(&args);
+    let threads = threads_and_determinism_args(&args);
     let workers = num_arg(&args, "--workers").map(|n| n as usize).or(threads).unwrap_or(8);
     if workers == 0 {
         usage_error("--workers 0 (expected a worker count >= 1)");

@@ -16,7 +16,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     pwam_bench::cli::reject_unknown_flags(&args, &pwam_bench::cli::COMMON_FLAGS);
     let scale = pwam_bench::cli::scale_arg(&args);
-    pwam_bench::cli::scheduler_args(&args);
+    pwam_bench::cli::threads_and_determinism_args(&args);
 
     let rows = table3(scale);
     println!("Table 3: Fit of Small Benchmarks to Large Benchmarks (scale {scale:?})");

@@ -30,28 +30,28 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
 pub const COMMON_FLAGS: [(&str, bool); 4] =
     [("--scale", true), ("--threads", true), ("--determinism", true), ("--json", false)];
 
-/// The first argument after the program name that is not one of `known` —
-/// each `(name, takes a value)` — or the value of one.
-fn unknown_flag<'a>(args: &'a [String], known: &[(&str, bool)]) -> Option<&'a str> {
+/// The first thing wrong with the arguments after the program name: one that
+/// is not in `known` — each `(name, takes a value)` — nor the value of one,
+/// or a value-taking flag with nothing after it.
+fn first_bad_argument(args: &[String], known: &[(&str, bool)]) -> Option<String> {
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         match known.iter().find(|(name, _)| name == arg) {
-            Some((_, true)) => {
-                rest.next();
-            }
-            Some((_, false)) => {}
-            None => return Some(arg),
+            Some((_, true)) if rest.next().is_none() => return Some(format!("{arg} (expects a value)")),
+            Some(_) => {}
+            None => return Some(arg.clone()),
         }
     }
     None
 }
 
 /// Exit with a usage error unless every argument is one of `known` — each
-/// `(name, takes a value)` — or the value of one.
+/// `(name, takes a value)` — or the value of one, and every value-taking flag
+/// has its value.
 pub fn reject_unknown_flags(args: &[String], known: &[(&str, bool)]) {
-    if let Some(arg) = unknown_flag(args, known) {
+    if let Some(what) = first_bad_argument(args, known) {
         let names: Vec<&str> = known.iter().map(|(name, _)| *name).collect();
-        usage_error(&format!("{arg} (this binary accepts: {})", names.join(" ")));
+        usage_error(&format!("{what}; this binary accepts: {}", names.join(" ")));
     }
 }
 
@@ -88,7 +88,7 @@ pub fn num_arg(args: &[String], key: &str) -> Option<u64> {
 ///
 /// Invalid values are usage errors (exit code 2), not silent fallbacks: a
 /// typo must not let a run claim a backend it never used.
-pub fn scheduler_args(args: &[String]) -> Option<usize> {
+pub fn threads_and_determinism_args(args: &[String]) -> Option<usize> {
     let threads = arg_value(args, "--threads").map(|s| match s.parse::<usize>() {
         Ok(n) if n >= 1 => n,
         _ => usage_error(&format!("--threads {s} (expected a worker count >= 1)")),
@@ -127,17 +127,20 @@ mod tests {
     #[test]
     fn unknown_flags_and_stray_arguments_are_found() {
         let known = [COMMON_FLAGS.as_slice(), &[("--max-pes", true)]].concat();
-        let ok = args(&["bin", "--scale", "small", "--max-pes", "4", "--json"]);
-        assert_eq!(unknown_flag(&ok, &known), None);
-        assert_eq!(unknown_flag(&args(&["bin"]), &known), None);
+        let found = |a: &[&str]| first_bad_argument(&args(a), &known);
+        assert_eq!(found(&["bin", "--scale", "small", "--max-pes", "4", "--json"]), None);
+        assert_eq!(found(&["bin"]), None);
         // A typo, a flag of some other binary, a stray positional.
-        assert_eq!(unknown_flag(&args(&["bin", "--jsno"]), &known), Some("--jsno"));
-        assert_eq!(unknown_flag(&args(&["bin", "--workers", "4"]), &known), Some("--workers"));
-        assert_eq!(unknown_flag(&args(&["bin", "--json", "small"]), &known), Some("small"));
+        assert_eq!(found(&["bin", "--jsno"]).as_deref(), Some("--jsno"));
+        assert_eq!(found(&["bin", "--workers", "4"]).as_deref(), Some("--workers"));
+        assert_eq!(found(&["bin", "--json", "small"]).as_deref(), Some("small"));
         // A value is never mistaken for a flag, even when it looks like one.
-        assert_eq!(unknown_flag(&args(&["bin", "--scale", "--json"]), &known), None);
+        assert_eq!(found(&["bin", "--scale", "--json"]), None);
+        // A value-taking flag at the end of the line has lost its value.
+        assert_eq!(found(&["bin", "--scale"]).as_deref(), Some("--scale (expects a value)"));
+        assert_eq!(found(&["bin", "--json", "--threads"]).as_deref(), Some("--threads (expects a value)"));
         // The program name is not an argument.
-        assert_eq!(unknown_flag(&args(&["--bogus"]), &known), None);
+        assert_eq!(found(&["--bogus"]), None);
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //!
 //! Because wall-clock throughput is machine-dependent, the regression gate
 //! (`mlips_gate` integration test) does not pin absolute numbers.  Instead
-//! it measures the flattened executor *and* the classic pre-flattening
-//! dispatch path ([`rapwam::session::QueryOptions::classic_dispatch`]) on
-//! the same machine in the same process, and gates the ratio: the dense
-//! pre-decoded fast path must stay at least [`mlips_speedup_floor`] times
-//! faster than the baseline per benchmark.  The measured values are
-//! recorded in `BENCH_mlips.json` at the repository root so the raw-speed
-//! trajectory is visible across PRs.
+//! it measures the same program through the same executor twice, on the
+//! same machine in the same process — untraced, where a PE's references to
+//! its own Stack Set take the unrecorded owner path, and with
+//! [`rapwam::session::QueryOptions::with_trace`], where every reference is
+//! recorded (the configuration the ladder's `trace-sim` workload runs) — and
+//! gates the ratio: the owner path must stay at least
+//! [`mlips_speedup_floor`] times faster than the recorded one per benchmark.
+//! The measured values are recorded in `BENCH_mlips.json` at the repository
+//! root so the raw-speed trajectory is visible across PRs.
 //!
 //! A third leg ([`MlipsLeg::Wam`]) times the same program compiled
 //! sequentially, which puts the paper's scheduling claim — goals that are
@@ -32,28 +34,44 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// The worker count the MLIPS harness runs at: `PWAM_MLIPS_THREADS`,
-/// default 1.  The backend is always the interleaved one, so flat and
-/// classic retire the *same* instruction stream and the speedup ratio stays
-/// meaningful.
+/// default 1.  The backend is always the interleaved one, so the untraced
+/// and the traced leg retire the *same* instruction stream and the speedup
+/// ratio stays meaningful.
 ///
 /// CI runs the default 1-PE leg and a 2-PE leg: the latter exercises the
 /// flat loop's driver-free goal transitions and park/steal cold exits,
 /// where quantum boundaries and cross-PE handoffs actually occur.
+///
+/// Panics on a value that is not a positive integer: a typo in CI's 2-PE
+/// leg must not silently gate one PE twice.
 pub fn mlips_workers() -> usize {
-    std::env::var("PWAM_MLIPS_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1).max(1)
+    match std::env::var("PWAM_MLIPS_THREADS") {
+        Ok(text) => parse_workers(&text).unwrap_or_else(|e| panic!("PWAM_MLIPS_THREADS: {e}")),
+        Err(std::env::VarError::NotPresent) => 1,
+        Err(e) => panic!("PWAM_MLIPS_THREADS: {e}"),
+    }
+}
+
+/// A worker count as `PWAM_MLIPS_THREADS` spells it: a positive integer.
+fn parse_workers(text: &str) -> Result<usize, String> {
+    match text.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("expected a positive integer, found {text:?}")),
+    }
 }
 
 /// Which executor configuration a measurement runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MlipsLeg {
-    /// The CGE-annotated program on [`mlips_workers`] PEs through the
-    /// flattened fast path.
+    /// The CGE-annotated program on [`mlips_workers`] PEs, untraced: own
+    /// Stack Set references take the owner path.
     Flat,
-    /// The same through the classic (pre-flattening) dispatch path.
-    Classic,
+    /// The same with [`QueryOptions::with_trace`]: every reference recorded
+    /// in its arena's book and appended to the trace.
+    Traced,
     /// The program compiled sequentially ([`QueryOptions::sequential`]: every
-    /// `&` an ordinary conjunction) on one PE through the flattened path —
-    /// the WAM a CGE-annotated run is an overhead over.
+    /// `&` an ordinary conjunction) on one PE, untraced — the WAM a
+    /// CGE-annotated run is an overhead over.
     Wam,
 }
 
@@ -78,72 +96,96 @@ impl MlipsReport {
     }
 }
 
-/// Time `id` at `scale` on the interleaved backend, configured per `leg`, and
-/// report the best-of-`runs` throughput.  Only the engine run is timed: compilation is
-/// cached by the session, and the attempts share one engine, reset between
-/// them outside the clock.  Arenas are allocated as untouched zero pages, so
-/// the first attempt pays the kernel's page faults for every page the program
-/// reaches; from the second on the Stack Sets are warm and the clock sees the
-/// dispatch loop alone, which is what best-of-`runs` then reports.
-pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, leg: MlipsLeg) -> MlipsReport {
+/// Time `id` at `scale` on the interleaved backend once per `leg` and attempt,
+/// and report each leg's best-of-`runs` throughput.  The attempts alternate
+/// leg by leg (traced, flat, wam, traced, flat, wam, …), so a slow stretch of
+/// the host — they last from milliseconds to minutes on a shared machine, and
+/// a run here is a millisecond — lands on every leg's samples alike instead of
+/// on all of one leg's.  (Timed one leg after the other, the healthy readings
+/// of the gated ratio and those of a tree without the owner path overlapped;
+/// alternating, they do not — the numbers are on [`mlips_speedup_floor`] and
+/// in CHANGES.md, PR 19.)
+///
+/// Only the engine run is timed: compilation is cached by the session, and a
+/// leg's attempts share one engine, reset between them outside the clock.
+/// Arenas are allocated as untouched zero pages, so a leg's first attempt pays
+/// the kernel's page faults for every page the program reaches; from the
+/// second on the Stack Sets are warm and the clock sees the dispatch loop
+/// alone, which is what best-of-`runs` then reports.  A traced attempt's clock
+/// includes draining the merged trace out of the engine: it is part of what
+/// recording costs.
+pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, legs: &[MlipsLeg]) -> Vec<MlipsReport> {
     let bench = benchmark(id, scale);
     let mut session =
         Session::new(&bench.program).unwrap_or_else(|e| panic!("{}: parse failed: {e}", id.name()));
-    let options = match leg {
-        MlipsLeg::Flat => QueryOptions::parallel(mlips_workers()),
-        MlipsLeg::Classic => QueryOptions::parallel(mlips_workers()).with_classic_dispatch(),
-        MlipsLeg::Wam => QueryOptions::sequential(),
-    };
-    let compiled = session
-        .prepare_with(&bench.query, options.compile_options())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", id.name()));
-    let mut config = options.engine_config();
-    // One PE runs the default configuration: its slots already run to the
-    // next scheduling event.  With several PEs the default quantum of 1
-    // would measure the round driver's per-instruction handoff, not the
-    // dispatch loop; a large quantum lets both paths run their batch loop
-    // properly.  Applied to the classic path too, so the comparison stays
-    // entry-for-entry fair.
-    if options.workers > 1 {
-        config.quantum = 4096;
-    }
+    let prepared: Vec<_> = legs
+        .iter()
+        .map(|leg| {
+            let options = match leg {
+                MlipsLeg::Flat => QueryOptions::parallel(mlips_workers()),
+                MlipsLeg::Traced => QueryOptions::parallel(mlips_workers()).with_trace(),
+                MlipsLeg::Wam => QueryOptions::sequential(),
+            };
+            let compiled = session
+                .prepare_with(&bench.query, options.compile_options())
+                .unwrap_or_else(|e| panic!("{}: compile failed: {e}", id.name()));
+            let mut config = options.engine_config();
+            // One PE runs the default configuration: its slots already run to
+            // the next scheduling event.  With several PEs the default quantum
+            // of 1 would measure the round driver's per-instruction handoff,
+            // not the dispatch loop; a large quantum lets the batch loop run
+            // properly.  Applied to the traced leg too, so the comparison
+            // stays entry-for-entry fair.
+            if options.workers > 1 {
+                config.quantum = 4096;
+            }
+            (compiled, config)
+        })
+        .collect();
 
     let runs = runs.max(1);
-    let mut best_secs = f64::INFINITY;
-    let mut instructions = 0;
-    let mut engine = Engine::new(&compiled, config);
+    let mut engines: Vec<_> =
+        prepared.iter().map(|(compiled, config)| Some(Engine::new(compiled, config.clone()))).collect();
+    let mut reports: Vec<_> = legs
+        .iter()
+        .map(|&leg| MlipsReport { id, scale, leg, instructions: 0, best_secs: f64::INFINITY, runs })
+        .collect();
     for _ in 0..runs {
-        let start = Instant::now();
-        let (result, finished) = engine
-            .run_reusable(session.symbols())
-            .unwrap_or_else(|e| panic!("{}: run failed: {e}", id.name()));
-        let secs = start.elapsed().as_secs_f64();
-        assert!(matches!(result.outcome, Outcome::Success(_)), "{}: benchmark query failed", id.name());
-        instructions = result.stats.instructions;
-        best_secs = best_secs.min(secs.max(1e-9));
-        engine = finished;
-        engine.reset();
+        for (engine, report) in engines.iter_mut().zip(&mut reports) {
+            let start = Instant::now();
+            let (result, mut finished) = engine
+                .take()
+                .expect("every leg keeps its engine")
+                .run_reusable(session.symbols())
+                .unwrap_or_else(|e| panic!("{}: run failed: {e}", id.name()));
+            let secs = start.elapsed().as_secs_f64();
+            assert!(matches!(result.outcome, Outcome::Success(_)), "{}: benchmark query failed", id.name());
+            report.instructions = result.stats.instructions;
+            report.best_secs = report.best_secs.min(secs.max(1e-9));
+            finished.reset();
+            *engine = Some(finished);
+        }
     }
-    MlipsReport { id, scale, leg, instructions, best_secs, runs }
+    reports
 }
 
-/// One benchmark's entry in `BENCH_mlips.json`: the flattened fast path
-/// against the classic dispatch baseline, measured back to back on the same
-/// machine.
+/// One benchmark's entry in `BENCH_mlips.json`: the untraced (owner-path)
+/// run against the traced (every reference recorded) run of the same
+/// executor, measured back to back on the same machine.
 #[derive(Debug, Clone, Serialize)]
 pub struct MlipsComparison {
     pub id: BenchmarkId,
     pub scale: Scale,
     pub instructions: u64,
-    /// MIPS through the classic (pre-flattening) dispatch path.
-    pub classic_mips: f64,
-    /// MIPS through the flattened (dense pre-decoded) fast path.
+    /// MIPS with every reference recorded ([`MlipsLeg::Traced`]).
+    pub traced_mips: f64,
+    /// MIPS untraced, on the owner path ([`MlipsLeg::Flat`]).
     pub flat_mips: f64,
-    /// `flat_mips / classic_mips` — the gated quantity.
+    /// `flat_mips / traced_mips` — the gated quantity.
     pub speedup: f64,
     /// The per-benchmark floor the gate enforces on `speedup`.
     pub floor: f64,
-    /// Worker count of the flat and classic runs.
+    /// Worker count of the flat and traced runs.
     pub workers: usize,
     /// MIPS of the sequentially compiled program ([`MlipsLeg::Wam`]).
     pub wam_mips: f64,
@@ -154,25 +196,18 @@ pub struct MlipsComparison {
     pub cge_over_wam_time: f64,
 }
 
-/// Measure one benchmark through both dispatch paths (and as a WAM) and
-/// report the gated comparison.  The legs are interleaved run by run
-/// (classic, flat, wam, classic, flat, wam) so a load spike on the host
-/// penalises them equally.
+/// Measure one benchmark traced, untraced and as a WAM — `runs` attempts a
+/// leg, alternating — and report the gated comparison.
 pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> MlipsComparison {
-    let round =
-        || [MlipsLeg::Classic, MlipsLeg::Flat, MlipsLeg::Wam].map(|leg| measure_mlips(id, scale, runs, leg));
-    // Two alternating rounds, keeping each leg's best: guards the ratios
-    // against one-sided interference from the host.
-    let ([classic1, flat1, wam1], [classic2, flat2, wam2]) = (round(), round());
-    let best = |a: MlipsReport, b: MlipsReport| if a.best_secs <= b.best_secs { a } else { b };
-    let (classic, flat, wam) = (best(classic1, classic2), best(flat1, flat2), best(wam1, wam2));
+    let reports = measure_mlips(id, scale, runs, &[MlipsLeg::Traced, MlipsLeg::Flat, MlipsLeg::Wam]);
+    let [traced, flat, wam] = reports[..] else { unreachable!("one report per leg") };
     MlipsComparison {
         id,
         scale,
         instructions: flat.instructions,
-        classic_mips: classic.mips(),
+        traced_mips: traced.mips(),
         flat_mips: flat.mips(),
-        speedup: flat.mips() / classic.mips(),
+        speedup: flat.mips() / traced.mips(),
         floor: mlips_speedup_floor(id),
         workers: mlips_workers(),
         wam_mips: wam.mips(),
@@ -180,24 +215,33 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
     }
 }
 
-/// The gated flattened-over-classic throughput floor per registry program.
+/// The gated untraced-over-traced throughput floor per registry program.
 ///
-/// tak and deriv carry the original headline requirement (≥ 1.3× over the
-/// pre-flattening baseline); every floor was raised once the flat loop
-/// became self-sufficient across goal boundaries (driver-free goal
-/// transitions, the wider register caches, batched accounting): local
-/// measurements sit at 2.3–3.2× on one interleaved PE and 2.2–3.0× on two,
-/// so the floors below keep generous headroom
-/// for shared-CI noise while still catching any regression that
-/// re-introduces per-access recording under the book lock, bounds-checked
-/// fetch, or per-goal driver round trips.  The classic baseline stays what
-/// it was when the floors were set — every reference recorded, under the
-/// arena's lock, never on the owner path — so the ratio keeps its meaning.
+/// Derived on 2 October 2026 on the 2-vCPU build host, when the classic
+/// dispatch loop (the gate's denominator until then) was deleted, from two
+/// builds of that tree measured as the gate measures (one interleaved PE,
+/// `Scale::Paper`, six alternating attempts a leg, 200 readings a program and
+/// build): the tree as it is, and the tree with `Worker::owner_path` forced
+/// off — untraced references recorded again, a served path half as fast,
+/// which the floors over the classic loop (1.5 / 1.4 / 1.2) let through.
+/// Healthy min / median, then regressed median / max: deriv 2.34 / 2.67,
+/// 1.47 / 2.07; tak 2.81 / 3.21, 1.62 / 2.25; qsort 2.58 / 3.11, 1.62 / 2.14;
+/// matrix 1.78 / 2.30, 1.44 / 1.79; boyer 3.07 / 3.48, 1.73 / 2.37; queens
+/// 2.87 / 3.36, 1.63 / 2.27; fib 2.92 / 3.30, 1.74 / 2.39.
+///
+/// Each floor sits near `sqrt(healthy min × regressed max)`, rounded into
+/// tiers: above all but one of the 1,400 regressed readings (and above every
+/// reading of the tree that also gives up serial memory, at most 1.99), and
+/// ×1.12–1.25 under every healthy one (matrix, which only `mlips_throughput`
+/// records: one healthy reading in 200 below, the 5th percentile at 2.12).
+/// On two PEs a traced run is slower still — healthy 3.9–8.8, owner path off
+/// 2.2–3.6 — so the same floors hold there with more room and separate less.
 pub fn mlips_speedup_floor(id: BenchmarkId) -> f64 {
     match id {
-        BenchmarkId::Tak | BenchmarkId::Deriv => 1.5,
-        BenchmarkId::Fib | BenchmarkId::Queens => 1.4,
-        _ => 1.2,
+        BenchmarkId::Boyer | BenchmarkId::Fib => 2.5,
+        BenchmarkId::Tak | BenchmarkId::Qsort | BenchmarkId::Queens => 2.3,
+        BenchmarkId::Deriv => 2.0,
+        BenchmarkId::Matrix => 1.8,
     }
 }
 
@@ -219,6 +263,16 @@ mod tests {
     }
 
     #[test]
+    fn worker_counts_parse_or_say_why_not() {
+        assert_eq!(parse_workers("1"), Ok(1));
+        assert_eq!(parse_workers(" 2\n"), Ok(2));
+        for bad in ["", "0", "-1", "two", "2x", "1.5"] {
+            let e = parse_workers(bad).unwrap_err();
+            assert!(e.contains(&format!("{bad:?}")), "{e}");
+        }
+    }
+
+    #[test]
     fn headline_floors_are_the_issues() {
         assert!(mlips_speedup_floor(BenchmarkId::Tak) >= 1.3);
         assert!(mlips_speedup_floor(BenchmarkId::Deriv) >= 1.3);
@@ -229,12 +283,17 @@ mod tests {
 
     #[test]
     fn harness_measures_a_small_run() {
-        let r = measure_mlips(BenchmarkId::Deriv, Scale::Small, 1, MlipsLeg::Flat);
+        let legs = [MlipsLeg::Flat, MlipsLeg::Traced, MlipsLeg::Wam];
+        let [r, traced, wam] = measure_mlips(BenchmarkId::Deriv, Scale::Small, 2, &legs)[..] else {
+            panic!("one report per leg")
+        };
+        assert_eq!((r.leg, traced.leg, wam.leg), (legs[0], legs[1], legs[2]));
         assert!(r.instructions > 0);
         assert!(r.best_secs > 0.0);
         assert!(r.mips() > 0.0);
+        // Tracing changes what a reference costs, not what the machine does.
+        assert_eq!(traced.instructions, r.instructions);
         // The WAM leg runs the same program without its parallel machinery.
-        let wam = measure_mlips(BenchmarkId::Deriv, Scale::Small, 1, MlipsLeg::Wam);
         assert!(wam.instructions > 0 && wam.instructions < r.instructions);
     }
 }

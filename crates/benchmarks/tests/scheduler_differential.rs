@@ -15,13 +15,13 @@
 //! `PWAM_THREADS` environment variable (CI exercises exactly that knob, and
 //! a dedicated relaxed-determinism job runs this suite at 2 and 8 threads).
 
-#[path = "../../core/tests/common/sld.rs"]
-mod sld;
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
 
+use common::{row, Cge, Oracle};
 use pwam_benchmarks::{benchmark, run_benchmark_with_session, validate, BenchmarkId, Scale};
 use rapwam::session::QueryOptions;
 use rapwam::trace::fingerprint;
-use rapwam::{Area, ObjectKind};
 
 /// Worker count for the differential runs (`PWAM_THREADS`, default 4).
 fn threads() -> usize {
@@ -82,21 +82,18 @@ const REGISTRY_GOLDENS: [(BenchmarkId, usize, u64, u64, usize, u64); 28] = [
 #[test]
 fn interleaved_trace_matches_pre_sharding_goldens() {
     for (id, workers, instructions, data_refs, len, fp) in REGISTRY_GOLDENS {
-        for classic in [false, true] {
-            let b = benchmark(id, Scale::Small);
-            let o = QueryOptions { classic_dispatch: classic, ..QueryOptions::parallel(workers).with_trace() };
-            let (_, r) = run_benchmark_with_session(&b, &o).unwrap();
-            let what = format!("{} workers={workers} classic={classic}", id.name());
-            assert_eq!(r.stats.instructions, instructions, "{what}: instructions");
-            assert_eq!(r.stats.data_refs, data_refs, "{what}: data_refs");
-            let t = r.trace.expect("trace requested");
-            assert_eq!(t.len(), len, "{what}: trace length drifted");
-            assert_eq!(
-                fingerprint(&t),
-                fp,
-                "{what}: merged per-PE trace is not byte-identical to the flat-memory trace"
-            );
-        }
+        let b = benchmark(id, Scale::Small);
+        let (_, r) = run_benchmark_with_session(&b, &QueryOptions::parallel(workers).with_trace()).unwrap();
+        let what = format!("{} workers={workers}", id.name());
+        assert_eq!(r.stats.instructions, instructions, "{what}: instructions");
+        assert_eq!(r.stats.data_refs, data_refs, "{what}: data_refs");
+        let t = r.trace.expect("trace requested");
+        assert_eq!(t.len(), len, "{what}: trace length drifted");
+        assert_eq!(
+            fingerprint(&t),
+            fp,
+            "{what}: merged per-PE trace is not byte-identical to the flat-memory trace"
+        );
     }
 }
 
@@ -106,22 +103,23 @@ fn interleaved_trace_matches_pre_sharding_goldens() {
 fn oracle_agrees_with_the_registry() {
     for id in BenchmarkId::EXTENDED {
         let b = benchmark(id, Scale::Small);
-        let mut oracle = sld::Oracle::new(&b.program);
+        let mut oracle = Oracle::new(&b.program);
         for (cge, opts) in [
-            (sld::Cge::Conjunction, QueryOptions::sequential()),
-            (sld::Cge::FirstSolution, QueryOptions::parallel(1)),
-            (sld::Cge::FirstSolution, QueryOptions::parallel(threads())),
+            (Cge::Conjunction, QueryOptions::sequential()),
+            (Cge::FirstSolution, QueryOptions::parallel(1)),
+            (Cge::FirstSolution, QueryOptions::parallel(threads())),
         ] {
             let expected = oracle.solutions(&b.query, cge, 1).expect("oracle proves the query");
             let (s, r) = run_benchmark_with_session(&b, &opts).unwrap();
             let rapwam::Outcome::Success(bindings) = &r.outcome else { panic!("{} failed", id.name()) };
-            let mut row: sld::Row = bindings
-                .iter()
-                .filter(|(n, _)| !n.starts_with('_'))
-                .map(|(n, t)| (n.clone(), s.render(t)))
-                .collect();
-            row.sort();
-            assert_eq!(vec![row], expected, "{} on {} PE(s), parallel={}", id.name(), opts.workers, opts.parallel);
+            assert_eq!(
+                vec![row(&s, bindings)],
+                expected,
+                "{} on {} PE(s), parallel={}",
+                id.name(),
+                opts.workers,
+                opts.parallel
+            );
         }
     }
 }
@@ -211,66 +209,4 @@ fn relaxed_backend_reports_engine_errors() {
     let o = QueryOptions { max_steps: 10_000, ..QueryOptions::relaxed(threads()) };
     let err = s.run("loop", &o).unwrap_err();
     assert!(err.to_string().contains("step limit"), "unexpected error: {err}");
-}
-
-/// The flattened pre-decoded dispatch path (PR 6) must be observationally
-/// pure: running the same benchmark through the classic enum-fetch loop
-/// (`classic_dispatch`, always-locked arenas) and through the flat path
-/// (dense stream, serial-arena fast path, cached instruction pointer) must
-/// produce identical answers, aggregate counters, per-area counts, and
-/// byte-identical merged traces.
-#[test]
-fn flat_dispatch_is_trace_identical_to_classic() {
-    for id in [BenchmarkId::Deriv, BenchmarkId::Tak, BenchmarkId::Qsort] {
-        let b = benchmark(id, Scale::Small);
-        let flat_opts = opts();
-        let classic_opts = QueryOptions { classic_dispatch: true, ..flat_opts.clone() };
-        let (sf, rf) = run_benchmark_with_session(&b, &flat_opts).unwrap();
-        let (sc, rc) = run_benchmark_with_session(&b, &classic_opts).unwrap();
-
-        validate(&b, &sf, &rf).unwrap();
-        validate(&b, &sc, &rc).unwrap();
-        let render = |s: &rapwam::Session, r: &rapwam::RunResult| -> Vec<(String, String)> {
-            match &r.outcome {
-                rapwam::Outcome::Success(bind) => {
-                    bind.iter().map(|(n, t)| (n.clone(), s.render(t))).collect()
-                }
-                rapwam::Outcome::Failure => panic!("{} failed", id.name()),
-            }
-        };
-        assert_eq!(render(&sf, &rf), render(&sc, &rc), "{}: answers differ", id.name());
-
-        assert_eq!(rf.stats.instructions, rc.stats.instructions, "{}: instructions", id.name());
-        assert_eq!(rf.stats.inferences, rc.stats.inferences, "{}: inferences", id.name());
-        assert_eq!(rf.stats.data_refs, rc.stats.data_refs, "{}: total refs", id.name());
-        assert_eq!(rf.stats.elapsed_cycles, rc.stats.elapsed_cycles, "{}: cycles", id.name());
-        for area in Area::ALL {
-            assert_eq!(
-                rf.stats.area_stats.area(area),
-                rc.stats.area_stats.area(area),
-                "{}: {} counts differ",
-                id.name(),
-                area.name()
-            );
-        }
-        for object in ObjectKind::ALL {
-            assert_eq!(
-                rf.stats.area_stats.object(object),
-                rc.stats.area_stats.object(object),
-                "{}: {} counts differ",
-                id.name(),
-                object.name()
-            );
-        }
-
-        let tf = rf.trace.expect("flat trace");
-        let tc = rc.trace.expect("classic trace");
-        assert_eq!(tf.len(), tc.len(), "{}: trace lengths differ", id.name());
-        assert_eq!(
-            fingerprint(&tf),
-            fingerprint(&tc),
-            "{}: flat dispatch drifted from the classic trace",
-            id.name()
-        );
-    }
 }

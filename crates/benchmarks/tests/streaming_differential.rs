@@ -9,29 +9,8 @@
 
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{Area, MemRef, MemoryConfig, ObjectKind, Outcome};
-
-/// FNV-1a over every field of every reference, in trace order (the same
-/// fingerprint the scheduler differential suite pins).
-fn fingerprint(trace: &[MemRef]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for r in trace {
-        mix(r.pe);
-        for b in r.addr.to_le_bytes() {
-            mix(b);
-        }
-        mix(r.write as u8);
-        mix(r.area.index() as u8);
-        mix(ObjectKind::ALL.iter().position(|o| *o == r.object).unwrap() as u8);
-        mix(matches!(r.locality, rapwam::Locality::Global) as u8);
-        mix(r.locked as u8);
-    }
-    h
-}
+use rapwam::trace::fingerprint;
+use rapwam::{Area, MemoryConfig, ObjectKind, Outcome};
 
 fn small_opts(workers: usize) -> QueryOptions {
     // CI matrix knob: `PWAM_THREADS` overrides the default worker count.

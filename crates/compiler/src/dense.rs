@@ -58,13 +58,12 @@ use pwam_front::atoms::Atom;
 /// carries no `CallTarget` discrimination), `Instr::Call`-of-a-builtin and
 /// `Instr::CallBuiltin` collapse into one opcode (their semantics are
 /// identical), and `UnifyLocalValue` collapses into `UnifyValue` (the
-/// executor treats them the same).  Ill-formed operands that the classic
-/// path reports at run time (`Unresolved` targets, builtin `pcall_goal`
-/// targets) keep dedicated opcodes that raise the same errors.  `NeckCut`
-/// executes for real in both paths: it commits to the clause by cutting
-/// the choice-point stack back to the level captured at call time
-/// (`wk.b0`), with a regression test pinning flat and classic to identical
-/// answers and counters.
+/// executor treats them the same).  Ill-formed operands that are reported
+/// at run time (`Unresolved` targets, builtin `pcall_goal` targets) keep
+/// dedicated opcodes that raise `BadInstruction` with the offending address.
+/// `NeckCut` executes for real: it commits to the clause by cutting the
+/// choice-point stack back to the level captured at call time (`wk.b0`),
+/// with a regression test pinning its answers and counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum DenseOp {
@@ -194,7 +193,7 @@ pub struct DenseCode {
 impl DenseCode {
     /// Pre-decode a linked code area.  Call targets must already be
     /// resolved; `Unresolved` targets are encoded as error opcodes that
-    /// reproduce the classic path's run-time diagnostics.
+    /// raise the run-time diagnostic.
     pub fn build(code: &[Instr]) -> DenseCode {
         assert!(code.len() <= u32::MAX as usize, "code area exceeds the dense address space");
         let mut d = DenseCode::default();

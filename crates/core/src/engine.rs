@@ -88,22 +88,16 @@ pub struct EngineConfig {
     /// `None` (the default) means unlimited.  Unlike `time_budget`, fuel is
     /// counted in executed instructions, so where a run stops is a pure
     /// function of the program: the strict backend preempts at the first
-    /// round boundary at or past the budget (checked in `end_round`, which
-    /// both dispatch paths funnel through), leaving the machine state
-    /// byte-identical across flat/classic dispatch.  The relaxed backend checks
-    /// fuel at its existing batch boundaries, so preemption is prompt but
-    /// the exact stop point is schedule-dependent there (same contract as
-    /// every other relaxed-mode observable).  A preempted one-shot run
+    /// round boundary at or past the budget (checked in `end_round`),
+    /// leaving a machine state the fuel suite pins by fingerprint.  The
+    /// relaxed backend checks fuel at its existing batch boundaries, so
+    /// preemption is prompt but the exact stop point is schedule-dependent
+    /// there (same contract as every other relaxed-mode observable).  A
+    /// preempted one-shot run
     /// fails with [`EngineError::FuelExhausted`]; a resumable run suspends
     /// with [`SuspendReason::FuelExhausted`] and continues via
     /// [`HostResult::Continue`].
     pub fuel: Option<u64>,
-    /// Execute through the classic (pre-flattening) dispatch path: indexed
-    /// `Vec<Instr>` fetch, and every reference recorded in its arena's book
-    /// under the arena's lock (never on the owner path).  The MLIPS gate
-    /// measures the flattened fast path against this baseline on the same
-    /// machine; the differential suite pins both paths byte-identical.
-    pub classic_dispatch: bool,
 }
 
 impl Default for EngineConfig {
@@ -119,7 +113,6 @@ impl Default for EngineConfig {
             stall_timeout: Duration::from_secs(5),
             time_budget: None,
             fuel: None,
-            classic_dispatch: false,
         }
     }
 }
@@ -516,13 +509,6 @@ pub(crate) struct Step<'a, 'p> {
     pub(crate) wk: &'a mut Worker,
 }
 
-/// Whether an engine's workers take the owner path ([`Worker::owner_path`]):
-/// the memory records no trace, and the dispatch is not the classic one,
-/// which must keep recording every access under the arena lock.
-fn owner_path(mem: &Memory, config: &EngineConfig) -> bool {
-    mem.fast() && !config.classic_dispatch
-}
-
 impl<'p> Engine<'p> {
     /// Create an engine ready to run the program's query.
     pub fn new(program: &'p CompiledProgram, config: EngineConfig) -> Self {
@@ -556,13 +542,11 @@ impl<'p> Engine<'p> {
         let config_fuel = config.fuel;
         // Only the relaxed threaded backend lets more than one thread touch
         // the memory at a time; the interleaved one is a single thread, so
-        // its recorded accesses may skip the per-arena book locks.  The
-        // classic dispatch path keeps them (and, below, stays off the owner
-        // path): it prices the pre-flattening cost model the MLIPS gate
-        // compares against — every access recorded, under the arena lock.
-        let relaxed = free_running(config.scheduler, config.determinism);
-        mem.set_serial(!config.classic_dispatch && !relaxed);
-        let owner_path = owner_path(&mem, &config);
+        // its recorded accesses may skip the per-arena book locks.
+        mem.set_serial(!free_running(config.scheduler, config.determinism));
+        // Workers take the owner path ([`Worker::owner_path`]) exactly when
+        // the memory records no trace.
+        let owner_path = mem.fast();
         let mut workers: Vec<Worker> =
             (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map)).collect();
         for wk in &mut workers {
@@ -861,7 +845,7 @@ impl<'p> Engine<'p> {
             // the code length) is fixed for the engine's lifetime.
             let mut prof = std::mem::take(&mut wk.prof_counts);
             *wk = Worker::new(wk.id, &core.mem.map);
-            wk.owner_path = owner_path(&core.mem, &core.config);
+            wk.owner_path = core.mem.fast();
             prof.clear();
             prof.resize(core.program.code_len(), 0);
             wk.prof_counts = prof;
@@ -975,8 +959,8 @@ impl<'p> Engine<'p> {
         }
         // Instruction fuel, checked every round: whole rounds always
         // complete before a preemption, so the stop point is a deterministic
-        // function of the program (the strict backend closes rounds
-        // through here, on both dispatch paths).
+        // function of the program (the strict backend closes every round
+        // through here).
         self.core.check_fuel();
         Ok(())
     }
@@ -996,10 +980,8 @@ impl<'p> Engine<'p> {
     /// goal stack up to each worker's tops, message buffer up to the
     /// board's top) and the per-PE board scalars.  Performance caches
     /// (`cp_top`), profiling attribution and statistics counters are
-    /// excluded: they may legitimately differ across dispatch paths while
-    /// the machine state is identical.  The fuel differential suite uses
-    /// this to pin the preemption point byte-identical across flat/classic
-    /// dispatch.
+    /// excluded: they are not machine state.  The fuel differential suite
+    /// uses this to pin preemption points to recorded goldens.
     ///
     /// Reads memory untraced only, so fingerprinting never perturbs
     /// statistics.
@@ -1314,12 +1296,6 @@ impl<'p> Engine<'p> {
     /// this is safe to call between batches (cursor stats) as well as
     /// after completion.
     fn collect_predicate_profile(&self) -> Vec<(String, u64)> {
-        if self.core.config.classic_dispatch {
-            // The classic path carries no profiling hooks (it is the MLIPS
-            // gate's uninstrumented baseline); the workers' untouched
-            // attribution state would mis-report everything as `$query`.
-            return Vec::new();
-        }
         let mut by_addr: HashMap<u32, u64> = HashMap::new();
         for w in &self.workers {
             for (addr, count) in w.prof_counts.iter().enumerate() {
@@ -1381,7 +1357,7 @@ impl<'a, 'p> Step<'a, 'p> {
     // Every data reference the machine makes goes through `mem_read`,
     // `mem_write` or `mem_rmw` (the one exception is `post_message`, which
     // only ever writes into another PE's buffer).  On the owner path
-    // ([`Worker::owner_path`]: tracing off, flat dispatch — either backend),
+    // ([`Worker::owner_path`]: tracing off — either backend),
     // accesses that land in this worker's own Stack Set skip the arena
     // dispatch and the book lock entirely, whatever their object kind: the
     // word moves through [`Memory::owner_read`] / [`Memory::owner_write`] /
@@ -1624,10 +1600,6 @@ impl<'a, 'p> Step<'a, 'p> {
     /// Execute up to `max` instructions while the worker stays `Running` and
     /// the query unfinished, flushing the executed count into the shared
     /// step counter once at the end.  Returns the number executed.
-    ///
-    /// Dispatches through the flattened pre-decoded fast path by default;
-    /// `EngineConfig::classic_dispatch` selects the original enum-fetch
-    /// loop (the MLIPS gate's same-machine baseline).
     pub(crate) fn exec_batch(&mut self, max: u32) -> EngineResult<u32> {
         if self.core.steps() > self.core.config.max_steps {
             return Err(EngineError::StepLimitExceeded { limit: self.core.config.max_steps });
@@ -1641,31 +1613,7 @@ impl<'a, 'p> Step<'a, 'p> {
         if self.core.cancel_flags[self.w()].load(Ordering::Acquire) || !self.wk.pending_cancels.is_empty() {
             self.process_cancel_requests()?;
         }
-        if self.core.config.classic_dispatch {
-            self.exec_batch_classic(max)
-        } else {
-            self.exec_batch_flat(max)
-        }
-    }
-
-    /// The classic (pre-flattening) execution loop: enum fetch through
-    /// `exec_instr`, `wk.p` written back after every instruction.
-    fn exec_batch_classic(&mut self, max: u32) -> EngineResult<u32> {
-        let mut n = 0u32;
-        let result = loop {
-            if n >= max || self.wk.status != WorkerStatus::Running || self.core.halted() {
-                break Ok(());
-            }
-            self.wk.instructions += 1;
-            n += 1;
-            if let Err(e) = self.exec_instr() {
-                break Err(e);
-            }
-        };
-        if n > 0 {
-            self.core.steps.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        result.map(|_| n)
+        self.exec_batch_flat(max)
     }
 
     // -----------------------------------------------------------------

@@ -5,21 +5,15 @@
 //! dispatch serves the deterministic backends (one `Step` at a time) and the
 //! relaxed backend (one `Step` per OS thread, concurrently).
 //!
-//! Two dispatch paths execute the same program:
-//!
-//! * **Flattened** (`Step::exec_batch_flat`, the default): fetches from
-//!   the pre-decoded fixed-width [`DenseInstr`] stream with an unchecked
-//!   indexed load, keeps the program counter in a local across the batch
-//!   (written back to `wk.p` only at batch exit and at control transfers
-//!   that leave the loop), and dispatches through `Step::exec_flat`,
-//!   whose handlers return a `Flow` telling the loop how the counter
-//!   moves.
-//! * **Classic** (`Step::exec_instr`, behind
-//!   `EngineConfig::classic_dispatch`): the original indexed `Vec<Instr>`
-//!   fetch with `wk.p` written back after every instruction.  Retained as
-//!   the pre-flattening cost model the MLIPS gate measures against, and as
-//!   a differential oracle — both paths must produce byte-identical
-//!   answers, counters and traces.
+//! There is one dispatch path.  `Step::exec_batch_flat` fetches from the
+//! pre-decoded fixed-width [`DenseInstr`] stream with an unchecked indexed
+//! load, keeps the program counter in a local across the batch (written
+//! back to `wk.p` only at batch exit and at control transfers that leave
+//! the loop), and dispatches through `Step::exec_flat`, whose handlers
+//! return a `Flow` telling the loop how the counter moves.  What it must
+//! keep producing — answers, counters and the tagged reference stream — is
+//! pinned from outside: an independent term-level oracle checks the answers,
+//! recorded golden fingerprints check the stream.
 
 use crate::builtins::BuiltinOutcome;
 use crate::cell::{Cell, NONE_ADDR};
@@ -29,7 +23,7 @@ use crate::frames::{choice, env, goal_frame, parcall};
 use crate::known;
 use crate::layout::{Area, ObjectKind};
 use crate::worker::{Mode, Resume, WorkerStatus};
-use pwam_compiler::{decode_reg, CallTarget, CodeAddr, ConstKey, DenseInstr, DenseOp, Instr, Reg};
+use pwam_compiler::{decode_reg, CodeAddr, ConstKey, DenseInstr, DenseOp, Instr, Reg};
 use pwam_front::atoms::Atom;
 use std::sync::atomic::Ordering;
 
@@ -47,557 +41,6 @@ pub(crate) enum Flow {
 }
 
 impl<'a, 'p> Step<'a, 'p> {
-    /// Execute the instruction at this worker's current program counter.
-    pub(crate) fn exec_instr(&mut self) -> EngineResult<()> {
-        let program = self.core.program;
-        let p = self.wk.p;
-        let instr = &program.code[p as usize];
-        let mut next = p + 1;
-
-        match instr {
-            // ---------------- put ----------------
-            Instr::PutVariable { v, a } => match v {
-                Reg::X(n) => {
-                    let var = self.new_heap_var()?;
-                    self.wk.x[*n as usize] = var;
-                    self.wk.x[*a as usize] = var;
-                }
-                Reg::Y(n) => {
-                    let addr = self.y_addr(*n)?;
-                    self.mem_write(addr, Cell::Ref(addr), ObjectKind::EnvPermVar);
-                    self.wk.x[*a as usize] = Cell::Ref(addr);
-                }
-            },
-            Instr::PutValue { v, a } => {
-                let c = self.read_reg(*v)?;
-                self.wk.x[*a as usize] = c;
-            }
-            Instr::PutUnsafeValue { y, a } => {
-                let c = self.read_reg(Reg::Y(*y))?;
-                let g = self.globalize(c)?;
-                self.wk.x[*a as usize] = g;
-            }
-            Instr::PutConstant { c, a } => {
-                self.wk.x[*a as usize] = Cell::Con(*c);
-            }
-            Instr::PutInteger { i, a } => {
-                self.wk.x[*a as usize] = Cell::Int(*i);
-            }
-            Instr::PutNil { a } => {
-                self.wk.x[*a as usize] = Cell::Con(known::NIL);
-            }
-            Instr::PutStructure { f, n, a } => {
-                let addr = self.heap_push(Cell::Fun(*f, *n))?;
-                self.wk.x[*a as usize] = Cell::Str(addr);
-                self.wk.mode = Mode::Write;
-            }
-            Instr::PutList { a } => {
-                let h = self.wk.h;
-                self.wk.x[*a as usize] = Cell::Lis(h);
-                self.wk.mode = Mode::Write;
-            }
-
-            // ---------------- get ----------------
-            Instr::GetVariable { v, a } => {
-                let c = self.wk.x[*a as usize];
-                self.write_reg(*v, c)?;
-            }
-            Instr::GetValue { v, a } => {
-                let c = self.read_reg(*v)?;
-                let arg = self.wk.x[*a as usize];
-                if !self.unify(c, arg)? {
-                    return self.backtrack();
-                }
-            }
-            Instr::GetConstant { c, a } => {
-                let arg = self.wk.x[*a as usize];
-                if !self.get_atomic(arg, Cell::Con(*c))? {
-                    return self.backtrack();
-                }
-            }
-            Instr::GetInteger { i, a } => {
-                let arg = self.wk.x[*a as usize];
-                if !self.get_atomic(arg, Cell::Int(*i))? {
-                    return self.backtrack();
-                }
-            }
-            Instr::GetNil { a } => {
-                let arg = self.wk.x[*a as usize];
-                if !self.get_atomic(arg, Cell::Con(known::NIL))? {
-                    return self.backtrack();
-                }
-            }
-            Instr::GetStructure { f, n, a } => {
-                let arg = self.wk.x[*a as usize];
-                match self.deref(arg) {
-                    Cell::Ref(addr) => {
-                        let fun_addr = self.heap_push(Cell::Fun(*f, *n))?;
-                        self.bind(addr, Cell::Str(fun_addr))?;
-                        self.wk.mode = Mode::Write;
-                    }
-                    Cell::Str(pp) => {
-                        let fun = self.mem_read(pp, ObjectKind::HeapTerm);
-                        match fun {
-                            Cell::Fun(f2, n2) if f2 == *f && n2 == *n => {
-                                self.wk.s = pp + 1;
-                                self.wk.mode = Mode::Read;
-                            }
-                            _ => return self.backtrack(),
-                        }
-                    }
-                    _ => return self.backtrack(),
-                }
-            }
-            Instr::GetList { a } => {
-                let arg = self.wk.x[*a as usize];
-                match self.deref(arg) {
-                    Cell::Ref(addr) => {
-                        let h = self.wk.h;
-                        self.bind(addr, Cell::Lis(h))?;
-                        self.wk.mode = Mode::Write;
-                    }
-                    Cell::Lis(pp) => {
-                        self.wk.s = pp;
-                        self.wk.mode = Mode::Read;
-                    }
-                    _ => return self.backtrack(),
-                }
-            }
-
-            // ---------------- unify ----------------
-            Instr::UnifyVariable { v } => match self.wk.mode {
-                Mode::Read => {
-                    let s = self.wk.s;
-                    let c = self.mem_read(s, self.core.object_for_addr(s));
-                    self.wk.s = s + 1;
-                    self.write_reg(*v, c)?;
-                }
-                Mode::Write => {
-                    let var = self.new_heap_var()?;
-                    self.write_reg(*v, var)?;
-                }
-            },
-            Instr::UnifyValue { v } | Instr::UnifyLocalValue { v } => match self.wk.mode {
-                Mode::Read => {
-                    let s = self.wk.s;
-                    let target = self.mem_read(s, self.core.object_for_addr(s));
-                    self.wk.s = s + 1;
-                    let c = self.read_reg(*v)?;
-                    if !self.unify(c, target)? {
-                        return self.backtrack();
-                    }
-                }
-                Mode::Write => {
-                    let c = self.read_reg(*v)?;
-                    let g = self.globalize(c)?;
-                    self.heap_push(g)?;
-                }
-            },
-            Instr::UnifyConstant { c } => {
-                if !self.unify_atomic(Cell::Con(*c))? {
-                    return self.backtrack();
-                }
-            }
-            Instr::UnifyInteger { i } => {
-                if !self.unify_atomic(Cell::Int(*i))? {
-                    return self.backtrack();
-                }
-            }
-            Instr::UnifyNil => {
-                if !self.unify_atomic(Cell::Con(known::NIL))? {
-                    return self.backtrack();
-                }
-            }
-            Instr::UnifyVoid { n } => match self.wk.mode {
-                Mode::Read => self.wk.s += *n as u32,
-                Mode::Write => {
-                    for _ in 0..*n {
-                        self.new_heap_var()?;
-                    }
-                }
-            },
-
-            // ---------------- control ----------------
-            Instr::Allocate { n } => {
-                let e_new = self.wk.local_top;
-                self.core.mem.check_top(self.w(), Area::LocalStack, e_new + env::size(*n as u32))?;
-                let (e_old, cp) = (self.wk.e, self.wk.cp);
-                self.mem_write(e_new + env::CE, Cell::Uint(e_old), ObjectKind::EnvControl);
-                self.mem_write(e_new + env::CP, Cell::Code(cp), ObjectKind::EnvControl);
-                self.mem_write(e_new + env::NVARS, Cell::Uint(*n as u32), ObjectKind::EnvControl);
-                let wk = &mut *self.wk;
-                wk.e = e_new;
-                wk.local_top = e_new + env::size(*n as u32);
-                wk.update_high_water();
-            }
-            Instr::Deallocate => {
-                let e = self.wk.e;
-                let ce = self.mem_read(e + env::CE, ObjectKind::EnvControl).expect_uint("env CE");
-                let cp = self.mem_read(e + env::CP, ObjectKind::EnvControl).expect_code("env CP");
-                let n = self.mem_read(e + env::NVARS, ObjectKind::EnvControl).expect_uint("env nvars");
-                let wk = &mut *self.wk;
-                if e + env::size(n) == wk.local_top {
-                    // Recover the frame's space, but never below the current
-                    // choice point's protected region (`stack_boundary` is
-                    // the local top the newest choice point saved): a
-                    // choice point pushed after this environment was
-                    // allocated restores `saved_e` into it on backtracking,
-                    // so its slots must survive until then.  This is the
-                    // split-stack analogue of the single-stack WAM's
-                    // `E = max(E, B)` allocation rule; without it a later
-                    // `allocate` reuses the frame and the resumed
-                    // alternative reads clobbered (or dangling) slots.
-                    wk.local_top = e.max(wk.stack_boundary);
-                }
-                wk.cp = cp;
-                wk.e = ce;
-            }
-            Instr::Call { target, arity } => match target {
-                CallTarget::Code(addr) => {
-                    self.wk.inferences += 1;
-                    let wk = &mut *self.wk;
-                    wk.cp = p + 1;
-                    wk.num_args = *arity;
-                    wk.b0 = wk.b;
-                    next = *addr;
-                }
-                CallTarget::Builtin(b) => match self.exec_builtin(*b)? {
-                    BuiltinOutcome::Succeed => {}
-                    BuiltinOutcome::Fail => return self.backtrack(),
-                    BuiltinOutcome::Halted => return Ok(()),
-                },
-                CallTarget::Host(h) => {
-                    // Park the machine at this boundary; on a lost race `p`
-                    // stays here (early return skips the write-back below)
-                    // and the instruction re-executes after resume.
-                    self.suspend_host(*h, *arity, p + 1);
-                    return Ok(());
-                }
-                CallTarget::Unresolved(_) => {
-                    return Err(EngineError::BadInstruction {
-                        addr: p,
-                        what: "unresolved call target".into(),
-                    })
-                }
-            },
-            Instr::Execute { target, arity } => match target {
-                CallTarget::Code(addr) => {
-                    self.wk.inferences += 1;
-                    let wk = &mut *self.wk;
-                    wk.num_args = *arity;
-                    wk.b0 = wk.b;
-                    next = *addr;
-                }
-                CallTarget::Builtin(b) => match self.exec_builtin(*b)? {
-                    BuiltinOutcome::Succeed => next = self.wk.cp,
-                    BuiltinOutcome::Fail => return self.backtrack(),
-                    BuiltinOutcome::Halted => return Ok(()),
-                },
-                CallTarget::Host(h) => {
-                    // Last-call shape: the continuation is the saved `cp`.
-                    let cont = self.wk.cp;
-                    self.suspend_host(*h, *arity, cont);
-                    return Ok(());
-                }
-                CallTarget::Unresolved(_) => {
-                    return Err(EngineError::BadInstruction {
-                        addr: p,
-                        what: "unresolved call target".into(),
-                    })
-                }
-            },
-            Instr::Proceed => {
-                next = self.wk.cp;
-            }
-            Instr::CallBuiltin { b } => match self.exec_builtin(*b)? {
-                BuiltinOutcome::Succeed => {}
-                BuiltinOutcome::Fail => return self.backtrack(),
-                BuiltinOutcome::Halted => return Ok(()),
-            },
-
-            // ---------------- choice points & indexing ----------------
-            Instr::Try { addr } => {
-                self.push_choice_point(p + 1)?;
-                next = *addr;
-            }
-            Instr::Retry { addr } => {
-                let b = self.wk.b;
-                let nargs = self.mem_read(b + choice::NARGS, ObjectKind::ChoicePoint).expect_uint("cp nargs");
-                self.mem_write(choice::next_clause(b, nargs), Cell::Code(p + 1), ObjectKind::ChoicePoint);
-                next = *addr;
-            }
-            Instr::Trust { addr } => {
-                self.pop_choice_point()?;
-                next = *addr;
-            }
-            Instr::TryMeElse { else_ } => {
-                self.push_choice_point(*else_)?;
-            }
-            Instr::RetryMeElse { else_ } => {
-                let b = self.wk.b;
-                let nargs = self.mem_read(b + choice::NARGS, ObjectKind::ChoicePoint).expect_uint("cp nargs");
-                self.mem_write(choice::next_clause(b, nargs), Cell::Code(*else_), ObjectKind::ChoicePoint);
-            }
-            Instr::TrustMe => {
-                self.pop_choice_point()?;
-            }
-            Instr::SwitchOnTerm { var, con, lis, stru } => {
-                let arg = self.wk.x[1];
-                next = match self.deref(arg) {
-                    Cell::Ref(_) => *var,
-                    Cell::Con(_) | Cell::Int(_) => *con,
-                    Cell::Lis(_) => *lis,
-                    Cell::Str(_) => *stru,
-                    other => {
-                        return Err(EngineError::BadInstruction {
-                            addr: p,
-                            what: format!("switch_on_term saw a control cell {other:?}"),
-                        })
-                    }
-                };
-            }
-            Instr::SwitchOnConstant { table, default } => {
-                let arg = self.wk.x[1];
-                let key = match self.deref(arg) {
-                    Cell::Con(a) => ConstKey::Atom(a),
-                    Cell::Int(i) => ConstKey::Int(i),
-                    _ => return self.backtrack(),
-                };
-                next = table.iter().find(|(k, _)| *k == key).map(|(_, a)| *a).unwrap_or(*default);
-            }
-            Instr::SwitchOnStructure { table, default } => {
-                let arg = self.wk.x[1];
-                match self.deref(arg) {
-                    Cell::Str(pp) => {
-                        let fun = self.mem_read(pp, ObjectKind::HeapTerm);
-                        match fun {
-                            Cell::Fun(f, n) => {
-                                next = table
-                                    .iter()
-                                    .find(|((tf, tn), _)| *tf == f && *tn == n)
-                                    .map(|(_, a)| *a)
-                                    .unwrap_or(*default);
-                            }
-                            _ => return self.backtrack(),
-                        }
-                    }
-                    _ => return self.backtrack(),
-                }
-            }
-
-            // ---------------- cut ----------------
-            Instr::NeckCut => {
-                // Cut immediately after head unification: discard every
-                // choice point pushed since the current predicate was
-                // called (clause selection included), restoring B to the
-                // barrier captured in B0 at the call.  This compiler's
-                // clause bodies route cuts through `get_level`/`cut_to`,
-                // but the instruction is part of the abstract machine's
-                // surface (hand-written or externally generated code), so
-                // both dispatch paths implement it.
-                let target = self.wk.b0;
-                if self.wk.b != target {
-                    self.wk.b = target;
-                    self.wk.cp_top = NONE_ADDR;
-                    self.refresh_backtrack_boundaries()?;
-                    self.recede_control_top();
-                }
-            }
-            Instr::GetLevel { y } => {
-                // Capture the cut barrier: choice points older than the call
-                // of the current predicate survive a cut, everything newer
-                // (including the clause-selection choice point) is discarded.
-                let b0 = self.wk.b0;
-                self.write_reg(Reg::Y(*y), Cell::Uint(b0))?;
-            }
-            Instr::CutTo { y } => {
-                let target = self.read_reg(Reg::Y(*y))?.expect_uint("cut barrier");
-                if self.wk.b != target {
-                    self.wk.b = target;
-                    self.wk.cp_top = NONE_ADDR;
-                    self.refresh_backtrack_boundaries()?;
-                    self.recede_control_top();
-                }
-            }
-
-            // ---------------- builtins handled above; parallel below ----
-            Instr::CheckGround { v, else_ } => {
-                let c = self.read_reg(*v)?;
-                if !self.is_ground(c)? {
-                    next = *else_;
-                }
-            }
-            Instr::CheckIndep { v1, v2, else_ } => {
-                let c1 = self.read_reg(*v1)?;
-                let c2 = self.read_reg(*v2)?;
-                if !self.independent(c1, c2)? {
-                    next = *else_;
-                }
-            }
-            Instr::PcallAlloc { n } => {
-                let n = *n as u32;
-                let pf_new = self.wk.local_top;
-                self.core.mem.check_top(self.w(), Area::LocalStack, pf_new + parcall::size(n))?;
-                let prev = self.wk.pf;
-                self.mem_write(pf_new + parcall::NGOALS, Cell::Uint(n), ObjectKind::ParcallLocal);
-                self.mem_write(pf_new + parcall::TO_SCHEDULE, Cell::Uint(n), ObjectKind::ParcallCount);
-                self.mem_write(pf_new + parcall::COMPLETED, Cell::Uint(0), ObjectKind::ParcallCount);
-                self.mem_write(
-                    pf_new + parcall::STATUS,
-                    Cell::Uint(parcall::STATUS_OK),
-                    ObjectKind::ParcallLocal,
-                );
-                self.mem_write(
-                    pf_new + parcall::PARENT_PE,
-                    Cell::Uint(self.w() as u32),
-                    ObjectKind::ParcallLocal,
-                );
-                self.mem_write(pf_new + parcall::PREV_PF, Cell::Uint(prev), ObjectKind::ParcallLocal);
-                // The parcall's backtrack point: `pcall_wait` commits the
-                // CGE to its first solution by restoring B to this value,
-                // discarding any choice points the inline branch left.
-                self.mem_write(pf_new + parcall::ENTRY_B, Cell::Uint(self.wk.b), ObjectKind::ParcallLocal);
-                // Slot statuses start PENDING: the local stack reuses
-                // backtracked-over words, so cancellation's slot scan must
-                // never see a stale cell that happens to read as TAKEN.
-                // The executing-PE words stay lazy — they are read only
-                // behind a genuine TAKEN status, which a thief writes
-                // *after* its own PE id.
-                for k in 0..n {
-                    self.mem_write(
-                        parcall::slot_status(pf_new, k),
-                        Cell::Uint(parcall::SLOT_PENDING),
-                        ObjectKind::ParcallGlobal,
-                    );
-                }
-                let wk = &mut *self.wk;
-                wk.pf = pf_new;
-                wk.local_top = pf_new + parcall::size(n);
-                wk.update_high_water();
-                self.wk.parcalls += 1;
-            }
-            Instr::PcallGoal { target, arity, slot } => {
-                let code = match target {
-                    CallTarget::Code(a) => *a,
-                    other => {
-                        return Err(EngineError::BadInstruction {
-                            addr: p,
-                            what: format!("pcall_goal target must be user code, found {other:?}"),
-                        })
-                    }
-                };
-                let arity = *arity as u32;
-                let pf = self.wk.pf;
-                // The own board's lock is held across top read, word writes
-                // and the push: a thief popping concurrently can then never
-                // observe a half-written frame.  (`core` is copied out of
-                // `self` so the guard does not pin `self` while globalize
-                // mutates the worker.)
-                let w = self.w();
-                let core = self.core;
-                {
-                    let mut board = core.boards[w].lock().unwrap();
-                    let g = board.goal_top;
-                    core.mem.check_top(w, Area::GoalStack, g + goal_frame::size(arity))?;
-                    self.mem_write(g + goal_frame::CODE, Cell::Code(code), ObjectKind::GoalFrame);
-                    self.mem_write(g + goal_frame::ARITY, Cell::Uint(arity), ObjectKind::GoalFrame);
-                    self.mem_write(g + goal_frame::PF, Cell::Uint(pf), ObjectKind::GoalFrame);
-                    self.mem_write(g + goal_frame::SLOT, Cell::Uint(*slot as u32), ObjectKind::GoalFrame);
-                    for i in 0..arity {
-                        let c = self.wk.x[(i + 1) as usize];
-                        let g_c = self.globalize(c)?;
-                        self.mem_write(goal_frame::arg(g, i), g_c, ObjectKind::GoalFrame);
-                    }
-                    board.goal_frames.push(g);
-                    board.goal_top = g + goal_frame::size(arity);
-                    self.wk.goal_top = board.goal_top;
-                }
-                self.wk.update_high_water();
-            }
-            Instr::PcallWait => {
-                let pf = self.wk.pf;
-                if pf == NONE_ADDR {
-                    return Err(EngineError::BadInstruction {
-                        addr: p,
-                        what: "pcall_wait without a Parcall Frame".into(),
-                    });
-                }
-                let n = self.mem_read(pf + parcall::NGOALS, ObjectKind::ParcallLocal).expect_uint("ngoals");
-                let done =
-                    self.mem_read(pf + parcall::COMPLETED, ObjectKind::ParcallCount).expect_uint("completed");
-                if done >= n {
-                    let status =
-                        self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
-                    self.consume_messages();
-                    // Commit the parcall to its first solution: discard any
-                    // choice points the inline first branch left behind,
-                    // mirroring the per-goal commit of the scheduled goals.
-                    // (A cut inside the branch can never reach below the
-                    // frame's entry B — barriers are captured at or above
-                    // it — so this only ever discards, never resurrects.)
-                    let entry_b =
-                        self.mem_read(pf + parcall::ENTRY_B, ObjectKind::ParcallLocal).expect_uint("entry b");
-                    if self.wk.b != entry_b {
-                        self.wk.b = entry_b;
-                        self.wk.cp_top = NONE_ADDR;
-                        self.refresh_backtrack_boundaries()?;
-                        self.recede_control_top();
-                    }
-                    if status != parcall::STATUS_OK {
-                        return self.backtrack();
-                    }
-                    let prev =
-                        self.mem_read(pf + parcall::PREV_PF, ObjectKind::ParcallLocal).expect_uint("prev pf");
-                    let wk = &mut *self.wk;
-                    if pf + parcall::size(n) == wk.local_top {
-                        // As in `deallocate`: never recede below the current
-                        // choice point's protected local region.
-                        wk.local_top = pf.max(wk.stack_boundary);
-                    }
-                    wk.pf = prev;
-                    // fall through to the continuation
-                } else {
-                    // Not complete yet.  If some goal already failed, start
-                    // backward execution on the frame — retract the goals
-                    // still sitting un-stolen on the board and send
-                    // `cancel_goal` after the in-flight ones — instead of
-                    // executing doomed siblings; the wait then drains the
-                    // remainder through the completion protocol.  Otherwise
-                    // pick up one of our own goals or wait (idle PEs do
-                    // the stealing).
-                    let status =
-                        self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
-                    if status == parcall::STATUS_FAILED {
-                        self.cancel_parcall_frame(pf)?;
-                    }
-                    if !self.try_dispatch_work(Resume::ToWait { addr: p })? {
-                        self.wk.status = WorkerStatus::WaitingAtPcall { addr: p, pf };
-                    }
-                    return Ok(());
-                }
-            }
-            Instr::GoalSuccess => {
-                return self.finish_goal_success();
-            }
-
-            // ---------------- misc ----------------
-            Instr::Jump { addr } => {
-                next = *addr;
-            }
-            Instr::FailInstr => {
-                return self.backtrack();
-            }
-            Instr::Halt => {
-                self.query_succeeded();
-                return Ok(());
-            }
-            Instr::NoOp => {}
-        }
-
-        self.wk.p = next;
-        Ok(())
-    }
-
     /// Shared implementation of `get_constant` / `get_integer` / `get_nil`:
     /// unify the argument register with an atomic cell.
     fn get_atomic(&mut self, arg: Cell, atomic: Cell) -> EngineResult<bool> {
@@ -634,7 +77,7 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     // -----------------------------------------------------------------
-    // Flattened dispatch (the default fast path)
+    // The dispatch loop
     // -----------------------------------------------------------------
 
     /// Execute up to `max` instructions through the dense pre-decoded
@@ -730,9 +173,7 @@ impl<'a, 'p> Step<'a, 'p> {
         Ok(if self.wk.status == WorkerStatus::Running { Flow::Jump(self.wk.p) } else { Flow::Reload })
     }
 
-    /// Execute one pre-decoded instruction.  `p` is its address; semantics
-    /// are arm-for-arm those of [`Step::exec_instr`] (the differential suite
-    /// pins both paths to byte-identical traces).
+    /// Execute one pre-decoded instruction; `p` is its address.
     #[inline(always)]
     fn exec_flat(&mut self, di: DenseInstr, p: CodeAddr) -> EngineResult<Flow> {
         match di.op {
@@ -991,8 +432,16 @@ impl<'a, 'p> Step<'a, 'p> {
                 };
                 let wk = &mut *self.wk;
                 if e + env::size(n) == wk.local_top {
-                    // See `exec_instr`: recover the frame's space, but never
-                    // below the newest choice point's protected region.
+                    // Recover the frame's space, but never below the current
+                    // choice point's protected region (`stack_boundary` is
+                    // the local top the newest choice point saved): a
+                    // choice point pushed after this environment was
+                    // allocated restores `saved_e` into it on backtracking,
+                    // so its slots must survive until then.  This is the
+                    // split-stack analogue of the single-stack WAM's
+                    // `E = max(E, B)` allocation rule; without it a later
+                    // `allocate` reuses the frame and the resumed
+                    // alternative reads clobbered (or dangling) slots.
                     wk.local_top = e.max(wk.stack_boundary);
                 }
                 wk.cp = cp;
@@ -1038,6 +487,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 Ok(Flow::Reload)
             }
             DenseOp::ExecuteHost => {
+                // Last-call shape: the continuation is the saved `cp`.
                 let cont = self.wk.cp;
                 if !self.suspend_host(di.c, di.a, cont) {
                     self.wk.p = p;
@@ -1128,7 +578,13 @@ impl<'a, 'p> Step<'a, 'p> {
 
             // ---------------- cut ----------------
             DenseOp::NeckCut => {
-                // Cut to the call-time barrier `B0` — see `exec_instr`.
+                // Cut immediately after head unification: discard every
+                // choice point pushed since the current predicate was
+                // called (clause selection included), restoring B to the
+                // barrier captured in B0 at the call.  This compiler's
+                // clause bodies route cuts through `get_level`/`cut_to`,
+                // but the instruction is part of the abstract machine's
+                // surface (hand-written or externally generated code).
                 let target = self.wk.b0;
                 if self.wk.b != target {
                     self.wk.b = target;
@@ -1139,6 +595,9 @@ impl<'a, 'p> Step<'a, 'p> {
                 Ok(Flow::Next)
             }
             DenseOp::GetLevel => {
+                // Capture the cut barrier: choice points older than the call
+                // of the current predicate survive a cut, everything newer
+                // (including the clause-selection choice point) is discarded.
                 let b0 = self.wk.b0;
                 self.write_reg(Reg::Y(di.b), Cell::Uint(b0))?;
                 Ok(Flow::Next)
@@ -1179,8 +638,8 @@ impl<'a, 'p> Step<'a, 'p> {
                 Ok(Flow::Next)
             }
             DenseOp::PcallGoalBad => {
-                // Reproduce the classic path's diagnostic, including the
-                // offending target (cold path: re-read the enum form).
+                // Name the offending target in the diagnostic (cold path:
+                // re-read the enum form).
                 let what = match &self.core.program.code[p as usize] {
                     Instr::PcallGoal { target, .. } => {
                         format!("pcall_goal target must be user code, found {target:?}")
@@ -1208,7 +667,7 @@ impl<'a, 'p> Step<'a, 'p> {
             DenseOp::FailInstr => self.fail(),
             DenseOp::Halt => {
                 // `wk.p` intentionally keeps pointing at the halt
-                // instruction, as on the classic path.
+                // instruction.
                 self.wk.p = p;
                 self.query_succeeded();
                 Ok(Flow::Reload)
@@ -1256,10 +715,14 @@ impl<'a, 'p> Step<'a, 'p> {
         self.mem_write(pf_new + parcall::PARENT_PE, Cell::Uint(self.w() as u32), ObjectKind::ParcallLocal);
         self.mem_write(pf_new + parcall::PREV_PF, Cell::Uint(prev), ObjectKind::ParcallLocal);
         // The parcall's backtrack point: `pcall_wait` commits the CGE to its
-        // first solution by restoring B to this value.
+        // first solution by restoring B to this value, discarding any choice
+        // points the inline branch left.
         self.mem_write(pf_new + parcall::ENTRY_B, Cell::Uint(self.wk.b), ObjectKind::ParcallLocal);
-        // Slot statuses start PENDING — see `exec_instr` for why the scan
-        // must never observe a stale TAKEN cell.
+        // Slot statuses start PENDING: the local stack reuses backtracked-over
+        // words, so cancellation's slot scan must never see a stale cell that
+        // happens to read as TAKEN.  The executing-PE words stay lazy — they
+        // are read only behind a genuine TAKEN status, which a thief writes
+        // *after* its own PE id.
         for k in 0..n {
             self.mem_write(
                 parcall::slot_status(pf_new, k),
@@ -1279,7 +742,9 @@ impl<'a, 'p> Step<'a, 'p> {
     fn pcall_goal(&mut self, code: CodeAddr, arity: u32, slot: u32) -> EngineResult<()> {
         let pf = self.wk.pf;
         // The own board's lock is held across top read, word writes and the
-        // push — see `exec_instr` for the race this prevents.
+        // push: a thief popping concurrently can then never observe a
+        // half-written frame.  (`core` is copied out of `self` so the guard
+        // does not pin `self` while globalize mutates the worker.)
         let w = self.w();
         let core = self.core;
         {
@@ -1303,8 +768,8 @@ impl<'a, 'p> Step<'a, 'p> {
         Ok(())
     }
 
-    /// `pcall_wait` for the flattened path; `p` is the instruction's own
-    /// address (the wait re-executes it until the frame completes).
+    /// `pcall_wait`; `p` is the instruction's own address (the wait
+    /// re-executes it until the frame completes).
     fn pcall_wait(&mut self, p: CodeAddr) -> EngineResult<Flow> {
         let pf = self.wk.pf;
         if pf == NONE_ADDR {
@@ -1318,7 +783,12 @@ impl<'a, 'p> Step<'a, 'p> {
         if done >= n {
             let status = self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
             self.consume_messages();
-            // Commit the parcall to its first solution — see `exec_instr`.
+            // Commit the parcall to its first solution: discard any choice
+            // points the inline first branch left behind, mirroring the
+            // per-goal commit of the scheduled goals.  (A cut inside the
+            // branch can never reach below the frame's entry B — barriers
+            // are captured at or above it — so this only ever discards,
+            // never resurrects.)
             let entry_b =
                 self.mem_read(pf + parcall::ENTRY_B, ObjectKind::ParcallLocal).expect_uint("entry b");
             if self.wk.b != entry_b {
@@ -1339,9 +809,13 @@ impl<'a, 'p> Step<'a, 'p> {
             wk.pf = prev;
             Ok(Flow::Next)
         } else {
-            // Not complete yet — mirror `exec_instr`: cancel a failing frame,
-            // then execute one of our own goals or park.  The program counter
-            // stays at the wait instruction.
+            // Not complete yet.  If some goal already failed, start backward
+            // execution on the frame — retract the goals still sitting
+            // un-stolen on the board and send `cancel_goal` after the
+            // in-flight ones — instead of executing doomed siblings; the wait
+            // then drains the remainder through the completion protocol.
+            // Otherwise pick up one of our own goals or park (idle PEs do the
+            // stealing).  The program counter stays at the wait instruction.
             self.wk.p = p;
             let status = self.mem_read(pf + parcall::STATUS, ObjectKind::ParcallLocal).expect_uint("status");
             if status == parcall::STATUS_FAILED {

@@ -46,7 +46,7 @@
 //!   when tracing is on, and moves the word inside the critical section.
 //!   References into another PE's Stack Set (a thief picking up a stolen
 //!   goal, slot words, a Message to a parent, a binding) and every reference
-//!   of a traced or classic-dispatch run are recorded.
+//!   of a traced run are recorded.
 //! * *Owner-path* (the crate-private `owner_read` / `owner_write` /
 //!   `owner_rmw_uint`): a PE's untraced reference to its own Stack Set,
 //!   whatever the object — Parcall Frames, Goal Frames, Markers and Messages
@@ -403,9 +403,7 @@ impl Memory {
     /// so `&self` readers of a serial memory's books (statistics) stay on the
     /// thread that holds the engine, and [`Engine::into_memory`](crate::Engine::into_memory)
     /// hands the memory out with serial mode off.  The relaxed backend, where
-    /// every PE free-runs on its own thread, keeps the book locks.  The
-    /// classic dispatch path also keeps them (and records every reference)
-    /// so it prices the pre-flattening cost model.
+    /// every PE free-runs on its own thread, keeps the book locks.
     pub(crate) fn set_serial(&mut self, serial: bool) {
         self.serial = serial;
     }

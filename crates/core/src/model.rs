@@ -349,7 +349,7 @@ fn an_unlocked_owner_bump_and_a_locked_remote_one_never_lose_each_other() {
     assert!(lost, "the model cannot tell a compare-exchange from a split load/store");
 }
 
-/// The same commit as a traced or classic run sees it: the parent's load of
+/// The same commit as a traced run sees it: the parent's load of
 /// the count is a recorded read under its arena's book lock.
 #[test]
 fn a_parent_that_saw_the_completion_count_sees_the_binding() {

@@ -99,13 +99,6 @@ pub struct QueryOptions {
     /// a cursor suspends instead ([`CursorStep::FuelExhausted`]) so the
     /// serving layer can preempt long queries and re-admit them fairly.
     pub fuel: Option<u64>,
-    /// Run the executor through the classic (pre-flattening) dispatch path:
-    /// indexed `Vec<Instr>` fetch, and every reference recorded under its
-    /// arena's lock (never on the unrecorded owner path).  Off by
-    /// default; the MLIPS gate turns it on to measure the flattened fast
-    /// path against the baseline on the same machine, and the differential
-    /// suite uses it to pin both dispatch paths against each other.
-    pub classic_dispatch: bool,
 }
 
 impl Default for QueryOptions {
@@ -122,7 +115,6 @@ impl Default for QueryOptions {
             stall_timeout: Duration::from_secs(5),
             time_budget: None,
             fuel: None,
-            classic_dispatch: false,
         }
     }
 }
@@ -199,12 +191,6 @@ impl QueryOptions {
         self
     }
 
-    /// Execute through the classic (pre-flattening) dispatch path.
-    pub fn with_classic_dispatch(mut self) -> Self {
-        self.classic_dispatch = true;
-        self
-    }
-
     /// Bound each execution leg to `fuel` instructions (deterministic
     /// preemption; see [`QueryOptions::fuel`]).
     pub fn with_fuel(mut self, fuel: u64) -> Self {
@@ -224,7 +210,6 @@ impl QueryOptions {
             stall_timeout: self.stall_timeout,
             time_budget: self.time_budget,
             fuel: self.fuel,
-            classic_dispatch: self.classic_dispatch,
             ..EngineConfig::default()
         }
     }

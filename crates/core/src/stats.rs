@@ -101,12 +101,11 @@ pub struct RunStats {
     pub area_stats: AreaStats,
     /// Per-worker summaries.
     pub workers: Vec<WorkerStats>,
-    /// Per-predicate instruction attribution from the flat dispatch path:
+    /// Per-predicate instruction attribution from the dispatch loop:
     /// `("name/arity", instructions)` sorted by decreasing count (ties by
     /// name).  Attribution is call-granular — instructions between two call
     /// boundaries are charged to the predicate entered at the first — and
-    /// the query body itself appears as `$query`.  Empty under the classic
-    /// dispatch path, which stays the uninstrumented MLIPS baseline.
+    /// the query body itself appears as `$query`.
     pub predicate_profile: Vec<(String, u64)>,
 }
 

@@ -225,7 +225,7 @@ pub struct Worker {
     /// `pcall_wait`, went idle after goal completion, cancelled, or the
     /// whole query finished.
     pub batch_exits_park: u64,
-    /// Per-predicate instruction attribution for the flat dispatch path:
+    /// Per-predicate instruction attribution:
     /// entry address of the predicate currently being charged.  Updated at
     /// call/execute boundaries only, so attribution is call-granular: the
     /// tail of a clause body after its last call is charged to the callee.
@@ -267,9 +267,9 @@ pub struct Worker {
     pub arena_end: u32,
     /// Whether this worker's references to its own Stack Set take the
     /// unrecorded, unlocked owner path (`Step::mem_read` / `mem_write`).
-    /// Decided once per engine — tracing off and flat dispatch, whichever
-    /// backend drives — and cached here so the hot accessors test a worker
-    /// field instead of re-reading the shared core.
+    /// Decided once per engine — tracing off, whichever backend drives —
+    /// and cached here so the hot accessors test a worker field instead of
+    /// re-reading the shared core.
     pub owner_path: bool,
     /// Batched reference accounting for the owner path: counts
     /// accumulated here instead of in the arena's `AreaStats`, flushed by

@@ -76,7 +76,8 @@ pub fn query(c: &Case) -> String {
 /// each worker count with its own table (duplicate keys, misses, a threshold
 /// inside the list) so every stream has at least two answers.
 pub fn golden_cases() -> Vec<Case> {
-    let inputs: [(&[(i64, i64)], &[i64], i64); 3] = [
+    type Input = (&'static [(i64, i64)], &'static [i64], i64);
+    let inputs: [Input; 3] = [
         (&[(3, 1), (5, 2), (3, 7), (-2, 4)], &[5, -2, 3, 7, 3], 0),
         (&[(-4, 0), (8, 8), (1, -1)], &[-9, 1, 8, 2, -4, 8], -5),
         (&[(6, 6), (6, 5), (0, 9), (2, 2), (9, 0)], &[0, 1, 9, 4, 6, 2, 6], 1),
@@ -101,20 +102,16 @@ pub fn pin(stats: &RunStats, trace: &[MemRef]) -> Pin {
     (stats.instructions, stats.data_refs, trace.len(), fingerprint(trace))
 }
 
-fn traced(c: &Case, classic: bool) -> QueryOptions {
-    QueryOptions { classic_dispatch: classic, ..QueryOptions::parallel(c.workers).with_trace() }
-}
-
 /// The pin of `c` run to its first answer on the interleaved backend.
-pub fn first_answer_pin(c: &Case, classic: bool) -> Pin {
+pub fn first_answer_pin(c: &Case) -> Pin {
     let mut s = Session::new(&program(c, false)).expect("program parses");
-    let r = s.run(&query(c), &traced(c, classic)).expect("query runs");
+    let r = s.run(&query(c), &QueryOptions::parallel(c.workers).with_trace()).expect("query runs");
     pin(&r.stats, r.trace.as_ref().expect("trace requested"))
 }
 
 /// The pin of `c`'s whole answer stream, every `Redo` re-entry included.
-pub fn stream_pin(c: &Case, classic: bool) -> Pin {
-    let opts = traced(c, classic);
+pub fn stream_pin(c: &Case) -> Pin {
+    let opts = QueryOptions::parallel(c.workers).with_trace();
     let mut s = Session::new(&program(c, false)).expect("program parses");
     let compiled = s.prepare_with(&query(c), opts.compile_options()).expect("query compiles");
     let mut cursor = s.open_cursor(&compiled, &opts, None).expect("cursor opens");

@@ -12,23 +12,39 @@ use proptest::prelude::*;
 use rapwam::session::{QueryOptions, Session};
 use rapwam::{Area, MemRef, ObjectKind, QueryCursor, RunStats, Term};
 
+/// Random [`Case`]s, biased towards the boundaries where a comparison or a
+/// table lookup can be off by one: half the time the threshold `k` is a member
+/// of the list (so `X > K` meets `X == K`), and half the fact keys are members
+/// of the list (so the `f/2` lookup hits, and clause selection has work to do).
 pub fn case_strategy() -> impl Strategy<Value = Case> {
+    // `(take it from the list?, at this index modulo its length, or else this)`
+    let biased = || (any::<bool>(), 0usize..8, -10i64..10);
     (
-        prop::collection::vec((-10i64..10, -10i64..10), 0..6),
+        prop::collection::vec((biased(), -10i64..10), 0..6),
         prop::collection::vec(-10i64..10, 1..7),
-        -10i64..10,
+        biased(),
         any::<bool>(),
         any::<bool>(),
         1usize..4,
     )
-        .prop_map(|(facts, list, k, cut, parallel, workers)| Case {
-            facts,
-            list,
-            k,
-            cut,
-            parallel,
-            workers,
+        .prop_map(|(facts, list, k, cut, parallel, workers)| {
+            let pick = |(from_list, i, free): (bool, usize, i64)| {
+                if from_list {
+                    list[i % list.len()]
+                } else {
+                    free
+                }
+            };
+            let facts = facts.into_iter().map(|(key, v)| (pick(key), v)).collect();
+            let k = pick(k);
+            Case { facts, list, k, cut, parallel, workers }
         })
+}
+
+/// CI matrix knob: when `PWAM_THREADS` is set, the relaxed-backend drains run
+/// at that width instead of the generated per-case worker count.
+pub fn threaded_workers(generated: usize) -> usize {
+    std::env::var("PWAM_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(generated)
 }
 
 /// Assert every schedule-invariant observable matches between two runs.

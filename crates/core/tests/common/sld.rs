@@ -26,7 +26,8 @@ use pwam_front::{Atom, SymbolTable};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Proof steps after which a query is declared runaway.
+/// Proof steps after which a query is declared runaway, unless
+/// [`Oracle::step_limit`] says otherwise.
 const STEP_LIMIT: u64 = 50_000_000;
 
 /// One answer: the query's named variables with their rendered bindings,
@@ -101,6 +102,8 @@ struct Choice<'a> {
 pub struct Oracle {
     syms: SymbolTable,
     rules: HashMap<(Atom, usize), Vec<Rule>>,
+    /// Proof steps one [`Oracle::solutions`] call may take.
+    pub step_limit: u64,
 }
 
 fn lower(t: &Term, vars: &mut Vec<String>) -> T {
@@ -156,7 +159,7 @@ impl Oracle {
             let key = clause.predicate().expect("oracle: clause head has a functor");
             rules.entry(key).or_default().push(Rule { head, body, nvars: vars.len() });
         }
-        Oracle { syms, rules }
+        Oracle { syms, rules, step_limit: STEP_LIMIT }
     }
 
     /// The first `limit` answers to `query_text`, in proof order.
@@ -174,7 +177,7 @@ impl Oracle {
         };
         let mut rows = Vec::new();
         let mut cont: Cont = Some(Rc::new(Frame::Goals { goals: &goals, base: 0, cut: 0, next: None }));
-        for _ in 0..STEP_LIMIT {
+        for _ in 0..self.step_limit {
             let step = match cont.take() {
                 None => {
                     let mut row: Row = names
@@ -221,14 +224,18 @@ impl<'a> Machine<'a> {
             }
             Frame::Branch { goals, base, commit, next } => {
                 let cut = self.choices.len();
-                let next =
-                    if *commit { Some(Rc::new(Frame::Commit { height: cut, next: next.clone() })) } else { next.clone() };
+                let next = if *commit {
+                    Some(Rc::new(Frame::Commit { height: cut, next: next.clone() }))
+                } else {
+                    next.clone()
+                };
                 Some(Some(Rc::new(Frame::Goals { goals, base: *base, cut, next })))
             }
-            Frame::Goals { goals, next, .. } if goals.is_empty() => Some(next.clone()),
+            Frame::Goals { goals: [], next, .. } => Some(next.clone()),
             Frame::Goals { goals, base, cut, next } => {
                 let (base, cut) = (*base, *cut);
-                let rest: Cont = Some(Rc::new(Frame::Goals { goals: &goals[1..], base, cut, next: next.clone() }));
+                let rest: Cont =
+                    Some(Rc::new(Frame::Goals { goals: &goals[1..], base, cut, next: next.clone() }));
                 match &goals[0] {
                     G::Cut => {
                         self.choices.truncate(cut);

@@ -132,11 +132,7 @@ fn run_rejects_host_suspension() {
 
 #[test]
 fn cursor_streams_under_every_backend() {
-    for opts in [
-        QueryOptions::parallel(2),
-        QueryOptions::relaxed(2),
-        QueryOptions::sequential().with_classic_dispatch(),
-    ] {
+    for opts in [QueryOptions::parallel(2), QueryOptions::relaxed(2), QueryOptions::sequential()] {
         let mut session = Session::new("p(1).\np(2).\np(3).").unwrap();
         let compiled = session.prepare_with("p(X)", opts.compile_options()).unwrap();
         let mut cursor = session.open_cursor(&compiled, &opts, None).unwrap();
@@ -147,10 +143,10 @@ fn cursor_streams_under_every_backend() {
         assert_eq!(
             atoms(&session, &seen, "X"),
             ["1", "2", "3"],
-            "backend {:?}/{:?} classic={}",
+            "backend {:?}/{:?} parallel={}",
             opts.scheduler,
             opts.determinism,
-            opts.classic_dispatch
+            opts.parallel
         );
     }
 }

@@ -530,14 +530,10 @@ fn neck_cut_commits_to_the_first_matching_clause() {
 
     // Patched, the neck cut discards p/1's clause choice point before the
     // body runs: q(1) fails and there is nothing left to retry.
-    let flat = run_prog(&prog, QueryOptions::sequential().engine_config());
-    assert_eq!(flat.outcome, Outcome::Failure, "neck_cut must commit p/1 to its first clause");
+    let cut = run_prog(&prog, QueryOptions::sequential().engine_config());
+    assert_eq!(cut.outcome, Outcome::Failure, "neck_cut must commit p/1 to its first clause");
 
     // Recorded while a second executor (the classic dispatch loop, since
     // deleted) still reproduced them: the cut's own accounting.
-    assert_eq!((flat.stats.instructions, flat.stats.data_refs), (14, 26));
-    let classic = run_prog(&prog, QueryOptions::sequential().with_classic_dispatch().engine_config());
-    assert_eq!(classic.outcome, Outcome::Failure);
-    assert_eq!(flat.stats.instructions, classic.stats.instructions);
-    assert_eq!(flat.stats.data_refs, classic.stats.data_refs);
+    assert_eq!((cut.stats.instructions, cut.stats.data_refs), (14, 26));
 }

@@ -1,8 +1,8 @@
 //! Deterministic instruction fuel: the preemption point must be a pure
-//! function of the program, pinned byte-identical across both dispatch
-//! paths (flat and classic) of the strict backend, and a fuelled run
-//! resumed to completion must reproduce the unfuelled run's answers,
-//! counters and traces exactly.
+//! function of the program, pinned on the strict backend by machine-state
+//! fingerprints recorded while a second dispatch loop still reproduced them,
+//! and a fuelled run resumed to completion must reproduce the unfuelled
+//! run's answers, counters and traces exactly.
 
 mod common;
 
@@ -23,20 +23,12 @@ const PREEMPTION_GOLDENS: [[(u64, u64); 2]; 2] = [
 ];
 
 #[test]
-fn preemption_point_is_byte_identical_across_dispatch_and_backends() {
+fn preemption_point_matches_its_recorded_machine_state() {
     for ((program, query, workers), goldens) in FUEL_PROGRAMS.into_iter().zip(PREEMPTION_GOLDENS) {
-        let configs = [
-            ("interleaved/flat", QueryOptions::parallel(workers).with_fuel(PREEMPTION_FUEL)),
-            (
-                "interleaved/classic",
-                QueryOptions::parallel(workers).with_fuel(PREEMPTION_FUEL).with_classic_dispatch(),
-            ),
-        ];
+        let opts = QueryOptions::parallel(workers).with_fuel(PREEMPTION_FUEL);
         for (n, golden) in PREEMPTIONS.into_iter().zip(goldens) {
-            for (name, opts) in &configs {
-                let state = state_at_preemption(program, query, opts, n);
-                assert_eq!(state, golden, "{name}: machine state at preemption {n} diverged ({query})");
-            }
+            let state = state_at_preemption(program, query, &opts, n);
+            assert_eq!(state, golden, "machine state at preemption {n} diverged ({query})");
         }
     }
 }

@@ -20,10 +20,11 @@
 
 mod common;
 
+use common::sld::OracleError;
 use common::*;
 use proptest::prelude::*;
-use rapwam::session::{QueryOptions, Session};
-use rapwam::{Outcome, RunResult};
+use rapwam::session::{QueryOptions, Session, SessionError};
+use rapwam::{EngineError, Outcome, RunResult};
 
 fn run(c: &Case, opts: QueryOptions) -> (Vec<Row>, RunResult) {
     let mut s = Session::new(&program(c, false)).expect("program parses");
@@ -46,19 +47,8 @@ proptest! {
         prop_assert_eq!(&sequential, &wam, "sequential stream");
         let (interleaved, traced_stats, _) = drain(&c, false, &QueryOptions::parallel(c.workers).with_trace());
         prop_assert_eq!(&interleaved, &rapwam, "interleaved stream");
-        let (relaxed, _, _) = drain(&c, false, &QueryOptions::relaxed(c.workers.max(2)));
+        let (relaxed, _, _) = drain(&c, false, &QueryOptions::relaxed(threaded_workers(c.workers.max(2))));
         prop_assert_eq!(&relaxed, &rapwam, "relaxed stream");
-        // STEP 1-2 ONLY: the classic path agrees too, reference for reference.
-        let (classic, classic_stats, classic_trace) =
-            drain(&c, false, &QueryOptions::parallel(c.workers).with_trace().with_classic_dispatch());
-        prop_assert_eq!(&classic, &rapwam, "classic stream");
-        assert_counters_equal(&classic_stats, &traced_stats, "classic vs flat stream");
-        let flat_trace = drain(&c, false, &QueryOptions::parallel(c.workers).with_trace()).2;
-        prop_assert_eq!(classic_trace, flat_trace);
-        let (ans_classic, classic_untraced) = run(&c, QueryOptions::parallel(c.workers).with_classic_dispatch());
-        let (ans_flat, flat_untraced) = run(&c, QueryOptions::parallel(c.workers));
-        prop_assert_eq!(&ans_classic, &ans_flat);
-        assert_counters_equal(&classic_untraced.stats, &flat_untraced.stats, "untraced classic vs flat");
 
         // Untraced: the owner path (serial arenas, RefDelta batching,
         // register caches) is live here.  Counters must match the traced
@@ -96,9 +86,92 @@ const CASE_GOLDENS: [(Pin, Pin); 12] = [
 fn fixed_cases_match_their_recorded_streams() {
     for (c, (first, stream)) in golden_cases().iter().zip(CASE_GOLDENS) {
         assert!(oracle_stream(c, Cge::FirstSolution).len() >= 2, "{c:?}: a stream of one answer");
-        for classic in [false, true] {
-            assert_eq!(first_answer_pin(c, classic), first, "{c:?}: first-answer run (classic={classic})");
-            assert_eq!(stream_pin(c, classic), stream, "{c:?}: drained stream (classic={classic})");
-        }
+        assert_eq!(first_answer_pin(c), first, "{c:?}: first-answer run");
+        assert_eq!(stream_pin(c), stream, "{c:?}: drained stream");
     }
+}
+
+// -----------------------------------------------------------------
+// The oracle on its own: where nothing else checks it, hand-written
+// expectations do.
+// -----------------------------------------------------------------
+
+const Q: &str = "q(1).\nq(2).\n";
+
+/// The answers to `query` as one string per row: the values in name order.
+fn answers(program: &str, query: &str, cge: Cge) -> Result<Vec<String>, OracleError> {
+    let rows = Oracle::new(program).solutions(query, cge, usize::MAX)?;
+    Ok(rows.iter().map(|r| r.iter().map(|(_, v)| v.as_str()).collect::<Vec<_>>().join(",")).collect())
+}
+
+#[test]
+fn oracle_cut_discards_the_choice_points_of_its_own_clause_only() {
+    let program = format!("{Q}first(X) :- q(X), !.\nboth(X, Y) :- first(X), q(Y).\n");
+    for cge in [Cge::Conjunction, Cge::FirstSolution] {
+        assert_eq!(answers(&program, "first(X)", cge).unwrap(), ["1"]);
+        // The cut in first/1 leaves its caller's alternatives alone.
+        assert_eq!(answers(&program, "both(X, Y)", cge).unwrap(), ["1,1", "1,2"]);
+    }
+}
+
+#[test]
+fn oracle_cut_inside_a_cge_branch_is_local_to_the_branch() {
+    // The cut commits q(X) to 1; q(Y) and the second clause of t/2 survive it.
+    let program = format!("{Q}t(X, Y) :- (q(X), ! & q(Y)).\nt(0, 0).\n");
+    assert_eq!(answers(&program, "t(X, Y)", Cge::Conjunction).unwrap(), ["1,1", "1,2", "0,0"]);
+    // The parallel reading commits q(Y) too; the clause alternative still stays.
+    assert_eq!(answers(&program, "t(X, Y)", Cge::FirstSolution).unwrap(), ["1,1", "0,0"]);
+}
+
+#[test]
+fn oracle_first_solution_commits_branches_only_when_the_conditions_hold() {
+    let program = format!("{Q}t(X, Y) :- (q(X) & q(Y)).\nc(G, X, Y) :- (ground(G) | q(X) & q(Y)).\n");
+    let all = ["1,1", "1,2", "2,1", "2,2"];
+    assert_eq!(answers(&program, "t(X, Y)", Cge::Conjunction).unwrap(), all);
+    assert_eq!(answers(&program, "t(X, Y)", Cge::FirstSolution).unwrap(), ["1,1"]);
+    // Condition holds: the same split.  Condition fails (`G` unbound): the
+    // branches run as the conjunction under both readings.
+    assert_eq!(answers(&program, "c(g, X, Y)", Cge::Conjunction).unwrap(), all);
+    assert_eq!(answers(&program, "c(g, X, Y)", Cge::FirstSolution).unwrap(), ["1,1"]);
+    for cge in [Cge::Conjunction, Cge::FirstSolution] {
+        assert_eq!(answers(&program, "c(_, X, Y)", cge).unwrap(), all, "{cge:?}");
+    }
+}
+
+#[test]
+fn oracle_arithmetic_wraps_truncates_and_reports_like_the_machine() {
+    let engine = |query: &str| {
+        let mut s = Session::new("").expect("empty program");
+        s.run(query, &QueryOptions::sequential()).map(|r| match &r.outcome {
+            Outcome::Success(b) => row(&s, b).into_iter().map(|(_, v)| v).collect::<Vec<_>>().join(","),
+            Outcome::Failure => "no".to_string(),
+        })
+    };
+    for (query, expected) in [
+        ("X is 4611686018427387904 * 4", "0"),
+        ("X is 4611686018427387904 * 3", "-4611686018427387904"),
+        ("X is -7 // 2, Y is 7 // -2, Z is -7 / 2", "-3,-3,-3"),
+        ("X is -7 mod 2, Y is 7 mod -2, Z is -7 mod -2", "1,1,1"),
+        ("X is - (3 - 5), Y is + 4", "2,4"),
+    ] {
+        assert_eq!(answers("", query, Cge::Conjunction).unwrap(), [expected], "{query}");
+        assert_eq!(engine(query).unwrap(), expected, "{query}: the machine");
+    }
+    for query in ["X is 1 // 0", "X is 1 / 0", "X is 1 mod 0", "1 < 2 mod (3 - 3)"] {
+        assert_eq!(answers("", query, Cge::Conjunction), Err(OracleError::DivisionByZero), "{query}");
+        let err = engine(query).unwrap_err();
+        assert!(matches!(err, SessionError::Engine(EngineError::DivisionByZero)), "{query}: {err}");
+    }
+    assert_eq!(answers("", "X is Y + 1", Cge::Conjunction), Err(OracleError::Instantiation));
+    assert!(matches!(answers("", "X is a + 1", Cge::Conjunction), Err(OracleError::Type(_))));
+    assert!(matches!(answers("", "nope(1)", Cge::Conjunction), Err(OracleError::UnknownPredicate(_))));
+}
+
+#[test]
+fn oracle_step_limit_stops_a_runaway_proof() {
+    let mut oracle = Oracle::new("loop :- loop.\ncount(N) :- N > 0, M is N - 1, count(M).\ncount(0).\n");
+    oracle.step_limit = 10_000;
+    assert_eq!(oracle.solutions("loop", Cge::Conjunction, 1), Err(OracleError::StepLimit));
+    // A proof that fits is not cut short.
+    assert_eq!(oracle.solutions("count(100)", Cge::Conjunction, 1).map(|rows| rows.len()), Ok(1));
 }

@@ -40,14 +40,6 @@ fn profile_is_exact_and_labelled() {
 }
 
 #[test]
-fn classic_dispatch_reports_no_profile() {
-    let opts = QueryOptions { classic_dispatch: true, ..QueryOptions::sequential() };
-    let stats = run_stats(NREV, "nrev([1,2,3],R)", &opts);
-    assert!(stats.predicate_profile.is_empty());
-    assert!(stats.instructions > 0);
-}
-
-#[test]
 fn parallel_profile_still_sums_to_instructions() {
     let program = format!("{NREV}\nmain(A,B) :- nrev([1,2,3,4,5],A) & nrev([6,7,8,9],B).");
     let stats = run_stats(&program, "main(A,B)", &QueryOptions::parallel(2));

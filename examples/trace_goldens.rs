@@ -18,7 +18,9 @@
 //! the oracle suites (`oracle_differential`, `resumable_differential`,
 //! `parcall_cancel_properties`, `scheduler_differential`'s
 //! `oracle_agrees_with_the_registry`) and `overhead_gate` must be green
-//! first.
+//! first.  The rows in the tree today were printed at commit `71321df`, where
+//! a second executor (the classic dispatch loop, deleted right after) was
+//! still asserted to reproduce each of them.
 //!
 //! ```text
 //! cargo run --release --example trace_goldens
@@ -40,55 +42,43 @@ fn main() {
     println!("// (benchmark, workers, instructions, data_refs, trace length, fingerprint)");
     for id in BenchmarkId::EXTENDED {
         for workers in REGISTRY_WORKERS {
-            let row = |classic: bool| {
-                let b = benchmark(id, Scale::Small);
-                let o = QueryOptions { classic_dispatch: classic, ..QueryOptions::parallel(workers).with_trace() };
-                let (_, r) = run_benchmark_with_session(&b, &o).expect("benchmark runs");
-                pin(&r.stats, &r.trace.expect("trace requested"))
-            };
-            let (instructions, data_refs, len, fp) = row(false);
-            assert_eq!(row(true), (instructions, data_refs, len, fp), "{id:?} x {workers}: classic disagrees");
+            let b = benchmark(id, Scale::Small);
+            let (_, r) = run_benchmark_with_session(&b, &QueryOptions::parallel(workers).with_trace())
+                .expect("benchmark runs");
+            let (instructions, data_refs, len, fp) = pin(&r.stats, &r.trace.expect("trace requested"));
             println!("(BenchmarkId::{id:?}, {workers}, {instructions}, {data_refs}, {len}, {fp:#018x}),");
         }
     }
 
     println!("\n// oracle_differential.rs: CASE_GOLDENS");
-    println!("// ((instructions, data_refs, trace length, fingerprint) of the first-answer run, of the stream)");
-    let show = |(instructions, data_refs, len, fp): Pin| format!("({instructions}, {data_refs}, {len}, {fp:#018x})");
+    println!(
+        "// ((instructions, data_refs, trace length, fingerprint) of the first-answer run, of the stream)"
+    );
+    let show =
+        |(instructions, data_refs, len, fp): Pin| format!("({instructions}, {data_refs}, {len}, {fp:#018x})");
     for c in golden_cases() {
-        assert_eq!(first_answer_pin(&c, true), first_answer_pin(&c, false), "{c:?}: classic disagrees");
-        assert_eq!(stream_pin(&c, true), stream_pin(&c, false), "{c:?}: classic disagrees on the stream");
-        println!("({}, {}),", show(first_answer_pin(&c, false)), show(stream_pin(&c, false)));
+        println!("({}, {}),", show(first_answer_pin(&c)), show(stream_pin(&c)));
     }
 
     println!("\n// slot_batching.rs: FUEL_SWEEP_GOLDENS");
     println!("// fold of the machine fingerprints over FUEL_SWEEP, in FUEL_SWEEP_PROGRAMS order");
     for id in FUEL_SWEEP_PROGRAMS {
         let b = benchmark(id, Scale::Small);
-        let sweep = |classic: bool| {
-            fold_fingerprints(FUEL_SWEEP.map(|k| {
-                let opts = QueryOptions { classic_dispatch: classic, ..QueryOptions::parallel(1) }
-                    .with_fuel(k)
-                    .with_memory(MemoryConfig::small());
-                state_at_preemption(&b.program, &b.query, &opts, 1).0
-            }))
-        };
-        assert_eq!(sweep(true), sweep(false), "{id:?}: classic disagrees");
-        println!("{:#018x}, // {id:?}", sweep(false));
+        let sweep = fold_fingerprints(FUEL_SWEEP.map(|k| {
+            let opts = QueryOptions::parallel(1).with_fuel(k).with_memory(MemoryConfig::small());
+            state_at_preemption(&b.program, &b.query, &opts, 1).0
+        }));
+        println!("{sweep:#018x}, // {id:?}");
     }
 
     println!("\n// fuel_differential.rs: PREEMPTION_GOLDENS");
     println!("// [(fingerprint, instructions) at preemption 1, at preemption 3], in FUEL_PROGRAMS order");
     for (program, query, workers) in FUEL_PROGRAMS {
-        let at = |n: usize, classic: bool| {
-            let opts = QueryOptions { classic_dispatch: classic, ..QueryOptions::parallel(workers) };
-            state_at_preemption(program, query, &opts.with_fuel(PREEMPTION_FUEL), n)
-        };
+        let opts = QueryOptions::parallel(workers).with_fuel(PREEMPTION_FUEL);
         let rows: Vec<String> = PREEMPTIONS
             .iter()
             .map(|&n| {
-                let (fp, steps) = at(n, false);
-                assert_eq!(at(n, true), (fp, steps), "{query}: classic disagrees at preemption {n}");
+                let (fp, steps) = state_at_preemption(program, query, &opts, n);
                 format!("({fp:#018x}, {steps})")
             })
             .collect();
