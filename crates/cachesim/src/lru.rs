@@ -105,6 +105,131 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The cache as it was before the recency list: every `touch` / `insert`
+    /// stamps the line with a fresh tick and a full `insert` scans every
+    /// resident line for the smallest stamp.  Kept as the oracle of
+    /// `the_cache_agrees_with_the_stamp_and_scan_reference`.
+    struct ScanCache {
+        capacity_lines: u32,
+        /// line address -> (state, last-use stamp)
+        lines: HashMap<u32, (LineState, u64)>,
+        tick: u64,
+    }
+
+    impl ScanCache {
+        fn new(capacity_lines: u32) -> Self {
+            ScanCache { capacity_lines: capacity_lines.max(1), lines: HashMap::new(), tick: 0 }
+        }
+
+        fn touch(&mut self, line: u32) -> Option<LineState> {
+            self.tick += 1;
+            let tick = self.tick;
+            self.lines.get_mut(&line).map(|e| {
+                e.1 = tick;
+                e.0
+            })
+        }
+
+        fn peek(&self, line: u32) -> Option<LineState> {
+            self.lines.get(&line).map(|e| e.0)
+        }
+
+        fn set_state(&mut self, line: u32, state: LineState) -> bool {
+            if let Some(e) = self.lines.get_mut(&line) {
+                e.0 = state;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn invalidate(&mut self, line: u32) -> Option<LineState> {
+            self.lines.remove(&line).map(|e| e.0)
+        }
+
+        fn insert(&mut self, line: u32, state: LineState) -> Option<(u32, LineState)> {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(e) = self.lines.get_mut(&line) {
+                e.0 = state;
+                e.1 = tick;
+                return None;
+            }
+            let mut evicted = None;
+            if self.lines.len() as u32 >= self.capacity_lines {
+                // Perfect LRU: evict the entry with the smallest stamp.
+                if let Some((&victim, &(vstate, _))) = self.lines.iter().min_by_key(|(_, (_, stamp))| *stamp)
+                {
+                    self.lines.remove(&victim);
+                    evicted = Some((victim, vstate));
+                }
+            }
+            self.lines.insert(line, (state, tick));
+            evicted
+        }
+
+        fn resident(&self) -> Vec<(u32, LineState)> {
+            let mut lines: Vec<_> = self.lines.iter().map(|(l, (s, _))| (*l, *s)).collect();
+            lines.sort_unstable_by_key(|(l, _)| *l);
+            lines
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Touch(u32),
+        Peek(u32),
+        SetState(u32, LineState),
+        Invalidate(u32),
+        Insert(u32, LineState),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let state = || prop::sample::select(vec![LineState::Shared, LineState::Exclusive, LineState::Dirty]);
+        // Few enough distinct lines that the small caches thrash and the
+        // large one also sees hits, re-inserts and invalidations of residents.
+        let line = || 0u32..160;
+        prop::collection::vec(
+            prop_oneof![
+                line().prop_map(Op::Touch),
+                line().prop_map(Op::Peek),
+                (line(), state()).prop_map(|(l, s)| Op::SetState(l, s)),
+                line().prop_map(Op::Invalidate),
+                (line(), state()).prop_map(|(l, s)| Op::Insert(l, s)),
+                (line(), state()).prop_map(|(l, s)| Op::Insert(l, s)),
+            ],
+            1..600,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_cache_agrees_with_the_stamp_and_scan_reference(ops in arb_ops()) {
+            for capacity in [1u32, 2, 7, 128] {
+                let mut cache = LruCache::new(capacity);
+                let mut reference = ScanCache::new(capacity);
+                for (step, op) in ops.iter().enumerate() {
+                    match *op {
+                        Op::Touch(l) => prop_assert_eq!(cache.touch(l), reference.touch(l)),
+                        Op::Peek(l) => prop_assert_eq!(cache.peek(l), reference.peek(l)),
+                        Op::SetState(l, s) => prop_assert_eq!(cache.set_state(l, s), reference.set_state(l, s)),
+                        Op::Invalidate(l) => prop_assert_eq!(cache.invalidate(l), reference.invalidate(l)),
+                        Op::Insert(l, s) => prop_assert_eq!(cache.insert(l, s), reference.insert(l, s)),
+                    }
+                    let mut resident: Vec<_> = cache.resident().collect();
+                    resident.sort_unstable_by_key(|(l, _)| *l);
+                    prop_assert_eq!(resident, reference.resident(), "capacity {} after step {} ({:?})", capacity, step, op);
+                    prop_assert_eq!(cache.len(), reference.lines.len());
+                    prop_assert_eq!(cache.is_empty(), reference.lines.is_empty());
+                }
+            }
+        }
+    }
 
     #[test]
     fn hit_and_miss() {

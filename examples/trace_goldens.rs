@@ -6,11 +6,14 @@
 //!    fixed generator cases, first-answer run and drained stream;
 //! 3. `FUEL_SWEEP_GOLDENS` of `crates/core/tests/slot_batching.rs` and
 //!    `PREEMPTION_GOLDENS` of `crates/core/tests/fuel_differential.rs` — the
-//!    machine state at fuel preemptions.
+//!    machine state at fuel preemptions;
+//! 4. `SIM_GOLDENS` of `crates/cachesim/tests/determinism.rs` — the cache
+//!    simulator's counters over the paper's four traces (4 PEs, 4 protocols,
+//!    3 cache sizes under `paper_policy`).
 //!
 //! The inputs are the constants the suites themselves iterate
-//! (`crates/core/tests/common/cases.rs` is included below), so a row printed
-//! here is the row its test computes.
+//! (`crates/core/tests/common/cases.rs` and `crates/cachesim/tests/common/mod.rs`
+//! are included below), so a row printed here is the row its test computes.
 //!
 //! Run after an *intentional* change to the reference stream (compilation
 //! scheme, frame layouts, protocol reads/writes), and paste only once the
@@ -20,7 +23,8 @@
 //! `oracle_agrees_with_the_registry`) and `overhead_gate` must be green
 //! first.  The rows in the tree today were printed at commit `71321df`, where
 //! a second executor (the classic dispatch loop, deleted right after) was
-//! still asserted to reproduce each of them.
+//! still asserted to reproduce each of them; the `SIM_GOLDENS` rows at commit
+//! `7f4f4c9`, by the stamp-and-scan LRU the recency list then replaced.
 //!
 //! ```text
 //! cargo run --release --example trace_goldens
@@ -28,6 +32,8 @@
 
 #[path = "../crates/core/tests/common/cases.rs"]
 mod cases;
+#[path = "../crates/cachesim/tests/common/mod.rs"]
+mod sim;
 
 use cases::*;
 use pwam_benchmarks::{benchmark, run_benchmark_with_session, BenchmarkId, Scale};
@@ -83,5 +89,12 @@ fn main() {
             })
             .collect();
         println!("[{}],", rows.join(", "));
+    }
+
+    println!("\n// determinism.rs: SIM_GOLDENS");
+    println!("// (benchmark, protocol, cache words, [refs, read_misses, write_misses, bus_words,");
+    println!("//   bus_transactions, write_backs, invalidations, updates])");
+    for (id, protocol, size, counts) in sim::sim_rows() {
+        println!("(BenchmarkId::{id:?}, Protocol::{protocol:?}, {size}, {counts:?}),");
     }
 }
