@@ -4,8 +4,18 @@
 //! replacement"; this module provides exactly that, parameterised by the
 //! number of lines.  Each resident line carries a protocol-specific
 //! [`LineState`].
+//!
+//! Resident lines sit on a doubly linked recency list threaded through a
+//! slot vector (most recently used at the head), with a hash index from line
+//! address to slot.  A use moves the slot to the head and a full cache evicts
+//! the tail, so every operation costs the same whatever the capacity.  This
+//! is the replacement a last-use stamp per line and a scan for the smallest
+//! would choose: each use would take a fresh stamp, so stamps are distinct
+//! within a cache, and the line with the smallest is the one every other
+//! resident line has been used after — the tail.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Coherency state of a resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,86 +29,183 @@ pub enum LineState {
     Dirty,
 }
 
+/// Hasher of the line index: one multiply, and a fold that carries the
+/// well-mixed high bits down to where the table takes its bucket from.
+/// Line addresses are small dense integers nobody chooses adversarially, so
+/// the default SipHash buys nothing here and costs more than the look-up.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    #[inline(always)]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline(always)]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// "No slot": the end of the recency list or of the free chain.
+const NIL: u32 = u32::MAX;
+
+/// One resident line (or, on the free chain, a vacancy linked by `next`).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: u32,
+    state: LineState,
+    /// Towards the head (more recently used).
+    prev: u32,
+    /// Towards the tail (less recently used).
+    next: u32,
+}
+
 /// One PE's cache.
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity_lines: u32,
-    /// line address -> (state, last-use stamp)
-    lines: HashMap<u32, (LineState, u64)>,
-    tick: u64,
+    /// line address -> slot
+    index: HashMap<u32, u32, BuildHasherDefault<LineHasher>>,
+    /// Grows to at most `capacity_lines` slots, as lines first arrive.
+    slots: Vec<Slot>,
+    /// Most recently used resident line.
+    head: u32,
+    /// Least recently used resident line: the next victim.
+    tail: u32,
+    /// First vacated slot.
+    free: u32,
 }
 
 impl LruCache {
     pub fn new(capacity_lines: u32) -> Self {
-        LruCache { capacity_lines: capacity_lines.max(1), lines: HashMap::new(), tick: 0 }
+        LruCache {
+            capacity_lines: capacity_lines.max(1),
+            index: HashMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.index.len()
     }
 
     /// True if no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.index.is_empty()
+    }
+
+    /// Take slot `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Put the unlinked slot `i` at the head of the recency list.
+    fn link_at_head(&mut self, i: u32) {
+        let old = std::mem::replace(&mut self.head, i);
+        let slot = &mut self.slots[i as usize];
+        slot.prev = NIL;
+        slot.next = old;
+        match old {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].prev = i,
+        }
+    }
+
+    /// Record a use of slot `i`.
+    #[inline]
+    fn move_to_head(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.link_at_head(i);
+        }
     }
 
     /// State of a resident line, touching it for LRU purposes.
     pub fn touch(&mut self, line: u32) -> Option<LineState> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.lines.get_mut(&line).map(|e| {
-            e.1 = tick;
-            e.0
-        })
+        let i = *self.index.get(&line)?;
+        self.move_to_head(i);
+        Some(self.slots[i as usize].state)
     }
 
     /// State of a resident line without touching LRU order.
     pub fn peek(&self, line: u32) -> Option<LineState> {
-        self.lines.get(&line).map(|e| e.0)
+        self.index.get(&line).map(|&i| self.slots[i as usize].state)
     }
 
     /// Change the state of a resident line (no LRU effect).  Returns `false`
     /// if the line is not resident.
     pub fn set_state(&mut self, line: u32, state: LineState) -> bool {
-        if let Some(e) = self.lines.get_mut(&line) {
-            e.0 = state;
-            true
-        } else {
-            false
+        match self.index.get(&line) {
+            Some(&i) => {
+                self.slots[i as usize].state = state;
+                true
+            }
+            None => false,
         }
     }
 
     /// Remove a line (invalidation).  Returns its state if it was resident.
     pub fn invalidate(&mut self, line: u32) -> Option<LineState> {
-        self.lines.remove(&line).map(|e| e.0)
+        let i = self.index.remove(&line)?;
+        self.unlink(i);
+        self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
+        Some(self.slots[i as usize].state)
     }
 
     /// Insert a line, evicting the least recently used one if the cache is
     /// full.  Returns the evicted `(line, state)` if an eviction occurred.
     pub fn insert(&mut self, line: u32, state: LineState) -> Option<(u32, LineState)> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.lines.get_mut(&line) {
-            e.0 = state;
-            e.1 = tick;
+        if let Some(&i) = self.index.get(&line) {
+            self.slots[i as usize].state = state;
+            self.move_to_head(i);
             return None;
         }
+        let fresh = Slot { line, state, prev: NIL, next: NIL };
         let mut evicted = None;
-        if self.lines.len() as u32 >= self.capacity_lines {
-            // Perfect LRU: evict the entry with the smallest stamp.
-            if let Some((&victim, &(vstate, _))) = self.lines.iter().min_by_key(|(_, (_, stamp))| *stamp) {
-                self.lines.remove(&victim);
-                evicted = Some((victim, vstate));
-            }
-        }
-        self.lines.insert(line, (state, tick));
+        let i = if self.index.len() as u32 >= self.capacity_lines {
+            // Perfect LRU: the victim's slot takes the new line.
+            let i = self.tail;
+            self.unlink(i);
+            let victim = std::mem::replace(&mut self.slots[i as usize], fresh);
+            self.index.remove(&victim.line);
+            evicted = Some((victim.line, victim.state));
+            i
+        } else if self.free != NIL {
+            let i = self.free;
+            self.free = std::mem::replace(&mut self.slots[i as usize], fresh).next;
+            i
+        } else {
+            self.slots.push(fresh);
+            (self.slots.len() - 1) as u32
+        };
+        self.index.insert(line, i);
+        self.link_at_head(i);
         evicted
     }
 
     /// Iterate over resident lines (for invariant checks in tests).
     pub fn resident(&self) -> impl Iterator<Item = (u32, LineState)> + '_ {
-        self.lines.iter().map(|(l, (s, _))| (*l, *s))
+        self.index.iter().map(|(&line, &i)| (line, self.slots[i as usize].state))
     }
 }
 
@@ -106,7 +213,6 @@ impl LruCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     /// The cache as it was before the recency list: every `touch` / `insert`
     /// stamps the line with a fresh tick and a full `insert` scans every

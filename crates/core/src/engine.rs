@@ -335,6 +335,18 @@ pub struct EngineCore<'p> {
     steal_cursor: AtomicUsize,
     /// One board per PE.
     pub(crate) boards: Vec<Mutex<PeBoard>>,
+    /// `boards[w].goal_frames.len()`, mirrored where it can be read without
+    /// the board's lock: a PE looking for work skips a board that reads 0.
+    /// Every store happens with the board's lock held (see
+    /// [`EngineCore::publish_goals_waiting`]), so the stores are ordered as
+    /// the critical sections are and each stored the true length.  An owner's
+    /// load therefore returns a value no older than its own last store — a 0
+    /// means the frames it pushed are already taken — and a thief's stale
+    /// value costs a lock that finds nothing (stale non-zero) or one idle
+    /// slot before it looks again (stale 0).  `Relaxed` both ways: the count
+    /// publishes nothing — whoever acts on a non-zero takes the board's lock
+    /// before it touches a frame.
+    goals_waiting: Vec<AtomicUsize>,
     /// Cheap "this PE has pending cancel_goal requests" flags, so the hot
     /// execution path pays one relaxed atomic load instead of a board lock.
     cancel_flags: Vec<AtomicBool>,
@@ -391,6 +403,21 @@ impl<'p> EngineCore<'p> {
             Ordering::AcqRel,
             Ordering::Acquire,
         );
+    }
+
+    /// Mirror `board`'s Goal-Frame count into `goals_waiting[w]`.  `board` is
+    /// the locked `boards[w]`: the store must sit inside the critical section
+    /// that changed the count, or a late store of an old length could
+    /// overwrite a newer one and strand a frame behind a hint of 0.
+    #[inline]
+    pub(crate) fn publish_goals_waiting(&self, w: usize, board: &PeBoard) {
+        self.goals_waiting[w].store(board.goal_frames.len(), Ordering::Relaxed);
+    }
+
+    /// Whether board `w` may hold a Goal Frame (see `goals_waiting`).
+    #[inline]
+    fn may_have_goals(&self, w: usize) -> bool {
+        self.goals_waiting[w].load(Ordering::Relaxed) != 0
     }
 
     /// Instructions executed so far across all PEs (as of the last flush).
@@ -519,9 +546,9 @@ impl<'p> Engine<'p> {
     /// Create an engine around a recycled [`Memory`] (the warm-engine path
     /// of a serving pool).  When the memory's shape — per-worker area sizes
     /// and worker count — matches the configuration, its arenas are reset in
-    /// place and reused, skipping the allocation that dominates engine
-    /// construction; otherwise a fresh memory is allocated.  Returns the
-    /// engine and whether the arenas were actually reused.
+    /// place and reused; otherwise a memory of the right shape is built, from
+    /// the other one's word arrays where their Stack-Set size allows.
+    /// Returns the engine and whether the memory itself was reused.
     pub fn with_recycled_memory(
         program: &'p CompiledProgram,
         config: EngineConfig,
@@ -531,6 +558,9 @@ impl<'p> Engine<'p> {
             memory.reset(config.collect_trace);
             (Engine::build(program, config, memory), true)
         } else {
+            // Dropped before the build, not after it: a dropped memory parks
+            // its word arrays, and only parked arrays can serve the new one.
+            drop(memory);
             (Engine::new(program, config), false)
         }
     }
@@ -569,6 +599,7 @@ impl<'p> Engine<'p> {
                 })
             })
             .collect();
+        let goals_waiting = (0..config.num_workers).map(|_| AtomicUsize::new(0)).collect();
         let cancel_flags = (0..config.num_workers).map(|_| AtomicBool::new(false)).collect();
         Engine {
             core: EngineCore {
@@ -584,6 +615,7 @@ impl<'p> Engine<'p> {
                 goals_cancelled: AtomicU64::new(0),
                 steal_cursor: AtomicUsize::new(0),
                 boards,
+                goals_waiting,
                 cancel_flags,
                 abort: Mutex::new(None),
                 aborted: AtomicBool::new(false),
@@ -857,6 +889,7 @@ impl<'p> Engine<'p> {
         for (w, board) in core.boards.iter_mut().enumerate() {
             let b = board.get_mut().unwrap();
             b.goal_frames.clear();
+            *core.goals_waiting[w].get_mut() = 0;
             b.goal_top = core.mem.map.area_base(w, Area::GoalStack);
             b.msg_top = core.mem.map.area_base(w, Area::MessageBuffer);
             b.pending_messages = 0;
@@ -947,6 +980,12 @@ impl<'p> Engine<'p> {
         }
         if self.core.steps() > self.core.config.max_steps {
             return Err(EngineError::StepLimitExceeded { limit: self.core.config.max_steps });
+        }
+        if cfg!(debug_assertions) {
+            let core = &mut self.core;
+            for (board, hint) in core.boards.iter_mut().zip(&mut core.goals_waiting) {
+                assert_eq!(*hint.get_mut(), board.get_mut().unwrap().goal_frames.len(), "goals_waiting");
+            }
         }
         // Per-request deadline, checked each time the cycle count crosses a
         // 1024 boundary so `Instant::now` stays off the per-instruction path
@@ -1657,11 +1696,12 @@ impl<'a, 'p> Step<'a, 'p> {
         let core = self.core;
         // Own goal stack first (fast local path: no Marker, no message) —
         // except under `ToCancel`, per above.
-        let own = if matches!(resume, Resume::ToCancel { .. }) {
+        let own = if matches!(resume, Resume::ToCancel { .. }) || !core.may_have_goals(w) {
             None
         } else {
             let mut b = core.boards[w].lock().unwrap();
             if let Some(frame) = b.goal_frames.pop() {
+                core.publish_goals_waiting(w, &b);
                 b.goal_top = frame;
                 Some(self.read_goal_frame(frame))
             } else {
@@ -1678,17 +1718,19 @@ impl<'a, 'p> Step<'a, 'p> {
         }
         // Steal from another worker (round-robin over victims).  One scan
         // over every victim counts as one attempt; `goals_stolen` below
-        // counts the attempts that found work.
+        // counts the attempts that found work.  A victim whose count reads 0
+        // is passed over without its lock.
         self.wk.steal_attempts += 1;
         let n = core.boards.len();
         for i in 0..n {
             let victim = (core.steal_cursor.load(Ordering::Relaxed) + i) % n;
-            if victim == w {
+            if victim == w || !core.may_have_goals(victim) {
                 continue;
             }
             let stolen = {
                 let mut b = core.boards[victim].lock().unwrap();
                 if let Some(frame) = b.goal_frames.pop() {
+                    core.publish_goals_waiting(victim, &b);
                     b.goal_top = frame;
                     b.steal_notices += 1;
                     Some(self.read_goal_frame(frame))
@@ -2366,6 +2408,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 }
             }
             board.goal_frames = kept;
+            core.publish_goals_waiting(w, &board);
             board.goal_top = match board.goal_frames.last() {
                 Some(&top) => {
                     let arity =

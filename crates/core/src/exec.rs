@@ -761,6 +761,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 self.mem_write(goal_frame::arg(g, i), g_c, ObjectKind::GoalFrame);
             }
             board.goal_frames.push(g);
+            core.publish_goals_waiting(w, &board);
             board.goal_top = g + goal_frame::size(arity);
             self.wk.goal_top = board.goal_top;
         }

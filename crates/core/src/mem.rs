@@ -33,8 +33,8 @@
 //! carrying a value that was written.  The Release/Acquire pair on the low
 //! half also publishes what a cell points at: a PE that loads a `Str` another
 //! PE stored sees the functor and arguments that PE built first.  No `&mut`
-//! to the words exists while a query runs; only [`Memory::reset`]
-//! (`&mut self`) forms one.
+//! to the words exists while a query runs; only [`Memory::reset`] and the
+//! drop (`&mut self`) form one.
 //!
 //! **The book is locked.**  Each arena's *book* — its [`AreaStats`], its
 //! trace buffer and the reset marks of recorded writes — sits behind the
@@ -77,6 +77,19 @@
 //! backend the per-reference order is whatever the race produced (the
 //! sequence numbers still give a total order for the merge).
 //!
+//! # Where words come from
+//!
+//! A dropped memory clears the words it wrote — each area up to its reset
+//! mark, as [`Memory::reset`] does — and parks its word arrays in a small
+//! process-wide list; [`Memory::new`] takes a parked array of the right
+//! length before it asks the allocator.  A "cold" engine build therefore
+//! costs what the previous run of that shape touched, not the Stack Sets'
+//! capacity (see the `PARKED` list in this file for why asking the allocator
+//! every time cost the capacity, and for the bound).  A parked array may next
+//! hold another program's data, so the completeness of the sweep is a
+//! confidentiality property; `tests/parked_words.rs` checks it over whole
+//! arrays.
+//!
 //! Answer extraction and debugging use [`Memory::read_untraced`] so that
 //! inspecting a result does not perturb the measured reference counts.  The
 //! shared region above the Stack Sets holds coordination state (the query
@@ -90,7 +103,7 @@ use pwam_front::atoms::Atom;
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // Tags of the low half of a `Word`.  `Empty` is all-zero so a zero-filled
 // allocation is a pristine arena.
@@ -198,13 +211,76 @@ impl Word {
     }
 }
 
-/// `n` words of zeroed storage, every one reading [`Cell::Empty`].  Asking
-/// the allocator for zeroed memory (rather than writing `n` empty words)
-/// leaves the untouched tail of a Stack Set as never-faulted zero pages.
+/// Word arrays of dropped memories, every word swept back to zero, waiting
+/// for the next [`Memory::new`] with a Stack Set of the same length.
+///
+/// Asking the allocator every time is what made a "cold" build cost its
+/// capacity: glibc serves the first 26 MB array by `mmap` (lazy zero pages),
+/// but freeing it raises the allocator's dynamic mmap threshold past that
+/// size, so every later array comes off the heap and `alloc_zeroed` memsets
+/// all of it — resident pages and a millisecond per PE, whatever the run then
+/// touches.  A dropped memory instead clears what it wrote (its reset marks
+/// say where) and parks the arrays here, so the next build of that shape
+/// costs what the previous run touched.  An array keeps only the pages it
+/// ever touched; the list holds at most [`MAX_PARKED`] arrays and frees the
+/// longest-parked one to admit another, so shapes nobody builds any more age
+/// out.
+///
+/// A parked array may next serve another tenant's query: that
+/// [`Memory::sweep_words`] leaves no word behind is a confidentiality
+/// property — the one the serving pool's warm slots already rest on.
+static PARKED: Mutex<Vec<Box<[Word]>>> = Mutex::new(Vec::new());
+
+/// Two 8-PE memories' worth: an 8-PE engine and its 8-PE successor.
+const MAX_PARKED: usize = 16;
+
+fn parked() -> MutexGuard<'static, Vec<Box<[Word]>>> {
+    // The list is consistent between any two of its operations, so a panic
+    // elsewhere while the lock was held loses nothing.
+    PARKED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Whether every half of every word is zero: the post-allocation state.
+fn all_zero(words: &[Word]) -> bool {
+    words.iter().all(|w| w.lo.load(Ordering::Relaxed) == 0 && w.hi.load(Ordering::Relaxed) == 0)
+}
+
+/// Park a swept word array for the next [`empty_words`] of its length.
+fn park(words: Box<[Word]>) {
+    if words.is_empty() {
+        return;
+    }
+    // A dirty word parked here surfaces in whichever memory is built next,
+    // far from its cause.  Checking every array would add seconds of scanning
+    // to the test suite; the small Stack Sets the unit tests build are cheap
+    // (the full-size ones are covered by `tests/parked_words.rs`).
+    #[cfg(test)]
+    if words.len() <= MemoryConfig::small().stack_set_words() as usize && !std::thread::panicking() {
+        assert!(all_zero(&words), "a swept arena still holds a written word");
+    }
+    let mut list = parked();
+    let _evicted = (list.len() >= MAX_PARKED).then(|| list.remove(0));
+    list.push(words);
+    // Unlock first: the evicted array is freed as this returns.
+    drop(list);
+}
+
+/// `n` words of zeroed storage, every one reading [`Cell::Empty`]: a parked
+/// array of that length when there is one (the most recently parked, whose
+/// touched pages are the likeliest to be cached still), fresh from the
+/// allocator otherwise.  Asking the allocator for zeroed memory (rather than
+/// writing `n` empty words) leaves the untouched tail of a Stack Set as
+/// never-faulted zero pages the first time round.
 fn empty_words(n: usize) -> Box<[Word]> {
     let layout = Layout::array::<Word>(n).expect("arena size overflows the address space");
     if layout.size() == 0 {
         return Box::default();
+    }
+    {
+        let mut list = parked();
+        if let Some(i) = list.iter().rposition(|words| words.len() == n) {
+            return list.remove(i);
+        }
     }
     // SAFETY: `layout` has non-zero size.  The all-zero bit pattern is a
     // valid `Word` (two `AtomicU64`s holding 0), so the `n` zeroed elements
@@ -234,6 +310,19 @@ struct SeqRef {
 /// would put the heap's and local stack's entire capacity below the mark.
 type Marks<T> = [T; Area::ALL.len()];
 
+/// The trace record of one reference to an `object` word.
+fn mem_ref(pe: u8, addr: u32, write: bool, object: ObjectKind) -> MemRef {
+    MemRef {
+        pe,
+        addr,
+        write,
+        area: object.area(),
+        object,
+        locality: object.locality(),
+        locked: object.locked(),
+    }
+}
+
 /// The bookkeeping of an arena's *recorded* accesses, guarded by the arena's
 /// lock.
 #[derive(Debug)]
@@ -259,15 +348,7 @@ impl Book {
 
     /// Record one reference in this arena's counters (and trace buffer).
     fn record(&mut self, seq: &AtomicU64, pe: u8, addr: u32, write: bool, object: ObjectKind) {
-        let r = MemRef {
-            pe,
-            addr,
-            write,
-            area: object.area(),
-            object,
-            locality: object.locality(),
-            locked: object.locked(),
-        };
+        let r = mem_ref(pe, addr, write, object);
         self.stats.record(&r);
         // The global sequence counter only orders trace records; skipping it
         // when tracing is off keeps the hot path free of a shared cache line
@@ -537,25 +618,30 @@ impl Memory {
     /// buffers back into the global interleaving order (leaves the buffers
     /// empty behind).  Returns `None` when tracing is disabled.
     ///
-    /// Every recorded reference carries the value of a global sequence
-    /// counter, so the merge is a deterministic sort that reproduces the
-    /// exact order in which the references were issued — under a strict
-    /// backend the merged trace is byte-for-byte the trace a single flat
-    /// buffer would have collected; under the relaxed backend it is the
-    /// total order the race actually produced.
+    /// Every recorded reference claimed exactly one value of a dense global
+    /// sequence counter, so its sequence number *is* its index in the merged
+    /// trace and the merge places each record there, comparing nothing.  The
+    /// result reproduces the exact order in which the references were issued
+    /// — under a strict backend the merged trace is byte-for-byte the trace
+    /// a single flat buffer would have collected; under the relaxed backend
+    /// it is the total order the race actually produced.
     pub fn take_trace(&mut self) -> Option<Vec<MemRef>> {
         if !self.collect_trace {
             return None;
         }
-        let mut all: Vec<SeqRef> = Vec::with_capacity(*self.seq.get_mut() as usize);
+        self.collect_trace = false;
+        let n = *self.seq.get_mut() as usize;
+        // Every element is overwritten: `n` distinct indices get placed.
+        let mut all = vec![mem_ref(0, 0, false, ObjectKind::HeapTerm); n];
+        let mut placed = 0;
         for arena in &mut self.arenas {
-            if let Some(mut t) = arena.book.get_mut().trace.take() {
-                all.append(&mut t);
+            for s in arena.book.get_mut().trace.take().unwrap_or_default() {
+                all[s.seq as usize] = s.r;
+                placed += 1;
             }
         }
-        self.collect_trace = false;
-        all.sort_unstable_by_key(|s| s.seq);
-        Some(all.into_iter().map(|s| s.r).collect())
+        assert_eq!(placed, n, "a claimed sequence number has no trace record");
+        Some(all)
     }
 
     /// Whether a full trace is being collected.
@@ -598,6 +684,19 @@ impl Memory {
     /// reborn, and the global sequence counter restarts.  The warm-engine
     /// path of the serving layer goes through here.
     pub fn reset(&mut self, collect_trace: bool) {
+        self.sweep_words();
+        for arena in &mut self.arenas {
+            *arena.book.get_mut() = Book::new(self.map.num_workers, collect_trace);
+        }
+        self.shared.get_mut().unwrap().fill(Cell::Empty);
+        *self.seq.get_mut() = 0;
+        self.collect_trace = collect_trace;
+    }
+
+    /// Clear every arena word written since allocation (or the last sweep)
+    /// and take the reset marks back to zero.  Each area is swept only up to
+    /// its own mark, so the cost is what the run touched.
+    fn sweep_words(&mut self) {
         for arena in &mut self.arenas {
             let book = arena.book.get_mut();
             for area in Area::ALL {
@@ -613,11 +712,15 @@ impl Memory {
                     }
                 }
             }
-            *book = Book::new(self.map.num_workers, collect_trace);
         }
-        self.shared.get_mut().unwrap().fill(Cell::Empty);
-        *self.seq.get_mut() = 0;
-        self.collect_trace = collect_trace;
+    }
+
+    /// Whether every arena word is in its post-allocation state, both halves
+    /// zero — what [`Memory::new`] hands out and what a sweep must restore.
+    /// Scans every word of every arena; for tests of the sweep.
+    #[doc(hidden)]
+    pub fn is_pristine(&self) -> bool {
+        self.arenas.iter().all(|arena| all_zero(&arena.words))
     }
 
     /// Atomically read the unsigned word at `addr`, apply `f`, and write the
@@ -688,6 +791,18 @@ impl Memory {
     /// Base address of an area for a worker (convenience forward).
     pub fn area_base(&self, worker: usize, area: Area) -> u32 {
         self.map.area_base(worker, area)
+    }
+}
+
+/// A dropped memory's word arrays are swept here — where the layout that
+/// gives the area offsets is still known — and parked, so a parked array is
+/// always all-[`Cell::Empty`] and its length is all a later build must match.
+impl Drop for Memory {
+    fn drop(&mut self) {
+        self.sweep_words();
+        for arena in &mut self.arenas {
+            park(std::mem::take(&mut arena.words));
+        }
     }
 }
 
@@ -1049,6 +1164,10 @@ mod tests {
         assert_eq!(m.read_untraced(c), Cell::Empty);
         assert_eq!(m.read_untraced(h + 5), Cell::Int(99), "the heap was swept past its own mark");
         m.with_arena(0, |_, book| assert_eq!(book.marks, [0; Area::ALL.len()]));
+        // No mark covers the plant, so the sweep at drop would park it with
+        // the array and another test's fresh memory would read it.
+        let plant = &mut m.arenas[0].words[5];
+        (*plant.lo.get_mut(), *plant.hi.get_mut()) = (0, 0);
     }
 
     #[test]
@@ -1082,6 +1201,139 @@ mod tests {
         let a = &mut m.arenas[0];
         assert!(a.owner_marks.iter_mut().all(|mark| *mark.get_mut() == 0));
         assert_eq!(a.book.get_mut().marks, [0; Area::ALL.len()]);
+    }
+
+    /// `MemoryConfig::small()` with a Stack-Set length no other test builds,
+    /// so what this test parks only this test can take.
+    fn own_size(extra_heap_words: u32) -> MemoryConfig {
+        MemoryConfig { heap_words: (1 << 14) + extra_heap_words, ..MemoryConfig::small() }
+    }
+
+    fn parked_of(config: MemoryConfig) -> usize {
+        parked().iter().filter(|words| words.len() == config.stack_set_words() as usize).count()
+    }
+
+    fn word_arrays(m: &Memory) -> Vec<*const Word> {
+        let mut arrays: Vec<_> = m.arenas.iter().map(|a| a.words.as_ptr()).collect();
+        arrays.sort_unstable();
+        arrays
+    }
+
+    #[test]
+    fn a_dropped_memory_sweeps_its_words_and_the_next_of_that_size_reuses_them() {
+        let config = own_size(1);
+        let m = Memory::new(config, 2, true);
+        assert!(m.is_pristine());
+        let arrays = word_arrays(&m);
+        // An `Int` through each path, so both halves of a word are dirty.
+        let msg = m.area_base(1, Area::MessageBuffer);
+        m.write(0, msg + 3, Cell::Int(i64::MIN), ObjectKind::Message);
+        m.owner_write(0, 17, Cell::Int(-1), Area::Heap);
+        assert!(!m.is_pristine());
+        drop(m);
+        assert_eq!(parked_of(config), 2);
+        // Another shape of the same Stack-Set size: length is the only key.
+        let next = Memory::new(config, 1, false);
+        assert_eq!(parked_of(config), 1);
+        assert!(arrays.contains(&next.arenas[0].words.as_ptr()), "the array came from the allocator");
+        assert!(next.is_pristine());
+        let again = Memory::new(config, 2, false);
+        assert_eq!(parked_of(config), 0);
+        assert_eq!(word_arrays(&again).iter().filter(|a| arrays.contains(a)).count(), 1);
+        assert!(again.is_pristine());
+    }
+
+    #[test]
+    fn the_parked_list_never_exceeds_its_bound() {
+        let config = own_size(2);
+        // (Miri scans every parked array word by word: two past the bound do.)
+        let count = if cfg!(miri) { MAX_PARKED + 2 } else { 40 };
+        let memories: Vec<Memory> = (0..count).map(|_| Memory::new(config, 1, false)).collect();
+        for m in memories {
+            drop(m);
+            assert!(parked().len() <= MAX_PARKED);
+        }
+        // Other tests park and take concurrently, so how many of the sixteen
+        // are this test's is not fixed — but it cannot be more.
+        assert!(parked_of(config) <= MAX_PARKED);
+        // Do not leave the slots pinned on a size nothing else builds.
+        parked().retain(|words| words.len() != config.stack_set_words() as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "a swept arena still holds a written word")]
+    fn parking_a_word_no_mark_covers_is_caught() {
+        // (The array is not parked: the unwinding frees it.)
+        let m = Memory::new(MemoryConfig::small(), 1, false);
+        m.arenas[0].words[5].store(Cell::Uint(1));
+    }
+
+    #[test]
+    fn a_recycled_memory_of_another_shape_still_gives_its_words_to_the_build() {
+        use crate::engine::{Engine, EngineConfig};
+        let config = own_size(3);
+        let mut session = crate::session::Session::new("p.").unwrap();
+        let compiled = session.compile("p", true).unwrap();
+        // What a pool slot does when a request changes the worker count.
+        let one = Memory::new(config, 1, false);
+        let array = one.arenas[0].words.as_ptr();
+        let engine_config = EngineConfig { memory: config, num_workers: 2, ..EngineConfig::default() };
+        let (engine, reused) = Engine::with_recycled_memory(&compiled, engine_config, one);
+        assert!(!reused, "the memory itself has the wrong shape");
+        let arrays = word_arrays(&engine.core.mem);
+        assert_eq!(arrays.len(), 2);
+        assert!(arrays.contains(&array), "both arrays are new: the old one was still alive at the build");
+        assert_eq!(parked_of(config), 0);
+    }
+
+    /// The merge places by sequence number; a sort by it is the oracle.
+    fn assert_trace_is_placed_like_a_sort(m: &mut Memory) {
+        let mut sorted: Vec<SeqRef> = Vec::new();
+        for arena in &mut m.arenas {
+            sorted.extend(arena.book.get_mut().trace.as_ref().expect("tracing"));
+        }
+        sorted.sort_unstable_by_key(|s| s.seq);
+        let n = *m.seq.get_mut() as usize;
+        assert_eq!(sorted.len(), n, "every claimed sequence number has its record");
+        assert!(sorted.iter().enumerate().all(|(i, s)| s.seq == i as u64), "sequence numbers are dense");
+        let placed = m.take_trace().unwrap();
+        assert_eq!(placed, sorted.iter().map(|s| s.r).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn take_trace_places_every_record_of_a_serial_and_of_a_threaded_run() {
+        let mut serial = Memory::new(MemoryConfig::small(), 4, true);
+        serial.set_serial(true);
+        let mut threaded = Memory::new(MemoryConfig::small(), 4, true);
+        let rounds: u32 = if cfg!(miri) { 20 } else { 2000 };
+        // Each PE writes its own heap, reads its neighbour's and bumps a
+        // counter in arena 0, so every buffer interleaves with every other.
+        let count = serial.area_base(0, Area::LocalStack);
+        let pe_loop = |m: &Memory, pe: u8| {
+            let own = m.area_base(pe as usize, Area::Heap);
+            let neighbour = m.area_base((pe as usize + 1) % 4, Area::Heap);
+            for i in 0..rounds {
+                m.write(pe, own + i % 64, Cell::Uint(i), ObjectKind::HeapTerm);
+                m.read(pe, neighbour + i % 64, ObjectKind::HeapTerm);
+                m.rmw_uint(pe, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+            }
+        };
+        for m in [&serial, &threaded] {
+            m.write(0, count, Cell::Uint(0), ObjectKind::ParcallCount);
+        }
+        for pe in 0..4 {
+            pe_loop(&serial, pe);
+        }
+        std::thread::scope(|s| {
+            for pe in 0..4 {
+                let (m, pe_loop) = (&threaded, &pe_loop);
+                s.spawn(move || pe_loop(m, pe));
+            }
+        });
+        for m in [&mut serial, &mut threaded] {
+            assert_eq!(*m.seq.get_mut(), 1 + 4 * 4 * rounds as u64);
+            assert_trace_is_placed_like_a_sort(m);
+        }
     }
 
     #[test]

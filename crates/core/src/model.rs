@@ -1,6 +1,6 @@
 //! Test-only model checking: an exhaustive interleaver over small state
-//! machines, and the Goal-Stack steal pop, the Parcall counters and the
-//! completion commit written as such.  (The arena word's own store/load
+//! machines, and the Goal-Stack steal pop, its unlocked Goal-Frame count, the
+//! Parcall counters and the completion commit written as such.  (The arena word's own store/load
 //! protocol is modelled beside the real thing, in [`crate::mem`]'s tests.)
 //!
 //! A model is not the code itself: each step below is one atomic action of
@@ -95,6 +95,14 @@ struct ModelBoard {
     image: [[u32; 2]; 2],
     /// `(who, pushed id, image read)` of every completed pop.
     taken: Vec<(usize, u32, [u32; 2])>,
+    /// `EngineCore::goals_waiting` of this board: the count as last stored.
+    goals_waiting: usize,
+    /// Each PE's register: the count its latest push or pop left.
+    len_left: [usize; 2],
+    /// Each PE's register: the hint it loaded before deciding to lock.
+    hint_seen: [usize; 2],
+    /// A ghost: the owner read a hint of 0 with a frame on its board.
+    owner_missed_a_frame: bool,
 }
 
 fn board_lock<const WHO: usize>(b: &mut ModelBoard) -> bool {
@@ -117,12 +125,14 @@ fn push_word<const ID: u32, const K: usize>(b: &mut ModelBoard) -> bool {
 fn push_frame<const ID: u32>(b: &mut ModelBoard) -> bool {
     b.goal_frames.push((b.goal_top, ID));
     b.goal_top += 1;
+    b.len_left[OWNER] = b.goal_frames.len();
     true
 }
 /// Pop the youngest frame, if any; a thief's pop is a steal and counts as
 /// one on the board, inside the critical section.
 fn pop_frame<const WHO: usize>(b: &mut ModelBoard) -> bool {
     b.popped[WHO] = b.goal_frames.pop();
+    b.len_left[WHO] = b.goal_frames.len();
     if let Some((slot, _)) = b.popped[WHO] {
         b.goal_top = slot;
         if WHO == THIEF {
@@ -215,6 +225,108 @@ fn every_schedule_of_the_steal_pop_takes_each_frame_once_with_its_own_image() {
         read_last_word::<THIEF>,
     ];
     assert!(!steal_pop_holds(late_read).0, "the model cannot tell a locked image read from a late one");
+}
+
+// ---------------------------------------------------------------------
+// The Goal-Frame count read before the lock
+// ---------------------------------------------------------------------
+//
+// `EngineCore::goals_waiting[w]` mirrors `boards[w].goal_frames.len()` in an
+// atomic that `Step::try_dispatch_work` loads *without* the board's lock: a
+// board that reads 0 is passed over, the PE's own included.  Every store sits
+// inside the critical section that changed the length.  What that buys: the
+// stores are ordered as the critical sections are, so the atomic always holds
+// the length the latest critical section left.  The words of a frame are
+// beside the point here (the model above covers the image), so a push and a
+// pop are one step each between lock, store and unlock.
+
+fn store_hint<const WHO: usize>(b: &mut ModelBoard) -> bool {
+    b.goals_waiting = b.len_left[WHO];
+    true
+}
+fn load_hint<const WHO: usize>(b: &mut ModelBoard) -> bool {
+    b.hint_seen[WHO] = b.goals_waiting;
+    // Every frame on the board is one the owner pushed.
+    b.owner_missed_a_frame |= WHO == OWNER && b.goals_waiting == 0 && !b.goal_frames.is_empty();
+    true
+}
+fn push_whole_frame<const ID: u32>(b: &mut ModelBoard) -> bool {
+    push_word::<ID, 0>(b) && push_word::<ID, 1>(b) && push_frame::<ID>(b)
+}
+fn pop_whole_frame<const WHO: usize>(b: &mut ModelBoard) -> bool {
+    pop_frame::<WHO>(b) && read_first_word::<WHO>(b) && read_last_word::<WHO>(b)
+}
+/// `$step`, skipped by a PE whose hint read 0.
+macro_rules! if_hinted {
+    ($name:ident, $step:ident) => {
+        fn $name<const WHO: usize>(b: &mut ModelBoard) -> bool {
+            b.hint_seen[WHO] == 0 || $step::<WHO>(b)
+        }
+    };
+}
+if_hinted!(hinted_lock, board_lock);
+if_hinted!(hinted_pop, pop_whole_frame);
+if_hinted!(hinted_store, store_hint);
+if_hinted!(hinted_unlock, board_unlock);
+
+macro_rules! hinted_push {
+    ($id:literal) => {
+        [board_lock::<OWNER>, push_whole_frame::<$id>, store_hint::<OWNER>, board_unlock::<OWNER>]
+    };
+}
+/// A look for work as the engine does it: the hint is stored under the lock.
+macro_rules! hinted_look {
+    ($who:ident) => {
+        [
+            load_hint::<$who>,
+            hinted_lock::<$who>,
+            hinted_pop::<$who>,
+            hinted_store::<$who>,
+            hinted_unlock::<$who>,
+        ]
+    };
+}
+
+/// The owner pushes two frames and then looks at its own board twice — enough
+/// to drain it alone; `thief` looks once, whenever.  Returns whether every
+/// schedule took each frame exactly once, never showed the owner a 0 with a
+/// frame of its own on the board and left the count at the board's final
+/// length, and the number of schedules.
+fn hint_holds(thief: &[ModelStep<ModelBoard>]) -> (bool, usize) {
+    let owner: Vec<ModelStep<ModelBoard>> =
+        [&hinted_push!(1)[..], &hinted_push!(2), &hinted_look!(OWNER), &hinted_look!(OWNER)].concat();
+    let (mut holds, mut stolen_some, mut stolen_none) = (true, false, false);
+    let schedules = interleave(&ModelBoard::default(), &[&owner, thief], &mut [0, 0], &mut |b| {
+        stolen_some |= b.steal_notices > 0;
+        stolen_none |= b.steal_notices == 0;
+        let mut ids: Vec<u32> = b.taken.iter().map(|t| t.1).collect();
+        ids.sort_unstable();
+        // A frame left on the board is stranded: its owner has stopped looking.
+        holds &= ids == [1, 2] && b.goal_frames.is_empty() && !b.owner_missed_a_frame && b.goals_waiting == 0;
+    });
+    assert!(stolen_some && stolen_none, "both outcomes must be reachable");
+    (holds, schedules)
+}
+
+#[test]
+fn a_count_stored_under_the_lock_never_hides_a_frame_from_its_owner() {
+    let (holds, schedules) = hint_holds(&hinted_look!(THIEF));
+    assert!(holds);
+    // Counted, not derived: the loads are unlocked and a skipped step still
+    // takes its turn, so the thief's five steps fall almost anywhere among
+    // the owner's eighteen (C(23, 5) = 33,649 less the orders a lock forbids).
+    assert_eq!(schedules, 18_298);
+    // The store issued after the unlock is the bug: the thief's late 0 (the
+    // length its pop of frame 1 left) overwrites the 1 the owner stored with
+    // frame 2, and the owner passes over its own board.
+    let late_store: &[ModelStep<ModelBoard>] = &[
+        load_hint::<THIEF>,
+        hinted_lock::<THIEF>,
+        hinted_pop::<THIEF>,
+        hinted_unlock::<THIEF>,
+        hinted_store::<THIEF>,
+    ];
+    assert!(!hint_holds(late_store).0, "the model cannot tell a store under the lock from a late one");
 }
 
 // ---------------------------------------------------------------------
