@@ -1,6 +1,6 @@
 //! Measure executor throughput (MIPS: millions of abstract-machine
-//! instructions per second) untraced (own references on the owner path) and
-//! traced (every reference recorded), and of the same programs compiled
+//! instructions per second) untraced and
+//! traced (every reference numbered and recorded), and of the same programs compiled
 //! sequentially (the WAM a CGE-annotated run is an overhead over), and record
 //! the comparison in `BENCH_mlips.json`.
 //!
@@ -45,13 +45,13 @@ fn main() {
     for id in BenchmarkId::EXTENDED {
         let c = compare_dispatch_paths(id, scale, runs);
         println!(
-            "{:<8} {:>12} {:>14.2} {:>11.2} {:>8.2}x {:>7.2} {:>10.2} {:>12.2}x",
+            "{:<8} {:>12} {:>14.2} {:>11.2} {:>8.2}x {:>7} {:>10.2} {:>12.2}x",
             id.name(),
             c.instructions,
             c.traced_mips,
             c.flat_mips,
             c.speedup,
-            c.floor,
+            c.floor.map_or("-".to_string(), |floor| format!("{floor:.2}")),
             c.wam_mips,
             c.cge_over_wam_time
         );

@@ -12,12 +12,13 @@
 //! Because wall-clock throughput is machine-dependent, the regression gate
 //! (`mlips_gate` integration test) does not pin absolute numbers.  Instead
 //! it measures the same program through the same executor twice, on the
-//! same machine in the same process — untraced, where a PE's references to
-//! its own Stack Set take the unrecorded owner path, and with
-//! [`rapwam::session::QueryOptions::with_trace`], where every reference is
-//! recorded (the configuration the ladder's `trace-sim` workload runs) — and
-//! gates the ratio: the owner path must stay at least
-//! [`mlips_speedup_floor`] times faster than the recorded one per benchmark.
+//! same machine in the same process — untraced, and with
+//! [`rapwam::session::QueryOptions::with_trace`], where every reference also
+//! claims a sequence number and is pushed onto its PE's trace buffer (the
+//! configuration the ladder's `trace-sim` workload runs) — and gates the
+//! ratio: the untraced run must stay at least [`mlips_speedup_floor`] times
+//! faster than the traced one, on the benchmarks where that ratio tells a
+//! healthy tree from a regressed one.
 //! The measured values are recorded in `BENCH_mlips.json` at the repository
 //! root so the raw-speed trajectory is visible across PRs.
 //!
@@ -63,11 +64,10 @@ fn parse_workers(text: &str) -> Result<usize, String> {
 /// Which executor configuration a measurement runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MlipsLeg {
-    /// The CGE-annotated program on [`mlips_workers`] PEs, untraced: own
-    /// Stack Set references take the owner path.
+    /// The CGE-annotated program on [`mlips_workers`] PEs, untraced.
     Flat,
-    /// The same with [`QueryOptions::with_trace`]: every reference recorded
-    /// in its arena's book and appended to the trace.
+    /// The same with [`QueryOptions::with_trace`]: every reference numbered
+    /// and appended to its PE's trace buffer.
     Traced,
     /// The program compiled sequentially ([`QueryOptions::sequential`]: every
     /// `&` an ordinary conjunction) on one PE, untraced — the WAM a
@@ -101,10 +101,8 @@ impl MlipsReport {
 /// leg by leg (traced, flat, wam, traced, flat, wam, …), so a slow stretch of
 /// the host — they last from milliseconds to minutes on a shared machine, and
 /// a run here is a millisecond — lands on every leg's samples alike instead of
-/// on all of one leg's.  (Timed one leg after the other, the healthy readings
-/// of the gated ratio and those of a tree without the owner path overlapped;
-/// alternating, they do not — the numbers are on [`mlips_speedup_floor`] and
-/// in CHANGES.md, PR 19.)
+/// on all of one leg's.  (Timed one leg after the other, a healthy tree's
+/// readings of the gated ratio spread half again as wide — CHANGES.md, PR 19.)
 ///
 /// Only the engine run is timed: compilation is cached by the session, and a
 /// leg's attempts share one engine, reset between them outside the clock.
@@ -169,9 +167,9 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, legs: &[MlipsLe
     reports
 }
 
-/// One benchmark's entry in `BENCH_mlips.json`: the untraced (owner-path)
-/// run against the traced (every reference recorded) run of the same
-/// executor, measured back to back on the same machine.
+/// One benchmark's entry in `BENCH_mlips.json`: the untraced run against the
+/// traced run of the same executor, measured back to back on the same
+/// machine.
 #[derive(Debug, Clone, Serialize)]
 pub struct MlipsComparison {
     pub id: BenchmarkId,
@@ -179,12 +177,12 @@ pub struct MlipsComparison {
     pub instructions: u64,
     /// MIPS with every reference recorded ([`MlipsLeg::Traced`]).
     pub traced_mips: f64,
-    /// MIPS untraced, on the owner path ([`MlipsLeg::Flat`]).
+    /// MIPS untraced ([`MlipsLeg::Flat`]).
     pub flat_mips: f64,
     /// `flat_mips / traced_mips` — the gated quantity.
     pub speedup: f64,
-    /// The per-benchmark floor the gate enforces on `speedup`.
-    pub floor: f64,
+    /// The floor the gate enforces on `speedup`, where the benchmark has one.
+    pub floor: Option<f64>,
     /// Worker count of the flat and traced runs.
     pub workers: usize,
     /// MIPS of the sequentially compiled program ([`MlipsLeg::Wam`]).
@@ -215,33 +213,59 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
     }
 }
 
-/// The gated untraced-over-traced throughput floor per registry program.
+/// The gated untraced-over-traced throughput floor of a registry program, or
+/// `None` where the ratio cannot tell a healthy tree from a regressed one.
 ///
-/// Derived on 2 October 2026 on the 2-vCPU build host, when the classic
-/// dispatch loop (the gate's denominator until then) was deleted, from two
-/// builds of that tree measured as the gate measures (one interleaved PE,
-/// `Scale::Paper`, six alternating attempts a leg, 200 readings a program and
-/// build): the tree as it is, and the tree with `Worker::owner_path` forced
-/// off — untraced references recorded again, a served path half as fast,
-/// which the floors over the classic loop (1.5 / 1.4 / 1.2) let through.
-/// Healthy min / median, then regressed median / max: deriv 2.34 / 2.67,
-/// 1.47 / 2.07; tak 2.81 / 3.21, 1.62 / 2.25; qsort 2.58 / 3.11, 1.62 / 2.14;
-/// matrix 1.78 / 2.30, 1.44 / 1.79; boyer 3.07 / 3.48, 1.73 / 2.37; queens
-/// 2.87 / 3.36, 1.63 / 2.27; fib 2.92 / 3.30, 1.74 / 2.39.
+/// Derived on 4 October 2026 on the 2-vCPU build host, when the per-arena
+/// book went (PR 22: a reference is counted and recorded by the PE that
+/// issues it, so a traced reference no longer takes a lock or an
+/// `UnsafeCell`, an `AreaStats::record` and an address division).  Untraced
+/// MIPS did not move; the traced leg got a third faster (deriv 13 → 18 MIPS,
+/// tak 16 → 22, boyer 14 → 19), so every ratio fell — healthy medians
+/// 2.7–3.5 before, 1.9–2.3 now — and the floors of PR 19 (2.5 / 2.3 / 2.0 /
+/// 1.8) fail a healthy tree.
 ///
-/// Each floor sits near `sqrt(healthy min × regressed max)`, rounded into
-/// tiers: above all but one of the 1,400 regressed readings (and above every
-/// reading of the tree that also gives up serial memory, at most 1.99), and
-/// ×1.12–1.25 under every healthy one (matrix, which only `mlips_throughput`
-/// records: one healthy reading in 200 below, the 5th percentile at 2.12).
-/// On two PEs a traced run is slower still — healthy 3.9–8.8, owner path off
-/// 2.2–3.6 — so the same floors hold there with more room and separate less.
-pub fn mlips_speedup_floor(id: BenchmarkId) -> f64 {
+/// The procedure: two builds measured as the gate measures (`Scale::Paper`,
+/// six alternating attempts a leg, release; 200 readings a program and build
+/// on one interleaved PE, 100 on two, the builds taking turns 20 readings at
+/// a time) — the tree as it is, and the tree with a `Mutex` lock/unlock and a
+/// `map.owner` division added to every reference, traced or not (what one
+/// reference of the recorded path used to cost).  The regression slows both
+/// legs (deriv 36 → 16 MIPS untraced, 18 → 11 traced), so it pulls the ratio
+/// toward 1 without collapsing it.  Healthy min / median, then regressed
+/// median / 95th percentile / max, one PE: deriv 1.48 / 1.97, 1.53 / 1.73 /
+/// 1.92; tak 1.59 / 2.19, 1.61 / 1.74 / 3.95; qsort 1.48 / 2.17, 1.58 / 1.69
+/// / 2.62; matrix 1.50 / 1.87, 1.44 / 1.52 / 1.69; boyer 1.81 / 2.29, 1.67 /
+/// 1.85 / 2.30; queens 1.70 / 2.32, 1.60 / 1.76 / 1.96; fib 1.76 / 2.33, 1.67
+/// / 1.84 / 2.19.  Two PEs: deriv 1.29 / 1.86, 1.53 / 1.69 / 1.79; tak 1.69 /
+/// 2.05, 1.60 / 1.70 / 2.00; qsort 1.71 / 2.25, 1.63 / 1.90 / 2.47; matrix
+/// 1.40 / 1.74, 1.45 / 1.56 / 1.69; boyer 1.76 / 2.34, 1.68 / 1.82 / 2.03;
+/// queens 1.39 / 2.23, 1.59 / 1.70 / 1.85; fib 1.74 / 2.39, 1.69 / 1.81 /
+/// 1.93.
+///
+/// The medians are still ×1.3–1.4 apart, but on no program is the lowest
+/// healthy reading above the highest regressed one any more, so
+/// `sqrt(healthy min × regressed max)` is no longer a floor.  The rule now: a
+/// program keeps a floor if some value lies under every healthy reading taken
+/// (300) and over at least half of the regressed readings of each leg.  Boyer
+/// and fib have one: 1.7 fails 133 of 200 and 64 of 100 regressed readings of
+/// boyer, 131 and 57 of fib (were the two independent, a regressed tree would
+/// pass both in one gate run in six to nine).  The others do not and have no floor, rather than one that
+/// gates nothing: under tak's lowest healthy reading (1.59) a floor of 1.58
+/// fails 43 of 200 regressed readings; qsort's (1.48) 5; queens' (1.39, on two
+/// PEs) 2; matrix's (1.40) about one in nine; deriv's healthy readings start
+/// below its regressed median.  `mlips_throughput` records every program's
+/// ratio all the same.  (Pooling three consecutive readings into one of 18
+/// attempts a leg tightens both populations — qsort, queens and matrix then
+/// separate on one PE — which is where a wider gate would start.)
+pub fn mlips_speedup_floor(id: BenchmarkId) -> Option<f64> {
     match id {
-        BenchmarkId::Boyer | BenchmarkId::Fib => 2.5,
-        BenchmarkId::Tak | BenchmarkId::Qsort | BenchmarkId::Queens => 2.3,
-        BenchmarkId::Deriv => 2.0,
-        BenchmarkId::Matrix => 1.8,
+        BenchmarkId::Boyer | BenchmarkId::Fib => Some(1.7),
+        BenchmarkId::Deriv
+        | BenchmarkId::Tak
+        | BenchmarkId::Qsort
+        | BenchmarkId::Matrix
+        | BenchmarkId::Queens => None,
     }
 }
 
@@ -274,10 +298,13 @@ mod tests {
 
     #[test]
     fn headline_floors_are_the_issues() {
-        assert!(mlips_speedup_floor(BenchmarkId::Tak) >= 1.3);
-        assert!(mlips_speedup_floor(BenchmarkId::Deriv) >= 1.3);
-        for id in BenchmarkId::EXTENDED {
-            assert!(mlips_speedup_floor(id) > 0.0);
+        // ISSUE 22 re-derived the floors: two programs keep one, and no floor
+        // that is kept may sit where it passes a regressed tree's median
+        // (1.44–1.69 over the seven programs).
+        assert_eq!(mlips_speedup_floor(BenchmarkId::Boyer), Some(1.7));
+        assert_eq!(mlips_speedup_floor(BenchmarkId::Fib), Some(1.7));
+        for floor in BenchmarkId::EXTENDED.into_iter().filter_map(mlips_speedup_floor) {
+            assert!(floor >= 1.7);
         }
     }
 

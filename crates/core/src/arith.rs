@@ -34,7 +34,7 @@ impl<'a, 'p> Step<'a, 'p> {
                         let a = self.mem_read(p + 1, ObjectKind::HeapTerm);
                         let v = self.eval_arith(a)?;
                         match name {
-                            n if n == known::MINUS => Ok(-v),
+                            n if n == known::MINUS => Ok(v.wrapping_neg()),
                             n if n == known::PLUS => Ok(v),
                             _ => Err(EngineError::ArithmeticType {
                                 context: format!("unknown unary arithmetic functor {name:?}"),
@@ -61,7 +61,7 @@ impl<'a, 'p> Step<'a, 'p> {
                                 if y == 0 {
                                     Err(EngineError::DivisionByZero)
                                 } else {
-                                    Ok(x.rem_euclid(y))
+                                    Ok(x.wrapping_rem_euclid(y))
                                 }
                             }
                             _ => Err(EngineError::ArithmeticType {

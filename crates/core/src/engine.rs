@@ -37,15 +37,14 @@ use crate::frames::{choice, env, goal_frame, marker, message, parcall};
 use crate::known;
 use crate::layout::{board, Area, MemoryConfig, ObjectKind};
 use crate::mem::Memory;
-use crate::sched::{drive, free_running, DeterminismMode, SchedulerKind};
+use crate::sched::{drive, DeterminismMode, SchedulerKind};
 use crate::stats::{RunStats, WorkerStats};
-use crate::trace::MemRef;
+use crate::trace::{AreaStats, MemRef};
 use crate::worker::{GoalContext, Mode, Resume, Worker, WorkerStatus};
 use pwam_compiler::CompiledProgram;
 use pwam_front::term::Term;
 use pwam_front::SymbolTable;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -522,10 +521,6 @@ impl<'p> EngineCore<'p> {
 pub struct Engine<'p> {
     pub(crate) core: EngineCore<'p>,
     pub(crate) workers: Vec<Worker>,
-    /// Makes the engine `!Sync` (it stays `Send`): a serial-mode memory's
-    /// books have no lock, so `&self` readers such as [`Engine::stats`] must
-    /// not run on two threads at once (see `Memory::set_serial`).
-    _not_sync: PhantomData<std::cell::Cell<()>>,
 }
 
 /// One worker's view of the machine: the shared core plus exclusive access
@@ -566,21 +561,14 @@ impl<'p> Engine<'p> {
     }
 
     /// Assemble an engine around an already-allocated (pristine) memory.
-    fn build(program: &'p CompiledProgram, config: EngineConfig, mut mem: Memory) -> Self {
+    fn build(program: &'p CompiledProgram, config: EngineConfig, mem: Memory) -> Self {
         assert!(config.num_workers >= 1, "at least one worker is required");
         assert!(config.num_workers <= 255, "at most 255 workers are supported");
         let config_fuel = config.fuel;
-        // Only the relaxed threaded backend lets more than one thread touch
-        // the memory at a time; the interleaved one is a single thread, so
-        // its recorded accesses may skip the per-arena book locks.
-        mem.set_serial(!free_running(config.scheduler, config.determinism));
-        // Workers take the owner path ([`Worker::owner_path`]) exactly when
-        // the memory records no trace.
-        let owner_path = mem.fast();
         let mut workers: Vec<Worker> =
             (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map)).collect();
         for wk in &mut workers {
-            wk.owner_path = owner_path;
+            wk.trace = mem.tracing().then(Vec::new);
             // Per-predicate profile storage, indexed by code address (entry
             // points of the predicates actually called).  The query body is
             // charged to `query_start` until the first call.
@@ -624,7 +612,6 @@ impl<'p> Engine<'p> {
                 fuel_limit: AtomicU64::new(config_fuel.unwrap_or(u64::MAX)),
             },
             workers,
-            _not_sync: PhantomData,
         }
     }
 
@@ -664,9 +651,8 @@ impl<'p> Engine<'p> {
     /// answer ([`SuspendReason::AnswerReady`]) or at a host-predicate call
     /// ([`SuspendReason::HostCall`]).  The engine comes back with its entire
     /// machine state parked between instructions (worker registers, env/cp
-    /// caches and `RefDelta` flushed at the suspension point, [`Memory`]
-    /// intact) so [`Engine::resume`] re-enters exactly where execution left
-    /// off.
+    /// caches, [`Memory`] intact) so [`Engine::resume`] re-enters exactly
+    /// where execution left off.
     pub fn run_resumable(mut self) -> EngineResult<(RunOutcome, Engine<'p>)> {
         self.core.started = Instant::now();
         self.core.re_arm_fuel();
@@ -824,9 +810,31 @@ impl<'p> Engine<'p> {
         self.collect_stats()
     }
 
-    /// Drain the memory-reference trace collected so far, if tracing is on.
+    /// Drain the memory-reference trace collected so far, merging the
+    /// workers' buffers back into the global interleaving order (tracing is
+    /// off from here on).  Returns `None` when tracing is off.
+    ///
+    /// Every traced reference claimed exactly one value of a dense global
+    /// sequence counter, so its sequence number *is* its index in the merged
+    /// trace and the merge places each record there, comparing nothing.  The
+    /// result reproduces the exact order in which the references were issued
+    /// — under a strict backend the merged trace is byte-for-byte the trace
+    /// a single flat buffer would have collected; under the relaxed backend
+    /// it is the total order the race on the counter produced, each PE's
+    /// records in its program order.
     pub fn take_trace(&mut self) -> Option<Vec<MemRef>> {
-        self.core.mem.take_trace()
+        let n = self.core.mem.seqs_claimed();
+        // Every element is overwritten: `n` distinct indices get placed.
+        let mut all = vec![MemRef::new(0, 0, false, ObjectKind::HeapTerm); n];
+        let mut placed = 0;
+        for wk in &mut self.workers {
+            for (seq, r) in wk.trace.take()? {
+                all[seq as usize] = r;
+                placed += 1;
+            }
+        }
+        assert_eq!(placed, n, "a claimed sequence number has no trace record");
+        Some(all)
     }
 
     /// Turn a finished engine into a [`RunResult`] (answers, statistics and
@@ -839,14 +847,6 @@ impl<'p> Engine<'p> {
     /// behind for reuse (the trace buffer, if any, is drained).
     pub fn take_result(&mut self, syms: &SymbolTable) -> EngineResult<RunResult> {
         debug_assert!(self.core.finished().is_some(), "take_result on an unfinished engine");
-        // Fold any reference counts the fast path still holds in worker
-        // registers into the arena counters before reading them out.  (The
-        // flat batch loop flushes at every exit, so this only catches work
-        // done outside a batch, e.g. a deferred backtrack resumed from the
-        // scheduler.)
-        for wk in self.workers.iter_mut() {
-            self.core.mem.flush_delta(wk.id as usize, &mut wk.ref_delta);
-        }
         let outcome = if self.core.finished() == Some(true) {
             let bindings = self.extract_answer(syms)?;
             Outcome::Success(bindings)
@@ -854,7 +854,7 @@ impl<'p> Engine<'p> {
             Outcome::Failure
         };
         let stats = self.collect_stats();
-        let trace = self.core.mem.take_trace();
+        let trace = self.take_trace();
         Ok(RunResult { outcome, stats, trace })
     }
 
@@ -877,7 +877,7 @@ impl<'p> Engine<'p> {
             // the code length) is fixed for the engine's lifetime.
             let mut prof = std::mem::take(&mut wk.prof_counts);
             *wk = Worker::new(wk.id, &core.mem.map);
-            wk.owner_path = core.mem.fast();
+            wk.trace = core.mem.tracing().then(Vec::new);
             prof.clear();
             prof.resize(core.program.code_len(), 0);
             wk.prof_counts = prof;
@@ -917,13 +917,9 @@ impl<'p> Engine<'p> {
 
     /// Tear the engine down to its [`Memory`], keeping the arena allocations
     /// alive for [`Engine::with_recycled_memory`] (the pool's warm path
-    /// across *different* compiled programs).  The memory leaves with its
-    /// book locks on: serial mode is the engine's private arrangement with
-    /// its driver, re-made by the next engine built around the arenas.
+    /// across *different* compiled programs).
     pub fn into_memory(self) -> Memory {
-        let mut mem = self.core.mem;
-        mem.set_serial(false);
-        mem
+        self.core.mem
     }
 
     // -----------------------------------------------------------------
@@ -1306,7 +1302,10 @@ impl<'p> Engine<'p> {
                 }
             })
             .collect();
-        let area_stats = self.core.mem.merged_stats();
+        let mut area_stats = AreaStats::new(self.workers.len());
+        for wk in &self.workers {
+            area_stats.bulk_record(wk.id, &wk.refs.counts);
+        }
         let predicate_profile = self.collect_predicate_profile();
         RunStats {
             num_workers: self.workers.len(),
@@ -1390,30 +1389,17 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     // -----------------------------------------------------------------
-    // Owner-path accessors
+    // The memory accessors
     // -----------------------------------------------------------------
     //
     // Every data reference the machine makes goes through `mem_read`,
-    // `mem_write` or `mem_rmw` (the one exception is `post_message`, which
-    // only ever writes into another PE's buffer).  On the owner path
-    // ([`Worker::owner_path`]: tracing off — either backend),
-    // accesses that land in this worker's own Stack Set skip the arena
-    // dispatch and the book lock entirely, whatever their object kind: the
-    // word moves through [`Memory::owner_read`] / [`Memory::owner_write`] /
-    // [`Memory::owner_rmw_uint`] and the reference is *counted* in the
-    // worker-local [`crate::trace::RefDelta`], which `flush_ref_delta` folds
-    // back into the arena's counters at batch boundaries.  Aggregate
-    // statistics are identical to unbatched accounting (the access itself
-    // still happens at the same point in the instruction stream); with
-    // tracing on the owner path is off and every access takes the fully
-    // recorded path, so traces are byte-for-byte unchanged.  A parallel goal
-    // nobody stole therefore costs its parent no lock and no shared counter
-    // beyond the board push and pop.  Only references into *another* PE's
-    // Stack Set are recorded under that arena's book lock: a thief's reads of
-    // the Goal Frame it took, its slot and counter updates in the parent's
-    // Parcall Frame, its Message, its bindings.  The Parcall counters stay
-    // exact across the two paths because their updates are atomic in the word
-    // itself (see the Concurrency section of [`crate::mem`]).
+    // `mem_write` or `mem_rmw`, and each does the same four things: count the
+    // reference in this worker's table, append a record to this worker's
+    // buffer when the run is traced, find the arena, and move the word —
+    // lock-free, wherever it lives (see the Concurrency section of
+    // [`crate::mem`]).  Nothing shared is written but the word itself, its
+    // reset mark and, when tracing, the sequence counter: the worker belongs
+    // to the one thread that steps it.
 
     /// Whether `addr` lies in this worker's own Stack Set.
     #[inline(always)]
@@ -1421,39 +1407,50 @@ impl<'a, 'p> Step<'a, 'p> {
         addr >= self.wk.heap_base && addr < self.wk.arena_end
     }
 
-    /// Whether an access to `addr` as `object` takes the owner path.
+    /// The arena that holds `addr`: this worker's own by the cached bounds,
+    /// otherwise the map's division.
     #[inline(always)]
-    fn on_owner_path(&self, addr: u32, object: ObjectKind) -> bool {
-        let own = self.wk.owner_path && self.own_addr(addr);
-        debug_assert!(!own || self.core.mem.map.area_of(addr) == object.area());
-        own
+    fn arena_of(&self, addr: u32) -> usize {
+        if self.own_addr(addr) {
+            self.w()
+        } else {
+            self.core.mem.map.owner(addr)
+        }
     }
 
-    /// Read one word, through the unrecorded owner path when available.
+    /// Count one reference to the `object` word at `addr` and, when tracing,
+    /// record it.
+    #[inline(always)]
+    pub(crate) fn note_ref(&mut self, addr: u32, write: bool, object: ObjectKind) {
+        debug_assert_eq!(
+            self.core.mem.map.area_of(addr),
+            object.area(),
+            "object kind {object:?} used outside its area"
+        );
+        self.wk.refs.count(object, write);
+        if let Some(trace) = &mut self.wk.trace {
+            trace.push((self.core.mem.next_seq(), MemRef::new(self.wk.id, addr, write, object)));
+        }
+    }
+
+    /// Read one word.
     #[inline(always)]
     pub(crate) fn mem_read(&mut self, addr: u32, object: ObjectKind) -> Cell {
-        if self.on_owner_path(addr, object) {
-            self.wk.ref_delta.count(object, false);
-            self.core.mem.owner_read(self.wk.id as usize, addr - self.wk.heap_base)
-        } else {
-            self.core.mem.read(self.wk.id, addr, object)
-        }
+        self.note_ref(addr, false, object);
+        self.core.mem.load(self.arena_of(addr), addr)
     }
 
-    /// Write one word, through the unrecorded owner path when available.
+    /// Write one word.
     #[inline(always)]
     pub(crate) fn mem_write(&mut self, addr: u32, value: Cell, object: ObjectKind) {
-        if self.on_owner_path(addr, object) {
-            self.wk.ref_delta.count(object, true);
-            self.core.mem.owner_write(self.wk.id as usize, addr - self.wk.heap_base, value, object.area());
-        } else {
-            self.core.mem.write(self.wk.id, addr, value, object);
-        }
+        self.note_ref(addr, true, object);
+        self.core.mem.store(self.w(), self.arena_of(addr), addr, value, object.area());
     }
 
     /// Atomically replace the `Uint` at `addr` by `f` of it and return the
-    /// value replaced — one read and one write, through the unrecorded owner
-    /// path when available.  `f` may run more than once when updates race.
+    /// value replaced — exactly the read reference followed by the write
+    /// reference a split pair would have made.  `f` may run more than once
+    /// when updates race.
     #[inline(always)]
     pub(crate) fn mem_rmw(
         &mut self,
@@ -1461,19 +1458,10 @@ impl<'a, 'p> Step<'a, 'p> {
         object: ObjectKind,
         f: impl FnMut(u32) -> u32,
     ) -> EngineResult<u32> {
-        if self.on_owner_path(addr, object) {
-            self.wk.ref_delta.count(object, false);
-            let old = self.core.mem.owner_rmw_uint(
-                self.wk.id as usize,
-                addr - self.wk.heap_base,
-                object.area(),
-                f,
-            )?;
-            self.wk.ref_delta.count(object, true);
-            Ok(old)
-        } else {
-            self.core.mem.rmw_uint(self.wk.id, addr, object, f)
-        }
+        self.note_ref(addr, false, object);
+        let old = self.core.mem.update_uint(self.w(), self.arena_of(addr), addr, object.area(), f)?;
+        self.note_ref(addr, true, object);
+        Ok(old)
     }
 
     /// Classify an address *known to lie in this worker's own arena* by the
@@ -1525,15 +1513,6 @@ impl<'a, 'p> Step<'a, 'p> {
         }
     }
 
-    /// Fold this worker's deferred owner-path reference counts into its
-    /// arena's counters (no-op when nothing is deferred).
-    #[inline]
-    pub(crate) fn flush_ref_delta(&mut self) {
-        if self.wk.ref_delta.total != 0 {
-            self.core.mem.flush_delta(self.wk.id as usize, &mut self.wk.ref_delta);
-        }
-    }
-
     /// Drop the cached topmost-environment words.  Called wherever `E` is
     /// restored from saved state (choice-point restore, goal wind-down):
     /// the cache only ever describes the environment the worker itself
@@ -1562,7 +1541,7 @@ impl<'a, 'p> Step<'a, 'p> {
         if core.halted() {
             return Ok(false);
         }
-        let progress = match self.wk.status {
+        Ok(match self.wk.status {
             WorkerStatus::Stopped => return Ok(false),
             WorkerStatus::Running => {
                 if core.config.num_workers > 1 {
@@ -1628,12 +1607,7 @@ impl<'a, 'p> Step<'a, 'p> {
                     self.try_dispatch_work(Resume::ToCancel { pf })?
                 }
             }
-        };
-        // A scheduling action's references to this worker's own Stack Set
-        // (picking a goal up, re-reading a drained frame) were counted outside
-        // any batch: fold them in before the driver can read the counters.
-        self.flush_ref_delta();
-        Ok(progress)
+        })
     }
 
     /// Execute up to `max` instructions while the worker stays `Running` and
@@ -2047,20 +2021,20 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// Write a completion/failure message into `parent`'s Message Buffer.
     /// The parent's board lock is held across slot allocation *and* the word
-    /// writes, so concurrent posters can never interleave on one slot.  The
-    /// buffer is always another PE's, so the writes are recorded ones.
-    fn post_message(&self, parent: usize, kind: u32, pf: u32, slot: u32) -> EngineResult<()> {
-        let pe = self.wk.id;
-        let base = self.core.mem.map.area_base(parent, Area::MessageBuffer);
-        let size = self.core.mem.map.config.message_words;
-        let mut board = self.core.boards[parent].lock().unwrap();
+    /// writes, so concurrent posters can never interleave on one slot.
+    fn post_message(&mut self, parent: usize, kind: u32, pf: u32, slot: u32) -> EngineResult<()> {
+        // `core` is copied out of `self` so the guard does not pin `self`.
+        let core = self.core;
+        let base = core.mem.map.area_base(parent, Area::MessageBuffer);
+        let size = core.mem.map.config.message_words;
+        let mut board = core.boards[parent].lock().unwrap();
         let mut top = board.msg_top;
         if top + message::SIZE > base + size {
             top = base; // wrap the circular buffer
         }
-        self.core.mem.write(pe, top + message::KIND, Cell::Uint(kind), ObjectKind::Message);
-        self.core.mem.write(pe, top + message::PF, Cell::Uint(pf), ObjectKind::Message);
-        self.core.mem.write(pe, top + message::SLOT, Cell::Uint(slot), ObjectKind::Message);
+        self.mem_write(top + message::KIND, Cell::Uint(kind), ObjectKind::Message);
+        self.mem_write(top + message::PF, Cell::Uint(pf), ObjectKind::Message);
+        self.mem_write(top + message::SLOT, Cell::Uint(slot), ObjectKind::Message);
         board.msg_top = top + message::SIZE;
         board.pending_messages += 1;
         Ok(())

@@ -137,10 +137,6 @@ impl<'a, 'p> Step<'a, 'p> {
             }
         };
         self.wk.p = p;
-        // Batch boundary: fold the deferred fast-path reference counts back
-        // into the arena counters before the driver (or another PE's view
-        // of the statistics) can observe them.
-        self.flush_ref_delta();
         if n > 0 {
             core.steps.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -401,13 +397,13 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             DenseOp::Deallocate => {
                 let e = self.wk.e;
-                let (ce, cp, n) = if self.wk.owner_path && self.wk.env_cache_e == e {
+                let (ce, cp, n) = if self.wk.env_cache_e == e {
                     // Register-cache hit: the continuation words were
                     // written by this worker's own `allocate` and nothing
                     // restored `E` since (every such transition drops the
-                    // cache).  Account the three frame reads the machine
-                    // performs here so aggregate counters stay identical
-                    // to the uncached path.
+                    // cache).  Make the three frame reads the machine
+                    // performs here as references all the same, so counters
+                    // and trace stay identical to the uncached path.
                     debug_assert_eq!(
                         self.core.mem.read_untraced(e + env::CE).expect_uint("env CE"),
                         self.wk.env_cache_ce
@@ -420,9 +416,10 @@ impl<'a, 'p> Step<'a, 'p> {
                         self.core.mem.read_untraced(e + env::NVARS).expect_uint("env nvars"),
                         self.wk.env_cache_n
                     );
-                    let wk = &mut *self.wk;
-                    wk.ref_delta.counts[ObjectKind::EnvControl.index()][0] += 3;
-                    wk.ref_delta.total += 3;
+                    for word in [env::CE, env::CP, env::NVARS] {
+                        self.note_ref(e + word, false, ObjectKind::EnvControl);
+                    }
+                    let wk = &*self.wk;
                     (wk.env_cache_ce, wk.env_cache_cp, wk.env_cache_n)
                 } else {
                     let ce = self.mem_read(e + env::CE, ObjectKind::EnvControl).expect_uint("env CE");

@@ -1,81 +1,65 @@
 //! The data memory: one Stack-Set arena per PE plus a small shared region.
 //!
-//! Every read and write performed by the abstract machine goes through
-//! [`Memory::read`] / [`Memory::write`], which
-//!
-//! * bounds-check the access against the area layout,
-//! * route the access to the [`StackSetArena`] that owns the address,
-//! * update that arena's reference counters ([`AreaStats`]), and
-//! * optionally append a full [`MemRef`] record to the arena's trace buffer.
+//! The memory holds words and nothing about who touched them.  A reference is
+//! made by the PE that issues it, through `Step::mem_read` / `mem_write` /
+//! `mem_rmw` in [`crate::engine`]: the PE counts the reference in its own
+//! `[reads, writes]` table, appends a [`MemRef`](crate::trace::MemRef) to its
+//! own buffer when tracing, finds the arena — its own by its cached bounds,
+//! another PE's through the [`AddressMap`] — and moves the word here.
 //!
 //! Sharding the storage per PE mirrors the paper's architecture: each PE's
-//! Stack Set is physically its own allocation, so an execution backend can
-//! hand a whole arena to an OS thread.  Global word addresses remain stable —
-//! the [`AddressMap`] translates them to an (arena, offset) pair — and a
-//! deterministic merge (every reference carries a global sequence number)
-//! reproduces the single interleaved trace the cache simulator consumes,
-//! byte-for-byte.
+//! Stack Set is physically its own allocation.  Global word addresses remain
+//! stable — the [`AddressMap`] translates them to an (arena, offset) pair —
+//! and every traced reference claims one value of the memory's global
+//! sequence counter, so the PEs' buffers merge back into the single
+//! interleaved trace the cache simulator consumes, byte-for-byte
+//! ([`Engine::take_trace`](crate::Engine::take_trace)).
 //!
 //! # Concurrency
 //!
 //! This is the paper's shared memory: any PE may load or store any word, and
-//! only the bookkeeping of an access costs a lock.
+//! no reference takes a lock.  The memory is `Sync` because every field is.
 //!
 //! **Words are atomics.**  An arena word is a lock-free pair of `AtomicU64`s
-//! (`Word`), so loading or storing a cell never takes a lock and is sound from
-//! any thread, for any program — including one whose parallel goals are *not*
-//! independent and race on a variable cell.  A store writes the high half
-//! (the `i64` of a [`Cell::Int`], nothing else uses it) and then
-//! Release-stores the low half (tag, arity, 32-bit payload); a load
-//! Acquire-loads the low half and reads the high half only for an `Int`.
-//! Whatever the interleaving, a load returns a well-formed cell whose tag and
-//! payload were each stored by some writer: a torn `Int` is still an `Int`
-//! carrying a value that was written.  The Release/Acquire pair on the low
-//! half also publishes what a cell points at: a PE that loads a `Str` another
-//! PE stored sees the functor and arguments that PE built first.  No `&mut`
-//! to the words exists while a query runs; only [`Memory::reset`] and the
-//! drop (`&mut self`) form one.
+//! (`Word`), so loading or storing a cell is sound from any thread, for any
+//! program — including one whose parallel goals are *not* independent and
+//! race on a variable cell.  A store writes the high half (the `i64` of a
+//! [`Cell::Int`], nothing else uses it) and then Release-stores the low half
+//! (tag, arity, 32-bit payload); a load Acquire-loads the low half and reads
+//! the high half only for an `Int`.  Whatever the interleaving, a load returns
+//! a well-formed cell whose tag and payload were each stored by some writer: a
+//! torn `Int` is still an `Int` carrying a value that was written.  The
+//! Release/Acquire pair on the low half also publishes what a cell points at:
+//! a PE that loads a `Str` another PE stored sees the functor and arguments
+//! that PE built first.  No `&mut` to the words exists while a query runs;
+//! only [`Memory::reset`] and the drop (`&mut self`) form one.
 //!
-//! **The book is locked.**  Each arena's *book* — its [`AreaStats`], its
-//! trace buffer and the reset marks of recorded writes — sits behind the
-//! arena's mutex.  An access is one of two kinds:
-//!
-//! * *Recorded* ([`Memory::read`], [`Memory::write`], [`Memory::rmw_uint`]):
-//!   takes the owning arena's book lock (skipped in serial mode, see
-//!   [`Memory::serial`]), counts the reference, appends the trace record
-//!   when tracing is on, and moves the word inside the critical section.
-//!   References into another PE's Stack Set (a thief picking up a stolen
-//!   goal, slot words, a Message to a parent, a binding) and every reference
-//!   of a traced run are recorded.
-//! * *Owner-path* (the crate-private `owner_read` / `owner_write` /
-//!   `owner_rmw_uint`): a PE's untraced reference to its own Stack Set,
-//!   whatever the object — Parcall Frames, Goal Frames, Markers and Messages
-//!   included.  It takes no lock and touches no shared counter; the PE counts
-//!   it in its worker-local [`RefDelta`] and folds the batch into the book
-//!   with [`Memory::flush_delta`].  Both backends use it, because almost
-//!   every reference stays inside the issuing PE's own Stack Set — the
-//!   paper's central finding — and a parallel goal nobody stole is one of
-//!   them.
-//!
-//! **Counters are atomic by the word, not by the lock.**  The Parcall Frame
-//! words several PEs update (goals to schedule, goals completed, status) hold
-//! a [`Cell::Uint`], which lives wholly in the low half, so a
-//! read-modify-write of one is a single `AcqRel` compare-exchange
-//! (`Word::update_uint`).  [`Memory::rmw_uint`] and the owner path issue the
-//! same one — the recorded flavour merely brackets it with the two book
-//! records a split read/write pair would have made — so the owner's unlocked
-//! update and a remote PE's locked one cannot lose each other.  The only
-//! plain stores to those words are the ones that initialise a frame, before
-//! any of its Goal Frames is on a board.  The compare-exchange is also the
+//! **Counters are atomic by the word.**  The Parcall Frame words several PEs
+//! update (goals to schedule, goals completed, status) hold a [`Cell::Uint`],
+//! which lives wholly in the low half, so a read-modify-write of one is a
+//! single `AcqRel` compare-exchange (`Word::update_uint`), whoever issues it:
+//! the parent's update and a thief's cannot lose each other.  The only plain
+//! stores to those words are the ones that initialise a frame, before any of
+//! its Goal Frames is on a board.  The compare-exchange is also the
 //! happens-before edge of the counter-last completion commit: a child's
 //! bindings are ordered before its increment (Release), and a parent that
-//! loads the final count (Acquire, on either path) sees every binding the
-//! children stored before incrementing it.
+//! loads the final count (Acquire) sees every binding the children stored
+//! before incrementing it.
 //!
-//! Under the strict (interleaved) backend only one thread touches the memory
-//! and the recorded order is exactly the reference order; under the relaxed
-//! backend the per-reference order is whatever the race produced (the
-//! sequence numbers still give a total order for the merge).
+//! **Reset marks have one writer, or take the maximum.**  A store advances
+//! the reset mark of its area so that a sweep clears what was written and no
+//! more.  The owning PE's stores move marks only its thread writes (a load
+//! and a conditional store); stores by *other* PEs — a thief's slot words, a
+//! Message, a binding — move a second set with `fetch_max`, because two of
+//! them may advance one mark at once and the lower must not win: a lost mark
+//! is an unswept word in a parked array, another tenant's data.  Nothing
+//! reads a mark until `&mut self`.
+//!
+//! **The sequence counter is one `fetch_add`** per traced reference and is
+//! not touched by an untraced run.  Under the strict (interleaved) backend one
+//! thread issues every reference, so sequence order is exactly reference
+//! order; under the relaxed backend each PE's numbers rise in its program
+//! order and the total order is the one the race on the counter produced.
 //!
 //! # Where words come from
 //!
@@ -90,18 +74,15 @@
 //! confidentiality property; `tests/parked_words.rs` checks it over whole
 //! arrays.
 //!
-//! Answer extraction and debugging use [`Memory::read_untraced`] so that
-//! inspecting a result does not perturb the measured reference counts.  The
-//! shared region above the Stack Sets holds coordination state (the query
-//! board) and is likewise accessed only through untraced accessors.
+//! Answer extraction and debugging use [`Memory::read_untraced`], which
+//! counts nothing.  The shared region above the Stack Sets holds coordination
+//! state (the query board) and is likewise outside the reference stream.
 
 use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
-use crate::layout::{AddressMap, Area, MemoryConfig, ObjectKind, SHARED_REGION_WORDS};
-use crate::trace::{AreaStats, MemRef, RefDelta};
+use crate::layout::{AddressMap, Area, MemoryConfig, SHARED_REGION_WORDS};
 use pwam_front::atoms::Atom;
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -196,7 +177,7 @@ impl Word {
     /// replaced; a word holding anything else is left alone and returned as
     /// the error.  A `Uint` lives wholly in `lo`, so the update is one
     /// compare-exchange, atomic against every other update and store of the
-    /// word whoever issues it and whether or not they hold a lock.  The
+    /// word whoever issues it.  The
     /// Release half orders everything the caller stored before (a child's
     /// bindings before its completion count); the Acquire half, like `load`'s,
     /// shows the caller what earlier updaters stored before theirs.
@@ -294,115 +275,38 @@ fn empty_words(n: usize) -> Box<[Word]> {
     }
 }
 
-/// One reference record tagged with its position in the global interleaving
-/// order, so per-arena trace buffers can be merged deterministically.
-#[derive(Debug, Clone, Copy)]
-struct SeqRef {
-    seq: u64,
-    r: MemRef,
-}
-
 /// Per area (by [`Area::index`]), one past the highest arena offset written
 /// there; [`Memory::reset`] only has to clear each area's used prefix, so
 /// recycling a warm arena costs proportional to what the previous run used,
 /// not the arena's capacity.  One mark for the whole arena would not do: the
 /// areas are laid out back to back, so a single choice-point or trail write
 /// would put the heap's and local stack's entire capacity below the mark.
-type Marks<T> = [T; Area::ALL.len()];
+type Marks = [AtomicUsize; Area::ALL.len()];
 
-/// The trace record of one reference to an `object` word.
-fn mem_ref(pe: u8, addr: u32, write: bool, object: ObjectKind) -> MemRef {
-    MemRef {
-        pe,
-        addr,
-        write,
-        area: object.area(),
-        object,
-        locality: object.locality(),
-        locked: object.locked(),
-    }
-}
-
-/// The bookkeeping of an arena's *recorded* accesses, guarded by the arena's
-/// lock.
-#[derive(Debug)]
-struct Book {
-    /// Reference counters for accesses landing in this arena (indexed by
-    /// issuing PE in `stats.per_pe`, which may differ from the owner).
-    stats: AreaStats,
-    /// This arena's slice of the reference trace (when enabled), in issue
-    /// order and tagged with global sequence numbers.
-    trace: Option<Vec<SeqRef>>,
-    /// Reset marks of the recorded writes (any PE, under the lock).
-    marks: Marks<usize>,
-}
-
-impl Book {
-    fn new(num_workers: usize, collect_trace: bool) -> Self {
-        Book {
-            stats: AreaStats::new(num_workers),
-            trace: if collect_trace { Some(Vec::new()) } else { None },
-            marks: [0; Area::ALL.len()],
-        }
-    }
-
-    /// Record one reference in this arena's counters (and trace buffer).
-    fn record(&mut self, seq: &AtomicU64, pe: u8, addr: u32, write: bool, object: ObjectKind) {
-        let r = mem_ref(pe, addr, write, object);
-        self.stats.record(&r);
-        // The global sequence counter only orders trace records; skipping it
-        // when tracing is off keeps the hot path free of a shared cache line
-        // that every thread of the relaxed backend would otherwise fight over.
-        if let Some(t) = &mut self.trace {
-            t.push(SeqRef { seq: seq.fetch_add(1, Ordering::Relaxed), r });
-        }
-    }
-
-    /// Advance `area`'s reset mark past a recorded write at arena `offset`.
-    #[inline(always)]
-    fn mark_written(&mut self, area: Area, offset: usize) {
-        let mark = &mut self.marks[area.index()];
-        *mark = (*mark).max(offset + 1);
-    }
-}
-
-/// The storage of one PE's Stack Set: its words, and behind the arena's lock
-/// its reference counters and (optionally) its share of the reference trace.
+/// The storage of one PE's Stack Set: its words and their reset marks.
 #[derive(Debug)]
 pub struct StackSetArena {
     /// Global address of the arena's first word.
     base: u32,
     words: Box<[Word]>,
-    /// Reset marks of the owner-path writes.  Only the thread stepping the
-    /// owning PE moves them (a Relaxed load and a conditional Relaxed store,
-    /// never a shared read-modify-write); nothing reads them until
-    /// [`Memory::reset`], which has `&mut self`.
-    owner_marks: Marks<AtomicUsize>,
-    /// Guards `book` when the memory is shared.  The book lives in an
-    /// [`UnsafeCell`] rather than inside the mutex so a backend that
-    /// serialises memory access *by construction* (interleaved round-robin
-    /// on one host thread) can reach it without an atomic operation per
-    /// recorded reference — the lock is only taken when [`Memory::serial`]
-    /// is off.
-    lock: Mutex<()>,
-    book: UnsafeCell<Book>,
+    /// Reset marks of the owning PE's stores.  Only the thread stepping that
+    /// PE moves them (a load and a conditional store, never a shared
+    /// read-modify-write).
+    owner_marks: Marks,
+    /// Reset marks of the other PEs' stores into this arena (a thief's slot
+    /// words, a Message, a binding), which can land above anything the owner
+    /// wrote, and the other way round.  Several threads may advance one at
+    /// once, so they take the maximum.
+    remote_marks: Marks,
 }
 
-// SAFETY: every field but `book` is `Sync` on its own (the words and owner
-// marks are atomics).  `book` is only reached through `Memory::with_arena`,
-// which either holds `lock` for the duration of the access or runs in serial
-// mode, where a single host thread drives every PE (see
-// `Memory::set_serial`), and through `&mut Memory`.
-unsafe impl Sync for StackSetArena {}
-
 impl StackSetArena {
-    fn new(base: u32, words: u32, num_workers: usize, collect_trace: bool) -> Self {
+    fn new(base: u32, words: u32) -> Self {
         StackSetArena {
             base,
             words: empty_words(words as usize),
             owner_marks: Default::default(),
-            lock: Mutex::new(()),
-            book: UnsafeCell::new(Book::new(num_workers, collect_trace)),
+            remote_marks: Default::default(),
         }
     }
 
@@ -412,22 +316,26 @@ impl StackSetArena {
         &self.words[(addr - self.base) as usize]
     }
 
-    /// Advance the owner's reset mark of `area` past an owner-path write at
-    /// arena `offset`.
+    /// Advance `area`'s reset mark past a store to global address `addr`.
+    /// `Relaxed` throughout: nothing reads a mark until [`Memory::reset`] or
+    /// the drop, whose `&mut self` is ordered after every PE thread's end.
     #[inline(always)]
-    fn mark_owner_written(&self, area: Area, offset: usize) {
-        // Relaxed: the owning PE's thread is the mark's only writer, and
-        // `reset` reads it through `&mut self`.
-        let mark = &self.owner_marks[area.index()];
-        if offset >= mark.load(Ordering::Relaxed) {
-            mark.store(offset + 1, Ordering::Relaxed);
+    fn mark_written(&self, area: Area, addr: u32, by_owner: bool) {
+        let offset = (addr - self.base) as usize;
+        if by_owner {
+            let mark = &self.owner_marks[area.index()];
+            if offset >= mark.load(Ordering::Relaxed) {
+                mark.store(offset + 1, Ordering::Relaxed);
+            }
+        } else {
+            let mark = &self.remote_marks[area.index()];
+            // The load keeps a store below the mark — most of them — off the
+            // read-modify-write; `fetch_max` decides among racing advances.
+            if offset >= mark.load(Ordering::Relaxed) {
+                mark.fetch_max(offset + 1, Ordering::Relaxed);
+            }
         }
     }
-}
-
-/// The engine error for a counter word that does not hold a `Uint`.
-fn not_a_uint(addr: u32, found: Cell) -> EngineError {
-    EngineError::Internal(format!("rmw on non-uint word at {addr}: {found:?}"))
 }
 
 /// The word-addressed data memory, sharded into one arena per PE.
@@ -441,139 +349,29 @@ pub struct Memory {
     /// The shared coordination region (query board); untraced by design.
     shared: Mutex<Vec<Cell>>,
     pub map: AddressMap,
-    /// Next global sequence number (total references recorded so far).
+    /// Next global sequence number (traced references issued so far).
     seq: AtomicU64,
     collect_trace: bool,
-    /// When set, recorded accesses skip the per-arena book lock.  Sound only
-    /// while one thread performs every memory access (see
-    /// [`Memory::set_serial`]); the default is the locked shared mode.
-    serial: bool,
 }
+
+// PE threads share the memory by reference.
+const _: () = {
+    const fn shared_between_threads<T: Sync + Send>() {}
+    shared_between_threads::<Memory>()
+};
 
 impl Memory {
     /// Allocate the data memory for `num_workers` Stack Sets.
     pub fn new(config: MemoryConfig, num_workers: usize, collect_trace: bool) -> Self {
         let map = AddressMap::new(config, num_workers);
         let set_words = config.stack_set_words();
-        let arenas = (0..num_workers)
-            .map(|w| StackSetArena::new(w as u32 * set_words, set_words, num_workers, collect_trace))
-            .collect();
+        let arenas = (0..num_workers).map(|w| StackSetArena::new(w as u32 * set_words, set_words)).collect();
         Memory {
             arenas,
             shared: Mutex::new(vec![Cell::Empty; SHARED_REGION_WORDS as usize]),
             map,
             seq: AtomicU64::new(0),
             collect_trace,
-            serial: false,
-        }
-    }
-
-    /// Switch recorded accesses between serial (no book lock) and shared
-    /// (per-arena book lock) mode.  Word loads and stores are lock-free
-    /// atomics in both.
-    ///
-    /// # Soundness contract
-    ///
-    /// Serial mode may only be on while a single thread performs every
-    /// memory access.  The crate upholds that, not the caller, which is why
-    /// this is not public: `Engine::build` is the only caller and turns
-    /// serial mode on exactly when the engine's configuration is not
-    /// `sched::free_running` — the same value `sched::drive` picks the
-    /// driver by, so a serial memory is only ever stepped by the interleaved
-    /// driver's one host thread.  An [`Engine`](crate::Engine) is not `Sync`,
-    /// so `&self` readers of a serial memory's books (statistics) stay on the
-    /// thread that holds the engine, and [`Engine::into_memory`](crate::Engine::into_memory)
-    /// hands the memory out with serial mode off.  The relaxed backend, where
-    /// every PE free-runs on its own thread, keeps the book locks.
-    pub(crate) fn set_serial(&mut self, serial: bool) {
-        self.serial = serial;
-    }
-
-    /// Whether recorded accesses currently bypass the per-arena book locks.
-    /// Only an engine turns this on, for the one thread that drives it (the
-    /// soundness contract is on the crate-private `set_serial`); a memory
-    /// from [`Memory::new`] or out of an engine is never serial.
-    pub fn serial(&self) -> bool {
-        self.serial
-    }
-
-    /// Whether the memory allows the unrecorded owner path: tracing is off,
-    /// so there is no per-reference record to append and no sequence number
-    /// to claim.  A PE may then serve references to its own Stack Set through
-    /// the private `owner_read` / `owner_write` helpers and count them in
-    /// its worker's [`RefDelta`] instead of the arena's [`AreaStats`]; the
-    /// flush ([`Memory::flush_delta`]) restores identical aggregate counts.
-    /// Locking does not enter into it: the words are atomics either way.
-    #[inline(always)]
-    pub fn fast(&self) -> bool {
-        !self.collect_trace
-    }
-
-    /// Load one word of arena `idx` at `offset` without recording — the
-    /// caller, the PE that owns the arena, accounts the reference in a
-    /// [`RefDelta`].
-    #[inline(always)]
-    pub(crate) fn owner_read(&self, idx: usize, offset: u32) -> Cell {
-        self.arenas[idx].words[offset as usize].load()
-    }
-
-    /// Store one word of arena `idx` at `offset` (which lies in `area`)
-    /// without recording — the caller, the PE that owns the arena, accounts
-    /// the reference in a [`RefDelta`].  Advances the owner's reset mark.
-    #[inline(always)]
-    pub(crate) fn owner_write(&self, idx: usize, offset: u32, value: Cell, area: Area) {
-        let arena = &self.arenas[idx];
-        arena.words[offset as usize].store(value);
-        arena.mark_owner_written(area, offset as usize);
-    }
-
-    /// [`Memory::rmw_uint`] on the owner path: atomically replace the `Uint`
-    /// at `offset` of arena `idx` (which lies in `area`) by `f` of it, without
-    /// recording — the caller, the PE that owns the arena, accounts the read
-    /// and the write in a [`RefDelta`].  Advances the owner's reset mark.
-    #[inline(always)]
-    pub(crate) fn owner_rmw_uint(
-        &self,
-        idx: usize,
-        offset: u32,
-        area: Area,
-        f: impl FnMut(u32) -> u32,
-    ) -> EngineResult<u32> {
-        let arena = &self.arenas[idx];
-        let old =
-            arena.words[offset as usize].update_uint(f).map_err(|c| not_a_uint(arena.base + offset, c))?;
-        arena.mark_owner_written(area, offset as usize);
-        Ok(old)
-    }
-
-    /// Fold a worker's batched owner-path reference counts into its own
-    /// arena's counters and clear the delta.  Called at batch boundaries
-    /// and before counters are read out, so aggregate statistics are
-    /// indistinguishable from unbatched accounting.  (Owner-path accesses
-    /// are own-arena by construction, so `own` — the worker id — is always
-    /// the arena every deferred count belongs to.)
-    pub fn flush_delta(&self, own: usize, delta: &mut RefDelta) {
-        if delta.total == 0 {
-            return;
-        }
-        self.with_arena(own, |_, book| book.stats.bulk_record(own as u8, &delta.counts));
-        delta.clear();
-    }
-
-    /// Run `f` on arena `idx` with exclusive access to its book, taking the
-    /// book lock unless the memory is in serial mode.
-    #[inline(always)]
-    fn with_arena<R>(&self, idx: usize, f: impl FnOnce(&StackSetArena, &mut Book) -> R) -> R {
-        let arena = &self.arenas[idx];
-        if self.serial {
-            // SAFETY: serial mode promises that one thread performs every
-            // access (see `set_serial`) and `f` cannot re-enter, so the
-            // exclusive borrow of the book cannot alias another live borrow.
-            f(arena, unsafe { &mut *arena.book.get() })
-        } else {
-            let _guard = arena.lock.lock().expect("a thread panicked holding an arena's book lock");
-            // SAFETY: `lock` is held for the whole access.
-            f(arena, unsafe { &mut *arena.book.get() })
         }
     }
 
@@ -594,100 +392,73 @@ impl Memory {
         self.arenas.len()
     }
 
-    /// A snapshot of one arena's reference counters.
-    pub fn arena_stats(&self, worker: usize) -> AreaStats {
-        self.with_arena(worker, |_, book| book.stats.clone())
-    }
-
-    /// Number of trace records currently buffered in one arena.
-    pub fn trace_len(&self, worker: usize) -> usize {
-        self.with_arena(worker, |_, book| book.trace.as_ref().map_or(0, Vec::len))
-    }
-
-    /// Merge every arena's counters into one aggregate view (what a flat
-    /// memory would have counted).
-    pub fn merged_stats(&self) -> AreaStats {
-        let mut total = AreaStats::new(self.map.num_workers);
-        for i in 0..self.arenas.len() {
-            self.with_arena(i, |_, book| total.merge(&book.stats));
-        }
-        total
-    }
-
-    /// Take the collected trace out of the memory, merging the per-arena
-    /// buffers back into the global interleaving order (leaves the buffers
-    /// empty behind).  Returns `None` when tracing is disabled.
-    ///
-    /// Every recorded reference claimed exactly one value of a dense global
-    /// sequence counter, so its sequence number *is* its index in the merged
-    /// trace and the merge places each record there, comparing nothing.  The
-    /// result reproduces the exact order in which the references were issued
-    /// — under a strict backend the merged trace is byte-for-byte the trace
-    /// a single flat buffer would have collected; under the relaxed backend
-    /// it is the total order the race actually produced.
-    pub fn take_trace(&mut self) -> Option<Vec<MemRef>> {
-        if !self.collect_trace {
-            return None;
-        }
-        self.collect_trace = false;
-        let n = *self.seq.get_mut() as usize;
-        // Every element is overwritten: `n` distinct indices get placed.
-        let mut all = vec![mem_ref(0, 0, false, ObjectKind::HeapTerm); n];
-        let mut placed = 0;
-        for arena in &mut self.arenas {
-            for s in arena.book.get_mut().trace.take().unwrap_or_default() {
-                all[s.seq as usize] = s.r;
-                placed += 1;
-            }
-        }
-        assert_eq!(placed, n, "a claimed sequence number has no trace record");
-        Some(all)
-    }
-
-    /// Whether a full trace is being collected.
+    /// Whether the run this memory was built or reset for collects a full
+    /// trace: every PE then buffers a record per reference, each numbered
+    /// by the memory's global sequence counter.
     pub fn tracing(&self) -> bool {
         self.collect_trace
     }
 
-    /// Read one word, recording the reference in the owning arena.
-    #[inline]
-    pub fn read(&self, pe: u8, addr: u32, object: ObjectKind) -> Cell {
-        debug_assert_eq!(
-            self.map.area_of(addr),
-            object.area(),
-            "object kind {object:?} used outside its area"
-        );
-        self.with_arena(self.map.owner(addr), |arena, book| {
-            book.record(&self.seq, pe, addr, false, object);
-            arena.word(addr).load()
-        })
+    /// Claim the sequence number of one traced reference: its index in the
+    /// merged trace.  The counter only orders trace records; an untraced run
+    /// never touches it, which keeps its hot path free of a shared cache line
+    /// every thread of the relaxed backend would otherwise fight over.
+    #[inline(always)]
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Write one word, recording the reference in the owning arena.
-    #[inline]
-    pub fn write(&self, pe: u8, addr: u32, value: Cell, object: ObjectKind) {
-        debug_assert_eq!(
-            self.map.area_of(addr),
-            object.area(),
-            "object kind {object:?} used outside its area"
-        );
-        self.with_arena(self.map.owner(addr), |arena, book| {
-            book.record(&self.seq, pe, addr, true, object);
-            arena.word(addr).store(value);
-            book.mark_written(object.area(), (addr - arena.base) as usize);
-        });
+    /// Sequence numbers claimed since the build or the last reset.
+    pub(crate) fn seqs_claimed(&mut self) -> usize {
+        *self.seq.get_mut() as usize
+    }
+
+    /// Load the word at `addr`, which lies in arena `arena`.
+    #[inline(always)]
+    pub(crate) fn load(&self, arena: usize, addr: u32) -> Cell {
+        self.arenas[arena].word(addr).load()
+    }
+
+    /// Store `value` at `addr`, which lies in `area` of arena `arena`, on
+    /// behalf of PE `pe`, and advance the reset mark.
+    #[inline(always)]
+    pub(crate) fn store(&self, pe: usize, arena: usize, addr: u32, value: Cell, area: Area) {
+        let a = &self.arenas[arena];
+        a.word(addr).store(value);
+        a.mark_written(area, addr, pe == arena);
+    }
+
+    /// Atomically replace the `Uint` at `addr` (in `area` of arena `arena`)
+    /// by `f` of it on behalf of PE `pe`, advance the reset mark and return
+    /// the value replaced.  One compare-exchange (`Word::update_uint`), so
+    /// concurrent updates of a counter word (Parcall Frame
+    /// scheduling/completion counts and status under the relaxed backend)
+    /// cannot lose each other.  `f` may run more than once when updates race.
+    /// A word that holds anything else is left alone and is an engine error.
+    #[inline(always)]
+    pub(crate) fn update_uint(
+        &self,
+        pe: usize,
+        arena: usize,
+        addr: u32,
+        area: Area,
+        f: impl FnMut(u32) -> u32,
+    ) -> EngineResult<u32> {
+        let a = &self.arenas[arena];
+        let old = a
+            .word(addr)
+            .update_uint(f)
+            .map_err(|found| EngineError::Internal(format!("rmw on non-uint word at {addr}: {found:?}")))?;
+        a.mark_written(area, addr, pe == arena);
+        Ok(old)
     }
 
     /// Return the memory to its pristine post-allocation state without
     /// freeing the arenas: every word written since allocation (or the last
-    /// reset) is cleared, the reference counters and trace buffers are
-    /// reborn, and the global sequence counter restarts.  The warm-engine
-    /// path of the serving layer goes through here.
+    /// reset) is cleared and the global sequence counter restarts.  The
+    /// warm-engine path of the serving layer goes through here.
     pub fn reset(&mut self, collect_trace: bool) {
         self.sweep_words();
-        for arena in &mut self.arenas {
-            *arena.book.get_mut() = Book::new(self.map.num_workers, collect_trace);
-        }
         self.shared.get_mut().unwrap().fill(Cell::Empty);
         *self.seq.get_mut() = 0;
         self.collect_trace = collect_trace;
@@ -698,13 +469,11 @@ impl Memory {
     /// its own mark, so the cost is what the run touched.
     fn sweep_words(&mut self) {
         for arena in &mut self.arenas {
-            let book = arena.book.get_mut();
             for area in Area::ALL {
                 let start = self.map.config.area_offset(area) as usize;
-                // A remote recorded write (a Message, a binding) can land
-                // above anything the owner wrote, and the other way round.
-                let mark = std::mem::take(&mut book.marks[area.index()])
-                    .max(std::mem::take(arena.owner_marks[area.index()].get_mut()));
+                let i = area.index();
+                let mark = std::mem::take(arena.owner_marks[i].get_mut())
+                    .max(std::mem::take(arena.remote_marks[i].get_mut()));
                 if mark > start {
                     for word in &mut arena.words[start..mark] {
                         *word.lo.get_mut() = 0;
@@ -723,45 +492,11 @@ impl Memory {
         self.arenas.iter().all(|arena| all_zero(&arena.words))
     }
 
-    /// Atomically read the unsigned word at `addr`, apply `f`, and write the
-    /// result back.
-    ///
-    /// Records exactly the read reference followed by the write reference —
-    /// the same traffic as a split [`Memory::read`]/[`Memory::write`] pair —
-    /// so strict-mode traces are unchanged.  The update is atomic by the word,
-    /// not by the lock: it is one compare-exchange (`Word::update_uint`), the
-    /// same one the owner path issues with no lock at all, so concurrent
-    /// updates of a counter word (Parcall Frame scheduling/completion counts
-    /// and status under the relaxed backend) cannot lose each other whichever
-    /// path each comes by.  The book lock held here guards the two records
-    /// and the reset mark, nothing else.  `f` may run more than once when
-    /// updates race.  Returns the value read.
-    pub fn rmw_uint(
-        &self,
-        pe: u8,
-        addr: u32,
-        object: ObjectKind,
-        f: impl FnMut(u32) -> u32,
-    ) -> EngineResult<u32> {
-        debug_assert_eq!(
-            self.map.area_of(addr),
-            object.area(),
-            "object kind {object:?} used outside its area"
-        );
-        self.with_arena(self.map.owner(addr), |arena, book| {
-            book.record(&self.seq, pe, addr, false, object);
-            let old = arena.word(addr).update_uint(f).map_err(|c| not_a_uint(addr, c))?;
-            book.record(&self.seq, pe, addr, true, object);
-            book.mark_written(object.area(), (addr - arena.base) as usize);
-            Ok(old)
-        })
-    }
-
-    /// Read one word without recording a reference (answer extraction,
+    /// Read one word without making a reference (answer extraction,
     /// debugging, scheduler shadow checks).
     #[inline]
     pub fn read_untraced(&self, addr: u32) -> Cell {
-        self.arenas[self.map.owner(addr)].word(addr).load()
+        self.load(self.map.owner(addr), addr)
     }
 
     /// Read a word of the shared region (query board).  Untraced: the shared
@@ -809,11 +544,29 @@ impl Drop for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::Locality;
+    use crate::engine::{Engine, EngineConfig, Step};
+    use crate::layout::{Locality, ObjectKind};
     use crate::model::{interleave, ModelStep, ModelWord};
+    use crate::trace::{MemRef, RwCount};
+    use pwam_compiler::CompiledProgram;
+    use std::sync::OnceLock;
 
-    fn mem() -> Memory {
-        Memory::new(MemoryConfig::small(), 2, true)
+    /// An engine over a one-fact program: a reference is made by a PE, so the
+    /// tests below make theirs through [`Step`]s over its workers.
+    fn machine(memory: MemoryConfig, num_workers: usize, collect_trace: bool) -> Engine<'static> {
+        static PROGRAM: OnceLock<CompiledProgram> = OnceLock::new();
+        let program =
+            PROGRAM.get_or_init(|| crate::session::Session::new("p.").unwrap().compile("p", true).unwrap());
+        Engine::new(program, EngineConfig { memory, num_workers, collect_trace, ..EngineConfig::default() })
+    }
+
+    /// Two traced PEs over small Stack Sets.
+    fn traced() -> Engine<'static> {
+        machine(MemoryConfig::small(), 2, true)
+    }
+
+    fn pe<'a, 'p>(engine: &'a mut Engine<'p>, w: usize) -> Step<'a, 'p> {
+        Step { core: &engine.core, wk: &mut engine.workers[w] }
     }
 
     /// One of every `Cell` variant, with the extreme payloads.
@@ -857,24 +610,25 @@ mod tests {
 
     #[test]
     fn read_write_round_trip() {
-        let m = mem();
-        let base = m.area_base(0, Area::Heap);
-        m.write(0, base, Cell::Int(7), ObjectKind::HeapTerm);
-        assert_eq!(m.read(0, base, ObjectKind::HeapTerm), Cell::Int(7));
-        let stats = m.merged_stats();
+        let mut e = traced();
+        let base = e.core.mem.area_base(0, Area::Heap);
+        let mut pe0 = pe(&mut e, 0);
+        pe0.mem_write(base, Cell::Int(7), ObjectKind::HeapTerm);
+        assert_eq!(pe0.mem_read(base, ObjectKind::HeapTerm), Cell::Int(7));
+        let stats = e.stats().area_stats;
         assert_eq!(stats.total.reads, 1);
         assert_eq!(stats.total.writes, 1);
     }
 
     #[test]
     fn trace_records_every_reference_in_order() {
-        let mut m = mem();
-        let h = m.area_base(1, Area::Heap);
-        let g = m.area_base(1, Area::GoalStack);
-        m.write(1, h, Cell::Int(1), ObjectKind::HeapTerm);
-        m.write(1, g, Cell::Uint(2), ObjectKind::GoalFrame);
-        m.read(0, h, ObjectKind::HeapTerm);
-        let t = m.take_trace().unwrap();
+        let mut e = traced();
+        let h = e.core.mem.area_base(1, Area::Heap);
+        let g = e.core.mem.area_base(1, Area::GoalStack);
+        pe(&mut e, 1).mem_write(h, Cell::Int(1), ObjectKind::HeapTerm);
+        pe(&mut e, 1).mem_write(g, Cell::Uint(2), ObjectKind::GoalFrame);
+        pe(&mut e, 0).mem_read(h, ObjectKind::HeapTerm);
+        let t = e.take_trace().unwrap();
         assert_eq!(t.len(), 3);
         assert_eq!(t[0].pe, 1);
         assert!(t[0].write);
@@ -887,100 +641,104 @@ mod tests {
 
     #[test]
     fn merged_trace_interleaves_arenas_in_issue_order() {
-        let mut m = mem();
-        let h0 = m.area_base(0, Area::Heap);
-        let h1 = m.area_base(1, Area::Heap);
-        // Alternate writes between the two arenas; the merged trace must
-        // come back in exactly this order even though the accesses were
-        // buffered in two different arenas.
+        let mut e = traced();
+        let h0 = e.core.mem.area_base(0, Area::Heap);
+        let h1 = e.core.mem.area_base(1, Area::Heap);
+        // Alternate writes between the two PEs; the merged trace must come
+        // back in exactly this order even though the records were buffered
+        // by two different workers.
         for i in 0..4 {
-            m.write(0, h0 + i, Cell::Int(i as i64), ObjectKind::HeapTerm);
-            m.write(1, h1 + i, Cell::Int(i as i64), ObjectKind::HeapTerm);
+            pe(&mut e, 0).mem_write(h0 + i, Cell::Int(i as i64), ObjectKind::HeapTerm);
+            pe(&mut e, 1).mem_write(h1 + i, Cell::Int(i as i64), ObjectKind::HeapTerm);
         }
-        assert_eq!(m.trace_len(0), 4);
-        assert_eq!(m.trace_len(1), 4);
-        let t = m.take_trace().unwrap();
+        assert!(e.workers.iter().all(|wk| wk.trace.as_ref().unwrap().len() == 4));
+        let t = e.take_trace().unwrap();
         let addrs: Vec<u32> = t.iter().map(|r| r.addr).collect();
         assert_eq!(addrs, vec![h0, h1, h0 + 1, h1 + 1, h0 + 2, h1 + 2, h0 + 3, h1 + 3]);
     }
 
     #[test]
     fn cross_pe_accesses_land_in_the_owning_arena() {
-        let m = mem();
-        let h1 = m.area_base(1, Area::Heap);
-        // PE 0 writes into PE 1's heap: the reference is accounted to
-        // arena 1 (the owner), attributed to issuing PE 0.
-        m.write(0, h1, Cell::Int(9), ObjectKind::HeapTerm);
-        assert_eq!(m.arena_stats(0).total.total(), 0);
-        assert_eq!(m.arena_stats(1).total.writes, 1);
-        assert_eq!(m.arena_stats(1).per_pe[0].writes, 1);
-        assert_eq!(m.arena_stats(1).per_pe[1].total(), 0);
+        let mut e = traced();
+        let h1 = e.core.mem.area_base(1, Area::Heap);
+        // PE 0 writes into PE 1's heap: the word and its reset mark land in
+        // arena 1 (the owner), the count with PE 0 (the issuer).
+        pe(&mut e, 0).mem_write(h1 + 2, Cell::Int(9), ObjectKind::HeapTerm);
+        assert_eq!(e.core.mem.arenas[1].words[2].load(), Cell::Int(9));
+        let heap = Area::Heap.index();
+        assert_eq!(e.core.mem.arenas[1].remote_marks[heap].load(Ordering::Relaxed), 3);
+        assert_eq!(e.core.mem.arenas[1].owner_marks[heap].load(Ordering::Relaxed), 0);
+        assert!(e.core.mem.arenas[0].remote_marks.iter().all(|mark| mark.load(Ordering::Relaxed) == 0));
+        let stats = e.stats().area_stats;
+        assert_eq!(stats.total.writes, 1);
+        assert_eq!(stats.per_pe[0].writes, 1);
+        assert_eq!(stats.per_pe[1].total(), 0);
     }
 
     #[test]
     fn untraced_reads_do_not_count() {
-        let mut m = mem();
-        let base = m.area_base(0, Area::Heap);
-        m.write(0, base, Cell::Int(3), ObjectKind::HeapTerm);
-        assert_eq!(m.read_untraced(base), Cell::Int(3));
-        assert_eq!(m.merged_stats().total.total(), 1, "only the traced write counts");
-        assert_eq!(m.take_trace().unwrap().len(), 1);
+        let mut e = traced();
+        let base = e.core.mem.area_base(0, Area::Heap);
+        pe(&mut e, 0).mem_write(base, Cell::Int(3), ObjectKind::HeapTerm);
+        assert_eq!(e.core.mem.read_untraced(base), Cell::Int(3));
+        assert_eq!(e.stats().area_stats.total.total(), 1, "only the traced write counts");
+        assert_eq!(e.take_trace().unwrap().len(), 1);
     }
 
     #[test]
     fn rmw_records_a_read_then_a_write() {
-        let mut m = mem();
-        let pf = m.area_base(0, Area::LocalStack);
-        m.write(0, pf, Cell::Uint(3), ObjectKind::ParcallCount);
-        let old = m.rmw_uint(1, pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+        let mut e = traced();
+        let pf = e.core.mem.area_base(0, Area::LocalStack);
+        pe(&mut e, 0).mem_write(pf, Cell::Uint(3), ObjectKind::ParcallCount);
+        let old = pe(&mut e, 1).mem_rmw(pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
         assert_eq!(old, 3);
-        assert_eq!(m.read_untraced(pf), Cell::Uint(4));
-        let t = m.take_trace().unwrap();
-        assert_eq!(t.len(), 3);
+        assert_eq!(e.core.mem.read_untraced(pf), Cell::Uint(4));
+        // Counter-word corruption is an engine error, not a panic, whoever
+        // issues the update, and leaves the word alone.
+        pe(&mut e, 0).mem_write(pf, Cell::Int(-1), ObjectKind::ParcallCount);
+        assert!(pe(&mut e, 0).mem_rmw(pf, ObjectKind::ParcallCount, |v| v + 1).is_err());
+        assert!(pe(&mut e, 1).mem_rmw(pf, ObjectKind::ParcallCount, |v| v + 1).is_err());
+        assert_eq!(e.core.mem.read_untraced(pf), Cell::Int(-1));
+        let t = e.take_trace().unwrap();
+        assert_eq!(t.len(), 6, "a failed update made its read reference only");
         assert!(!t[1].write, "rmw records the read first");
         assert!(t[2].write, "then the write");
         assert_eq!(t[1].pe, 1);
         assert_eq!(t[2].addr, pf);
-        // Counter-word corruption is an engine error, not a panic, on
-        // either path, and leaves the word alone.
-        m.write(0, pf, Cell::Int(-1), ObjectKind::ParcallCount);
-        assert!(m.rmw_uint(0, pf, ObjectKind::ParcallCount, |v| v + 1).is_err());
-        assert!(m.owner_rmw_uint(0, pf, Area::LocalStack, |v| v + 1).is_err());
-        assert_eq!(m.read_untraced(pf), Cell::Int(-1));
     }
 
     #[test]
     fn concurrent_rmw_never_loses_increments() {
-        let m = Memory::new(MemoryConfig::small(), 2, false);
-        let pf = m.area_base(0, Area::LocalStack);
+        let mut e = machine(MemoryConfig::small(), 2, false);
+        let pf = e.core.mem.area_base(0, Area::LocalStack);
         let rounds = if cfg!(miri) { 50 } else { 1000 };
-        m.write(0, pf, Cell::Uint(0), ObjectKind::ParcallCount);
+        pe(&mut e, 0).mem_write(pf, Cell::Uint(0), ObjectKind::ParcallCount);
+        let core = &e.core;
         std::thread::scope(|s| {
-            for pe in 0..2u8 {
-                let m = &m;
+            for wk in &mut e.workers {
                 s.spawn(move || {
+                    let mut pe = Step { core, wk };
                     for _ in 0..rounds {
-                        m.rmw_uint(pe, pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+                        pe.mem_rmw(pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
                     }
                 });
             }
         });
-        assert_eq!(m.read_untraced(pf), Cell::Uint(2 * rounds));
-        assert_eq!(m.merged_stats().total.total(), 4 * rounds as u64 + 1);
+        assert_eq!(e.core.mem.read_untraced(pf), Cell::Uint(2 * rounds));
+        assert_eq!(e.stats().area_stats.total.total(), 4 * rounds as u64 + 1);
     }
 
     /// The relaxed backend's access mix on one arena, all at once: the owner
-    /// on its unrecorded path, a remote PE on the recorded path (different
-    /// words), and both incrementing one Parcall counter — the owner with no
-    /// lock, the remote PE under the book lock.
+    /// and a remote PE storing and loading each other's words (different
+    /// words), and both incrementing one Parcall counter.
     #[test]
-    fn owner_path_remote_writes_and_rmw_share_an_arena() {
-        let m = Memory::new(MemoryConfig::small(), 2, false);
+    fn owner_and_remote_writes_and_rmw_share_an_arena() {
+        let mut e = machine(MemoryConfig::small(), 2, false);
         let rounds: u32 = if cfg!(miri) { 40 } else { 20_000 };
-        let heap = m.area_base(0, Area::Heap);
+        let heap = e.core.mem.area_base(0, Area::Heap);
         let (own, remote) = (heap, heap + 1);
-        let count = m.area_base(0, Area::LocalStack);
-        m.write(0, count, Cell::Uint(0), ObjectKind::ParcallCount);
+        let count = e.core.mem.area_base(0, Area::LocalStack);
+        pe(&mut e, 0).mem_write(count, Cell::Uint(0), ObjectKind::ParcallCount);
         // Each writer cycles through cells only it stores, so a loaded cell
         // is "one that was stored" iff it belongs to its word's own cycle.
         let own_cycle = |i: u32| if i.is_multiple_of(2) { Cell::Int(-(i as i64)) } else { Cell::Str(i) };
@@ -1003,47 +761,43 @@ mod tests {
             _ => false,
         };
         let barrier = std::sync::Barrier::new(2);
-        let mut delta = RefDelta::default();
+        let core = &e.core;
+        let [owner_wk, remote_wk] = &mut e.workers[..] else { unreachable!() };
         std::thread::scope(|s| {
-            let (m, barrier) = (&m, &barrier);
+            let barrier = &barrier;
             s.spawn(move || {
+                let mut pe1 = Step { core, wk: remote_wk };
                 barrier.wait();
                 for i in 0..rounds {
-                    m.write(1, remote, remote_cycle(i), ObjectKind::HeapTerm);
+                    pe1.mem_write(remote, remote_cycle(i), ObjectKind::HeapTerm);
                     assert!(
-                        from_own(m.read(1, own, ObjectKind::HeapTerm)),
+                        from_own(pe1.mem_read(own, ObjectKind::HeapTerm)),
                         "remote load of the owner's word"
                     );
-                    m.rmw_uint(1, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+                    pe1.mem_rmw(count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
                 }
             });
-            // The owner: its heap word and the counter both on the owner
-            // path (arena 0's base is 0, so addresses double as offsets).
-            m.owner_write(0, own - heap, own_cycle(0), Area::Heap);
-            delta.count(ObjectKind::HeapTerm, true);
+            let mut pe0 = Step { core, wk: owner_wk };
+            pe0.mem_write(own, own_cycle(0), ObjectKind::HeapTerm);
             barrier.wait();
             for i in 1..rounds {
-                m.owner_write(0, own - heap, own_cycle(i), Area::Heap);
-                delta.count(ObjectKind::HeapTerm, true);
-                assert!(from_remote(m.owner_read(0, remote - heap)), "owner load of the remote PE's word");
-                delta.count(ObjectKind::HeapTerm, false);
-                m.owner_rmw_uint(0, count, Area::LocalStack, |v| v + 1).unwrap();
-                delta.count(ObjectKind::ParcallCount, false);
-                delta.count(ObjectKind::ParcallCount, true);
+                pe0.mem_write(own, own_cycle(i), ObjectKind::HeapTerm);
+                assert!(
+                    from_remote(pe0.mem_read(remote, ObjectKind::HeapTerm)),
+                    "owner load of the remote PE's word"
+                );
+                pe0.mem_rmw(count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
             }
         });
-        // The remote PE's counts are in the book already; the owner's only
-        // once its delta is flushed.
-        assert_eq!(m.merged_stats().per_pe[0].total(), 1, "the counter's initialising write");
-        m.flush_delta(0, &mut delta);
-        assert_eq!(m.read_untraced(count), Cell::Uint(2 * rounds - 1), "an increment was lost");
-        assert_eq!(m.read_untraced(own), own_cycle(rounds - 1));
-        assert_eq!(m.read_untraced(remote), remote_cycle(rounds - 1));
-        let (n, stats) = (rounds as u64, m.merged_stats());
+        let mem = &e.core.mem;
+        assert_eq!(mem.read_untraced(count), Cell::Uint(2 * rounds - 1), "an increment was lost");
+        assert_eq!(mem.read_untraced(own), own_cycle(rounds - 1));
+        assert_eq!(mem.read_untraced(remote), remote_cycle(rounds - 1));
+        let (n, stats) = (rounds as u64, e.stats().area_stats);
         // Owner: n writes + (n-1) reads + (n-1) rmw pairs; remote: n writes +
         // n reads + n rmw pairs; plus the counter's initialising write.
-        assert_eq!(stats.per_pe[0], crate::trace::RwCount { reads: 2 * (n - 1), writes: n + (n - 1) + 1 });
-        assert_eq!(stats.per_pe[1], crate::trace::RwCount { reads: 2 * n, writes: 2 * n });
+        assert_eq!(stats.per_pe[0], RwCount { reads: 2 * (n - 1), writes: n + (n - 1) + 1 });
+        assert_eq!(stats.per_pe[1], RwCount { reads: 2 * n, writes: 2 * n });
         assert_eq!(stats.total.total(), 8 * n - 2);
         assert_eq!(stats.object(ObjectKind::ParcallCount).total(), 2 * (2 * n - 1) + 1);
         assert_eq!(stats.locked_refs, stats.object(ObjectKind::ParcallCount).total());
@@ -1051,16 +805,16 @@ mod tests {
 
     #[test]
     fn shared_region_round_trips_without_counting() {
-        let mut m = mem();
-        m.shared_write(0, Cell::Uint(42));
-        assert_eq!(m.shared_read(0), Cell::Uint(42));
-        assert_eq!(m.merged_stats().total.total(), 0);
-        assert_eq!(m.take_trace().unwrap().len(), 0);
+        let mut e = traced();
+        e.core.mem.shared_write(0, Cell::Uint(42));
+        assert_eq!(e.core.mem.shared_read(0), Cell::Uint(42));
+        assert_eq!(e.stats().area_stats.total.total(), 0);
+        assert_eq!(e.take_trace().unwrap().len(), 0);
     }
 
     #[test]
     fn check_top_detects_overflow() {
-        let m = mem();
+        let m = Memory::new(MemoryConfig::small(), 2, true);
         let end = m.map.area_end(0, Area::Trail);
         assert!(m.check_top(0, Area::Trail, end - 1).is_ok());
         assert_eq!(
@@ -1071,12 +825,12 @@ mod tests {
 
     #[test]
     fn tracing_can_be_disabled() {
-        let mut m = Memory::new(MemoryConfig::small(), 1, false);
-        let base = m.area_base(0, Area::Heap);
-        m.write(0, base, Cell::Int(1), ObjectKind::HeapTerm);
-        assert!(!m.tracing());
-        assert!(m.take_trace().is_none());
-        assert_eq!(m.merged_stats().total.writes, 1);
+        let mut e = machine(MemoryConfig::small(), 1, false);
+        let base = e.core.mem.area_base(0, Area::Heap);
+        pe(&mut e, 0).mem_write(base, Cell::Int(1), ObjectKind::HeapTerm);
+        assert!(!e.core.mem.tracing());
+        assert!(e.take_trace().is_none());
+        assert_eq!(e.stats().area_stats.total.writes, 1);
     }
 
     /// First, middle and last word of every area of every arena.
@@ -1093,114 +847,169 @@ mod tests {
 
     #[test]
     fn fresh_and_reset_memories_read_empty_everywhere_probed() {
-        let mut m = mem();
-        for addr in probes(&m) {
-            assert_eq!(m.read_untraced(addr), Cell::Empty, "fresh word {addr}");
+        let mut e = traced();
+        let probes = probes(&e.core.mem);
+        for &addr in &probes {
+            assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "fresh word {addr}");
         }
-        // Dirty every probe through whichever path reaches it — the owner's
-        // unrecorded one for even addresses, a remote PE's recorded one for
-        // odd — then reset.
-        for addr in probes(&m) {
-            let (owner, area) = (m.map.owner(addr), m.map.area_of(addr));
-            if addr % 2 == 0 {
-                m.owner_write(owner, addr - m.area_base(owner, Area::Heap), Cell::Int(i64::MIN), area);
-            } else {
-                let kind = *ObjectKind::ALL.iter().find(|k| k.area() == area).unwrap();
-                m.write(1 - owner as u8, addr, Cell::Fun(Atom(u32::MAX), 255), kind);
-            }
-            assert_ne!(m.read_untraced(addr), Cell::Empty);
+        // Dirty every probe — from its arena's owner for even addresses, from
+        // the other PE for odd — then reset.
+        for &addr in &probes {
+            let (owner, area) = (e.core.mem.map.owner(addr), e.core.mem.map.area_of(addr));
+            let kind = *ObjectKind::ALL.iter().find(|k| k.area() == area).unwrap();
+            let issuer = if addr % 2 == 0 { owner } else { 1 - owner };
+            pe(&mut e, issuer).mem_write(addr, Cell::Fun(Atom(u32::MAX), 255), kind);
+            assert_ne!(e.core.mem.read_untraced(addr), Cell::Empty);
         }
-        m.reset(false);
-        for addr in probes(&m) {
-            assert_eq!(m.read_untraced(addr), Cell::Empty, "reset word {addr}");
+        e.reset();
+        for &addr in &probes {
+            assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "reset word {addr}");
         }
     }
 
     #[test]
     fn reset_clears_touched_words_counters_and_trace() {
-        let mut m = mem();
-        let h0 = m.area_base(0, Area::Heap);
-        let h1 = m.area_base(1, Area::Heap);
-        m.write(0, h0 + 3, Cell::Int(9), ObjectKind::HeapTerm);
-        m.write(1, h1, Cell::Int(7), ObjectKind::HeapTerm);
-        m.shared_write(0, Cell::Uint(1));
-        m.reset(true);
-        assert_eq!(m.read_untraced(h0 + 3), Cell::Empty);
-        assert_eq!(m.read_untraced(h1), Cell::Empty);
-        assert_eq!(m.shared_read(0), Cell::Empty);
-        assert_eq!(m.merged_stats().total.total(), 0);
-        assert!(m.tracing());
-        // A reset memory behaves exactly like a fresh one.
-        m.write(0, h0, Cell::Int(1), ObjectKind::HeapTerm);
-        let t = m.take_trace().unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].addr, h0);
+        let mut e = traced();
+        let h0 = e.core.mem.area_base(0, Area::Heap);
+        let h1 = e.core.mem.area_base(1, Area::Heap);
+        pe(&mut e, 0).mem_write(h0 + 3, Cell::Int(9), ObjectKind::HeapTerm);
+        pe(&mut e, 1).mem_write(h1, Cell::Int(7), ObjectKind::HeapTerm);
+        e.core.mem.shared_write(0, Cell::Uint(1));
+        e.reset();
+        assert_eq!(e.core.mem.read_untraced(h0 + 3), Cell::Empty);
+        assert_eq!(e.core.mem.read_untraced(h1), Cell::Empty);
+        assert_eq!(e.core.mem.shared_read(0), Cell::Empty);
+        assert_eq!(e.stats().area_stats.total.total(), 0);
+        assert!(e.core.mem.tracing());
+        // A reset machine behaves exactly like a fresh one.
+        pe(&mut e, 0).mem_write(h0, Cell::Int(1), ObjectKind::HeapTerm);
+        let t = e.take_trace().unwrap();
+        assert_eq!(t, [MemRef::new(0, h0, true, ObjectKind::HeapTerm)]);
         // Reset can also disarm tracing for the next run.
-        m.reset(false);
-        assert!(!m.tracing());
-        assert!(m.take_trace().is_none());
+        e.core.config.collect_trace = false;
+        e.reset();
+        assert!(!e.core.mem.tracing());
+        pe(&mut e, 0).mem_write(h0, Cell::Int(1), ObjectKind::HeapTerm);
+        assert!(e.take_trace().is_none());
+    }
+
+    fn marks(marks: &Marks) -> [usize; Area::ALL.len()] {
+        std::array::from_fn(|i| marks[i].load(Ordering::Relaxed))
     }
 
     #[test]
     fn reset_sweeps_each_area_only_up_to_its_own_mark() {
-        let mut m = mem();
-        let h = m.area_base(0, Area::Heap);
-        let c = m.area_base(0, Area::ControlStack);
-        m.write(0, h + 1, Cell::Int(1), ObjectKind::HeapTerm);
-        m.write(0, c, Cell::Uint(2), ObjectKind::ChoicePoint);
-        m.with_arena(0, |a, book| {
-            // The Control-stack word sits above the whole heap and local
-            // stack in the arena; it must not drag their marks up with it.
-            assert_eq!(book.marks[Area::Heap.index()], 2);
-            assert_eq!(book.marks[Area::LocalStack.index()], 0);
-            assert_eq!(book.marks[Area::ControlStack.index()], (c - a.base) as usize + 1);
-            // Plant a word no write accounted for, past the heap's mark: a
-            // reset that swept the heap up to the Control-stack write (one
-            // arena-wide mark) would clear it.
-            a.words[5].store(Cell::Int(99));
-        });
-        m.reset(true);
-        assert_eq!(m.read_untraced(h + 1), Cell::Empty);
-        assert_eq!(m.read_untraced(c), Cell::Empty);
-        assert_eq!(m.read_untraced(h + 5), Cell::Int(99), "the heap was swept past its own mark");
-        m.with_arena(0, |_, book| assert_eq!(book.marks, [0; Area::ALL.len()]));
+        let mut e = traced();
+        let h = e.core.mem.area_base(0, Area::Heap);
+        let c = e.core.mem.area_base(0, Area::ControlStack);
+        pe(&mut e, 0).mem_write(h + 1, Cell::Int(1), ObjectKind::HeapTerm);
+        pe(&mut e, 0).mem_write(c, Cell::Uint(2), ObjectKind::ChoicePoint);
+        let a = &e.core.mem.arenas[0];
+        // The Control-stack word sits above the whole heap and local stack in
+        // the arena; it must not drag their marks up with it.
+        let mut expected = [0; Area::ALL.len()];
+        expected[Area::Heap.index()] = 2;
+        expected[Area::ControlStack.index()] = (c - a.base) as usize + 1;
+        assert_eq!(marks(&a.owner_marks), expected);
+        // Plant a word no write accounted for, past the heap's mark: a reset
+        // that swept the heap up to the Control-stack write (one arena-wide
+        // mark) would clear it.
+        a.words[5].store(Cell::Int(99));
+        e.reset();
+        let mem = &mut e.core.mem;
+        assert_eq!(mem.read_untraced(h + 1), Cell::Empty);
+        assert_eq!(mem.read_untraced(c), Cell::Empty);
+        assert_eq!(mem.read_untraced(h + 5), Cell::Int(99), "the heap was swept past its own mark");
+        assert_eq!(marks(&mem.arenas[0].owner_marks), [0; Area::ALL.len()]);
         // No mark covers the plant, so the sweep at drop would park it with
         // the array and another test's fresh memory would read it.
-        let plant = &mut m.arenas[0].words[5];
+        let plant = &mut mem.arenas[0].words[5];
         (*plant.lo.get_mut(), *plant.hi.get_mut()) = (0, 0);
     }
 
     #[test]
     fn reset_honours_the_owner_marks_and_the_recorded_marks() {
-        let mut m = Memory::new(MemoryConfig::small(), 2, false);
-        let h = m.area_base(0, Area::Heap);
-        let msg = m.area_base(0, Area::MessageBuffer);
-        // The owner writes low on its own path; a remote PE's recorded
-        // writes land above it in the same area (a binding) and in an area
-        // the owner never wrote (a Message).
-        m.owner_write(0, 2, Cell::Int(1), Area::Heap);
-        m.write(1, h + 9, Cell::Ref(h + 9), ObjectKind::HeapTerm);
-        m.write(1, msg + 4, Cell::Uint(7), ObjectKind::Message);
-        // And the other way round: the owner above the recorded mark.
-        m.write(1, h + 20, Cell::Int(2), ObjectKind::HeapTerm);
-        m.owner_write(0, 40, Cell::Int(3), Area::Heap);
-        let a = &m.arenas[0];
-        assert_eq!(a.owner_marks[Area::Heap.index()].load(Ordering::Relaxed), 41);
-        assert_eq!(a.owner_marks[Area::MessageBuffer.index()].load(Ordering::Relaxed), 0);
-        m.with_arena(0, |a, book| {
-            assert_eq!(book.marks[Area::Heap.index()], 21);
-            assert_eq!(book.marks[Area::MessageBuffer.index()], (msg - a.base) as usize + 5);
-        });
-        // A lower owner write does not pull its mark back.
-        m.owner_write(0, 1, Cell::Int(4), Area::Heap);
-        assert_eq!(m.arenas[0].owner_marks[Area::Heap.index()].load(Ordering::Relaxed), 41);
-        m.reset(false);
-        for addr in [h + 1, h + 2, h + 9, h + 20, h + 40, msg + 4] {
-            assert_eq!(m.read_untraced(addr), Cell::Empty, "word {addr} survived the reset");
+        let mut e = machine(MemoryConfig::small(), 2, false);
+        let h = e.core.mem.area_base(0, Area::Heap);
+        let msg = e.core.mem.area_base(0, Area::MessageBuffer);
+        // The owner writes low; a remote PE's writes land above it in the
+        // same area (a binding) and in an area the owner never wrote (a
+        // Message).
+        pe(&mut e, 0).mem_write(h + 2, Cell::Int(1), ObjectKind::HeapTerm);
+        pe(&mut e, 1).mem_write(h + 9, Cell::Ref(h + 9), ObjectKind::HeapTerm);
+        pe(&mut e, 1).mem_write(msg + 4, Cell::Uint(7), ObjectKind::Message);
+        // And the other way round: the owner above the remote mark.
+        pe(&mut e, 1).mem_write(h + 20, Cell::Int(2), ObjectKind::HeapTerm);
+        pe(&mut e, 0).mem_write(h + 40, Cell::Int(3), ObjectKind::HeapTerm);
+        // A lower write does not pull a mark back.
+        pe(&mut e, 0).mem_write(h + 1, Cell::Int(4), ObjectKind::HeapTerm);
+        pe(&mut e, 1).mem_write(h + 3, Cell::Int(5), ObjectKind::HeapTerm);
+        let a = &e.core.mem.arenas[0];
+        let mut expected = [0; Area::ALL.len()];
+        expected[Area::Heap.index()] = 41;
+        assert_eq!(marks(&a.owner_marks), expected);
+        expected[Area::Heap.index()] = 21;
+        expected[Area::MessageBuffer.index()] = (msg - a.base) as usize + 5;
+        assert_eq!(marks(&a.remote_marks), expected);
+        e.reset();
+        for addr in [h + 1, h + 2, h + 3, h + 9, h + 20, h + 40, msg + 4] {
+            assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "word {addr} survived the reset");
         }
-        let a = &mut m.arenas[0];
-        assert!(a.owner_marks.iter_mut().all(|mark| *mark.get_mut() == 0));
-        assert_eq!(a.book.get_mut().marks, [0; Area::ALL.len()]);
+        let a = &e.core.mem.arenas[0];
+        assert_eq!(marks(&a.owner_marks), [0; Area::ALL.len()]);
+        assert_eq!(marks(&a.remote_marks), [0; Area::ALL.len()]);
+    }
+
+    /// Both threads leave together: each spins until the other has arrived
+    /// at `round`, so what follows starts within a cache-line transfer of the
+    /// other thread's — a `std::sync::Barrier` wakes its waiters
+    /// microseconds apart, which would hide the race this is for.
+    fn meet(arrived: &AtomicUsize, round: usize) {
+        arrived.fetch_add(1, Ordering::AcqRel);
+        let mut spins = 0;
+        while arrived.load(Ordering::Acquire) < 2 * (round + 1) {
+            // The other thread may be off its core (the test harness runs
+            // tests side by side): give it ours.
+            spins += 1;
+            if spins < 1000 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Two PEs store into a third PE's heap at once, ever higher and above
+    /// anything its owner wrote.  After each pair the remote mark must cover
+    /// the higher of the two — with a load-then-store in place of the
+    /// `fetch_max` the lower store can land last — and in the end the sweep
+    /// leaves no word behind.
+    #[test]
+    fn two_remote_pes_storing_into_one_arena_never_lose_a_reset_mark() {
+        let mut e = machine(MemoryConfig::small(), 3, false);
+        let rounds: usize = if cfg!(miri) { 30 } else { 4000 };
+        let h = e.core.mem.area_base(0, Area::Heap);
+        pe(&mut e, 0).mem_write(h, Cell::Int(1), ObjectKind::HeapTerm);
+        let (core, arrived) = (&e.core, AtomicUsize::new(0));
+        let mark = &core.mem.arenas[0].remote_marks[Area::Heap.index()];
+        std::thread::scope(|s| {
+            for (k, wk) in e.workers[1..].iter_mut().enumerate() {
+                let arrived = &arrived;
+                s.spawn(move || {
+                    let mut pe = Step { core, wk };
+                    for round in 0..rounds {
+                        let pair = 1 + 2 * round;
+                        meet(arrived, 2 * round);
+                        pe.mem_write(h + (pair + k) as u32, Cell::Int(i64::MIN), ObjectKind::HeapTerm);
+                        meet(arrived, 2 * round + 1);
+                        assert_eq!(mark.load(Ordering::Relaxed), pair + 2, "round {round}: a mark was lost");
+                    }
+                });
+            }
+        });
+        assert_eq!(marks(&e.core.mem.arenas[0].owner_marks)[Area::Heap.index()], 1);
+        e.reset();
+        assert!(e.core.mem.is_pristine());
     }
 
     /// `MemoryConfig::small()` with a Stack-Set length no other test builds,
@@ -1222,15 +1031,16 @@ mod tests {
     #[test]
     fn a_dropped_memory_sweeps_its_words_and_the_next_of_that_size_reuses_them() {
         let config = own_size(1);
-        let m = Memory::new(config, 2, true);
-        assert!(m.is_pristine());
-        let arrays = word_arrays(&m);
-        // An `Int` through each path, so both halves of a word are dirty.
-        let msg = m.area_base(1, Area::MessageBuffer);
-        m.write(0, msg + 3, Cell::Int(i64::MIN), ObjectKind::Message);
-        m.owner_write(0, 17, Cell::Int(-1), Area::Heap);
-        assert!(!m.is_pristine());
-        drop(m);
+        let mut e = machine(config, 2, true);
+        assert!(e.core.mem.is_pristine());
+        let arrays = word_arrays(&e.core.mem);
+        // An `Int` from a remote PE and from the owner, so both halves of a
+        // word are dirty under either kind of mark.
+        let msg = e.core.mem.area_base(1, Area::MessageBuffer);
+        pe(&mut e, 0).mem_write(msg + 3, Cell::Int(i64::MIN), ObjectKind::Message);
+        pe(&mut e, 0).mem_write(17, Cell::Int(-1), ObjectKind::HeapTerm);
+        assert!(!e.core.mem.is_pristine());
+        drop(e);
         assert_eq!(parked_of(config), 2);
         // Another shape of the same Stack-Set size: length is the only key.
         let next = Memory::new(config, 1, false);
@@ -1270,7 +1080,6 @@ mod tests {
 
     #[test]
     fn a_recycled_memory_of_another_shape_still_gives_its_words_to_the_build() {
-        use crate::engine::{Engine, EngineConfig};
         let config = own_size(3);
         let mut session = crate::session::Session::new("p.").unwrap();
         let compiled = session.compile("p", true).unwrap();
@@ -1287,138 +1096,95 @@ mod tests {
     }
 
     /// The merge places by sequence number; a sort by it is the oracle.
-    fn assert_trace_is_placed_like_a_sort(m: &mut Memory) {
-        let mut sorted: Vec<SeqRef> = Vec::new();
-        for arena in &mut m.arenas {
-            sorted.extend(arena.book.get_mut().trace.as_ref().expect("tracing"));
+    fn assert_trace_is_placed_like_a_sort(e: &mut Engine) {
+        let mut sorted: Vec<(u64, MemRef)> = Vec::new();
+        for wk in &e.workers {
+            let own = wk.trace.as_ref().expect("tracing");
+            assert!(own.iter().all(|(_, r)| r.pe == wk.id));
+            assert!(own.is_sorted_by_key(|&(seq, _)| seq), "PE {}'s records left its program order", wk.id);
+            sorted.extend(own);
         }
-        sorted.sort_unstable_by_key(|s| s.seq);
-        let n = *m.seq.get_mut() as usize;
-        assert_eq!(sorted.len(), n, "every claimed sequence number has its record");
-        assert!(sorted.iter().enumerate().all(|(i, s)| s.seq == i as u64), "sequence numbers are dense");
-        let placed = m.take_trace().unwrap();
-        assert_eq!(placed, sorted.iter().map(|s| s.r).collect::<Vec<_>>());
+        sorted.sort_unstable_by_key(|&(seq, _)| seq);
+        assert_eq!(sorted.len(), e.core.mem.seqs_claimed(), "every claimed sequence number has its record");
+        assert!(sorted.iter().enumerate().all(|(i, s)| s.0 == i as u64), "sequence numbers are dense");
+        let placed = e.take_trace().unwrap();
+        assert_eq!(placed, sorted.iter().map(|s| s.1).collect::<Vec<_>>());
     }
 
     #[test]
     fn take_trace_places_every_record_of_a_serial_and_of_a_threaded_run() {
-        let mut serial = Memory::new(MemoryConfig::small(), 4, true);
-        serial.set_serial(true);
-        let mut threaded = Memory::new(MemoryConfig::small(), 4, true);
+        let mut one_thread = machine(MemoryConfig::small(), 4, true);
+        let mut threaded = machine(MemoryConfig::small(), 4, true);
         let rounds: u32 = if cfg!(miri) { 20 } else { 2000 };
         // Each PE writes its own heap, reads its neighbour's and bumps a
         // counter in arena 0, so every buffer interleaves with every other.
-        let count = serial.area_base(0, Area::LocalStack);
-        let pe_loop = |m: &Memory, pe: u8| {
-            let own = m.area_base(pe as usize, Area::Heap);
-            let neighbour = m.area_base((pe as usize + 1) % 4, Area::Heap);
+        let count = one_thread.core.mem.area_base(0, Area::LocalStack);
+        let pe_loop = |mut pe: Step| {
+            let w = pe.wk.id as usize;
+            let own = pe.core.mem.area_base(w, Area::Heap);
+            let neighbour = pe.core.mem.area_base((w + 1) % 4, Area::Heap);
             for i in 0..rounds {
-                m.write(pe, own + i % 64, Cell::Uint(i), ObjectKind::HeapTerm);
-                m.read(pe, neighbour + i % 64, ObjectKind::HeapTerm);
-                m.rmw_uint(pe, count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+                pe.mem_write(own + i % 64, Cell::Uint(i), ObjectKind::HeapTerm);
+                pe.mem_read(neighbour + i % 64, ObjectKind::HeapTerm);
+                pe.mem_rmw(count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
             }
         };
-        for m in [&serial, &threaded] {
-            m.write(0, count, Cell::Uint(0), ObjectKind::ParcallCount);
+        for e in [&mut one_thread, &mut threaded] {
+            pe(e, 0).mem_write(count, Cell::Uint(0), ObjectKind::ParcallCount);
         }
-        for pe in 0..4 {
-            pe_loop(&serial, pe);
+        for w in 0..4 {
+            pe_loop(pe(&mut one_thread, w));
         }
+        let core = &threaded.core;
         std::thread::scope(|s| {
-            for pe in 0..4 {
-                let (m, pe_loop) = (&threaded, &pe_loop);
-                s.spawn(move || pe_loop(m, pe));
+            for wk in &mut threaded.workers {
+                let pe_loop = &pe_loop;
+                s.spawn(move || pe_loop(Step { core, wk }));
             }
         });
-        for m in [&mut serial, &mut threaded] {
-            assert_eq!(*m.seq.get_mut(), 1 + 4 * 4 * rounds as u64);
-            assert_trace_is_placed_like_a_sort(m);
+        for e in [&mut one_thread, &mut threaded] {
+            assert_eq!(e.core.mem.seqs_claimed(), 1 + 4 * 4 * rounds as usize);
+            assert_trace_is_placed_like_a_sort(e);
         }
     }
 
     #[test]
-    fn serial_mode_counts_and_traces_identically() {
-        let mut locked = mem();
-        let mut serial = mem();
-        serial.set_serial(true);
-        assert!(serial.serial() && !locked.serial());
-        for m in [&locked, &serial] {
-            let h0 = m.area_base(0, Area::Heap);
-            let h1 = m.area_base(1, Area::Heap);
-            m.write(0, h0, Cell::Int(5), ObjectKind::HeapTerm);
-            m.write(1, h1, Cell::Int(6), ObjectKind::HeapTerm);
-            assert_eq!(m.read(0, h1, ObjectKind::HeapTerm), Cell::Int(6));
-            m.rmw_uint(0, m.area_base(0, Area::LocalStack), ObjectKind::ParcallCount, |v| v).unwrap_err();
+    fn an_untraced_run_counts_identically_to_a_traced_one() {
+        let mut traced = machine(MemoryConfig::small(), 2, true);
+        let mut untraced = machine(MemoryConfig::small(), 2, false);
+        let h = traced.core.mem.area_base(0, Area::Heap);
+        let t = traced.core.mem.area_base(0, Area::Trail);
+        let count = traced.core.mem.area_base(1, Area::LocalStack);
+        // Own-arena and cross-arena references of every flavour.
+        for e in [&mut traced, &mut untraced] {
+            pe(e, 0).mem_write(h, Cell::Int(1), ObjectKind::HeapTerm);
+            assert_eq!(pe(e, 1).mem_read(h, ObjectKind::HeapTerm), Cell::Int(1));
+            pe(e, 0).mem_write(t, Cell::Uint(7), ObjectKind::TrailEntry);
+            pe(e, 1).mem_write(count, Cell::Uint(0), ObjectKind::ParcallCount);
+            for w in 0..2 {
+                pe(e, w).mem_rmw(count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
+            }
         }
-        let ls = locked.merged_stats();
-        let ss = serial.merged_stats();
-        assert_eq!(ls.total.reads, ss.total.reads);
-        assert_eq!(ls.total.writes, ss.total.writes);
-        let lt: Vec<_> = locked.take_trace().unwrap();
-        let st: Vec<_> = serial.take_trace().unwrap();
-        assert_eq!(lt.len(), st.len());
-        for (a, b) in lt.iter().zip(st.iter()) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let (ts, us) = (traced.stats().area_stats, untraced.stats().area_stats);
+        assert_eq!(us.total, ts.total);
+        assert_eq!(us.per_area, ts.per_area);
+        assert_eq!(us.per_object, ts.per_object);
+        assert_eq!(
+            (us.global_refs, us.local_refs, us.locked_refs),
+            (ts.global_refs, ts.local_refs, ts.locked_refs)
+        );
+        assert_eq!(us.per_pe, ts.per_pe);
+        assert_eq!(traced.take_trace().unwrap().len() as u64, ts.total.total());
+        // The reset marks are kept either way, so reset clears both.
+        for e in [&mut traced, &mut untraced] {
+            e.reset();
+            assert!(e.core.mem.is_pristine());
         }
-    }
-
-    #[test]
-    fn fast_path_flush_counts_identically_to_recorded_accesses() {
-        // The owner path is the same in locked and serial mode; tracing is
-        // what turns it off.
-        for serial in [false, true] {
-            let slow = Memory::new(MemoryConfig::small(), 1, false);
-            let mut fast = Memory::new(MemoryConfig::small(), 1, false);
-            fast.set_serial(serial);
-            assert!(fast.fast());
-            assert!(!mem().fast(), "a tracing memory must not advertise the owner path");
-            // Same access pattern through both paths (arena 0's base is 0,
-            // so global addresses double as offsets).
-            let h = slow.area_base(0, Area::Heap);
-            let t = slow.area_base(0, Area::Trail);
-            slow.write(0, h, Cell::Int(1), ObjectKind::HeapTerm);
-            assert_eq!(slow.read(0, h, ObjectKind::HeapTerm), Cell::Int(1));
-            slow.write(0, t, Cell::Uint(7), ObjectKind::TrailEntry);
-            let mut delta = RefDelta::default();
-            fast.owner_write(0, h, Cell::Int(1), Area::Heap);
-            delta.count(ObjectKind::HeapTerm, true);
-            assert_eq!(fast.owner_read(0, h), Cell::Int(1));
-            delta.count(ObjectKind::HeapTerm, false);
-            fast.owner_write(0, t, Cell::Uint(7), Area::Trail);
-            delta.count(ObjectKind::TrailEntry, true);
-            // Before the flush nothing is visible; after it the aggregates
-            // match.
-            assert_eq!(fast.merged_stats().total.total(), 0);
-            fast.flush_delta(0, &mut delta);
-            assert_eq!(delta.total, 0);
-            let (fs, ss) = (fast.merged_stats(), slow.merged_stats());
-            assert_eq!(fs.total, ss.total);
-            assert_eq!(fs.per_area, ss.per_area);
-            assert_eq!(fs.per_object, ss.per_object);
-            assert_eq!(fs.global_refs, ss.global_refs);
-            assert_eq!(fs.local_refs, ss.local_refs);
-            assert_eq!(fs.per_pe, ss.per_pe);
-            // The reset marks are maintained, so reset still clears.
-            fast.reset(false);
-            assert_eq!(fast.owner_read(0, h), Cell::Empty);
-            assert_eq!(fast.owner_read(0, t), Cell::Empty);
-        }
-    }
-
-    #[test]
-    fn reset_preserves_the_serial_flag() {
-        let mut m = mem();
-        m.set_serial(true);
-        m.reset(true);
-        assert!(m.serial());
-        let h = m.area_base(0, Area::Heap);
-        m.write(0, h, Cell::Int(2), ObjectKind::HeapTerm);
-        assert_eq!(m.read(0, h, ObjectKind::HeapTerm), Cell::Int(2));
     }
 
     #[test]
     fn len_counts_every_arena_and_the_shared_region() {
-        let m = mem();
+        let m = Memory::new(MemoryConfig::small(), 2, true);
         let expected = 2 * MemoryConfig::small().stack_set_words() as usize + SHARED_REGION_WORDS as usize;
         assert_eq!(m.len(), expected);
         assert!(!m.is_empty());

@@ -1,7 +1,8 @@
 //! Test-only model checking: an exhaustive interleaver over small state
 //! machines, and the Goal-Stack steal pop, its unlocked Goal-Frame count, the
-//! Parcall counters and the completion commit written as such.  (The arena word's own store/load
-//! protocol is modelled beside the real thing, in [`crate::mem`]'s tests.)
+//! Parcall counters, the completion commit and the remote reset mark written
+//! as such.  (The arena word's own store/load protocol is modelled beside the
+//! real thing, in [`crate::mem`]'s tests.)
 //!
 //! A model is not the code itself: each step below is one atomic action of
 //! the real protocol, in the order the real code issues it, and
@@ -333,20 +334,13 @@ fn a_count_stored_under_the_lock_never_hides_a_frame_from_its_owner() {
 // The Parcall counters and the completion commit
 // ---------------------------------------------------------------------
 //
-// Every goal of a Parcall Frame bumps the frame's `COMPLETED` word once.  The
-// parent bumps it for a goal nobody stole through `Step::mem_rmw` on the
-// owner path: `Word::update_uint`, one compare-exchange and no lock.  A
-// remote PE bumps it for a stolen goal through `Memory::rmw_uint`: the parent
-// arena's book lock, a record, the same compare-exchange, a record, unlock.
-// A compare-exchange loop is one step here — its failed rounds change
-// nothing.  The commit is counter-*last*: the child stores its bindings
-// before it bumps the count, and the parent's `pcall_wait` loads the count
-// (unlocked on the owner path, under the book lock in a traced run) before it
-// loads a binding.
-
-/// Book-lock holders.
-const CHILD: u8 = 1;
-const PARENT: u8 = 2;
+// Every goal of a Parcall Frame bumps the frame's `COMPLETED` word once,
+// through `Step::mem_rmw` whoever runs it — the parent for a goal nobody
+// stole, a remote PE for a stolen one: `Word::update_uint`, one
+// compare-exchange and no lock.  A compare-exchange loop is one step here —
+// its failed rounds change nothing.  The commit is counter-*last*: the child
+// stores its bindings before it bumps the count, and the parent's
+// `pcall_wait` loads the count before it loads a binding.
 
 /// What the stolen goal binds its variable to.
 const BINDING: Cell = Cell::Int(42);
@@ -358,34 +352,12 @@ struct ModelFrame {
     /// The `COMPLETED` word (a `Uint`: it lives wholly in `lo`).
     completed: u32,
     binding: ModelWord,
-    /// Who holds the parent arena's book lock.
-    lock: u8,
-    /// References recorded in that book (a ghost: the real book counts by
-    /// kind).
-    recorded: u32,
     /// The parent's register between the halves of a *split* bump.
     parent_old: u32,
     /// The count the parent's wait loaded.
     parent_saw: u32,
 }
 
-fn book_lock<const WHO: u8>(f: &mut ModelFrame) -> bool {
-    if f.lock != 0 {
-        return false;
-    }
-    f.lock = WHO;
-    true
-}
-fn book_unlock<const WHO: u8>(f: &mut ModelFrame) -> bool {
-    assert_eq!(f.lock, WHO, "unlocking a lock held by someone else");
-    f.lock = 0;
-    true
-}
-fn record(f: &mut ModelFrame) -> bool {
-    assert_ne!(f.lock, 0, "the book is written outside its lock");
-    f.recorded += 1;
-    true
-}
 fn bind_hi(f: &mut ModelFrame) -> bool {
     f.binding.hi = encode(BINDING).1;
     true
@@ -416,21 +388,19 @@ fn load_binding_hi(f: &mut ModelFrame) -> bool {
 }
 
 /// The remote PE that executed the stolen goal: bind, then commit.
-const STOLEN_GOAL: [ModelStep<ModelFrame>; 7] =
-    [bind_hi, bind_lo, book_lock::<CHILD>, record, bump_completed, record, book_unlock::<CHILD>];
+const STOLEN_GOAL: [ModelStep<ModelFrame>; 3] = [bind_hi, bind_lo, bump_completed];
 
-/// The parent's `pcall_wait` on the owner path: load the count and — were it
-/// the final one — go on to read what the child bound.
-const OWNER_WAIT: [ModelStep<ModelFrame>; 3] = [load_completed, load_binding_lo, load_binding_hi];
+/// The parent's `pcall_wait`: load the count and — were it the final one —
+/// go on to read what the child bound.
+const WAIT: [ModelStep<ModelFrame>; 3] = [load_completed, load_binding_lo, load_binding_hi];
 
 #[test]
-fn an_unlocked_owner_bump_and_a_locked_remote_one_never_lose_each_other() {
+fn an_owner_bump_and_a_remote_one_never_lose_each_other() {
     // The parent runs the frame's other goal itself, then waits.
-    let parent = [&[bump_completed as ModelStep<ModelFrame>][..], &OWNER_WAIT].concat();
+    let parent = [&[bump_completed as ModelStep<ModelFrame>][..], &WAIT].concat();
     let (mut committed, mut early) = (0, 0);
     let schedules = interleave(&ModelFrame::default(), &[&STOLEN_GOAL, &parent], &mut [0, 0], &mut |f| {
         assert_eq!(f.completed, 2, "an increment was lost");
-        assert_eq!(f.recorded, 2, "the remote bump records a read and a write");
         if f.parent_saw == 2 {
             committed += 1;
             assert_eq!(f.binding.loaded, Some(BINDING), "saw the count but not the binding");
@@ -438,12 +408,10 @@ fn an_unlocked_owner_bump_and_a_locked_remote_one_never_lose_each_other() {
             early += 1;
         }
     });
-    // Nobody contends for the lock, so no step ever blocks.
-    assert_eq!(schedules, 330, "C(11, 4) schedules of 7 + 4 steps");
+    assert_eq!(schedules, 35, "C(7, 3) schedules of 3 + 4 steps");
     assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
-    // What the compare-exchange rules out: an owner that loads and stores the
-    // count as two unlocked steps overwrites a remote bump that lands between
-    // them.
+    // What the compare-exchange rules out: a PE that loads and stores the
+    // count as two steps overwrites another's bump that lands between them.
     let split: &[ModelStep<ModelFrame>] = &[
         |f| {
             f.parent_old = f.completed;
@@ -461,38 +429,74 @@ fn an_unlocked_owner_bump_and_a_locked_remote_one_never_lose_each_other() {
     assert!(lost, "the model cannot tell a compare-exchange from a split load/store");
 }
 
-/// The same commit as a traced run sees it: the parent's load of
-/// the count is a recorded read under its arena's book lock.
 #[test]
 fn a_parent_that_saw_the_completion_count_sees_the_binding() {
-    let parent: &[ModelStep<ModelFrame>] = &[
-        book_lock::<PARENT>,
-        record,
-        load_completed,
-        book_unlock::<PARENT>,
-        load_binding_lo,
-        load_binding_hi,
-    ];
-    let (mut committed, mut early) = (0, 0);
-    interleave(&ModelFrame::default(), &[&STOLEN_GOAL, parent], &mut [0, 0], &mut |f| {
-        assert_eq!(f.completed, 1);
-        if f.parent_saw == 1 {
-            committed += 1;
-            assert_eq!(f.binding.loaded, Some(BINDING), "saw the count but not the binding");
-        } else {
-            early += 1;
-        }
+    // Counter-*first* is the bug the protocol's name rules out (the
+    // counter-last order itself is asserted over every schedule above).
+    let counter_first: &[ModelStep<ModelFrame>] = &[bump_completed, bind_hi, bind_lo];
+    let mut broken = false;
+    interleave(&ModelFrame::default(), &[counter_first, &WAIT], &mut [0, 0], &mut |f| {
+        broken |= f.parent_saw == 1 && f.binding.loaded != Some(BINDING);
     });
-    assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
-    // Counter-*first* is the bug the protocol's name rules out, whichever
-    // way the parent reads the count.
-    let counter_first: Vec<ModelStep<ModelFrame>> =
-        STOLEN_GOAL[2..].iter().chain(&STOLEN_GOAL[..2]).copied().collect();
-    for parent in [parent, &OWNER_WAIT] {
-        let mut broken = false;
-        interleave(&ModelFrame::default(), &[counter_first.as_slice(), parent], &mut [0, 0], &mut |f| {
-            broken |= f.parent_saw == 1 && f.binding.loaded != Some(BINDING);
-        });
-        assert!(broken, "the model cannot tell counter-last from counter-first");
+    assert!(broken, "the model cannot tell counter-last from counter-first");
+}
+
+// ---------------------------------------------------------------------
+// The reset mark of stores into another PE's Stack Set
+// ---------------------------------------------------------------------
+//
+// A store advances its area's reset mark past the word it wrote
+// (`StackSetArena::mark_written`).  The owner's marks have one writer; the
+// marks of *remote* stores can be advanced by two PEs at once — two thieves
+// writing their slot words into one parent's Parcall Frames, two Messages —
+// with a load that skips the stores already covered and a `fetch_max` for the
+// rest.  A mark that ends below a written word leaves that word unswept in a
+// parked array: another tenant's data.
+
+/// One area's remote reset mark and each writer's register: the mark it
+/// loaded.
+#[derive(Clone, Default)]
+struct ModelMark {
+    mark: usize,
+    seen: [usize; 2],
+}
+
+fn load_mark<const WHO: usize>(m: &mut ModelMark) -> bool {
+    m.seen[WHO] = m.mark;
+    true
+}
+/// `fetch_max(OFFSET + 1)`, skipped when the loaded mark already covers it.
+fn max_mark<const WHO: usize, const OFFSET: usize>(m: &mut ModelMark) -> bool {
+    if OFFSET >= m.seen[WHO] {
+        m.mark = m.mark.max(OFFSET + 1);
     }
+    true
+}
+/// The same advance as a plain store of `OFFSET + 1`.
+fn store_mark<const WHO: usize, const OFFSET: usize>(m: &mut ModelMark) -> bool {
+    if OFFSET >= m.seen[WHO] {
+        m.mark = OFFSET + 1;
+    }
+    true
+}
+
+#[test]
+fn two_remote_pes_advancing_one_reset_mark_keep_the_larger() {
+    // Each PE stores two words, the second below its first, so the skip is
+    // exercised too.
+    let low: &[ModelStep<ModelMark>] = &[load_mark::<0>, max_mark::<0, 3>, load_mark::<0>, max_mark::<0, 1>];
+    let high: &[ModelStep<ModelMark>] = &[load_mark::<1>, max_mark::<1, 8>, load_mark::<1>, max_mark::<1, 5>];
+    let schedules = interleave(&ModelMark::default(), &[low, high], &mut [0, 0], &mut |m| {
+        assert_eq!(m.mark, 9, "the mark ended below a written word");
+    });
+    assert_eq!(schedules, 70, "C(8, 4) schedules of 4 + 4 steps");
+    // Load-then-store is the owner's protocol, sound for one writer only: the
+    // lower store lands after the higher one and takes the mark back.
+    let low_stores: &[ModelStep<ModelMark>] = &[load_mark::<0>, store_mark::<0, 3>];
+    let high_stores: &[ModelStep<ModelMark>] = &[load_mark::<1>, store_mark::<1, 8>];
+    let mut lost = false;
+    interleave(&ModelMark::default(), &[low_stores, high_stores], &mut [0, 0], &mut |m| {
+        lost |= m.mark < 9;
+    });
+    assert!(lost, "the model cannot tell a fetch_max from a load-then-store");
 }

@@ -4,9 +4,9 @@
 //! [`Engine::step_slot`], [`Engine::end_round`], [`Engine::halted`] — and the
 //! crate-private `drive` runs it until the query halts.  Which of the paper's
 //! two execution regimes does the driving follows from the engine's own
-//! configuration, a [`SchedulerKind`] plus a [`DeterminismMode`] — the same
-//! value [`Engine::new`] decides the memory's locking by, so a driver and a
-//! memory mode can never be paired wrongly:
+//! configuration, a [`SchedulerKind`] plus a [`DeterminismMode`].  The memory
+//! does not care which: a reference is the same lock-free word move, counted
+//! by the PE that issues it, under either driver (see [`crate::mem`]).
 //!
 //! * *Interleaved* — the reference semantics: one host thread steps every
 //!   worker round-robin, one slot each per round.  With several PEs a
@@ -21,19 +21,19 @@
 //!   the PEs on OS threads and then serialising them to reproduce the same
 //!   interleaving would buy nothing the host thread does not already give.
 //! * *Threaded × relaxed* — true per-arena parallel execution: every OS
-//!   thread free-runs over its *own* worker and Stack Set arena, whose words
-//!   it loads and stores without any lock (the owner path of
-//!   [`crate::mem`]) — its own Parcall Frames, Goal Frames, Markers and
-//!   Messages included, so a goal nobody stole costs no arena lock.
-//!   References into *another* PE's Stack Set — a thief's pick-up of a
-//!   stolen goal, its completion-counter update, its message, bindings that
-//!   cross an arena boundary — are recorded under the owning arena's book
-//!   lock; what orders cross-PE traffic is the words themselves (atomics:
-//!   Release stores, Acquire loads, compare-exchange for the counters) and
-//!   the per-PE boards of the shared [`crate::engine::EngineCore`], so even
-//!   a reference that races is sound.  As in the paper, nothing is ever
-//!   sent to the victim of a steal: a thief takes the Goal Frame under the
-//!   victim's board lock, and the steal is counted there.
+//!   thread free-runs over its *own* worker, which holds everything a
+//!   reference books — the PE's reference counts and, when tracing, its
+//!   trace buffer — so a reference shares nothing but the word it moves.
+//!   Almost all of them stay inside the PE's own Stack Set, the paper's
+//!   central finding; the ones that cross — a thief's pick-up of a stolen
+//!   goal, its completion-counter update, its message, bindings — are the
+//!   same unlocked moves.  What orders cross-PE traffic is the words
+//!   themselves (atomics: Release stores, Acquire loads, compare-exchange
+//!   for the counters) and the per-PE boards of the shared
+//!   [`crate::engine::EngineCore`], so even a reference that races is sound.
+//!   As in the paper, nothing is ever sent to the victim of a steal: a thief
+//!   takes the Goal Frame under the victim's board lock, and the steal is
+//!   counted there.
 //!
 //! # What relaxed determinism does and does not change
 //!
@@ -136,10 +136,8 @@ impl DeterminismMode {
 
 /// True for the one pair that free-runs the PEs on threads.  Only threads
 /// may race, and only a relaxed run lets them; every other pair names the
-/// one deterministic schedule.  The engine decides whether recorded accesses
-/// need the arenas' book locks by the same answer [`drive`] picks the driver
-/// by.
-pub(crate) fn free_running(kind: SchedulerKind, determinism: DeterminismMode) -> bool {
+/// one deterministic schedule.
+fn free_running(kind: SchedulerKind, determinism: DeterminismMode) -> bool {
     kind == SchedulerKind::Threaded && determinism == DeterminismMode::Relaxed
 }
 
@@ -178,7 +176,7 @@ fn drive_interleaved(mut engine: Engine<'_>) -> EngineResult<Engine<'_>> {
 
 /// Instructions a relaxed worker executes per batch; between batches it
 /// re-reads the shared halted/abort flags, checks the fuel budget and
-/// flushes its shared bookkeeping.  Large enough to amortise that, small
+/// flushes its instruction count.  Large enough to amortise that, small
 /// enough that a finish, an abort or a preemption is observed promptly.
 ///
 /// This is also the status-staleness bound of the flat executor's batch
@@ -200,8 +198,8 @@ const DEADLINE_CHECK_BATCHES: u32 = 8;
 
 /// True per-arena parallel execution (relaxed determinism): one free-running
 /// OS thread per PE, each mutating only its own worker state through `Step`
-/// and referencing its own Stack Set arena lock-free; cross-PE traffic rides
-/// the per-arena book locks and the per-PE boards.  Nothing serialises the
+/// and referencing memory lock-free; cross-PE traffic is ordered by the words'
+/// own atomics and the per-PE boards.  Nothing serialises the
 /// threads, so `--threads N` buys real wall-clock speedup; see the module
 /// docs for exactly which observables stay invariant.
 fn drive_relaxed(mut engine: Engine<'_>) -> EngineResult<Engine<'_>> {

@@ -27,6 +27,22 @@ pub struct MemRef {
     pub locked: bool,
 }
 
+impl MemRef {
+    /// The record of PE `pe`'s reference to the `object` word at `addr`: area,
+    /// locality and lock tags follow from the object kind.
+    pub fn new(pe: u8, addr: u32, write: bool, object: ObjectKind) -> Self {
+        MemRef {
+            pe,
+            addr,
+            write,
+            area: object.area(),
+            object,
+            locality: object.locality(),
+            locked: object.locked(),
+        }
+    }
+}
+
 /// The golden suites' fingerprint of a trace: FNV-1a over every field of
 /// every reference, in trace order.  The field order and encodings are
 /// frozen — the recorded goldens are values of this function.
@@ -111,11 +127,11 @@ impl AreaStats {
         }
     }
 
-    /// Fold a worker's batched fast-path counts ([`RefDelta`]) into these
-    /// counters.  `counts[object.index()]` is `[reads, writes]`; area,
-    /// locality and lock tags are derived from the object kind exactly as
-    /// [`AreaStats::record`] would have derived them per reference, so the
-    /// totals are identical to having recorded each access individually.
+    /// Add the references PE `pe` counted ([`RefCounts`]) to these counters.
+    /// `counts[object.index()]` is `[reads, writes]`; area, locality and lock
+    /// tags are derived from the object kind exactly as [`AreaStats::record`]
+    /// derives them per reference, so the totals are identical to having
+    /// recorded each access individually.
     pub fn bulk_record(&mut self, pe: u8, counts: &[[u64; 2]; 12]) {
         for (oi, &[reads, writes]) in counts.iter().enumerate() {
             let t = reads + writes;
@@ -189,34 +205,21 @@ impl AreaStats {
     }
 }
 
-/// Worker-local batched reference accounting for the serial-mode fast path.
-///
-/// When tracing is off, the flattened executor counts own-arena accesses
-/// here (one array index + add per access) instead of updating the arena's
-/// [`AreaStats`] per reference, and folds the accumulated counts into the
-/// owning arena via [`AreaStats::bulk_record`] at batch boundaries.  Only
-/// *counts* are deferred — the access itself still happens at the same
-/// point in the instruction stream — so flushing at any time yields the
-/// same aggregate statistics as unbatched accounting.
+/// The references one PE has issued, by object kind: a pure function of
+/// (issuing PE, object kind, read/write), all of which the issuer knows, so
+/// the PE keeps the table itself and a run's [`AreaStats`] is the sum of its
+/// PEs' tables ([`AreaStats::bulk_record`]).
 #[derive(Debug, Clone, Default)]
-pub struct RefDelta {
+pub struct RefCounts {
     /// `counts[object.index()]` = `[reads, writes]`.
     pub counts: [[u64; 2]; 12],
-    /// Total deferred references (zero ⇒ nothing to flush).
-    pub total: u64,
 }
 
-impl RefDelta {
+impl RefCounts {
     /// Count one access to `object` (a read unless `write`).
     #[inline(always)]
     pub fn count(&mut self, object: ObjectKind, write: bool) {
         self.counts[object.index()][write as usize] += 1;
-        self.total += 1;
-    }
-
-    /// Reset to empty (after a flush).
-    pub fn clear(&mut self) {
-        *self = RefDelta::default();
     }
 }
 
@@ -225,15 +228,7 @@ mod tests {
     use super::*;
 
     fn sample(pe: u8, write: bool, object: ObjectKind) -> MemRef {
-        MemRef {
-            pe,
-            addr: 42,
-            write,
-            area: object.area(),
-            object,
-            locality: object.locality(),
-            locked: object.locked(),
-        }
+        MemRef::new(pe, 42, write, object)
     }
 
     #[test]
@@ -280,7 +275,7 @@ mod tests {
     fn bulk_record_matches_per_reference_recording() {
         // Record a mixed access pattern one reference at a time...
         let mut direct = AreaStats::new(3);
-        let mut delta = RefDelta::default();
+        let mut counted = RefCounts::default();
         let pattern: &[(bool, ObjectKind, u64)] = &[
             (false, ObjectKind::HeapTerm, 7),
             (true, ObjectKind::HeapTerm, 3),
@@ -292,12 +287,12 @@ mod tests {
         for &(write, object, times) in pattern {
             for _ in 0..times {
                 direct.record(&sample(2, write, object));
-                delta.count(object, write);
+                counted.count(object, write);
             }
         }
-        // ...and in one bulk flush: every aggregate must be identical.
+        // ...and as one table: every aggregate must be identical.
         let mut bulk = AreaStats::new(3);
-        bulk.bulk_record(2, &delta.counts);
+        bulk.bulk_record(2, &counted.counts);
         assert_eq!(bulk.total, direct.total);
         assert_eq!(bulk.per_area, direct.per_area);
         assert_eq!(bulk.per_object, direct.per_object);
@@ -305,7 +300,5 @@ mod tests {
         assert_eq!(bulk.local_refs, direct.local_refs);
         assert_eq!(bulk.locked_refs, direct.locked_refs);
         assert_eq!(bulk.per_pe, direct.per_pe);
-        delta.clear();
-        assert_eq!(delta.total, 0);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::cell::{Cell, NONE_ADDR};
 use crate::layout::{AddressMap, Area};
-use crate::trace::RefDelta;
+use crate::trace::{MemRef, RefCounts};
 
 /// Read/write mode of the unify instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,18 +263,15 @@ pub struct Worker {
     pub pdl_end: u32,
     /// One past the last word of this worker's whole Stack Set (equals
     /// `msg_base + message_words`).  `heap_base..arena_end` is the own-arena
-    /// address test the owner path uses in place of `AddressMap::owner`.
+    /// address test the accessors use in place of `AddressMap::owner`.
     pub arena_end: u32,
-    /// Whether this worker's references to its own Stack Set take the
-    /// unrecorded, unlocked owner path (`Step::mem_read` / `mem_write`).
-    /// Decided once per engine — tracing off, whichever backend drives —
-    /// and cached here so the hot accessors test a worker field instead of
-    /// re-reading the shared core.
-    pub owner_path: bool,
-    /// Batched reference accounting for the owner path: counts
-    /// accumulated here instead of in the arena's `AreaStats`, flushed by
-    /// `Memory::flush_delta` at batch boundaries and before stats are read.
-    pub ref_delta: RefDelta,
+    /// Every reference this worker has issued, by object kind, wherever the
+    /// word lives (`Step::mem_read` / `mem_write` / `mem_rmw` count here).
+    pub refs: RefCounts,
+    /// This worker's records of a traced run, in its program order, each
+    /// with the global sequence number it claimed; `None` when the run is
+    /// not traced.  `Engine::take_trace` merges the workers' buffers.
+    pub trace: Option<Vec<(u64, MemRef)>>,
     /// E-frame register cache: the environment address whose control words
     /// (CE / CP / NVARS) are cached in the three registers below, or
     /// `NONE_ADDR`.  Written by `allocate` (which creates those words),
@@ -368,8 +365,8 @@ impl Worker {
             trail_end,
             pdl_end,
             arena_end,
-            owner_path: false,
-            ref_delta: RefDelta::default(),
+            refs: RefCounts::default(),
+            trace: None,
             env_cache_e: NONE_ADDR,
             env_cache_ce: NONE_ADDR,
             env_cache_cp: 0,

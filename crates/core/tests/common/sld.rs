@@ -413,7 +413,7 @@ impl<'a> Machine<'a> {
                             "*" => Ok(x.wrapping_mul(y)),
                             "/" | "//" | "mod" if y == 0 => Err(OracleError::DivisionByZero),
                             "/" | "//" => Ok(x.wrapping_div(y)),
-                            "mod" => Ok(x.rem_euclid(y)),
+                            "mod" => Ok(x.wrapping_rem_euclid(y)),
                             _ => Err(OracleError::Type(format!("{name}/2 is not arithmetic"))),
                         }
                     }

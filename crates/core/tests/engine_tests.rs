@@ -459,19 +459,6 @@ fn relaxed_deadline_mid_cancellation_unwinds_every_thread() {
 }
 
 #[test]
-fn a_memory_leaves_its_engine_with_the_book_locks_on() {
-    // An interleaved engine runs its memory in serial mode; that is its
-    // arrangement with its own driver and must not travel with the arenas,
-    // which any number of threads may share once they are out.
-    let mut session = Session::new(APPEND).expect("program parses");
-    let compiled = session.compile("app([1],[2],X)", false).expect("query compiles");
-    let engine = rapwam::Engine::new(&compiled, rapwam::EngineConfig::default());
-    let (result, engine) = engine.run_reusable(session.symbols()).expect("run");
-    assert!(result.outcome.is_success());
-    assert!(!engine.into_memory().serial());
-}
-
-#[test]
 fn cut_with_fewer_live_args_does_not_clobber_wider_choice_points() {
     // Regression test: `recede_control_top` used the *current* register
     // count to bound the topmost choice point.  When a predicate with fewer

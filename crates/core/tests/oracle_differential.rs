@@ -6,11 +6,9 @@
 //! relaxed threaded RAP-WAM against `common::sld`, a term-level interpreter
 //! that shares no code with the compiler or the machine.
 //!
-//! Each case also runs traced and *untraced*, which is the configuration
-//! where the owner path is live (serial arena access + batched `RefDelta`
-//! accounting + the register caches), and asserts the untraced counters equal
-//! the traced ones — proving the batching and caching are invisible to the
-//! statistics.
+//! Each case also runs traced and *untraced* and asserts the untraced
+//! counters equal the traced ones — recording a reference is invisible to
+//! the statistics.
 //!
 //! Answers cannot pin the reference stream, so a fixed table of generator
 //! cases pins it: counters, trace length and fingerprint of the first-answer
@@ -50,10 +48,8 @@ proptest! {
         let (relaxed, _, _) = drain(&c, false, &QueryOptions::relaxed(threaded_workers(c.workers.max(2))));
         prop_assert_eq!(&relaxed, &rapwam, "relaxed stream");
 
-        // Untraced: the owner path (serial arenas, RefDelta batching,
-        // register caches) is live here.  Counters must match the traced
-        // run — batching is invisible — over the stream and to the first
-        // answer.
+        // Untraced: counters must match the traced run — recording is
+        // invisible — over the stream and to the first answer.
         let (fast_stream, fast_stats, _) = drain(&c, false, &QueryOptions::parallel(c.workers));
         prop_assert_eq!(&fast_stream, &rapwam, "untraced interleaved stream");
         assert_counters_equal(&fast_stats, &traced_stats, "untraced vs traced stream");
@@ -153,6 +149,10 @@ fn oracle_arithmetic_wraps_truncates_and_reports_like_the_machine() {
         ("X is -7 // 2, Y is 7 // -2, Z is -7 / 2", "-3,-3,-3"),
         ("X is -7 mod 2, Y is 7 mod -2, Z is -7 mod -2", "1,1,1"),
         ("X is - (3 - 5), Y is + 4", "2,4"),
+        // The two places `i64::MIN` overflows: its remainder by -1 and its
+        // negation wrap like `+ - * //` do.
+        ("X is (-9223372036854775807 - 1) mod -1", "0"),
+        ("X is - (-9223372036854775807 - 1)", "-9223372036854775808"),
     ] {
         assert_eq!(answers("", query, Cge::Conjunction).unwrap(), [expected], "{query}");
         assert_eq!(engine(query).unwrap(), expected, "{query}: the machine");

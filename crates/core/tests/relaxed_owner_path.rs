@@ -1,19 +1,19 @@
-//! The relaxed backend on the owner path.
+//! The relaxed backend's references.
 //!
-//! A free-running PE serves references to its own Stack Set without the
-//! arena's book lock and counts them in its worker-local `RefDelta`, exactly
-//! as an interleaved PE does — Parcall Frames, Goal Frames, Markers and
-//! Messages included.  Three things pin that:
+//! A free-running PE makes a reference exactly as an interleaved PE does: it
+//! counts it in its own worker's table, records it in its own buffer when
+//! tracing, and moves the word without a lock, whichever Stack Set holds it.
+//! Four things pin that:
 //!
 //! * With **one** PE there is nothing to race, so a relaxed run must count
-//!   what the interleaved reference counts, reference for reference — any
-//!   owner-path access the relaxed driver failed to flush, or flushed twice,
-//!   shows up here.
+//!   what the interleaved reference counts, reference for reference.
 //! * When goals **are** stolen, part of the parallel machinery's traffic
-//!   moves to the recorded path (the thief's) and the rest stays on the owner
-//!   path (the parent's).  Interleaved PEs are deterministic, so an untraced
-//!   run must count, kind by kind and PE by PE, what a traced run — where
-//!   every reference is recorded — counts.
+//!   crosses into another PE's Stack Set (the thief's) and the rest stays in
+//!   the issuer's own (the parent's).  Interleaved PEs are deterministic, so
+//!   an untraced run must count, kind by kind and PE by PE, what a traced run
+//!   counts.
+//! * A **traced** relaxed run records every reference once, and the merged
+//!   trace keeps each PE's records in that PE's program order.
 //! * Word soundness holds for **any** program, including one whose
 //!   unconditional `&` lies about independence: two PEs racing on one
 //!   variable cell may produce either binding, a failure or a typed error,
@@ -21,7 +21,7 @@
 
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{ObjectKind, Outcome};
+use rapwam::{MemRef, ObjectKind, Outcome};
 use std::time::Duration;
 
 #[test]
@@ -59,8 +59,7 @@ fn the_owner_path_neither_loses_nor_invents_a_count_when_goals_are_stolen() {
             let stolen = untraced.stats.goals_actually_parallel;
             assert_eq!(stolen > 0, workers > 1, "{what}: {stolen} goals stolen");
             let (u, t) = (&untraced.stats.area_stats, &traced.stats.area_stats);
-            // The kinds the parallel machinery adds to the WAM's: the ones an
-            // unstolen goal now touches on the owner path only.
+            // The kinds the parallel machinery adds to the WAM's.
             for kind in ObjectKind::ALL.into_iter().filter(|k| !k.in_wam()) {
                 assert!(workers == 1 || t.object(kind).total() > 0, "{what}: no {kind:?} reference at all");
                 assert_eq!(u.object(kind), t.object(kind), "{what}: {kind:?}");
@@ -74,16 +73,38 @@ fn the_owner_path_neither_loses_nor_invents_a_count_when_goals_are_stolen() {
 
 #[test]
 fn a_traced_relaxed_run_records_every_reference() {
-    // Tracing turns the owner path off: every reference of every PE takes
-    // the recorded path, so the merged trace is as long as the count.
     let b = benchmark(BenchmarkId::Fib, Scale::Small);
     let mut session = Session::new(&b.program).unwrap();
     for workers in [1, 4] {
         let run = session.run(&b.query, &QueryOptions::relaxed(workers).with_trace()).unwrap();
         assert!(run.outcome.is_success());
         let trace = run.trace.expect("tracing was requested");
+        let stats = &run.stats.area_stats;
         assert_eq!(trace.len() as u64, run.stats.data_refs, "{workers} PEs: trace length vs data_refs");
-        assert_eq!(run.stats.data_refs, run.stats.area_stats.total.total());
+        assert_eq!(run.stats.data_refs, stats.total.total());
+        assert_eq!(stats.per_pe.iter().map(|pe| pe.total()).sum::<u64>(), stats.total.total());
+        for (pe, counted) in stats.per_pe.iter().enumerate() {
+            let own: Vec<&MemRef> = trace.iter().filter(|r| r.pe as usize == pe).collect();
+            let writes = own.iter().filter(|r| r.write).count() as u64;
+            assert_eq!((own.len() as u64 - writes, writes), (counted.reads, counted.writes), "PE {pe}");
+            // Program order, where the merged trace alone can show it: a PE
+            // writes a Parcall counter either as the second half of an
+            // update, right after its read of that word, or while it lays a
+            // fresh frame out word by word, right after the word below.
+            for pair in own.windows(2) {
+                let (before, r) = (pair[0], pair[1]);
+                if r.write && r.object == ObjectKind::ParcallCount {
+                    let update = !before.write && before.addr == r.addr && before.object == r.object;
+                    let layout = before.write && before.addr + 1 == r.addr;
+                    assert!(update || layout, "PE {pe}: {r:?} follows {before:?}");
+                }
+            }
+        }
+        if workers == 1 {
+            // One PE has one program order, and the strict run records it.
+            let strict = session.run(&b.query, &QueryOptions::parallel(1).with_trace()).unwrap();
+            assert!(trace == strict.trace.unwrap(), "one relaxed PE left the strict reference order");
+        }
     }
 }
 

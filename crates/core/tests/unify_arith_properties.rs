@@ -108,6 +108,17 @@ fn unary_minus_and_plus() {
 }
 
 #[test]
+fn the_most_negative_integer_wraps_instead_of_panicking() {
+    // `i64::MIN mod -1` and `-(i64::MIN)` overflow in the host's checked
+    // arithmetic; a served query must get an answer, not kill its worker.
+    let mut s = Session::new("ok.").unwrap();
+    assert!(run_bool(&mut s, "X is (-9223372036854775807 - 1) mod -1, X =:= 0"));
+    assert!(run_bool(&mut s, "X is - (-9223372036854775807 - 1), X =:= -9223372036854775807 - 1"));
+    let r = s.run("X is - (-9223372036854775807 - 1)", &QueryOptions::sequential()).unwrap();
+    assert_eq!(s.render(r.outcome.binding("X").unwrap()), "-9223372036854775808");
+}
+
+#[test]
 fn self_unification_of_cyclic_free_variables_terminates() {
     // X = X on a fresh variable must succeed without looping — the
     // rational-tree-adjacent case a naive occurs traversal can spin on.

@@ -18,8 +18,7 @@
 //!   Prometheus-style text exposition.
 //!
 //! Hot paths never talk to the registry: the engine accumulates
-//! worker-local counts (flushed batch-locally like its `RefDelta` reference
-//! accounting) and the server folds finished-run statistics into these
+//! worker-local counts (like its per-PE reference counts) and the server folds finished-run statistics into these
 //! atomics once per query.  The registry lock is only taken to register a
 //! family, to materialise a new label value, and to render.
 
