@@ -316,3 +316,191 @@ fn evicted_cursors_hit_the_recorder_and_the_gauges() {
     assert!(events.lines().any(|l| l.contains(&format!("evict cursor={cursor}"))), "{events}");
     server.shutdown();
 }
+
+/// Every `# TYPE <family> <kind>` line of a fresh server's exposition, in
+/// registration order.  Recorded while the pool/cache/cursor/tenant series
+/// were still render-time mirrors: a family that moves, changes kind or
+/// disappears is a change to the scrape contract.
+const FAMILIES: &[&str] = &[
+    "pwam_query_queue_wait_us histogram",
+    "pwam_query_compile_us histogram",
+    "pwam_query_execute_us histogram",
+    "pwam_query_resume_us histogram",
+    "pwam_query_request_us histogram",
+    "pwam_connections_total counter",
+    "pwam_queries_total counter",
+    "pwam_protocol_errors_total counter",
+    "pwam_compile_errors_total counter",
+    "pwam_engine_errors_total counter",
+    "pwam_deadline_errors_total counter",
+    "pwam_query_preempted_total counter",
+    "pwam_fuel_errors_total counter",
+    "pwam_fuel_preemptions_total counter",
+    "pwam_quota_rejections_total counter",
+    "pwam_tenants_admitted_total counter",
+    "pwam_tenants_rejected_total counter",
+    "pwam_instructions_total counter",
+    "pwam_engine_micros_total counter",
+    "pwam_pool_requests_total counter",
+    "pwam_pool_warm_hits_total counter",
+    "pwam_pool_cold_builds_total counter",
+    "pwam_pool_rejections_total counter",
+    "pwam_pool_queue_timeouts_total counter",
+    "pwam_pool_run_errors_total counter",
+    "pwam_cache_program_hits_total counter",
+    "pwam_cache_program_misses_total counter",
+    "pwam_cache_evictions_total counter",
+    "pwam_cursors_opened_total counter",
+    "pwam_cursors_closed_total counter",
+    "pwam_cursors_evicted_total counter",
+    "pwam_pool_busy_slots gauge",
+    "pwam_pool_queue_depth gauge",
+    "pwam_cursors_parked gauge",
+    "pwam_cache_programs gauge",
+    "pwam_connections_active gauge",
+    "pwam_tenant_active_queries gauge",
+    "pwam_pe_steal_attempts_total counter",
+    "pwam_pe_steals_total counter",
+    "pwam_pe_backoff_yields_total counter",
+    "pwam_pe_backoff_parks_total counter",
+    "pwam_pe_park_micros_total counter",
+    "pwam_pe_cancel_notices_total counter",
+    "pwam_pe_goals_aborted_total counter",
+    "pwam_pe_batch_exits_budget_total counter",
+    "pwam_pe_batch_exits_park_total counter",
+    "pwam_cancel_requests_total counter",
+    "pwam_predicate_instructions_total counter",
+];
+
+#[test]
+fn a_fresh_servers_families_are_the_recorded_list() {
+    let server = start(1);
+    let text = Client::connect(server.addr()).unwrap().metrics().unwrap();
+    let families: Vec<&str> = text.lines().filter_map(|l| l.strip_prefix("# TYPE ")).collect();
+    assert_eq!(families, FAMILIES);
+    server.shutdown();
+}
+
+/// One scripted pass over every way a request moves a pool, cache, cursor
+/// or tenant number, with each sample it leaves asserted by value: one cold
+/// and two warm plain queries, a shape change, a cursor stepped to
+/// exhaustion and one closed early, a compile error, and — while a query
+/// that runs to its deadline holds the only slot and its tenant's only
+/// quota place — one quota rejection and one pool rejection.
+#[test]
+fn a_scripted_scenario_leaves_the_recorded_samples() {
+    let server = Server::start(ServerConfig {
+        pool: PoolConfig { size: 1, max_queue: 0, queue_timeout: Duration::from_millis(500) },
+        tenant_max_active: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let p = || QueryRequest {
+        program: "p(1).\np(2).\np(3).".to_string(),
+        query: "p(X)".to_string(),
+        ..QueryRequest::default()
+    };
+    let answer_warm = |response: Response| match response {
+        Response::Answer(a) => {
+            assert!(a.success);
+            a.warm
+        }
+        other => panic!("expected an answer, got {other:?}"),
+    };
+
+    // Cold, warm, warm; then two workers: another shape, so cold again.
+    let tenant = Some("globex".to_string());
+    assert!(!answer_warm(client.query(QueryRequest { tenant, ..p() }).unwrap()));
+    assert!(answer_warm(client.query(p()).unwrap()));
+    assert!(answer_warm(client.query(p()).unwrap()));
+    assert!(!answer_warm(client.query(QueryRequest { workers: 2, ..p() }).unwrap()));
+
+    // A cursor stepped to exhaustion (three answers and the `no more`), and
+    // one closed after its first answer.
+    let cursor = client.query_open(p()).unwrap();
+    let mut answers = 0;
+    while client.query_next(cursor).unwrap().is_some() {
+        answers += 1;
+    }
+    assert_eq!(answers, 3);
+    let cursor = client.query_open(p()).unwrap();
+    assert!(client.query_next(cursor).unwrap().is_some());
+    client.query_close(cursor).unwrap();
+
+    let unparsable = QueryRequest { program: "p(1".to_string(), ..p() };
+    match client.query(unparsable).unwrap() {
+        Response::Error { kind: ErrorKind::Compile, .. } => {}
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+
+    // The holder takes the slot and acme's quota place until its deadline.
+    let holder = std::thread::spawn(move || {
+        Client::connect(addr).unwrap().query(QueryRequest {
+            program: "loop :- loop.".to_string(),
+            query: "loop".to_string(),
+            deadline_ms: Some(2_000),
+            tenant: Some("acme".to_string()),
+            ..QueryRequest::default()
+        })
+    });
+    let waiting_since = Instant::now();
+    loop {
+        let text = client.metrics().unwrap();
+        if parse_sample(&text, "pwam_pool_busy_slots") == Some(1) {
+            assert_eq!(parse_sample(&text, "pwam_tenant_active_queries{tenant=\"acme\"}"), Some(1));
+            break;
+        }
+        assert!(waiting_since.elapsed() < Duration::from_secs(10), "the holder never got the slot");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    match client.query(QueryRequest { tenant: Some("acme".to_string()), ..p() }).unwrap() {
+        Response::Error { kind: ErrorKind::Quota, .. } => {}
+        other => panic!("expected a quota rejection, got {other:?}"),
+    }
+    match client.query(p()).unwrap() {
+        Response::Error { kind: ErrorKind::Rejected, .. } => {}
+        other => panic!("expected a pool rejection, got {other:?}"),
+    }
+    match holder.join().unwrap().unwrap() {
+        Response::Error { kind: ErrorKind::Deadline, .. } => {}
+        other => panic!("the holder should run to its deadline: {other:?}"),
+    }
+
+    let text = client.metrics().unwrap();
+    for (series, expected) in [
+        // Slot grants: 4 plain queries, 2 opens, 4 + 1 cursor steps, the holder.
+        ("pwam_pool_requests_total", 12),
+        // Two warm plain queries; both opens found arenas on the slot (the
+        // shape change's, then the exhausted cursor's).
+        ("pwam_pool_warm_hits_total", 4),
+        ("pwam_pool_cold_builds_total", 2),
+        ("pwam_pool_rejections_total", 1),
+        ("pwam_pool_queue_timeouts_total", 0),
+        ("pwam_pool_run_errors_total", 1),
+        ("pwam_pool_busy_slots", 0),
+        ("pwam_pool_queue_depth", 0),
+        // `p` is looked up by 4 queries and 2 opens after its admission and
+        // by the pool-rejected query; `loop` is the second program.  The
+        // unparsable text and the quota-rejected request never reach the map.
+        ("pwam_cache_program_hits_total", 6),
+        ("pwam_cache_program_misses_total", 2),
+        ("pwam_cache_evictions_total", 0),
+        ("pwam_cache_programs", 2),
+        ("pwam_cursors_opened_total", 2),
+        ("pwam_cursors_closed_total", 2),
+        ("pwam_cursors_evicted_total", 0),
+        ("pwam_cursors_parked", 0),
+        ("pwam_tenants_admitted_total", 2),
+        ("pwam_tenants_rejected_total", 1),
+        ("pwam_quota_rejections_total", 1),
+        ("pwam_compile_errors_total", 1),
+        ("pwam_deadline_errors_total", 1),
+        ("pwam_queries_total", 8),
+    ] {
+        assert_eq!(parse_sample(&text, series), Some(expected), "{series}");
+    }
+    assert_eq!(sum_family(&text, "pwam_tenant_active_queries"), 0, "idle tenants leave the exposition");
+    server.shutdown();
+}
