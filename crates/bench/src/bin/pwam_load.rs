@@ -1,6 +1,7 @@
 //! `pwam-load` — drive N concurrent clients against a `pwam-serve`
-//! instance and report throughput, latency percentiles and pool
-//! statistics.
+//! instance and report throughput, latency percentiles and the pool,
+//! cursor and engine counters the run moved (one `metrics` scrape before,
+//! one after).
 //!
 //! ```text
 //! pwam-load --addr HOST:PORT [--clients N] [--requests M]
@@ -42,7 +43,7 @@
 use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags, usage_error};
 use pwam_bench::history::append_run;
 use pwam_benchmarks::{benchmark, runner::Validation, Benchmark, BenchmarkId, Scale};
-use pwam_obs::{parse_histogram, Histogram};
+use pwam_obs::{parse_histogram, parse_sample, Histogram, ParsedHistogram};
 use pwam_server::{AnswerResponse, Client, QueryRequest, Response};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use rapwam::{DeterminismMode, SchedulerKind};
@@ -119,43 +120,34 @@ struct Report {
     /// cumulative counter.
     server_instructions: u64,
     /// The server's cumulative throughput after the run, in thousandths of
-    /// a MLIPS.
+    /// a MLIPS (`pwam_instructions_total / pwam_engine_micros_total`).
     server_mlips_x1000: u64,
     /// Bucket bounds of the server-side whole-request latency percentiles
-    /// over this run's window (from the `metrics` scrape; 0 when the
-    /// server predates the verb or no plain query ran).
+    /// over this run's window (0 when no plain query ran).
     server_request_p50_bound_us: u64,
     server_request_p99_bound_us: u64,
 }
 
-/// One recorded `pwam-load` invocation in `BENCH_server.json`.
-#[derive(Debug, Serialize)]
-struct ServerBenchRun {
-    /// Seconds since the Unix epoch when the run was recorded.
-    unix_secs: u64,
-    clients: usize,
-    requests: u64,
-    throughput_rps: f64,
-    latency_p50_us: u64,
-    latency_p99_us: u64,
-    /// Server-side request-latency bucket bounds for the same window.
-    server_request_p50_bound_us: u64,
-    server_request_p99_bound_us: u64,
-    server_mlips_x1000: u64,
-    pool_warm_hits: u64,
-    pool_cold_builds: u64,
+/// One `metrics` scrape, or exit 1: the run's deltas and its latency
+/// cross-check are read between two of these.
+fn scrape(addr: &str) -> String {
+    Client::connect(addr).and_then(|mut c| c.metrics()).unwrap_or_else(|e| {
+        eprintln!("pwam-load: cannot scrape the server at {addr}: {e}");
+        std::process::exit(1);
+    })
 }
 
-/// Append `run` to the `{latest, history[]}` trajectory file at `path`, or
-/// exit 1 leaving the file as it was.
-fn record_run(path: &str, what: &str, run: serde_json::Value) {
-    match append_run(Path::new(path), run) {
-        Ok(runs) => eprintln!("pwam-load: recorded {what} in {path} ({runs} total)"),
-        Err(e) => {
-            eprintln!("pwam-load: cannot record {what} in {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+/// What a counter gained between two scrapes (a series a scrape lacks
+/// reads 0).
+fn delta(before: &str, after: &str, series: &str) -> u64 {
+    let at = |text| parse_sample(text, series).unwrap_or(0);
+    at(after).saturating_sub(at(before))
+}
+
+/// The server-side whole-request latencies observed between two scrapes.
+fn request_window(before: &str, after: &str) -> ParsedHistogram {
+    let at = |text| parse_histogram(text, "pwam_query_request_us").unwrap_or_default();
+    at(after).since(&at(before))
 }
 
 /// Compare a client-side percentile value against the server histogram's
@@ -205,7 +197,6 @@ fn main() {
              \x20                [--benchmarks deriv,tak,qsort,queens] [--workers W]\n\
              \x20                [--determinism NAME] [--deadline-ms N] [--cursor-every N]\n\
              \x20                [--require-reuse] [--shutdown] [--json]\n\
-             \x20                [--bench-out BENCH_server.json]\n\
              \x20      pwam-load --capacity --addr HOST:PORT [--arrival-rps 100,200]\n\
              \x20                [--duration-ms 3000] [--connections 16]\n\
              \x20                [--sweep-connections N] [--label NAME]\n\
@@ -248,7 +239,6 @@ fn main() {
             ("--require-reuse", false),
             ("--shutdown", false),
             ("--json", false),
-            ("--bench-out", true),
         ],
     );
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| usage_error("--addr is required"));
@@ -282,21 +272,11 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let require_reuse = args.iter().any(|a| a == "--require-reuse");
     let send_shutdown = args.iter().any(|a| a == "--shutdown");
-    let bench_out = arg_value(&args, "--bench-out");
 
-    // Pool stats before the run, so the report shows this run's deltas.
-    let before = Client::connect(&addr).and_then(|mut c| c.stats()).unwrap_or_else(|e| {
-        eprintln!("pwam-load: cannot reach server at {addr}: {e}");
-        std::process::exit(1);
-    });
-    // Metrics scrape before the run: differencing the request-latency
-    // histogram across the run isolates this run's window even against a
-    // long-lived server.
-    let before_request_hist = Client::connect(&addr)
-        .ok()
-        .and_then(|mut c| c.metrics().ok())
-        .and_then(|text| parse_histogram(&text, "pwam_query_request_us"))
-        .unwrap_or_default();
+    // One scrape before the run: differencing counters and the
+    // request-latency histogram across the run isolates this run's window
+    // even against a long-lived server.
+    let before = scrape(&addr);
 
     let started = Instant::now();
     let tallies: Vec<ClientTally> = std::thread::scope(|s| {
@@ -427,14 +407,10 @@ fn main() {
     });
     let elapsed = started.elapsed();
 
-    let after = Client::connect(&addr).and_then(|mut c| c.stats()).unwrap_or_default();
-    // End-of-run metrics scrape: the request-latency histogram for this
-    // run's window, for the client/server percentile cross-check.
-    let request_window = Client::connect(&addr)
-        .ok()
-        .and_then(|mut c| c.metrics().ok())
-        .and_then(|text| parse_histogram(&text, "pwam_query_request_us"))
-        .map(|h| h.since(&before_request_hist));
+    // ...and one after it; the request-latency histogram's window is what
+    // the client/server percentile cross-check compares against.
+    let after = scrape(&addr);
+    let window = request_window(&before, &after);
     if send_shutdown {
         if let Ok(mut c) = Client::connect(&addr) {
             let _ = c.shutdown();
@@ -449,7 +425,11 @@ fn main() {
     let warm: u64 = tallies.iter().map(|t| t.warm).sum();
     let cursor_streams: u64 = tallies.iter().map(|t| t.cursor_streams).sum();
     let cursor_answers: u64 = tallies.iter().map(|t| t.cursor_answers).sum();
-    let delta = |key: &str| after.get(key).unwrap_or(0).saturating_sub(before.get(key).unwrap_or(0));
+    let now = |series: &str| parse_sample(&after, series).unwrap_or(0);
+    let delta = |series: &str| delta(&before, &after, series);
+    let engine_micros = now("pwam_engine_micros_total");
+    let mlips =
+        if engine_micros == 0 { 0.0 } else { now("pwam_instructions_total") as f64 / engine_micros as f64 };
     let mean = if latencies.is_empty() { 0 } else { latencies.iter().sum::<u64>() / latencies.len() as u64 };
 
     // Client/server latency cross-check: the client-side plain-query
@@ -459,8 +439,8 @@ fn main() {
     // measurements is lying.
     let mut plain: Vec<u64> = tallies.iter().flat_map(|t| t.plain_latencies_us.iter().copied()).collect();
     plain.sort_unstable();
-    let server_p50 = request_window.as_ref().and_then(|w| w.percentile_bound(50.0)).unwrap_or(0);
-    let server_p99 = request_window.as_ref().and_then(|w| w.percentile_bound(99.0)).unwrap_or(0);
+    let server_p50 = window.percentile_bound(50.0).unwrap_or(0);
+    let server_p99 = window.percentile_bound(99.0).unwrap_or(0);
     let mut cross_check_failures: Vec<String> = Vec::new();
     if !plain.is_empty() && server_p50 > 0 {
         for (name, p, bound) in [("p50", 0.50, server_p50), ("p99", 0.99, server_p99)] {
@@ -481,20 +461,20 @@ fn main() {
         latency_mean_us: mean,
         latency_p50_us: percentile(&latencies, 0.50),
         latency_p99_us: percentile(&latencies, 0.99),
-        pool_warm_hits: delta("pool_warm_hits"),
-        pool_cold_builds: delta("pool_cold_builds"),
-        pool_rejections: delta("pool_rejections"),
-        pool_queue_timeouts: delta("pool_queue_timeouts"),
-        pool_max_queue_depth: after.get("pool_max_queue_depth").unwrap_or(0),
+        pool_warm_hits: delta("pwam_pool_warm_hits_total"),
+        pool_cold_builds: delta("pwam_pool_cold_builds_total"),
+        pool_rejections: delta("pwam_pool_rejections_total"),
+        pool_queue_timeouts: delta("pwam_pool_queue_timeouts_total"),
+        pool_max_queue_depth: now("pwam_pool_max_queue_depth"),
         cursor_streams,
         cursor_answers,
-        server_cursors_opened: delta("cursors_opened"),
-        server_cursors_closed: delta("cursors_closed"),
-        server_cursors_evicted: delta("cursors_evicted"),
-        server_parked_cursors: after.get("parked_cursors").unwrap_or(0),
-        server_protocol_errors: delta("protocol_errors"),
-        server_instructions: delta("instructions"),
-        server_mlips_x1000: after.get("mlips_x1000").unwrap_or(0),
+        server_cursors_opened: delta("pwam_cursors_opened_total"),
+        server_cursors_closed: delta("pwam_cursors_closed_total"),
+        server_cursors_evicted: delta("pwam_cursors_evicted_total"),
+        server_parked_cursors: now("pwam_cursors_parked"),
+        server_protocol_errors: delta("pwam_protocol_errors_total"),
+        server_instructions: delta("pwam_instructions_total"),
+        server_mlips_x1000: (mlips * 1000.0) as u64,
         server_request_p50_bound_us: server_p50,
         server_request_p99_bound_us: server_p99,
     };
@@ -527,11 +507,7 @@ fn main() {
             report.pool_queue_timeouts,
             report.pool_max_queue_depth
         );
-        println!(
-            "  engine   {} instructions  cumulative {:.3} MLIPS",
-            report.server_instructions,
-            report.server_mlips_x1000 as f64 / 1000.0
-        );
+        println!("  engine   {} instructions  cumulative {mlips:.3} MLIPS", report.server_instructions);
         if report.cursor_streams > 0 {
             println!(
                 "  cursors  {} streams / {} answers  opened {}  closed {}  evicted {}  parked {}",
@@ -549,24 +525,6 @@ fn main() {
         );
     }
 
-    // Record the run in the serving tier's perf-trajectory file.
-    if let Some(path) = bench_out {
-        let run = ServerBenchRun {
-            unix_secs: SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0),
-            clients: report.clients,
-            requests: report.requests,
-            throughput_rps: report.throughput_rps,
-            latency_p50_us: report.latency_p50_us,
-            latency_p99_us: report.latency_p99_us,
-            server_request_p50_bound_us: report.server_request_p50_bound_us,
-            server_request_p99_bound_us: report.server_request_p99_bound_us,
-            server_mlips_x1000: report.server_mlips_x1000,
-            pool_warm_hits: report.pool_warm_hits,
-            pool_cold_builds: report.pool_cold_builds,
-        };
-        record_run(&path, "run", serde_json::to_value(&run));
-    }
-
     for failure in &cross_check_failures {
         eprintln!("pwam-load: latency cross-check failed: {failure}");
     }
@@ -577,11 +535,13 @@ fn main() {
         eprintln!("pwam-load: --require-reuse: the server reported no warm engine reuse");
         std::process::exit(1);
     }
-    // Smoke assertion on the stats verb itself: a run that completed
-    // queries must have moved the server's cumulative instruction counter.
+    // Smoke assertion on the scrape itself: a run that completed queries
+    // must have moved the server's cumulative instruction counter.
     let completed = total_requests.saturating_sub(errors);
     if completed > 0 && report.server_instructions == 0 {
-        eprintln!("pwam-load: server stats reported zero executed instructions after {completed} queries");
+        eprintln!(
+            "pwam-load: the server's scrape shows zero executed instructions after {completed} queries"
+        );
         std::process::exit(1);
     }
 }
@@ -769,15 +729,7 @@ fn run_capacity(args: &[String]) {
         })
         .collect();
 
-    let before = Client::connect(&addr).and_then(|mut c| c.stats()).unwrap_or_else(|e| {
-        eprintln!("pwam-load: cannot reach server at {addr}: {e}");
-        std::process::exit(1);
-    });
-    let before_hist = Client::connect(&addr)
-        .ok()
-        .and_then(|mut c| c.metrics().ok())
-        .and_then(|text| parse_histogram(&text, "pwam_query_request_us"))
-        .unwrap_or_default();
+    let before = scrape(&addr);
 
     // One throwaway warmup query so cold pool builds don't pollute the
     // first measured point.
@@ -817,15 +769,9 @@ fn run_capacity(args: &[String]) {
         println!("pwam-load: connection sweep sustained {sustained} of {sweep_target} connections");
     }
 
-    let after = Client::connect(&addr).and_then(|mut c| c.stats()).unwrap_or_default();
-    let window = Client::connect(&addr)
-        .ok()
-        .and_then(|mut c| c.metrics().ok())
-        .and_then(|text| parse_histogram(&text, "pwam_query_request_us"))
-        .map(|h| h.since(&before_hist));
-    let server_p99 = window.as_ref().and_then(|w| w.percentile_bound(99.0)).unwrap_or(0);
-    let protocol_errors =
-        after.get("protocol_errors").unwrap_or(0).saturating_sub(before.get("protocol_errors").unwrap_or(0));
+    let after = scrape(&addr);
+    let server_p99 = request_window(&before, &after).percentile_bound(99.0).unwrap_or(0);
+    let protocol_errors = delta(&before, &after, "pwam_protocol_errors_total");
     if send_shutdown {
         if let Ok(mut c) = Client::connect(&addr) {
             let _ = c.shutdown();
@@ -852,7 +798,15 @@ fn run_capacity(args: &[String]) {
     }
 
     if let Some(path) = capacity_out {
-        record_run(&path, "capacity run", serde_json::to_value(&run));
+        // Append to the `{latest, history[]}` trajectory, or exit 1 leaving
+        // the file as it was.
+        match append_run(Path::new(&path), serde_json::to_value(&run)) {
+            Ok(runs) => eprintln!("pwam-load: recorded capacity run in {path} ({runs} total)"),
+            Err(e) => {
+                eprintln!("pwam-load: cannot record capacity run in {path}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 
     let errors: u64 = run.points.iter().map(|p| p.errors).sum();

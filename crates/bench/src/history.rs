@@ -1,5 +1,5 @@
 //! The `{latest, history[]}` trajectory files (`BENCH_mlips.json`,
-//! `BENCH_server.json`, `BENCH_server_capacity.json`): the most recent run
+//! `BENCH_server_capacity.json`): the most recent run
 //! plus every run recorded before it, so a number's trajectory accumulates
 //! across PRs instead of each run overwriting the last.
 

@@ -151,7 +151,7 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, legs: &[MlipsLe
     for _ in 0..runs {
         for (engine, report) in engines.iter_mut().zip(&mut reports) {
             let start = Instant::now();
-            let (result, mut finished) = engine
+            let (result, finished) = engine
                 .take()
                 .expect("every leg keeps its engine")
                 .run_reusable(session.symbols())
@@ -160,8 +160,7 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, legs: &[MlipsLe
             assert!(matches!(result.outcome, Outcome::Success(_)), "{}: benchmark query failed", id.name());
             report.instructions = result.stats.instructions;
             report.best_secs = report.best_secs.min(secs.max(1e-9));
-            finished.reset();
-            *engine = Some(finished);
+            *engine = Some(finished.reset());
         }
     }
     reports

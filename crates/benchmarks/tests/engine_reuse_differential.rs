@@ -76,10 +76,31 @@ fn reset_engines_match_fresh_engines_on_the_registry() {
         // Run once, reset, run again: the second (reset) run must match a
         // fresh engine byte for byte.
         let engine = Engine::new(&compiled, config);
-        let (_first, mut engine) = engine.run_reusable(session.symbols()).unwrap();
-        engine.reset();
-        let (reused, _) = engine.run_reusable(session.symbols()).unwrap();
+        let (_first, engine) = engine.run_reusable(session.symbols()).unwrap();
+        let (reused, _) = engine.reset().run_reusable(session.symbols()).unwrap();
         assert_identical(&format!("{} (reset)", id.name()), &session, &fresh, &reused);
+    }
+}
+
+/// The warm path's starting state is the cold path's: before either runs,
+/// an engine that ran and was reset has the machine state and the
+/// structural invariants of one just built (a field `reset` forgot would
+/// otherwise show only in what the second run does with it).
+#[test]
+fn a_reset_engine_starts_where_a_fresh_one_does() {
+    for id in [BenchmarkId::Deriv, BenchmarkId::Queens] {
+        let b = benchmark(id, Scale::Small);
+        let mut session = Session::new(&b.program).unwrap();
+        let compiled = session.prepare(&b.query, true).unwrap();
+        let config = small_opts(4).engine_config();
+
+        let fresh = Engine::new(&compiled, config.clone());
+        let (_, ran) = Engine::new(&compiled, config).run_reusable(session.symbols()).unwrap();
+        assert_ne!(ran.state_fingerprint(), fresh.state_fingerprint(), "{}: the run left no mark", id.name());
+        let reset = ran.reset();
+        assert_eq!(reset.state_fingerprint(), fresh.state_fingerprint(), "{}", id.name());
+        assert_eq!(reset.check_consistency(), Ok(()), "{}", id.name());
+        assert_eq!(fresh.check_consistency(), Ok(()), "{}", id.name());
     }
 }
 
@@ -158,9 +179,8 @@ proptest! {
 
         // Reset path: same engine, same program, pristine state.
         let engine = Engine::new(&compiled, config);
-        let (_, mut engine) = engine.run_reusable(session.symbols()).unwrap();
-        engine.reset();
-        let (reset_run, engine) = engine.run_reusable(session.symbols()).unwrap();
+        let (_, engine) = engine.run_reusable(session.symbols()).unwrap();
+        let (reset_run, engine) = engine.reset().run_reusable(session.symbols()).unwrap();
         assert_identical("random query (reset)", &session, &fresh, &reset_run);
 
         // Recycled-arena path: tear down to the Memory, rebuild, rerun.

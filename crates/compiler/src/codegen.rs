@@ -48,8 +48,6 @@ pub struct CompileOptions {
     /// Compile CGEs into parallel code (RAP-WAM).  When `false`, CGEs are
     /// compiled as plain sequential conjunctions (the WAM baseline).
     pub parallel: bool,
-    /// Generate first-argument indexing (switch_on_term and friends).
-    pub indexing: bool,
     /// Execute the leftmost CGE branch inline on the parent PE, without a
     /// Goal Frame (the paper's last-goal-inline optimisation: the
     /// parallelism overhead concentrates on goals that may actually run
@@ -68,11 +66,11 @@ impl Default for CompileOptions {
 impl CompileOptions {
     /// Options for the sequential WAM baseline.
     pub fn sequential() -> Self {
-        CompileOptions { parallel: false, indexing: true, inline_first_goal: true }
+        CompileOptions { parallel: false, inline_first_goal: true }
     }
     /// Options for the parallel RAP-WAM.
     pub fn parallel() -> Self {
-        CompileOptions { parallel: true, indexing: true, inline_first_goal: true }
+        CompileOptions { parallel: true, inline_first_goal: true }
     }
     /// Disable the last-goal-inline optimisation (every CGE branch takes
     /// the Goal-Frame path; used by the differential suites to pin both

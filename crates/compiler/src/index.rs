@@ -98,7 +98,7 @@ pub fn compile_predicate(
     }
 
     let kinds: Vec<FirstArg> = clauses.iter().map(|c| first_arg_kind(c, syms)).collect();
-    let indexable = opts.indexing && !kinds.iter().any(|k| matches!(k, FirstArg::None));
+    let indexable = !kinds.iter().any(|k| matches!(k, FirstArg::None));
 
     let mut blocks: Vec<Block> = Vec::new();
 

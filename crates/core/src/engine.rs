@@ -535,7 +535,7 @@ impl<'p> Engine<'p> {
     /// Create an engine ready to run the program's query.
     pub fn new(program: &'p CompiledProgram, config: EngineConfig) -> Self {
         let mem = Memory::new(config.memory, config.num_workers, config.collect_trace);
-        Engine::build(program, config, mem)
+        Engine::build(program, config, mem, Vec::new())
     }
 
     /// Create an engine around a recycled [`Memory`] (the warm-engine path
@@ -551,7 +551,7 @@ impl<'p> Engine<'p> {
     ) -> (Self, bool) {
         if memory.map.config == config.memory && memory.map.num_workers == config.num_workers {
             memory.reset(config.collect_trace);
-            (Engine::build(program, config, memory), true)
+            (Engine::build(program, config, memory, Vec::new()), true)
         } else {
             // Dropped before the build, not after it: a dropped memory parks
             // its word arrays, and only parked arrays can serve the new one.
@@ -561,7 +561,17 @@ impl<'p> Engine<'p> {
     }
 
     /// Assemble an engine around an already-allocated (pristine) memory.
-    fn build(program: &'p CompiledProgram, config: EngineConfig, mem: Memory) -> Self {
+    /// This is the one spelling of the machine's state before its first
+    /// instruction — workers, boards, flags, counters — for a cold build, a
+    /// build on recycled arenas and [`Engine::reset`] alike.  `spent_profiles`
+    /// are profile buffers of an earlier life of this engine (same program,
+    /// so same length) to clear and reuse; a worker without one allocates.
+    fn build(
+        program: &'p CompiledProgram,
+        config: EngineConfig,
+        mem: Memory,
+        mut spent_profiles: Vec<Vec<u64>>,
+    ) -> Self {
         assert!(config.num_workers >= 1, "at least one worker is required");
         assert!(config.num_workers <= 255, "at most 255 workers are supported");
         let config_fuel = config.fuel;
@@ -572,7 +582,14 @@ impl<'p> Engine<'p> {
             // Per-predicate profile storage, indexed by code address (entry
             // points of the predicates actually called).  The query body is
             // charged to `query_start` until the first call.
-            wk.prof_counts = vec![0; program.code_len()];
+            wk.prof_counts = match spent_profiles.pop() {
+                Some(mut counts) => {
+                    counts.clear();
+                    counts.resize(program.code_len(), 0);
+                    counts
+                }
+                None => vec![0; program.code_len()],
+            };
             wk.prof_pred = program.query_start;
         }
         workers[0].p = program.query_start;
@@ -860,59 +877,22 @@ impl<'p> Engine<'p> {
 
     /// Return a finished engine to a pristine state **without freeing its
     /// arenas**, ready to run the same program's query again: every touched
-    /// memory word is cleared, the workers, boards and counters are reborn,
-    /// and tracing is re-armed per the configuration.  This is the
-    /// reusable-engine path of the serving layer — per-PE Stack Sets are
-    /// long-lived resources (the paper's whole locality story), so a warm
-    /// engine skips the arena allocation that dominates cold construction.
+    /// memory word is cleared, the workers, boards and counters are reborn
+    /// (by the same private `build` a fresh engine comes from, keeping the
+    /// profile buffers), and tracing is re-armed per the configuration.
+    /// This is the reusable-engine path of the serving layer — per-PE Stack
+    /// Sets are long-lived resources (the paper's whole locality story), so a
+    /// warm engine skips the arena allocation that dominates cold
+    /// construction.
     ///
     /// A reset engine is observationally identical to a fresh one: the
     /// differential suite pins byte-identical answers, per-area counts and
     /// traces between fresh and reset-and-reused engines.
-    pub fn reset(&mut self) {
-        let core = &mut self.core;
-        core.mem.reset(core.config.collect_trace);
-        for wk in self.workers.iter_mut() {
-            // Recycle the profile buffer across resets: the program (and so
-            // the code length) is fixed for the engine's lifetime.
-            let mut prof = std::mem::take(&mut wk.prof_counts);
-            *wk = Worker::new(wk.id, &core.mem.map);
-            wk.trace = core.mem.tracing().then(Vec::new);
-            prof.clear();
-            prof.resize(core.program.code_len(), 0);
-            wk.prof_counts = prof;
-            wk.prof_pred = core.program.query_start;
-        }
-        self.workers[0].p = core.program.query_start;
-        self.workers[0].cp = core.program.query_start;
-        self.workers[0].status = WorkerStatus::Running;
-        for (w, board) in core.boards.iter_mut().enumerate() {
-            let b = board.get_mut().unwrap();
-            b.goal_frames.clear();
-            *core.goals_waiting[w].get_mut() = 0;
-            b.goal_top = core.mem.map.area_base(w, Area::GoalStack);
-            b.msg_top = core.mem.map.area_base(w, Area::MessageBuffer);
-            b.pending_messages = 0;
-            b.cancel_requests.clear();
-            b.steal_notices = 0;
-            b.cancel_notices = 0;
-        }
-        for flag in core.cancel_flags.iter_mut() {
-            *flag.get_mut() = false;
-        }
-        *core.finished.get_mut() = RUNNING;
-        *core.steps.get_mut() = 0;
-        *core.cycles.get_mut() = 0;
-        core.next_deadline_check = DEADLINE_CHECK_CYCLES;
-        *core.parcall_failures.get_mut() = 0;
-        *core.parcalls_cancelled.get_mut() = 0;
-        *core.goals_cancelled.get_mut() = 0;
-        *core.steal_cursor.get_mut() = 0;
-        *core.abort.get_mut().unwrap() = None;
-        *core.aborted.get_mut() = false;
-        *core.pending_host.get_mut().unwrap() = None;
-        core.started = Instant::now();
-        *core.fuel_limit.get_mut() = core.config.fuel.unwrap_or(u64::MAX);
+    pub fn reset(self) -> Self {
+        let Engine { core: EngineCore { program, config, mut mem, .. }, workers } = self;
+        mem.reset(config.collect_trace);
+        let spent_profiles = workers.into_iter().map(|wk| wk.prof_counts).collect();
+        Engine::build(program, config, mem, spent_profiles)
     }
 
     /// Tear the engine down to its [`Memory`], keeping the arena allocations

@@ -861,7 +861,7 @@ mod tests {
             pe(&mut e, issuer).mem_write(addr, Cell::Fun(Atom(u32::MAX), 255), kind);
             assert_ne!(e.core.mem.read_untraced(addr), Cell::Empty);
         }
-        e.reset();
+        e = e.reset();
         for &addr in &probes {
             assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "reset word {addr}");
         }
@@ -875,7 +875,7 @@ mod tests {
         pe(&mut e, 0).mem_write(h0 + 3, Cell::Int(9), ObjectKind::HeapTerm);
         pe(&mut e, 1).mem_write(h1, Cell::Int(7), ObjectKind::HeapTerm);
         e.core.mem.shared_write(0, Cell::Uint(1));
-        e.reset();
+        e = e.reset();
         assert_eq!(e.core.mem.read_untraced(h0 + 3), Cell::Empty);
         assert_eq!(e.core.mem.read_untraced(h1), Cell::Empty);
         assert_eq!(e.core.mem.shared_read(0), Cell::Empty);
@@ -887,7 +887,7 @@ mod tests {
         assert_eq!(t, [MemRef::new(0, h0, true, ObjectKind::HeapTerm)]);
         // Reset can also disarm tracing for the next run.
         e.core.config.collect_trace = false;
-        e.reset();
+        e = e.reset();
         assert!(!e.core.mem.tracing());
         pe(&mut e, 0).mem_write(h0, Cell::Int(1), ObjectKind::HeapTerm);
         assert!(e.take_trace().is_none());
@@ -915,7 +915,7 @@ mod tests {
         // that swept the heap up to the Control-stack write (one arena-wide
         // mark) would clear it.
         a.words[5].store(Cell::Int(99));
-        e.reset();
+        e = e.reset();
         let mem = &mut e.core.mem;
         assert_eq!(mem.read_untraced(h + 1), Cell::Empty);
         assert_eq!(mem.read_untraced(c), Cell::Empty);
@@ -951,7 +951,7 @@ mod tests {
         expected[Area::Heap.index()] = 21;
         expected[Area::MessageBuffer.index()] = (msg - a.base) as usize + 5;
         assert_eq!(marks(&a.remote_marks), expected);
-        e.reset();
+        e = e.reset();
         for addr in [h + 1, h + 2, h + 3, h + 9, h + 20, h + 40, msg + 4] {
             assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "word {addr} survived the reset");
         }
@@ -1008,7 +1008,7 @@ mod tests {
             }
         });
         assert_eq!(marks(&e.core.mem.arenas[0].owner_marks)[Area::Heap.index()], 1);
-        e.reset();
+        e = e.reset();
         assert!(e.core.mem.is_pristine());
     }
 
@@ -1176,9 +1176,8 @@ mod tests {
         assert_eq!(us.per_pe, ts.per_pe);
         assert_eq!(traced.take_trace().unwrap().len() as u64, ts.total.total());
         // The reset marks are kept either way, so reset clears both.
-        for e in [&mut traced, &mut untraced] {
-            e.reset();
-            assert!(e.core.mem.is_pristine());
+        for e in [traced, untraced] {
+            assert!(e.reset().core.mem.is_pristine());
         }
     }
 

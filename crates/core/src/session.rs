@@ -226,9 +226,9 @@ pub struct Session {
     syms: SymbolTable,
     program: Program,
     /// Compiled (program, query) units keyed by query text and the full
-    /// compilation mode (parallel × indexing × inline-first-goal);
-    /// invalidated when the program changes.
-    compiled: HashMap<(String, bool, bool, bool), Arc<CompiledProgram>>,
+    /// compilation mode (parallel × inline-first-goal); invalidated when
+    /// the program changes.
+    compiled: HashMap<(String, bool, bool), Arc<CompiledProgram>>,
     /// Host predicates: closures the embedding application services when a
     /// query calls them.  Threaded into every compilation, so registering
     /// one invalidates the compiled-query cache.
@@ -343,7 +343,7 @@ impl Session {
         query_src: &str,
         opts: CompileOptions,
     ) -> Result<Arc<CompiledProgram>, SessionError> {
-        let key = (query_src.to_string(), opts.parallel, opts.indexing, opts.inline_first_goal);
+        let key = (query_src.to_string(), opts.parallel, opts.inline_first_goal);
         if let Some(c) = self.compiled.get(&key) {
             self.prepare_hits += 1;
             return Ok(Arc::clone(c));

@@ -57,14 +57,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite the total.  For counters that *mirror* an external
-    /// monotonic source (another subsystem's atomic) rather than being the
-    /// source of truth themselves: the owner copies the upstream value in
-    /// immediately before rendering.
-    pub fn store(&self, n: u64) {
-        self.value.store(n, Ordering::Relaxed);
-    }
-
     /// Current total.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -332,8 +324,14 @@ impl Registry {
     /// Register and return a counter.
     pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
         let c = Arc::new(Counter::new());
-        self.push(name, help, Series::Counter(Arc::clone(&c)));
+        self.adopt_counter(name, help, Arc::clone(&c));
         c
+    }
+
+    /// Register a counter its owner created: the subsystem that counts holds
+    /// the handle it increments, and the exposition reads that same atomic.
+    pub fn adopt_counter(&self, name: &'static str, help: &'static str, counter: Arc<Counter>) {
+        self.push(name, help, Series::Counter(counter));
     }
 
     /// Register and return a gauge.
@@ -656,6 +654,22 @@ mod tests {
         assert_eq!(parse_sample(&text, "y_total{pe=\"1\"}"), Some(3));
         assert_eq!(sum_family(&text, "y_total"), 5);
         assert_eq!(parse_sample(&text, "missing"), None);
+    }
+
+    #[test]
+    fn an_adopted_counter_is_the_one_its_owner_increments() {
+        let owned = Arc::new(Counter::new());
+        owned.add(3);
+        let r = Registry::new();
+        r.adopt_counter("owned_total", "Counted elsewhere.", Arc::clone(&owned));
+        assert_eq!(parse_sample(&r.render(), "owned_total"), Some(3));
+        owned.inc();
+        let text = r.render();
+        assert_eq!(parse_sample(&text, "owned_total"), Some(4));
+        assert!(
+            text.contains("# HELP owned_total Counted elsewhere.\n# TYPE owned_total counter\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! output and the symbol table are shared.
 
 use pwam_compiler::CompiledProgram;
+use pwam_obs::Counter;
 use rapwam::session::{Session, SessionError};
-use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One cached program.
@@ -52,27 +51,15 @@ impl CacheEntry {
     }
 }
 
-/// A point-in-time view of the cache counters.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct CacheStats {
-    /// Lookups that found the program already parsed.
-    pub program_hits: u64,
-    /// Lookups that had to parse (and admit) a new program.
-    pub program_misses: u64,
-    /// Entries evicted to stay within the capacity bound.
-    pub evictions: u64,
-    /// Programs currently cached.
-    pub programs: u64,
-    /// Compiled queries currently cached across all programs.
-    pub compiled_queries: u64,
-}
-
 /// The cache: program source text → [`CacheEntry`].
 pub struct ProgramCache {
     entries: Mutex<Inner>,
-    program_hits: AtomicU64,
-    program_misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Lookups that found the program already parsed.
+    pub(crate) program_hits: Arc<Counter>,
+    /// Lookups that had to parse (and admit) a new program.
+    pub(crate) program_misses: Arc<Counter>,
+    /// Entries evicted to stay within the capacity bound.
+    pub(crate) evictions: Arc<Counter>,
     capacity: usize,
 }
 
@@ -88,9 +75,9 @@ impl ProgramCache {
         assert!(capacity >= 1, "cache needs at least one slot");
         ProgramCache {
             entries: Mutex::new(Inner { map: HashMap::new(), order: Vec::new() }),
-            program_hits: AtomicU64::new(0),
-            program_misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            program_hits: Arc::default(),
+            program_misses: Arc::default(),
+            evictions: Arc::default(),
             capacity,
         }
     }
@@ -103,7 +90,7 @@ impl ProgramCache {
     /// the loser's parse is discarded.
     pub fn entry(&self, program_src: &str) -> Result<Arc<CacheEntry>, SessionError> {
         if let Some(entry) = self.entries.lock().unwrap().map.get(program_src) {
-            self.program_hits.fetch_add(1, Ordering::Relaxed);
+            self.program_hits.inc();
             return Ok(Arc::clone(entry));
         }
         let session = Session::new(program_src)?;
@@ -112,40 +99,35 @@ impl ProgramCache {
         let mut inner = self.entries.lock().unwrap();
         if let Some(existing) = inner.map.get(program_src) {
             // Lost the admission race; use the winner.
-            self.program_hits.fetch_add(1, Ordering::Relaxed);
+            self.program_hits.inc();
             return Ok(Arc::clone(existing));
         }
-        self.program_misses.fetch_add(1, Ordering::Relaxed);
+        self.program_misses.inc();
         if inner.map.len() >= self.capacity {
             let victim = inner.order.remove(0);
             inner.map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.inc();
         }
         inner.map.insert(program_src.to_string(), Arc::clone(&entry));
         inner.order.push(program_src.to_string());
         Ok(entry)
     }
 
-    /// Snapshot the counters.
+    /// Programs currently cached.
+    pub fn programs(&self) -> usize {
+        self.entries.lock().unwrap().map.len()
+    }
+
+    /// Compiled queries currently cached across all programs.
     ///
-    /// The per-entry query counts are read from the entries' own maps after
-    /// the cache lock is released: touching a session lock while holding
-    /// the entries mutex would let one long-running engine (whose read
-    /// lock blocks a queued compile writer, which in turn blocks new
-    /// readers) stall every cache lookup behind a stats request.
-    pub fn stats(&self) -> CacheStats {
-        let (programs, entries): (u64, Vec<Arc<CacheEntry>>) = {
-            let inner = self.entries.lock().unwrap();
-            (inner.map.len() as u64, inner.map.values().map(Arc::clone).collect())
-        };
-        let compiled_queries = entries.iter().map(|e| e.queries.lock().unwrap().len() as u64).sum();
-        CacheStats {
-            program_hits: self.program_hits.load(Ordering::Relaxed),
-            program_misses: self.program_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            programs,
-            compiled_queries,
-        }
+    /// The per-entry counts are read from the entries' own maps after the
+    /// cache lock is released: touching a session lock while holding the
+    /// entries mutex would let one long-running engine (whose read lock
+    /// blocks a queued compile writer, which in turn blocks new readers)
+    /// stall every cache lookup behind a scrape.
+    pub fn compiled_queries(&self) -> usize {
+        let entries: Vec<Arc<CacheEntry>> = self.entries.lock().unwrap().map.values().cloned().collect();
+        entries.iter().map(|e| e.queries.lock().unwrap().len()).sum()
     }
 }
 
@@ -159,17 +141,16 @@ mod tests {
         let a1 = cache.entry("p(1).").unwrap();
         let a2 = cache.entry("p(1).").unwrap();
         assert!(Arc::ptr_eq(&a1, &a2));
-        let stats = cache.stats();
-        assert_eq!(stats.program_hits, 1);
-        assert_eq!(stats.program_misses, 1);
-        assert_eq!(stats.programs, 1);
+        assert_eq!(cache.program_hits.get(), 1);
+        assert_eq!(cache.program_misses.get(), 1);
+        assert_eq!(cache.programs(), 1);
     }
 
     #[test]
     fn parse_errors_surface_and_are_not_cached() {
         let cache = ProgramCache::new(4);
         assert!(cache.entry("p(1").is_err());
-        assert_eq!(cache.stats().programs, 0);
+        assert_eq!(cache.programs(), 0);
     }
 
     #[test]
@@ -178,12 +159,11 @@ mod tests {
         cache.entry("a(1).").unwrap();
         cache.entry("b(2).").unwrap();
         cache.entry("c(3).").unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.programs, 2);
-        assert_eq!(stats.evictions, 1);
+        assert_eq!(cache.programs(), 2);
+        assert_eq!(cache.evictions.get(), 1);
         // The oldest entry was evicted; re-admitting it is a miss.
         cache.entry("a(1).").unwrap();
-        assert_eq!(cache.stats().program_misses, 4);
+        assert_eq!(cache.program_misses.get(), 4);
     }
 
     #[test]
@@ -193,7 +173,7 @@ mod tests {
         entry.prepared("p(X)", true).unwrap();
         entry.prepared("p(X)", false).unwrap();
         entry.prepared("p(X)", false).unwrap();
-        assert_eq!(cache.stats().compiled_queries, 2);
+        assert_eq!(cache.compiled_queries(), 2);
     }
 
     #[test]
@@ -203,7 +183,7 @@ mod tests {
         for i in 0..(QUERIES_PER_ENTRY + 10) {
             entry.prepared(&format!("p({i})"), true).unwrap();
         }
-        assert!(cache.stats().compiled_queries as usize <= QUERIES_PER_ENTRY);
+        assert!(cache.compiled_queries() <= QUERIES_PER_ENTRY);
     }
 
     #[test]

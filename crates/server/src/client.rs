@@ -2,8 +2,7 @@
 //! the integration tests and the examples).
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, AnswerResponse, QueryRequest, Request,
-    Response, StatsResponse,
+    decode_response, encode_request, read_frame, write_frame, AnswerResponse, QueryRequest, Request, Response,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -67,16 +66,6 @@ impl Client {
                 io::ErrorKind::InvalidData,
                 format!("expected cursor-closed, got {other:?}"),
             )),
-        }
-    }
-
-    /// Fetch server statistics.
-    pub fn stats(&mut self) -> io::Result<StatsResponse> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => {
-                Err(io::Error::new(io::ErrorKind::InvalidData, format!("expected stats, got {other:?}")))
-            }
         }
     }
 

@@ -63,10 +63,7 @@
 //!   left alone.
 
 use crate::protocol::{self, ErrorKind, Request, Response, MAX_FRAME_BYTES};
-use crate::server::{
-    handle_query, handle_query_close, handle_query_next, handle_query_open, stats_response,
-    sweep_idle_cursors, ServerState,
-};
+use crate::server::{handle_query, handle_query_close, handle_query_next, handle_query_open, ServerState};
 use polling::{Event, Interest, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -478,13 +475,7 @@ impl EventLoop {
                     let reply = protocol::encode_response(&Response::Pong);
                     conn.complete(seq, reply);
                 }
-                Ok(Request::Stats) => {
-                    let reply = protocol::encode_response(&Response::Stats(stats_response(&self.state)));
-                    let Some(conn) = self.conns.get_mut(&token) else { return };
-                    conn.complete(seq, reply);
-                }
                 Ok(Request::Metrics) => {
-                    sweep_idle_cursors(&self.state);
                     let text = self.state.metrics.render(&self.state);
                     let Some(conn) = self.conns.get_mut(&token) else { return };
                     conn.complete(seq, protocol::encode_response(&Response::Metrics { text }));

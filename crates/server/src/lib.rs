@@ -57,10 +57,10 @@ pub mod protocol;
 pub mod server;
 pub mod tenant;
 
-pub use cache::{CacheStats, ProgramCache};
+pub use cache::ProgramCache;
 pub use client::Client;
 pub use metrics::{FlightRecorder, FLIGHT_RECORDER_CAP};
-pub use pool::{AcquireError, CursorStats, CursorTable, EnginePool, ParkedQuery, PoolConfig, PoolStats};
-pub use protocol::{AnswerResponse, ErrorKind, QueryRequest, Request, Response, StatsResponse};
+pub use pool::{AcquireError, CursorTable, EnginePool, ParkedQuery, PoolConfig};
+pub use protocol::{AnswerResponse, ErrorKind, QueryRequest, Request, Response};
 pub use server::{Server, ServerConfig};
-pub use tenant::{TenantStats, TenantTable};
+pub use tenant::TenantTable;

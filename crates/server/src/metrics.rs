@@ -2,25 +2,23 @@
 //! over every layer of the stack, plus a bounded flight recorder of query
 //! lifecycle events.
 //!
-//! Two kinds of series live here, distinguished by where the truth is:
-//!
-//! * **Owned series** are the source of truth themselves.  The latency
-//!   histograms and the server's own request counters (connections,
-//!   queries, the error kinds, instructions, engine time) are updated in
-//!   place by the handlers — relaxed `fetch_add`s, no locks on the request
-//!   path — and the `stats` verb reads the same handles.  The per-PE
-//!   scheduler telemetry and the per-predicate instruction profile are
-//!   owned too; they only exist when a run completes, so
-//!   `ServerMetrics::record_run` folds one run's [`rapwam::RunStats`] in
-//!   on the (already cold) completion path.
-//! * **Mirrored series** shadow totals whose truth lives under another
-//!   subsystem's lock (the pool, the cache, the cursor table, the tenant
-//!   table).  `ServerMetrics::render` copies the upstream values in
-//!   immediately before rendering, so the exposition is always a
-//!   consistent read of the owners and the request path pays nothing
-//!   twice.
+//! Every series has one home, the place where the thing it counts happens.
+//! The latency histograms and the request counters (connections, queries,
+//! the error kinds, instructions, engine time) are updated in place by the
+//! handlers; the pool, the cache, the cursor table and the tenant table
+//! create the counters they increment, and `ServerMetrics::new` adopts
+//! those very handles into the registry — relaxed `fetch_add`s, no locks on
+//! the request path, and nothing to keep in step.  The per-PE scheduler
+//! telemetry and the per-predicate instruction profile only exist when a
+//! run completes, so `ServerMetrics::record_run` folds one run's
+//! [`rapwam::RunStats`] in on the (already cold) completion path.  Gauges
+//! are not counts but readings — a length, a depth, a high-water mark —
+//! taken from their owner by `ServerMetrics::render` as it renders.
 
-use crate::server::ServerState;
+use crate::cache::ProgramCache;
+use crate::pool::{CursorTable, EnginePool};
+use crate::server::{sweep_idle_cursors, ServerState};
+use crate::tenant::TenantTable;
 use pwam_obs::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 use rapwam::RunStats;
 use std::collections::{HashSet, VecDeque};
@@ -82,30 +80,16 @@ pub(crate) struct ServerMetrics {
     /// Abstract-machine instructions retired by successful queries.
     pub instructions: Arc<Counter>,
     /// Wall-clock engine time of successful queries, in microseconds —
-    /// the denominator of the cumulative-MLIPS figure in `stats`.
+    /// `instructions` over this is the cumulative MLIPS.
     pub engine_micros: Arc<Counter>,
 
-    // --- mirrored monotonic counters (synced at render time) ---
-    tenants_admitted: Arc<Counter>,
-    tenants_rejected: Arc<Counter>,
-    pool_requests: Arc<Counter>,
-    pool_warm_hits: Arc<Counter>,
-    pool_cold_builds: Arc<Counter>,
-    pool_rejections: Arc<Counter>,
-    pool_queue_timeouts: Arc<Counter>,
-    pool_run_errors: Arc<Counter>,
-    cache_program_hits: Arc<Counter>,
-    cache_program_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cursors_opened: Arc<Counter>,
-    cursors_closed: Arc<Counter>,
-    cursors_evicted: Arc<Counter>,
-
-    // --- gauges (set at render time) ---
+    // --- gauges (read from their owners at render time) ---
     pool_busy_slots: Arc<Gauge>,
     pool_queue_depth: Arc<Gauge>,
+    pool_max_queue_depth: Arc<Gauge>,
     cursors_parked: Arc<Gauge>,
     cache_programs: Arc<Gauge>,
+    cache_compiled_queries: Arc<Gauge>,
     connections_active: Arc<Gauge>,
     tenants_active: Arc<GaugeVec>,
 
@@ -126,8 +110,16 @@ pub(crate) struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    pub fn new() -> Self {
+    /// Build the registry, adopting the counters the four subsystems own.
+    pub fn new(
+        pool: &EnginePool,
+        cache: &ProgramCache,
+        cursors: &CursorTable,
+        tenants: &TenantTable,
+    ) -> Self {
         let registry = Registry::new();
+        let adopt =
+            |name, help, counter: &Arc<Counter>| registry.adopt_counter(name, help, Arc::clone(counter));
         let queue_wait_us = registry.histogram(
             "pwam_query_queue_wait_us",
             "Microseconds a plain query waited for an engine-pool slot.",
@@ -172,36 +164,38 @@ impl ServerMetrics {
             "pwam_quota_rejections_total",
             "Requests turned away by their tenant's admission quota.",
         );
-        let tenants_admitted =
-            registry.counter("pwam_tenants_admitted_total", "Tenant-carrying requests admitted.");
-        let tenants_rejected =
-            registry.counter("pwam_tenants_rejected_total", "Tenant-carrying requests rejected at quota.");
+        adopt("pwam_tenants_admitted_total", "Tenant-carrying requests admitted.", &tenants.admitted);
+        adopt(
+            "pwam_tenants_rejected_total",
+            "Tenant-carrying requests rejected at quota.",
+            &tenants.rejected,
+        );
         let instructions = registry.counter(
             "pwam_instructions_total",
             "Abstract-machine instructions retired by successful queries.",
         );
         let engine_micros = registry
             .counter("pwam_engine_micros_total", "Engine wall-clock microseconds of successful queries.");
-        let pool_requests = registry.counter("pwam_pool_requests_total", "Pool slots acquired (admissions).");
-        let pool_warm_hits =
-            registry.counter("pwam_pool_warm_hits_total", "Runs that reused a slot's warm arenas.");
-        let pool_cold_builds =
-            registry.counter("pwam_pool_cold_builds_total", "Runs that allocated fresh arenas.");
-        let pool_rejections =
-            registry.counter("pwam_pool_rejections_total", "Requests turned away by a full wait queue.");
-        let pool_queue_timeouts =
-            registry.counter("pwam_pool_queue_timeouts_total", "Requests that gave up waiting for a slot.");
-        let pool_run_errors =
-            registry.counter("pwam_pool_run_errors_total", "Runs whose memory was lost to an engine error.");
-        let cache_program_hits = registry.counter("pwam_cache_program_hits_total", "Program-cache hits.");
-        let cache_program_misses =
-            registry.counter("pwam_cache_program_misses_total", "Program-cache misses (compiles).");
-        let cache_evictions =
-            registry.counter("pwam_cache_evictions_total", "Programs evicted from the cache.");
-        let cursors_opened = registry.counter("pwam_cursors_opened_total", "Cursors ever opened.");
-        let cursors_closed = registry.counter("pwam_cursors_closed_total", "Cursors closed or exhausted.");
-        let cursors_evicted =
-            registry.counter("pwam_cursors_evicted_total", "Cursors reclaimed by idle eviction.");
+        adopt("pwam_pool_requests_total", "Pool slots acquired (admissions).", &pool.requests);
+        adopt("pwam_pool_warm_hits_total", "Runs that reused a slot's warm arenas.", &pool.warm_hits);
+        adopt("pwam_pool_cold_builds_total", "Runs that allocated fresh arenas.", &pool.cold_builds);
+        adopt("pwam_pool_rejections_total", "Requests turned away by a full wait queue.", &pool.rejections);
+        adopt(
+            "pwam_pool_queue_timeouts_total",
+            "Requests that gave up waiting for a slot.",
+            &pool.queue_timeouts,
+        );
+        adopt(
+            "pwam_pool_run_errors_total",
+            "Runs whose memory was lost to an engine error.",
+            &pool.run_errors,
+        );
+        adopt("pwam_cache_program_hits_total", "Program-cache hits.", &cache.program_hits);
+        adopt("pwam_cache_program_misses_total", "Program-cache misses (compiles).", &cache.program_misses);
+        adopt("pwam_cache_evictions_total", "Programs evicted from the cache.", &cache.evictions);
+        adopt("pwam_cursors_opened_total", "Cursors ever opened.", &cursors.opened);
+        adopt("pwam_cursors_closed_total", "Cursors closed or exhausted.", &cursors.closed);
+        adopt("pwam_cursors_evicted_total", "Cursors reclaimed by idle eviction.", &cursors.evicted);
         let pool_busy_slots = registry.gauge("pwam_pool_busy_slots", "Pool slots currently executing a run.");
         let pool_queue_depth =
             registry.gauge("pwam_pool_queue_depth", "Requests currently waiting for a slot.");
@@ -266,6 +260,10 @@ impl ServerMetrics {
              low-volume predicates fold into the `other` series).",
             "predicate",
         );
+        let pool_max_queue_depth =
+            registry.gauge("pwam_pool_max_queue_depth", "High-water mark of the pool's wait queue.");
+        let cache_compiled_queries = registry
+            .gauge("pwam_cache_compiled_queries", "Compiled queries currently cached across all programs.");
         ServerMetrics {
             registry,
             queue_wait_us,
@@ -283,26 +281,14 @@ impl ServerMetrics {
             fuel_errors,
             fuel_preemptions,
             quota_rejections,
-            tenants_admitted,
-            tenants_rejected,
             instructions,
             engine_micros,
-            pool_requests,
-            pool_warm_hits,
-            pool_cold_builds,
-            pool_rejections,
-            pool_queue_timeouts,
-            pool_run_errors,
-            cache_program_hits,
-            cache_program_misses,
-            cache_evictions,
-            cursors_opened,
-            cursors_closed,
-            cursors_evicted,
             pool_busy_slots,
             pool_queue_depth,
+            pool_max_queue_depth,
             cursors_parked,
             cache_programs,
+            cache_compiled_queries,
             connections_active,
             tenants_active,
             pe_steal_attempts,
@@ -365,31 +351,18 @@ impl ServerMetrics {
         }
     }
 
-    /// Sync the mirrored counters and gauges from their owning structures,
-    /// then render the full exposition.
+    /// Render the full exposition — the one path behind the `metrics` verb
+    /// and `Server::metrics_text`.  Cursors idle past their deadline are
+    /// swept first, so no reader counts one as parked; then the gauges take
+    /// their readings.
     pub fn render(&self, state: &ServerState) -> String {
-        let pool = state.pool.stats();
-        let cache = state.cache.stats();
-        let cursors = state.cursors.stats();
-        let tenants = state.tenants.stats();
-        self.tenants_admitted.store(tenants.admitted);
-        self.tenants_rejected.store(tenants.rejected);
-        self.pool_requests.store(pool.requests);
-        self.pool_warm_hits.store(pool.warm_hits);
-        self.pool_cold_builds.store(pool.cold_builds);
-        self.pool_rejections.store(pool.rejections);
-        self.pool_queue_timeouts.store(pool.queue_timeouts);
-        self.pool_run_errors.store(pool.run_errors);
-        self.cache_program_hits.store(cache.program_hits);
-        self.cache_program_misses.store(cache.program_misses);
-        self.cache_evictions.store(cache.evictions);
-        self.cursors_opened.store(cursors.opened);
-        self.cursors_closed.store(cursors.closed);
-        self.cursors_evicted.store(cursors.evicted);
+        sweep_idle_cursors(state);
         self.pool_busy_slots.set(state.pool.busy_slots() as u64);
-        self.pool_queue_depth.set(pool.queue_depth);
-        self.cursors_parked.set(cursors.parked);
-        self.cache_programs.set(cache.programs);
+        self.pool_queue_depth.set(state.pool.queue_depth() as u64);
+        self.pool_max_queue_depth.set(state.pool.max_queue_depth() as u64);
+        self.cursors_parked.set(state.cursors.parked() as u64);
+        self.cache_programs.set(state.cache.programs() as u64);
+        self.cache_compiled_queries.set(state.cache.compiled_queries() as u64);
         self.connections_active.set(state.connections_active.load(Ordering::Relaxed));
         self.tenants_active.replace(state.tenants.active_snapshot());
         self.registry.render()
@@ -453,6 +426,16 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn metrics() -> ServerMetrics {
+        ServerMetrics::new(
+            &EnginePool::new(Default::default()),
+            &ProgramCache::new(1),
+            &CursorTable::new(Duration::ZERO, 1),
+            &TenantTable::new(0),
+        )
+    }
 
     #[test]
     fn flight_recorder_ring_evicts_oldest() {
@@ -485,7 +468,7 @@ mod tests {
     #[test]
     fn record_run_folds_pe_and_predicate_series() {
         use rapwam::WorkerStats;
-        let m = ServerMetrics::new();
+        let m = metrics();
         let stats = RunStats {
             cancel_requests: 2,
             workers: vec![
@@ -508,7 +491,7 @@ mod tests {
 
     #[test]
     fn predicate_profile_tail_folds_into_other() {
-        let m = ServerMetrics::new();
+        let m = metrics();
         // A profile longer than the per-run cap: the head is charged by
         // name, the tail lands on `other`.
         let profile: Vec<(String, u64)> =

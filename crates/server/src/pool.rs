@@ -24,8 +24,8 @@
 //! overload the server sheds load instead of collapsing.
 
 use crate::cache::CacheEntry;
+use pwam_obs::Counter;
 use rapwam::{Memory, QueryCursor};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -59,49 +59,33 @@ pub enum AcquireError {
     Timeout,
 }
 
-/// Monotonic pool counters.
-#[derive(Debug, Default)]
-struct PoolCounters {
-    requests: AtomicU64,
-    warm_hits: AtomicU64,
-    cold_builds: AtomicU64,
-    rejections: AtomicU64,
-    queue_timeouts: AtomicU64,
-    run_errors: AtomicU64,
-    queue_depth: AtomicUsize,
-    max_queue_depth: AtomicUsize,
-}
-
-/// A point-in-time view of the pool counters.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct PoolStats {
-    /// Slots acquired (successful admissions).
-    pub requests: u64,
-    /// Runs that reused a slot's warm arenas.
-    pub warm_hits: u64,
-    /// Runs that had to allocate fresh arenas (first use or shape change).
-    pub cold_builds: u64,
-    /// Requests turned away because the queue was full.
-    pub rejections: u64,
-    /// Requests that gave up waiting for a slot.
-    pub queue_timeouts: u64,
-    /// Runs that ended in an engine error (their memory is not recycled).
-    pub run_errors: u64,
-    /// Requests currently waiting for a slot.
-    pub queue_depth: u64,
-    /// High-water mark of the wait queue.
-    pub max_queue_depth: u64,
-}
-
 /// The pool itself.  Free slots live on a stack under a mutex: releasing
 /// pushes, acquiring pops the most recently used slot that still holds
 /// recycled arenas (so warm slots are reused first), and waiters park on a
 /// condvar.
+///
+/// The counters are the pool's own and the only copy: the server's registry
+/// adopts these handles, so what a scrape prints is what `acquire` added.
 pub struct EnginePool {
     config: PoolConfig,
     slots: Mutex<Vec<Option<Memory>>>,
     available: Condvar,
-    counters: PoolCounters,
+    /// Slots acquired (successful admissions).
+    pub(crate) requests: Arc<Counter>,
+    /// Runs that reused a slot's warm arenas.
+    pub(crate) warm_hits: Arc<Counter>,
+    /// Runs that had to allocate fresh arenas (first use or shape change).
+    pub(crate) cold_builds: Arc<Counter>,
+    /// Requests turned away because the queue was full.
+    pub(crate) rejections: Arc<Counter>,
+    /// Requests that gave up waiting for a slot.
+    pub(crate) queue_timeouts: Arc<Counter>,
+    /// Runs that ended in an engine error (their memory is not recycled).
+    pub(crate) run_errors: Arc<Counter>,
+    /// Requests currently waiting for a slot; admission control reads it.
+    queue_depth: AtomicUsize,
+    /// High-water mark of the wait queue.
+    max_queue_depth: AtomicUsize,
 }
 
 /// Pop the preferred free slot: the newest warm one, else the newest cold
@@ -123,7 +107,14 @@ impl EnginePool {
             config,
             slots: Mutex::new(slots),
             available: Condvar::new(),
-            counters: PoolCounters::default(),
+            requests: Arc::default(),
+            warm_hits: Arc::default(),
+            cold_builds: Arc::default(),
+            rejections: Arc::default(),
+            queue_timeouts: Arc::default(),
+            run_errors: Arc::default(),
+            queue_depth: AtomicUsize::new(0),
+            max_queue_depth: AtomicUsize::new(0),
         }
     }
 
@@ -138,6 +129,16 @@ impl EnginePool {
         self.config.size - self.slots.lock().unwrap().len()
     }
 
+    /// Requests currently waiting for a slot.
+    pub fn queue_depth(&self) -> usize {
+        self.queue_depth.load(Ordering::Relaxed)
+    }
+
+    /// High-water mark of the wait queue.
+    pub fn max_queue_depth(&self) -> usize {
+        self.max_queue_depth.load(Ordering::Relaxed)
+    }
+
     /// Acquire a slot.  A free slot is taken immediately; otherwise the
     /// request queues — unless `max_queue` requests are already waiting
     /// ([`AcquireError::Rejected`]) — and waits at most
@@ -147,9 +148,9 @@ impl EnginePool {
         // nobody is parked waiting, otherwise a stream of newcomers could
         // barge released slots ahead of the queue and starve the waiters
         // into spurious timeouts.
-        if self.counters.queue_depth.load(Ordering::Acquire) == 0 {
+        if self.queue_depth.load(Ordering::Acquire) == 0 {
             if let Some(memory) = take_slot(&mut self.slots.lock().unwrap()) {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                self.requests.inc();
                 return Ok(SlotGuard { pool: self, memory, returned: false });
             }
         }
@@ -157,13 +158,13 @@ impl EnginePool {
         // it is full.  `fetch_add` + check is one atomic op; the transient
         // overshoot it allows is bounded by the concurrently-arriving
         // requests, which is the precision admission control needs.
-        let depth = self.counters.queue_depth.fetch_add(1, Ordering::AcqRel);
+        let depth = self.queue_depth.fetch_add(1, Ordering::AcqRel);
         if depth >= self.config.max_queue {
-            self.counters.queue_depth.fetch_sub(1, Ordering::AcqRel);
-            self.counters.rejections.fetch_add(1, Ordering::Relaxed);
+            self.queue_depth.fetch_sub(1, Ordering::AcqRel);
+            self.rejections.inc();
             return Err(AcquireError::Rejected);
         }
-        self.counters.max_queue_depth.fetch_max(depth + 1, Ordering::Relaxed);
+        self.max_queue_depth.fetch_max(depth + 1, Ordering::Relaxed);
         let timeout = match wait_budget {
             Some(budget) => budget.min(self.config.queue_timeout),
             None => self.config.queue_timeout,
@@ -173,15 +174,15 @@ impl EnginePool {
         loop {
             if let Some(memory) = take_slot(&mut slots) {
                 drop(slots);
-                self.counters.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                self.queue_depth.fetch_sub(1, Ordering::AcqRel);
+                self.requests.inc();
                 return Ok(SlotGuard { pool: self, memory, returned: false });
             }
             let now = Instant::now();
             if now >= deadline {
                 drop(slots);
-                self.counters.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                self.counters.queue_timeouts.fetch_add(1, Ordering::Relaxed);
+                self.queue_depth.fetch_sub(1, Ordering::AcqRel);
+                self.queue_timeouts.inc();
                 return Err(AcquireError::Timeout);
             }
             let (guard, _timed_out) =
@@ -193,30 +194,15 @@ impl EnginePool {
     /// Record whether a run reused warm arenas.
     pub fn record_run(&self, warm: bool) {
         if warm {
-            self.counters.warm_hits.fetch_add(1, Ordering::Relaxed);
+            self.warm_hits.inc();
         } else {
-            self.counters.cold_builds.fetch_add(1, Ordering::Relaxed);
+            self.cold_builds.inc();
         }
     }
 
     /// Record a run that died with an engine error (its memory is lost).
     pub fn record_error(&self) {
-        self.counters.run_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> PoolStats {
-        let c = &self.counters;
-        PoolStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            warm_hits: c.warm_hits.load(Ordering::Relaxed),
-            cold_builds: c.cold_builds.load(Ordering::Relaxed),
-            rejections: c.rejections.load(Ordering::Relaxed),
-            queue_timeouts: c.queue_timeouts.load(Ordering::Relaxed),
-            run_errors: c.run_errors.load(Ordering::Relaxed),
-            queue_depth: c.queue_depth.load(Ordering::Relaxed) as u64,
-            max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed) as u64,
-        }
+        self.run_errors.inc();
     }
 }
 
@@ -283,23 +269,10 @@ pub struct ParkedQuery {
     pub last_used: Instant,
 }
 
-/// Counters of the cursor table.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct CursorStats {
-    /// Cursors currently parked.
-    pub parked: u64,
-    /// Cursors ever opened.
-    pub opened: u64,
-    /// Cursors closed by the client or auto-closed on exhaustion/error.
-    pub closed: u64,
-    /// Cursors reclaimed by the idle-eviction deadline.
-    pub evicted: u64,
-}
-
 /// The parked-cursor table: id → [`ParkedQuery`], with lazy idle eviction.
 ///
-/// There is no eviction thread; every cursor operation (and every stats
-/// request) first sweeps out cursors idle past `idle_timeout`.  A client
+/// There is no eviction thread; every cursor operation (and every metrics
+/// scrape) first sweeps out cursors idle past `idle_timeout`.  A client
 /// that abandons a cursor therefore costs one engine's arenas for at most
 /// the deadline plus the gap to the next cursor touch — and since an
 /// abandoned cursor is only a parked struct, not a thread or a slot,
@@ -309,9 +282,12 @@ pub struct CursorTable {
     capacity: usize,
     next_id: AtomicU64,
     parked: Mutex<HashMap<u64, ParkedQuery>>,
-    opened: AtomicU64,
-    closed: AtomicU64,
-    evicted: AtomicU64,
+    /// Cursors ever opened.
+    pub(crate) opened: Arc<Counter>,
+    /// Cursors closed by the client or auto-closed on exhaustion/error.
+    pub(crate) closed: Arc<Counter>,
+    /// Cursors reclaimed by the idle-eviction deadline.
+    pub(crate) evicted: Arc<Counter>,
 }
 
 impl CursorTable {
@@ -323,9 +299,9 @@ impl CursorTable {
             capacity,
             next_id: AtomicU64::new(1),
             parked: Mutex::new(HashMap::new()),
-            opened: AtomicU64::new(0),
-            closed: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            opened: Arc::default(),
+            closed: Arc::default(),
+            evicted: Arc::default(),
         }
     }
 
@@ -349,7 +325,7 @@ impl CursorTable {
             keep
         });
         if !evicted.is_empty() {
-            self.evicted.fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            self.evicted.add(evicted.len() as u64);
         }
         evicted
     }
@@ -364,7 +340,7 @@ impl CursorTable {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         map.insert(id, parked);
-        self.opened.fetch_add(1, Ordering::Relaxed);
+        self.opened.inc();
         Some(id)
     }
 
@@ -384,17 +360,12 @@ impl CursorTable {
     /// Record a cursor closed (client `query-close`, exhaustion, or death
     /// by engine error).  The caller has already dropped or consumed it.
     pub fn note_closed(&self) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
+        self.closed.inc();
     }
 
-    /// Snapshot the counters.
-    pub fn stats(&self) -> CursorStats {
-        CursorStats {
-            parked: self.parked.lock().unwrap().len() as u64,
-            opened: self.opened.load(Ordering::Relaxed),
-            closed: self.closed.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-        }
+    /// Cursors currently parked.
+    pub fn parked(&self) -> usize {
+        self.parked.lock().unwrap().len()
     }
 }
 
@@ -463,10 +434,10 @@ mod tests {
         let pool = small_pool(1, 1);
         let _held = pool.acquire(None).unwrap();
         assert!(matches!(pool.acquire(Some(Duration::from_millis(10))), Err(AcquireError::Timeout)));
-        let stats = pool.stats();
-        assert_eq!(stats.queue_timeouts, 1);
-        assert_eq!(stats.requests, 1);
-        assert_eq!(stats.max_queue_depth, 1);
+        assert_eq!(pool.queue_timeouts.get(), 1);
+        assert_eq!(pool.requests.get(), 1);
+        assert_eq!(pool.max_queue_depth(), 1);
+        assert_eq!(pool.queue_depth(), 0, "a waiter that gave up left the queue");
     }
 
     #[test]
@@ -474,7 +445,7 @@ mod tests {
         let pool = small_pool(1, 0);
         let _held = pool.acquire(None).unwrap();
         assert!(matches!(pool.acquire(None), Err(AcquireError::Rejected)));
-        assert_eq!(pool.stats().rejections, 1);
+        assert_eq!(pool.rejections.get(), 1);
     }
 
     #[test]
@@ -485,14 +456,14 @@ mod tests {
             // One thread parks in the queue; once it is inside, a second
             // arrival must be rejected without waiting.
             let waiter = s.spawn(|| pool.acquire(Some(Duration::from_millis(200))));
-            while pool.stats().queue_depth == 0 {
+            while pool.queue_depth() == 0 {
                 std::thread::yield_now();
             }
             let second = pool.acquire(Some(Duration::from_millis(200)));
             assert!(matches!(second, Err(AcquireError::Rejected)));
             assert!(matches!(waiter.join().unwrap(), Err(AcquireError::Timeout)));
         });
-        assert_eq!(pool.stats().rejections, 1);
+        assert_eq!(pool.rejections.get(), 1);
     }
 
     #[test]
@@ -501,7 +472,7 @@ mod tests {
         let held = pool.acquire(None).unwrap();
         std::thread::scope(|s| {
             let waiter = s.spawn(|| pool.acquire(Some(Duration::from_secs(5))).map(|_| ()));
-            while pool.stats().queue_depth == 0 {
+            while pool.queue_depth() == 0 {
                 std::thread::yield_now();
             }
             drop(held);
@@ -516,9 +487,8 @@ mod tests {
         pool.record_run(true);
         pool.record_run(false);
         pool.record_error();
-        let stats = pool.stats();
-        assert_eq!(stats.warm_hits, 2);
-        assert_eq!(stats.cold_builds, 1);
-        assert_eq!(stats.run_errors, 1);
+        assert_eq!(pool.warm_hits.get(), 2);
+        assert_eq!(pool.cold_builds.get(), 1);
+        assert_eq!(pool.run_errors.get(), 1);
     }
 }

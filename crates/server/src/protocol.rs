@@ -178,11 +178,9 @@ pub enum Request {
     QueryClose {
         cursor: u64,
     },
-    /// Pool/cache statistics.
-    Stats,
     /// Full metric exposition (Prometheus-style text) — latency
-    /// histograms, per-PE scheduler telemetry, pool/cursor gauges,
-    /// per-predicate instruction attribution.
+    /// histograms, pool/cache/cursor/tenant counters and gauges, per-PE
+    /// scheduler telemetry, per-predicate instruction attribution.
     Metrics,
     /// Recent query lifecycle events from the flight recorder, newest
     /// last.  `limit` caps how many events are returned (`None` = all
@@ -215,20 +213,6 @@ pub struct AnswerResponse {
     pub parcalls: u64,
 }
 
-/// Pool and cache statistics as key/value pairs (kept schemaless on the
-/// wire so the server can add counters without a protocol bump).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsResponse {
-    pub fields: Vec<(String, u64)>,
-}
-
-impl StatsResponse {
-    /// Look a counter up by name.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-}
-
 /// A server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -237,7 +221,6 @@ pub enum Response {
         kind: ErrorKind,
         message: String,
     },
-    Stats(StatsResponse),
     Pong,
     /// Acknowledges a shutdown request.
     Bye,
@@ -386,7 +369,6 @@ fn encode_query_body(out: &mut String, q: &QueryRequest) {
 /// Encode a request payload.
 pub fn encode_request(req: &Request) -> String {
     match req {
-        Request::Stats => "stats\n".to_string(),
         Request::Metrics => "metrics\n".to_string(),
         Request::Events { limit: None } => "events\n".to_string(),
         Request::Events { limit: Some(n) } => format!("events\nlimit {n}\n"),
@@ -447,7 +429,6 @@ fn decode_cursor_id(rest: &str, verb: &str) -> Result<u64, ParseError> {
 pub fn decode_request(payload: &str) -> Result<Request, ParseError> {
     let (verb, rest) = payload.split_once('\n').unwrap_or((payload, ""));
     match verb {
-        "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "events" => {
             let s = split_sections(rest)?;
@@ -470,14 +451,6 @@ pub fn encode_response(resp: &Response) -> String {
         Response::Bye => "bye\n".to_string(),
         Response::CursorOpened { cursor } => format!("cursor-opened\ncursor {cursor}\n"),
         Response::CursorClosed => "cursor-closed\n".to_string(),
-        Response::Stats(stats) => {
-            let mut out = String::new();
-            out.push_str("stats\n");
-            for (k, v) in &stats.fields {
-                out.push_str(&format!("{k} {v}\n"));
-            }
-            out
-        }
         Response::Error { kind, message } => {
             let mut out = String::new();
             out.push_str("error\n");
@@ -520,15 +493,6 @@ pub fn decode_response(payload: &str) -> Result<Response, ParseError> {
         "bye" => Ok(Response::Bye),
         "cursor-opened" => Ok(Response::CursorOpened { cursor: decode_cursor_id(rest, "cursor-opened")? }),
         "cursor-closed" => Ok(Response::CursorClosed),
-        "stats" => {
-            let s = split_sections(rest)?;
-            let mut fields = Vec::new();
-            for (k, v) in &s.headers {
-                let v = v.parse().map_err(|_| bad(format!("stats field {k} is not a number: {v:?}")))?;
-                fields.push((k.to_string(), v));
-            }
-            Ok(Response::Stats(StatsResponse { fields }))
-        }
         "metrics" | "events" => {
             let s = split_sections(rest)?;
             let n = header_u64(&s, "body-bytes")?.ok_or_else(|| bad(format!("{verb} without body-bytes")))?
@@ -590,7 +554,6 @@ mod tests {
     fn request_round_trips() {
         let reqs = vec![
             Request::Ping,
-            Request::Stats,
             Request::Shutdown,
             Request::Query(Box::new(QueryRequest {
                 program: "p(1).\np(2).\n".to_string(),
@@ -630,9 +593,6 @@ mod tests {
             Response::Error { kind: ErrorKind::Cursor, message: "unknown cursor 9".to_string() },
             Response::Error { kind: ErrorKind::Fuel, message: "fuel exhausted".to_string() },
             Response::Error { kind: ErrorKind::Quota, message: "tenant at quota".to_string() },
-            Response::Stats(StatsResponse {
-                fields: vec![("warm_hits".to_string(), 7), ("cold_builds".to_string(), 2)],
-            }),
             Response::Error { kind: ErrorKind::Deadline, message: "ran past 100ms\nsecond line".to_string() },
             Response::Metrics {
                 text:
@@ -692,6 +652,8 @@ mod tests {
     #[test]
     fn malformed_requests_are_parse_errors() {
         assert!(decode_request("warp\n").is_err());
+        assert!(decode_request("stats\n").is_err(), "the verb `metrics` replaced");
+        assert!(decode_response("stats\nwarm_hits 7\n").is_err());
         assert!(decode_request("query\nworkers four\n\n").is_err());
         assert!(decode_request("query-next\n").is_err(), "query-next needs a cursor id");
         assert!(decode_request("query-close\ncursor many\n").is_err());

@@ -11,7 +11,7 @@
 use crate::cache::{CacheEntry, ProgramCache};
 use crate::metrics::{FlightRecorder, ServerMetrics, FLIGHT_RECORDER_CAP};
 use crate::pool::{AcquireError, CursorTable, EnginePool, ParkedQuery, PoolConfig, SlotGuard};
-use crate::protocol::{AnswerResponse, ErrorKind, QueryRequest, Response, StatsResponse};
+use crate::protocol::{AnswerResponse, ErrorKind, QueryRequest, Response};
 use crate::tenant::{TenantGuard, TenantTable};
 use pwam_compiler::CompiledProgram;
 use rapwam::session::{CursorStep, QueryOptions, SessionError};
@@ -45,7 +45,7 @@ pub struct ServerConfig {
     /// Stack Set of `memory` words).
     pub max_workers: usize,
     /// How long a parked cursor may sit untouched before idle eviction
-    /// reclaims it (lazily, on the next cursor or stats request).
+    /// reclaims it (lazily, on the next cursor request or metrics scrape).
     pub cursor_idle_timeout: Duration,
     /// Upper bound on concurrently parked cursors; `query-open` beyond it
     /// is rejected (each parked cursor holds a full engine's arenas).
@@ -109,8 +109,8 @@ pub(crate) struct ServerState {
     /// Connections open right now (the loop balances increments with
     /// decrements; `metrics` publishes it as a gauge).
     pub connections_active: AtomicU64,
-    /// The registry; its counters are the server's own request counters
-    /// (the pool, cache, cursor table and tenants keep theirs).
+    /// The registry: the request counters it created and the counters it
+    /// adopted from the pool, cache, cursor table and tenants.
     pub metrics: ServerMetrics,
     pub flight: FlightRecorder,
     pub shutdown: AtomicBool,
@@ -130,13 +130,17 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let pool = EnginePool::new(config.pool.clone());
+        let cache = ProgramCache::new(config.max_programs);
+        let cursors = CursorTable::new(config.cursor_idle_timeout, config.max_cursors);
+        let tenants = TenantTable::new(config.tenant_max_active);
         let state = Arc::new(ServerState {
-            pool: EnginePool::new(config.pool.clone()),
-            cache: ProgramCache::new(config.max_programs),
-            cursors: CursorTable::new(config.cursor_idle_timeout, config.max_cursors),
-            tenants: TenantTable::new(config.tenant_max_active),
+            metrics: ServerMetrics::new(&pool, &cache, &cursors, &tenants),
+            pool,
+            cache,
+            cursors,
+            tenants,
             connections_active: AtomicU64::new(0),
-            metrics: ServerMetrics::new(),
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAP),
             shutdown: AtomicBool::new(false),
             config,
@@ -148,12 +152,6 @@ impl Server {
     /// The address the server actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Statistics as wire key/value pairs (same view the `stats` request
-    /// returns).
-    pub fn stats(&self) -> StatsResponse {
-        stats_response(&self.state)
     }
 
     /// The Prometheus-style metrics exposition (the same text the
@@ -570,108 +568,4 @@ fn retire_cursor(state: &ServerState, parked: ParkedQuery, slot: Option<SlotGuar
         slot.put_memory(memory);
     }
     state.cursors.note_closed();
-}
-
-/// Cumulative throughput in thousandths of a MLIPS.  Widening to `u128`
-/// keeps the `* 1000` from overflowing once the instruction total passes
-/// `u64::MAX / 1000` (~1.8e16 — hours of sustained load); a zero
-/// denominator (no successful query yet) reports 0 rather than dividing.
-pub(crate) fn cumulative_mlips_x1000(instructions: u64, engine_micros: u64) -> u64 {
-    if engine_micros == 0 {
-        return 0;
-    }
-    let scaled = instructions as u128 * 1000 / engine_micros as u128;
-    scaled.min(u64::MAX as u128) as u64
-}
-
-/// Flatten pool + cache + registry counters into the wire stats shape.
-pub(crate) fn stats_response(state: &ServerState) -> StatsResponse {
-    sweep_idle_cursors(state);
-    let pool = state.pool.stats();
-    let cache = state.cache.stats();
-    let cursors = state.cursors.stats();
-    let tenants = state.tenants.stats();
-    let m = &state.metrics;
-    let instructions = m.instructions.get();
-    let engine_micros = m.engine_micros.get();
-    let mlips_x1000 = cumulative_mlips_x1000(instructions, engine_micros);
-    StatsResponse {
-        fields: vec![
-            ("pool_size".to_string(), state.config.pool.size as u64),
-            ("pool_requests".to_string(), pool.requests),
-            ("pool_warm_hits".to_string(), pool.warm_hits),
-            ("pool_cold_builds".to_string(), pool.cold_builds),
-            ("pool_rejections".to_string(), pool.rejections),
-            ("pool_queue_timeouts".to_string(), pool.queue_timeouts),
-            ("pool_run_errors".to_string(), pool.run_errors),
-            ("pool_queue_depth".to_string(), pool.queue_depth),
-            ("pool_max_queue_depth".to_string(), pool.max_queue_depth),
-            ("cache_program_hits".to_string(), cache.program_hits),
-            ("cache_program_misses".to_string(), cache.program_misses),
-            ("cache_evictions".to_string(), cache.evictions),
-            ("cache_programs".to_string(), cache.programs),
-            ("cache_compiled_queries".to_string(), cache.compiled_queries),
-            ("parked_cursors".to_string(), cursors.parked),
-            ("cursors_opened".to_string(), cursors.opened),
-            ("cursors_closed".to_string(), cursors.closed),
-            ("cursors_evicted".to_string(), cursors.evicted),
-            ("connections".to_string(), m.connections.get()),
-            ("connections_active".to_string(), state.connections_active.load(Ordering::Relaxed)),
-            ("queries".to_string(), m.queries.get()),
-            ("protocol_errors".to_string(), m.protocol_errors.get()),
-            ("compile_errors".to_string(), m.compile_errors.get()),
-            ("engine_errors".to_string(), m.engine_errors.get()),
-            ("deadline_errors".to_string(), m.deadline_errors.get()),
-            ("fuel_errors".to_string(), m.fuel_errors.get()),
-            ("fuel_preemptions".to_string(), m.fuel_preemptions.get()),
-            ("quota_rejections".to_string(), m.quota_rejections.get()),
-            ("tenants_admitted".to_string(), tenants.admitted),
-            ("tenants_rejected".to_string(), tenants.rejected),
-            ("tenants_active".to_string(), tenants.active),
-            ("instructions".to_string(), instructions),
-            ("engine_micros".to_string(), engine_micros),
-            // Cumulative throughput across every completed query, in
-            // thousandths of a MLIPS (instructions/µs == MIPS, scaled so
-            // the integer wire format keeps three decimal places).
-            ("mlips_x1000".to_string(), mlips_x1000),
-        ],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::cumulative_mlips_x1000;
-
-    #[test]
-    fn mlips_zero_denominator_reports_zero() {
-        assert_eq!(cumulative_mlips_x1000(0, 0), 0);
-        assert_eq!(cumulative_mlips_x1000(1_000_000, 0), 0);
-    }
-
-    #[test]
-    fn mlips_zero_numerator_is_zero() {
-        assert_eq!(cumulative_mlips_x1000(0, 12345), 0);
-    }
-
-    #[test]
-    fn mlips_ordinary_ratio() {
-        // 5M instructions in 2s → 2.5 MIPS → 2500 thousandths.
-        assert_eq!(cumulative_mlips_x1000(5_000_000, 2_000_000), 2500);
-    }
-
-    #[test]
-    fn mlips_survives_u64_overflow_of_the_scaled_numerator() {
-        // instructions * 1000 overflows u64 here; the u128 widening must
-        // still produce the exact ratio.
-        let instructions = u64::MAX / 2;
-        let micros = 1_000_000;
-        let expected = (instructions as u128 * 1000 / micros as u128) as u64;
-        assert_eq!(cumulative_mlips_x1000(instructions, micros), expected);
-    }
-
-    #[test]
-    fn mlips_saturates_rather_than_wrapping() {
-        // A pathological ratio beyond u64 clamps to u64::MAX.
-        assert_eq!(cumulative_mlips_x1000(u64::MAX, 1), u64::MAX);
-    }
 }

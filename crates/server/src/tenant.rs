@@ -13,20 +13,9 @@
 //! count against its tenant — parked means "not executing", which is the
 //! same reason it does not hold a pool slot.
 
+use pwam_obs::Counter;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// A point-in-time view of the admission counters.
-#[derive(Debug, Clone, Default)]
-pub struct TenantStats {
-    /// Tenant-carrying requests admitted.
-    pub admitted: u64,
-    /// Tenant-carrying requests turned away at quota.
-    pub rejected: u64,
-    /// In-flight tenant-carrying requests right now, summed over tenants.
-    pub active: u64,
-}
+use std::sync::{Arc, Mutex};
 
 /// The per-tenant in-flight table.
 pub struct TenantTable {
@@ -34,8 +23,10 @@ pub struct TenantTable {
     /// tenant is admitted, counts are still kept for the gauges).
     max_active: usize,
     active: Mutex<HashMap<String, u64>>,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
+    /// Tenant-carrying requests admitted.
+    pub(crate) admitted: Arc<Counter>,
+    /// Tenant-carrying requests turned away at quota.
+    pub(crate) rejected: Arc<Counter>,
 }
 
 impl TenantTable {
@@ -45,8 +36,8 @@ impl TenantTable {
         TenantTable {
             max_active,
             active: Mutex::new(HashMap::new()),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            admitted: Arc::default(),
+            rejected: Arc::default(),
         }
     }
 
@@ -69,11 +60,11 @@ impl TenantTable {
             if now == 0 {
                 active.remove(name);
             }
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+            self.rejected.inc();
             return Err(now);
         }
         *count += 1;
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.admitted.inc();
         Ok(TenantGuard { table: self, tenant: Some(name.to_string()) })
     }
 
@@ -83,15 +74,6 @@ impl TenantTable {
         let mut out: Vec<(String, u64)> = active.iter().map(|(k, v)| (k.clone(), *v)).collect();
         out.sort();
         out
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> TenantStats {
-        TenantStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            active: self.active.lock().unwrap().values().sum(),
-        }
     }
 
     fn release(&self, name: &str) {
@@ -125,6 +107,11 @@ impl Drop for TenantGuard<'_> {
 mod tests {
     use super::*;
 
+    /// In-flight tenant-carrying requests, summed over tenants.
+    fn active(table: &TenantTable) -> u64 {
+        table.active_snapshot().iter().map(|(_, n)| n).sum()
+    }
+
     #[test]
     fn quota_admits_up_to_the_cap_and_releases_on_drop() {
         let table = TenantTable::new(2);
@@ -136,18 +123,17 @@ mod tests {
         drop(a1);
         let a3 = table.admit(Some("a"));
         assert!(a3.is_ok(), "released slot is reusable");
-        let stats = table.stats();
-        assert_eq!(stats.admitted, 4);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.active, 3);
+        assert_eq!(table.admitted.get(), 4);
+        assert_eq!(table.rejected.get(), 1);
+        assert_eq!(active(&table), 3);
     }
 
     #[test]
     fn anonymous_requests_bypass_the_quota() {
         let table = TenantTable::new(1);
         let guards: Vec<_> = (0..8).map(|_| table.admit(None).unwrap()).collect();
-        assert_eq!(table.stats().active, 0, "anonymous requests hold nothing");
-        assert_eq!(table.stats().admitted, 0);
+        assert_eq!(active(&table), 0, "anonymous requests hold nothing");
+        assert_eq!(table.admitted.get(), 0);
         drop(guards);
     }
 
@@ -155,9 +141,9 @@ mod tests {
     fn zero_quota_means_unlimited() {
         let table = TenantTable::new(0);
         let guards: Vec<_> = (0..16).map(|_| table.admit(Some("a")).unwrap()).collect();
-        assert_eq!(table.stats().active, 16);
+        assert_eq!(active(&table), 16);
         drop(guards);
-        assert_eq!(table.stats().active, 0);
+        assert_eq!(active(&table), 0);
     }
 
     #[test]

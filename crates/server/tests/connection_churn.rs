@@ -9,6 +9,7 @@
 //! stream, mid-response, and the slowloris stall) and then assert the
 //! gauges say what a freshly started server would say.
 
+use pwam_obs::{parse_sample, sum_family};
 use pwam_server::protocol::{self, QueryRequest, Request, Response};
 use pwam_server::{Client, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -39,17 +40,23 @@ fn query(q: &str) -> Request {
     }))
 }
 
-/// Poll `stats` until every churn-sensitive gauge is back to its idle
-/// value (or fail loudly with the offender).
+/// One sample of the server's exposition (each scrape sweeps idle cursors).
+fn sample(server: &Server, series: &str) -> u64 {
+    parse_sample(&server.metrics_text(), series).unwrap_or_else(|| panic!("{series} missing"))
+}
+
+/// Poll the exposition until every churn-sensitive gauge is back to its
+/// idle value (or fail loudly with the offender).
 fn assert_baseline(server: &Server, expect_parked: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = server.stats();
+        let text = server.metrics_text();
+        let gauge = |series| parse_sample(&text, series).unwrap();
         let offenders: Vec<(&str, u64)> = [
-            ("connections_active", stats.get("connections_active").unwrap()),
-            ("pool_queue_depth", stats.get("pool_queue_depth").unwrap()),
-            ("tenants_active", stats.get("tenants_active").unwrap()),
-            ("parked_cursors", stats.get("parked_cursors").unwrap().saturating_sub(expect_parked)),
+            ("pwam_connections_active", gauge("pwam_connections_active")),
+            ("pwam_pool_queue_depth", gauge("pwam_pool_queue_depth")),
+            ("pwam_tenant_active_queries", sum_family(&text, "pwam_tenant_active_queries")),
+            ("pwam_cursors_parked", gauge("pwam_cursors_parked").saturating_sub(expect_parked)),
         ]
         .into_iter()
         .filter(|(_, v)| *v != 0)
@@ -140,13 +147,14 @@ fn disconnect_mid_cursor_stream_parks_then_evicts() {
     }
     // Parked cursors are a *deliberate* survivor of a disconnect (another
     // connection may resume them); everything else must drain now.
-    assert_baseline(&server, server.stats().get("parked_cursors").unwrap());
+    assert_baseline(&server, sample(&server, "pwam_cursors_parked"));
     // ...and the idle sweep reclaims the orphans themselves.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = server.stats();
-        if stats.get("parked_cursors").unwrap() == 0 {
-            assert!(stats.get("cursors_evicted").unwrap() >= 4, "orphans must be evicted, not closed");
+        let text = server.metrics_text();
+        if parse_sample(&text, "pwam_cursors_parked") == Some(0) {
+            let evicted = parse_sample(&text, "pwam_cursors_evicted_total").unwrap();
+            assert!(evicted >= 4, "orphans must be evicted, not closed");
             break;
         }
         assert!(Instant::now() < deadline, "orphaned cursors were never evicted");
@@ -310,15 +318,77 @@ fn mixed_churn_storm_returns_to_baseline() {
     // must drain regardless.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if server.stats().get("parked_cursors").unwrap() == 0 {
+        if sample(&server, "pwam_cursors_parked") == 0 {
             break;
         }
         assert!(Instant::now() < deadline, "storm cursors never evicted");
         std::thread::sleep(Duration::from_millis(50));
     }
     assert_baseline(&server, 0);
-    // The metrics plane agrees with the stats plane.
-    let metrics = server.metrics_text();
-    assert!(metrics.contains("pwam_connections_active 0"), "metrics gauge should read zero after the storm");
+    server.shutdown();
+}
+
+/// Concurrent mixed traffic is counted once, where it happens: one scrape
+/// after the threads join shows exactly the slot grants they caused, and
+/// every run they made as warm, cold or errored — no increment lost to a
+/// race, none added by a second copy of the number.
+#[test]
+fn concurrent_mixed_requests_are_counted_once_each() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+    let plain = |q: &str| QueryRequest {
+        program: PROGRAM.to_string(),
+        query: q.to_string(),
+        ..QueryRequest::default()
+    };
+    // (slot grants, runs) each thread caused.
+    let made: Vec<(u64, u64)> = (0..8)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let (mut grants, mut runs) = (0, 0);
+                for round in 0..6 {
+                    match round % 3 {
+                        // A plain query: one grant, one warm or cold run.
+                        0 => match client.query(plain("nrev([1,2,3,4,5,6,7,8], R)")).unwrap() {
+                            Response::Answer(a) => assert!(a.success),
+                            other => panic!("plain query: {other:?}"),
+                        },
+                        // Starved of fuel: one grant, one errored run.
+                        1 => match client
+                            .query(QueryRequest { fuel: Some(20), ..plain("nrev([1,2,3,4,5,6,7,8], R)") })
+                        {
+                            Ok(Response::Error { kind, .. }) => assert_eq!(kind.name(), "fuel"),
+                            other => panic!("starved query: {other:?}"),
+                        },
+                        // A cursor: the open is a grant and a run, each of
+                        // the two steps a grant, the close neither.
+                        _ => {
+                            let cursor = client.query_open(plain("p(X)")).unwrap();
+                            assert!(client.query_next(cursor).unwrap().is_some());
+                            assert!(client.query_next(cursor).unwrap().is_some());
+                            client.query_close(cursor).unwrap();
+                            grants += 2;
+                        }
+                    }
+                    grants += 1;
+                    runs += 1;
+                }
+                (grants, runs)
+            })
+        })
+        .map(|handle| handle.join().unwrap())
+        .collect();
+    let text = server.metrics_text();
+    let counter = |series| parse_sample(&text, series).unwrap();
+    assert_eq!(counter("pwam_pool_requests_total"), made.iter().map(|(grants, _)| grants).sum::<u64>());
+    assert_eq!(
+        counter("pwam_pool_warm_hits_total")
+            + counter("pwam_pool_cold_builds_total")
+            + counter("pwam_pool_run_errors_total"),
+        made.iter().map(|(_, runs)| runs).sum::<u64>()
+    );
+    assert_eq!(counter("pwam_pool_run_errors_total"), 16, "two starved queries a thread");
+    assert_eq!(counter("pwam_pool_rejections_total") + counter("pwam_pool_queue_timeouts_total"), 0);
     server.shutdown();
 }

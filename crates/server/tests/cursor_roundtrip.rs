@@ -1,7 +1,8 @@
 //! End-to-end tests of the cursor verbs: all-solutions streaming over the
 //! wire, cursor lifetime across pool-slot churn, idle eviction, and the
-//! parked-cursor stats.
+//! cursor-table series of the exposition.
 
+use pwam_obs::parse_sample;
 use pwam_server::{Client, ErrorKind, PoolConfig, QueryRequest, Request, Response, Server, ServerConfig};
 use rapwam::{DeterminismMode, SchedulerKind};
 use std::time::Duration;
@@ -45,10 +46,10 @@ fn open_next_exhaust_closes_the_cursor() {
         Response::Error { kind: ErrorKind::Cursor, .. } => {}
         other => panic!("expected a cursor error after exhaustion, got {other:?}"),
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("cursors_opened"), Some(1));
-    assert_eq!(stats.get("cursors_closed"), Some(1));
-    assert_eq!(stats.get("parked_cursors"), Some(0));
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_cursors_opened_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_cursors_closed_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_cursors_parked"), Some(0));
     server.shutdown();
 }
 
@@ -69,9 +70,9 @@ fn explicit_close_discards_a_mid_stream_cursor() {
         Response::Error { kind: ErrorKind::Cursor, .. } => {}
         other => panic!("expected a cursor error on double close, got {other:?}"),
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("cursors_closed"), Some(1));
-    assert_eq!(stats.get("parked_cursors"), Some(0));
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_cursors_closed_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_cursors_parked"), Some(0));
     server.shutdown();
 }
 
@@ -130,10 +131,10 @@ fn idle_cursors_are_evicted() {
         Response::Error { kind: ErrorKind::Cursor, .. } => {}
         other => panic!("expected the evicted cursor to be unknown, got {other:?}"),
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("cursors_evicted"), Some(1));
-    assert_eq!(stats.get("parked_cursors"), Some(0));
-    assert_eq!(stats.get("cursors_closed"), Some(0), "eviction is not a close");
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_cursors_evicted_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_cursors_parked"), Some(0));
+    assert_eq!(parse_sample(&text, "pwam_cursors_closed_total"), Some(0), "eviction is not a close");
     server.shutdown();
 }
 
@@ -144,11 +145,11 @@ fn stats_report_parked_cursors() {
     let a = client.query_open(three_p()).unwrap();
     let b = client.query_open(three_p()).unwrap();
     assert_ne!(a, b, "cursor ids must be distinct");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("parked_cursors"), Some(2));
-    assert_eq!(stats.get("cursors_opened"), Some(2));
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_cursors_parked"), Some(2));
+    assert_eq!(parse_sample(&text, "pwam_cursors_opened_total"), Some(2));
     client.query_close(a).unwrap();
-    assert_eq!(client.stats().unwrap().get("parked_cursors"), Some(1));
+    assert_eq!(parse_sample(&client.metrics().unwrap(), "pwam_cursors_parked"), Some(1));
     server.shutdown();
 }
 

@@ -209,11 +209,11 @@ fn preemption_counters_distinguish_deadline_from_fuel() {
     assert_eq!(parse_sample(&text, "pwam_fuel_preemptions_total"), Some(fuel_legs));
     assert_eq!(parse_sample(&text, "pwam_deadline_errors_total"), Some(1));
 
-    // The stats plane tells the same story.
-    let stats = server.stats();
-    assert_eq!(stats.get("fuel_errors"), Some(1));
-    assert_eq!(stats.get("fuel_preemptions"), Some(fuel_legs));
-    assert_eq!(stats.get("deadline_errors"), Some(1));
+    // The in-process reader tells the same story.
+    let text = server.metrics_text();
+    assert_eq!(parse_sample(&text, "pwam_fuel_errors_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_fuel_preemptions_total"), Some(fuel_legs));
+    assert_eq!(parse_sample(&text, "pwam_deadline_errors_total"), Some(1));
 
     // The flight recorder saw the preempted legs as scheduling events.
     let events = client.events(None).unwrap();
@@ -285,9 +285,9 @@ fn quota_rejections_surface_in_metrics_and_stats() {
     assert!(parse_sample(&text, "pwam_tenants_admitted_total").unwrap() >= 2);
     // Idle tenants drop out of the gauge entirely (no stale zero series).
     assert_eq!(parse_sample(&text, "pwam_tenant_active_queries{tenant=\"acme\"}"), None);
-    let stats = server.stats();
-    assert_eq!(stats.get("quota_rejections"), Some(1));
-    assert_eq!(stats.get("tenants_active"), Some(0));
+    let text = server.metrics_text();
+    assert_eq!(parse_sample(&text, "pwam_quota_rejections_total"), Some(1));
+    assert_eq!(sum_family(&text, "pwam_tenant_active_queries"), 0);
     server.shutdown();
 }
 
@@ -314,6 +314,37 @@ fn evicted_cursors_hit_the_recorder_and_the_gauges() {
     assert_eq!(parse_sample(&text, "pwam_cursors_parked"), Some(0));
     let events = client.events(None).unwrap();
     assert!(events.lines().any(|l| l.contains(&format!("evict cursor={cursor}"))), "{events}");
+    server.shutdown();
+}
+
+/// `Server::metrics_text` and the `metrics` verb are one render path, and
+/// the sweep of idle cursors is part of it: whichever reader comes first
+/// after a cursor's deadline counts it evicted, not parked.
+#[test]
+fn either_reader_reports_an_expired_cursor_as_evicted() {
+    let server = Server::start(ServerConfig {
+        cursor_idle_timeout: Duration::from_millis(10),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (evicted, in_process) in [(1, true), (2, false)] {
+        client
+            .query_open(QueryRequest {
+                program: "p(1).".to_string(),
+                query: "p(X)".to_string(),
+                ..QueryRequest::default()
+            })
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        let text = if in_process { server.metrics_text() } else { client.metrics().unwrap() };
+        assert_eq!(
+            parse_sample(&text, "pwam_cursors_evicted_total"),
+            Some(evicted),
+            "in-process: {in_process}"
+        );
+        assert_eq!(parse_sample(&text, "pwam_cursors_parked"), Some(0), "in-process: {in_process}");
+    }
     server.shutdown();
 }
 
@@ -370,6 +401,8 @@ const FAMILIES: &[&str] = &[
     "pwam_pe_batch_exits_park_total counter",
     "pwam_cancel_requests_total counter",
     "pwam_predicate_instructions_total counter",
+    "pwam_pool_max_queue_depth gauge",
+    "pwam_cache_compiled_queries gauge",
 ];
 
 #[test]

@@ -15,6 +15,7 @@
 //! * no connection, however it dies, leaks its accounting slot.
 
 use proptest::prelude::*;
+use pwam_obs::parse_sample;
 use pwam_server::protocol::{self, ErrorKind, QueryRequest, Request, Response, MAX_FRAME_BYTES};
 use pwam_server::{Server, ServerConfig};
 use std::io::{Read, Write};
@@ -76,10 +77,9 @@ fn expect_eof(stream: &mut TcpStream) {
 fn assert_connections_drain() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = server().stats();
-        let active = stats.get("connections_active").unwrap();
-        // This probe's own connection is gone by the time stats() runs
-        // in-process, so fully drained really is zero.
+        // Read in-process, so there is no probe connection to discount:
+        // fully drained really is zero.
+        let active = parse_sample(&server().metrics_text(), "pwam_connections_active").unwrap();
         if active == 0 {
             return;
         }
@@ -94,6 +94,8 @@ enum Scripted {
     Ping,
     Query,
     BadVerb,
+    /// `stats` was a verb once; `metrics` replaced it.
+    RetiredVerb,
     BadHeader,
 }
 
@@ -107,6 +109,7 @@ impl Scripted {
                 ..QueryRequest::default()
             }))),
             Scripted::BadVerb => "transmogrify\nurgency high\n\n".to_string(),
+            Scripted::RetiredVerb => "stats\n".to_string(),
             Scripted::BadHeader => "query\nworkers lots\nprogram-bytes 0\nquery-bytes 0\n\n".to_string(),
         }
     }
@@ -118,7 +121,7 @@ impl Scripted {
                 Response::Answer(a) => assert!(a.success, "p(X) must succeed"),
                 other => panic!("query → {other:?}"),
             },
-            Scripted::BadVerb | Scripted::BadHeader => match response {
+            Scripted::BadVerb | Scripted::RetiredVerb | Scripted::BadHeader => match response {
                 Response::Error { kind: ErrorKind::Protocol, .. } => {}
                 other => panic!("malformed request → {other:?}"),
             },
@@ -132,6 +135,7 @@ fn arb_script() -> impl Strategy<Value = Vec<Scripted>> {
             Just(Scripted::Ping),
             Just(Scripted::Query),
             Just(Scripted::BadVerb),
+            Just(Scripted::RetiredVerb),
             Just(Scripted::BadHeader),
         ],
         1..8,
@@ -283,6 +287,29 @@ fn empty_frame_is_a_recoverable_protocol_error() {
     }
     stream.write_all(&frame(&protocol::encode_request(&Request::Ping))).unwrap();
     assert!(matches!(read_response(&mut stream), Response::Pong));
+}
+
+/// A client that still sends `stats` is told what any unknown verb is told:
+/// one framed `protocol` error, counted once, on a connection that lives on.
+#[test]
+fn the_retired_stats_verb_is_an_unknown_verb() {
+    let server = Server::start(ServerConfig::default()).expect("start a server of its own to count on");
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let errors = || parse_sample(&server.metrics_text(), "pwam_protocol_errors_total").unwrap();
+    let before = errors();
+    stream.write_all(&frame(&Scripted::RetiredVerb.payload())).unwrap();
+    match read_response(&mut stream) {
+        Response::Error { kind: ErrorKind::Protocol, message } => {
+            assert!(message.contains("unknown request verb \"stats\""), "unexpected message: {message}");
+        }
+        other => panic!("stats → {other:?}"),
+    }
+    assert_eq!(errors(), before + 1);
+    stream.write_all(&frame(&protocol::encode_request(&Request::Ping))).unwrap();
+    assert!(matches!(read_response(&mut stream), Response::Pong));
+    drop(stream);
+    server.shutdown();
 }
 
 /// Heavy pipelining across many simultaneous connections: every

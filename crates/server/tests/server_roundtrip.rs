@@ -2,6 +2,7 @@
 //! ephemeral port, driven through the wire protocol by `Client`s.
 
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
+use pwam_obs::parse_sample;
 use pwam_server::{Client, ErrorKind, PoolConfig, QueryRequest, Response, Server, ServerConfig};
 use rapwam::{DeterminismMode, SchedulerKind};
 use std::time::{Duration, Instant};
@@ -40,17 +41,15 @@ fn ping_stats_and_simple_query() {
     assert_eq!(a.bindings, vec![("X".to_string(), "[1,2,3]".to_string())]);
     assert!(a.instructions > 0);
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("queries"), Some(1));
-    assert_eq!(stats.get("cache_programs"), Some(1));
-    // The stats verb reports cumulative executed instructions and the
-    // derived cumulative throughput: after one successful query the
-    // instruction counter must equal that query's answer-level count (and
-    // the MLIPS figure is present — 0 only if the run was faster than the
-    // microsecond clock).
-    assert_eq!(stats.get("instructions"), Some(a.instructions));
-    assert!(stats.get("engine_micros").is_some());
-    assert!(stats.get("mlips_x1000").is_some());
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_queries_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_cache_programs"), Some(1));
+    // The exposition carries cumulative executed instructions and engine
+    // time, whose quotient is the cumulative MLIPS: after one successful
+    // query the instruction counter must equal that query's answer-level
+    // count and the engine time its answer-level wall-clock.
+    assert_eq!(parse_sample(&text, "pwam_instructions_total"), Some(a.instructions));
+    assert_eq!(parse_sample(&text, "pwam_engine_micros_total"), Some(a.elapsed_us));
     server.shutdown();
 }
 
@@ -70,12 +69,12 @@ fn repeated_queries_reuse_engines_and_compilations() {
         assert!(a.warm, "subsequent runs must reuse the slot's arenas");
         assert_eq!(a.bindings, first.bindings);
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("pool_cold_builds"), Some(1));
-    assert_eq!(stats.get("pool_warm_hits"), Some(5));
-    assert_eq!(stats.get("cache_program_misses"), Some(1));
-    assert_eq!(stats.get("cache_program_hits"), Some(5));
-    assert_eq!(stats.get("cache_compiled_queries"), Some(1));
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_pool_cold_builds_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_pool_warm_hits_total"), Some(5));
+    assert_eq!(parse_sample(&text, "pwam_cache_program_misses_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_cache_program_hits_total"), Some(5));
+    assert_eq!(parse_sample(&text, "pwam_cache_compiled_queries"), Some(1));
     server.shutdown();
 }
 
@@ -154,9 +153,9 @@ fn runaway_queries_hit_their_deadline() {
             .unwrap(),
     );
     assert!(a.success);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("deadline_errors"), Some(1));
-    assert_eq!(stats.get("pool_run_errors"), Some(1));
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_deadline_errors_total"), Some(1));
+    assert_eq!(parse_sample(&text, "pwam_pool_run_errors_total"), Some(1));
     server.shutdown();
 }
 
@@ -196,7 +195,7 @@ fn saturated_pool_sheds_load() {
         // counts slot grants, and this is the server's first.
         let mut c = Client::connect(addr).unwrap();
         let waiting_since = Instant::now();
-        while c.stats().unwrap().get("pool_requests") != Some(1) {
+        while parse_sample(&c.metrics().unwrap(), "pwam_pool_requests_total") != Some(1) {
             assert!(waiting_since.elapsed() < Duration::from_secs(30), "the slow query never got its slot");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -213,7 +212,7 @@ fn saturated_pool_sheds_load() {
         }
         let slow_result = slow.join().unwrap();
         assert!(matches!(slow_result, Response::Answer(_)), "slow query result: {slow_result:?}");
-        assert_eq!(server.stats().get("pool_rejections"), Some(1));
+        assert_eq!(parse_sample(&server.metrics_text(), "pwam_pool_rejections_total"), Some(1));
     });
     server.shutdown();
 }
@@ -249,9 +248,12 @@ fn registry_benchmarks_run_through_the_server_in_every_mode() {
     // Same program across modes: the program cache sees one entry per
     // benchmark, and the pool reuses arenas whenever the worker count of
     // the previous run matches.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("cache_programs"), Some(3));
-    assert!(stats.get("pool_warm_hits").unwrap() > 0, "no warm reuse across benchmark runs");
+    let text = client.metrics().unwrap();
+    assert_eq!(parse_sample(&text, "pwam_cache_programs"), Some(3));
+    assert!(
+        parse_sample(&text, "pwam_pool_warm_hits_total").unwrap() > 0,
+        "no warm reuse across benchmark runs"
+    );
     server.shutdown();
 }
 

@@ -59,9 +59,10 @@ fn main() {
         }
     }
 
-    println!("\nserver statistics:");
-    for (key, value) in client.stats().expect("stats").fields {
-        println!("  {key:<24} {value}");
+    println!("\npool and cache series of the `metrics` exposition:");
+    let text = client.metrics().expect("metrics");
+    for line in text.lines().filter(|l| l.starts_with("pwam_pool_") || l.starts_with("pwam_cache_")) {
+        println!("  {line}");
     }
     server.shutdown();
 }
