@@ -701,7 +701,7 @@ impl<'p> Engine<'p> {
                     let w =
                         self.core.mem.shared_read(board::ANSWER_PE).expect_uint("board answer pe") as usize;
                     self.workers[w].status = WorkerStatus::Running;
-                    Step { core: &self.core, wk: &mut self.workers[w] }.backtrack()?;
+                    Step::new(&self.core, &mut self.workers[w]).backtrack()?;
                     self.drive_resumable()
                 }
                 other => Err(EngineError::Internal(format!(
@@ -725,7 +725,7 @@ impl<'p> Engine<'p> {
                 self.core.finished.store(RUNNING, Ordering::Release);
                 match result {
                     HostResult::Succeed(bindings) => {
-                        let mut step = Step { core: &self.core, wk: &mut self.workers[w] };
+                        let mut step = Step::new(&self.core, &mut self.workers[w]);
                         let mut ok = true;
                         let mut var_memo = std::collections::HashMap::new();
                         for (idx, term) in &bindings {
@@ -747,7 +747,7 @@ impl<'p> Engine<'p> {
                         self.drive_resumable()
                     }
                     _ => {
-                        Step { core: &self.core, wk: &mut self.workers[w] }.backtrack()?;
+                        Step::new(&self.core, &mut self.workers[w]).backtrack()?;
                         self.drive_resumable()
                     }
                 }
@@ -946,7 +946,7 @@ impl<'p> Engine<'p> {
     /// Give worker `w` its slot of the current round.  Returns `true` if the
     /// worker made progress.  A no-op once the query has finished.
     pub fn step_slot(&mut self, w: usize) -> EngineResult<bool> {
-        Step { core: &self.core, wk: &mut self.workers[w] }.run_slot()
+        Step::new(&self.core, &mut self.workers[w]).run_slot()
     }
 
     /// Close a scheduling round: detect deadlock and enforce the step limit.
@@ -1362,6 +1362,13 @@ impl<'p> Engine<'p> {
 }
 
 impl<'a, 'p> Step<'a, 'p> {
+    /// Pair the shared core with one worker's state: the one way a `Step`
+    /// is built.
+    #[inline]
+    pub(crate) fn new(core: &'a EngineCore<'p>, wk: &'a mut Worker) -> Self {
+        Step { core, wk }
+    }
+
     /// This worker's index.
     #[inline]
     pub(crate) fn w(&self) -> usize {
@@ -1442,6 +1449,55 @@ impl<'a, 'p> Step<'a, 'p> {
         let old = self.core.mem.update_uint(self.w(), self.arena_of(addr), addr, object.area(), f)?;
         self.note_ref(addr, true, object);
         Ok(old)
+    }
+
+    /// Count `n` references to the consecutive `object` words from `addr` up
+    /// and, when tracing, record them in ascending address order: what `n`
+    /// calls of [`Step::note_ref`] leave.
+    #[allow(dead_code)] // the callers switch over in the next commit
+    #[inline(always)]
+    pub(crate) fn note_run(&mut self, addr: u32, n: u32, write: bool, object: ObjectKind) {
+        debug_assert!(
+            (addr..addr + n).all(|a| self.core.mem.map.area_of(a) == object.area()),
+            "object kind {object:?} used outside its area"
+        );
+        self.wk.refs.counts[object.index()][write as usize] += n as u64;
+        if let Some(trace) = &mut self.wk.trace {
+            let seq = self.core.mem.next_seqs(n);
+            trace.extend((0..n).map(|i| (seq + i as u64, MemRef::new(self.wk.id, addr + i, write, object))));
+        }
+    }
+
+    /// Read the `out.len()` consecutive `object` words from `addr` up — a
+    /// frame, or the part of one whose words are one kind.  Counters, trace
+    /// and cells are those of single reads in ascending address order; a run
+    /// no one arena holds *is* made as those single reads.
+    #[allow(dead_code)] // the callers switch over in the next commit
+    #[inline(always)]
+    pub(crate) fn mem_read_run(&mut self, addr: u32, object: ObjectKind, out: &mut [Cell]) {
+        if self.core.mem.load_run(addr, out) {
+            self.note_run(addr, out.len() as u32, false, object);
+        } else {
+            for (i, cell) in out.iter_mut().enumerate() {
+                *cell = self.mem_read(addr + i as u32, object);
+            }
+        }
+    }
+
+    /// Write `values` to the consecutive `object` words from `addr` up.
+    /// Counters, trace, words and reset mark are those of single writes in
+    /// ascending address order; a run no one arena holds *is* made as those
+    /// single writes.
+    #[allow(dead_code)] // the callers switch over in the next commit
+    #[inline(always)]
+    pub(crate) fn mem_write_run(&mut self, addr: u32, object: ObjectKind, values: &[Cell]) {
+        if self.core.mem.store_run(self.w(), addr, values, object.area()) {
+            self.note_run(addr, values.len() as u32, true, object);
+        } else {
+            for (i, &value) in values.iter().enumerate() {
+                self.mem_write(addr + i as u32, value, object);
+            }
+        }
     }
 
     /// Classify an address *known to lie in this worker's own arena* by the

@@ -316,12 +316,55 @@ impl StackSetArena {
         &self.words[(addr - self.base) as usize]
     }
 
+    /// The `n` words from global address `addr` up with the first one's
+    /// offset, if this arena holds them all.  An address below `base` wraps
+    /// to an offset past any arena's length, so the one slice check answers
+    /// "is the run mine?" and "is it in bounds?" together; a run that only
+    /// starts here is `None`.
+    #[inline(always)]
+    fn run(&self, addr: u32, n: usize) -> Option<(usize, &[Word])> {
+        let offset = addr.wrapping_sub(self.base) as usize;
+        Some((offset, self.words.get(offset..offset.checked_add(n)?)?))
+    }
+
+    /// Load the `out.len()` words from `addr` up, in ascending address order.
+    /// `false`, with nothing loaded, if this arena does not hold them all.
+    #[inline(always)]
+    pub(crate) fn load_run(&self, addr: u32, out: &mut [Cell]) -> bool {
+        let Some((_, words)) = self.run(addr, out.len()) else { return false };
+        for (cell, word) in out.iter_mut().zip(words) {
+            *cell = word.load();
+        }
+        true
+    }
+
+    /// Store `values` into the words of `area` from `addr` up, in ascending
+    /// address order, and advance the reset mark past the last one — where
+    /// the stores of the single words would have left it.  `false`, with
+    /// nothing stored, if this arena does not hold them all.
+    #[inline(always)]
+    pub(crate) fn store_run(&self, addr: u32, values: &[Cell], area: Area, by_owner: bool) -> bool {
+        let Some((offset, words)) = self.run(addr, values.len()) else { return false };
+        for (word, &value) in words.iter().zip(values) {
+            word.store(value);
+        }
+        if let Some(last) = values.len().checked_sub(1) {
+            self.mark_written_at(area, offset + last, by_owner);
+        }
+        true
+    }
+
     /// Advance `area`'s reset mark past a store to global address `addr`.
+    #[inline(always)]
+    fn mark_written(&self, area: Area, addr: u32, by_owner: bool) {
+        self.mark_written_at(area, (addr - self.base) as usize, by_owner);
+    }
+
+    /// Advance `area`'s reset mark past a store to the word at `offset`.
     /// `Relaxed` throughout: nothing reads a mark until [`Memory::reset`] or
     /// the drop, whose `&mut self` is ordered after every PE thread's end.
     #[inline(always)]
-    fn mark_written(&self, area: Area, addr: u32, by_owner: bool) {
-        let offset = (addr - self.base) as usize;
+    fn mark_written_at(&self, area: Area, offset: usize, by_owner: bool) {
         if by_owner {
             let mark = &self.owner_marks[area.index()];
             if offset >= mark.load(Ordering::Relaxed) {
@@ -408,6 +451,15 @@ impl Memory {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Claim the sequence numbers of `n` consecutive traced references — a
+    /// run — and return the first.  Under the strict backend one thread
+    /// issues every reference, so these are the numbers `n` calls of
+    /// [`Memory::next_seq`] would have returned.
+    #[inline(always)]
+    pub(crate) fn next_seqs(&self, n: u32) -> u64 {
+        self.seq.fetch_add(n as u64, Ordering::Relaxed)
+    }
+
     /// Sequence numbers claimed since the build or the last reset.
     pub(crate) fn seqs_claimed(&mut self) -> usize {
         *self.seq.get_mut() as usize
@@ -426,6 +478,22 @@ impl Memory {
         let a = &self.arenas[arena];
         a.word(addr).store(value);
         a.mark_written(area, addr, pe == arena);
+    }
+
+    /// Load the `out.len()` words from `addr` up.  `false`, with nothing
+    /// loaded, unless one arena holds them all.
+    #[inline(always)]
+    pub(crate) fn load_run(&self, addr: u32, out: &mut [Cell]) -> bool {
+        self.arenas.get(self.map.owner(addr)).is_some_and(|a| a.load_run(addr, out))
+    }
+
+    /// Store `values` into the words of `area` from `addr` up on behalf of
+    /// PE `pe`, advancing the reset mark past the last.  `false`, with
+    /// nothing stored, unless one arena holds them all.
+    #[inline(always)]
+    pub(crate) fn store_run(&self, pe: usize, addr: u32, values: &[Cell], area: Area) -> bool {
+        let arena = self.map.owner(addr);
+        self.arenas.get(arena).is_some_and(|a| a.store_run(addr, values, area, pe == arena))
     }
 
     /// Atomically replace the `Uint` at `addr` (in `area` of arena `arena`)
@@ -566,7 +634,7 @@ mod tests {
     }
 
     fn pe<'a, 'p>(engine: &'a mut Engine<'p>, w: usize) -> Step<'a, 'p> {
-        Step { core: &engine.core, wk: &mut engine.workers[w] }
+        Step::new(&engine.core, &mut engine.workers[w])
     }
 
     /// One of every `Cell` variant, with the extreme payloads.
@@ -717,7 +785,7 @@ mod tests {
         std::thread::scope(|s| {
             for wk in &mut e.workers {
                 s.spawn(move || {
-                    let mut pe = Step { core, wk };
+                    let mut pe = Step::new(core, wk);
                     for _ in 0..rounds {
                         pe.mem_rmw(pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
                     }
@@ -766,7 +834,7 @@ mod tests {
         std::thread::scope(|s| {
             let barrier = &barrier;
             s.spawn(move || {
-                let mut pe1 = Step { core, wk: remote_wk };
+                let mut pe1 = Step::new(core, remote_wk);
                 barrier.wait();
                 for i in 0..rounds {
                     pe1.mem_write(remote, remote_cycle(i), ObjectKind::HeapTerm);
@@ -777,7 +845,7 @@ mod tests {
                     pe1.mem_rmw(count, ObjectKind::ParcallCount, |v| v + 1).unwrap();
                 }
             });
-            let mut pe0 = Step { core, wk: owner_wk };
+            let mut pe0 = Step::new(core, owner_wk);
             pe0.mem_write(own, own_cycle(0), ObjectKind::HeapTerm);
             barrier.wait();
             for i in 1..rounds {
@@ -996,7 +1064,7 @@ mod tests {
             for (k, wk) in e.workers[1..].iter_mut().enumerate() {
                 let arrived = &arrived;
                 s.spawn(move || {
-                    let mut pe = Step { core, wk };
+                    let mut pe = Step::new(core, wk);
                     for round in 0..rounds {
                         let pair = 1 + 2 * round;
                         meet(arrived, 2 * round);
@@ -1139,7 +1207,7 @@ mod tests {
         std::thread::scope(|s| {
             for wk in &mut threaded.workers {
                 let pe_loop = &pe_loop;
-                s.spawn(move || pe_loop(Step { core, wk }));
+                s.spawn(move || pe_loop(Step::new(core, wk)));
             }
         });
         for e in [&mut one_thread, &mut threaded] {
@@ -1179,6 +1247,122 @@ mod tests {
         for e in [traced, untraced] {
             assert!(e.reset().core.mem.is_pristine());
         }
+    }
+
+    /// Everything a reference leaves behind must be the same in both
+    /// machines: each PE's counts and `(seq, MemRef)` records, every arena
+    /// word, every reset mark — and a reset then clears both, so the marks
+    /// cover what was written.
+    fn assert_same_footprint(mut singles: Engine, mut runs: Engine) {
+        for (s, r) in singles.workers.iter().zip(&runs.workers) {
+            assert_eq!(r.refs.counts, s.refs.counts, "PE {}'s counts", s.id);
+            assert_eq!(r.trace, s.trace, "PE {}'s records", s.id);
+        }
+        assert_eq!(runs.core.mem.seqs_claimed(), singles.core.mem.seqs_claimed());
+        let (sm, rm) = (&singles.core.mem, &runs.core.mem);
+        for addr in 0..sm.map.shared_base() {
+            assert_eq!(rm.read_untraced(addr), sm.read_untraced(addr), "word {addr}");
+        }
+        for (s, r) in sm.arenas.iter().zip(&rm.arenas) {
+            assert_eq!(marks(&r.owner_marks), marks(&s.owner_marks), "owner marks of arena at {}", s.base);
+            assert_eq!(marks(&r.remote_marks), marks(&s.remote_marks), "remote marks of arena at {}", s.base);
+        }
+        for e in [singles, runs] {
+            assert!(e.reset().core.mem.is_pristine(), "a written word lies above its area's reset mark");
+        }
+    }
+
+    #[test]
+    fn a_run_leaves_what_its_single_references_leave() {
+        // xorshift64*: the cases only have to be varied and repeatable.
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32
+        };
+        let rounds = if cfg!(miri) { 3 } else { 60 };
+        for _ in 0..rounds {
+            let mut singles = traced();
+            let mut runs = traced();
+            // A few references per machine, so most marks are one run's doing.
+            for _ in 0..6 {
+                let object = ObjectKind::ALL[next() as usize % ObjectKind::ALL.len()];
+                let (issuer, owner) = (next() as usize % 2, next() as usize % 2);
+                let n = next() as usize % 17;
+                let map = &singles.core.mem.map;
+                let room = map.config.area_size(object.area()) - 16;
+                let start = map.area_base(owner, object.area()) + next() % room;
+                if next() % 2 == 0 {
+                    let values: Vec<Cell> = (0..n)
+                        .map(|i| match next() % 3 {
+                            0 => Cell::Int(i64::MIN + i as i64),
+                            1 => Cell::Fun(Atom(next()), 255),
+                            _ => Cell::Uint(next()),
+                        })
+                        .collect();
+                    for (i, &value) in values.iter().enumerate() {
+                        pe(&mut singles, issuer).mem_write(start + i as u32, value, object);
+                    }
+                    pe(&mut runs, issuer).mem_write_run(start, object, &values);
+                } else {
+                    let one_by_one: Vec<Cell> =
+                        (0..n).map(|i| pe(&mut singles, issuer).mem_read(start + i as u32, object)).collect();
+                    let mut at_once = vec![Cell::Code(u32::MAX); n];
+                    pe(&mut runs, issuer).mem_read_run(start, object, &mut at_once);
+                    assert_eq!(at_once, one_by_one);
+                }
+            }
+            assert_same_footprint(singles, runs);
+        }
+    }
+
+    #[test]
+    fn a_run_across_the_end_of_a_stack_set_is_not_served_from_one_arena() {
+        // Stack Sets that are all heap, so the word after PE 0's last is PE
+        // 1's first and one object kind is at home on both sides.
+        let heap_only = MemoryConfig {
+            heap_words: 96,
+            local_words: 0,
+            control_words: 0,
+            trail_words: 0,
+            pdl_words: 0,
+            goal_stack_words: 0,
+            message_words: 0,
+        };
+        let mut singles = machine(heap_only, 2, true);
+        let mut runs = machine(heap_only, 2, true);
+        let end = runs.core.mem.map.area_end(0, Area::Heap);
+        let arenas = &runs.core.mem.arenas;
+        assert!(arenas[0].run(end - 3, 3).is_some(), "the last three words are one arena's");
+        assert!(arenas[0].run(end - 3, 6).is_none(), "the run only starts in arena 0");
+        assert!(arenas[1].run(end - 3, 6).is_none(), "and only ends in arena 1");
+        assert!(arenas[0].run(u32::MAX, 2).is_none() && arenas[1].run(0, 1).is_none());
+        let values: Vec<Cell> = (0..6).map(|i| Cell::Int(-1 - i)).collect();
+        // The run starts in its issuer's own Stack Set (PE 0) or ends there
+        // (PE 1): either way each word goes where its own address says.
+        for issuer in 0..2 {
+            for (i, &value) in values.iter().enumerate() {
+                pe(&mut singles, issuer).mem_write(end - 3 + i as u32, value, ObjectKind::HeapTerm);
+            }
+            pe(&mut runs, issuer).mem_write_run(end - 3, ObjectKind::HeapTerm, &values);
+            let mut read = [Cell::Empty; 6];
+            for (i, cell) in read.iter_mut().enumerate() {
+                *cell = pe(&mut singles, issuer).mem_read(end - 3 + i as u32, ObjectKind::HeapTerm);
+            }
+            assert_eq!(read[..], values[..]);
+            read = [Cell::Empty; 6];
+            pe(&mut runs, issuer).mem_read_run(end - 3, ObjectKind::HeapTerm, &mut read);
+            assert_eq!(read[..], values[..]);
+        }
+        let heap = Area::Heap.index();
+        let arenas = &runs.core.mem.arenas;
+        assert_eq!(marks(&arenas[0].owner_marks)[heap], 96);
+        assert_eq!(marks(&arenas[0].remote_marks)[heap], 96);
+        assert_eq!(marks(&arenas[1].owner_marks)[heap], 3);
+        assert_eq!(marks(&arenas[1].remote_marks)[heap], 3);
+        assert_same_footprint(singles, runs);
     }
 
     #[test]

@@ -245,7 +245,7 @@ fn relaxed_pe_loop(
     wk: &mut crate::worker::Worker,
 ) -> EngineResult<()> {
     let stall_timeout = core.config.stall_timeout;
-    let mut step = crate::engine::Step { core, wk };
+    let mut step = crate::engine::Step::new(core, wk);
     let mut idle_spins: u32 = 0;
     let mut busy_batches: u32 = 0;
     let mut last_steps = core.steps();

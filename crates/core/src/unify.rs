@@ -365,3 +365,71 @@ impl<'a, 'p> Step<'a, 'p> {
         Ok(true)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Engine, EngineConfig};
+    use crate::layout::MemoryConfig;
+    use pwam_front::term::Term;
+    use pwam_front::{parser, SymbolTable};
+
+    /// The run-time checks of a CGE walk whole terms, and every word they
+    /// look at is a reference of the stream: finding the first variable must
+    /// not end `ground/1`'s walk early.  The counts were recorded while
+    /// `is_ground` still collected the variables it only counts and
+    /// `struct_eq` kept its root pair on the work stack.
+    #[test]
+    fn term_inspection_makes_the_references_it_always_made() {
+        // (check, its arguments as t(..), answer, data references)
+        const CASES: &[(&str, &str, bool, u64)] = &[
+            ("ground", "t(a)", true, 0),
+            ("ground", "t(7)", true, 0),
+            ("ground", "t(X)", false, 1),
+            ("ground", "t([1, 2, 3])", true, 6),
+            ("ground", "t([X, 2, Y | T])", false, 9),
+            ("ground", "t(f(a, g(b, 1)))", true, 6),
+            ("ground", "t(f(X, g(Y, X), c))", false, 10),
+            ("indep", "t(a, b)", true, 0),
+            ("indep", "t(X, Y)", true, 2),
+            ("indep", "t(X, X)", false, 2),
+            ("indep", "t(f(a), X)", true, 2),
+            ("indep", "t([X, 1], f(Y, 2))", true, 9),
+            ("indep", "t([X, 1], f(Y, g(X)))", false, 12),
+            ("indep", "t([1, 2], f(Y, g(X)))", true, 4),
+            ("==", "t(a, a)", true, 0),
+            ("==", "t(a, b)", false, 0),
+            ("==", "t(7, 7)", true, 0),
+            ("==", "t(X, X)", true, 2),
+            ("==", "t(X, Y)", false, 2),
+            ("==", "t(X, a)", false, 1),
+            ("==", "t([1, 2, 3], [1, 2, 3])", true, 12),
+            ("==", "t([1, 2, 3], [1, 2, 4])", false, 12),
+            ("==", "t([1, X | T], [1, X | T])", true, 12),
+            ("==", "t(f(X, g(a, 1)), f(X, g(a, 1)))", true, 14),
+            ("==", "t(f(X, g(a, 1)), f(X, g(b, 1)))", false, 12),
+            ("==", "t(f(a), g(a))", false, 2),
+        ];
+        let mut session = crate::session::Session::new("p.").unwrap();
+        let program = session.compile("p", true).unwrap();
+        let config = EngineConfig { memory: MemoryConfig::small(), ..EngineConfig::default() };
+        let mut syms = SymbolTable::new();
+        for &(check, args, answer, refs) in CASES {
+            let mut engine = Engine::new(&program, config.clone());
+            let mut step = Step::new(&engine.core, &mut engine.workers[0]);
+            let Term::Struct(_, args) = parser::parse_term(args, &mut syms).unwrap() else { unreachable!() };
+            // One memo for both arguments: `t(X, X)` is one variable.
+            let mut memo = std::collections::HashMap::new();
+            let cells: Vec<Cell> = args.iter().map(|a| step.build_term(a, &mut memo).unwrap()).collect();
+            let issued = |step: &Step| step.wk.refs.counts.iter().flatten().sum::<u64>();
+            let before = issued(&step);
+            let got = match check {
+                "ground" => step.is_ground(cells[0]),
+                "indep" => step.independent(cells[0], cells[1]),
+                _ => step.struct_eq(cells[0], cells[1]),
+            }
+            .unwrap();
+            assert_eq!((got, issued(&step) - before), (answer, refs), "{check} over {args:?}");
+        }
+    }
+}

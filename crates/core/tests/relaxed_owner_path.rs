@@ -13,7 +13,8 @@
 //!   an untraced run must count, kind by kind and PE by PE, what a traced run
 //!   counts.
 //! * A **traced** relaxed run records every reference once, and the merged
-//!   trace keeps each PE's records in that PE's program order.
+//!   trace keeps each PE's records in that PE's program order — a stolen
+//!   Goal Frame's words as one run of consecutive reads by the thief.
 //! * Word soundness holds for **any** program, including one whose
 //!   unconditional `&` lies about independence: two PEs racing on one
 //!   variable cell may produce either binding, a failure or a typed error,
@@ -105,6 +106,63 @@ fn a_traced_relaxed_run_records_every_reference() {
             let strict = session.run(&b.query, &QueryOptions::parallel(1).with_trace()).unwrap();
             assert!(trace == strict.trace.unwrap(), "one relaxed PE left the strict reference order");
         }
+    }
+}
+
+/// A thief reads the Goal Frame it pops — four header words, then the
+/// arguments — out of the *victim's* Goal Stack, under the victim's board
+/// lock and with nothing in between: in the thief's own order those are
+/// `4 + arity` reads of consecutive addresses, once per stolen goal.
+#[test]
+fn a_stolen_goal_frame_is_read_as_one_run_of_consecutive_words() {
+    let b = benchmark(BenchmarkId::Fib, Scale::Small);
+    let mut session = Session::new(&b.program).unwrap();
+    let words = 4 + 2; // the parallel goals are `fib/2`
+    for (options, backend) in
+        [(QueryOptions::parallel(4), "interleaved"), (QueryOptions::relaxed(4), "relaxed")]
+    {
+        let set_words = options.memory.stack_set_words();
+        let run = session.run(&b.query, &options.with_trace()).unwrap();
+        assert!(run.outcome.is_success());
+        let stolen = run.stats.goals_actually_parallel;
+        // Interleaved PEs steal deterministically; free-running ones may not.
+        assert!(stolen > 0 || backend == "relaxed", "{backend}: nothing was stolen");
+        let trace = run.trace.expect("tracing was requested");
+        // Only a steal reads a Goal Frame in another PE's Stack Set.
+        let from_a_victim =
+            |r: &MemRef| r.object == ObjectKind::GoalFrame && (r.addr / set_words) as u8 != r.pe;
+        assert!(
+            trace.iter().all(|r| !(from_a_victim(r) && r.write)),
+            "{backend}: a thief wrote a Goal Frame"
+        );
+        let mut frames_read = 0;
+        for pe in 0..4u8 {
+            let own: Vec<&MemRef> = trace.iter().filter(|r| r.pe == pe).collect();
+            let mut at = 0;
+            while at < own.len() {
+                if !from_a_victim(own[at]) {
+                    at += 1;
+                    continue;
+                }
+                let frame = &own[at..(at + words).min(own.len())];
+                assert_eq!(frame.len(), words, "{backend}: PE {pe}'s trace ends inside a Goal Frame");
+                for (i, r) in frame.iter().enumerate() {
+                    assert!(
+                        from_a_victim(r) && r.addr == frame[0].addr + i as u32,
+                        "{backend}: PE {pe} read word {i} of the frame at {} as {r:?}",
+                        frame[0].addr
+                    );
+                }
+                assert!(
+                    own.get(at + words).is_none_or(|r| !from_a_victim(r)),
+                    "{backend}: PE {pe} read past the frame at {}",
+                    frame[0].addr
+                );
+                frames_read += 1;
+                at += words;
+            }
+        }
+        assert_eq!(frames_read, stolen, "{backend}: Goal Frames read from a victim vs goals stolen");
     }
 }
 
