@@ -257,6 +257,17 @@ pub fn compare_dispatch_paths(id: BenchmarkId, scale: Scale, runs: usize) -> Mli
 /// ratio all the same.  (Pooling three consecutive readings into one of 18
 /// attempts a leg tightens both populations — qsort, queens and matrix then
 /// separate on one PE — which is where a wider gate would start.)
+///
+/// PR 24 (5 October 2026) made a reference to the PE's own Stack Set one
+/// checked slice access and wrote frames as runs.  The untraced leg gained
+/// more than the traced one, whose cost is mostly the record (in one sitting,
+/// untraced MIPS deriv 36 → 39, tak 51 → 53, qsort 71 → 82, matrix 68 → 72,
+/// boyer 44 → 49, queens 48 → 58, fib 47 → 54; traced 18 → 19, 23 → 23, 32 →
+/// 36, 36 → 35, 19 → 20, 21 → 23, 21 → 22), so the healthy ratios rose to
+/// 2.0–2.5.  The floors stay where they are: a healthy tree clears 1.7 by
+/// more than before, and one sitting of seven readings is not the 4,200 a
+/// re-derivation takes — the regressed population has to be re-measured with
+/// the lock and the division put into `StackSetArena::word` before 1.7 moves.
 pub fn mlips_speedup_floor(id: BenchmarkId) -> Option<f64> {
     match id {
         BenchmarkId::Boyer | BenchmarkId::Fib => Some(1.7),

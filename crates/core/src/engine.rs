@@ -36,7 +36,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::frames::{choice, env, goal_frame, marker, message, parcall};
 use crate::known;
 use crate::layout::{board, Area, MemoryConfig, ObjectKind};
-use crate::mem::Memory;
+use crate::mem::{Memory, StackSetArena};
 use crate::sched::{drive, DeterminismMode, SchedulerKind};
 use crate::stats::{RunStats, WorkerStats};
 use crate::trace::{AreaStats, MemRef};
@@ -299,6 +299,20 @@ const SLOT_CAP: u32 = 4096;
 /// power of two).
 const DEADLINE_CHECK_CYCLES: u64 = 1024;
 
+// A run (`Step::mem_read_run` / `mem_write_run`) spells a frame's words by
+// position, in address order.  These are the orders the callers here and in
+// `exec.rs` rely on; a choice point's is asserted where it is pushed.
+const _: () = {
+    assert!(env::CE == 0 && env::CP == 1 && env::NVARS == 2 && env::HEADER == 3);
+    assert!(goal_frame::CODE == 0 && goal_frame::ARITY == 1 && goal_frame::PF == 2);
+    assert!(goal_frame::SLOT == 3 && goal_frame::HEADER == 4);
+    assert!(marker::KIND == 0 && marker::PF == 1 && marker::SLOT == 2 && marker::ENTRY_B == 3);
+    assert!(marker::ENTRY_TR == 4 && marker::ENTRY_H == 5 && marker::ENTRY_LOCAL_TOP == 6);
+    assert!(marker::ENTRY_E == 7 && marker::SIZE == 8);
+    assert!(message::KIND == 0 && message::PF == 1 && message::SLOT == 2 && message::SIZE == 3);
+    assert!(choice::NARGS == 0 && choice::FIXED == 10);
+};
+
 /// Everything the PEs share: program, memory, run counters, per-PE boards.
 ///
 /// All mutation goes through interior mutability (atomics and small
@@ -523,12 +537,15 @@ pub struct Engine<'p> {
     pub(crate) workers: Vec<Worker>,
 }
 
-/// One worker's view of the machine: the shared core plus exclusive access
-/// to that worker's state.  All execution logic lives here; the scheduler
-/// backends differ only in how they construct and drive `Step`s.
+/// One worker's view of the machine: the shared core, exclusive access to
+/// that worker's state, and the worker's own Stack Set.  All execution logic
+/// lives here; the scheduler backends differ only in how they drive `Step`s.
 pub(crate) struct Step<'a, 'p> {
     pub(crate) core: &'a EngineCore<'p>,
     pub(crate) wk: &'a mut Worker,
+    /// `core.mem`'s arena for `wk`, resolved once by [`Step::new`]: where
+    /// nearly every reference of this worker lands.
+    own: &'a StackSetArena,
 }
 
 impl<'p> Engine<'p> {
@@ -1158,6 +1175,19 @@ impl<'p> Engine<'p> {
             if !within(Area::GoalStack, wk.goal_top) {
                 return fail("goal top", format!("goal_top={}", wk.goal_top));
             }
+            // Every push raises its own area's high-water mark; one that
+            // forgot would under-report `max_usage`.
+            for (area, top, max) in [
+                ("heap", wk.h, wk.max_h),
+                ("local stack", wk.local_top, wk.max_local_top),
+                ("control stack", wk.control_top, wk.max_control_top),
+                ("trail", wk.tr, wk.max_tr),
+                ("goal stack", wk.goal_top, wk.max_goal_top),
+            ] {
+                if max < top {
+                    return fail("high-water mark", format!("{area}: top {top} above its mark {max}"));
+                }
+            }
             if wk.e != NONE_ADDR && map.area_of(wk.e) != Area::LocalStack {
                 return fail("environment register", format!("e={} outside any local stack", wk.e));
             }
@@ -1362,11 +1392,12 @@ impl<'p> Engine<'p> {
 }
 
 impl<'a, 'p> Step<'a, 'p> {
-    /// Pair the shared core with one worker's state: the one way a `Step`
-    /// is built.
+    /// Pair the shared core with one worker's state and look that worker's
+    /// Stack Set up: the one way a `Step` is built.
     #[inline]
     pub(crate) fn new(core: &'a EngineCore<'p>, wk: &'a mut Worker) -> Self {
-        Step { core, wk }
+        let own = core.mem.arena(wk.id as usize);
+        Step { core, wk, own }
     }
 
     /// This worker's index.
@@ -1380,35 +1411,25 @@ impl<'a, 'p> Step<'a, 'p> {
     // -----------------------------------------------------------------
     //
     // Every data reference the machine makes goes through `mem_read`,
-    // `mem_write` or `mem_rmw`, and each does the same four things: count the
-    // reference in this worker's table, append a record to this worker's
-    // buffer when the run is traced, find the arena, and move the word —
-    // lock-free, wherever it lives (see the Concurrency section of
-    // [`crate::mem`]).  Nothing shared is written but the word itself, its
+    // `mem_write`, `mem_rmw` or — for consecutive words of one object kind, a
+    // frame or the part of one — `mem_read_run` / `mem_write_run`, and each
+    // does the same three things: count the reference(s) in this worker's
+    // table, append the record(s) to this worker's buffer when the run is
+    // traced, and move the word(s) — lock-free, wherever they live (see the
+    // Concurrency section of [`crate::mem`]).  The worker's own Stack Set is
+    // tried first, and its one checked slice access is also the test "is the
+    // address mine?"; only a miss asks the address map which other PE's arena
+    // it is.  A run is what its single references would be, in ascending
+    // address order: same counts, same records under the same sequence
+    // numbers, same words, same reset mark — `mem.rs`' tests hold the two side
+    // by side.  Nothing shared is written but the words themselves, their
     // reset mark and, when tracing, the sequence counter: the worker belongs
     // to the one thread that steps it.
-
-    /// Whether `addr` lies in this worker's own Stack Set.
-    #[inline(always)]
-    fn own_addr(&self, addr: u32) -> bool {
-        addr >= self.wk.heap_base && addr < self.wk.arena_end
-    }
-
-    /// The arena that holds `addr`: this worker's own by the cached bounds,
-    /// otherwise the map's division.
-    #[inline(always)]
-    fn arena_of(&self, addr: u32) -> usize {
-        if self.own_addr(addr) {
-            self.w()
-        } else {
-            self.core.mem.map.owner(addr)
-        }
-    }
 
     /// Count one reference to the `object` word at `addr` and, when tracing,
     /// record it.
     #[inline(always)]
-    pub(crate) fn note_ref(&mut self, addr: u32, write: bool, object: ObjectKind) {
+    fn note_ref(&mut self, addr: u32, write: bool, object: ObjectKind) {
         debug_assert_eq!(
             self.core.mem.map.area_of(addr),
             object.area(),
@@ -1416,45 +1437,14 @@ impl<'a, 'p> Step<'a, 'p> {
         );
         self.wk.refs.count(object, write);
         if let Some(trace) = &mut self.wk.trace {
-            trace.push((self.core.mem.next_seq(), MemRef::new(self.wk.id, addr, write, object)));
+            trace.push((self.core.mem.next_seqs(1), MemRef::new(self.wk.id, addr, write, object)));
         }
-    }
-
-    /// Read one word.
-    #[inline(always)]
-    pub(crate) fn mem_read(&mut self, addr: u32, object: ObjectKind) -> Cell {
-        self.note_ref(addr, false, object);
-        self.core.mem.load(self.arena_of(addr), addr)
-    }
-
-    /// Write one word.
-    #[inline(always)]
-    pub(crate) fn mem_write(&mut self, addr: u32, value: Cell, object: ObjectKind) {
-        self.note_ref(addr, true, object);
-        self.core.mem.store(self.w(), self.arena_of(addr), addr, value, object.area());
-    }
-
-    /// Atomically replace the `Uint` at `addr` by `f` of it and return the
-    /// value replaced — exactly the read reference followed by the write
-    /// reference a split pair would have made.  `f` may run more than once
-    /// when updates race.
-    #[inline(always)]
-    pub(crate) fn mem_rmw(
-        &mut self,
-        addr: u32,
-        object: ObjectKind,
-        f: impl FnMut(u32) -> u32,
-    ) -> EngineResult<u32> {
-        self.note_ref(addr, false, object);
-        let old = self.core.mem.update_uint(self.w(), self.arena_of(addr), addr, object.area(), f)?;
-        self.note_ref(addr, true, object);
-        Ok(old)
     }
 
     /// Count `n` references to the consecutive `object` words from `addr` up
     /// and, when tracing, record them in ascending address order: what `n`
-    /// calls of [`Step::note_ref`] leave.
-    #[allow(dead_code)] // the callers switch over in the next commit
+    /// calls of [`Step::note_ref`] leave.  On its own this is a run of reads
+    /// whose values the worker already holds in registers (`deallocate`).
     #[inline(always)]
     pub(crate) fn note_run(&mut self, addr: u32, n: u32, write: bool, object: ObjectKind) {
         debug_assert!(
@@ -1468,14 +1458,51 @@ impl<'a, 'p> Step<'a, 'p> {
         }
     }
 
-    /// Read the `out.len()` consecutive `object` words from `addr` up — a
-    /// frame, or the part of one whose words are one kind.  Counters, trace
-    /// and cells are those of single reads in ascending address order; a run
-    /// no one arena holds *is* made as those single reads.
-    #[allow(dead_code)] // the callers switch over in the next commit
+    /// Read one word.
+    #[inline(always)]
+    pub(crate) fn mem_read(&mut self, addr: u32, object: ObjectKind) -> Cell {
+        self.note_ref(addr, false, object);
+        match self.own.load(addr) {
+            Some(cell) => cell,
+            None => self.core.mem.load(addr),
+        }
+    }
+
+    /// Write one word.
+    #[inline(always)]
+    pub(crate) fn mem_write(&mut self, addr: u32, value: Cell, object: ObjectKind) {
+        self.note_ref(addr, true, object);
+        if !self.own.store(addr, value, object.area(), true) {
+            self.core.mem.store_remote(addr, value, object.area());
+        }
+    }
+
+    /// Atomically replace the `Uint` at `addr` by `f` of it and return the
+    /// value replaced — exactly the read reference followed by the write
+    /// reference a split pair would have made.  `f` may run more than once
+    /// when updates race.
+    #[inline(always)]
+    pub(crate) fn mem_rmw(
+        &mut self,
+        addr: u32,
+        object: ObjectKind,
+        mut f: impl FnMut(u32) -> u32,
+    ) -> EngineResult<u32> {
+        self.note_ref(addr, false, object);
+        let old = match self.own.update_uint(addr, object.area(), true, &mut f) {
+            Some(updated) => updated?,
+            None => self.core.mem.update_uint_remote(addr, object.area(), f)?,
+        };
+        self.note_ref(addr, true, object);
+        Ok(old)
+    }
+
+    /// Read the `out.len()` consecutive `object` words from `addr` up.  A
+    /// run that no one arena holds is made as its single reads, each finding
+    /// its own arena.
     #[inline(always)]
     pub(crate) fn mem_read_run(&mut self, addr: u32, object: ObjectKind, out: &mut [Cell]) {
-        if self.core.mem.load_run(addr, out) {
+        if self.own.load_run(addr, out) || self.core.mem.load_run(addr, out) {
             self.note_run(addr, out.len() as u32, false, object);
         } else {
             for (i, cell) in out.iter_mut().enumerate() {
@@ -1484,14 +1511,14 @@ impl<'a, 'p> Step<'a, 'p> {
         }
     }
 
-    /// Write `values` to the consecutive `object` words from `addr` up.
-    /// Counters, trace, words and reset mark are those of single writes in
-    /// ascending address order; a run no one arena holds *is* made as those
-    /// single writes.
-    #[allow(dead_code)] // the callers switch over in the next commit
+    /// Write `values` to the consecutive `object` words from `addr` up.  A
+    /// run that no one arena holds is made as its single writes, each finding
+    /// its own arena.
     #[inline(always)]
     pub(crate) fn mem_write_run(&mut self, addr: u32, object: ObjectKind, values: &[Cell]) {
-        if self.core.mem.store_run(self.w(), addr, values, object.area()) {
+        let area = object.area();
+        if self.own.store_run(addr, values, area, true) || self.core.mem.store_run_remote(addr, values, area)
+        {
             self.note_run(addr, values.len() as u32, true, object);
         } else {
             for (i, &value) in values.iter().enumerate() {
@@ -1500,13 +1527,33 @@ impl<'a, 'p> Step<'a, 'p> {
         }
     }
 
+    /// Save `A1..An` in the `n` `object` words from `addr` up (a choice
+    /// point's arguments).
+    #[inline(always)]
+    fn save_args(&mut self, addr: u32, n: u32, object: ObjectKind) {
+        // A run takes its cells as a slice and `self` whole, so the X file
+        // leaves the worker for the length of the call.
+        let x = std::mem::take(&mut self.wk.x);
+        self.mem_write_run(addr, object, &x[1..=n as usize]);
+        self.wk.x = x;
+    }
+
+    /// Read the `n` `object` words from `addr` up (a choice point's or a Goal
+    /// Frame's arguments) back into `A1..An`.
+    #[inline(always)]
+    fn load_args(&mut self, addr: u32, n: u32, object: ObjectKind) {
+        let mut x = std::mem::take(&mut self.wk.x);
+        self.mem_read_run(addr, object, &mut x[1..=n as usize]);
+        self.wk.x = x;
+    }
+
     /// Classify an address *known to lie in this worker's own arena* by the
     /// object kind of its area — the register-resident counterpart of
     /// [`EngineCore::object_for_addr`], comparing against the worker's
     /// cached area boundaries instead of dividing through the address map.
     #[inline(always)]
     pub(crate) fn own_object_kind(&self, addr: u32) -> ObjectKind {
-        debug_assert!(self.own_addr(addr));
+        debug_assert!(self.own.holds(addr));
         let wk = &*self.wk;
         if addr < wk.local_base {
             ObjectKind::HeapTerm
@@ -1529,7 +1576,7 @@ impl<'a, 'p> Step<'a, 'p> {
     /// taking the boundary-register path for own-arena addresses.
     #[inline(always)]
     pub(crate) fn object_for_addr(&self, addr: u32) -> ObjectKind {
-        if self.own_addr(addr) {
+        if self.own.holds(addr) {
             self.own_object_kind(addr)
         } else {
             self.core.object_for_addr(addr)
@@ -1762,15 +1809,18 @@ impl<'a, 'p> Step<'a, 'p> {
     /// registers), producing the image `start_goal` consumes.  Callers hold
     /// the owning board's lock.
     fn read_goal_frame(&mut self, frame: u32) -> GoalFrameImage {
-        let code = self.mem_read(frame + goal_frame::CODE, ObjectKind::GoalFrame).expect_code("goal code");
-        let arity = self.mem_read(frame + goal_frame::ARITY, ObjectKind::GoalFrame).expect_uint("goal arity");
-        let pf = self.mem_read(frame + goal_frame::PF, ObjectKind::GoalFrame).expect_uint("goal pf");
-        let slot = self.mem_read(frame + goal_frame::SLOT, ObjectKind::GoalFrame).expect_uint("goal slot");
-        for i in 0..arity {
-            let c = self.mem_read(goal_frame::arg(frame, i), ObjectKind::GoalFrame);
-            self.wk.x[(i + 1) as usize] = c;
+        let mut header = [Cell::Empty; goal_frame::HEADER as usize];
+        self.mem_read_run(frame, ObjectKind::GoalFrame, &mut header);
+        let [code, arity, pf, slot] = header;
+        let arity = arity.expect_uint("goal arity");
+        self.load_args(goal_frame::arg(frame, 0), arity, ObjectKind::GoalFrame);
+        GoalFrameImage {
+            frame,
+            code: code.expect_code("goal code"),
+            arity,
+            pf: pf.expect_uint("goal pf"),
+            slot: slot.expect_uint("goal slot"),
         }
-        GoalFrameImage { frame, code, arity, pf, slot }
     }
 
     /// Begin executing the goal stored in the Goal Frame at `frame`.
@@ -1815,15 +1865,12 @@ impl<'a, 'p> Step<'a, 'p> {
         let marker_addr = if stolen {
             let m = wk.control_top;
             self.check_cached_top(wk.control_end, Area::ControlStack, m + marker::SIZE)?;
-            self.mem_write(m + marker::KIND, Cell::Uint(marker::KIND_GOAL), ObjectKind::Marker);
-            self.mem_write(m + marker::PF, Cell::Uint(pf), ObjectKind::Marker);
-            self.mem_write(m + marker::SLOT, Cell::Uint(slot), ObjectKind::Marker);
-            self.mem_write(m + marker::ENTRY_B, Cell::Uint(b), ObjectKind::Marker);
-            self.mem_write(m + marker::ENTRY_TR, Cell::Uint(tr), ObjectKind::Marker);
-            self.mem_write(m + marker::ENTRY_H, Cell::Uint(h), ObjectKind::Marker);
-            self.mem_write(m + marker::ENTRY_LOCAL_TOP, Cell::Uint(local_top), ObjectKind::Marker);
-            self.mem_write(m + marker::ENTRY_E, Cell::Uint(e), ObjectKind::Marker);
+            // KIND, PF, SLOT, ENTRY_B, ENTRY_TR, ENTRY_H, ENTRY_LOCAL_TOP,
+            // ENTRY_E.
+            let words = [marker::KIND_GOAL, pf, slot, b, tr, h, local_top, e].map(Cell::Uint);
+            self.mem_write_run(m, ObjectKind::Marker, &words);
             self.wk.control_top = m + marker::SIZE;
+            self.wk.max_control_top = self.wk.max_control_top.max(self.wk.control_top);
             m
         } else {
             NONE_ADDR
@@ -1857,7 +1904,6 @@ impl<'a, 'p> Step<'a, 'p> {
         wk.hb = wk.h;
         wk.stack_boundary = wk.local_top;
         wk.status = WorkerStatus::Running;
-        wk.update_high_water();
         Ok(())
     }
 
@@ -1903,9 +1949,9 @@ impl<'a, 'p> Step<'a, 'p> {
         let (pf, slot) = if ctx.stolen {
             // Re-read the Marker (pf, slot) as the real machine would, record
             // the completed slot and notify the parent.
-            let pf = self.mem_read(ctx.marker + marker::PF, ObjectKind::Marker).expect_uint("marker pf");
-            let slot =
-                self.mem_read(ctx.marker + marker::SLOT, ObjectKind::Marker).expect_uint("marker slot");
+            let mut words = [Cell::Empty; 2];
+            self.mem_read_run(ctx.marker + marker::PF, ObjectKind::Marker, &mut words);
+            let (pf, slot) = (words[0].expect_uint("marker pf"), words[1].expect_uint("marker slot"));
             self.mem_write(
                 parcall::slot_status(pf, slot),
                 Cell::Uint(parcall::SLOT_DONE),
@@ -1988,14 +2034,11 @@ impl<'a, 'p> Step<'a, 'p> {
         let (pf, slot) = (ctx.pf, ctx.slot);
         if ctx.stolen {
             // Re-read the Marker, as the real machine recovers the Stack
-            // Section through it.
-            let m = ctx.marker;
-            let _ = self.mem_read(m + marker::PF, ObjectKind::Marker);
-            let _ = self.mem_read(m + marker::SLOT, ObjectKind::Marker);
-            let _ = self.mem_read(m + marker::ENTRY_TR, ObjectKind::Marker);
-            let _ = self.mem_read(m + marker::ENTRY_H, ObjectKind::Marker);
-            let _ = self.mem_read(m + marker::ENTRY_LOCAL_TOP, ObjectKind::Marker);
-            let _ = self.mem_read(m + marker::ENTRY_E, ObjectKind::Marker);
+            // Section through it: PF and SLOT, then — `ENTRY_B` is not needed
+            // — ENTRY_TR to ENTRY_E.  Only the references matter.
+            let mut words = [Cell::Empty; 4];
+            self.mem_read_run(ctx.marker + marker::PF, ObjectKind::Marker, &mut words[..2]);
+            self.mem_read_run(ctx.marker + marker::ENTRY_TR, ObjectKind::Marker, &mut words);
         }
 
         // Undo the goal's bindings and recover its storage.
@@ -2068,9 +2111,8 @@ impl<'a, 'p> Step<'a, 'p> {
         if top + message::SIZE > base + size {
             top = base; // wrap the circular buffer
         }
-        self.mem_write(top + message::KIND, Cell::Uint(kind), ObjectKind::Message);
-        self.mem_write(top + message::PF, Cell::Uint(pf), ObjectKind::Message);
-        self.mem_write(top + message::SLOT, Cell::Uint(slot), ObjectKind::Message);
+        // KIND, PF, SLOT.
+        self.mem_write_run(top, ObjectKind::Message, &[kind, pf, slot].map(Cell::Uint));
         board.msg_top = top + message::SIZE;
         board.pending_messages += 1;
         Ok(())
@@ -2091,9 +2133,7 @@ impl<'a, 'p> Step<'a, 'p> {
             // Read back the most recent messages (newest first); the values
             // only matter for the reference trace.
             addr = addr.saturating_sub(message::SIZE).max(self.wk.msg_base);
-            let _ = self.mem_read(addr + message::KIND, ObjectKind::Message);
-            let _ = self.mem_read(addr + message::PF, ObjectKind::Message);
-            let _ = self.mem_read(addr + message::SLOT, ObjectKind::Message);
+            self.mem_read_run(addr, ObjectKind::Message, &mut [Cell::Empty; message::SIZE as usize]);
         }
         board.pending_messages = 0;
     }
@@ -2109,29 +2149,43 @@ impl<'a, 'p> Step<'a, 'p> {
         let b = self.wk.control_top;
         self.check_cached_top(self.wk.control_end, Area::ControlStack, b + choice::size(nargs))?;
         self.mem_write(b + choice::NARGS, Cell::Uint(nargs), ObjectKind::ChoicePoint);
-        for i in 0..nargs {
-            let v = self.wk.x[(i + 1) as usize];
-            self.mem_write(choice::arg(b, i), v, ObjectKind::ChoicePoint);
-        }
+        self.save_args(choice::arg(b, 0), nargs, ObjectKind::ChoicePoint);
         let wk = &*self.wk;
-        let (e, cp, prev_b, tr, h, pf, local_top, b0) =
-            (wk.e, wk.cp, wk.b, wk.tr, wk.h, wk.pf, wk.local_top, wk.b0);
-        self.mem_write(choice::saved_e(b, nargs), Cell::Uint(e), ObjectKind::ChoicePoint);
-        self.mem_write(choice::saved_cp(b, nargs), Cell::Code(cp), ObjectKind::ChoicePoint);
-        self.mem_write(choice::prev_b(b, nargs), Cell::Uint(prev_b), ObjectKind::ChoicePoint);
-        self.mem_write(choice::next_clause(b, nargs), Cell::Code(next_clause), ObjectKind::ChoicePoint);
-        self.mem_write(choice::saved_tr(b, nargs), Cell::Uint(tr), ObjectKind::ChoicePoint);
-        self.mem_write(choice::saved_h(b, nargs), Cell::Uint(h), ObjectKind::ChoicePoint);
-        self.mem_write(choice::saved_pf(b, nargs), Cell::Uint(pf), ObjectKind::ChoicePoint);
-        self.mem_write(choice::saved_local_top(b, nargs), Cell::Uint(local_top), ObjectKind::ChoicePoint);
-        self.mem_write(choice::saved_b0(b, nargs), Cell::Uint(b0), ObjectKind::ChoicePoint);
+        // E, CP, previous B, BP, TR, H, PF, local top, B0 — the order this
+        // run and the two of `restore_from_choice_point` go by.
+        debug_assert!([
+            choice::saved_e as fn(u32, u32) -> u32,
+            choice::saved_cp,
+            choice::prev_b,
+            choice::next_clause,
+            choice::saved_tr,
+            choice::saved_h,
+            choice::saved_pf,
+            choice::saved_local_top,
+            choice::saved_b0,
+        ]
+        .iter()
+        .zip(choice::saved_e(b, nargs)..b + choice::size(nargs))
+        .all(|(word, addr)| word(b, nargs) == addr));
+        let saved = [
+            Cell::Uint(wk.e),
+            Cell::Code(wk.cp),
+            Cell::Uint(wk.b),
+            Cell::Code(next_clause),
+            Cell::Uint(wk.tr),
+            Cell::Uint(wk.h),
+            Cell::Uint(wk.pf),
+            Cell::Uint(wk.local_top),
+            Cell::Uint(wk.b0),
+        ];
+        self.mem_write_run(choice::saved_e(b, nargs), ObjectKind::ChoicePoint, &saved);
         let wk = &mut *self.wk;
         wk.b = b;
         wk.hb = wk.h;
         wk.stack_boundary = wk.local_top;
         wk.control_top = b + choice::size(nargs);
         wk.cp_top = wk.control_top;
-        wk.update_high_water();
+        wk.max_control_top = wk.max_control_top.max(wk.control_top);
         Ok(())
     }
 
@@ -2140,19 +2194,16 @@ impl<'a, 'p> Step<'a, 'p> {
     fn restore_from_choice_point(&mut self) -> EngineResult<()> {
         let b = self.wk.b;
         let nargs = self.mem_read(b + choice::NARGS, ObjectKind::ChoicePoint).expect_uint("cp nargs");
-        for i in 0..nargs {
-            let v = self.mem_read(choice::arg(b, i), ObjectKind::ChoicePoint);
-            self.wk.x[(i + 1) as usize] = v;
-        }
-        let e = self.mem_read(choice::saved_e(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp e");
-        let cp = self.mem_read(choice::saved_cp(b, nargs), ObjectKind::ChoicePoint).expect_code("cp cp");
-        let bp = self.mem_read(choice::next_clause(b, nargs), ObjectKind::ChoicePoint).expect_code("cp bp");
-        let tr = self.mem_read(choice::saved_tr(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp tr");
-        let h = self.mem_read(choice::saved_h(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp h");
-        let pf = self.mem_read(choice::saved_pf(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp pf");
-        let lt =
-            self.mem_read(choice::saved_local_top(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp lt");
-        let b0 = self.mem_read(choice::saved_b0(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp b0");
+        self.load_args(choice::arg(b, 0), nargs, ObjectKind::ChoicePoint);
+        // E and CP; the previous B is not restored here, so a second run
+        // starts past it: BP, TR, H, PF, local top, B0.
+        let mut saved = [Cell::Empty; 6];
+        self.mem_read_run(choice::saved_e(b, nargs), ObjectKind::ChoicePoint, &mut saved[..2]);
+        let (e, cp) = (saved[0].expect_uint("cp e"), saved[1].expect_code("cp cp"));
+        self.mem_read_run(choice::next_clause(b, nargs), ObjectKind::ChoicePoint, &mut saved);
+        let [bp, tr, h, pf, lt, b0] = saved;
+        let (bp, tr, h) = (bp.expect_code("cp bp"), tr.expect_uint("cp tr"), h.expect_uint("cp h"));
+        let (pf, lt, b0) = (pf.expect_uint("cp pf"), lt.expect_uint("cp lt"), b0.expect_uint("cp b0"));
         self.untrail_to(tr)?;
         // `E` is being restored from saved state, not from this worker's own
         // allocation path — the topmost-environment cache no longer

@@ -378,12 +378,13 @@ impl<'a, 'p> Step<'a, 'p> {
                 let e_new = self.wk.local_top;
                 self.check_cached_top(self.wk.local_end, Area::LocalStack, e_new + env::size(n))?;
                 let (e_old, cp) = (self.wk.e, self.wk.cp);
-                self.mem_write(e_new + env::CE, Cell::Uint(e_old), ObjectKind::EnvControl);
-                self.mem_write(e_new + env::CP, Cell::Code(cp), ObjectKind::EnvControl);
-                self.mem_write(e_new + env::NVARS, Cell::Uint(n), ObjectKind::EnvControl);
+                // CE, CP, NVARS.
+                let header = [Cell::Uint(e_old), Cell::Code(cp), Cell::Uint(n)];
+                self.mem_write_run(e_new, ObjectKind::EnvControl, &header);
                 let wk = &mut *self.wk;
                 wk.e = e_new;
                 wk.local_top = e_new + env::size(n);
+                wk.max_local_top = wk.max_local_top.max(wk.local_top);
                 // Keep the frame's control words register-resident: a
                 // `deallocate` reaching this frame while it is still the
                 // topmost environment consumes them without re-reading the
@@ -392,7 +393,6 @@ impl<'a, 'p> Step<'a, 'p> {
                 wk.env_cache_ce = e_old;
                 wk.env_cache_cp = cp;
                 wk.env_cache_n = n;
-                wk.update_high_water();
                 Ok(Flow::Next)
             }
             DenseOp::Deallocate => {
@@ -416,16 +416,14 @@ impl<'a, 'p> Step<'a, 'p> {
                         self.core.mem.read_untraced(e + env::NVARS).expect_uint("env nvars"),
                         self.wk.env_cache_n
                     );
-                    for word in [env::CE, env::CP, env::NVARS] {
-                        self.note_ref(e + word, false, ObjectKind::EnvControl);
-                    }
+                    self.note_run(e, env::HEADER, false, ObjectKind::EnvControl);
                     let wk = &*self.wk;
                     (wk.env_cache_ce, wk.env_cache_cp, wk.env_cache_n)
                 } else {
-                    let ce = self.mem_read(e + env::CE, ObjectKind::EnvControl).expect_uint("env CE");
-                    let cp = self.mem_read(e + env::CP, ObjectKind::EnvControl).expect_code("env CP");
-                    let n = self.mem_read(e + env::NVARS, ObjectKind::EnvControl).expect_uint("env nvars");
-                    (ce, cp, n)
+                    let mut header = [Cell::Empty; env::HEADER as usize];
+                    self.mem_read_run(e, ObjectKind::EnvControl, &mut header);
+                    let [ce, cp, n] = header;
+                    (ce.expect_uint("env CE"), cp.expect_code("env CP"), n.expect_uint("env nvars"))
                 };
                 let wk = &mut *self.wk;
                 if e + env::size(n) == wk.local_top {
@@ -730,7 +728,7 @@ impl<'a, 'p> Step<'a, 'p> {
         let wk = &mut *self.wk;
         wk.pf = pf_new;
         wk.local_top = pf_new + parcall::size(n);
-        wk.update_high_water();
+        wk.max_local_top = wk.max_local_top.max(wk.local_top);
         self.wk.parcalls += 1;
         Ok(())
     }
@@ -748,10 +746,10 @@ impl<'a, 'p> Step<'a, 'p> {
             let mut board = core.boards[w].lock().unwrap();
             let g = board.goal_top;
             core.mem.check_top(w, Area::GoalStack, g + goal_frame::size(arity))?;
-            self.mem_write(g + goal_frame::CODE, Cell::Code(code), ObjectKind::GoalFrame);
-            self.mem_write(g + goal_frame::ARITY, Cell::Uint(arity), ObjectKind::GoalFrame);
-            self.mem_write(g + goal_frame::PF, Cell::Uint(pf), ObjectKind::GoalFrame);
-            self.mem_write(g + goal_frame::SLOT, Cell::Uint(slot), ObjectKind::GoalFrame);
+            // CODE, ARITY, PF, SLOT; the arguments cannot join the run, each
+            // is globalized — more references — just before it is written.
+            let header = [Cell::Code(code), Cell::Uint(arity), Cell::Uint(pf), Cell::Uint(slot)];
+            self.mem_write_run(g, ObjectKind::GoalFrame, &header);
             for i in 0..arity {
                 let c = self.wk.x[(i + 1) as usize];
                 let g_c = self.globalize(c)?;
@@ -762,7 +760,7 @@ impl<'a, 'p> Step<'a, 'p> {
             board.goal_top = g + goal_frame::size(arity);
             self.wk.goal_top = board.goal_top;
         }
-        self.wk.update_high_water();
+        self.wk.max_goal_top = self.wk.max_goal_top.max(self.wk.goal_top);
         Ok(())
     }
 

@@ -2,10 +2,17 @@
 //!
 //! The memory holds words and nothing about who touched them.  A reference is
 //! made by the PE that issues it, through `Step::mem_read` / `mem_write` /
-//! `mem_rmw` in [`crate::engine`]: the PE counts the reference in its own
+//! `mem_rmw` in [`crate::engine`] (and `mem_read_run` / `mem_write_run` for
+//! the consecutive words of a frame): the PE counts the reference in its own
 //! `[reads, writes]` table, appends a [`MemRef`](crate::trace::MemRef) to its
-//! own buffer when tracing, finds the arena — its own by its cached bounds,
-//! another PE's through the [`AddressMap`] — and moves the word here.
+//! own buffer when tracing, and moves the word here.  A `Step` holds its PE's
+//! own [`StackSetArena`], and tries it first: the offset `addr - base` is
+//! taken with wrapping arithmetic and looked up with a checked slice access,
+//! so one compare says both that the address is the PE's own and that it is
+//! in bounds.  Most references stop there — the paper's locality, at the
+//! price of an L1 hit; only a miss asks the [`AddressMap`] which other PE's
+//! arena holds the word.  A run does the same with one checked *range*, and a
+//! run no single arena holds is made word by word.
 //!
 //! Sharding the storage per PE mirrors the paper's architecture: each PE's
 //! Stack Set is physically its own allocation.  Global word addresses remain
@@ -310,21 +317,73 @@ impl StackSetArena {
         }
     }
 
-    /// The word at global address `addr`, which this arena owns.
+    /// The word at global address `addr` with its offset, if this arena holds
+    /// it.  An address below `base` wraps to an offset past any arena's
+    /// length, so one subtraction and one compare answer "is it mine?" and "is
+    /// it in bounds?" together.
     #[inline(always)]
-    fn word(&self, addr: u32) -> &Word {
-        &self.words[(addr - self.base) as usize]
+    fn word(&self, addr: u32) -> Option<(usize, &Word)> {
+        let offset = addr.wrapping_sub(self.base) as usize;
+        Some((offset, self.words.get(offset)?))
     }
 
     /// The `n` words from global address `addr` up with the first one's
-    /// offset, if this arena holds them all.  An address below `base` wraps
-    /// to an offset past any arena's length, so the one slice check answers
-    /// "is the run mine?" and "is it in bounds?" together; a run that only
-    /// starts here is `None`.
+    /// offset, if this arena holds them all: [`StackSetArena::word`]'s test
+    /// over a range.  A run that only starts here is `None`.
     #[inline(always)]
     fn run(&self, addr: u32, n: usize) -> Option<(usize, &[Word])> {
         let offset = addr.wrapping_sub(self.base) as usize;
         Some((offset, self.words.get(offset..offset.checked_add(n)?)?))
+    }
+
+    /// Whether this arena holds global address `addr`.
+    #[inline(always)]
+    pub(crate) fn holds(&self, addr: u32) -> bool {
+        self.word(addr).is_some()
+    }
+
+    /// Load the word at `addr`; `None` if this arena does not hold it.
+    #[inline(always)]
+    pub(crate) fn load(&self, addr: u32) -> Option<Cell> {
+        Some(self.word(addr)?.1.load())
+    }
+
+    /// Store `value` at `addr`, which lies in `area`, and advance the reset
+    /// mark — the owner's if the store is `by_owner`, the remote PEs'
+    /// otherwise.  `false`, with nothing stored, if this arena does not hold
+    /// the word.
+    #[inline(always)]
+    pub(crate) fn store(&self, addr: u32, value: Cell, area: Area, by_owner: bool) -> bool {
+        let Some((offset, word)) = self.word(addr) else { return false };
+        word.store(value);
+        self.mark_written(area, offset, by_owner);
+        true
+    }
+
+    /// Atomically replace the `Uint` at `addr` (in `area`) by `f` of it,
+    /// advance the reset mark and return the value replaced; `None`, with `f`
+    /// not called, if this arena does not hold the word.  One
+    /// compare-exchange (`Word::update_uint`), so concurrent updates of a
+    /// counter word (Parcall Frame scheduling/completion counts and status
+    /// under the relaxed backend) cannot lose each other.  `f` may run more
+    /// than once when updates race.  A word that holds anything else is left
+    /// alone and is an engine error.
+    #[inline(always)]
+    pub(crate) fn update_uint(
+        &self,
+        addr: u32,
+        area: Area,
+        by_owner: bool,
+        f: impl FnMut(u32) -> u32,
+    ) -> Option<EngineResult<u32>> {
+        let (offset, word) = self.word(addr)?;
+        Some(match word.update_uint(f) {
+            Ok(old) => {
+                self.mark_written(area, offset, by_owner);
+                Ok(old)
+            }
+            Err(found) => Err(EngineError::Internal(format!("rmw on non-uint word at {addr}: {found:?}"))),
+        })
     }
 
     /// Load the `out.len()` words from `addr` up, in ascending address order.
@@ -349,22 +408,16 @@ impl StackSetArena {
             word.store(value);
         }
         if let Some(last) = values.len().checked_sub(1) {
-            self.mark_written_at(area, offset + last, by_owner);
+            self.mark_written(area, offset + last, by_owner);
         }
         true
-    }
-
-    /// Advance `area`'s reset mark past a store to global address `addr`.
-    #[inline(always)]
-    fn mark_written(&self, area: Area, addr: u32, by_owner: bool) {
-        self.mark_written_at(area, (addr - self.base) as usize, by_owner);
     }
 
     /// Advance `area`'s reset mark past a store to the word at `offset`.
     /// `Relaxed` throughout: nothing reads a mark until [`Memory::reset`] or
     /// the drop, whose `&mut self` is ordered after every PE thread's end.
     #[inline(always)]
-    fn mark_written_at(&self, area: Area, offset: usize, by_owner: bool) {
+    fn mark_written(&self, area: Area, offset: usize, by_owner: bool) {
         if by_owner {
             let mark = &self.owner_marks[area.index()];
             if offset >= mark.load(Ordering::Relaxed) {
@@ -442,19 +495,13 @@ impl Memory {
         self.collect_trace
     }
 
-    /// Claim the sequence number of one traced reference: its index in the
-    /// merged trace.  The counter only orders trace records; an untraced run
-    /// never touches it, which keeps its hot path free of a shared cache line
-    /// every thread of the relaxed backend would otherwise fight over.
-    #[inline(always)]
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Claim the sequence numbers of `n` consecutive traced references — a
-    /// run — and return the first.  Under the strict backend one thread
-    /// issues every reference, so these are the numbers `n` calls of
-    /// [`Memory::next_seq`] would have returned.
+    /// Claim the sequence numbers of `n` consecutive traced references (one,
+    /// or a run) and return the first: their indices in the merged trace.
+    /// Under the strict backend one thread issues every reference, so a run's
+    /// numbers are those its references would have claimed one by one.  The
+    /// counter only orders trace records; an untraced run never touches it,
+    /// which keeps its hot path free of a shared cache line every thread of
+    /// the relaxed backend would otherwise fight over.
     #[inline(always)]
     pub(crate) fn next_seqs(&self, n: u32) -> u64 {
         self.seq.fetch_add(n as u64, Ordering::Relaxed)
@@ -465,19 +512,43 @@ impl Memory {
         *self.seq.get_mut() as usize
     }
 
-    /// Load the word at `addr`, which lies in arena `arena`.
-    #[inline(always)]
-    pub(crate) fn load(&self, arena: usize, addr: u32) -> Cell {
-        self.arenas[arena].word(addr).load()
+    /// PE `pe`'s own Stack Set: what its `Step` holds, so that a reference
+    /// that stays at home — nearly all of them — never comes through here.
+    pub(crate) fn arena(&self, pe: usize) -> &StackSetArena {
+        &self.arenas[pe]
     }
 
-    /// Store `value` at `addr`, which lies in `area` of arena `arena`, on
-    /// behalf of PE `pe`, and advance the reset mark.
+    /// The arena that holds `addr`, by the map's division: where a reference
+    /// into another PE's Stack Set starts.
     #[inline(always)]
-    pub(crate) fn store(&self, pe: usize, arena: usize, addr: u32, value: Cell, area: Area) {
-        let a = &self.arenas[arena];
-        a.word(addr).store(value);
-        a.mark_written(area, addr, pe == arena);
+    fn holder(&self, addr: u32) -> &StackSetArena {
+        &self.arenas[self.map.owner(addr)]
+    }
+
+    /// Load the word at `addr`, whichever arena holds it.
+    #[inline(always)]
+    pub(crate) fn load(&self, addr: u32) -> Cell {
+        self.holder(addr).load(addr).expect("the map's owner holds the address")
+    }
+
+    /// Store `value` at `addr`, which lies in `area`, on behalf of a PE whose
+    /// own Stack Set does not hold it, and advance the reset mark.
+    #[inline(always)]
+    pub(crate) fn store_remote(&self, addr: u32, value: Cell, area: Area) {
+        let stored = self.holder(addr).store(addr, value, area, false);
+        assert!(stored, "the map's owner holds the address");
+    }
+
+    /// [`StackSetArena::update_uint`] on behalf of a PE whose own Stack Set
+    /// does not hold `addr`.
+    #[inline(always)]
+    pub(crate) fn update_uint_remote(
+        &self,
+        addr: u32,
+        area: Area,
+        f: impl FnMut(u32) -> u32,
+    ) -> EngineResult<u32> {
+        self.holder(addr).update_uint(addr, area, false, f).expect("the map's owner holds the address")
     }
 
     /// Load the `out.len()` words from `addr` up.  `false`, with nothing
@@ -487,38 +558,13 @@ impl Memory {
         self.arenas.get(self.map.owner(addr)).is_some_and(|a| a.load_run(addr, out))
     }
 
-    /// Store `values` into the words of `area` from `addr` up on behalf of
-    /// PE `pe`, advancing the reset mark past the last.  `false`, with
-    /// nothing stored, unless one arena holds them all.
+    /// Store `values` into the words of `area` from `addr` up on behalf of a
+    /// PE whose own Stack Set does not hold them all, advancing the reset
+    /// mark past the last.  `false`, with nothing stored, unless one arena
+    /// holds them all.
     #[inline(always)]
-    pub(crate) fn store_run(&self, pe: usize, addr: u32, values: &[Cell], area: Area) -> bool {
-        let arena = self.map.owner(addr);
-        self.arenas.get(arena).is_some_and(|a| a.store_run(addr, values, area, pe == arena))
-    }
-
-    /// Atomically replace the `Uint` at `addr` (in `area` of arena `arena`)
-    /// by `f` of it on behalf of PE `pe`, advance the reset mark and return
-    /// the value replaced.  One compare-exchange (`Word::update_uint`), so
-    /// concurrent updates of a counter word (Parcall Frame
-    /// scheduling/completion counts and status under the relaxed backend)
-    /// cannot lose each other.  `f` may run more than once when updates race.
-    /// A word that holds anything else is left alone and is an engine error.
-    #[inline(always)]
-    pub(crate) fn update_uint(
-        &self,
-        pe: usize,
-        arena: usize,
-        addr: u32,
-        area: Area,
-        f: impl FnMut(u32) -> u32,
-    ) -> EngineResult<u32> {
-        let a = &self.arenas[arena];
-        let old = a
-            .word(addr)
-            .update_uint(f)
-            .map_err(|found| EngineError::Internal(format!("rmw on non-uint word at {addr}: {found:?}")))?;
-        a.mark_written(area, addr, pe == arena);
-        Ok(old)
+    pub(crate) fn store_run_remote(&self, addr: u32, values: &[Cell], area: Area) -> bool {
+        self.arenas.get(self.map.owner(addr)).is_some_and(|a| a.store_run(addr, values, area, false))
     }
 
     /// Return the memory to its pristine post-allocation state without
@@ -564,7 +610,7 @@ impl Memory {
     /// debugging, scheduler shadow checks).
     #[inline]
     pub fn read_untraced(&self, addr: u32) -> Cell {
-        self.load(self.map.owner(addr), addr)
+        self.load(addr)
     }
 
     /// Read a word of the shared region (query board).  Untraced: the shared

@@ -71,7 +71,7 @@ impl<'a, 'p> Step<'a, 'p> {
         self.check_cached_top(self.wk.heap_end, Area::Heap, h)?;
         self.mem_write(h, Cell::Ref(h), ObjectKind::HeapTerm);
         self.wk.h = h + 1;
-        self.wk.update_high_water();
+        self.wk.max_h = self.wk.max_h.max(h + 1);
         Ok(Cell::Ref(h))
     }
 
@@ -81,7 +81,7 @@ impl<'a, 'p> Step<'a, 'p> {
         self.check_cached_top(self.wk.heap_end, Area::Heap, h)?;
         self.mem_write(h, cell, ObjectKind::HeapTerm);
         self.wk.h = h + 1;
-        self.wk.update_high_water();
+        self.wk.max_h = self.wk.max_h.max(h + 1);
         Ok(h)
     }
 
@@ -128,7 +128,7 @@ impl<'a, 'p> Step<'a, 'p> {
         self.check_cached_top(self.wk.trail_end, Area::Trail, tr)?;
         self.mem_write(tr, Cell::Uint(addr), ObjectKind::TrailEntry);
         self.wk.tr = tr + 1;
-        self.wk.update_high_water();
+        self.wk.max_tr = self.wk.max_tr.max(tr + 1);
         Ok(())
     }
 
@@ -191,8 +191,7 @@ impl<'a, 'p> Step<'a, 'p> {
     #[inline(always)]
     fn pdl_push(&mut self, pdl: &mut u32, a: Cell, b: Cell) -> EngineResult<()> {
         self.check_cached_top(self.wk.pdl_end, Area::Pdl, *pdl + 1)?;
-        self.mem_write(*pdl, a, ObjectKind::PdlEntry);
-        self.mem_write(*pdl + 1, b, ObjectKind::PdlEntry);
+        self.mem_write_run(*pdl, ObjectKind::PdlEntry, &[a, b]);
         *pdl += 2;
         Ok(())
     }
@@ -206,8 +205,9 @@ impl<'a, 'p> Step<'a, 'p> {
         self.pdl_push(&mut pdl, c1, c2)?;
         while pdl > pdl_base {
             pdl -= 2;
-            let a = self.mem_read(pdl, ObjectKind::PdlEntry);
-            let b = self.mem_read(pdl + 1, ObjectKind::PdlEntry);
+            let mut pair = [Cell::Empty; 2];
+            self.mem_read_run(pdl, ObjectKind::PdlEntry, &mut pair);
+            let [a, b] = pair;
             let d1 = self.deref(a);
             let d2 = self.deref(b);
             if d1 == d2 {
@@ -259,8 +259,11 @@ impl<'a, 'p> Step<'a, 'p> {
     // Term inspection (groundness, independence, structural equality)
     // -----------------------------------------------------------------
 
-    /// Collect the addresses of all unbound variables reachable from `cell`.
-    pub(crate) fn collect_unbound(&mut self, cell: Cell, out: &mut Vec<u32>) -> EngineResult<()> {
+    /// Walk the whole term reachable from `cell` and hand `visit` the address
+    /// of every unbound variable met.  The walk is the same whatever `visit`
+    /// does with them — every word looked at is a reference of the stream, so
+    /// not even `ground/1` may stop at its first variable.
+    fn each_unbound(&mut self, cell: Cell, mut visit: impl FnMut(u32)) -> EngineResult<()> {
         // The root is held aside, so a root that is atomic or unbound — what
         // a CGE's `ground/1` check nearly always sees — allocates nothing.
         let mut root = Some(cell);
@@ -272,7 +275,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 return Err(EngineError::Internal("term too large during variable scan".into()));
             }
             match self.deref(c) {
-                Cell::Ref(a) => out.push(a),
+                Cell::Ref(a) => visit(a),
                 Cell::Lis(p) => {
                     let h = self.mem_read(p, ObjectKind::HeapTerm);
                     let t = self.mem_read(p + 1, ObjectKind::HeapTerm);
@@ -296,29 +299,32 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// True if the term reachable from `cell` contains no unbound variables.
     pub(crate) fn is_ground(&mut self, cell: Cell) -> EngineResult<bool> {
-        let mut vars = Vec::new();
-        self.collect_unbound(cell, &mut vars)?;
-        Ok(vars.is_empty())
+        let mut ground = true;
+        self.each_unbound(cell, |_| ground = false)?;
+        Ok(ground)
     }
 
     /// True if the terms reachable from `c1` and `c2` share no unbound
     /// variable (the `indep/2` run-time check of the CGE conditions).
     pub(crate) fn independent(&mut self, c1: Cell, c2: Cell) -> EngineResult<bool> {
         let mut v1 = Vec::new();
-        self.collect_unbound(c1, &mut v1)?;
+        self.each_unbound(c1, |a| v1.push(a))?;
         if v1.is_empty() {
             return Ok(true);
         }
         v1.sort_unstable();
-        let mut v2 = Vec::new();
-        self.collect_unbound(c2, &mut v2)?;
-        Ok(!v2.iter().any(|a| v1.binary_search(a).is_ok()))
+        let mut shared = false;
+        self.each_unbound(c2, |a| shared |= v1.binary_search(&a).is_ok())?;
+        Ok(!shared)
     }
 
     /// Structural equality (`==/2`): equal without any binding.
     pub(crate) fn struct_eq(&mut self, c1: Cell, c2: Cell) -> EngineResult<bool> {
-        let mut work = vec![(c1, c2)];
-        while let Some((a, b)) = work.pop() {
+        // The root pair is held aside, as `each_unbound` holds its root: two
+        // atomic or unbound arguments allocate nothing.
+        let mut root = Some((c1, c2));
+        let mut work = Vec::new();
+        while let Some((a, b)) = root.take().or_else(|| work.pop()) {
             let d1 = self.deref(a);
             let d2 = self.deref(b);
             match (d1, d2) {

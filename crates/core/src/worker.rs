@@ -239,7 +239,9 @@ pub struct Worker {
     /// loop itself is untouched; charging happens on call boundaries and
     /// costs a subtraction and an indexed add).
     pub prof_counts: Vec<u64>,
-    /// High-water marks for storage-usage statistics.
+    /// High-water marks for storage-usage statistics.  Each is raised by
+    /// the pushes onto its own area, where the top moves up
+    /// (`Engine::check_consistency` holds every one at or above its top).
     pub max_h: u32,
     pub max_local_top: u32,
     pub max_control_top: u32,
@@ -262,8 +264,8 @@ pub struct Worker {
     pub trail_end: u32,
     pub pdl_end: u32,
     /// One past the last word of this worker's whole Stack Set (equals
-    /// `msg_base + message_words`).  `heap_base..arena_end` is the own-arena
-    /// address test the accessors use in place of `AddressMap::owner`.
+    /// `msg_base + message_words`): outside `heap_base..arena_end` a binding
+    /// is always trailed.
     pub arena_end: u32,
     /// Every reference this worker has issued, by object kind, wherever the
     /// word lives (`Step::mem_read` / `mem_write` / `mem_rmw` count here).
@@ -374,15 +376,6 @@ impl Worker {
         }
     }
 
-    /// Update the storage high-water marks after any allocation.
-    pub fn update_high_water(&mut self) {
-        self.max_h = self.max_h.max(self.h);
-        self.max_local_top = self.max_local_top.max(self.local_top);
-        self.max_control_top = self.max_control_top.max(self.control_top);
-        self.max_tr = self.max_tr.max(self.tr);
-        self.max_goal_top = self.max_goal_top.max(self.goal_top);
-    }
-
     /// Words of heap currently in use.
     pub fn heap_used(&self) -> u32 {
         self.h - self.heap_base
@@ -444,11 +437,12 @@ mod tests {
     fn high_water_marks_track_allocation() {
         let map = AddressMap::new(MemoryConfig::small(), 1);
         let mut w = Worker::new(0, &map);
+        // What a push does: move the top, raise that area's mark.
         w.h += 100;
+        w.max_h = w.max_h.max(w.h);
         w.tr += 5;
-        w.update_high_water();
+        w.max_tr = w.max_tr.max(w.tr);
         w.h -= 50;
-        w.update_high_water();
         let (heap, _, _, trail, _) = w.max_usage();
         assert_eq!(heap, 100);
         assert_eq!(trail, 5);

@@ -138,28 +138,15 @@ fn a_stolen_goal_frame_is_read_as_one_run_of_consecutive_words() {
         let mut frames_read = 0;
         for pe in 0..4u8 {
             let own: Vec<&MemRef> = trace.iter().filter(|r| r.pe == pe).collect();
-            let mut at = 0;
-            while at < own.len() {
-                if !from_a_victim(own[at]) {
-                    at += 1;
+            // Maximal groups of such reads, in this PE's own order.
+            for frame in own.chunk_by(|a, b| from_a_victim(a) && from_a_victim(b)) {
+                if !from_a_victim(frame[0]) {
                     continue;
                 }
-                let frame = &own[at..(at + words).min(own.len())];
-                assert_eq!(frame.len(), words, "{backend}: PE {pe}'s trace ends inside a Goal Frame");
-                for (i, r) in frame.iter().enumerate() {
-                    assert!(
-                        from_a_victim(r) && r.addr == frame[0].addr + i as u32,
-                        "{backend}: PE {pe} read word {i} of the frame at {} as {r:?}",
-                        frame[0].addr
-                    );
-                }
-                assert!(
-                    own.get(at + words).is_none_or(|r| !from_a_victim(r)),
-                    "{backend}: PE {pe} read past the frame at {}",
-                    frame[0].addr
-                );
+                let addrs: Vec<u32> = frame.iter().map(|r| r.addr).collect();
+                let expected: Vec<u32> = (frame[0].addr..).take(words).collect();
+                assert_eq!(addrs, expected, "{backend}: PE {pe}'s reads of the frame at {}", frame[0].addr);
                 frames_read += 1;
-                at += words;
             }
         }
         assert_eq!(frames_read, stolen, "{backend}: Goal Frames read from a victim vs goals stolen");
