@@ -3,11 +3,12 @@
 //! across interleaved runs of other configurations, for every protocol, and
 //! through the parallel sweep — and, for the paper's four traces, identical
 //! to the numbers recorded before the LRU's replacement scan became a
-//! recency list.
+//! recency list (`SIM_GOLDENS`) and before traces were numbered
+//! (`SWEEP_GOLDENS`).
 
 mod common;
 
-use common::{sim_rows, SimRow};
+use common::{sim_rows, sweep_rows, SimRow, SweepRow};
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use pwam_cachesim::sweep::run_sweep_with_threads;
 use pwam_cachesim::{run_sweep, simulate, CacheConfig, Protocol, SimConfig};
@@ -167,5 +168,61 @@ fn simulated_statistics_match_their_recorded_values() {
     assert_eq!(rows.len(), SIM_GOLDENS.len());
     for (row, golden) in rows.iter().zip(&SIM_GOLDENS) {
         assert_eq!(row, golden, "a simulated statistic moved");
+    }
+}
+
+/// The benchmark's `trace-sim` sweep, every counter.  `examples/trace_goldens.rs`
+/// prints these rows; they were printed while each PE's cache still found a
+/// line through a hash map keyed by its address, before a trace's lines were
+/// numbered once per sweep.
+#[rustfmt::skip]
+const SWEEP_GOLDENS: [SweepRow; 32] = [
+    (BenchmarkId::Deriv, Protocol::WriteInBroadcast, 512, [45546, 17748, 27798, 660, 1503, 13256, 3490, 176, 176, 0, 1381, 2163, 0]),
+    (BenchmarkId::Deriv, Protocol::WriteInBroadcast, 2048, [45546, 17748, 27798, 477, 1470, 7908, 2160, 183, 185, 0, 501, 1947, 0]),
+    (BenchmarkId::Deriv, Protocol::WriteThroughBroadcast, 512, [45546, 17748, 27798, 578, 1482, 13520, 3944, 0, 0, 752, 1251, 2060, 0]),
+    (BenchmarkId::Deriv, Protocol::WriteThroughBroadcast, 2048, [45546, 17748, 27798, 373, 1443, 8382, 2841, 0, 0, 994, 365, 1816, 0]),
+    (BenchmarkId::Deriv, Protocol::Hybrid, 512, [45546, 17748, 27798, 1527, 5507, 19663, 15159, 146, 146, 0, 35, 1527, 13463]),
+    (BenchmarkId::Deriv, Protocol::Hybrid, 2048, [45546, 17748, 27798, 1271, 3971, 18208, 13514, 157, 157, 0, 18, 1617, 11740]),
+    (BenchmarkId::Deriv, Protocol::WriteThrough, 512, [45546, 17748, 27798, 660, 1503, 36450, 30137, 176, 176, 0, 0, 2163, 27798]),
+    (BenchmarkId::Deriv, Protocol::WriteThrough, 2048, [45546, 17748, 27798, 477, 1470, 35586, 29928, 183, 185, 0, 0, 1947, 27798]),
+    (BenchmarkId::Tak, Protocol::WriteInBroadcast, 512, [113336, 48836, 64500, 439, 1975, 16488, 4295, 173, 177, 0, 1935, 2414, 0]),
+    (BenchmarkId::Tak, Protocol::WriteInBroadcast, 2048, [113336, 48836, 64500, 184, 1920, 8644, 2339, 178, 182, 0, 289, 2104, 0]),
+    (BenchmarkId::Tak, Protocol::WriteThroughBroadcast, 512, [113336, 48836, 64500, 360, 1939, 16476, 4410, 0, 0, 388, 1803, 2299, 0]),
+    (BenchmarkId::Tak, Protocol::WriteThroughBroadcast, 2048, [113336, 48836, 64500, 92, 1880, 8625, 2502, 0, 0, 461, 140, 1972, 0]),
+    (BenchmarkId::Tak, Protocol::Hybrid, 512, [113336, 48836, 64500, 1947, 6178, 34595, 28846, 116, 117, 0, 15, 1947, 26775]),
+    (BenchmarkId::Tak, Protocol::Hybrid, 2048, [113336, 48836, 64500, 1632, 4806, 33264, 27426, 123, 126, 0, 11, 1986, 25316]),
+    (BenchmarkId::Tak, Protocol::WriteThrough, 512, [113336, 48836, 64500, 439, 1975, 74156, 67087, 173, 177, 0, 0, 2414, 64500]),
+    (BenchmarkId::Tak, Protocol::WriteThrough, 2048, [113336, 48836, 64500, 184, 1920, 72916, 66782, 178, 182, 0, 0, 2104, 64500]),
+    (BenchmarkId::Qsort, Protocol::WriteInBroadcast, 512, [121426, 50171, 71255, 1216, 2536, 23168, 5904, 112, 117, 0, 2333, 3752, 0]),
+    (BenchmarkId::Qsort, Protocol::WriteInBroadcast, 2048, [121426, 50171, 71255, 533, 2353, 13300, 3455, 130, 141, 0, 992, 2886, 0]),
+    (BenchmarkId::Qsort, Protocol::WriteThroughBroadcast, 512, [121426, 50171, 71255, 1172, 2526, 23720, 6542, 0, 0, 816, 2252, 3698, 0]),
+    (BenchmarkId::Qsort, Protocol::WriteThroughBroadcast, 2048, [121426, 50171, 71255, 468, 2339, 14328, 4545, 0, 0, 1284, 917, 2807, 0]),
+    (BenchmarkId::Qsort, Protocol::Hybrid, 512, [121426, 50171, 71255, 3378, 8547, 39653, 28802, 96, 99, 0, 285, 3378, 25057]),
+    (BenchmarkId::Qsort, Protocol::Hybrid, 2048, [121426, 50171, 71255, 2250, 6701, 35002, 26244, 119, 122, 0, 142, 2834, 23166]),
+    (BenchmarkId::Qsort, Protocol::WriteThrough, 512, [121426, 50171, 71255, 1216, 2536, 86263, 75119, 112, 117, 0, 0, 3752, 71255]),
+    (BenchmarkId::Qsort, Protocol::WriteThrough, 2048, [121426, 50171, 71255, 533, 2353, 82799, 74271, 130, 141, 0, 0, 2886, 71255]),
+    (BenchmarkId::Matrix, Protocol::WriteInBroadcast, 512, [30136, 18149, 11987, 790, 2008, 17564, 4409, 18, 18, 0, 1695, 2798, 0]),
+    (BenchmarkId::Matrix, Protocol::WriteInBroadcast, 2048, [30136, 18149, 11987, 262, 2000, 12584, 3164, 18, 18, 0, 1022, 2262, 0]),
+    (BenchmarkId::Matrix, Protocol::WriteThroughBroadcast, 512, [30136, 18149, 11987, 787, 2008, 17570, 4433, 0, 0, 54, 1680, 2795, 0]),
+    (BenchmarkId::Matrix, Protocol::WriteThroughBroadcast, 2048, [30136, 18149, 11987, 250, 2000, 12652, 3253, 0, 0, 120, 1009, 2250, 0]),
+    (BenchmarkId::Matrix, Protocol::Hybrid, 512, [30136, 18149, 11987, 2691, 6423, 20294, 12212, 9, 9, 0, 6, 2691, 9506]),
+    (BenchmarkId::Matrix, Protocol::Hybrid, 2048, [30136, 18149, 11987, 2147, 6300, 18206, 11594, 15, 15, 0, 12, 2200, 9370]),
+    (BenchmarkId::Matrix, Protocol::WriteThrough, 512, [30136, 18149, 11987, 790, 2008, 23179, 14803, 18, 18, 0, 0, 2798, 11987]),
+    (BenchmarkId::Matrix, Protocol::WriteThrough, 2048, [30136, 18149, 11987, 262, 2000, 21035, 14267, 18, 18, 0, 0, 2262, 11987]),
+];
+
+#[test]
+fn the_trace_sim_sweep_matches_its_recorded_values_at_any_thread_count() {
+    let rows = sweep_rows(|trace, configs, one_thread| {
+        for threads in [2usize, 8] {
+            assert_eq!(one_thread, run_sweep_with_threads(trace, configs, threads), "{threads} threads");
+        }
+        for (config, result) in configs.iter().zip(one_thread) {
+            assert_eq!(result, &simulate(config, trace), "{config:?} alone");
+        }
+    });
+    assert_eq!(rows.len(), SWEEP_GOLDENS.len());
+    for (row, golden) in rows.iter().zip(&SWEEP_GOLDENS) {
+        assert_eq!(row, golden, "a counter of the trace-sim sweep moved");
     }
 }

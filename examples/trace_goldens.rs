@@ -9,7 +9,10 @@
 //!    machine state at fuel preemptions;
 //! 4. `SIM_GOLDENS` of `crates/cachesim/tests/determinism.rs` — the cache
 //!    simulator's counters over the paper's four traces (4 PEs, 4 protocols,
-//!    3 cache sizes under `paper_policy`).
+//!    3 cache sizes under `paper_policy`);
+//! 5. `SWEEP_GOLDENS` of the same file — every counter of the benchmark's
+//!    `trace-sim` sweep (4 protocols × 512 and 2048 words) over the four
+//!    `Scale::Paper` traces.
 //!
 //! The inputs are the constants the suites themselves iterate
 //! (`crates/core/tests/common/cases.rs` and `crates/cachesim/tests/common/mod.rs`
@@ -24,7 +27,9 @@
 //! first.  The rows in the tree today were printed at commit `71321df`, where
 //! a second executor (the classic dispatch loop, deleted right after) was
 //! still asserted to reproduce each of them; the `SIM_GOLDENS` rows at commit
-//! `7f4f4c9`, by the stamp-and-scan LRU the recency list then replaced.
+//! `7f4f4c9`, by the stamp-and-scan LRU the recency list then replaced; the
+//! `SWEEP_GOLDENS` rows while each cache still found a line through a hash
+//! map keyed by its address, before traces were numbered.
 //!
 //! ```text
 //! cargo run --release --example trace_goldens
@@ -95,6 +100,14 @@ fn main() {
     println!("// (benchmark, protocol, cache words, [refs, read_misses, write_misses, bus_words,");
     println!("//   bus_transactions, write_backs, invalidations, updates])");
     for (id, protocol, size, counts) in sim::sim_rows() {
+        println!("(BenchmarkId::{id:?}, Protocol::{protocol:?}, {size}, {counts:?}),");
+    }
+
+    println!("\n// determinism.rs: SWEEP_GOLDENS");
+    println!("// (benchmark, protocol, cache words, [refs, reads, writes, read_misses, write_misses,");
+    println!("//   bus_words, bus_transactions, invalidations, copies_invalidated, updates,");
+    println!("//   write_backs, line_fetches, write_through_words])");
+    for (id, protocol, size, counts) in sim::sweep_rows(|_, _, _| {}) {
         println!("(BenchmarkId::{id:?}, Protocol::{protocol:?}, {size}, {counts:?}),");
     }
 }
