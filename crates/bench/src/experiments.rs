@@ -10,7 +10,6 @@ use pwam_cachesim::{run_sweep, simulate, BusModel, BusModelResult, CacheConfig, 
 use rapwam::session::{QueryOptions, Session};
 use rapwam::{DeterminismMode, MemRef, MemoryConfig, ObjectKind, RunResult};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Process-wide determinism selection for every engine run the experiments
@@ -321,8 +320,9 @@ pub struct Figure4 {
 /// function of cache size, for 1/2/4/8 PEs, averaged over the benchmarks.
 ///
 /// Trace generation (the expensive part) happens once per (benchmark, PE
-/// count); the cache simulations for all sizes and protocols then fan out
-/// over host threads.
+/// count), and so does the sweep: one over every protocol × size, which
+/// numbers the trace's lines once and fans the simulations out over host
+/// threads.
 pub fn figure4(
     scale: ExperimentScale,
     protocols: &[Protocol],
@@ -332,41 +332,38 @@ pub fn figure4(
     let benches: Vec<Benchmark> =
         BenchmarkId::ALL.iter().map(|&id| benchmark(id, scale.to_benchmark_scale())).collect();
 
-    // (pe_count, benchmark) -> trace
-    let mut traces: HashMap<(usize, BenchmarkId), Vec<MemRef>> = HashMap::new();
-    for &pes in pe_counts {
-        for bench in &benches {
-            let result = run(bench, pes, true, true);
-            traces.insert((pes, bench.id), result.trace.expect("trace requested"));
-        }
-    }
-
-    let mut series = Vec::new();
-    for &protocol in protocols {
-        for &pes in pe_counts {
-            let configs: Vec<SimConfig> = cache_sizes
+    // Per PE count, the traffic ratios summed over the benchmarks, indexed
+    // [protocol][size] like `configs`.
+    let sums: Vec<Vec<f64>> = pe_counts
+        .iter()
+        .map(|&pes| {
+            let configs: Vec<SimConfig> = protocols
                 .iter()
-                .map(|&size| SimConfig {
-                    cache: CacheConfig::paper_policy(size, protocol),
-                    protocol,
-                    num_pes: pes,
+                .flat_map(|&protocol| {
+                    cache_sizes.iter().map(move |&size| SimConfig {
+                        cache: CacheConfig::paper_policy(size, protocol),
+                        protocol,
+                        num_pes: pes,
+                    })
                 })
                 .collect();
-            // For each benchmark, sweep all cache sizes in parallel, then
-            // average per size across the benchmarks.
-            let mut sums = vec![0.0f64; cache_sizes.len()];
+            let mut totals = vec![0.0f64; configs.len()];
             for bench in &benches {
-                let trace = &traces[&(pes, bench.id)];
-                let results = run_sweep(trace, &configs);
-                for (i, r) in results.iter().enumerate() {
-                    sums[i] += r.traffic_ratio();
+                let trace = run(bench, pes, true, true).trace.expect("trace requested");
+                for (total, r) in totals.iter_mut().zip(run_sweep(&trace, &configs)) {
+                    *total += r.traffic_ratio();
                 }
             }
-            let points = cache_sizes
-                .iter()
-                .zip(&sums)
-                .map(|(&size, &sum)| (size, sum / benches.len() as f64))
-                .collect();
+            totals
+        })
+        .collect();
+
+    let mut series = Vec::new();
+    for (p, &protocol) in protocols.iter().enumerate() {
+        for (totals, &pes) in sums.iter().zip(pe_counts) {
+            let row = &totals[p * cache_sizes.len()..][..cache_sizes.len()];
+            let points =
+                cache_sizes.iter().zip(row).map(|(&size, &sum)| (size, sum / benches.len() as f64)).collect();
             series.push(Figure4Series { protocol: protocol.name().to_string(), pes, points });
         }
     }

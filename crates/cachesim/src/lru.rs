@@ -5,17 +5,23 @@
 //! number of lines.  Each resident line carries a protocol-specific
 //! [`LineState`].
 //!
+//! A cache does not see line addresses: the simulator numbers a trace's
+//! lines densely once, in order of first use, and every cache of every
+//! configuration swept over that trace is built for that many line numbers.
 //! Resident lines sit on a doubly linked recency list threaded through a
-//! slot vector (most recently used at the head), with a hash index from line
-//! address to slot.  A use moves the slot to the head and a full cache evicts
-//! the tail, so every operation costs the same whatever the capacity.  This
-//! is the replacement a last-use stamp per line and a scan for the smallest
+//! slot vector (most recently used at the head), and the index from line
+//! number to slot is a vector with one entry per line number, `NIL` where
+//! the line is not resident — so "is this line here?" is one array read, hit
+//! or miss.  A use moves the slot to the head and a full cache evicts the
+//! tail, so every operation costs the same whatever the capacity.  This is
+//! the replacement a last-use stamp per line and a scan for the smallest
 //! would choose: each use would take a fresh stamp, so stamps are distinct
 //! within a cache, and the line with the smallest is the one every other
 //! resident line has been used after — the tail.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+/// "No slot": the end of the recency list or of the free chain, and the
+/// index entry of a line that is not resident.
+const NIL: u32 = u32::MAX;
 
 /// Coherency state of a resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,34 +34,6 @@ pub enum LineState {
     /// eviction (only used by copy-back style protocols).
     Dirty,
 }
-
-/// Hasher of the line index: one multiply, and a fold that carries the
-/// well-mixed high bits down to where the table takes its bucket from.
-/// Line addresses are small dense integers nobody chooses adversarially, so
-/// the default SipHash buys nothing here and costs more than the look-up.
-#[derive(Debug, Clone, Copy, Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(b as u32);
-        }
-    }
-
-    #[inline(always)]
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline(always)]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-/// "No slot": the end of the recency list or of the free chain.
-const NIL: u32 = u32::MAX;
 
 /// One resident line (or, on the free chain, a vacancy linked by `next`).
 #[derive(Debug, Clone, Copy)]
@@ -72,8 +50,10 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity_lines: u32,
-    /// line address -> slot
-    index: HashMap<u32, u32, BuildHasherDefault<LineHasher>>,
+    /// line number -> slot, [`NIL`] if the line is not resident
+    index: Vec<u32>,
+    /// Number of resident lines.
+    resident_count: u32,
     /// Grows to at most `capacity_lines` slots, as lines first arrive.
     slots: Vec<Slot>,
     /// Most recently used resident line.
@@ -85,10 +65,12 @@ pub struct LruCache {
 }
 
 impl LruCache {
-    pub fn new(capacity_lines: u32) -> Self {
+    /// A cache of `capacity_lines` lines for line numbers below `lines`.
+    pub fn new(capacity_lines: u32, lines: u32) -> Self {
         LruCache {
             capacity_lines: capacity_lines.max(1),
-            index: HashMap::default(),
+            index: vec![NIL; lines as usize],
+            resident_count: 0,
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -98,12 +80,21 @@ impl LruCache {
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident_count as usize
     }
 
     /// True if no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident_count == 0
+    }
+
+    /// The slot of a resident line.
+    #[inline]
+    fn slot_of(&self, line: u32) -> Option<u32> {
+        match self.index[line as usize] {
+            NIL => None,
+            i => Some(i),
+        }
     }
 
     /// Take slot `i` out of the recency list.
@@ -142,21 +133,21 @@ impl LruCache {
 
     /// State of a resident line, touching it for LRU purposes.
     pub fn touch(&mut self, line: u32) -> Option<LineState> {
-        let i = *self.index.get(&line)?;
+        let i = self.slot_of(line)?;
         self.move_to_head(i);
         Some(self.slots[i as usize].state)
     }
 
     /// State of a resident line without touching LRU order.
     pub fn peek(&self, line: u32) -> Option<LineState> {
-        self.index.get(&line).map(|&i| self.slots[i as usize].state)
+        self.slot_of(line).map(|i| self.slots[i as usize].state)
     }
 
     /// Change the state of a resident line (no LRU effect).  Returns `false`
     /// if the line is not resident.
     pub fn set_state(&mut self, line: u32, state: LineState) -> bool {
-        match self.index.get(&line) {
-            Some(&i) => {
+        match self.slot_of(line) {
+            Some(i) => {
                 self.slots[i as usize].state = state;
                 true
             }
@@ -166,7 +157,9 @@ impl LruCache {
 
     /// Remove a line (invalidation).  Returns its state if it was resident.
     pub fn invalidate(&mut self, line: u32) -> Option<LineState> {
-        let i = self.index.remove(&line)?;
+        let i = self.slot_of(line)?;
+        self.index[line as usize] = NIL;
+        self.resident_count -= 1;
         self.unlink(i);
         self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
         Some(self.slots[i as usize].state)
@@ -175,37 +168,44 @@ impl LruCache {
     /// Insert a line, evicting the least recently used one if the cache is
     /// full.  Returns the evicted `(line, state)` if an eviction occurred.
     pub fn insert(&mut self, line: u32, state: LineState) -> Option<(u32, LineState)> {
-        if let Some(&i) = self.index.get(&line) {
+        if let Some(i) = self.slot_of(line) {
             self.slots[i as usize].state = state;
             self.move_to_head(i);
             return None;
         }
         let fresh = Slot { line, state, prev: NIL, next: NIL };
         let mut evicted = None;
-        let i = if self.index.len() as u32 >= self.capacity_lines {
+        let i = if self.resident_count >= self.capacity_lines {
             // Perfect LRU: the victim's slot takes the new line.
             let i = self.tail;
             self.unlink(i);
             let victim = std::mem::replace(&mut self.slots[i as usize], fresh);
-            self.index.remove(&victim.line);
+            self.index[victim.line as usize] = NIL;
             evicted = Some((victim.line, victim.state));
             i
-        } else if self.free != NIL {
-            let i = self.free;
-            self.free = std::mem::replace(&mut self.slots[i as usize], fresh).next;
-            i
         } else {
-            self.slots.push(fresh);
-            (self.slots.len() - 1) as u32
+            self.resident_count += 1;
+            if self.free != NIL {
+                let i = self.free;
+                self.free = std::mem::replace(&mut self.slots[i as usize], fresh).next;
+                i
+            } else {
+                self.slots.push(fresh);
+                (self.slots.len() - 1) as u32
+            }
         };
-        self.index.insert(line, i);
+        self.index[line as usize] = i;
         self.link_at_head(i);
         evicted
     }
 
     /// Iterate over resident lines (for invariant checks in tests).
     pub fn resident(&self) -> impl Iterator<Item = (u32, LineState)> + '_ {
-        self.index.iter().map(|(&line, &i)| (line, self.slots[i as usize].state))
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| i != NIL)
+            .map(|(line, &i)| (line as u32, self.slots[i as usize].state))
     }
 }
 
@@ -213,6 +213,10 @@ impl LruCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Line numbers the tests use are below this.
+    const LINES: u32 = 160;
 
     /// The cache as it was before the recency list: every `touch` / `insert`
     /// stamps the line with a fresh tick and a full `insert` scans every
@@ -220,7 +224,7 @@ mod tests {
     /// `the_cache_agrees_with_the_stamp_and_scan_reference`.
     struct ScanCache {
         capacity_lines: u32,
-        /// line address -> (state, last-use stamp)
+        /// line number -> (state, last-use stamp)
         lines: HashMap<u32, (LineState, u64)>,
         tick: u64,
     }
@@ -297,7 +301,7 @@ mod tests {
         let state = || prop::sample::select(vec![LineState::Shared, LineState::Exclusive, LineState::Dirty]);
         // Few enough distinct lines that the small caches thrash and the
         // large one also sees hits, re-inserts and invalidations of residents.
-        let line = || 0u32..160;
+        let line = || 0u32..LINES;
         prop::collection::vec(
             prop_oneof![
                 line().prop_map(Op::Touch),
@@ -317,7 +321,7 @@ mod tests {
         #[test]
         fn the_cache_agrees_with_the_stamp_and_scan_reference(ops in arb_ops()) {
             for capacity in [1u32, 2, 7, 128] {
-                let mut cache = LruCache::new(capacity);
+                let mut cache = LruCache::new(capacity, LINES);
                 let mut reference = ScanCache::new(capacity);
                 for (step, op) in ops.iter().enumerate() {
                     match *op {
@@ -339,7 +343,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, LINES);
         assert_eq!(c.touch(10), None);
         c.insert(10, LineState::Shared);
         assert_eq!(c.touch(10), Some(LineState::Shared));
@@ -348,7 +352,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, LINES);
         c.insert(1, LineState::Shared);
         c.insert(2, LineState::Shared);
         c.touch(1); // 2 is now LRU
@@ -361,7 +365,7 @@ mod tests {
 
     #[test]
     fn insert_of_resident_line_updates_state_without_eviction() {
-        let mut c = LruCache::new(1);
+        let mut c = LruCache::new(1, LINES);
         c.insert(5, LineState::Shared);
         let evicted = c.insert(5, LineState::Dirty);
         assert_eq!(evicted, None);
@@ -370,7 +374,7 @@ mod tests {
 
     #[test]
     fn invalidation_removes_the_line() {
-        let mut c = LruCache::new(4);
+        let mut c = LruCache::new(4, LINES);
         c.insert(9, LineState::Dirty);
         assert_eq!(c.invalidate(9), Some(LineState::Dirty));
         assert_eq!(c.invalidate(9), None);
@@ -379,7 +383,7 @@ mod tests {
 
     #[test]
     fn capacity_is_respected() {
-        let mut c = LruCache::new(3);
+        let mut c = LruCache::new(3, LINES);
         for i in 0..100 {
             c.insert(i, LineState::Shared);
             assert!(c.len() <= 3);
@@ -388,7 +392,7 @@ mod tests {
 
     #[test]
     fn set_state_only_affects_resident_lines() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, LINES);
         assert!(!c.set_state(7, LineState::Dirty));
         c.insert(7, LineState::Exclusive);
         assert!(c.set_state(7, LineState::Dirty));

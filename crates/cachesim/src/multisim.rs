@@ -16,11 +16,20 @@
 //! transactions (and in `invalidations`) but contribute zero words, which is
 //! the convention that makes the conventional write-through cache look as
 //! bad as it does in the paper.
+//!
+//! ## Line numbers
+//!
+//! The caches never see an address.  [`simulate`] (and the sweep, once per
+//! line size) first numbers the trace's lines densely in order of first use
+//! — one hash per reference — and the simulator then answers every
+//! coherence question, in every PE's cache, by indexing with that number.
 
 use crate::config::{Protocol, SimConfig};
 use crate::lru::{LineState, LruCache};
 use crate::results::SimResult;
 use rapwam::{Locality, MemRef};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The simulator state: one cache per PE plus the shared-bus counters.
 #[derive(Debug)]
@@ -31,24 +40,20 @@ pub struct MultiCacheSim {
 }
 
 impl MultiCacheSim {
-    pub fn new(config: SimConfig) -> Self {
-        let caches = (0..config.num_pes).map(|_| LruCache::new(config.cache.capacity_lines())).collect();
+    /// A simulator for line numbers below `lines`.
+    pub fn new(config: SimConfig, lines: u32) -> Self {
+        let caches =
+            (0..config.num_pes).map(|_| LruCache::new(config.cache.capacity_lines(), lines)).collect();
         MultiCacheSim { config, caches, result: SimResult::new(config) }
     }
 
-    /// The line address containing a word address.
-    fn line_of(&self, addr: u32) -> u32 {
-        addr / self.config.cache.line_words
-    }
-
-    /// Feed one reference into the simulator.
-    pub fn access(&mut self, pe: usize, addr: u32, write: bool, locality: Locality) {
+    /// Feed one reference, to the line numbered `line`, into the simulator.
+    pub fn access(&mut self, pe: usize, line: u32, write: bool, locality: Locality) {
         assert!(
             pe < self.config.num_pes,
             "reference from PE {pe} but only {} PEs configured",
             self.config.num_pes
         );
-        let line = self.line_of(addr);
         self.result.refs += 1;
         if write {
             self.result.writes += 1;
@@ -56,13 +61,6 @@ impl MultiCacheSim {
         } else {
             self.result.reads += 1;
             self.read_access(pe, line);
-        }
-    }
-
-    /// Feed a whole trace.
-    pub fn run_trace(&mut self, trace: &[MemRef]) {
-        for r in trace {
-            self.access(r.pe as usize, r.addr, r.write, r.locality);
         }
     }
 
@@ -269,7 +267,6 @@ impl MultiCacheSim {
     /// it at all.
     #[cfg(test)]
     pub(crate) fn check_single_writer(&self) {
-        use std::collections::HashMap;
         let mut dirty: HashMap<u32, usize> = HashMap::new();
         let mut holders: HashMap<u32, usize> = HashMap::new();
         for c in &self.caches {
@@ -291,9 +288,63 @@ impl MultiCacheSim {
 
 /// Run one configuration over a trace.
 pub fn simulate(config: &SimConfig, trace: &[MemRef]) -> SimResult {
-    let mut sim = MultiCacheSim::new(*config);
-    sim.run_trace(trace);
+    let (lines, count) = number_lines(trace, config.cache.line_words);
+    simulate_numbered(config, trace, &lines, count)
+}
+
+/// Number the lines of `line_words` words that a trace touches: the line
+/// number of each reference, in trace order, and how many distinct lines
+/// there are.  Numbers are dense and given in order of first use.
+pub(crate) fn number_lines(trace: &[MemRef], line_words: u32) -> (Vec<u32>, u32) {
+    let mut numbers: HashMap<u32, u32, BuildHasherDefault<LineHasher>> = HashMap::default();
+    let lines = trace
+        .iter()
+        .map(|r| {
+            let next = numbers.len() as u32;
+            *numbers.entry(r.addr / line_words).or_insert(next)
+        })
+        .collect();
+    (lines, numbers.len() as u32)
+}
+
+/// Run one configuration over a numbered trace: `lines[i]` is the line
+/// number of `trace[i]`, and every line number is below `count`.
+pub(crate) fn simulate_numbered(
+    config: &SimConfig,
+    trace: &[MemRef],
+    lines: &[u32],
+    count: u32,
+) -> SimResult {
+    let mut sim = MultiCacheSim::new(*config, count);
+    for (r, &line) in trace.iter().zip(lines) {
+        sim.access(r.pe as usize, line, r.write, r.locality);
+    }
     sim.finish()
+}
+
+/// Hasher of the line address: one multiply, and a fold that carries the
+/// well-mixed high bits down to where the table takes its bucket from.
+/// Line addresses are small dense integers nobody chooses adversarially, so
+/// the default SipHash buys nothing here and costs more than the look-up.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    #[inline(always)]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline(always)]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 #[cfg(test)]
@@ -437,15 +488,38 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
         for protocol in [Protocol::WriteInBroadcast, Protocol::WriteThrough] {
-            let mut sim = MultiCacheSim::new(cfg(protocol, 64, true, 4));
+            let mut sim = MultiCacheSim::new(cfg(protocol, 64, true, 4), 64);
             for _ in 0..5000 {
                 let pe = rng.random_range(0..4u8);
-                let addr = rng.random_range(0..256u32);
+                let line = rng.random_range(0..64u32);
                 let write = rng.random_bool(0.3);
-                sim.access(pe as usize, addr, write, Locality::Global);
+                sim.access(pe as usize, line, write, Locality::Global);
                 sim.check_single_writer();
             }
         }
+    }
+
+    #[test]
+    fn lines_are_numbered_densely_in_order_of_first_use() {
+        let addrs = [400, 3, 401, 0, 7, 403, u32::MAX, 2, u32::MAX - 3, 404, u32::MAX - 1];
+        let trace: Vec<_> = addrs.iter().map(|&a| r(0, a, false)).collect();
+
+        // Four-word lines: 100, 0, 100, 0, 1, 100, max/4, 0, max/4, 101, max/4.
+        let (lines, count) = number_lines(&trace, 4);
+        assert_eq!(lines, [0, 1, 0, 1, 2, 0, 3, 1, 3, 4, 3]);
+        assert_eq!(count, 5);
+
+        // One-word lines are the addresses, up to `u32::MAX`: every address
+        // gets its own number, below the count and far below `NIL`.
+        let (lines, count) = number_lines(&trace, 1);
+        assert_eq!(lines, (0..addrs.len() as u32).collect::<Vec<_>>());
+        assert_eq!(count, addrs.len() as u32);
+        let top: Vec<_> = (0..4).map(|k| r(0, u32::MAX - k, true)).collect();
+        let (lines, count) = number_lines(&[top.clone(), top].concat(), 1);
+        assert_eq!(lines, [0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(count, 4);
+
+        assert_eq!(number_lines(&[], 4), (vec![], 0));
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Parallel parameter sweeps.
 //!
 //! Regenerating Figure 4 means simulating every (protocol × cache size ×
-//! PE count) combination over four benchmark traces.  The traces are shared
-//! read-only; each configuration is an independent simulation, so the sweep
-//! fans the configurations out over OS threads (scoped threads + a crossbeam
-//! channel as the work queue).
+//! PE count) combination over four benchmark traces.  Each configuration is
+//! an independent simulation over the same trace, so the sweep numbers the
+//! trace's lines once per line size among the configurations and shares the
+//! trace and its numberings read-only with scoped OS threads.  The threads
+//! claim configurations from one atomic index and hand their results back
+//! through their join handles.
 
 use crate::config::SimConfig;
-use crate::multisim::simulate;
+use crate::multisim::{number_lines, simulate_numbered};
 use crate::results::SimResult;
 use rapwam::MemRef;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run every configuration over the same trace, in parallel, preserving the
 /// order of `configs` in the returned vector.
@@ -21,36 +24,42 @@ pub fn run_sweep(trace: &[MemRef], configs: &[SimConfig]) -> Vec<SimResult> {
 /// As [`run_sweep`] but with an explicit worker-thread count (used by the
 /// scaling benchmark).
 pub fn run_sweep_with_threads(trace: &[MemRef], configs: &[SimConfig], threads: usize) -> Vec<SimResult> {
+    // (line_words, line number of each reference, distinct lines)
+    let mut numberings: Vec<(u32, Vec<u32>, u32)> = Vec::new();
+    for c in configs {
+        let line_words = c.cache.line_words;
+        if !numberings.iter().any(|(w, ..)| *w == line_words) {
+            let (lines, count) = number_lines(trace, line_words);
+            numberings.push((line_words, lines, count));
+        }
+    }
+    let run = |i: usize| {
+        let config = &configs[i];
+        let (_, lines, count) =
+            numberings.iter().find(|(w, ..)| *w == config.cache.line_words).expect("numbered above");
+        simulate_numbered(config, trace, lines, *count)
+    };
+
     let threads = threads.max(1).min(configs.len().max(1));
-    if threads <= 1 || configs.len() <= 1 {
-        return configs.iter().map(|c| simulate(c, trace)).collect();
+    if threads == 1 {
+        return (0..configs.len()).map(run).collect();
     }
-
-    let (tx_work, rx_work) = crossbeam::channel::unbounded::<usize>();
-    for i in 0..configs.len() {
-        tx_work.send(i).expect("queue send");
-    }
-    drop(tx_work);
-
-    let mut results: Vec<Option<SimResult>> = vec![None; configs.len()];
-    let (tx_res, rx_res) = crossbeam::channel::unbounded::<(usize, SimResult)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let rx_work = rx_work.clone();
-            let tx_res = tx_res.clone();
-            scope.spawn(move || {
-                while let Ok(i) = rx_work.recv() {
-                    let r = simulate(&configs[i], trace);
-                    tx_res.send((i, r)).expect("result send");
-                }
-            });
-        }
-        drop(tx_res);
-        while let Ok((i, r)) = rx_res.recv() {
-            results[i] = Some(r);
-        }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, SimResult)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Relaxed: the index only hands out work; the results
+                    // come back through `join`, which synchronises.
+                    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < configs.len());
+                    std::iter::from_fn(claim).map(|i| (i, run(i))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("a sweep thread panicked")).collect()
     });
-    results.into_iter().map(|r| r.expect("every configuration simulated")).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 fn num_threads() -> usize {
@@ -85,6 +94,8 @@ impl MeanTraffic {
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, Protocol};
+    use crate::multisim::simulate;
+    use proptest::prelude::*;
     use rapwam::{Area, Locality, ObjectKind};
 
     fn synthetic_trace(n: u32) -> Vec<MemRef> {
@@ -145,6 +156,65 @@ mod tests {
         let configs = configs();
         let results = run_sweep_with_threads(&trace, &configs, 1);
         assert_eq!(results.len(), configs.len());
+    }
+
+    /// `(pe, addr, write, local)`: addresses low enough to share lines and
+    /// high enough to reach `u32::MAX`.
+    fn arb_refs() -> impl Strategy<Value = Vec<(u8, u32, bool, bool)>> {
+        let addr = prop_oneof![0u32..600, (0u32..40).prop_map(|k| u32::MAX - k)];
+        let flag = || prop::sample::select(vec![false, true]);
+        prop::collection::vec((0u8..4, addr, flag(), flag()), 0..800)
+    }
+
+    /// `(line_words, num_pes, size_words, protocol, write_allocate)`.
+    fn arb_configs() -> impl Strategy<Value = Vec<(u32, usize, u32, Protocol, bool)>> {
+        let config = (
+            prop::sample::select(vec![1u32, 2, 4, 8]),
+            prop::sample::select(vec![1usize, 2, 4]),
+            prop::sample::select(vec![8u32, 32, 128, 1024]),
+            prop::sample::select(Protocol::ALL.to_vec()),
+            prop::sample::select(vec![false, true]),
+        );
+        prop::collection::vec(config, 1..10)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_sweep_over_mixed_line_sizes_and_pe_counts_is_each_configuration_alone(
+            refs in arb_refs(),
+            configs in arb_configs(),
+            trace_pes in prop::sample::select(vec![1usize, 2, 4]),
+            threads in 1usize..5,
+        ) {
+            let trace: Vec<MemRef> = refs
+                .iter()
+                .map(|&(pe, addr, write, local)| MemRef {
+                    pe: pe % trace_pes as u8,
+                    addr,
+                    write,
+                    area: Area::Heap,
+                    object: ObjectKind::HeapTerm,
+                    locality: if local { Locality::Local } else { Locality::Global },
+                    locked: false,
+                })
+                .collect();
+            // Every configuration has at least the PEs the trace names.
+            let configs: Vec<SimConfig> = configs
+                .iter()
+                .map(|&(line_words, num_pes, size_words, protocol, write_allocate)| SimConfig {
+                    cache: CacheConfig { size_words, line_words, write_allocate },
+                    protocol,
+                    num_pes: num_pes.max(trace_pes),
+                })
+                .collect();
+            let swept = run_sweep_with_threads(&trace, &configs, threads);
+            prop_assert_eq!(swept.len(), configs.len());
+            for (config, result) in configs.iter().zip(&swept) {
+                prop_assert_eq!(result, &simulate(config, &trace), "{:?} at {} threads", config, threads);
+            }
+        }
     }
 
     #[test]
