@@ -377,6 +377,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
     use crate::layout::MemoryConfig;
+    use crate::trace::{self, MemRef};
     use pwam_front::term::Term;
     use pwam_front::{parser, SymbolTable};
 
@@ -384,58 +385,88 @@ mod tests {
     /// look at is a reference of the stream: finding the first variable must
     /// not end `ground/1`'s walk early.  The counts were recorded while
     /// `is_ground` still collected the variables it only counts and
-    /// `struct_eq` kept its root pair on the work stack.
+    /// `struct_eq` kept its root pair on the work stack; the fingerprints of
+    /// the traced leg's records, and the rows from the 9-argument structure
+    /// on, while `each_unbound` still read a term word by word onto a work
+    /// stack it allocated per call.  Those rows outgrow such a stack's first
+    /// allocation.
     #[test]
     fn term_inspection_makes_the_references_it_always_made() {
-        // (check, its arguments as t(..), answer, data references)
-        const CASES: &[(&str, &str, bool, u64)] = &[
-            ("ground", "t(a)", true, 0),
-            ("ground", "t(7)", true, 0),
-            ("ground", "t(X)", false, 1),
-            ("ground", "t([1, 2, 3])", true, 6),
-            ("ground", "t([X, 2, Y | T])", false, 9),
-            ("ground", "t(f(a, g(b, 1)))", true, 6),
-            ("ground", "t(f(X, g(Y, X), c))", false, 10),
-            ("indep", "t(a, b)", true, 0),
-            ("indep", "t(X, Y)", true, 2),
-            ("indep", "t(X, X)", false, 2),
-            ("indep", "t(f(a), X)", true, 2),
-            ("indep", "t([X, 1], f(Y, 2))", true, 9),
-            ("indep", "t([X, 1], f(Y, g(X)))", false, 12),
-            ("indep", "t([1, 2], f(Y, g(X)))", true, 4),
-            ("==", "t(a, a)", true, 0),
-            ("==", "t(a, b)", false, 0),
-            ("==", "t(7, 7)", true, 0),
-            ("==", "t(X, X)", true, 2),
-            ("==", "t(X, Y)", false, 2),
-            ("==", "t(X, a)", false, 1),
-            ("==", "t([1, 2, 3], [1, 2, 3])", true, 12),
-            ("==", "t([1, 2, 3], [1, 2, 4])", false, 12),
-            ("==", "t([1, X | T], [1, X | T])", true, 12),
-            ("==", "t(f(X, g(a, 1)), f(X, g(a, 1)))", true, 14),
-            ("==", "t(f(X, g(a, 1)), f(X, g(b, 1)))", false, 12),
-            ("==", "t(f(a), g(a))", false, 2),
+        // (check, its arguments as t(..), answer, data references,
+        // `trace::fingerprint` of the references' records)
+        const CASES: &[(&str, &str, bool, u64, u64)] = &[
+            ("ground", "t(a)", true, 0, 0xcbf29ce484222325),
+            ("ground", "t(7)", true, 0, 0xcbf29ce484222325),
+            ("ground", "t(X)", false, 1, 0x4fd9fccc1241d6b5),
+            ("ground", "t([1, 2, 3])", true, 6, 0x5c05ed1ab502032a),
+            ("ground", "t([X, 2, Y | T])", false, 9, 0xb86fc6c56751e15),
+            ("ground", "t(f(a, g(b, 1)))", true, 6, 0x934e967e31ed1426),
+            ("ground", "t(f(X, g(Y, X), c))", false, 10, 0xe8467b4a1d6cae19),
+            ("indep", "t(a, b)", true, 0, 0xcbf29ce484222325),
+            ("indep", "t(X, Y)", true, 2, 0x97de38d111546bb6),
+            ("indep", "t(X, X)", false, 2, 0x19fc642e9c252ac5),
+            ("indep", "t(f(a), X)", true, 2, 0x97de38d111546bb6),
+            ("indep", "t([X, 1], f(Y, 2))", true, 9, 0xea9f69750b646025),
+            ("indep", "t([X, 1], f(Y, g(X)))", false, 12, 0x9075c5bda54aab18),
+            ("indep", "t([1, 2], f(Y, g(X)))", true, 4, 0xd286ecab9b049679),
+            ("==", "t(a, a)", true, 0, 0xcbf29ce484222325),
+            ("==", "t(a, b)", false, 0, 0xcbf29ce484222325),
+            ("==", "t(7, 7)", true, 0, 0xcbf29ce484222325),
+            ("==", "t(X, X)", true, 2, 0x19fc642e9c252ac5),
+            ("==", "t(X, Y)", false, 2, 0x97de38d111546bb6),
+            ("==", "t(X, a)", false, 1, 0x4fd9fccc1241d6b5),
+            ("==", "t([1, 2, 3], [1, 2, 3])", true, 12, 0x313d71a9cb4439e1),
+            ("==", "t([1, 2, 3], [1, 2, 4])", false, 12, 0x313d71a9cb4439e1),
+            ("==", "t([1, X | T], [1, X | T])", true, 12, 0x5d7ea0c6ec8d75d1),
+            ("==", "t(f(X, g(a, 1)), f(X, g(a, 1)))", true, 14, 0xc68c8e707495dd01),
+            ("==", "t(f(X, g(a, 1)), f(X, g(b, 1)))", false, 12, 0xd2ceb1ca337cc0a1),
+            ("==", "t(f(a), g(a))", false, 2, 0x15cda573868f394b),
+            ("ground", "t(f(A, b, C, d, E, 6, G, [h], I))", false, 17, 0xef7dba749b8fcef1),
+            ("ground", LONG_LIST, false, 81, 0x14cc75aae63f0135),
+            ("ground", "t([[X] | T])", false, 6, 0x3e5a5796f66fb9d2),
+            ("indep", "t([[X] | T], f(T, Y))", false, 11, 0xc660e9071f228cff),
+            ("indep", NINE_ARGS_AND_LONG_LIST_SHARING, false, 98, 0x503d08588980fb13),
+            ("indep", NINE_ARGS_AND_LONG_LIST_APART, true, 98, 0x1e7f3e981eff28f2),
         ];
+        // Forty elements, then a variable.
+        const LONG_LIST: &str =
+            "t([1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0|T])";
+        const NINE_ARGS_AND_LONG_LIST_SHARING: &str = "t(f(A, b, C, d, E, 6, G, [h], I), \
+             [1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0|I])";
+        const NINE_ARGS_AND_LONG_LIST_APART: &str = "t(f(A, b, C, d, E, 6, G, [h], I), \
+             [1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0,1,2,3,4,5,6,7,8,9,0|T])";
         let mut session = crate::session::Session::new("p.").unwrap();
         let program = session.compile("p", true).unwrap();
-        let config = EngineConfig { memory: MemoryConfig::small(), ..EngineConfig::default() };
         let mut syms = SymbolTable::new();
-        for &(check, args, answer, refs) in CASES {
-            let mut engine = Engine::new(&program, config.clone());
-            let mut step = Step::new(&engine.core, &mut engine.workers[0]);
+        for &(check, args, answer, refs, fingerprint) in CASES {
             let Term::Struct(_, args) = parser::parse_term(args, &mut syms).unwrap() else { unreachable!() };
-            // One memo for both arguments: `t(X, X)` is one variable.
-            let mut memo = std::collections::HashMap::new();
-            let cells: Vec<Cell> = args.iter().map(|a| step.build_term(a, &mut memo).unwrap()).collect();
-            let issued = |step: &Step| step.wk.refs.counts.iter().flatten().sum::<u64>();
-            let before = issued(&step);
-            let got = match check {
-                "ground" => step.is_ground(cells[0]),
-                "indep" => step.independent(cells[0], cells[1]),
-                _ => step.struct_eq(cells[0], cells[1]),
+            // Untraced, then traced: the same answer and references, and the
+            // traced leg's records are the recorded ones, one per reference.
+            for collect_trace in [false, true] {
+                let config =
+                    EngineConfig { memory: MemoryConfig::small(), collect_trace, ..EngineConfig::default() };
+                let mut engine = Engine::new(&program, config);
+                let mut step = Step::new(&engine.core, &mut engine.workers[0]);
+                // One memo for both arguments: `t(X, X)` is one variable.
+                let mut memo = std::collections::HashMap::new();
+                let cells: Vec<Cell> = args.iter().map(|a| step.build_term(a, &mut memo).unwrap()).collect();
+                let issued = |step: &Step| step.wk.refs.counts.iter().flatten().sum::<u64>();
+                let before = issued(&step);
+                let first_record = step.wk.trace.as_ref().map_or(0, Vec::len);
+                let got = match check {
+                    "ground" => step.is_ground(cells[0]),
+                    "indep" => step.independent(cells[0], cells[1]),
+                    _ => step.struct_eq(cells[0], cells[1]),
+                }
+                .unwrap();
+                let made = issued(&step) - before;
+                assert_eq!((got, made), (answer, refs), "{check} over {args:?}, traced: {collect_trace}");
+                if let Some(trace) = &step.wk.trace {
+                    let records: Vec<MemRef> = trace[first_record..].iter().map(|&(_, r)| r).collect();
+                    let row = (records.len() as u64, trace::fingerprint(&records));
+                    assert_eq!(row, (made, fingerprint), "{check} over {args:?}: the records");
+                }
             }
-            .unwrap();
-            assert_eq!((got, issued(&step) - before), (answer, refs), "{check} over {args:?}");
         }
     }
 }
