@@ -190,6 +190,20 @@ pub struct MlipsComparison {
     /// one worker no goal is ever stolen, so this is the paper's "goals that
     /// are not actually executed remotely pay almost no overhead" as a
     /// wall-clock ratio.  Recorded, not gated.
+    ///
+    /// A ceiling for boyer was tried on 15 October 2026 on the 2-vCPU build
+    /// host, the way the speedup floors were derived: readings as the gate
+    /// takes them (`Scale::Paper`, six alternating attempts a leg, one PE),
+    /// the tree with `Step::deref` / `Step::globalize` inlined and the
+    /// `ground/1` walk on a worker-owned stack against the tree before,
+    /// invocations alternating.  After 20 readings a side the two did not
+    /// touch (healthy at most 1.55, the tree before at least 1.76).  After
+    /// 220 a side they did: healthy median 1.44 and max 1.83, the tree
+    /// before median 1.81 and min 1.05 — two healthy readings above 1.6 and
+    /// one below it from the tree before, each from an attempt the host
+    /// slowed (boyer's flat leg at 49–59 MIPS against a median of 77).  No
+    /// value lies above every healthy reading and below every reading of
+    /// the tree before, so there is no ceiling.
     pub cge_over_wam_time: f64,
 }
 

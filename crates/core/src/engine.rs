@@ -1547,6 +1547,15 @@ impl<'a, 'p> Step<'a, 'p> {
         self.wk.x = x;
     }
 
+    /// The `Uint` at `addr` in this worker's own Stack Set, read without
+    /// making a reference: what backtracking looks up about its own choice
+    /// point (every choice point lies on its worker's Control stack), with
+    /// no address-map division.
+    #[inline(always)]
+    fn own_uint(&self, addr: u32, what: &str) -> u32 {
+        self.own.load(addr).expect("a choice point lies in its worker's own Stack Set").expect_uint(what)
+    }
+
     /// Classify an address *known to lie in this worker's own arena* by the
     /// object kind of its area — the register-resident counterpart of
     /// [`EngineCore::object_for_addr`], comparing against the worker's
@@ -1891,9 +1900,13 @@ impl<'a, 'p> Step<'a, 'p> {
             prev_stack_boundary: sb,
             resume,
             stolen,
+            prev_marker_top: self.wk.marker_top,
         };
         let wk = &mut *self.wk;
         wk.goal_contexts.push(ctx);
+        if stolen {
+            wk.marker_top = marker_addr + marker::SIZE;
+        }
         // Goal bodies start at a fresh predicate: move the profiling
         // attribution key along with the program counter.
         wk.prof_switch(code);
@@ -1971,6 +1984,7 @@ impl<'a, 'p> Step<'a, 'p> {
         wk.hb = ctx.prev_hb;
         wk.stack_boundary = ctx.prev_stack_boundary;
         wk.pf = ctx.entry_pf;
+        wk.marker_top = ctx.prev_marker_top;
         // Parallel goals commit to their first solution: choice points the
         // goal created are discarded on success.  Leaving them live would
         // let a later failure backtrack *into* a completed parallel goal,
@@ -2059,6 +2073,7 @@ impl<'a, 'p> Step<'a, 'p> {
             wk.hb = ctx.prev_hb;
             wk.stack_boundary = ctx.prev_stack_boundary;
             wk.pf = ctx.entry_pf;
+            wk.marker_top = ctx.prev_marker_top;
             if ctx.stolen {
                 wk.control_top = ctx.marker; // the marker itself is recovered
             }
@@ -2283,25 +2298,24 @@ impl<'a, 'p> Step<'a, 'p> {
     /// Recover Control-stack space if the discarded frames were topmost.
     pub(crate) fn recede_control_top(&mut self) {
         let wk = &*self.wk;
-        let marker_top = wk
-            .goal_contexts
-            .iter()
-            .rev()
-            .find(|c| c.stolen)
-            .map(|c| c.marker + marker::SIZE)
-            .unwrap_or(wk.control_base);
+        // A stolen goal's Marker stays until the goal ends; `marker_top`
+        // follows the innermost one as goals start and end.
+        debug_assert_eq!(
+            wk.marker_top,
+            wk.goal_contexts
+                .iter()
+                .rev()
+                .find(|c| c.stolen)
+                .map_or(wk.control_base, |c| c.marker + marker::SIZE)
+        );
+        let marker_top = wk.marker_top;
         let b_top = if wk.b == NONE_ADDR {
             wk.control_base
         } else if wk.cp_top != NONE_ADDR {
             // Fast path: the frame extent is cached in the worker's
             // register file (set by `push_choice_point` / the previous
             // recomputation), so the hot success path touches no memory.
-            debug_assert_eq!(
-                wk.cp_top,
-                wk.b + choice::size(
-                    self.core.mem.read_untraced(wk.b + choice::NARGS).expect_uint("cp nargs")
-                )
-            );
+            debug_assert_eq!(wk.cp_top, wk.b + choice::size(self.own_uint(wk.b + choice::NARGS, "cp nargs")));
             wk.cp_top
         } else {
             // The frame's true extent comes from its saved argument count —
@@ -2310,8 +2324,7 @@ impl<'a, 'p> Step<'a, 'p> {
             // push clobber the live frame's saved fields.  Cache it: `b`
             // only changes through sites that refresh or invalidate
             // `cp_top`, so the value stays good until the next cut/pop.
-            let nargs = self.core.mem.read_untraced(wk.b + choice::NARGS).expect_uint("cp nargs");
-            let top = wk.b + choice::size(nargs);
+            let top = wk.b + choice::size(self.own_uint(wk.b + choice::NARGS, "cp nargs"));
             self.wk.cp_top = top;
             top
         };
@@ -2367,8 +2380,8 @@ impl<'a, 'p> Step<'a, 'p> {
             } else if b == NONE_ADDR {
                 NONE_ADDR
             } else {
-                let nargs = self.core.mem.read_untraced(b + choice::NARGS).expect_uint("cp nargs");
-                self.core.mem.read_untraced(choice::saved_pf(b, nargs)).expect_uint("cp pf")
+                let nargs = self.own_uint(b + choice::NARGS, "cp nargs");
+                self.own_uint(choice::saved_pf(b, nargs), "cp pf")
             };
             crossing = self.wk.pf != target_pf;
             if crossing {

@@ -88,6 +88,13 @@ impl<'a, 'p> Step<'a, 'p> {
     /// Follow reference chains until reaching an unbound variable or a
     /// non-reference cell.  Every hop reads memory (and is counted, traced
     /// when tracing is on).
+    ///
+    /// Inlined into every caller: a `Cell` is 16 bytes, which the Rust ABI
+    /// returns through a stack slot, and an out-of-line `deref` filled that
+    /// slot with separate tag and payload stores that the caller's 16-byte
+    /// reload could not forward from (see ARCHITECTURE, "flattened
+    /// executor").
+    #[inline(always)]
     pub(crate) fn deref(&mut self, mut cell: Cell) -> Cell {
         loop {
             match cell {
@@ -170,7 +177,9 @@ impl<'a, 'p> Step<'a, 'p> {
     /// stack, move it to the heap (binding the stack cell to the new heap
     /// variable).  Used by `put_unsafe_value`, write-mode `unify_value` and
     /// Goal-Frame argument copying, so no other PE ever needs to reference a
-    /// local-stack cell.
+    /// local-stack cell.  Inlined like [`Step::deref`], whose `Cell` it
+    /// returns.
+    #[inline(always)]
     pub(crate) fn globalize(&mut self, cell: Cell) -> EngineResult<Cell> {
         let d = self.deref(cell);
         if let Cell::Ref(a) = d {
@@ -263,38 +272,47 @@ impl<'a, 'p> Step<'a, 'p> {
     /// of every unbound variable met.  The walk is the same whatever `visit`
     /// does with them — every word looked at is a reference of the stream, so
     /// not even `ground/1` may stop at its first variable.
+    ///
+    /// The work stack is the worker's `term_stack`, taken for the walk and
+    /// handed back empty whatever the walk returns, so a walk allocates only
+    /// when a term is deeper than any this worker walked before.  A list
+    /// cell's two words are one run, and so are a structure's arguments, read
+    /// after its functor: each run lands on the stack in address order, the
+    /// order its single reads were pushed in.
     fn each_unbound(&mut self, cell: Cell, mut visit: impl FnMut(u32)) -> EngineResult<()> {
-        // The root is held aside, so a root that is atomic or unbound — what
-        // a CGE's `ground/1` check nearly always sees — allocates nothing.
-        let mut root = Some(cell);
-        let mut work = Vec::new();
+        let mut work = std::mem::take(&mut self.wk.term_stack);
+        work.push(cell);
+        let mut walked = Ok(());
         let mut visited = 0usize;
-        while let Some(c) = root.take().or_else(|| work.pop()) {
+        while let Some(c) = work.pop() {
             visited += 1;
             if visited > 10_000_000 {
-                return Err(EngineError::Internal("term too large during variable scan".into()));
+                walked = Err(EngineError::Internal("term too large during variable scan".into()));
+                break;
             }
             match self.deref(c) {
                 Cell::Ref(a) => visit(a),
-                Cell::Lis(p) => {
-                    let h = self.mem_read(p, ObjectKind::HeapTerm);
-                    let t = self.mem_read(p + 1, ObjectKind::HeapTerm);
-                    work.push(h);
-                    work.push(t);
-                }
+                Cell::Lis(p) => self.heap_run_onto(&mut work, p, 2),
                 Cell::Str(p) => {
-                    let f = self.mem_read(p, ObjectKind::HeapTerm);
-                    if let Cell::Fun(_, n) = f {
-                        for i in 0..n as u32 {
-                            let a = self.mem_read(p + 1 + i, ObjectKind::HeapTerm);
-                            work.push(a);
-                        }
+                    if let Cell::Fun(_, n) = self.mem_read(p, ObjectKind::HeapTerm) {
+                        self.heap_run_onto(&mut work, p + 1, n as usize);
                     }
                 }
                 _ => {}
             }
         }
-        Ok(())
+        work.clear();
+        self.wk.term_stack = work;
+        walked
+    }
+
+    /// Read the `n` heap words from `addr` up, as one run, onto the top of
+    /// `work`.
+    #[inline(always)]
+    fn heap_run_onto(&mut self, work: &mut Vec<Cell>, addr: u32, n: usize) {
+        let len = work.len();
+        work.resize(len + n, Cell::Empty);
+        self.mem_read_run(addr, ObjectKind::HeapTerm, &mut work[len..]);
     }
 
     /// True if the term reachable from `cell` contains no unbound variables.
@@ -305,17 +323,20 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     /// True if the terms reachable from `c1` and `c2` share no unbound
-    /// variable (the `indep/2` run-time check of the CGE conditions).
+    /// variable (the `indep/2` run-time check of the CGE conditions).  The
+    /// first term's variables go into the worker's `indep_vars`, handed back
+    /// empty like `each_unbound`'s stack.
     pub(crate) fn independent(&mut self, c1: Cell, c2: Cell) -> EngineResult<bool> {
-        let mut v1 = Vec::new();
-        self.each_unbound(c1, |a| v1.push(a))?;
-        if v1.is_empty() {
-            return Ok(true);
-        }
-        v1.sort_unstable();
+        let mut vars = std::mem::take(&mut self.wk.indep_vars);
+        let mut walked = self.each_unbound(c1, |a| vars.push(a));
         let mut shared = false;
-        self.each_unbound(c2, |a| shared |= v1.binary_search(&a).is_ok())?;
-        Ok(!shared)
+        if walked.is_ok() && !vars.is_empty() {
+            vars.sort_unstable();
+            walked = self.each_unbound(c2, |a| shared |= vars.binary_search(&a).is_ok());
+        }
+        vars.clear();
+        self.wk.indep_vars = vars;
+        walked.map(|()| !shared)
     }
 
     /// Structural equality (`==/2`): equal without any binding.

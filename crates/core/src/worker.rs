@@ -84,6 +84,9 @@ pub struct GoalContext {
     pub resume: Resume,
     /// True when the goal was taken from another worker's Goal Stack.
     pub stolen: bool,
+    /// The worker's `marker_top` at goal entry, restored when the goal
+    /// completes or fails.
+    pub prev_marker_top: u32,
 }
 
 /// Scheduling status of a worker.
@@ -182,6 +185,19 @@ pub struct Worker {
     pub status: WorkerStatus,
     /// Host-side stack of in-progress parallel goals.
     pub goal_contexts: Vec<GoalContext>,
+    /// One past the Marker of the innermost goal in `goal_contexts` that was
+    /// stolen, or `control_base` when none was: the floor under which
+    /// `recede_control_top` never lowers the Control-stack top.  Set by
+    /// `start_goal` for a stolen goal and restored from the goal's
+    /// `GoalContext::prev_marker_top` when the goal finishes or fails.
+    pub marker_top: u32,
+    /// The work stack of the `ground/1` and `indep/2` walks
+    /// (`Step::each_unbound`), kept between walks so they do not allocate.
+    /// Empty outside a walk.
+    pub term_stack: Vec<Cell>,
+    /// The first term's unbound variables during an `indep/2` check, kept
+    /// like `term_stack`.  Empty outside a check.
+    pub indep_vars: Vec<u32>,
     /// Executed instruction count.
     pub instructions: u64,
     /// Cycles spent idle or waiting.
@@ -332,6 +348,9 @@ impl Worker {
             goal_top: goal_base,
             status: WorkerStatus::Idle,
             goal_contexts: Vec::new(),
+            marker_top: control_base,
+            term_stack: Vec::new(),
+            indep_vars: Vec::new(),
             instructions: 0,
             idle_cycles: 0,
             inferences: 0,
