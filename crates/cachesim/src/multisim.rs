@@ -23,6 +23,18 @@
 //! line size) first numbers the trace's lines densely in order of first use
 //! — one hash per reference — and the simulator then answers every
 //! coherence question, in every PE's cache, by indexing with that number.
+//!
+//! ## Holder masks
+//!
+//! Beside the caches the simulator keeps, per line number, a bitmask of the
+//! PEs whose cache holds that line: one `u64` per line for up to 64 PEs, one
+//! more word per further 64.  A fetch sets the fetching PE's bit, and an
+//! eviction or an invalidation clears the bit of the cache that lost the
+//! line, so the mask is always the set of resident copies (a test checks it
+//! after every access).  "Who else holds this line?" — a read miss's
+//! suppliers, a write miss's dirty copy, an update protocol's sharers, the
+//! copies an invalidation removes — visits only the set bits instead of
+//! asking every other PE's cache in turn.
 
 use crate::config::{Protocol, SimConfig};
 use crate::lru::{LineState, LruCache};
@@ -36,6 +48,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub struct MultiCacheSim {
     config: SimConfig,
     caches: Vec<LruCache>,
+    /// Per line number, `mask_words` words: bit `pe % 64` of word `pe / 64`
+    /// is set exactly while `caches[pe]` holds the line.
+    holders: Vec<u64>,
+    mask_words: usize,
     result: SimResult,
 }
 
@@ -44,7 +60,9 @@ impl MultiCacheSim {
     pub fn new(config: SimConfig, lines: u32) -> Self {
         let caches =
             (0..config.num_pes).map(|_| LruCache::new(config.cache.capacity_lines(), lines)).collect();
-        MultiCacheSim { config, caches, result: SimResult::new(config) }
+        let mask_words = config.num_pes.div_ceil(64);
+        let holders = vec![0; lines as usize * mask_words];
+        MultiCacheSim { config, caches, holders, mask_words, result: SimResult::new(config) }
     }
 
     /// Feed one reference, to the line numbered `line`, into the simulator.
@@ -73,6 +91,43 @@ impl MultiCacheSim {
 
     // -----------------------------------------------------------------
 
+    /// Where `line`'s holder mask starts in `holders`.
+    #[inline]
+    fn mask_at(&self, line: u32) -> usize {
+        line as usize * self.mask_words
+    }
+
+    /// `pe`'s bit within word `w` of a holder mask (zero in the other words).
+    #[inline]
+    fn own_bit(pe: usize, w: usize) -> u64 {
+        if pe / 64 == w {
+            1 << (pe % 64)
+        } else {
+            0
+        }
+    }
+
+    /// Whether a cache other than `pe`'s holds `line`.
+    fn held_elsewhere(&self, pe: usize, line: u32) -> bool {
+        let at = self.mask_at(line);
+        (0..self.mask_words).any(|w| self.holders[at + w] & !Self::own_bit(pe, w) != 0)
+    }
+
+    /// Call `f` on the cache of every PE but `pe` that holds `line`, in PE
+    /// order, with the bus counters.
+    #[inline]
+    fn each_other_holder(&mut self, pe: usize, line: u32, mut f: impl FnMut(&mut LruCache, &mut SimResult)) {
+        let at = self.mask_at(line);
+        for w in 0..self.mask_words {
+            let mut others = self.holders[at + w] & !Self::own_bit(pe, w);
+            while others != 0 {
+                let other = w * 64 + others.trailing_zeros() as usize;
+                others &= others - 1;
+                f(&mut self.caches[other], &mut self.result);
+            }
+        }
+    }
+
     fn read_access(&mut self, pe: usize, line: u32) {
         if self.caches[pe].touch(line).is_some() {
             return; // read hit: no bus traffic
@@ -82,23 +137,13 @@ impl MultiCacheSim {
         // transfer), so the data words are only counted once — by the fetch
         // below; clean remote copies just become shared.
         let mut remote_copy = false;
-        for other in 0..self.caches.len() {
-            if other == pe {
-                continue;
+        self.each_other_holder(pe, line, |cache, result| {
+            if cache.peek(line) == Some(LineState::Dirty) {
+                result.write_backs += 1;
             }
-            match self.caches[other].peek(line) {
-                Some(LineState::Dirty) => {
-                    self.result.write_backs += 1;
-                    self.caches[other].set_state(line, LineState::Shared);
-                    remote_copy = true;
-                }
-                Some(_) => {
-                    self.caches[other].set_state(line, LineState::Shared);
-                    remote_copy = true;
-                }
-                None => {}
-            }
-        }
+            cache.set_state(line, LineState::Shared);
+            remote_copy = true;
+        });
         // Fetch the line (from memory or the supplying cache).
         self.fetch_line(pe, line, if remote_copy { LineState::Shared } else { LineState::Exclusive });
     }
@@ -170,11 +215,11 @@ impl MultiCacheSim {
         // Write miss.
         // A dirty remote copy supplies the block in the same transaction as
         // the fetch below (read-with-intent-to-modify); only count it once.
-        for other in 0..self.caches.len() {
-            if other != pe && self.caches[other].peek(line) == Some(LineState::Dirty) {
-                self.result.write_backs += 1;
+        self.each_other_holder(pe, line, |cache, result| {
+            if cache.peek(line) == Some(LineState::Dirty) {
+                result.write_backs += 1;
             }
-        }
+        });
         self.invalidate_others(pe, line);
         if self.config.cache.write_allocate {
             // Read the block with intent to modify.
@@ -190,7 +235,7 @@ impl MultiCacheSim {
     /// Write-through broadcast (update-based): writes to shared blocks
     /// broadcast the word, private blocks are copied back.
     fn write_update(&mut self, pe: usize, line: u32, hit: bool) {
-        let shared_elsewhere = (0..self.caches.len()).any(|o| o != pe && self.caches[o].peek(line).is_some());
+        let shared_elsewhere = self.held_elsewhere(pe, line);
         if hit {
             if shared_elsewhere {
                 // Broadcast the word to the other caches and memory.
@@ -207,12 +252,12 @@ impl MultiCacheSim {
         if self.config.cache.write_allocate {
             let state = if shared_elsewhere { LineState::Shared } else { LineState::Dirty };
             // A dirty remote copy supplies the block as part of the fetch.
-            for other in 0..self.caches.len() {
-                if other != pe && self.caches[other].peek(line) == Some(LineState::Dirty) {
-                    self.result.write_backs += 1;
-                    self.caches[other].set_state(line, LineState::Shared);
+            self.each_other_holder(pe, line, |cache, result| {
+                if cache.peek(line) == Some(LineState::Dirty) {
+                    result.write_backs += 1;
+                    cache.set_state(line, LineState::Shared);
                 }
-            }
+            });
             self.fetch_line(pe, line, state);
             if shared_elsewhere {
                 self.result.updates += 1;
@@ -232,16 +277,17 @@ impl MultiCacheSim {
 
     fn invalidate_others(&mut self, pe: usize, line: u32) {
         let mut any = false;
-        for other in 0..self.caches.len() {
-            if other == pe {
-                continue;
-            }
-            if self.caches[other].invalidate(line).is_some() {
-                self.result.copies_invalidated += 1;
-                any = true;
-            }
-        }
+        self.each_other_holder(pe, line, |cache, result| {
+            let was = cache.invalidate(line);
+            debug_assert!(was.is_some(), "a holder bit without a resident line");
+            result.copies_invalidated += 1;
+            any = true;
+        });
         if any {
+            let at = self.mask_at(line);
+            for w in 0..self.mask_words {
+                self.holders[at + w] &= Self::own_bit(pe, w);
+            }
             self.result.invalidations += 1;
             self.result.bus_transactions += 1;
         }
@@ -253,7 +299,12 @@ impl MultiCacheSim {
         self.result.line_fetches += 1;
         self.result.bus_words += self.config.cache.line_words as u64;
         self.result.bus_transactions += 1;
-        if let Some((_victim, vstate)) = self.caches[pe].insert(line, state) {
+        let (w, bit) = (pe / 64, 1 << (pe % 64));
+        let at = self.mask_at(line);
+        self.holders[at + w] |= bit;
+        if let Some((victim, vstate)) = self.caches[pe].insert(line, state) {
+            let at = self.mask_at(victim);
+            self.holders[at + w] &= !bit;
             if vstate == LineState::Dirty {
                 self.result.write_backs += 1;
                 self.result.bus_words += self.config.cache.line_words as u64;
@@ -282,6 +333,23 @@ impl MultiCacheSim {
             if matches!(self.config.protocol, Protocol::WriteInBroadcast | Protocol::WriteThrough) {
                 assert_eq!(holders[&line], 1, "dirty line {line} has {} holders", holders[&line]);
             }
+        }
+    }
+
+    /// Test-only invariant: every line's holder mask is the set of PEs whose
+    /// cache holds the line.
+    #[cfg(test)]
+    pub(crate) fn check_holders(&self) {
+        let mut expected = vec![0u64; self.holders.len()];
+        for (pe, c) in self.caches.iter().enumerate() {
+            for (line, _) in c.resident() {
+                expected[self.mask_at(line) + pe / 64] |= 1 << (pe % 64);
+            }
+        }
+        for (line, (got, want)) in
+            self.holders.chunks(self.mask_words).zip(expected.chunks(self.mask_words)).enumerate()
+        {
+            assert_eq!(got, want, "line {line}'s holder mask");
         }
     }
 }
@@ -495,6 +563,29 @@ mod tests {
                 let write = rng.random_bool(0.3);
                 sim.access(pe as usize, line, write, Locality::Global);
                 sim.check_single_writer();
+            }
+        }
+    }
+
+    #[test]
+    fn holder_masks_match_residency_on_random_traces() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(43);
+        // 70 PEs take a second mask word per line, and PEs 64-69 live in it.
+        for pes in [1, 2, 4, 8, 70] {
+            for protocol in Protocol::ALL {
+                for write_allocate in [false, true] {
+                    // 16-line caches over 48 line numbers: evictions, sharing
+                    // and invalidations all happen.
+                    let mut sim = MultiCacheSim::new(cfg(protocol, 64, write_allocate, pes), 48);
+                    for _ in 0..3000 {
+                        let pe = rng.random_range(0..pes);
+                        let line = rng.random_range(0..48u32);
+                        let locality = if rng.random_bool(0.5) { Locality::Global } else { Locality::Local };
+                        sim.access(pe, line, rng.random_bool(0.3), locality);
+                        sim.check_holders();
+                    }
+                }
             }
         }
     }

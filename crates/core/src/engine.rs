@@ -40,7 +40,7 @@ use crate::mem::{Memory, StackSetArena};
 use crate::sched::{drive, DeterminismMode, SchedulerKind};
 use crate::stats::{RunStats, WorkerStats};
 use crate::trace::{AreaStats, MemRef};
-use crate::worker::{GoalContext, Mode, Resume, Worker, WorkerStatus};
+use crate::worker::{park_records, GoalContext, Mode, Resume, Worker, WorkerStatus};
 use pwam_compiler::CompiledProgram;
 use pwam_front::term::Term;
 use pwam_front::SymbolTable;
@@ -325,7 +325,9 @@ pub struct EngineCore<'p> {
     pub mem: Memory,
     /// Query status: `RUNNING` / `SUCCEEDED` / `FAILED`.
     finished: AtomicU8,
-    /// Instructions executed (all PEs), flushed per slot/batch.
+    /// Instructions executed (all PEs).  The strict driver owns the engine
+    /// and adds each slot's count through `&mut` ([`Engine::step_slot`]); a
+    /// relaxed PE thread adds each batch with one `fetch_add`.
     pub(crate) steps: AtomicU64,
     /// Elapsed machine cycles: scheduling rounds on the strict backend (a
     /// one-PE slot that retires `n` instructions counts as the `n` rounds
@@ -580,26 +582,26 @@ impl<'p> Engine<'p> {
     /// Assemble an engine around an already-allocated (pristine) memory.
     /// This is the one spelling of the machine's state before its first
     /// instruction — workers, boards, flags, counters — for a cold build, a
-    /// build on recycled arenas and [`Engine::reset`] alike.  `spent_profiles`
-    /// are profile buffers of an earlier life of this engine (same program,
-    /// so same length) to clear and reuse; a worker without one allocates.
-    fn build(
-        program: &'p CompiledProgram,
-        config: EngineConfig,
-        mem: Memory,
-        mut spent_profiles: Vec<Vec<u64>>,
-    ) -> Self {
+    /// build on recycled arenas and [`Engine::reset`] alike.  `spent` are the
+    /// workers of an earlier life of this engine (same program, same PEs),
+    /// whose profile and record buffers the new ones clear and reuse; a
+    /// worker without a predecessor allocates its profile and takes a parked
+    /// record buffer.
+    fn build(program: &'p CompiledProgram, config: EngineConfig, mem: Memory, spent: Vec<Worker>) -> Self {
         assert!(config.num_workers >= 1, "at least one worker is required");
         assert!(config.num_workers <= 255, "at most 255 workers are supported");
         let config_fuel = config.fuel;
         let mut workers: Vec<Worker> =
             (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map)).collect();
+        let mut spent = spent.into_iter();
         for wk in &mut workers {
-            wk.trace = mem.tracing().then(Vec::new);
+            let (spent_profile, spent_records) =
+                spent.next().map_or((None, None), |old| (Some(old.prof_counts), old.trace));
+            wk.arm_trace(mem.tracing(), spent_records);
             // Per-predicate profile storage, indexed by code address (entry
             // points of the predicates actually called).  The query body is
             // charged to `query_start` until the first call.
-            wk.prof_counts = match spent_profiles.pop() {
+            wk.prof_counts = match spent_profile {
                 Some(mut counts) => {
                     counts.clear();
                     counts.resize(program.code_len(), 0);
@@ -855,17 +857,20 @@ impl<'p> Engine<'p> {
     /// — under a strict backend the merged trace is byte-for-byte the trace
     /// a single flat buffer would have collected; under the relaxed backend
     /// it is the total order the race on the counter produced, each PE's
-    /// records in its program order.
+    /// records in its program order.  The emptied buffers are parked for the
+    /// next traced build.
     pub fn take_trace(&mut self) -> Option<Vec<MemRef>> {
         let n = self.core.mem.seqs_claimed();
         // Every element is overwritten: `n` distinct indices get placed.
         let mut all = vec![MemRef::new(0, 0, false, ObjectKind::HeapTerm); n];
         let mut placed = 0;
         for wk in &mut self.workers {
-            for (seq, r) in wk.trace.take()? {
+            let mut records = wk.trace.take()?;
+            for (seq, r) in records.drain(..) {
                 all[seq as usize] = r;
                 placed += 1;
             }
+            park_records(records);
         }
         assert_eq!(placed, n, "a claimed sequence number has no trace record");
         Some(all)
@@ -896,7 +901,8 @@ impl<'p> Engine<'p> {
     /// arenas**, ready to run the same program's query again: every touched
     /// memory word is cleared, the workers, boards and counters are reborn
     /// (by the same private `build` a fresh engine comes from, keeping the
-    /// profile buffers), and tracing is re-armed per the configuration.
+    /// profile and record buffers), and tracing is re-armed per the
+    /// configuration.
     /// This is the reusable-engine path of the serving layer — per-PE Stack
     /// Sets are long-lived resources (the paper's whole locality story), so a
     /// warm engine skips the arena allocation that dominates cold
@@ -908,8 +914,7 @@ impl<'p> Engine<'p> {
     pub fn reset(self) -> Self {
         let Engine { core: EngineCore { program, config, mut mem, .. }, workers } = self;
         mem.reset(config.collect_trace);
-        let spent_profiles = workers.into_iter().map(|wk| wk.prof_counts).collect();
-        Engine::build(program, config, mem, spent_profiles)
+        Engine::build(program, config, mem, workers)
     }
 
     /// Tear the engine down to its [`Memory`], keeping the arena allocations
@@ -963,7 +968,13 @@ impl<'p> Engine<'p> {
     /// Give worker `w` its slot of the current round.  Returns `true` if the
     /// worker made progress.  A no-op once the query has finished.
     pub fn step_slot(&mut self, w: usize) -> EngineResult<bool> {
-        Step::new(&self.core, &mut self.workers[w]).run_slot()
+        let wk = &mut self.workers[w];
+        let before = wk.instructions;
+        let slot = Step::new(&self.core, wk).run_slot();
+        // This driver owns the engine, so the slot's instructions join the
+        // shared count through `&mut`, not an atomic read-modify-write.
+        *self.core.steps.get_mut() += wk.instructions - before;
+        slot
     }
 
     /// Close a scheduling round: detect deadlock and enforce the step limit.
@@ -1703,8 +1714,8 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     /// Execute up to `max` instructions while the worker stays `Running` and
-    /// the query unfinished, flushing the executed count into the shared
-    /// step counter once at the end.  Returns the number executed.
+    /// the query unfinished.  Returns the number executed, which the driver
+    /// adds to the shared step count (`Worker::instructions` has them too).
     pub(crate) fn exec_batch(&mut self, max: u32) -> EngineResult<u32> {
         if self.core.steps() > self.core.config.max_steps {
             return Err(EngineError::StepLimitExceeded { limit: self.core.config.max_steps });

@@ -25,7 +25,6 @@ use crate::layout::{Area, ObjectKind};
 use crate::worker::{Mode, Resume, WorkerStatus};
 use pwam_compiler::{decode_reg, CodeAddr, ConstKey, DenseInstr, DenseOp, Instr, Reg};
 use pwam_front::atoms::Atom;
-use std::sync::atomic::Ordering;
 
 /// How the flattened dispatch loop advances the program counter after one
 /// instruction.
@@ -137,9 +136,6 @@ impl<'a, 'p> Step<'a, 'p> {
             }
         };
         self.wk.p = p;
-        if n > 0 {
-            core.steps.fetch_add(n as u64, Ordering::Relaxed);
-        }
         // Scheduler telemetry: classify the exit cause — the slot's budget
         // ran out (the quantum on N PEs; the slot cap or a due fuel/step
         // limit on one PE; the relaxed batch length) and the driver

@@ -52,6 +52,7 @@ pub mod layout;
 pub mod mem;
 #[cfg(test)]
 mod model;
+mod parked;
 pub mod sched;
 pub mod session;
 pub mod stats;

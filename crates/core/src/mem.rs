@@ -88,10 +88,11 @@
 use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
 use crate::layout::{AddressMap, Area, MemoryConfig, SHARED_REGION_WORDS};
+use crate::parked::Parked;
 use pwam_front::atoms::Atom;
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 // Tags of the low half of a `Word`.  `Empty` is all-zero so a zero-filled
 // allocation is a pristine arena.
@@ -217,16 +218,10 @@ impl Word {
 /// A parked array may next serve another tenant's query: that
 /// [`Memory::sweep_words`] leaves no word behind is a confidentiality
 /// property — the one the serving pool's warm slots already rest on.
-static PARKED: Mutex<Vec<Box<[Word]>>> = Mutex::new(Vec::new());
+static PARKED: Parked<Box<[Word]>> = Parked::new(MAX_PARKED);
 
 /// Two 8-PE memories' worth: an 8-PE engine and its 8-PE successor.
 const MAX_PARKED: usize = 16;
-
-fn parked() -> MutexGuard<'static, Vec<Box<[Word]>>> {
-    // The list is consistent between any two of its operations, so a panic
-    // elsewhere while the lock was held loses nothing.
-    PARKED.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Whether every half of every word is zero: the post-allocation state.
 fn all_zero(words: &[Word]) -> bool {
@@ -246,11 +241,7 @@ fn park(words: Box<[Word]>) {
     if words.len() <= MemoryConfig::small().stack_set_words() as usize && !std::thread::panicking() {
         assert!(all_zero(&words), "a swept arena still holds a written word");
     }
-    let mut list = parked();
-    let _evicted = (list.len() >= MAX_PARKED).then(|| list.remove(0));
-    list.push(words);
-    // Unlock first: the evicted array is freed as this returns.
-    drop(list);
+    PARKED.park(words);
 }
 
 /// `n` words of zeroed storage, every one reading [`Cell::Empty`]: a parked
@@ -264,11 +255,8 @@ fn empty_words(n: usize) -> Box<[Word]> {
     if layout.size() == 0 {
         return Box::default();
     }
-    {
-        let mut list = parked();
-        if let Some(i) = list.iter().rposition(|words| words.len() == n) {
-            return list.remove(i);
-        }
+    if let Some(words) = PARKED.take(|words| words.len() == n) {
+        return words;
     }
     // SAFETY: `layout` has non-zero size.  The all-zero bit pattern is a
     // valid `Word` (two `AtomicU64`s holding 0), so the `n` zeroed elements
@@ -989,7 +977,11 @@ mod tests {
         pe(&mut e, 0).mem_write(h0 + 3, Cell::Int(9), ObjectKind::HeapTerm);
         pe(&mut e, 1).mem_write(h1, Cell::Int(7), ObjectKind::HeapTerm);
         e.core.mem.shared_write(0, Cell::Uint(1));
+        let records = e.workers[0].trace.as_ref().unwrap().as_ptr();
         e = e.reset();
+        // PE 0 records into the buffer it had, its record never taken gone.
+        let own = e.workers[0].trace.as_ref().unwrap();
+        assert!(own.is_empty() && own.as_ptr() == records, "the reset did not reuse PE 0's buffer");
         assert_eq!(e.core.mem.read_untraced(h0 + 3), Cell::Empty);
         assert_eq!(e.core.mem.read_untraced(h1), Cell::Empty);
         assert_eq!(e.core.mem.shared_read(0), Cell::Empty);
@@ -1133,7 +1125,7 @@ mod tests {
     }
 
     fn parked_of(config: MemoryConfig) -> usize {
-        parked().iter().filter(|words| words.len() == config.stack_set_words() as usize).count()
+        PARKED.lock().iter().filter(|words| words.len() == config.stack_set_words() as usize).count()
     }
 
     fn word_arrays(m: &Memory) -> Vec<*const Word> {
@@ -1175,13 +1167,13 @@ mod tests {
         let memories: Vec<Memory> = (0..count).map(|_| Memory::new(config, 1, false)).collect();
         for m in memories {
             drop(m);
-            assert!(parked().len() <= MAX_PARKED);
+            assert!(PARKED.lock().len() <= MAX_PARKED);
         }
         // Other tests park and take concurrently, so how many of the sixteen
         // are this test's is not fixed — but it cannot be more.
         assert!(parked_of(config) <= MAX_PARKED);
         // Do not leave the slots pinned on a size nothing else builds.
-        parked().retain(|words| words.len() != config.stack_set_words() as usize);
+        PARKED.lock().retain(|words| words.len() != config.stack_set_words() as usize);
     }
 
     #[test]

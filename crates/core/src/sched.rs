@@ -54,6 +54,7 @@ use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
 use crate::worker::WorkerStatus;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -256,7 +257,16 @@ fn relaxed_pe_loop(
         }
         let progress = match step.wk.status {
             WorkerStatus::Stopped => return Ok(()),
-            WorkerStatus::Running => step.exec_batch(RELAXED_BATCH)? > 0,
+            WorkerStatus::Running => {
+                let executed = step.exec_batch(RELAXED_BATCH)?;
+                if executed > 0 {
+                    // Every PE thread adds to the count fuel and the
+                    // watchdog read: one atomic add per batch.
+                    core.steps.fetch_add(executed as u64, Ordering::Relaxed);
+                }
+                executed > 0
+            }
+            // Not running, so no instruction: a scheduling action only.
             _ => step.run_slot()?,
         };
         if progress {

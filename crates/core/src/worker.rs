@@ -13,6 +13,7 @@
 
 use crate::cell::{Cell, NONE_ADDR};
 use crate::layout::{AddressMap, Area};
+use crate::parked::Parked;
 use crate::trace::{MemRef, RefCounts};
 
 /// Read/write mode of the unify instructions.
@@ -288,7 +289,8 @@ pub struct Worker {
     pub refs: RefCounts,
     /// This worker's records of a traced run, in its program order, each
     /// with the global sequence number it claimed; `None` when the run is
-    /// not traced.  `Engine::take_trace` merges the workers' buffers.
+    /// not traced.  `Engine::take_trace` merges the workers' buffers and
+    /// parks them for the next traced build (see `Worker::arm_trace`).
     pub trace: Option<Vec<(u64, MemRef)>>,
     /// E-frame register cache: the environment address whose control words
     /// (CE / CP / NVARS) are cached in the three registers below, or
@@ -433,6 +435,40 @@ impl Worker {
             self.max_goal_top - self.goal_base,
         )
     }
+
+    /// Give this worker an empty record buffer for a traced run, or none for
+    /// an untraced one.  `spent` is the buffer of this worker's previous life
+    /// on the same engine ([`crate::Engine::reset`]): a traced run records
+    /// into it, or else into a parked one, and an untraced run parks it.
+    pub(crate) fn arm_trace(&mut self, tracing: bool, spent: Option<Vec<(u64, MemRef)>>) {
+        self.trace = match spent {
+            Some(mut records) if tracing => {
+                records.clear();
+                Some(records)
+            }
+            Some(records) => {
+                park_records(records);
+                None
+            }
+            None => tracing.then(|| SPARE_RECORDS.take(|_| true).unwrap_or_default()),
+        };
+    }
+}
+
+/// Record buffers of traced runs whose records were merged, emptied, waiting
+/// for the next traced build.  A run that grew its buffers from empty faulted
+/// their pages in afresh every time (`trace-sim` paid some 700 minor faults
+/// an op); one that records into a parked buffer writes pages an earlier run
+/// already touched.
+static SPARE_RECORDS: Parked<Vec<(u64, MemRef)>> = Parked::new(MAX_SPARE_RECORDS);
+
+/// Two 8-PE engines' worth, like the parked word arrays.
+const MAX_SPARE_RECORDS: usize = 16;
+
+/// Empty `records` and park it for the next traced build.
+pub(crate) fn park_records(mut records: Vec<(u64, MemRef)>) {
+    records.clear();
+    SPARE_RECORDS.park(records);
 }
 
 #[cfg(test)]
@@ -450,6 +486,24 @@ mod tests {
         assert_eq!(w0.h, w0.heap_base);
         assert_eq!(w2.status, WorkerStatus::Idle);
         assert_eq!(w2.x.len(), pwam_compiler::MAX_X_REGS + 1);
+    }
+
+    #[test]
+    fn record_buffers_come_back_and_are_parked_empty() {
+        use crate::layout::ObjectKind;
+        let map = AddressMap::new(MemoryConfig::small(), 1);
+        let mut w = Worker::new(0, &map);
+        let records = |n| vec![(7, MemRef::new(0, 3, true, ObjectKind::HeapTerm)); n];
+        // A traced life records into the buffer of the one before, emptied.
+        let spent = records(3);
+        let buffer = spent.as_ptr();
+        w.arm_trace(true, Some(spent));
+        let own = w.trace.as_ref().unwrap();
+        assert!(own.is_empty() && own.as_ptr() == buffer);
+        // An untraced one parks it; whatever the list holds is empty.
+        w.arm_trace(false, Some(records(5)));
+        assert!(w.trace.is_none());
+        assert!(SPARE_RECORDS.lock().iter().all(Vec::is_empty), "a parked buffer holds records");
     }
 
     #[test]

@@ -36,9 +36,12 @@ fn cursor(opts: &QueryOptions) -> rapwam::QueryCursor {
     session.open_cursor(&compiled, opts, None).expect("cursor opens")
 }
 
+/// How a traced run ends, and a run that ends that way.
+type Abandonment = (&'static str, fn(&QueryOptions));
+
 /// Ways a traced run can end, each leaving its engine's records untaken or
 /// half-taken.
-const ABANDONMENTS: [(&str, fn(&QueryOptions)); 7] = [
+const ABANDONMENTS: [Abandonment; 7] = [
     ("dropped at its first answer", |opts| {
         let mut c = cursor(opts);
         assert!(c.next().expect("cursor step").is_some());

@@ -1,9 +1,20 @@
 //! Sample where the executor's host time goes: a dependency-free SIGPROF
-//! profiler around the `seq-large` mix of the pwam-ladder (tak, fib, boyer
-//! twice and queens at `Scale::Large`, one PE, one recycled set of arenas),
-//! compiled either for CGE (`--leg cge`, `QueryOptions::parallel(1)`) or for
-//! the WAM (`--leg wam`, `QueryOptions::sequential()`).  Comparing the two
-//! legs' profiles attributes what a one-PE CGE run spends beyond the WAM.
+//! profiler around one leg of the pwam-ladder's work, run over and over on
+//! one recycled set of arenas:
+//!
+//! * `--leg cge` — the `seq-large` mix (tak, fib, boyer twice and queens at
+//!   `Scale::Large`) on one PE, compiled for CGE (`QueryOptions::parallel(1)`);
+//! * `--leg wam` — the same mix compiled for the WAM
+//!   (`QueryOptions::sequential()`).  Comparing the two legs' profiles
+//!   attributes what a one-PE CGE run spends beyond the WAM;
+//! * `--leg trace4` — `trace-sim`'s run: its mix (deriv, tak twice, qsort and
+//!   matrix at `Scale::Paper`) on four strict interleaved PEs, traced
+//!   (`QueryOptions::parallel(4).with_trace()`), each run's merged trace
+//!   dropped unread.  The cache sweep that follows it in `trace-sim` is not
+//!   sampled;
+//! * `--leg plain2` — the same mix on two strict interleaved PEs, untraced
+//!   (`QueryOptions::parallel(2)`): the N-PE driver at its default quantum of
+//!   one instruction per slot, without the recording.
 //!
 //! The process asks for a `SIGPROF` every millisecond of CPU time
 //! (`setitimer(ITIMER_PROF)`; the kernel rounds the interval up to its tick,
@@ -38,7 +49,8 @@
 //! The sampler is Linux on x86-64 only: it reads the interrupted `RIP` out
 //! of the kernel's `ucontext_t`.  Elsewhere the example exits with code 2.
 //!
-//! Usage: `profile_leg [--leg cge|wam] [--seconds N]` (defaults `cge`, 60).
+//! Usage: `profile_leg [--leg cge|wam|trace4|plain2] [--seconds N]` (defaults
+//! `cge`, 60).
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
@@ -47,24 +59,27 @@ fn main() {
     use rapwam::session::{QueryOptions, Session};
     use std::io::Write;
     use std::time::{Duration, Instant};
+    use BenchmarkId::{Boyer, Deriv, Fib, Matrix, Qsort, Queens, Tak};
 
     let args: Vec<String> = std::env::args().collect();
     reject_unknown_flags(&args, &[("--leg", true), ("--seconds", true)]);
     let leg = arg_value(&args, "--leg").unwrap_or_else(|| "cge".to_string());
-    let options = match leg.as_str() {
-        "cge" => QueryOptions::parallel(1),
-        "wam" => QueryOptions::sequential(),
-        other => usage_error(&format!("--leg {other} (expected cge or wam)")),
+    // The ladder's mixes, with the program it doubles listed twice.
+    let seq_large: &[BenchmarkId] = &[Tak, Fib, Boyer, Boyer, Queens];
+    let trace_sim: &[BenchmarkId] = &[Deriv, Tak, Tak, Qsort, Matrix];
+    let (options, mix, scale) = match leg.as_str() {
+        "cge" => (QueryOptions::parallel(1), seq_large, Scale::Large),
+        "wam" => (QueryOptions::sequential(), seq_large, Scale::Large),
+        "trace4" => (QueryOptions::parallel(4).with_trace(), trace_sim, Scale::Paper),
+        "plain2" => (QueryOptions::parallel(2), trace_sim, Scale::Paper),
+        other => usage_error(&format!("--leg {other} (expected cge, wam, trace4 or plain2)")),
     };
     let seconds = num_arg(&args, "--seconds").unwrap_or(60);
 
-    // The `seq-large` mix, boyer weighted twice as in the ladder.
-    let mix =
-        [BenchmarkId::Tak, BenchmarkId::Fib, BenchmarkId::Boyer, BenchmarkId::Boyer, BenchmarkId::Queens];
     let programs: Vec<_> = mix
         .iter()
         .map(|&id| {
-            let bench = benchmark(id, Scale::Large);
+            let bench = benchmark(id, scale);
             let mut session = Session::new(&bench.program).expect("registry program parses");
             let compiled = session
                 .prepare_with(&bench.query, options.compile_options())
