@@ -9,35 +9,18 @@ use crate::error::{EngineError, EngineResult};
 use crate::known;
 use crate::mem::Memory;
 use pwam_front::term::Term;
-use pwam_front::SymbolTable;
 
 /// Hard cap on the size of extracted terms, to catch accidental cycles.
 const MAX_NODES: usize = 10_000_000;
 
-/// Extract the term bound to the cell stored at `addr`.
-pub fn extract_binding(mem: &Memory, addr: u32, syms: &SymbolTable) -> EngineResult<Term> {
-    let _ = syms; // names resolve lazily at render time
-    extract_binding_raw(mem, addr)
+/// Extract the term bound to the cell stored at `addr`.  Atoms keep their
+/// interned [`pwam_front::Atom`]: names resolve later, at render time.
+pub fn extract_binding(mem: &Memory, addr: u32) -> EngineResult<Term> {
+    extract_cell(mem, mem.read_untraced(addr))
 }
 
 /// Extract the term a cell denotes.
-// `syms` stays in the signature so callers keep one shape even though
-// extraction resolves names lazily at render time.
-pub fn extract_cell(mem: &Memory, cell: Cell, syms: &SymbolTable, budget: &mut usize) -> EngineResult<Term> {
-    let _ = syms;
-    extract_node(mem, cell, budget)
-}
-
-/// Symbol-table-free variant of [`extract_binding`]: resumable cursors use
-/// it to read answers out of a parked engine without holding the session's
-/// symbol table (rendering happens later, at the serving layer).
-pub fn extract_binding_raw(mem: &Memory, addr: u32) -> EngineResult<Term> {
-    let cell = mem.read_untraced(addr);
-    extract_cell_raw(mem, cell)
-}
-
-/// Symbol-table-free variant of [`extract_cell`] with a fresh node budget.
-pub fn extract_cell_raw(mem: &Memory, cell: Cell) -> EngineResult<Term> {
+pub fn extract_cell(mem: &Memory, cell: Cell) -> EngineResult<Term> {
     let mut budget = MAX_NODES;
     extract_node(mem, cell, &mut budget)
 }

@@ -283,11 +283,10 @@ impl<'a, 'p> Step<'a, 'p> {
                 // failing, which the wait answers with cancellation)?  The
                 // actual (traced) reads happen when the worker re-executes
                 // the pcall_wait instruction.
-                let n = self.core.mem.read_untraced(pf + parcall::NGOALS).expect_uint("pcall ngoals");
-                let done =
-                    self.core.mem.read_untraced(pf + parcall::COMPLETED).expect_uint("pcall completed");
-                let status = self.core.mem.read_untraced(pf + parcall::STATUS).expect_uint("pcall status");
-                if done >= n || status == parcall::STATUS_FAILED {
+                if self.parcall_drained(pf)
+                    || self.core.mem.read_untraced(pf + parcall::STATUS).expect_uint("pcall status")
+                        == parcall::STATUS_FAILED
+                {
                     self.wk.p = addr;
                     self.wk.status = WorkerStatus::Running;
                     true
@@ -300,10 +299,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 // Shadow check, as for `WaitingAtPcall`: once every goal of
                 // the cancelled frame has committed (completed, failed,
                 // aborted or retracted), resume the deferred backtrack.
-                let n = self.core.mem.read_untraced(pf + parcall::NGOALS).expect_uint("pcall ngoals");
-                let done =
-                    self.core.mem.read_untraced(pf + parcall::COMPLETED).expect_uint("pcall completed");
-                if done >= n {
+                if self.parcall_drained(pf) {
                     self.finish_cancellation(pf)?;
                     true
                 } else {
@@ -318,6 +314,14 @@ impl<'a, 'p> Step<'a, 'p> {
                 }
             }
         })
+    }
+
+    /// Whether every goal of the Parcall Frame at `pf` has committed, read
+    /// without making a reference: a parked worker's shadow check.
+    fn parcall_drained(&self, pf: u32) -> bool {
+        let n = self.core.mem.read_untraced(pf + parcall::NGOALS).expect_uint("pcall ngoals");
+        let done = self.core.mem.read_untraced(pf + parcall::COMPLETED).expect_uint("pcall completed");
+        done >= n
     }
 
     /// Execute up to `max` instructions while the worker stays `Running` and

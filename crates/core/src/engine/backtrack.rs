@@ -111,17 +111,28 @@ impl<'a, 'p> Step<'a, 'p> {
         let b = self.wk.b;
         let nargs = self.mem_read(b + choice::NARGS, ObjectKind::ChoicePoint).expect_uint("cp nargs");
         let prev = self.mem_read(choice::prev_b(b, nargs), ObjectKind::ChoicePoint).expect_uint("cp prev");
-        self.wk.b = prev;
-        self.wk.cp_top = NONE_ADDR; // recomputed lazily by recede_control_top
-        self.refresh_backtrack_boundaries()?;
-        self.recede_control_top();
+        self.cut_to(prev)
+    }
+
+    /// Make `target` the current choice point, discarding every newer one
+    /// (cut, `trust`, the parcall's first-solution commit), then refresh the
+    /// trailing boundaries from it and recover the Control-stack space the
+    /// discarded frames held.  A no-op when `target` already is current.
+    #[inline(always)]
+    pub(crate) fn cut_to(&mut self, target: u32) -> EngineResult<()> {
+        if self.wk.b != target {
+            self.wk.b = target;
+            self.wk.cp_top = NONE_ADDR; // recomputed lazily by recede_control_top
+            self.refresh_backtrack_boundaries()?;
+            self.recede_control_top();
+        }
         Ok(())
     }
 
-    /// After B changed (cut / trust / the parcall's first-solution commit),
-    /// refresh the `hb` / `stack_boundary` trailing boundaries from the new
-    /// current choice point.
-    pub(crate) fn refresh_backtrack_boundaries(&mut self) -> EngineResult<()> {
+    /// After B changed (see [`Step::cut_to`]), refresh the `hb` /
+    /// `stack_boundary` trailing boundaries from the new current choice
+    /// point.
+    fn refresh_backtrack_boundaries(&mut self) -> EngineResult<()> {
         let b = self.wk.b;
         // With no choice point left, the failure boundary is the enclosing
         // parallel goal's *entry* state (what `start_goal` set), or the
@@ -259,7 +270,7 @@ impl<'a, 'p> Step<'a, 'p> {
             if record_failure && !crossing {
                 self.core.parcall_failures.fetch_add(1, Ordering::Relaxed);
             }
-            return self.fail_goal();
+            return self.unwind_goal(false);
         }
         if b == NONE_ADDR {
             self.core.mem.shared_write(board::STATUS, Cell::Uint(board::STATUS_FAILED));
@@ -398,7 +409,7 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     /// Drain this worker's `cancel_goal` requests.  A request is honoured —
-    /// the goal aborted through [`Step::abort_goal`] — only when the named
+    /// the goal aborted through [`Step::unwind_goal`] — only when the named
     /// goal is the worker's *innermost* activity, it has no Parcall Frame
     /// of its own still open (`PF` back at the goal-entry value), **and**
     /// the live frame at that address confirms the abort: its status is
@@ -452,7 +463,8 @@ impl<'a, 'p> Step<'a, 'p> {
             let slot_pe =
                 self.mem_read(parcall::slot_pe(pf, slot), ObjectKind::ParcallGlobal).expect_uint("slot pe");
             if slot_pe as usize == w {
-                self.abort_goal()?;
+                self.wk.goals_aborted += 1;
+                self.unwind_goal(true)?;
             }
         }
         Ok(())

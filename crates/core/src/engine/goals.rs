@@ -66,14 +66,7 @@ impl<'a, 'p> Step<'a, 'p> {
         let own = if matches!(resume, Resume::ToCancel { .. }) || !core.may_have_goals(w) {
             None
         } else {
-            let mut b = core.boards[w].lock().unwrap();
-            if let Some(frame) = b.goal_frames.pop() {
-                core.publish_goals_waiting(w, &b);
-                b.goal_top = frame;
-                Some(self.read_goal_frame(frame))
-            } else {
-                None
-            }
+            self.pop_goal_frame(w)
         };
         if let Some(img) = own {
             self.wk.goal_top = img.frame;
@@ -94,18 +87,7 @@ impl<'a, 'p> Step<'a, 'p> {
             if victim == w || !core.may_have_goals(victim) {
                 continue;
             }
-            let stolen = {
-                let mut b = core.boards[victim].lock().unwrap();
-                if let Some(frame) = b.goal_frames.pop() {
-                    core.publish_goals_waiting(victim, &b);
-                    b.goal_top = frame;
-                    b.steal_notices += 1;
-                    Some(self.read_goal_frame(frame))
-                } else {
-                    None
-                }
-            };
-            if let Some(img) = stolen {
+            if let Some(img) = self.pop_goal_frame(victim) {
                 core.steal_cursor.store((victim + 1) % n, Ordering::Relaxed);
                 self.wk.goals_stolen += 1;
                 self.start_goal(img, resume, true)?;
@@ -113,6 +95,22 @@ impl<'a, 'p> Step<'a, 'p> {
             }
         }
         Ok(false)
+    }
+
+    /// Pop the newest Goal Frame off `victim`'s board and read it while the
+    /// board's lock is held (see [`Step::try_dispatch_work`]).  A thief's pop
+    /// also counts a steal notice on the victim's board.
+    fn pop_goal_frame(&mut self, victim: usize) -> Option<GoalFrameImage> {
+        // `core` is copied out of `self` so the guard does not pin `self`.
+        let core = self.core;
+        let mut board = core.boards[victim].lock().unwrap();
+        let frame = board.goal_frames.pop()?;
+        core.publish_goals_waiting(victim, &board);
+        board.goal_top = frame;
+        if victim != self.w() {
+            board.steal_notices += 1;
+        }
+        Some(self.read_goal_frame(frame))
     }
 
     /// Read a Goal Frame's words (and copy its arguments into the argument
@@ -277,7 +275,69 @@ impl<'a, 'p> Step<'a, 'p> {
         };
 
         self.commit_completion(ctx.stolen, pf, slot, message::KIND_DONE)?;
+        self.leave_goal(&ctx, true);
+        self.recede_control_top();
+        Ok(())
+    }
 
+    /// A parallel goal failed (`cancelled` false) or was aborted by a
+    /// `cancel_goal` request (`cancelled` true): recover the storage of its
+    /// Stack Section, mark the Parcall Frame and commit the completion via
+    /// [`Step::commit_completion`].  A cancellation is recorded in the slot
+    /// and the message instead of a logical failure; either way the goal
+    /// commits through the completion protocol, which is what keeps the
+    /// cancelling parent's drain sound.
+    pub(super) fn unwind_goal(&mut self, cancelled: bool) -> EngineResult<()> {
+        let ctx = self
+            .wk
+            .goal_contexts
+            .pop()
+            .ok_or_else(|| EngineError::Internal("goal failure with no goal in progress".into()))?;
+        let (pf, slot) = (ctx.pf, ctx.slot);
+        if ctx.stolen {
+            // Re-read the Marker, as the real machine recovers the Stack
+            // Section through it: PF and SLOT, then — `ENTRY_B` is not needed
+            // — ENTRY_TR to ENTRY_E.  Only the references matter.
+            let mut words = [Cell::Empty; 4];
+            self.mem_read_run(ctx.marker + marker::PF, ObjectKind::Marker, &mut words[..2]);
+            self.mem_read_run(ctx.marker + marker::ENTRY_TR, ObjectKind::Marker, &mut words);
+        }
+
+        // Undo the goal's bindings and recover its storage.
+        self.untrail_to(ctx.entry_tr)?;
+        let wk = &mut *self.wk;
+        // Entry tops are clamped to the frozen floors: a goal started before
+        // a `ToCancel` success froze a section would otherwise reclaim it
+        // here.  (Goals started *after* the freeze have entry tops at or
+        // above the floors, making this a no-op.)
+        wk.h = ctx.entry_h.max(wk.frozen_h);
+        wk.local_top = ctx.entry_local_top.max(wk.frozen_local);
+        if ctx.stolen {
+            wk.control_top = ctx.marker; // the marker itself is recovered
+        }
+
+        // Mark the Parcall Frame.  The status merge is a `max`: plain
+        // failure never downgrades a frame already under cancellation, and
+        // concurrent writers (relaxed backend) cannot lose each other's
+        // update because it is one compare-exchange on the word.
+        let (slot_mark, msg_kind, status_mark) = if cancelled {
+            (parcall::SLOT_CANCELLED, message::KIND_CANCELLED, parcall::STATUS_CANCELLED)
+        } else {
+            (parcall::SLOT_FAILED, message::KIND_FAILED, parcall::STATUS_FAILED)
+        };
+        if ctx.stolen {
+            self.mem_write(parcall::slot_status(pf, slot), Cell::Uint(slot_mark), ObjectKind::ParcallGlobal);
+        }
+        self.mem_rmw(pf + parcall::STATUS, ObjectKind::ParcallLocal, |v| v.max(status_mark))?;
+        self.commit_completion(ctx.stolen, pf, slot, msg_kind)?;
+        self.leave_goal(&ctx, false);
+        Ok(())
+    }
+
+    /// Leave a parallel goal that has committed its completion: restore the
+    /// registers its context saved and go back to what the worker did before
+    /// it took the goal.  Makes no memory reference.
+    fn leave_goal(&mut self, ctx: &GoalContext, succeeded: bool) {
         let wk = &mut *self.wk;
         wk.cp = ctx.prev_cp;
         wk.e = ctx.entry_e;
@@ -296,122 +356,33 @@ impl<'a, 'p> Step<'a, 'p> {
         // no choice points behind, so for them this is a no-op.
         wk.b = ctx.entry_b;
         wk.cp_top = NONE_ADDR;
-        match ctx.resume {
+        wk.status = match ctx.resume {
             Resume::ToWait { addr } => {
                 wk.p = addr;
-                wk.status = WorkerStatus::Running;
+                WorkerStatus::Running
             }
             Resume::ToCancel { pf } => {
-                // The goal succeeded while this worker's own state is a
-                // suspended failure.  Its results belong to another Parcall
-                // Frame but live in *our* Stack Set, above the suspended
-                // state — freeze them: the deferred backtrack's restore
-                // targets are clamped to these floors so the section
-                // survives, and the goal's trail entries are dropped so the
-                // backtrack never unbinds the frozen result (every entry in
-                // the section points into the independent parcall's
-                // dataflow, never into our own failing branch).
-                wk.frozen_h = wk.frozen_h.max(wk.h);
-                wk.frozen_local = wk.frozen_local.max(wk.local_top);
-                wk.tr = ctx.entry_tr;
-                wk.status = WorkerStatus::Cancelling { pf };
+                if succeeded {
+                    // The goal succeeded while this worker's own state is a
+                    // suspended failure.  Its results belong to another
+                    // Parcall Frame but live in *our* Stack Set, above the
+                    // suspended state — freeze them: the deferred backtrack's
+                    // restore targets are clamped to these floors so the
+                    // section survives, and the goal's trail entries are
+                    // dropped so the backtrack never unbinds the frozen result
+                    // (every entry in the section points into the independent
+                    // parcall's dataflow, never into our own failing branch).
+                    // A failed goal's whole Stack Section was just unwound, so
+                    // there is nothing to freeze.
+                    wk.frozen_h = wk.frozen_h.max(wk.h);
+                    wk.frozen_local = wk.frozen_local.max(wk.local_top);
+                    wk.tr = ctx.entry_tr;
+                }
+                // Re-park and keep waiting for the cancelled frame to drain.
+                WorkerStatus::Cancelling { pf }
             }
-            Resume::Idle => {
-                wk.status = WorkerStatus::Idle;
-            }
-        }
-        self.recede_control_top();
-        Ok(())
-    }
-
-    /// A parallel goal failed: recover the storage of its Stack Section,
-    /// mark the Parcall Frame as failed and commit the completion via
-    /// [`Step::commit_completion`].
-    pub(crate) fn fail_goal(&mut self) -> EngineResult<()> {
-        self.unwind_goal(false)
-    }
-
-    /// Like [`Step::fail_goal`], but for a goal aborted by a `cancel_goal`
-    /// request: the slot and message record the cancellation instead of a
-    /// logical failure.  Either way the goal commits through the completion
-    /// protocol, which is what keeps the cancelling parent's drain sound.
-    pub(super) fn abort_goal(&mut self) -> EngineResult<()> {
-        self.wk.goals_aborted += 1;
-        self.unwind_goal(true)
-    }
-
-    fn unwind_goal(&mut self, cancelled: bool) -> EngineResult<()> {
-        let ctx = self
-            .wk
-            .goal_contexts
-            .pop()
-            .ok_or_else(|| EngineError::Internal("goal failure with no goal in progress".into()))?;
-        let (pf, slot) = (ctx.pf, ctx.slot);
-        if ctx.stolen {
-            // Re-read the Marker, as the real machine recovers the Stack
-            // Section through it: PF and SLOT, then — `ENTRY_B` is not needed
-            // — ENTRY_TR to ENTRY_E.  Only the references matter.
-            let mut words = [Cell::Empty; 4];
-            self.mem_read_run(ctx.marker + marker::PF, ObjectKind::Marker, &mut words[..2]);
-            self.mem_read_run(ctx.marker + marker::ENTRY_TR, ObjectKind::Marker, &mut words);
-        }
-
-        // Undo the goal's bindings and recover its storage.
-        self.untrail_to(ctx.entry_tr)?;
-        {
-            let wk = &mut *self.wk;
-            // Entry tops are clamped to the frozen floors: a goal started
-            // before a `ToCancel` success froze a section would otherwise
-            // reclaim it here.  (Goals started *after* the freeze have
-            // entry tops at or above the floors, making this a no-op.)
-            wk.h = ctx.entry_h.max(wk.frozen_h);
-            wk.local_top = ctx.entry_local_top.max(wk.frozen_local);
-            wk.e = ctx.entry_e;
-            wk.env_cache_e = NONE_ADDR; // E restored from the goal context
-            wk.b = ctx.entry_b;
-            wk.cp_top = NONE_ADDR;
-            wk.cp = ctx.prev_cp;
-            wk.hb = ctx.prev_hb;
-            wk.stack_boundary = ctx.prev_stack_boundary;
-            wk.pf = ctx.entry_pf;
-            wk.marker_top = ctx.prev_marker_top;
-            if ctx.stolen {
-                wk.control_top = ctx.marker; // the marker itself is recovered
-            }
-        }
-
-        // Mark the Parcall Frame.  The status merge is a `max`: plain
-        // failure never downgrades a frame already under cancellation, and
-        // concurrent writers (relaxed backend) cannot lose each other's
-        // update because it is one compare-exchange on the word.
-        let (slot_mark, msg_kind, status_mark) = if cancelled {
-            (parcall::SLOT_CANCELLED, message::KIND_CANCELLED, parcall::STATUS_CANCELLED)
-        } else {
-            (parcall::SLOT_FAILED, message::KIND_FAILED, parcall::STATUS_FAILED)
+            Resume::Idle => WorkerStatus::Idle,
         };
-        if ctx.stolen {
-            self.mem_write(parcall::slot_status(pf, slot), Cell::Uint(slot_mark), ObjectKind::ParcallGlobal);
-        }
-        self.mem_rmw(pf + parcall::STATUS, ObjectKind::ParcallLocal, |v| v.max(status_mark))?;
-        self.commit_completion(ctx.stolen, pf, slot, msg_kind)?;
-
-        let wk = &mut *self.wk;
-        match ctx.resume {
-            Resume::ToWait { addr } => {
-                wk.p = addr;
-                wk.status = WorkerStatus::Running;
-            }
-            Resume::ToCancel { pf: parent_pf } => {
-                // Failure path: the goal's whole Stack Section was just
-                // unwound, so there is nothing to freeze — re-park and keep
-                // waiting for the cancelled frame to drain.
-                wk.status = WorkerStatus::Cancelling { pf: parent_pf };
-            }
-            Resume::Idle => {
-                wk.status = WorkerStatus::Idle;
-            }
-        }
-        Ok(())
     }
 
     /// Write a completion/failure message into `parent`'s Message Buffer.

@@ -699,9 +699,10 @@ impl<'p> Engine<'p> {
         // of view, so the deadline clock and the fuel budget re-arm here.
         self.core.started = Instant::now();
         self.core.re_arm_fuel();
-        match self.core.state() {
+        // The worker that fails back into its next alternative, if any.
+        let failing = match self.core.state() {
             SUCCEEDED => match result {
-                HostResult::Commit => Ok((RunOutcome::Complete, self)),
+                HostResult::Commit => return Ok((RunOutcome::Complete, self)),
                 HostResult::Redo => {
                     // Fail back into the engine: restore RUNNING, revive the
                     // worker that produced the answer (the only stopped one
@@ -712,12 +713,13 @@ impl<'p> Engine<'p> {
                     let w =
                         self.core.mem.shared_read(board::ANSWER_PE).expect_uint("board answer pe") as usize;
                     self.workers[w].status = WorkerStatus::Running;
-                    Step::new(&self.core, &mut self.workers[w]).backtrack()?;
-                    self.drive_resumable()
+                    Some(w)
                 }
-                other => Err(EngineError::Internal(format!(
-                    "resume at an answer boundary expects Redo or Commit, got {other:?}"
-                ))),
+                other => {
+                    return Err(EngineError::Internal(format!(
+                        "resume at an answer boundary expects Redo or Commit, got {other:?}"
+                    )))
+                }
             },
             SUSPENDED => {
                 if !matches!(result, HostResult::Succeed(_) | HostResult::Fail) {
@@ -736,8 +738,9 @@ impl<'p> Engine<'p> {
                 self.core.finished.store(RUNNING, Ordering::Release);
                 match result {
                     HostResult::Succeed(bindings) => {
+                        // A binding that does not unify fails the call.
                         let mut step = Step::new(&self.core, &mut self.workers[w]);
-                        let mut ok = true;
+                        let mut unified = true;
                         let mut var_memo = std::collections::HashMap::new();
                         for (idx, term) in &bindings {
                             let Some(&arg) = pending.args.get(*idx) else {
@@ -748,19 +751,13 @@ impl<'p> Engine<'p> {
                             };
                             let cell = step.build_term(term, &mut var_memo)?;
                             if !step.unify(arg, cell)? {
-                                ok = false;
+                                unified = false;
                                 break;
                             }
                         }
-                        if !ok {
-                            step.backtrack()?;
-                        }
-                        self.drive_resumable()
+                        (!unified).then_some(w)
                     }
-                    _ => {
-                        Step::new(&self.core, &mut self.workers[w]).backtrack()?;
-                        self.drive_resumable()
-                    }
+                    _ => Some(w),
                 }
             }
             PREEMPTED => {
@@ -773,11 +770,15 @@ impl<'p> Engine<'p> {
                 // restore RUNNING (the fresh fuel leg is already armed
                 // above) and let the scheduler take the next round.
                 self.core.finished.store(RUNNING, Ordering::Release);
-                self.drive_resumable()
+                None
             }
-            FAILED => Err(EngineError::Internal("resume on a completed engine".to_string())),
-            _ => Err(EngineError::Internal("resume on an engine that is still running".to_string())),
+            FAILED => return Err(EngineError::Internal("resume on a completed engine".to_string())),
+            _ => return Err(EngineError::Internal("resume on an engine that is still running".to_string())),
+        };
+        if let Some(w) = failing {
+            Step::new(&self.core, &mut self.workers[w]).backtrack()?;
         }
+        self.drive_resumable()
     }
 
     /// Drive the scheduler until the engine halts, then classify the halt.
@@ -806,7 +807,7 @@ impl<'p> Engine<'p> {
                     .unwrap_or_else(|| format!("$host{}", pending.host));
                 let mut args = Vec::with_capacity(pending.args.len());
                 for &cell in &pending.args {
-                    args.push(crate::answer::extract_cell_raw(&self.core.mem, cell)?);
+                    args.push(crate::answer::extract_cell(&self.core.mem, cell)?);
                 }
                 Ok(RunOutcome::Suspended(SuspendReason::HostCall { name, args }))
             }

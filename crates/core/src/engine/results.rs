@@ -3,7 +3,7 @@
 use super::{Engine, Outcome, RunResult};
 use crate::answer::extract_binding;
 use crate::cell::Cell;
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::frames::env;
 use crate::layout::{board, ObjectKind};
 use crate::stats::{RunStats, WorkerStats};
@@ -31,15 +31,10 @@ impl<'p> Engine<'p> {
         let mut out = Vec::new();
         for (name, slot) in &self.core.program.query_vars {
             let addr = env::y_addr(env_addr, *slot);
-            let term = crate::answer::extract_binding_raw(&self.core.mem, addr)?;
+            let term = extract_binding(&self.core.mem, addr)?;
             out.push((name.clone(), term));
         }
         Ok(out)
-    }
-
-    /// Run statistics of the engine as it stands (usable mid-suspension).
-    pub fn stats(&self) -> RunStats {
-        self.collect_stats()
     }
 
     /// Drain the memory-reference trace collected so far, merging the
@@ -79,35 +74,28 @@ impl<'p> Engine<'p> {
     }
 
     /// Extract the [`RunResult`] of a finished engine, leaving the engine
-    /// behind for reuse (the trace buffer, if any, is drained).
-    pub fn take_result(&mut self, syms: &SymbolTable) -> EngineResult<RunResult> {
-        debug_assert!(self.core.finished().is_some(), "take_result on an unfinished engine");
-        let outcome = if self.core.finished() == Some(true) {
-            let bindings = self.extract_answer(syms)?;
-            Outcome::Success(bindings)
-        } else {
-            Outcome::Failure
+    /// behind for reuse (the trace buffer, if any, is drained).  An engine
+    /// parked at a host call or at spent fuel has no result yet: that is an
+    /// [`EngineError::Internal`].  `_syms` is not read: answers keep their
+    /// interned atoms and are rendered later.
+    pub fn take_result(&mut self, _syms: &SymbolTable) -> EngineResult<RunResult> {
+        let outcome = match self.core.finished() {
+            Some(true) => Outcome::Success(self.answer_bindings()?),
+            Some(false) => Outcome::Failure,
+            None => {
+                return Err(EngineError::Internal(
+                    "no result yet: the engine has not completed (a host call or spent fuel suspends it)"
+                        .to_string(),
+                ))
+            }
         };
-        let stats = self.collect_stats();
+        let stats = self.stats();
         let trace = self.take_trace();
         Ok(RunResult { outcome, stats, trace })
     }
 
-    fn extract_answer(&self, syms: &SymbolTable) -> EngineResult<Vec<(String, Term)>> {
-        if self.core.mem.shared_read(board::STATUS) != Cell::Uint(board::STATUS_SUCCEEDED) {
-            return Ok(Vec::new());
-        }
-        let env_addr = self.core.mem.shared_read(board::ANSWER_ENV).expect_uint("board answer env");
-        let mut out = Vec::new();
-        for (name, slot) in &self.core.program.query_vars {
-            let addr = env::y_addr(env_addr, *slot);
-            let term = extract_binding(&self.core.mem, addr, syms)?;
-            out.push((name.clone(), term));
-        }
-        Ok(out)
-    }
-
-    fn collect_stats(&self) -> RunStats {
+    /// Run statistics of the engine as it stands (usable mid-suspension).
+    pub fn stats(&self) -> RunStats {
         let workers: Vec<WorkerStats> = self
             .workers
             .iter()

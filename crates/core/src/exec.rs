@@ -576,13 +576,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 // clause bodies route cuts through `get_level`/`cut_to`,
                 // but the instruction is part of the abstract machine's
                 // surface (hand-written or externally generated code).
-                let target = self.wk.b0;
-                if self.wk.b != target {
-                    self.wk.b = target;
-                    self.wk.cp_top = NONE_ADDR;
-                    self.refresh_backtrack_boundaries()?;
-                    self.recede_control_top();
-                }
+                self.cut_to(self.wk.b0)?;
                 Ok(Flow::Next)
             }
             DenseOp::GetLevel => {
@@ -595,12 +589,7 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             DenseOp::CutTo => {
                 let target = self.read_reg(Reg::Y(di.b))?.expect_uint("cut barrier");
-                if self.wk.b != target {
-                    self.wk.b = target;
-                    self.wk.cp_top = NONE_ADDR;
-                    self.refresh_backtrack_boundaries()?;
-                    self.recede_control_top();
-                }
+                self.cut_to(target)?;
                 Ok(Flow::Next)
             }
 
@@ -783,12 +772,7 @@ impl<'a, 'p> Step<'a, 'p> {
             // never resurrects.)
             let entry_b =
                 self.mem_read(pf + parcall::ENTRY_B, ObjectKind::ParcallLocal).expect_uint("entry b");
-            if self.wk.b != entry_b {
-                self.wk.b = entry_b;
-                self.wk.cp_top = NONE_ADDR;
-                self.refresh_backtrack_boundaries()?;
-                self.recede_control_top();
-            }
+            self.cut_to(entry_b)?;
             if status != parcall::STATUS_OK {
                 return self.fail();
             }

@@ -67,12 +67,7 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// Allocate a fresh unbound variable on this worker's heap.
     pub(crate) fn new_heap_var(&mut self) -> EngineResult<Cell> {
-        let h = self.wk.h;
-        self.check_cached_top(self.wk.heap_end, Area::Heap, h)?;
-        self.mem_write(h, Cell::Ref(h), ObjectKind::HeapTerm);
-        self.wk.h = h + 1;
-        self.wk.max_h = self.wk.max_h.max(h + 1);
-        Ok(Cell::Ref(h))
+        self.heap_push(Cell::Ref(self.wk.h)).map(Cell::Ref)
     }
 
     /// Push one cell onto this worker's heap.

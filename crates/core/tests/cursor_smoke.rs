@@ -1,8 +1,9 @@
 //! Fast sanity checks for the resumable-engine cursor API: all-solutions
-//! streaming, commit, host predicates, and the no-host guard on `run`.
+//! streaming, commit, host predicates, the no-host guard on `run`, and no
+//! result from an engine parked at a suspension.
 
 use rapwam::session::{QueryOptions, Session};
-use rapwam::Term;
+use rapwam::{Engine, EngineConfig, RunOutcome, SuspendReason, Term};
 
 fn atoms(session: &Session, answers: &[Vec<(String, Term)>], var: &str) -> Vec<String> {
     answers
@@ -128,6 +129,24 @@ fn run_rejects_host_suspension() {
     let err = session.run("p(Y)", &QueryOptions::sequential()).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("cursor"), "unexpected error: {msg}");
+}
+
+#[test]
+fn into_result_rejects_a_suspended_engine() {
+    let mut session = Session::new("p(Y) :- h(Y).\nq(X) :- X is 1 + 2.").unwrap();
+    session.register_host("h", 1, |_| Some(vec![(0, Term::Int(1))]));
+    let opts = QueryOptions::sequential();
+
+    let compiled = session.prepare_with("q(X)", opts.compile_options()).unwrap();
+    let config = EngineConfig { fuel: Some(1), ..opts.engine_config() };
+    let (outcome, engine) = Engine::new(&compiled, config).run_resumable().unwrap();
+    assert_eq!(outcome, RunOutcome::Suspended(SuspendReason::FuelExhausted));
+    assert!(engine.into_result(session.symbols()).is_err());
+
+    let compiled = session.prepare_with("p(Y)", opts.compile_options()).unwrap();
+    let (outcome, engine) = Engine::new(&compiled, opts.engine_config()).run_resumable().unwrap();
+    assert!(matches!(outcome, RunOutcome::Suspended(SuspendReason::HostCall { .. })), "{outcome:?}");
+    assert!(engine.into_result(session.symbols()).is_err());
 }
 
 #[test]
