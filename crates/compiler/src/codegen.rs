@@ -405,95 +405,45 @@ fn compile_put_arg(
             }
         }
         Term::Struct(_, _) => {
-            build_structure(ctx, term, a, chunk)?;
+            build_structure(ctx, term, Some(a), chunk)?;
         }
     }
     Ok(())
 }
 
-/// Build a (possibly nested) structure bottom-up into X register `target`.
+/// Build a (possibly nested) structure bottom-up into X register `target`,
+/// or — when `target` is `None` — into a scratch register allocated *after*
+/// the structure's own children have been built (and their registers
+/// released).  Returns the register the structure ends up in.
 ///
-/// Nested sub-structures are built first, each into a scratch register that
-/// is allocated only once its own children are finished and released as soon
-/// as the parent has consumed it, so even very deep literal terms (long
-/// lists in queries) need only a few live registers.
+/// Nested sub-structures are built first (post-order), each into such a
+/// scratch register that is released as soon as the parent has consumed it,
+/// so the number of simultaneously live scratch registers is proportional to
+/// the nesting depth of left branches rather than the total term size: even
+/// very deep literal terms (long lists in queries) need only a few.
 fn build_structure(
     ctx: &mut ClauseCtx,
     term: &Term,
-    target: u16,
+    target: Option<u16>,
     chunk: &mut ChunkBuilder,
-) -> CompileResult<()> {
+) -> CompileResult<u16> {
     let wk = ctx.syms.well_known();
     let (f, args) = match term {
         Term::Struct(f, args) => (*f, args),
         _ => return Err(CompileError::new("build_structure called on a non-structure")),
     };
-    // First build nested structures into scratch registers (post-order).
     let mut child_regs: Vec<Option<u16>> = Vec::with_capacity(args.len());
     for arg in args {
         if matches!(arg, Term::Struct(_, _)) {
-            let s = build_substructure(ctx, arg, chunk)?;
-            child_regs.push(Some(s));
+            child_regs.push(Some(build_structure(ctx, arg, None, chunk)?));
         } else {
             child_regs.push(None);
         }
     }
-    // Now emit the structure itself.
-    if f == wk.dot && args.len() == 2 {
-        chunk.emit(Instr::PutList { a: target });
-    } else {
-        chunk.emit(Instr::PutStructure { f, n: args.len() as u8, a: target });
-    }
-    for (arg, child) in args.iter().zip(child_regs) {
-        match arg {
-            Term::Var(v) => {
-                let reg = ctx.reg(v)?;
-                if ctx.seen.insert(v.clone()) {
-                    chunk.emit(Instr::UnifyVariable { v: reg });
-                } else {
-                    chunk.emit(Instr::UnifyValue { v: reg });
-                }
-            }
-            Term::Int(n) => {
-                chunk.emit(Instr::UnifyInteger { i: *n });
-            }
-            Term::Atom(c) => {
-                if *c == wk.nil {
-                    chunk.emit(Instr::UnifyNil);
-                } else {
-                    chunk.emit(Instr::UnifyConstant { c: *c });
-                }
-            }
-            Term::Struct(_, _) => {
-                let s = child.expect("child register allocated above");
-                chunk.emit(Instr::UnifyValue { v: Reg::X(s) });
-                ctx.free_scratch(s);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Build a nested structure into a freshly allocated scratch register and
-/// return that register.  The register is allocated *after* the structure's
-/// own children have been built (and their registers released), which keeps
-/// the number of simultaneously live scratch registers proportional to the
-/// nesting depth of left branches rather than the total term size.
-fn build_substructure(ctx: &mut ClauseCtx, term: &Term, chunk: &mut ChunkBuilder) -> CompileResult<u16> {
-    let wk = ctx.syms.well_known();
-    let (f, args) = match term {
-        Term::Struct(f, args) => (*f, args),
-        _ => return Err(CompileError::new("build_substructure called on a non-structure")),
+    let target = match target {
+        Some(a) => a,
+        None => ctx.alloc_scratch()?,
     };
-    let mut child_regs: Vec<Option<u16>> = Vec::with_capacity(args.len());
-    for arg in args {
-        if matches!(arg, Term::Struct(_, _)) {
-            child_regs.push(Some(build_substructure(ctx, arg, chunk)?));
-        } else {
-            child_regs.push(None);
-        }
-    }
-    let target = ctx.alloc_scratch()?;
     if f == wk.dot && args.len() == 2 {
         chunk.emit(Instr::PutList { a: target });
     } else {

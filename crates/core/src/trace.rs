@@ -179,30 +179,6 @@ impl AreaStats {
             self.global_refs as f64 / t as f64
         }
     }
-
-    /// Merge another set of counters into this one.
-    pub fn merge(&mut self, other: &AreaStats) {
-        self.total.reads += other.total.reads;
-        self.total.writes += other.total.writes;
-        for i in 0..self.per_area.len() {
-            self.per_area[i].reads += other.per_area[i].reads;
-            self.per_area[i].writes += other.per_area[i].writes;
-        }
-        for i in 0..self.per_object.len() {
-            self.per_object[i].reads += other.per_object[i].reads;
-            self.per_object[i].writes += other.per_object[i].writes;
-        }
-        self.global_refs += other.global_refs;
-        self.local_refs += other.local_refs;
-        self.locked_refs += other.locked_refs;
-        if self.per_pe.len() < other.per_pe.len() {
-            self.per_pe.resize(other.per_pe.len(), RwCount::default());
-        }
-        for (i, pe) in other.per_pe.iter().enumerate() {
-            self.per_pe[i].reads += pe.reads;
-            self.per_pe[i].writes += pe.writes;
-        }
-    }
 }
 
 /// The references one PE has issued, by object kind: a pure function of
@@ -252,18 +228,6 @@ mod tests {
         s.record(&sample(0, false, ObjectKind::HeapTerm)); // global
         s.record(&sample(0, false, ObjectKind::TrailEntry)); // local
         assert!((s.global_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = AreaStats::new(1);
-        a.record(&sample(0, false, ObjectKind::HeapTerm));
-        let mut b = AreaStats::new(2);
-        b.record(&sample(1, true, ObjectKind::Message));
-        a.merge(&b);
-        assert_eq!(a.total.total(), 2);
-        assert_eq!(a.per_pe.len(), 2);
-        assert_eq!(a.per_pe[1].writes, 1);
     }
 
     #[test]
