@@ -476,8 +476,10 @@ impl<'p> EngineCore<'p> {
         }
     }
 
-    /// Arm the fuel threshold for a fresh execution leg.
-    fn re_arm_fuel(&self) {
+    /// Start a fresh execution leg (a run, or one `resume`): restart the
+    /// deadline clock and arm the fuel threshold.
+    fn start_leg(&mut self) {
+        self.started = Instant::now();
         let limit = match self.config.fuel {
             Some(fuel) => self.steps.load(Ordering::Relaxed).saturating_add(fuel),
             None => u64::MAX,
@@ -655,8 +657,7 @@ impl<'p> Engine<'p> {
     /// with [`Engine::into_memory`] (different program).  On error the
     /// engine is lost — a pool simply rebuilds cold on the next request.
     pub fn run_reusable(mut self, syms: &SymbolTable) -> EngineResult<(RunResult, Engine<'p>)> {
-        self.core.started = Instant::now();
-        self.core.re_arm_fuel();
+        self.core.start_leg();
         let mut engine = drive(self)?;
         if engine.core.state() == SUSPENDED {
             return Err(EngineError::Internal(
@@ -682,8 +683,7 @@ impl<'p> Engine<'p> {
     /// caches, [`Memory`] intact) so [`Engine::resume`] re-enters exactly
     /// where execution left off.
     pub fn run_resumable(mut self) -> EngineResult<(RunOutcome, Engine<'p>)> {
-        self.core.started = Instant::now();
-        self.core.re_arm_fuel();
+        self.core.start_leg();
         self.drive_resumable()
     }
 
@@ -696,9 +696,8 @@ impl<'p> Engine<'p> {
     /// that already completed) is an [`EngineError::Internal`].
     pub fn resume(mut self, result: HostResult) -> EngineResult<(RunOutcome, Engine<'p>)> {
         // Each `resume` leg is a fresh request from the serving layer's point
-        // of view, so the deadline clock and the fuel budget re-arm here.
-        self.core.started = Instant::now();
-        self.core.re_arm_fuel();
+        // of view.
+        self.core.start_leg();
         // The worker that fails back into its next alternative, if any.
         let failing = match self.core.state() {
             SUCCEEDED => match result {

@@ -256,20 +256,19 @@ impl<'p> Engine<'p> {
             let within = |area: Area, addr: u32| -> bool {
                 addr >= map.area_base(w, area) && addr <= map.area_end(w, area)
             };
-            if !within(Area::Heap, wk.h) || wk.hb > wk.h {
+            if wk.hb > wk.h {
                 return fail("heap top", format!("h={} hb={}", wk.h, wk.hb));
             }
-            if !within(Area::LocalStack, wk.local_top) {
-                return fail("local top", format!("local_top={}", wk.local_top));
-            }
-            if !within(Area::ControlStack, wk.control_top) {
-                return fail("control top", format!("control_top={}", wk.control_top));
-            }
-            if !within(Area::Trail, wk.tr) {
-                return fail("trail top", format!("tr={}", wk.tr));
-            }
-            if !within(Area::GoalStack, wk.goal_top) {
-                return fail("goal top", format!("goal_top={}", wk.goal_top));
+            for (what, area, top) in [
+                ("heap top", Area::Heap, wk.h),
+                ("local top", Area::LocalStack, wk.local_top),
+                ("control top", Area::ControlStack, wk.control_top),
+                ("trail top", Area::Trail, wk.tr),
+                ("goal top", Area::GoalStack, wk.goal_top),
+            ] {
+                if !within(area, top) {
+                    return fail(what, format!("{top} outside the {}", area.name()));
+                }
             }
             // Every push raises its own area's high-water mark; one that
             // forgot would under-report `max_usage`.
@@ -315,28 +314,20 @@ impl<'p> Engine<'p> {
                 if map.owner(b) != w || map.area_of(b) != Area::ControlStack {
                     return fail("choice point", format!("b={b} not in own control stack"));
                 }
-                let nargs = match self.core.mem.read_untraced(b + choice::NARGS) {
-                    Cell::Uint(n) => n,
-                    other => return fail("choice point", format!("nargs at {b} is {other:?}")),
+                let word = |addr: u32, what: &str| match self.core.mem.read_untraced(addr) {
+                    Cell::Uint(v) => Ok(v),
+                    other => Err(format!("worker {w}: choice point: {what} at {b} is {other:?}")),
                 };
-                let tr = match self.core.mem.read_untraced(choice::saved_tr(b, nargs)) {
-                    Cell::Uint(t) => t,
-                    other => return fail("choice point", format!("saved tr at {b} is {other:?}")),
-                };
+                let nargs = word(b + choice::NARGS, "nargs")?;
+                let tr = word(choice::saved_tr(b, nargs), "saved tr")?;
                 if !within(Area::Trail, tr) || tr > wk.tr {
                     return fail("choice point", format!("saved tr {tr} outside [base, tr={}]", wk.tr));
                 }
-                let h = match self.core.mem.read_untraced(choice::saved_h(b, nargs)) {
-                    Cell::Uint(h) => h,
-                    other => return fail("choice point", format!("saved h at {b} is {other:?}")),
-                };
+                let h = word(choice::saved_h(b, nargs), "saved h")?;
                 if !within(Area::Heap, h) {
                     return fail("choice point", format!("saved h {h} outside own heap"));
                 }
-                let prev = match self.core.mem.read_untraced(choice::prev_b(b, nargs)) {
-                    Cell::Uint(p) => p,
-                    other => return fail("choice point", format!("prev b at {b} is {other:?}")),
-                };
+                let prev = word(choice::prev_b(b, nargs), "prev b")?;
                 if prev != NONE_ADDR && prev >= b {
                     return fail("choice point", format!("prev b {prev} not below {b}"));
                 }
