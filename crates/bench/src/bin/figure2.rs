@@ -36,10 +36,13 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    println!("Note: the parent executes the leftmost CGE branch inline (last-goal-");
-    println!("inline optimisation, made sound by backward execution / parcall");
-    println!("cancellation), so 1-PE work sits close to the WAM; overhead grows with");
-    println!("actual parallelism as goals are stolen onto other PEs.");
+    if let Some(one) = fig.points.iter().find(|p| p.pes == 1) {
+        let overhead = one.work_pct_of_wam - 100.0;
+        println!("Note: on 1 PE no goal is stolen and the parent executes the leftmost CGE");
+        println!("branch inline (last-goal-inline optimisation, made sound by backward");
+        println!("execution / parcall cancellation), yet work there is {overhead:.1}% above the");
+        println!("WAM.  Overhead grows with actual parallelism as goals are stolen onto other PEs.");
+    }
     println!("Paper: overhead for deriv is on the order of 15% for up to 40 processors,");
     println!("and RAP-WAM work on 1 PE is very close to WAM work.");
 

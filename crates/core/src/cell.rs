@@ -6,12 +6,12 @@
 //! (environments, choice points, Parcall Frames, Markers, Goal Frames).
 //!
 //! [`Cell`] is the value the machine computes with (registers, operands,
-//! results of a load).  In a data area a cell is *stored* as one 16-byte
-//! arena word, a lock-free pair of atomics that [`crate::mem`] encodes and
-//! decodes — tag, arity and 32-bit payload in one half, the `i64` of an
-//! `Int` in the other, `Empty` as all zeros.  Conceptually each cell occupies
-//! one machine word, and the memory-performance experiments count *words*,
-//! so the host representation does not affect any reported ratio.
+//! results of a load).  In a data area a cell is *stored* as one 8-byte arena
+//! word, a lock-free atomic that [`crate::mem`] encodes and decodes: an `Int`
+//! as a 63-bit immediate with the low bit set, every other cell as an even
+//! tag, an arity and a 32-bit payload, `Empty` as all zeros.  One cell is one
+//! machine word, as in the paper, whose memory-performance experiments count
+//! *words*.
 
 use pwam_front::atoms::Atom;
 use serde::{Deserialize, Serialize};
@@ -28,7 +28,7 @@ pub enum Cell {
     Lis(u32),
     /// An atomic constant.
     Con(Atom),
-    /// An integer constant.
+    /// An integer constant, in `pwam_front::INT_MIN..=INT_MAX`.
     Int(i64),
     /// A functor cell `f/n`; only ever stored on a heap, pointed to by `Str`.
     Fun(Atom, u8),

@@ -2,6 +2,7 @@
 //! and the query's terminal transitions (success, host suspension).
 
 use super::{PendingHostCall, Step, RUNNING, SUSPENDED};
+use crate::arith::in_range;
 use crate::cell::{Cell, NONE_ADDR};
 use crate::error::EngineResult;
 use crate::frames::{choice, goal_frame, marker, parcall};
@@ -511,14 +512,15 @@ impl<'a, 'p> Step<'a, 'p> {
     /// Build a source-level [`Term`] on this worker's heap, for unifying a
     /// host predicate's output bindings into the machine.  Variables are
     /// memoized by name in `memo` so one [`HostResult::Succeed`] reply
-    /// shares variables across its bindings.
+    /// shares variables across its bindings.  An integer the machine cannot
+    /// hold is `EngineError::IntegerOverflow`.
     pub(crate) fn build_term(
         &mut self,
         term: &Term,
         memo: &mut std::collections::HashMap<String, Cell>,
     ) -> EngineResult<Cell> {
         match term {
-            Term::Int(i) => Ok(Cell::Int(*i)),
+            Term::Int(i) => in_range(Some(*i)).map(Cell::Int),
             Term::Atom(a) => Ok(Cell::Con(*a)),
             Term::Var(name) => {
                 if let Some(&cell) = memo.get(name) {

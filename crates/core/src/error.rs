@@ -27,6 +27,9 @@ pub enum EngineError {
     ArithmeticType { context: String },
     /// Division (or mod) by zero.
     DivisionByZero,
+    /// An integer outside `pwam_front::INT_MIN..=INT_MAX`: an arithmetic
+    /// result, or one a host predicate replied with.
+    IntegerOverflow,
     /// The engine reached an instruction it cannot execute in this context.
     BadInstruction { addr: u32, what: String },
     /// Internal invariant violation.
@@ -55,6 +58,7 @@ impl fmt::Display for EngineError {
                 write!(f, "type error in arithmetic: {context}")
             }
             EngineError::DivisionByZero => write!(f, "division by zero"),
+            EngineError::IntegerOverflow => write!(f, "integer overflow: the value does not fit in 63 bits"),
             EngineError::BadInstruction { addr, what } => {
                 write!(f, "cannot execute instruction at {addr}: {what}")
             }

@@ -27,31 +27,26 @@
 //! This is the paper's shared memory: any PE may load or store any word, and
 //! no reference takes a lock.  The memory is `Sync` because every field is.
 //!
-//! **Words are atomics.**  An arena word is a lock-free pair of `AtomicU64`s
-//! (`Word`), so loading or storing a cell is sound from any thread, for any
-//! program — including one whose parallel goals are *not* independent and
-//! race on a variable cell.  A store writes the high half (the `i64` of a
-//! [`Cell::Int`], nothing else uses it) and then Release-stores the low half
-//! (tag, arity, 32-bit payload); a load Acquire-loads the low half and reads
-//! the high half only for an `Int`.  Whatever the interleaving, a load returns
-//! a well-formed cell whose tag and payload were each stored by some writer: a
-//! torn `Int` is still an `Int` carrying a value that was written.  The
-//! Release/Acquire pair on the low half also publishes what a cell points at:
-//! a PE that loads a `Str` another PE stored sees the functor and arguments
-//! that PE built first.  No `&mut` to the words exists while a query runs;
-//! only [`Memory::reset`] and the drop (`&mut self`) form one.
+//! **A word is one atomic.**  An arena word is a single lock-free `AtomicU64`
+//! (`Word`) holding a whole tagged cell, so loading or storing a cell is sound
+//! from any thread, for any program — including one whose parallel goals are
+//! *not* independent and race on a variable cell — and a load returns exactly
+//! a cell some writer stored: one atomic cannot tear.  A store is a Release
+//! store and a load an Acquire load, and that pair publishes what a cell
+//! points at: a PE that loads a `Str` another PE stored sees the functor and
+//! arguments that PE built first.  No `&mut` to the words exists while a query
+//! runs; only [`Memory::reset`] and the drop (`&mut self`) form one.
 //!
 //! **Counters are atomic by the word.**  The Parcall Frame words several PEs
 //! update (goals to schedule, goals completed, status) hold a [`Cell::Uint`],
-//! which lives wholly in the low half, so a read-modify-write of one is a
-//! single `AcqRel` compare-exchange (`Word::update_uint`), whoever issues it:
-//! the parent's update and a thief's cannot lose each other.  The only plain
-//! stores to those words are the ones that initialise a frame, before any of
-//! its Goal Frames is on a board.  The compare-exchange is also the
-//! happens-before edge of the counter-last completion commit: a child's
-//! bindings are ordered before its increment (Release), and a parent that
-//! loads the final count (Acquire) sees every binding the children stored
-//! before incrementing it.
+//! so a read-modify-write of one is a single `AcqRel` compare-exchange
+//! (`Word::update_uint`), whoever issues it: the parent's update and a
+//! thief's cannot lose each other.  The only plain stores to those words are
+//! the ones that initialise a frame, before any of its Goal Frames is on a
+//! board.  The compare-exchange is also the happens-before edge of the
+//! counter-last completion commit: a child's bindings are ordered before its
+//! increment (Release), and a parent that loads the final count (Acquire)
+//! sees every binding the children stored before incrementing it.
 //!
 //! **Reset marks have one writer, or take the maximum.**  A store advances
 //! the reset mark of its area so that a sweep clears what was written and no
@@ -90,56 +85,62 @@ use crate::error::{EngineError, EngineResult};
 use crate::layout::{AddressMap, Area, MemoryConfig, SHARED_REGION_WORDS};
 use crate::parked::Parked;
 use pwam_front::atoms::Atom;
+use pwam_front::{INT_MAX, INT_MIN};
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-// Tags of the low half of a `Word`.  `Empty` is all-zero so a zero-filled
-// allocation is a pristine arena.
+// Tags of the low byte of a `Word` that does not hold an `Int`.  They are
+// even: a word with its low bit set is an `Int` (see `encode`).  `Empty` is
+// all-zero so a zero-filled allocation is a pristine arena.
 const TAG_EMPTY: u8 = 0;
-const TAG_REF: u8 = 1;
-const TAG_STR: u8 = 2;
-const TAG_LIS: u8 = 3;
-const TAG_CON: u8 = 4;
-const TAG_INT: u8 = 5;
-const TAG_FUN: u8 = 6;
-const TAG_CODE: u8 = 7;
-const TAG_UINT: u8 = 8;
+const TAG_REF: u8 = 2;
+const TAG_STR: u8 = 4;
+const TAG_LIS: u8 = 6;
+const TAG_CON: u8 = 8;
+const TAG_FUN: u8 = 10;
+const TAG_CODE: u8 = 12;
+const TAG_UINT: u8 = 14;
 
 #[inline(always)]
 const fn pack(tag: u8, arity: u8, payload: u32) -> u64 {
     tag as u64 | (arity as u64) << 8 | (payload as u64) << 32
 }
 
-/// The two halves of a cell's stored form: `lo = tag | arity << 8 |
-/// payload << 32`; `hi` is the value of an `Int` and zero otherwise.
+/// A cell's stored form, one 64-bit word.  An `Int` is a 63-bit immediate
+/// with the low bit as its tag, `v << 1 | 1`; every other cell is `tag |
+/// arity << 8 | payload << 32` with an even tag.  So one test of the low bit
+/// tells an `Int` from the rest.
 #[inline(always)]
-pub(crate) fn encode(cell: Cell) -> (u64, u64) {
+pub(crate) fn encode(cell: Cell) -> u64 {
     match cell {
-        Cell::Empty => (pack(TAG_EMPTY, 0, 0), 0),
-        Cell::Ref(a) => (pack(TAG_REF, 0, a), 0),
-        Cell::Str(a) => (pack(TAG_STR, 0, a), 0),
-        Cell::Lis(a) => (pack(TAG_LIS, 0, a), 0),
-        Cell::Con(Atom(a)) => (pack(TAG_CON, 0, a), 0),
-        Cell::Int(v) => (pack(TAG_INT, 0, 0), v as u64),
-        Cell::Fun(Atom(a), n) => (pack(TAG_FUN, n, a), 0),
-        Cell::Code(a) => (pack(TAG_CODE, 0, a), 0),
-        Cell::Uint(v) => (pack(TAG_UINT, 0, v), 0),
+        Cell::Empty => pack(TAG_EMPTY, 0, 0),
+        Cell::Ref(a) => pack(TAG_REF, 0, a),
+        Cell::Str(a) => pack(TAG_STR, 0, a),
+        Cell::Lis(a) => pack(TAG_LIS, 0, a),
+        Cell::Con(Atom(a)) => pack(TAG_CON, 0, a),
+        Cell::Int(v) => {
+            debug_assert!((INT_MIN..=INT_MAX).contains(&v), "integer {v} does not fit a word");
+            (v << 1) as u64 | 1
+        }
+        Cell::Fun(Atom(a), n) => pack(TAG_FUN, n, a),
+        Cell::Code(a) => pack(TAG_CODE, 0, a),
+        Cell::Uint(v) => pack(TAG_UINT, 0, v),
     }
 }
 
-/// Rebuild a cell from its low half, fetching the high half only when the
-/// tag says it carries the value.
+/// Rebuild a cell from its stored form.
 #[inline(always)]
-pub(crate) fn decode(lo: u64, hi: impl FnOnce() -> u64) -> Cell {
-    let payload = (lo >> 32) as u32;
-    match lo as u8 {
+pub(crate) fn decode(word: u64) -> Cell {
+    let payload = (word >> 32) as u32;
+    match word as u8 {
+        // An odd low byte is an `Int`; the arithmetic shift restores its sign.
+        tag if tag & 1 == 1 => Cell::Int(word as i64 >> 1),
         TAG_REF => Cell::Ref(payload),
         TAG_STR => Cell::Str(payload),
         TAG_LIS => Cell::Lis(payload),
         TAG_CON => Cell::Con(Atom(payload)),
-        TAG_INT => Cell::Int(hi() as i64),
-        TAG_FUN => Cell::Fun(Atom(payload), (lo >> 8) as u8),
+        TAG_FUN => Cell::Fun(Atom(payload), (word >> 8) as u8),
         TAG_CODE => Cell::Code(payload),
         TAG_UINT => Cell::Uint(payload),
         tag => {
@@ -149,54 +150,46 @@ pub(crate) fn decode(lo: u64, hi: impl FnOnce() -> u64) -> Cell {
     }
 }
 
-/// One arena word: a tagged cell stored as a lock-free atomic pair.
+/// One arena word: a tagged cell in one lock-free atomic.
 ///
-/// `store` writes the halves, always `hi` before `lo`, and `load` reads them
-/// `lo` before `hi`; see the module's Concurrency section for what that order
-/// guarantees.  On x86-64 every one of these is a plain `mov`.  `update_uint`
-/// touches `lo` alone (one `lock cmpxchg`).
+/// `store` is a Release store and `load` an Acquire load; see the module's
+/// Concurrency section for what that pair publishes.  On x86-64 both are a
+/// plain `mov`, and `update_uint` is one `lock cmpxchg`.
 #[derive(Debug)]
-#[repr(C, align(16))]
-struct Word {
-    lo: AtomicU64,
-    hi: AtomicU64,
-}
+struct Word(AtomicU64);
+
+// The paper counts references in words; one cell is one 8-byte word.
+const _: () = assert!(std::mem::size_of::<Word>() == 8);
 
 impl Word {
     #[inline(always)]
     fn load(&self) -> Cell {
-        // Acquire pairs with the Release in `store`: having seen this `lo`,
-        // the `hi` load below cannot return a value older than the one its
-        // writer stored, and neither can loads of the words the cell points at.
-        decode(self.lo.load(Ordering::Acquire), || self.hi.load(Ordering::Relaxed))
+        // Acquire pairs with the Release in `store`: having seen this cell,
+        // loads of the words it points at see what its writer stored there.
+        decode(self.0.load(Ordering::Acquire))
     }
 
     #[inline(always)]
     fn store(&self, cell: Cell) {
-        let (lo, hi) = encode(cell);
-        if lo as u8 == TAG_INT {
-            // Ordered before the tag by the Release below.
-            self.hi.store(hi, Ordering::Relaxed);
-        }
-        self.lo.store(lo, Ordering::Release);
+        self.0.store(encode(cell), Ordering::Release);
     }
 
     /// Replace the `Uint` this word holds by `f` of it and return the value
     /// replaced; a word holding anything else is left alone and returned as
-    /// the error.  A `Uint` lives wholly in `lo`, so the update is one
-    /// compare-exchange, atomic against every other update and store of the
-    /// word whoever issues it.  The
-    /// Release half orders everything the caller stored before (a child's
-    /// bindings before its completion count); the Acquire half, like `load`'s,
-    /// shows the caller what earlier updaters stored before theirs.
+    /// the error.  The update is one compare-exchange, atomic against every
+    /// other update and store of the word whoever issues it.  The Release half
+    /// orders everything the caller stored before (a child's bindings before
+    /// its completion count); the Acquire half, like `load`'s, shows the
+    /// caller what earlier updaters stored before theirs.
     #[inline(always)]
     fn update_uint(&self, mut f: impl FnMut(u32) -> u32) -> Result<u32, Cell> {
-        self.lo
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |lo| {
-                (lo as u8 == TAG_UINT).then(|| pack(TAG_UINT, 0, f((lo >> 32) as u32)))
+        self.0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+                // An `Int`'s low byte is odd, so it never reads as this tag.
+                (word as u8 == TAG_UINT).then(|| pack(TAG_UINT, 0, f((word >> 32) as u32)))
             })
-            .map(|lo| (lo >> 32) as u32)
-            .map_err(|lo| decode(lo, || self.hi.load(Ordering::Relaxed)))
+            .map(|word| (word >> 32) as u32)
+            .map_err(decode)
     }
 }
 
@@ -204,7 +197,7 @@ impl Word {
 /// for the next [`Memory::new`] with a Stack Set of the same length.
 ///
 /// Asking the allocator every time is what made a "cold" build cost its
-/// capacity: glibc serves the first 26 MB array by `mmap` (lazy zero pages),
+/// capacity: glibc serves the first 13 MB array by `mmap` (lazy zero pages),
 /// but freeing it raises the allocator's dynamic mmap threshold past that
 /// size, so every later array comes off the heap and `alloc_zeroed` memsets
 /// all of it — resident pages and a millisecond per PE, whatever the run then
@@ -223,9 +216,9 @@ static PARKED: Parked<Box<[Word]>> = Parked::new(MAX_PARKED);
 /// Two 8-PE memories' worth: an 8-PE engine and its 8-PE successor.
 const MAX_PARKED: usize = 16;
 
-/// Whether every half of every word is zero: the post-allocation state.
+/// Whether every word is zero: the post-allocation state.
 fn all_zero(words: &[Word]) -> bool {
-    words.iter().all(|w| w.lo.load(Ordering::Relaxed) == 0 && w.hi.load(Ordering::Relaxed) == 0)
+    words.iter().all(|w| w.0.load(Ordering::Relaxed) == 0)
 }
 
 /// Park a swept word array for the next [`empty_words`] of its length.
@@ -259,7 +252,7 @@ fn empty_words(n: usize) -> Box<[Word]> {
         return words;
     }
     // SAFETY: `layout` has non-zero size.  The all-zero bit pattern is a
-    // valid `Word` (two `AtomicU64`s holding 0), so the `n` zeroed elements
+    // valid `Word` (an `AtomicU64` holding 0), so the `n` zeroed elements
     // are initialised, and `Box<[Word]>` frees them with this same layout.
     unsafe {
         let p = alloc_zeroed(layout).cast::<Word>();
@@ -578,16 +571,15 @@ impl Memory {
                     .max(std::mem::take(arena.remote_marks[i].get_mut()));
                 if mark > start {
                     for word in &mut arena.words[start..mark] {
-                        *word.lo.get_mut() = 0;
-                        *word.hi.get_mut() = 0;
+                        *word.0.get_mut() = 0;
                     }
                 }
             }
         }
     }
 
-    /// Whether every arena word is in its post-allocation state, both halves
-    /// zero — what [`Memory::new`] hands out and what a sweep must restore.
+    /// Whether every arena word is in its post-allocation state, zero —
+    /// what [`Memory::new`] hands out and what a sweep must restore.
     /// Scans every word of every arena; for tests of the sweep.
     #[doc(hidden)]
     pub fn is_pristine(&self) -> bool {
@@ -648,7 +640,6 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig, Step};
     use crate::layout::{Locality, ObjectKind};
-    use crate::model::{interleave, ModelStep, ModelWord};
     use crate::trace::{MemRef, RwCount};
     use pwam_compiler::CompiledProgram;
     use std::sync::OnceLock;
@@ -680,10 +671,11 @@ mod tests {
             Cell::Str(u32::MAX),
             Cell::Lis(u32::MAX),
             Cell::Con(Atom(u32::MAX)),
-            Cell::Int(0),
+            Cell::Int(INT_MIN),
             Cell::Int(-1),
-            Cell::Int(i64::MIN),
-            Cell::Int(i64::MAX),
+            Cell::Int(0),
+            Cell::Int(1),
+            Cell::Int(INT_MAX),
             Cell::Fun(Atom(u32::MAX), 255),
             Cell::Fun(Atom(7), 0),
             Cell::Code(u32::MAX),
@@ -693,21 +685,19 @@ mod tests {
 
     #[test]
     fn words_round_trip_every_cell_variant() {
-        assert_eq!(std::mem::size_of::<Word>(), 16);
-        assert_eq!(encode(Cell::Empty), (0, 0), "a zeroed word must read Empty");
+        assert_eq!(encode(Cell::Empty), 0, "a zeroed word must read Empty");
         let word = &empty_words(1)[0];
         assert_eq!(word.load(), Cell::Empty);
         for cell in every_variant() {
-            let (lo, hi) = encode(cell);
-            assert_eq!(decode(lo, || hi), cell);
+            assert_eq!(decode(encode(cell)), cell);
+            assert_eq!(
+                encode(cell) & 1 == 1,
+                matches!(cell, Cell::Int(_)),
+                "{cell:?}: the low bit is the Int tag"
+            );
             word.store(cell);
             assert_eq!(word.load(), cell);
         }
-        // A non-`Int` store leaves the stale high half alone and no load
-        // looks at it.
-        word.store(Cell::Int(i64::MIN));
-        word.store(Cell::Uint(3));
-        assert_eq!(word.load(), Cell::Uint(3));
     }
 
     #[test]
@@ -1030,7 +1020,7 @@ mod tests {
         // No mark covers the plant, so the sweep at drop would park it with
         // the array and another test's fresh memory would read it.
         let plant = &mut mem.arenas[0].words[5];
-        (*plant.lo.get_mut(), *plant.hi.get_mut()) = (0, 0);
+        *plant.0.get_mut() = 0;
     }
 
     #[test]
@@ -1106,7 +1096,7 @@ mod tests {
                     for round in 0..rounds {
                         let pair = 1 + 2 * round;
                         meet(arrived, 2 * round);
-                        pe.mem_write(h + (pair + k) as u32, Cell::Int(i64::MIN), ObjectKind::HeapTerm);
+                        pe.mem_write(h + (pair + k) as u32, Cell::Int(INT_MIN), ObjectKind::HeapTerm);
                         meet(arrived, 2 * round + 1);
                         assert_eq!(mark.load(Ordering::Relaxed), pair + 2, "round {round}: a mark was lost");
                     }
@@ -1140,10 +1130,10 @@ mod tests {
         let mut e = machine(config, 2, true);
         assert!(e.core.mem.is_pristine());
         let arrays = word_arrays(&e.core.mem);
-        // An `Int` from a remote PE and from the owner, so both halves of a
-        // word are dirty under either kind of mark.
+        // An `Int` from a remote PE and from the owner, so a word is dirty
+        // under either kind of mark.
         let msg = e.core.mem.area_base(1, Area::MessageBuffer);
-        pe(&mut e, 0).mem_write(msg + 3, Cell::Int(i64::MIN), ObjectKind::Message);
+        pe(&mut e, 0).mem_write(msg + 3, Cell::Int(INT_MIN), ObjectKind::Message);
         pe(&mut e, 0).mem_write(17, Cell::Int(-1), ObjectKind::HeapTerm);
         assert!(!e.core.mem.is_pristine());
         drop(e);
@@ -1335,7 +1325,7 @@ mod tests {
                 if next() % 2 == 0 {
                     let values: Vec<Cell> = (0..n)
                         .map(|i| match next() % 3 {
-                            0 => Cell::Int(i64::MIN + i as i64),
+                            0 => Cell::Int(INT_MIN + i as i64),
                             1 => Cell::Fun(Atom(next()), 255),
                             _ => Cell::Uint(next()),
                         })
@@ -1410,71 +1400,5 @@ mod tests {
         assert_eq!(m.len(), expected);
         assert!(!m.is_empty());
         assert_eq!(m.len() as u64, m.map.total_words());
-    }
-
-    // -----------------------------------------------------------------
-    // The word protocol, exhaustively interleaved
-    // -----------------------------------------------------------------
-    //
-    // A model, not the atomics themselves (see `crate::model`, which also
-    // holds the Parcall-counter and completion-commit models built on this
-    // one): the halves are plain `u64`s, and each step below is one atomic
-    // operation of `Word::store` / `Word::load` in the order the real code
-    // issues it (through the real `encode` / `decode`).
-
-    fn model_store_hi<const WHICH: usize>(w: &mut ModelWord) -> bool {
-        w.hi = encode(STORED[WHICH]).1;
-        true
-    }
-    fn model_store_lo<const WHICH: usize>(w: &mut ModelWord) -> bool {
-        w.lo = encode(STORED[WHICH]).0;
-        true
-    }
-
-    /// What the writer of the first model stores, in order.
-    const STORED: [Cell; 3] = [Cell::Int(-5), Cell::Ref(17), Cell::Int(i64::MAX)];
-
-    #[test]
-    fn every_interleaving_of_stores_and_a_load_yields_a_stored_cell() {
-        // `Word::store` skips `hi` for a non-`Int`, hence no `hi` step for
-        // the `Ref`.
-        let writer: &[ModelStep<ModelWord>] = &[
-            model_store_hi::<0>,
-            model_store_lo::<0>,
-            model_store_lo::<1>,
-            model_store_hi::<2>,
-            model_store_lo::<2>,
-        ];
-        let loader: &[ModelStep<ModelWord>] = &[
-            |w| {
-                w.seen_lo = w.lo;
-                true
-            },
-            |w| {
-                // `decode` asks for `hi` only for an `Int`; reading it here
-                // regardless is the later of the two possible moments.
-                let hi = w.hi;
-                w.loaded = Some(decode(w.seen_lo, || hi));
-                true
-            },
-        ];
-        let mut seen = Vec::new();
-        let schedules = interleave(&ModelWord::default(), &[writer, loader], &mut [0, 0], &mut |w| {
-            let cell = w.loaded.unwrap();
-            assert!(cell == Cell::Empty || STORED.contains(&cell), "loaded {cell:?}, which nobody stored");
-            if !seen.contains(&cell) {
-                seen.push(cell);
-            }
-        });
-        assert_eq!(schedules, 21, "C(7, 2) schedules of 5 + 2 steps");
-        assert_eq!(seen.len(), 4, "every stored cell and the initial Empty is reachable: {seen:?}");
-        // The order matters: a writer that published the tag first would let
-        // a load pair the new tag with the previous value.
-        let tag_first: &[ModelStep<ModelWord>] = &[model_store_lo::<0>, model_store_hi::<0>];
-        let mut torn = false;
-        interleave(&ModelWord::default(), &[tag_first, loader], &mut [0, 0], &mut |w| {
-            torn |= w.loaded == Some(Cell::Int(0));
-        });
-        assert!(torn, "the model cannot tell a correct store order from a wrong one");
     }
 }

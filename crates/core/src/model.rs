@@ -1,16 +1,16 @@
 //! Test-only model checking: an exhaustive interleaver over small state
 //! machines, and the Goal-Stack steal pop, its unlocked Goal-Frame count, the
 //! Parcall counters, the completion commit and the remote reset mark written
-//! as such.  (The arena word's own store/load protocol is modelled beside the
-//! real thing, in [`crate::mem`]'s tests.)
+//! as such.  (An arena word is one atomic and has no protocol of its own to
+//! model.)
 //!
 //! A model is not the code itself: each step below is one atomic action of
 //! the real protocol, in the order the real code issues it, and
 //! [`interleave`] runs every schedule of the model threads' steps.  Schedules
 //! are sequentially consistent, so what a model checks is the *step order*;
 //! the locks' release/acquire (and, for the arena words in [`crate::mem`],
-//! the Release store / Acquire load / `AcqRel` compare-exchange of the low
-//! half) are what make other threads observe that order on real hardware.
+//! the Release store / Acquire load / `AcqRel` compare-exchange of the word)
+//! are what make other threads observe that order on real hardware.
 
 use crate::cell::Cell;
 use crate::mem::{decode, encode};
@@ -44,19 +44,6 @@ pub(crate) fn interleave<S: Clone>(
     }
     assert!(schedules > 0, "deadlock: every unfinished model thread is blocked");
     schedules
-}
-
-/// An arena word as two plain halves, plus the registers of the one model
-/// thread that loads it.  Each step that touches a field is one atomic
-/// operation of `Word::store` / `Word::load`, through the real `encode` /
-/// `decode`.
-#[derive(Clone, Default)]
-pub(crate) struct ModelWord {
-    pub(crate) lo: u64,
-    pub(crate) hi: u64,
-    /// The loader's registers: the `lo` it read, then the decoded cell.
-    pub(crate) seen_lo: u64,
-    pub(crate) loaded: Option<Cell>,
 }
 
 // ---------------------------------------------------------------------
@@ -349,21 +336,22 @@ const BINDING: Cell = Cell::Int(42);
 /// and the registers of the two PEs.
 #[derive(Clone, Default)]
 struct ModelFrame {
-    /// The `COMPLETED` word (a `Uint`: it lives wholly in `lo`).
+    /// The `COMPLETED` word's `Uint`.
     completed: u32,
-    binding: ModelWord,
+    /// The variable's word, stored and loaded through the real `encode` /
+    /// `decode`.
+    binding: u64,
     /// The parent's register between the halves of a *split* bump.
     parent_old: u32,
     /// The count the parent's wait loaded.
     parent_saw: u32,
+    /// The cell the parent's wait loaded from the variable.
+    loaded: Option<Cell>,
 }
 
-fn bind_hi(f: &mut ModelFrame) -> bool {
-    f.binding.hi = encode(BINDING).1;
-    true
-}
-fn bind_lo(f: &mut ModelFrame) -> bool {
-    f.binding.lo = encode(BINDING).0;
+/// `Word::store` of the binding.
+fn bind(f: &mut ModelFrame) -> bool {
+    f.binding = encode(BINDING);
     true
 }
 /// `Word::update_uint(|v| v + 1)`.
@@ -375,24 +363,18 @@ fn load_completed(f: &mut ModelFrame) -> bool {
     f.parent_saw = f.completed;
     true
 }
-fn load_binding_lo(f: &mut ModelFrame) -> bool {
-    f.binding.seen_lo = f.binding.lo;
-    true
-}
-fn load_binding_hi(f: &mut ModelFrame) -> bool {
-    // `decode` asks for `hi` only for an `Int`; reading it here regardless is
-    // the later of the two possible moments.
-    let hi = f.binding.hi;
-    f.binding.loaded = Some(decode(f.binding.seen_lo, || hi));
+/// `Word::load` of the binding.
+fn load_binding(f: &mut ModelFrame) -> bool {
+    f.loaded = Some(decode(f.binding));
     true
 }
 
 /// The remote PE that executed the stolen goal: bind, then commit.
-const STOLEN_GOAL: [ModelStep<ModelFrame>; 3] = [bind_hi, bind_lo, bump_completed];
+const STOLEN_GOAL: [ModelStep<ModelFrame>; 2] = [bind, bump_completed];
 
 /// The parent's `pcall_wait`: load the count and — were it the final one —
 /// go on to read what the child bound.
-const WAIT: [ModelStep<ModelFrame>; 3] = [load_completed, load_binding_lo, load_binding_hi];
+const WAIT: [ModelStep<ModelFrame>; 2] = [load_completed, load_binding];
 
 #[test]
 fn an_owner_bump_and_a_remote_one_never_lose_each_other() {
@@ -403,12 +385,12 @@ fn an_owner_bump_and_a_remote_one_never_lose_each_other() {
         assert_eq!(f.completed, 2, "an increment was lost");
         if f.parent_saw == 2 {
             committed += 1;
-            assert_eq!(f.binding.loaded, Some(BINDING), "saw the count but not the binding");
+            assert_eq!(f.loaded, Some(BINDING), "saw the count but not the binding");
         } else {
             early += 1;
         }
     });
-    assert_eq!(schedules, 35, "C(7, 3) schedules of 3 + 4 steps");
+    assert_eq!(schedules, 10, "C(5, 2) schedules of 2 + 3 steps");
     assert!(committed > 0 && early > 0, "both outcomes must be reachable ({committed}, {early})");
     // What the compare-exchange rules out: a PE that loads and stores the
     // count as two steps overwrites another's bump that lands between them.
@@ -433,10 +415,10 @@ fn an_owner_bump_and_a_remote_one_never_lose_each_other() {
 fn a_parent_that_saw_the_completion_count_sees_the_binding() {
     // Counter-*first* is the bug the protocol's name rules out (the
     // counter-last order itself is asserted over every schedule above).
-    let counter_first: &[ModelStep<ModelFrame>] = &[bump_completed, bind_hi, bind_lo];
+    let counter_first: &[ModelStep<ModelFrame>] = &[bump_completed, bind];
     let mut broken = false;
     interleave(&ModelFrame::default(), &[counter_first, &WAIT], &mut [0, 0], &mut |f| {
-        broken |= f.parent_saw == 1 && f.binding.loaded != Some(BINDING);
+        broken |= f.parent_saw == 1 && f.loaded != Some(BINDING);
     });
     assert!(broken, "the model cannot tell counter-last from counter-first");
 }

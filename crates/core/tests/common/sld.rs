@@ -22,7 +22,7 @@ use pwam_front::clause::{Body, CgeCondition, Goal};
 use pwam_front::parser::{parse_program, parse_query};
 use pwam_front::pretty::term_to_string;
 use pwam_front::term::Term;
-use pwam_front::{Atom, SymbolTable};
+use pwam_front::{Atom, SymbolTable, INT_MAX, INT_MIN};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -46,6 +46,7 @@ pub enum OracleError {
     Instantiation,
     Type(String),
     DivisionByZero,
+    IntegerOverflow,
     UnknownPredicate(String),
     StepLimit,
 }
@@ -392,9 +393,13 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Integer arithmetic with the machine's conventions: wrapping `+ - *`,
-    /// `/` and `//` both truncating division, `mod` the Euclidean remainder.
+    /// Integer arithmetic with the machine's conventions: `/` and `//` both
+    /// truncating division, `mod` the Euclidean remainder, and any result
+    /// outside `INT_MIN..=INT_MAX` an overflow error.
     fn eval(&self, t: &T) -> Result<i64, OracleError> {
+        let in_range = |v: Option<i64>| {
+            v.filter(|v| (INT_MIN..=INT_MAX).contains(v)).ok_or(OracleError::IntegerOverflow)
+        };
         match self.deref(t.clone()) {
             T::Int(v) => Ok(v),
             T::Var(_) => Err(OracleError::Instantiation),
@@ -403,17 +408,17 @@ impl<'a> Machine<'a> {
                 let name = self.syms.name(f);
                 let x = self.eval(&args[0])?;
                 match (name, args.len()) {
-                    ("-", 1) => Ok(x.wrapping_neg()),
+                    ("-", 1) => in_range(x.checked_neg()),
                     ("+", 1) => Ok(x),
                     (_, 2) => {
                         let y = self.eval(&args[1])?;
                         match name {
-                            "+" => Ok(x.wrapping_add(y)),
-                            "-" => Ok(x.wrapping_sub(y)),
-                            "*" => Ok(x.wrapping_mul(y)),
+                            "+" => in_range(x.checked_add(y)),
+                            "-" => in_range(x.checked_sub(y)),
+                            "*" => in_range(x.checked_mul(y)),
                             "/" | "//" | "mod" if y == 0 => Err(OracleError::DivisionByZero),
-                            "/" | "//" => Ok(x.wrapping_div(y)),
-                            "mod" => Ok(x.wrapping_rem_euclid(y)),
+                            "/" | "//" => in_range(x.checked_div(y)),
+                            "mod" => in_range(x.checked_rem_euclid(y)),
                             _ => Err(OracleError::Type(format!("{name}/2 is not arithmetic"))),
                         }
                     }

@@ -1,9 +1,11 @@
 //! Fast sanity checks for the resumable-engine cursor API: all-solutions
-//! streaming, commit, host predicates, the no-host guard on `run`, and no
-//! result from an engine parked at a suspension.
+//! streaming, commit, host predicates (an out-of-range reply included), the
+//! no-host guard on `run`, and no result from an engine parked at a
+//! suspension.
 
-use rapwam::session::{QueryOptions, Session};
-use rapwam::{Engine, EngineConfig, RunOutcome, SuspendReason, Term};
+use pwam_front::INT_MAX;
+use rapwam::session::{QueryOptions, Session, SessionError};
+use rapwam::{Engine, EngineConfig, EngineError, RunOutcome, SuspendReason, Term};
 
 fn atoms(session: &Session, answers: &[Vec<(String, Term)>], var: &str) -> Vec<String> {
     answers
@@ -97,6 +99,20 @@ fn host_predicate_binds_outputs() {
     let answer = cursor.next().unwrap().expect("host call succeeds");
     assert_eq!(atoms(&session, &[answer], "Y"), ["42"]);
     assert_eq!(cursor.next().unwrap(), None);
+}
+
+#[test]
+fn a_host_reply_past_int_max_is_an_integer_overflow() {
+    let mut session = Session::new("p(X, Y) :- double(X, Y).").unwrap();
+    session.register_host("double", 2, |args| {
+        let Term::Int(n) = args[0] else { return None };
+        Some(vec![(1, Term::Int(n * 2))])
+    });
+    let opts = QueryOptions::sequential();
+    let compiled = session.prepare_with(&format!("p({INT_MAX}, Y)"), opts.compile_options()).unwrap();
+    let mut cursor = session.open_cursor(&compiled, &opts, None).unwrap();
+    let err = cursor.next().unwrap_err();
+    assert!(matches!(err, SessionError::Engine(EngineError::IntegerOverflow)), "{err}");
 }
 
 #[test]

@@ -135,7 +135,7 @@ fn oracle_first_solution_commits_branches_only_when_the_conditions_hold() {
 }
 
 #[test]
-fn oracle_arithmetic_wraps_truncates_and_reports_like_the_machine() {
+fn oracle_arithmetic_truncates_overflows_and_reports_like_the_machine() {
     let engine = |query: &str| {
         let mut s = Session::new("").expect("empty program");
         s.run(query, &QueryOptions::sequential()).map(|r| match &r.outcome {
@@ -144,18 +144,38 @@ fn oracle_arithmetic_wraps_truncates_and_reports_like_the_machine() {
         })
     };
     for (query, expected) in [
-        ("X is 4611686018427387904 * 4", "0"),
-        ("X is 4611686018427387904 * 3", "-4611686018427387904"),
         ("X is -7 // 2, Y is 7 // -2, Z is -7 / 2", "-3,-3,-3"),
         ("X is -7 mod 2, Y is 7 mod -2, Z is -7 mod -2", "1,1,1"),
         ("X is - (3 - 5), Y is + 4", "2,4"),
-        // The two places `i64::MIN` overflows: its remainder by -1 and its
-        // negation wrap like `+ - * //` do.
-        ("X is (-9223372036854775807 - 1) mod -1", "0"),
-        ("X is - (-9223372036854775807 - 1)", "-9223372036854775808"),
+        // The ends of the range: INT_MAX, INT_MIN and INT_MIN's remainder by
+        // -1, which overflows in the host's `i64` only at `i64::MIN`.
+        ("X is 4611686018427387903", "4611686018427387903"),
+        ("X is -4611686018427387903 - 1", "-4611686018427387904"),
+        ("X is (-4611686018427387903 - 1) mod -1", "0"),
     ] {
         assert_eq!(answers("", query, Cge::Conjunction).unwrap(), [expected], "{query}");
         assert_eq!(engine(query).unwrap(), expected, "{query}: the machine");
+    }
+    // One past either end, whether the host's `i64` overflows or not, and
+    // inside a comparison: an error in both, never a wrap or a panic.
+    for query in [
+        "X is 4611686018427387903 + 1",
+        "X is - (-4611686018427387903 - 1)",
+        "X is 2147483648 * 2147483648",
+        "X is (-4611686018427387903 - 1) // -1",
+        "X is 4611686018427387903 * 4611686018427387903",
+        "1 < 4611686018427387903 * 2",
+    ] {
+        assert_eq!(answers("", query, Cge::Conjunction), Err(OracleError::IntegerOverflow), "{query}");
+        let err = engine(query).unwrap_err();
+        assert!(matches!(err, SessionError::Engine(EngineError::IntegerOverflow)), "{query}: {err}");
+    }
+    // A literal past INT_MAX does not parse (the oracle parses with the same
+    // front end).
+    for query in ["X is 9223372036854775807", "X = 4611686018427387904"] {
+        let err = engine(query).unwrap_err();
+        assert!(matches!(err, SessionError::Front(_)), "{query}: {err}");
+        assert!(err.to_string().contains("integer literal out of range"), "{query}: {err}");
     }
     for query in ["X is 1 // 0", "X is 1 / 0", "X is 1 mod 0", "1 < 2 mod (3 - 3)"] {
         assert_eq!(answers("", query, Cge::Conjunction), Err(OracleError::DivisionByZero), "{query}");

@@ -96,7 +96,7 @@ proptest! {
     }
 }
 
-/// The registry at full-size Stack Sets (26 MB a PE): the arrays every bench
+/// The registry at full-size Stack Sets (13 MB a PE): the arrays every bench
 /// binary and the server's default requests park and take.
 #[test]
 fn registry_programs_leave_nothing_behind_in_full_size_stack_sets() {
@@ -106,7 +106,7 @@ fn registry_programs_leave_nothing_behind_in_full_size_stack_sets() {
             for traced in [false, true] {
                 let opts = QueryOptions { trace: traced, ..machine.clone() };
                 // Alternate the stopping points over the grid rather than
-                // multiply by them: each full-size check scans 26 MB a PE.
+                // multiply by them: each full-size check scans 13 MB a PE.
                 let stop = if (m + traced as usize).is_multiple_of(2) {
                     Stop::FirstAnswer
                 } else {

@@ -1,9 +1,8 @@
 //! Run-to-event slots are unobservable.
 //!
 //! A one-PE engine's running worker executes up to the next
-//! scheduling-relevant event per slot instead of one instruction, and the
-//! strict driver drains the steal/cancel logs only when something was
-//! logged.  Nothing a caller can see may move: the goldens below were
+//! scheduling-relevant event per slot instead of one instruction.  Nothing
+//! a caller can see may move: the goldens below were
 //! recorded on the instruction-at-a-time driver this replaced (the fuel-sweep
 //! folds later, while a second dispatch loop still reproduced them).
 

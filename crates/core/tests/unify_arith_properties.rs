@@ -4,7 +4,8 @@
 //! checked against host arithmetic.
 
 use proptest::prelude::*;
-use rapwam::session::{QueryOptions, Session};
+use rapwam::session::{QueryOptions, Session, SessionError};
+use rapwam::EngineError;
 
 fn run_bool(session: &mut Session, query: &str) -> bool {
     session
@@ -108,14 +109,23 @@ fn unary_minus_and_plus() {
 }
 
 #[test]
-fn the_most_negative_integer_wraps_instead_of_panicking() {
-    // `i64::MIN mod -1` and `-(i64::MIN)` overflow in the host's checked
-    // arithmetic; a served query must get an answer, not kill its worker.
+fn integer_overflow_is_an_error_instead_of_a_wrap_or_a_panic() {
+    // Integers are 63-bit: INT_MIN = -2^62, INT_MAX = 2^62 - 1.  A result
+    // past either end is an engine error, and a served query must get it, not
+    // kill its worker; the session stays usable afterwards.
     let mut s = Session::new("ok.").unwrap();
-    assert!(run_bool(&mut s, "X is (-9223372036854775807 - 1) mod -1, X =:= 0"));
-    assert!(run_bool(&mut s, "X is - (-9223372036854775807 - 1), X =:= -9223372036854775807 - 1"));
-    let r = s.run("X is - (-9223372036854775807 - 1)", &QueryOptions::sequential()).unwrap();
-    assert_eq!(s.render(r.outcome.binding("X").unwrap()), "-9223372036854775808");
+    let overflow = |s: &mut Session, query: &str| match s.run(query, &QueryOptions::sequential()) {
+        Err(SessionError::Engine(EngineError::IntegerOverflow)) => {}
+        other => panic!("{query}: expected an integer overflow, got {other:?}"),
+    };
+    assert!(run_bool(&mut s, "X is (-4611686018427387903 - 1) mod -1, X =:= 0"));
+    assert!(run_bool(&mut s, "X is 4611686018427387903, Y is -X - 1, Y < X"));
+    overflow(&mut s, "X is - (-4611686018427387903 - 1)");
+    overflow(&mut s, "X is (-4611686018427387903 - 1) // -1");
+    overflow(&mut s, "X is 4611686018427387903 + 1 - 1");
+    overflow(&mut s, "X is -4611686018427387903 - 2");
+    let r = s.run("X is -4611686018427387903 - 1", &QueryOptions::sequential()).unwrap();
+    assert_eq!(s.render(r.outcome.binding("X").unwrap()), "-4611686018427387904");
 }
 
 #[test]

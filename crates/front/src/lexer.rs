@@ -6,6 +6,7 @@
 //! clause terminator, and comments (`%` line comments and `/* ... */`).
 
 use crate::error::{FrontError, FrontResult};
+use crate::term::INT_MAX;
 
 /// The kind of a lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,7 +212,10 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        s.parse::<i64>().map_err(|_| self.error(format!("integer literal out of range: {s}")))
+        match s.parse::<i64>() {
+            Ok(n) if n <= INT_MAX => Ok(n),
+            _ => Err(self.error(format!("integer literal out of range: {s}"))),
+        }
     }
 
     fn lex_name(&mut self) -> String {
@@ -395,5 +399,13 @@ mod tests {
     #[test]
     fn huge_integer_is_an_error() {
         assert!(tokenize("99999999999999999999999999").is_err());
+    }
+
+    #[test]
+    fn integers_stop_at_int_max() {
+        assert_eq!(kinds("4611686018427387903"), [TokenKind::Int(INT_MAX)]);
+        let err = tokenize("4611686018427387904").unwrap_err();
+        assert!(err.to_string().contains("integer literal out of range"), "{err}");
+        assert!(tokenize("9223372036854775807").is_err());
     }
 }

@@ -39,4 +39,4 @@ pub use atoms::{Atom, SymbolTable};
 pub use clause::{Body, Cge, CgeCondition, Clause, Program};
 pub use error::{FrontError, FrontResult};
 pub use parser::{parse_program, parse_query, parse_term};
-pub use term::Term;
+pub use term::{Term, INT_MAX, INT_MIN};

@@ -8,12 +8,18 @@
 use crate::atoms::{Atom, SymbolTable};
 use std::collections::BTreeSet;
 
+/// The smallest integer a program can hold: the engine stores an integer as
+/// a 63-bit immediate in one arena word.
+pub const INT_MIN: i64 = -(1 << 62);
+/// The largest integer a program can hold (see [`INT_MIN`]).
+pub const INT_MAX: i64 = (1 << 62) - 1;
+
 /// A source-level Prolog term.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Term {
     /// An atom (constant), e.g. `foo`, `[]`.
     Atom(Atom),
-    /// An integer constant.
+    /// An integer constant, in `INT_MIN..=INT_MAX`.
     Int(i64),
     /// A named variable.  Anonymous variables (`_`) are given unique names by
     /// the parser (`_G<n>`), so every `Var` is identified by its name string.

@@ -126,6 +126,41 @@ fn failures_compile_errors_and_protocol_limits_are_reported() {
 }
 
 #[test]
+fn integers_past_the_word_range_are_typed_errors_and_the_worker_keeps_serving() {
+    // One worker, one connection: everything below runs on the same engine
+    // slot, so the last query shows the errors left it sound.
+    let server = start(1, 8);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let fib = benchmark(BenchmarkId::Fib, Scale::Small);
+    let request = |program: &str, query: &str| QueryRequest {
+        program: program.to_string(),
+        query: query.to_string(),
+        ..QueryRequest::default()
+    };
+
+    // 2^62 is one past INT_MAX: a tenant program holding it does not compile.
+    match client.query(request("big(4611686018427387904).", "big(X)")).unwrap() {
+        Response::Error { kind: ErrorKind::Compile, message } => {
+            assert!(message.contains("integer literal out of range"), "{message}")
+        }
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+    // A sum past INT_MAX is an engine error, not a wrap.
+    match client.query(request(&fib.program, "X is 4611686018427387903 + 1")).unwrap() {
+        Response::Error { kind: ErrorKind::Engine, message } => {
+            assert!(message.contains("integer overflow"), "{message}")
+        }
+        other => panic!("expected an engine error, got {other:?}"),
+    }
+
+    let a = answer(client.query(request(&fib.program, &fib.query)).unwrap());
+    assert!(a.success);
+    let expected = pwam_benchmarks::fib::fib(pwam_benchmarks::fib::input(Scale::Small));
+    assert_eq!(a.bindings, vec![("F".to_string(), expected.to_string())]);
+    server.shutdown();
+}
+
+#[test]
 fn runaway_queries_hit_their_deadline() {
     let server = start(1, 8);
     let mut client = Client::connect(server.addr()).unwrap();
