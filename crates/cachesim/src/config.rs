@@ -16,7 +16,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Number of lines the cache can hold.
-    pub fn capacity_lines(&self) -> u32 {
+    pub(crate) fn capacity_lines(&self) -> u32 {
         (self.size_words / self.line_words).max(1)
     }
 

@@ -23,15 +23,17 @@
 //! ([`rapwam::MemRef`]), and the output is a [`SimResult`] per configuration.
 //! [`sweep`] runs whole parameter sweeps across OS threads.
 
-pub mod config;
-pub mod lru;
-pub mod multisim;
-pub mod queueing;
-pub mod results;
+#![warn(unreachable_pub)]
+
+mod config;
+mod lru;
+mod multisim;
+mod queueing;
+mod results;
 pub mod sweep;
 
 pub use config::{CacheConfig, Protocol, SimConfig};
-pub use multisim::{simulate, MultiCacheSim};
+pub use multisim::simulate;
 pub use queueing::{BusModel, BusModelResult};
 pub use results::SimResult;
-pub use sweep::{run_sweep, MeanTraffic};
+pub use sweep::run_sweep;

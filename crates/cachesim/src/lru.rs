@@ -25,7 +25,7 @@ const NIL: u32 = u32::MAX;
 
 /// Coherency state of a resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineState {
+pub(crate) enum LineState {
     /// Clean, other caches may also hold the line.
     Shared,
     /// Clean, this is the only cached copy.
@@ -48,7 +48,7 @@ struct Slot {
 
 /// One PE's cache.
 #[derive(Debug, Clone)]
-pub struct LruCache {
+pub(crate) struct LruCache {
     capacity_lines: u32,
     /// line number -> slot, [`NIL`] if the line is not resident
     index: Vec<u32>,
@@ -66,7 +66,7 @@ pub struct LruCache {
 
 impl LruCache {
     /// A cache of `capacity_lines` lines for line numbers below `lines`.
-    pub fn new(capacity_lines: u32, lines: u32) -> Self {
+    pub(crate) fn new(capacity_lines: u32, lines: u32) -> Self {
         LruCache {
             capacity_lines: capacity_lines.max(1),
             index: vec![NIL; lines as usize],
@@ -76,16 +76,6 @@ impl LruCache {
             tail: NIL,
             free: NIL,
         }
-    }
-
-    /// Number of resident lines.
-    pub fn len(&self) -> usize {
-        self.resident_count as usize
-    }
-
-    /// True if no lines are resident.
-    pub fn is_empty(&self) -> bool {
-        self.resident_count == 0
     }
 
     /// The slot of a resident line.
@@ -132,20 +122,20 @@ impl LruCache {
     }
 
     /// State of a resident line, touching it for LRU purposes.
-    pub fn touch(&mut self, line: u32) -> Option<LineState> {
+    pub(crate) fn touch(&mut self, line: u32) -> Option<LineState> {
         let i = self.slot_of(line)?;
         self.move_to_head(i);
         Some(self.slots[i as usize].state)
     }
 
     /// State of a resident line without touching LRU order.
-    pub fn peek(&self, line: u32) -> Option<LineState> {
+    pub(crate) fn peek(&self, line: u32) -> Option<LineState> {
         self.slot_of(line).map(|i| self.slots[i as usize].state)
     }
 
     /// Change the state of a resident line (no LRU effect).  Returns `false`
     /// if the line is not resident.
-    pub fn set_state(&mut self, line: u32, state: LineState) -> bool {
+    pub(crate) fn set_state(&mut self, line: u32, state: LineState) -> bool {
         match self.slot_of(line) {
             Some(i) => {
                 self.slots[i as usize].state = state;
@@ -156,7 +146,7 @@ impl LruCache {
     }
 
     /// Remove a line (invalidation).  Returns its state if it was resident.
-    pub fn invalidate(&mut self, line: u32) -> Option<LineState> {
+    pub(crate) fn invalidate(&mut self, line: u32) -> Option<LineState> {
         let i = self.slot_of(line)?;
         self.index[line as usize] = NIL;
         self.resident_count -= 1;
@@ -167,7 +157,7 @@ impl LruCache {
 
     /// Insert a line, evicting the least recently used one if the cache is
     /// full.  Returns the evicted `(line, state)` if an eviction occurred.
-    pub fn insert(&mut self, line: u32, state: LineState) -> Option<(u32, LineState)> {
+    pub(crate) fn insert(&mut self, line: u32, state: LineState) -> Option<(u32, LineState)> {
         if let Some(i) = self.slot_of(line) {
             self.slots[i as usize].state = state;
             self.move_to_head(i);
@@ -200,7 +190,8 @@ impl LruCache {
     }
 
     /// Iterate over resident lines (for invariant checks in tests).
-    pub fn resident(&self) -> impl Iterator<Item = (u32, LineState)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> impl Iterator<Item = (u32, LineState)> + '_ {
         self.index
             .iter()
             .enumerate()
@@ -334,8 +325,6 @@ mod tests {
                     let mut resident: Vec<_> = cache.resident().collect();
                     resident.sort_unstable_by_key(|(l, _)| *l);
                     prop_assert_eq!(resident, reference.resident(), "capacity {} after step {} ({:?})", capacity, step, op);
-                    prop_assert_eq!(cache.len(), reference.lines.len());
-                    prop_assert_eq!(cache.is_empty(), reference.lines.is_empty());
                 }
             }
         }
@@ -347,7 +336,7 @@ mod tests {
         assert_eq!(c.touch(10), None);
         c.insert(10, LineState::Shared);
         assert_eq!(c.touch(10), Some(LineState::Shared));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.resident().count(), 1);
     }
 
     #[test]
@@ -378,7 +367,7 @@ mod tests {
         c.insert(9, LineState::Dirty);
         assert_eq!(c.invalidate(9), Some(LineState::Dirty));
         assert_eq!(c.invalidate(9), None);
-        assert!(c.is_empty());
+        assert_eq!(c.resident().count(), 0);
     }
 
     #[test]
@@ -386,7 +375,7 @@ mod tests {
         let mut c = LruCache::new(3, LINES);
         for i in 0..100 {
             c.insert(i, LineState::Shared);
-            assert!(c.len() <= 3);
+            assert!(c.resident().count() <= 3);
         }
     }
 

@@ -45,7 +45,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// The simulator state: one cache per PE plus the shared-bus counters.
 #[derive(Debug)]
-pub struct MultiCacheSim {
+pub(crate) struct MultiCacheSim {
     config: SimConfig,
     caches: Vec<LruCache>,
     /// Per line number, `mask_words` words: bit `pe % 64` of word `pe / 64`
@@ -57,7 +57,7 @@ pub struct MultiCacheSim {
 
 impl MultiCacheSim {
     /// A simulator for line numbers below `lines`.
-    pub fn new(config: SimConfig, lines: u32) -> Self {
+    pub(crate) fn new(config: SimConfig, lines: u32) -> Self {
         let caches =
             (0..config.num_pes).map(|_| LruCache::new(config.cache.capacity_lines(), lines)).collect();
         let mask_words = config.num_pes.div_ceil(64);
@@ -66,7 +66,7 @@ impl MultiCacheSim {
     }
 
     /// Feed one reference, to the line numbered `line`, into the simulator.
-    pub fn access(&mut self, pe: usize, line: u32, write: bool, locality: Locality) {
+    pub(crate) fn access(&mut self, pe: usize, line: u32, write: bool, locality: Locality) {
         assert!(
             pe < self.config.num_pes,
             "reference from PE {pe} but only {} PEs configured",
@@ -85,7 +85,7 @@ impl MultiCacheSim {
     /// Finish the simulation and return the results.  Dirty lines remaining
     /// in the caches are *not* flushed (the paper measures steady-state
     /// traffic, not a final flush).
-    pub fn finish(self) -> SimResult {
+    pub(crate) fn finish(self) -> SimResult {
         self.result
     }
 
@@ -385,7 +385,7 @@ pub(crate) fn simulate_numbered(
 ) -> SimResult {
     let mut sim = MultiCacheSim::new(*config, count);
     for (r, &line) in trace.iter().zip(lines) {
-        sim.access(r.pe as usize, line, r.write, r.locality);
+        sim.access(r.pe as usize, line, r.write, r.locality());
     }
     sim.finish()
 }
@@ -429,29 +429,11 @@ mod tests {
     }
 
     fn r(pe: u8, addr: u32, write: bool) -> MemRef {
-        use rapwam::{Area, ObjectKind};
-        MemRef {
-            pe,
-            addr,
-            write,
-            area: Area::Heap,
-            object: ObjectKind::HeapTerm,
-            locality: Locality::Global,
-            locked: false,
-        }
+        MemRef { pe, addr, write, object: rapwam::ObjectKind::HeapTerm }
     }
 
     fn r_local(pe: u8, addr: u32, write: bool) -> MemRef {
-        use rapwam::{Area, ObjectKind};
-        MemRef {
-            pe,
-            addr,
-            write,
-            area: Area::Trail,
-            object: ObjectKind::TrailEntry,
-            locality: Locality::Local,
-            locked: false,
-        }
+        MemRef { pe, addr, write, object: rapwam::ObjectKind::TrailEntry }
     }
 
     #[test]

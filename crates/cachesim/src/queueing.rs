@@ -18,13 +18,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct BusModel {
     /// Peak instruction rate of one PE in instructions per microsecond.
-    pub pe_mips: f64,
+    pub(crate) pe_mips: f64,
     /// Data references per instruction (the paper uses ~3 for large programs).
-    pub refs_per_instruction: f64,
+    pub(crate) refs_per_instruction: f64,
     /// Bus bandwidth in words per microsecond.
-    pub bus_words_per_us: f64,
+    pub(crate) bus_words_per_us: f64,
     /// Fixed per-transaction overhead, expressed in words.
-    pub words_per_transaction_overhead: f64,
+    pub(crate) words_per_transaction_overhead: f64,
 }
 
 impl Default for BusModel {

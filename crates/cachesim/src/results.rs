@@ -36,7 +36,7 @@ pub struct SimResult {
 
 impl SimResult {
     /// Create an empty result for a configuration.
-    pub fn new(config: SimConfig) -> Self {
+    pub(crate) fn new(config: SimConfig) -> Self {
         SimResult {
             config,
             refs: 0,
@@ -74,15 +74,6 @@ impl SimResult {
         }
     }
 
-    /// Read miss ratio.
-    pub fn read_miss_ratio(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_misses as f64 / self.reads as f64
-        }
-    }
-
     /// Fraction of processor traffic captured by the caches (does not appear
     /// on the bus); the paper quotes >70% for 128-word broadcast caches.
     pub fn capture_ratio(&self) -> f64 {
@@ -110,7 +101,6 @@ mod tests {
         r.bus_words = 250;
         assert!((r.traffic_ratio() - 0.25).abs() < 1e-12);
         assert!((r.miss_ratio() - 0.1).abs() < 1e-12);
-        assert!((r.read_miss_ratio() - 0.1).abs() < 1e-12);
         assert!((r.capture_ratio() - 0.75).abs() < 1e-12);
     }
 

@@ -12,7 +12,6 @@ use crate::config::SimConfig;
 use crate::multisim::{number_lines, simulate_numbered};
 use crate::results::SimResult;
 use rapwam::MemRef;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run every configuration over the same trace, in parallel, preserving the
@@ -66,37 +65,13 @@ fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Mean traffic ratio over several benchmark results for the same
-/// configuration — the quantity Figure 4 plots ("averaged over the four
-/// benchmarks").
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MeanTraffic {
-    pub config: SimConfig,
-    pub per_benchmark: Vec<f64>,
-    pub mean: f64,
-}
-
-impl MeanTraffic {
-    /// Average the traffic ratios of per-benchmark results that share a
-    /// configuration.
-    pub fn from_results(config: SimConfig, results: &[&SimResult]) -> MeanTraffic {
-        let per_benchmark: Vec<f64> = results.iter().map(|r| r.traffic_ratio()).collect();
-        let mean = if per_benchmark.is_empty() {
-            0.0
-        } else {
-            per_benchmark.iter().sum::<f64>() / per_benchmark.len() as f64
-        };
-        MeanTraffic { config, per_benchmark, mean }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, Protocol};
     use crate::multisim::simulate;
     use proptest::prelude::*;
-    use rapwam::{Area, Locality, ObjectKind};
+    use rapwam::ObjectKind;
 
     fn synthetic_trace(n: u32) -> Vec<MemRef> {
         (0..n)
@@ -104,10 +79,7 @@ mod tests {
                 pe: (i % 2) as u8,
                 addr: (i * 7) % 4096,
                 write: i % 4 == 0,
-                area: Area::Heap,
-                object: ObjectKind::HeapTerm,
-                locality: Locality::Global,
-                locked: false,
+                object: ObjectKind::ALL[(i / 3 % 12) as usize],
             })
             .collect()
     }
@@ -158,12 +130,13 @@ mod tests {
         assert_eq!(results.len(), configs.len());
     }
 
-    /// `(pe, addr, write, local)`: addresses low enough to share lines and
-    /// high enough to reach `u32::MAX`.
-    fn arb_refs() -> impl Strategy<Value = Vec<(u8, u32, bool, bool)>> {
+    /// `(pe, addr, write, object)`: addresses low enough to share lines and
+    /// high enough to reach `u32::MAX`, objects from every Table 1 row.
+    fn arb_refs() -> impl Strategy<Value = Vec<(u8, u32, bool, ObjectKind)>> {
         let addr = prop_oneof![0u32..600, (0u32..40).prop_map(|k| u32::MAX - k)];
-        let flag = || prop::sample::select(vec![false, true]);
-        prop::collection::vec((0u8..4, addr, flag(), flag()), 0..800)
+        let flag = prop::sample::select(vec![false, true]);
+        let object = prop::sample::select(ObjectKind::ALL.to_vec());
+        prop::collection::vec((0u8..4, addr, flag, object), 0..800)
     }
 
     /// `(line_words, num_pes, size_words, protocol, write_allocate)`.
@@ -190,15 +163,7 @@ mod tests {
         ) {
             let trace: Vec<MemRef> = refs
                 .iter()
-                .map(|&(pe, addr, write, local)| MemRef {
-                    pe: pe % trace_pes as u8,
-                    addr,
-                    write,
-                    area: Area::Heap,
-                    object: ObjectKind::HeapTerm,
-                    locality: if local { Locality::Local } else { Locality::Global },
-                    locked: false,
-                })
+                .map(|&(pe, addr, write, object)| MemRef { pe: pe % trace_pes as u8, addr, write, object })
                 .collect();
             // Every configuration has at least the PEs the trace names.
             let configs: Vec<SimConfig> = configs
@@ -215,17 +180,5 @@ mod tests {
                 prop_assert_eq!(result, &simulate(config, &trace), "{:?} at {} threads", config, threads);
             }
         }
-    }
-
-    #[test]
-    fn mean_traffic_averages() {
-        let trace = synthetic_trace(2_000);
-        let cfg = configs()[0];
-        let a = simulate(&cfg, &trace);
-        let b = simulate(&cfg, &trace[..1000]);
-        let mean = MeanTraffic::from_results(cfg, &[&a, &b]);
-        let expected = (a.traffic_ratio() + b.traffic_ratio()) / 2.0;
-        assert!((mean.mean - expected).abs() < 1e-12);
-        assert_eq!(mean.per_benchmark.len(), 2);
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use pwam_cachesim::{simulate, CacheConfig, Protocol, SimConfig};
-use rapwam::{Area, Locality, MemRef, ObjectKind};
+use rapwam::{MemRef, ObjectKind};
 
 /// A compact random reference description.
 #[derive(Debug, Clone, Copy)]
@@ -11,34 +11,19 @@ struct RefSpec {
     pe: u8,
     addr: u32,
     write: bool,
-    local: bool,
+    object: ObjectKind,
 }
 
 fn arb_refs(max_pes: u8) -> impl Strategy<Value = Vec<RefSpec>> {
     prop::collection::vec(
-        (0..max_pes, 0u32..2048, any::<bool>(), any::<bool>()).prop_map(|(pe, addr, write, local)| RefSpec {
-            pe,
-            addr,
-            write,
-            local,
-        }),
+        (0..max_pes, 0u32..2048, any::<bool>(), prop::sample::select(ObjectKind::ALL.to_vec()))
+            .prop_map(|(pe, addr, write, object)| RefSpec { pe, addr, write, object }),
         1..2000,
     )
 }
 
 fn to_trace(specs: &[RefSpec]) -> Vec<MemRef> {
-    specs
-        .iter()
-        .map(|s| MemRef {
-            pe: s.pe,
-            addr: s.addr,
-            write: s.write,
-            area: if s.local { Area::Trail } else { Area::Heap },
-            object: if s.local { ObjectKind::TrailEntry } else { ObjectKind::HeapTerm },
-            locality: if s.local { Locality::Local } else { Locality::Global },
-            locked: false,
-        })
-        .collect()
+    specs.iter().map(|s| MemRef { pe: s.pe, addr: s.addr, write: s.write, object: s.object }).collect()
 }
 
 fn config(protocol: Protocol, size: u32, write_allocate: bool, pes: usize) -> SimConfig {

@@ -13,7 +13,7 @@ use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
 use pwam_cachesim::sweep::run_sweep_with_threads;
 use pwam_cachesim::{run_sweep, simulate, CacheConfig, Protocol, SimConfig};
 use rapwam::session::{QueryOptions, Session};
-use rapwam::{Area, Locality, MemRef, ObjectKind};
+use rapwam::{MemRef, ObjectKind};
 
 fn engine_trace() -> Vec<MemRef> {
     let bench = benchmark(BenchmarkId::Qsort, Scale::Small);
@@ -28,10 +28,7 @@ fn synthetic_trace() -> Vec<MemRef> {
             pe: (i % 4) as u8,
             addr: (i.wrapping_mul(31)) % 8192,
             write: i % 3 == 0,
-            area: if i % 5 == 0 { Area::Trail } else { Area::Heap },
-            object: if i % 5 == 0 { ObjectKind::TrailEntry } else { ObjectKind::HeapTerm },
-            locality: if i % 2 == 0 { Locality::Local } else { Locality::Global },
-            locked: false,
+            object: ObjectKind::ALL[(i / 5 % 12) as usize],
         })
         .collect()
 }

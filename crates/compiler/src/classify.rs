@@ -18,34 +18,32 @@
 use crate::error::{CompileError, CompileResult};
 use crate::instr::{Builtin, Reg};
 use pwam_front::clause::{Body, Clause, Goal};
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Result of analysing one clause.
 #[derive(Debug, Clone, Default)]
-pub struct ClauseAnalysis {
+pub(crate) struct ClauseAnalysis {
     /// Permanent variables: name → 1-based `Y` slot.
-    pub perm: HashMap<String, u16>,
+    pub(crate) perm: HashMap<String, u16>,
     /// Temporary variables: name → 1-based `X` register.
-    pub temp: HashMap<String, u16>,
+    pub(crate) temp: HashMap<String, u16>,
     /// Whether the clause needs an environment.
-    pub env_needed: bool,
+    pub(crate) env_needed: bool,
     /// `Y` slot reserved for the cut barrier (`get_level`/`cut`), if any.
-    pub cut_y: Option<u16>,
+    pub(crate) cut_y: Option<u16>,
     /// Total number of `Y` slots (permanent variables + cut barrier).
-    pub env_size: u16,
-    /// Number of call-like goals (user calls + CGEs) in the body.
-    pub call_like: usize,
+    pub(crate) env_size: u16,
     /// First X register available for structure-building scratch temporaries.
-    pub base_scratch: u16,
+    pub(crate) base_scratch: u16,
     /// Highest argument arity appearing in the clause (head or any goal).
-    pub max_arity: u16,
+    pub(crate) max_arity: u16,
 }
 
 impl ClauseAnalysis {
     /// The register assigned to a clause variable.
-    pub fn reg_of(&self, name: &str) -> CompileResult<Reg> {
+    pub(crate) fn reg_of(&self, name: &str) -> CompileResult<Reg> {
         if let Some(&y) = self.perm.get(name) {
             Ok(Reg::Y(y))
         } else if let Some(&x) = self.temp.get(name) {
@@ -54,15 +52,10 @@ impl ClauseAnalysis {
             Err(CompileError::new(format!("internal error: variable {name} was not classified")))
         }
     }
-
-    /// True if the variable is permanent.
-    pub fn is_permanent(&self, name: &str) -> bool {
-        self.perm.contains_key(name)
-    }
 }
 
 /// True if a goal term is a call to a builtin predicate.
-pub fn is_builtin_call(term: &Term, syms: &SymbolTable) -> bool {
+pub(crate) fn is_builtin_call(term: &Term, syms: &SymbolTable) -> bool {
     match term.functor() {
         Some((f, n)) => Builtin::lookup(syms.name(f), n).is_some(),
         None => false,
@@ -80,7 +73,10 @@ pub fn is_builtin_call(term: &Term, syms: &SymbolTable) -> bool {
 /// place that *defines* eligibility: if branch shapes are ever loosened
 /// (e.g. builtin-only branches), codegen automatically keeps those CGEs on
 /// the Goal-Frame-everywhere path instead of inlining something unsound.
-pub fn cge_inline_call<'a>(branches: &'a [pwam_front::clause::Body], syms: &SymbolTable) -> Option<&'a Term> {
+pub(crate) fn cge_inline_call<'a>(
+    branches: &'a [pwam_front::clause::Body],
+    syms: &SymbolTable,
+) -> Option<&'a Term> {
     match branches.first()?.goals.as_slice() {
         [Goal::Call(t)] if !is_builtin_call(t, syms) => Some(t),
         _ => None,
@@ -130,7 +126,7 @@ fn body_has_cge(body: &Body) -> bool {
 }
 
 /// Analyse a clause.  `force_permanent` is used for query compilation.
-pub fn analyze_clause(
+pub(crate) fn analyze_clause(
     clause: &Clause,
     syms: &SymbolTable,
     force_permanent: bool,
@@ -188,7 +184,7 @@ pub fn analyze_clause(
         }
     }
 
-    let mut analysis = ClauseAnalysis { call_like, ..ClauseAnalysis::default() };
+    let mut analysis = ClauseAnalysis::default();
 
     // Permanent = occurs in >= 2 chunks (or forced).
     let mut next_y = 1u16;
@@ -240,7 +236,7 @@ pub fn analyze_clause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwam_front::parser::parse_program;
+    use pwam_front::parse_program;
 
     fn analyze(src: &str) -> (ClauseAnalysis, SymbolTable) {
         let mut syms = SymbolTable::new();
@@ -291,7 +287,6 @@ mod tests {
         assert!(a.perm.contains_key("X"));
         assert!(a.perm.contains_key("Z"));
         assert!(a.env_needed);
-        assert_eq!(a.call_like, 1);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::classify::{analyze_clause, cge_inline_call, is_builtin_call, ClauseAn
 use crate::error::{CompileError, CompileResult};
 use crate::instr::{Builtin, CallTarget, CodeAddr, Instr, PredRef, Reg};
 use pwam_front::clause::{Cge, CgeCondition, Clause, Goal};
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::{Term, INT_MAX, INT_MIN};
 use std::collections::HashSet;
 
 /// Compilation options shared by the whole pipeline.
@@ -72,40 +72,33 @@ impl CompileOptions {
     pub fn parallel() -> Self {
         CompileOptions { parallel: true, inline_first_goal: true }
     }
-    /// Disable the last-goal-inline optimisation (every CGE branch takes
-    /// the Goal-Frame path; used by the differential suites to pin both
-    /// compilation schemes against each other).
-    pub fn without_inline_first_goal(mut self) -> Self {
-        self.inline_first_goal = false;
-        self
-    }
 }
 
 /// A growing chunk of code with chunk-relative addresses.
 #[derive(Debug, Default, Clone)]
-pub struct ChunkBuilder {
-    pub code: Vec<Instr>,
+pub(crate) struct ChunkBuilder {
+    pub(crate) code: Vec<Instr>,
 }
 
 impl ChunkBuilder {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ChunkBuilder { code: Vec::new() }
     }
 
     /// Current position (address of the next instruction to be emitted).
-    pub fn here(&self) -> CodeAddr {
+    pub(crate) fn here(&self) -> CodeAddr {
         self.code.len() as CodeAddr
     }
 
     /// Append an instruction, returning its address.
-    pub fn emit(&mut self, i: Instr) -> CodeAddr {
+    pub(crate) fn emit(&mut self, i: Instr) -> CodeAddr {
         let at = self.here();
         self.code.push(i);
         at
     }
 
     /// Patch a previously emitted instruction in place.
-    pub fn patch(&mut self, at: CodeAddr, f: impl FnOnce(&mut Instr)) {
+    pub(crate) fn patch(&mut self, at: CodeAddr, f: impl FnOnce(&mut Instr)) {
         f(&mut self.code[at as usize]);
     }
 }
@@ -154,26 +147,19 @@ impl<'a> ClauseCtx<'a> {
     }
 }
 
-/// Information returned when compiling a query clause.
-#[derive(Debug, Clone, Default)]
-pub struct QueryInfo {
-    /// Query variables and the `Y` slot each was assigned.
-    pub vars: Vec<(String, u16)>,
-    /// Size of the query environment.
-    pub env_size: u16,
-}
-
 /// Compile a single clause into `chunk`.  When `is_query` is set, the clause
 /// is the query pseudo-clause: every variable is permanent, last-call
 /// optimisation is disabled and the code ends in `halt` rather than
-/// `proceed`, so the answer substitution stays readable in the environment.
-pub fn compile_clause(
+/// `proceed`, so the answer substitution stays readable in the environment;
+/// the query's variables are returned with the `Y` slot each was assigned
+/// (an empty list for a program clause).
+pub(crate) fn compile_clause(
     clause: &Clause,
     syms: &SymbolTable,
     opts: CompileOptions,
     is_query: bool,
     chunk: &mut ChunkBuilder,
-) -> CompileResult<QueryInfo> {
+) -> CompileResult<Vec<(String, u16)>> {
     let analysis = analyze_clause(clause, syms, is_query)?;
     let mut ctx = ClauseCtx {
         scratch: analysis.base_scratch,
@@ -246,14 +232,24 @@ pub fn compile_clause(
         chunk.emit(Instr::Proceed);
     }
 
-    let mut qinfo = QueryInfo::default();
-    if is_query {
-        let mut vars: Vec<(String, u16)> = ctx.analysis.perm.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        vars.sort_by_key(|(_, y)| *y);
-        qinfo.vars = vars;
-        qinfo.env_size = ctx.analysis.env_size;
+    if !is_query {
+        return Ok(Vec::new());
     }
-    Ok(qinfo)
+    let mut vars: Vec<(String, u16)> = ctx.analysis.perm.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    vars.sort_by_key(|(_, y)| *y);
+    Ok(vars)
+}
+
+/// Every integer literal passes here on its way into an instruction.  The
+/// parser keeps literals inside the machine's word range; a hand-built
+/// `Term::Int` can hold any `i64`, and one outside `INT_MIN..=INT_MAX` has
+/// no word encoding.
+fn int_literal(n: i64) -> CompileResult<i64> {
+    if (INT_MIN..=INT_MAX).contains(&n) {
+        Ok(n)
+    } else {
+        Err(CompileError::new(format!("integer {n} is outside the range {INT_MIN}..={INT_MAX}")))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +272,7 @@ fn compile_head_args(ctx: &mut ClauseCtx, args: &[Term], chunk: &mut ChunkBuilde
                 }
             }
             Term::Int(n) => {
-                chunk.emit(Instr::GetInteger { i: *n, a });
+                chunk.emit(Instr::GetInteger { i: int_literal(*n)?, a });
             }
             Term::Atom(c) => {
                 if *c == wk.nil {
@@ -335,7 +331,7 @@ fn compile_unify_args(
                 }
             }
             Term::Int(n) => {
-                chunk.emit(Instr::UnifyInteger { i: *n });
+                chunk.emit(Instr::UnifyInteger { i: int_literal(*n)? });
             }
             Term::Atom(c) => {
                 if *c == wk.nil {
@@ -395,7 +391,7 @@ fn compile_put_arg(
             }
         }
         Term::Int(n) => {
-            chunk.emit(Instr::PutInteger { i: *n, a });
+            chunk.emit(Instr::PutInteger { i: int_literal(*n)?, a });
         }
         Term::Atom(c) => {
             if *c == wk.nil {
@@ -460,7 +456,7 @@ fn build_structure(
                 }
             }
             Term::Int(n) => {
-                chunk.emit(Instr::UnifyInteger { i: *n });
+                chunk.emit(Instr::UnifyInteger { i: int_literal(*n)? });
             }
             Term::Atom(c) => {
                 if *c == wk.nil {
@@ -654,7 +650,7 @@ fn compile_cge(ctx: &mut ClauseCtx, cge: &Cge, chunk: &mut ChunkBuilder) -> Comp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwam_front::parser::parse_program;
+    use pwam_front::parse_program;
 
     fn compile_first(src: &str, opts: CompileOptions) -> (Vec<Instr>, SymbolTable) {
         let mut syms = SymbolTable::new();
@@ -763,7 +759,7 @@ mod tests {
     fn disabling_inline_pushes_every_branch() {
         let (code, _) = compile_first(
             "f(X,Y,Z) :- (ground(Y), indep(X,Z) | g(X,Y) & h(Y,Z)).",
-            CompileOptions::parallel().without_inline_first_goal(),
+            CompileOptions { inline_first_goal: false, ..CompileOptions::parallel() },
         );
         // Every branch gets a Goal Frame; the parent re-acquires its own
         // goals at `pcall_wait` through the local path.
@@ -805,11 +801,11 @@ mod tests {
         let mut syms = SymbolTable::new();
         let p = parse_program("dummy.", &mut syms).unwrap();
         let _ = p;
-        let q = pwam_front::parser::parse_query("append(X, Y, [1,2,3])", &mut syms).unwrap();
+        let q = pwam_front::parse_query("append(X, Y, [1,2,3])", &mut syms).unwrap();
         let clause = Clause { head: Term::Atom(syms.intern("$query")), body: q };
         let mut chunk = ChunkBuilder::new();
-        let info = compile_clause(&clause, &syms, CompileOptions::default(), true, &mut chunk).unwrap();
-        assert_eq!(info.vars.len(), 2);
+        let vars = compile_clause(&clause, &syms, CompileOptions::default(), true, &mut chunk).unwrap();
+        assert_eq!(vars.len(), 2);
         assert!(matches!(chunk.code.last(), Some(Instr::CallBuiltin { b: Builtin::Halt })));
         // the final user call must NOT be an execute (no LCO for queries)
         assert_eq!(count_matching(&chunk.code, |i| matches!(i, Instr::Execute { .. })), 0);

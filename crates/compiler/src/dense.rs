@@ -49,7 +49,7 @@
 //! | `PcallGoal` | arity | slot | entry addr | |
 
 use crate::instr::{Builtin, CallTarget, CodeAddr, ConstKey, Instr, Reg};
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 
 /// Opcode of a pre-decoded instruction.
 ///
@@ -125,11 +125,11 @@ pub enum DenseOp {
 }
 
 /// High bit of a packed register operand: set for `Y`, clear for `X`.
-pub const Y_FLAG: u16 = 0x8000;
+pub(crate) const Y_FLAG: u16 = 0x8000;
 
 /// Pack a register operand into 16 bits.
 #[inline(always)]
-pub fn encode_reg(r: Reg) -> u16 {
+pub(crate) fn encode_reg(r: Reg) -> u16 {
     match r {
         Reg::X(n) => {
             debug_assert!(n < Y_FLAG, "X register index overflows the dense encoding");

@@ -3,16 +3,16 @@
 use std::fmt;
 
 /// Result alias used throughout the compiler.
-pub type CompileResult<T> = Result<T, CompileError>;
+pub(crate) type CompileResult<T> = Result<T, CompileError>;
 
 /// An error raised during clause compilation or program loading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl CompileError {
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         CompileError { message: message.into() }
     }
 }

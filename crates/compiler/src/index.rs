@@ -18,10 +18,10 @@
 use crate::codegen::{compile_clause, ChunkBuilder, CompileOptions};
 use crate::error::{CompileError, CompileResult};
 use crate::instr::{CodeAddr, ConstKey, Instr, FAIL_SENTINEL};
-use pwam_front::atoms::Atom;
 use pwam_front::clause::Clause;
-use pwam_front::term::Term;
+use pwam_front::Atom;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 
 /// Shape of a clause's first head argument, used to build dispatch tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,7 @@ impl Block {
 
 /// Compile a whole predicate (all its clauses) into one chunk whose entry
 /// point is offset 0.
-pub fn compile_predicate(
+pub(crate) fn compile_predicate(
     clauses: &[&Clause],
     syms: &SymbolTable,
     opts: CompileOptions,
@@ -276,7 +276,7 @@ pub fn compile_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwam_front::parser::parse_program;
+    use pwam_front::parse_program;
 
     fn compile_pred(src: &str, name: &str, arity: usize) -> (Vec<Instr>, SymbolTable) {
         let mut syms = SymbolTable::new();

@@ -11,7 +11,7 @@
 //! until the loader relocates them (see [`Instr::relocate`] and
 //! `crate::loader`).
 
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 use serde::{Deserialize, Serialize};
 
 /// Absolute (after loading) or chunk-relative (before loading) code address.
@@ -45,8 +45,8 @@ pub enum ConstKey {
 /// A reference to a predicate, resolved by the loader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PredRef {
-    pub name: Atom,
-    pub arity: u8,
+    pub(crate) name: Atom,
+    pub(crate) arity: u8,
 }
 
 /// The target of a `call`/`execute`/`pcall_goal`, after loading.
@@ -112,7 +112,7 @@ pub enum Builtin {
 
 impl Builtin {
     /// Map a predicate name/arity onto a builtin, if it is one.
-    pub fn lookup(name: &str, arity: usize) -> Option<Builtin> {
+    pub(crate) fn lookup(name: &str, arity: usize) -> Option<Builtin> {
         Some(match (name, arity) {
             ("true", 0) => Builtin::True,
             ("fail", 0) | ("false", 0) => Builtin::Fail,
@@ -136,20 +136,6 @@ impl Builtin {
             ("halt", 0) => Builtin::Halt,
             _ => return None,
         })
-    }
-
-    /// Number of argument registers the builtin consumes.
-    pub fn arity(self) -> u8 {
-        match self {
-            Builtin::True | Builtin::Fail | Builtin::Halt => 0,
-            Builtin::Ground
-            | Builtin::Var
-            | Builtin::NonVar
-            | Builtin::Integer
-            | Builtin::AtomP
-            | Builtin::Atomic => 1,
-            _ => 2,
-        }
     }
 }
 
@@ -348,7 +334,7 @@ pub enum Instr {
 impl Instr {
     /// Apply `f` to every chunk-relative code address operand.  Used by the
     /// loader to relocate a predicate chunk to its absolute base address.
-    pub fn map_addrs(&mut self, f: &mut dyn FnMut(CodeAddr) -> CodeAddr) {
+    pub(crate) fn map_addrs(&mut self, f: &mut dyn FnMut(CodeAddr) -> CodeAddr) {
         match self {
             Instr::TryMeElse { else_ } | Instr::RetryMeElse { else_ } => *else_ = f(*else_),
             Instr::Try { addr } | Instr::Retry { addr } | Instr::Trust { addr } | Instr::Jump { addr } => {
@@ -379,7 +365,7 @@ impl Instr {
     }
 
     /// Relocate chunk-relative addresses by adding `base`.
-    pub fn relocate(&mut self, base: CodeAddr) {
+    pub(crate) fn relocate(&mut self, base: CodeAddr) {
         self.map_addrs(&mut |a| {
             if a == FAIL_SENTINEL {
                 a // the shared failure address is already absolute
@@ -390,7 +376,7 @@ impl Instr {
     }
 
     /// Apply `f` to every unresolved predicate reference (call targets).
-    pub fn map_targets(&mut self, f: &mut dyn FnMut(&CallTarget) -> CallTarget) {
+    pub(crate) fn map_targets(&mut self, f: &mut dyn FnMut(&CallTarget) -> CallTarget) {
         match self {
             Instr::Call { target, .. } | Instr::Execute { target, .. } | Instr::PcallGoal { target, .. } => {
                 *target = f(target)
@@ -398,20 +384,11 @@ impl Instr {
             _ => {}
         }
     }
-
-    /// True for instructions that terminate the straight-line flow of a
-    /// clause (used by the disassembler to insert blank lines).
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            Instr::Proceed | Instr::Execute { .. } | Instr::Halt | Instr::FailInstr | Instr::Jump { .. }
-        )
-    }
 }
 
 /// Sentinel used as a "branch to failure" address before loading; the loader
 /// replaces it with the address of a shared `FailInstr` stub.
-pub const FAIL_SENTINEL: CodeAddr = u32::MAX;
+pub(crate) const FAIL_SENTINEL: CodeAddr = u32::MAX;
 
 #[cfg(test)]
 mod tests {
@@ -423,9 +400,6 @@ mod tests {
         assert_eq!(Builtin::lookup("=<", 2), Some(Builtin::Le));
         assert_eq!(Builtin::lookup("is", 3), None);
         assert_eq!(Builtin::lookup("frobnicate", 2), None);
-        assert_eq!(Builtin::Is.arity(), 2);
-        assert_eq!(Builtin::Ground.arity(), 1);
-        assert_eq!(Builtin::True.arity(), 0);
     }
 
     #[test]

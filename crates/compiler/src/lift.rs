@@ -14,15 +14,15 @@
 //! clause, so bindings flow in and out the same way.
 
 use pwam_front::clause::{Body, Cge, Clause, Goal, Program};
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 use std::collections::BTreeSet;
 
 use crate::classify::is_builtin_call;
 
 /// Lift CGE branches of a whole program (and optionally of a query body).
 /// Returns the transformed program; auxiliary predicates are appended.
-pub struct Lifter {
+pub(crate) struct Lifter {
     counter: usize,
 }
 
@@ -33,12 +33,12 @@ impl Default for Lifter {
 }
 
 impl Lifter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Lifter { counter: 0 }
     }
 
     /// Lift every clause of `program`, returning a new program.
-    pub fn lift_program(&mut self, program: &Program, syms: &mut SymbolTable) -> Program {
+    pub(crate) fn lift_program(&mut self, program: &Program, syms: &mut SymbolTable) -> Program {
         let mut out = Program::default();
         let mut aux: Vec<Clause> = Vec::new();
         for clause in &program.clauses {
@@ -53,7 +53,7 @@ impl Lifter {
 
     /// Lift a stand-alone body (e.g. a query).  Auxiliary clauses produced by
     /// the lifting are appended to `extra`.
-    pub fn lift_body_with_aux(
+    pub(crate) fn lift_body_with_aux(
         &mut self,
         body: &Body,
         syms: &mut SymbolTable,
@@ -120,7 +120,7 @@ fn branch_is_plain_call(branch: &Body, syms: &SymbolTable) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwam_front::parser::parse_program;
+    use pwam_front::parse_program;
 
     fn lift(src: &str) -> (Program, SymbolTable) {
         let mut syms = SymbolTable::new();

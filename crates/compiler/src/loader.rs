@@ -9,8 +9,8 @@ use crate::instr::{Builtin, CallTarget, CodeAddr, Instr, FAIL_SENTINEL};
 use crate::lift::Lifter;
 use crate::program::CompiledProgram;
 use pwam_front::clause::{Body, Clause, Program};
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 use std::collections::HashMap;
 
 /// Compile a program and a query into a loaded [`CompiledProgram`].
@@ -39,7 +39,7 @@ pub fn compile_program_and_query_with_hosts(
     query: &Body,
     syms: &mut SymbolTable,
     opts: CompileOptions,
-    hosts: &[(pwam_front::atoms::Atom, u8)],
+    hosts: &[(pwam_front::Atom, u8)],
 ) -> CompileResult<CompiledProgram> {
     // ----- CGE lifting -----
     let mut lifter = Lifter::new();
@@ -58,7 +58,7 @@ pub fn compile_program_and_query_with_hosts(
     code.push(Instr::GoalSuccess);
 
     // ----- predicates -----
-    let mut predicates: HashMap<(pwam_front::atoms::Atom, u8), CodeAddr> = HashMap::new();
+    let mut predicates: HashMap<(pwam_front::Atom, u8), CodeAddr> = HashMap::new();
     let mut predicate_order = Vec::new();
     let mut predicate_names = Vec::new();
     for &(name, arity) in &lifted.predicate_order {
@@ -82,14 +82,14 @@ pub fn compile_program_and_query_with_hosts(
     let query_atom = syms.intern("$query");
     let query_clause = Clause { head: Term::Atom(query_atom), body: lifted_query };
     let mut qchunk = ChunkBuilder::new();
-    let qinfo = compile_clause(&query_clause, syms, opts, true, &mut qchunk)?;
+    let query_vars = compile_clause(&query_clause, syms, opts, true, &mut qchunk)?;
     let query_start = code.len() as CodeAddr;
     append_relocated(&mut code, qchunk, query_start);
 
     // ----- host registry -----
     // Deterministic order: as registered, first registration of a
     // `(name, arity)` pair wins.
-    let mut host_index: HashMap<(pwam_front::atoms::Atom, u8), u32> = HashMap::new();
+    let mut host_index: HashMap<(pwam_front::Atom, u8), u32> = HashMap::new();
     let mut host_names: Vec<(String, u8)> = Vec::new();
     for &(name, arity) in hosts {
         host_index.entry((name, arity)).or_insert_with(|| {
@@ -150,12 +150,9 @@ pub fn compile_program_and_query_with_hosts(
         predicate_order,
         predicate_names,
         query_start,
-        query_env_size: qinfo.env_size,
-        query_vars: qinfo.vars,
-        fail_addr,
+        query_vars,
         goal_success_addr,
         hosts: host_names,
-        options: opts,
     })
 }
 
@@ -169,7 +166,7 @@ fn append_relocated(code: &mut Vec<Instr>, chunk: ChunkBuilder, base: CodeAddr) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwam_front::parser::{parse_program, parse_query};
+    use pwam_front::{parse_program, parse_query};
 
     fn compile(src: &str, query: &str, opts: CompileOptions) -> (CompiledProgram, SymbolTable) {
         let mut syms = SymbolTable::new();
@@ -190,7 +187,7 @@ mod tests {
         assert!(cp.entry(app, 3).is_some());
         assert_eq!(cp.query_vars.len(), 1);
         assert_eq!(cp.query_vars[0].0, "X");
-        assert!(matches!(cp.code[cp.fail_addr as usize], Instr::FailInstr));
+        assert!(cp.code.iter().any(|i| matches!(i, Instr::FailInstr)));
         assert!(matches!(cp.code[cp.goal_success_addr as usize], Instr::GoalSuccess));
     }
 
@@ -271,5 +268,33 @@ mod tests {
         let eb = cp.entry(b, 1).unwrap();
         assert_eq!(cp.predicate_containing(ea), Some((a, 1)));
         assert_eq!(cp.predicate_containing(eb), Some((b, 1)));
+    }
+
+    #[test]
+    fn integers_outside_the_word_range_are_compile_errors() {
+        use pwam_front::clause::Goal;
+        use pwam_front::{INT_MAX, INT_MIN};
+        let mut syms = SymbolTable::new();
+        let p = syms.intern("p");
+        let q = syms.intern("q");
+        let call = |f, n| Body { goals: vec![Goal::Call(Term::Struct(f, vec![Term::Int(n)]))] };
+        // Built by hand: the parser rejects such literals, a `Program` does not.
+        let mut program = parse_program("q(_).", &mut syms).unwrap();
+        program.push(
+            Clause { head: Term::Struct(p, vec![Term::Int(INT_MAX + 1)]), body: Body::default() },
+            &syms,
+        );
+        let err = compile_program_and_query(&program, &call(q, 1), &mut syms, CompileOptions::default())
+            .unwrap_err();
+        assert!(err.to_string().contains(&(INT_MAX + 1).to_string()), "{err}");
+        let program = parse_program("q(_).", &mut syms).unwrap();
+        for n in [INT_MIN - 1, i64::MAX, i64::MIN] {
+            assert!(compile_program_and_query(&program, &call(q, n), &mut syms, CompileOptions::default())
+                .is_err());
+        }
+        for n in [INT_MIN, INT_MAX] {
+            assert!(compile_program_and_query(&program, &call(q, n), &mut syms, CompileOptions::default())
+                .is_ok());
+        }
     }
 }

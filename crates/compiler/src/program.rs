@@ -1,9 +1,8 @@
 //! The loaded program representation handed to the abstract machine.
 
-use crate::codegen::CompileOptions;
 use crate::dense::DenseCode;
 use crate::instr::{CodeAddr, Instr};
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 use std::collections::HashMap;
 
 /// A fully compiled and loaded program plus one query.
@@ -20,23 +19,19 @@ pub struct CompiledProgram {
     /// stream (index `i` is instruction address `i`, as in `code`).
     pub dense: DenseCode,
     /// Entry points of user predicates.
-    pub predicates: HashMap<(Atom, u8), CodeAddr>,
+    pub(crate) predicates: HashMap<(Atom, u8), CodeAddr>,
     /// Predicate entry points in definition order (for stable reporting).
-    pub predicate_order: Vec<((Atom, u8), CodeAddr)>,
+    pub(crate) predicate_order: Vec<((Atom, u8), CodeAddr)>,
     /// Resolved predicate names in definition order, parallel to
     /// `predicate_order`: `(name, arity, entry)`.  Like [`Self::hosts`],
     /// names are materialised at compile time so downstream layers (the
     /// engine's per-predicate profile, the serving tier's metrics) can
     /// label code addresses without the symbol table.
-    pub predicate_names: Vec<(String, u8, CodeAddr)>,
+    pub(crate) predicate_names: Vec<(String, u8, CodeAddr)>,
     /// Entry point of the compiled query.
     pub query_start: CodeAddr,
-    /// Size of the query environment (number of `Y` slots).
-    pub query_env_size: u16,
     /// Query variables: source name → `Y` slot (1-based).
     pub query_vars: Vec<(String, u16)>,
-    /// Address of the shared failure stub.
-    pub fail_addr: CodeAddr,
     /// Address of the parallel-goal success stub.
     pub goal_success_addr: CodeAddr,
     /// Host predicates the program was compiled against, in registry order:
@@ -44,8 +39,6 @@ pub struct CompiledProgram {
     /// table.  Resolved names (not atoms) so the serving layer can match
     /// them against its registry without the symbol table.
     pub hosts: Vec<(String, u8)>,
-    /// Options the program was compiled with.
-    pub options: CompileOptions,
 }
 
 impl CompiledProgram {

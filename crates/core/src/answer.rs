@@ -8,19 +8,19 @@ use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
 use crate::known;
 use crate::mem::Memory;
-use pwam_front::term::Term;
+use pwam_front::Term;
 
 /// Hard cap on the size of extracted terms, to catch accidental cycles.
 const MAX_NODES: usize = 10_000_000;
 
 /// Extract the term bound to the cell stored at `addr`.  Atoms keep their
 /// interned [`pwam_front::Atom`]: names resolve later, at render time.
-pub fn extract_binding(mem: &Memory, addr: u32) -> EngineResult<Term> {
+pub(crate) fn extract_binding(mem: &Memory, addr: u32) -> EngineResult<Term> {
     extract_cell(mem, mem.read_untraced(addr))
 }
 
 /// Extract the term a cell denotes.
-pub fn extract_cell(mem: &Memory, cell: Cell) -> EngineResult<Term> {
+pub(crate) fn extract_cell(mem: &Memory, cell: Cell) -> EngineResult<Term> {
     let mut budget = MAX_NODES;
     extract_node(mem, cell, &mut budget)
 }

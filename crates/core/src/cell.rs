@@ -13,12 +13,12 @@
 //! machine word, as in the paper, whose memory-performance experiments count
 //! *words*.
 
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 use serde::{Deserialize, Serialize};
 
 /// The value stored in one word of a data area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Cell {
+pub(crate) enum Cell {
     /// A reference cell.  An *unbound variable* is a `Ref` whose target is
     /// its own address; a bound variable points at another cell.
     Ref(u32),
@@ -44,26 +44,13 @@ pub enum Cell {
 
 /// Sentinel "null address" used for empty register values (no environment,
 /// no choice point, no parcall frame).
-pub const NONE_ADDR: u32 = u32::MAX;
+pub(crate) const NONE_ADDR: u32 = u32::MAX;
 
 impl Cell {
-    /// True if the cell is a `Ref` pointing at `addr` itself (i.e. an
-    /// unbound variable stored at `addr`).
-    #[inline]
-    pub fn is_unbound_at(self, addr: u32) -> bool {
-        matches!(self, Cell::Ref(a) if a == addr)
-    }
-
-    /// True for the atomic cells (constants and integers).
-    #[inline]
-    pub fn is_atomic(self) -> bool {
-        matches!(self, Cell::Con(_) | Cell::Int(_))
-    }
-
     /// Extract a raw unsigned value, panicking with a clear message if the
     /// cell has the wrong tag (indicates a corrupted control frame).
     #[inline]
-    pub fn expect_uint(self, what: &str) -> u32 {
+    pub(crate) fn expect_uint(self, what: &str) -> u32 {
         match self {
             Cell::Uint(v) => v,
             other => panic!("expected Uint cell for {what}, found {other:?}"),
@@ -72,7 +59,7 @@ impl Cell {
 
     /// Extract a code address.
     #[inline]
-    pub fn expect_code(self, what: &str) -> u32 {
+    pub(crate) fn expect_code(self, what: &str) -> u32 {
         match self {
             Cell::Code(v) => v,
             other => panic!("expected Code cell for {what}, found {other:?}"),
@@ -83,21 +70,6 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unbound_detection() {
-        assert!(Cell::Ref(7).is_unbound_at(7));
-        assert!(!Cell::Ref(7).is_unbound_at(8));
-        assert!(!Cell::Int(7).is_unbound_at(7));
-    }
-
-    #[test]
-    fn atomic_cells() {
-        assert!(Cell::Int(1).is_atomic());
-        assert!(Cell::Con(Atom(0)).is_atomic());
-        assert!(!Cell::Ref(0).is_atomic());
-        assert!(!Cell::Str(0).is_atomic());
-    }
 
     #[test]
     fn expect_helpers() {

@@ -9,7 +9,7 @@ use crate::frames::{choice, goal_frame, marker, parcall};
 use crate::known;
 use crate::layout::{board, Area, ObjectKind};
 use crate::worker::WorkerStatus;
-use pwam_front::term::Term;
+use pwam_front::Term;
 use std::sync::atomic::Ordering;
 
 impl<'a, 'p> Step<'a, 'p> {

@@ -40,8 +40,8 @@ use crate::stats::RunStats;
 use crate::trace::MemRef;
 use crate::worker::{Worker, WorkerStatus};
 use pwam_compiler::CompiledProgram;
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -98,7 +98,7 @@ pub struct EngineConfig {
     /// preempted one-shot run
     /// fails with [`EngineError::FuelExhausted`]; a resumable run suspends
     /// with [`SuspendReason::FuelExhausted`] and continues via
-    /// [`HostResult::Continue`].
+    /// `HostResult::Continue`.
     pub fuel: Option<u64>,
 }
 
@@ -116,13 +116,6 @@ impl Default for EngineConfig {
             time_budget: None,
             fuel: None,
         }
-    }
-}
-
-impl EngineConfig {
-    /// Configuration with `n` workers and default memory sizes.
-    pub fn with_workers(n: usize) -> Self {
-        EngineConfig { num_workers: n, ..Default::default() }
     }
 }
 
@@ -159,13 +152,13 @@ pub struct RunResult {
     pub trace: Option<Vec<MemRef>>,
 }
 
-/// What a resumable run ([`Engine::run_resumable`] / [`Engine::resume`])
+/// What a resumable run ([`Engine::run_resumable`] / `Engine::resume`)
 /// returned control for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The query ran to a terminal state: either it failed (no/none further
     /// answers) or the caller committed to the last answer.  Read the final
-    /// [`RunResult`] with [`Engine::take_result`] / [`Engine::into_result`].
+    /// [`RunResult`] with `Engine::take_result` / [`Engine::into_result`].
     Complete,
     /// Execution is parked between instructions, waiting on the host.
     Suspended(SuspendReason),
@@ -174,25 +167,25 @@ pub enum RunOutcome {
 /// Why a resumable engine suspended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SuspendReason {
-    /// An answer is available ([`Engine::answer_bindings`]).  Resume with
-    /// [`HostResult::Redo`] to fail back into the engine for the next
-    /// answer, or [`HostResult::Commit`] to accept it and finish.
+    /// An answer is available (`Engine::answer_bindings`).  Resume with
+    /// `HostResult::Redo` to fail back into the engine for the next
+    /// answer, or `HostResult::Commit` to accept it and finish.
     AnswerReady,
     /// A registered host predicate was called.  `args` are the call's
     /// argument terms (extracted from the machine state); resume with
-    /// [`HostResult::Succeed`] (optionally binding arguments) or
-    /// [`HostResult::Fail`].
+    /// `HostResult::Succeed` (optionally binding arguments) or
+    /// `HostResult::Fail`.
     HostCall {
         /// The host predicate's name (from the compiled program's registry).
         name: String,
         /// The call's arguments, as terms.  Unbound variables appear as
         /// `Term::Var("_G…")` and can be bound through
-        /// [`HostResult::Succeed`] by argument position.
+        /// `HostResult::Succeed` by argument position.
         args: Vec<Term>,
     },
     /// The per-leg instruction-fuel budget ran out before the query produced
     /// an answer.  The machine state is parked between scheduling rounds;
-    /// resume with [`HostResult::Continue`] (after re-admitting the query)
+    /// resume with `HostResult::Continue` (after re-admitting the query)
     /// to grant another leg of fuel and keep executing exactly where the
     /// run left off.
     FuelExhausted,
@@ -200,7 +193,7 @@ pub enum SuspendReason {
 
 /// The host's reply when re-entering a suspended engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HostResult {
+pub(crate) enum HostResult {
     /// After [`SuspendReason::AnswerReady`]: reject the answer and
     /// backtrack for the next one.
     Redo,
@@ -240,24 +233,24 @@ pub(crate) struct PendingHostCall {
 pub(crate) struct PeBoard {
     /// Goal Frames currently on this PE's Goal Stack (addresses, oldest
     /// first); pushes come from the owner, pops from owner and thieves.
-    pub goal_frames: Vec<u32>,
+    pub(crate) goal_frames: Vec<u32>,
     /// Authoritative Goal-Stack allocation top.
-    pub goal_top: u32,
+    pub(crate) goal_top: u32,
     /// Next free slot in the Message Buffer (bump allocation with wrap).
-    pub msg_top: u32,
+    pub(crate) msg_top: u32,
     /// Number of unread messages in the Message Buffer.
-    pub pending_messages: u32,
+    pub(crate) pending_messages: u32,
     /// Pending `cancel_goal` requests `(pf, slot)` for in-flight stolen
     /// goals this PE is executing, posted by the cancelling parent under
     /// this board's lock and drained by the owner at instruction-batch
     /// boundaries.
-    pub cancel_requests: Vec<(u32, u32)>,
+    pub(crate) cancel_requests: Vec<(u32, u32)>,
     /// Goals thieves took from this PE's Goal Stack (a statistic, counted
     /// inside the critical section of the pop).
-    pub steal_notices: u64,
+    pub(crate) steal_notices: u64,
     /// `cancel_goal` requests posted to this PE (a statistic, counted beside
     /// the push onto `cancel_requests`).
-    pub cancel_notices: u64,
+    pub(crate) cancel_notices: u64,
 }
 
 /// `finished` encoding in [`EngineCore`].
@@ -311,10 +304,10 @@ const _: () = {
 /// mutexes), so a `&EngineCore` can be handed to any number of OS threads;
 /// each thread pairs it with the `&mut Worker` it exclusively owns (see
 /// `Step`).
-pub struct EngineCore<'p> {
-    pub program: &'p CompiledProgram,
-    pub config: EngineConfig,
-    pub mem: Memory,
+pub(crate) struct EngineCore<'p> {
+    pub(crate) program: &'p CompiledProgram,
+    pub(crate) config: EngineConfig,
+    pub(crate) mem: Memory,
     /// Query status: `RUNNING` / `SUCCEEDED` / `FAILED`.
     finished: AtomicU8,
     /// Instructions executed (all PEs).  The strict driver owns the engine
@@ -380,7 +373,7 @@ impl<'p> EngineCore<'p> {
     /// A *suspended* engine (parked at a host call) reports `None`: it has
     /// no outcome yet.  Drivers must gate on `EngineCore::halted`, which
     /// also covers suspension.
-    pub fn finished(&self) -> Option<bool> {
+    pub(crate) fn finished(&self) -> Option<bool> {
         match self.finished.load(Ordering::Acquire) {
             RUNNING | SUSPENDED | PREEMPTED => None,
             SUCCEEDED => Some(true),
@@ -428,7 +421,7 @@ impl<'p> EngineCore<'p> {
     }
 
     /// Instructions executed so far across all PEs (as of the last flush).
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
     }
 
@@ -515,16 +508,16 @@ impl<'p> EngineCore<'p> {
 ///
 /// ```
 /// use pwam_compiler::{compile_program_and_query, CompileOptions};
-/// use pwam_front::{parser, SymbolTable};
+/// use pwam_front::{parse_program, parse_query, SymbolTable};
 /// use rapwam::{Engine, EngineConfig};
 ///
 /// let mut syms = SymbolTable::new();
-/// let program = parser::parse_program("p(1).\np(2).", &mut syms).unwrap();
-/// let query = parser::parse_query("p(X)", &mut syms).unwrap();
+/// let program = parse_program("p(1).\np(2).", &mut syms).unwrap();
+/// let query = parse_query("p(X)", &mut syms).unwrap();
 /// let compiled =
 ///     compile_program_and_query(&program, &query, &mut syms, CompileOptions::parallel()).unwrap();
 ///
-/// let engine = Engine::new(&compiled, EngineConfig::with_workers(2));
+/// let engine = Engine::new(&compiled, EngineConfig { num_workers: 2, ..EngineConfig::default() });
 /// let result = engine.run(&syms).unwrap();
 /// assert!(result.outcome.is_success());
 /// ```
@@ -680,7 +673,7 @@ impl<'p> Engine<'p> {
     /// answer ([`SuspendReason::AnswerReady`]) or at a host-predicate call
     /// ([`SuspendReason::HostCall`]).  The engine comes back with its entire
     /// machine state parked between instructions (worker registers, env/cp
-    /// caches, [`Memory`] intact) so [`Engine::resume`] re-enters exactly
+    /// caches, [`Memory`] intact) so `Engine::resume` re-enters exactly
     /// where execution left off.
     pub fn run_resumable(mut self) -> EngineResult<(RunOutcome, Engine<'p>)> {
         self.core.start_leg();
@@ -694,7 +687,7 @@ impl<'p> Engine<'p> {
     /// [`SuspendReason::HostCall`] takes [`HostResult::Succeed`] or
     /// [`HostResult::Fail`].  Anything else (including resuming an engine
     /// that already completed) is an [`EngineError::Internal`].
-    pub fn resume(mut self, result: HostResult) -> EngineResult<(RunOutcome, Engine<'p>)> {
+    pub(crate) fn resume(mut self, result: HostResult) -> EngineResult<(RunOutcome, Engine<'p>)> {
         // Each `resume` leg is a fresh request from the serving layer's point
         // of view.
         self.core.start_leg();

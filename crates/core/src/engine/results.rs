@@ -9,8 +9,8 @@ use crate::layout::{board, ObjectKind};
 use crate::stats::{RunStats, WorkerStats};
 use crate::trace::{AreaStats, MemRef};
 use crate::worker::park_records;
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
@@ -23,7 +23,7 @@ impl<'p> Engine<'p> {
     /// rendering (variables print as `_G<addr>`; atoms keep their interned
     /// [`pwam_front::Atom`] inside the returned [`Term`]s).  Only meaningful
     /// while suspended at [`SuspendReason::AnswerReady`](super::SuspendReason::AnswerReady).
-    pub fn answer_bindings(&self) -> EngineResult<Vec<(String, Term)>> {
+    pub(crate) fn answer_bindings(&self) -> EngineResult<Vec<(String, Term)>> {
         if self.core.mem.shared_read(board::STATUS) != Cell::Uint(board::STATUS_SUCCEEDED) {
             return Ok(Vec::new());
         }
@@ -50,7 +50,7 @@ impl<'p> Engine<'p> {
     /// it is the total order the race on the counter produced, each PE's
     /// records in its program order.  The emptied buffers are parked for the
     /// next traced build.
-    pub fn take_trace(&mut self) -> Option<Vec<MemRef>> {
+    pub(crate) fn take_trace(&mut self) -> Option<Vec<MemRef>> {
         let n = self.core.mem.seqs_claimed();
         // Every element is overwritten: `n` distinct indices get placed.
         let mut all = vec![MemRef::new(0, 0, false, ObjectKind::HeapTerm); n];
@@ -78,7 +78,7 @@ impl<'p> Engine<'p> {
     /// parked at a host call or at spent fuel has no result yet: that is an
     /// [`EngineError::Internal`].  `_syms` is not read: answers keep their
     /// interned atoms and are rendered later.
-    pub fn take_result(&mut self, _syms: &SymbolTable) -> EngineResult<RunResult> {
+    pub(crate) fn take_result(&mut self, _syms: &SymbolTable) -> EngineResult<RunResult> {
         let outcome = match self.core.finished() {
             Some(true) => Outcome::Success(self.answer_bindings()?),
             Some(false) => Outcome::Failure,

@@ -36,7 +36,7 @@ impl<'p> Engine<'p> {
 
     /// True once the engine has succeeded, failed or suspended — the
     /// drivers' exit condition (see `EngineCore::halted`).
-    pub fn halted(&self) -> bool {
+    pub(crate) fn halted(&self) -> bool {
         self.core.halted()
     }
 

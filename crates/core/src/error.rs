@@ -70,7 +70,7 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Result alias for engine operations.
-pub type EngineResult<T> = Result<T, EngineError>;
+pub(crate) type EngineResult<T> = Result<T, EngineError>;
 
 #[cfg(test)]
 mod tests {

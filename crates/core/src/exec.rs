@@ -24,7 +24,7 @@ use crate::known;
 use crate::layout::{Area, ObjectKind};
 use crate::worker::{Mode, Resume, WorkerStatus};
 use pwam_compiler::{decode_reg, CodeAddr, ConstKey, DenseInstr, DenseOp, Instr, Reg};
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 
 /// How the flattened dispatch loop advances the program counter after one
 /// instruction.

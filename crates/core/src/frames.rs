@@ -13,17 +13,17 @@
 /// E+2  N    number of permanent variables (Uint)
 /// E+3.. Y1..Yn
 /// ```
-pub mod env {
-    pub const CE: u32 = 0;
-    pub const CP: u32 = 1;
-    pub const NVARS: u32 = 2;
-    pub const HEADER: u32 = 3;
+pub(crate) mod env {
+    pub(crate) const CE: u32 = 0;
+    pub(crate) const CP: u32 = 1;
+    pub(crate) const NVARS: u32 = 2;
+    pub(crate) const HEADER: u32 = 3;
     /// Address of permanent variable `Yn` (1-based) in the environment at `e`.
-    pub fn y_addr(e: u32, n: u16) -> u32 {
+    pub(crate) fn y_addr(e: u32, n: u16) -> u32 {
         e + HEADER + (n as u32) - 1
     }
     /// Total size of an environment with `n` permanent variables.
-    pub fn size(n: u32) -> u32 {
+    pub(crate) fn size(n: u32) -> u32 {
         HEADER + n
     }
 }
@@ -43,40 +43,40 @@ pub mod env {
 /// B+n+8      saved local-stack top
 /// B+n+9      saved B0 (cut barrier)
 /// ```
-pub mod choice {
-    pub const NARGS: u32 = 0;
-    pub const FIXED: u32 = 10;
-    pub fn arg(b: u32, i: u32) -> u32 {
+pub(crate) mod choice {
+    pub(crate) const NARGS: u32 = 0;
+    pub(crate) const FIXED: u32 = 10;
+    pub(crate) fn arg(b: u32, i: u32) -> u32 {
         b + 1 + i
     }
-    pub fn saved_e(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_e(b: u32, n: u32) -> u32 {
         b + n + 1
     }
-    pub fn saved_cp(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_cp(b: u32, n: u32) -> u32 {
         b + n + 2
     }
-    pub fn prev_b(b: u32, n: u32) -> u32 {
+    pub(crate) fn prev_b(b: u32, n: u32) -> u32 {
         b + n + 3
     }
-    pub fn next_clause(b: u32, n: u32) -> u32 {
+    pub(crate) fn next_clause(b: u32, n: u32) -> u32 {
         b + n + 4
     }
-    pub fn saved_tr(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_tr(b: u32, n: u32) -> u32 {
         b + n + 5
     }
-    pub fn saved_h(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_h(b: u32, n: u32) -> u32 {
         b + n + 6
     }
-    pub fn saved_pf(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_pf(b: u32, n: u32) -> u32 {
         b + n + 7
     }
-    pub fn saved_local_top(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_local_top(b: u32, n: u32) -> u32 {
         b + n + 8
     }
-    pub fn saved_b0(b: u32, n: u32) -> u32 {
+    pub(crate) fn saved_b0(b: u32, n: u32) -> u32 {
         b + n + 9
     }
-    pub fn size(n: u32) -> u32 {
+    pub(crate) fn size(n: u32) -> u32 {
         n + FIXED
     }
 }
@@ -95,17 +95,17 @@ pub mod choice {
 /// M+6  local-stack top at goal entry
 /// M+7  E at goal entry
 /// ```
-pub mod marker {
-    pub const KIND: u32 = 0;
-    pub const PF: u32 = 1;
-    pub const SLOT: u32 = 2;
-    pub const ENTRY_B: u32 = 3;
-    pub const ENTRY_TR: u32 = 4;
-    pub const ENTRY_H: u32 = 5;
-    pub const ENTRY_LOCAL_TOP: u32 = 6;
-    pub const ENTRY_E: u32 = 7;
-    pub const SIZE: u32 = 8;
-    pub const KIND_GOAL: u32 = 1;
+pub(crate) mod marker {
+    pub(crate) const KIND: u32 = 0;
+    pub(crate) const PF: u32 = 1;
+    pub(crate) const SLOT: u32 = 2;
+    pub(crate) const ENTRY_B: u32 = 3;
+    pub(crate) const ENTRY_TR: u32 = 4;
+    pub(crate) const ENTRY_H: u32 = 5;
+    pub(crate) const ENTRY_LOCAL_TOP: u32 = 6;
+    pub(crate) const ENTRY_E: u32 = 7;
+    pub(crate) const SIZE: u32 = 8;
+    pub(crate) const KIND_GOAL: u32 = 1;
 }
 
 /// Parcall Frame (Local stack).
@@ -131,37 +131,37 @@ pub mod marker {
 /// PF+8+2k    PE executing goal k (written lazily by the thief, before it
 ///            sets the status to taken; read only behind a taken status)
 /// ```
-pub mod parcall {
-    pub const NGOALS: u32 = 0;
-    pub const TO_SCHEDULE: u32 = 1;
-    pub const COMPLETED: u32 = 2;
-    pub const STATUS: u32 = 3;
-    pub const PARENT_PE: u32 = 4;
-    pub const PREV_PF: u32 = 5;
-    pub const ENTRY_B: u32 = 6;
-    pub const HEADER: u32 = 7;
-    pub const STATUS_OK: u32 = 0;
-    pub const STATUS_FAILED: u32 = 1;
+pub(crate) mod parcall {
+    pub(crate) const NGOALS: u32 = 0;
+    pub(crate) const TO_SCHEDULE: u32 = 1;
+    pub(crate) const COMPLETED: u32 = 2;
+    pub(crate) const STATUS: u32 = 3;
+    pub(crate) const PARENT_PE: u32 = 4;
+    pub(crate) const PREV_PF: u32 = 5;
+    pub(crate) const ENTRY_B: u32 = 6;
+    pub(crate) const HEADER: u32 = 7;
+    pub(crate) const STATUS_OK: u32 = 0;
+    pub(crate) const STATUS_FAILED: u32 = 1;
     /// Backward execution has begun on this frame: un-stolen Goal Frames are
     /// retracted and in-flight ones drain through the completion protocol.
     /// Ordered above `STATUS_FAILED` so status updates can use a
     /// `max`-merge: a failing in-flight goal never downgrades a cancelled
     /// frame back to merely failed.
-    pub const STATUS_CANCELLED: u32 = 2;
-    pub const SLOT_PENDING: u32 = 0;
-    pub const SLOT_TAKEN: u32 = 1;
-    pub const SLOT_DONE: u32 = 2;
-    pub const SLOT_FAILED: u32 = 3;
+    pub(crate) const STATUS_CANCELLED: u32 = 2;
+    pub(crate) const SLOT_PENDING: u32 = 0;
+    pub(crate) const SLOT_TAKEN: u32 = 1;
+    pub(crate) const SLOT_DONE: u32 = 2;
+    pub(crate) const SLOT_FAILED: u32 = 3;
     /// The goal was retracted un-executed (or aborted mid-flight) by
     /// parcall cancellation.
-    pub const SLOT_CANCELLED: u32 = 4;
-    pub fn slot_status(pf: u32, k: u32) -> u32 {
+    pub(crate) const SLOT_CANCELLED: u32 = 4;
+    pub(crate) fn slot_status(pf: u32, k: u32) -> u32 {
         pf + HEADER + 2 * k
     }
-    pub fn slot_pe(pf: u32, k: u32) -> u32 {
+    pub(crate) fn slot_pe(pf: u32, k: u32) -> u32 {
         pf + HEADER + 2 * k + 1
     }
-    pub fn size(n: u32) -> u32 {
+    pub(crate) fn size(n: u32) -> u32 {
         HEADER + 2 * n
     }
 }
@@ -175,16 +175,16 @@ pub mod parcall {
 /// G+3        slot index
 /// G+4+i      argument cells
 /// ```
-pub mod goal_frame {
-    pub const CODE: u32 = 0;
-    pub const ARITY: u32 = 1;
-    pub const PF: u32 = 2;
-    pub const SLOT: u32 = 3;
-    pub const HEADER: u32 = 4;
-    pub fn arg(g: u32, i: u32) -> u32 {
+pub(crate) mod goal_frame {
+    pub(crate) const CODE: u32 = 0;
+    pub(crate) const ARITY: u32 = 1;
+    pub(crate) const PF: u32 = 2;
+    pub(crate) const SLOT: u32 = 3;
+    pub(crate) const HEADER: u32 = 4;
+    pub(crate) fn arg(g: u32, i: u32) -> u32 {
         g + HEADER + i
     }
-    pub fn size(arity: u32) -> u32 {
+    pub(crate) fn size(arity: u32) -> u32 {
         HEADER + arity
     }
 }
@@ -196,16 +196,16 @@ pub mod goal_frame {
 /// +1  Parcall Frame address
 /// +2  slot index
 /// ```
-pub mod message {
-    pub const KIND: u32 = 0;
-    pub const PF: u32 = 1;
-    pub const SLOT: u32 = 2;
-    pub const SIZE: u32 = 3;
-    pub const KIND_DONE: u32 = 1;
-    pub const KIND_FAILED: u32 = 2;
+pub(crate) mod message {
+    pub(crate) const KIND: u32 = 0;
+    pub(crate) const PF: u32 = 1;
+    pub(crate) const SLOT: u32 = 2;
+    pub(crate) const SIZE: u32 = 3;
+    pub(crate) const KIND_DONE: u32 = 1;
+    pub(crate) const KIND_FAILED: u32 = 2;
     /// The goal was aborted by a `cancel_goal` request from the parent's
     /// backward execution; it still commits through the normal protocol.
-    pub const KIND_CANCELLED: u32 = 3;
+    pub(crate) const KIND_CANCELLED: u32 = 3;
 }
 
 #[cfg(test)]

@@ -6,26 +6,24 @@
 //! functors without needing the symbol table at execution time.  A unit test
 //! below guards against the two crates drifting apart.
 
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 
 /// `[]`
-pub const NIL: Atom = Atom(0);
+pub(crate) const NIL: Atom = Atom(0);
 /// `'.'` — list constructor.
-pub const DOT: Atom = Atom(1);
-/// `true`
-pub const TRUE: Atom = Atom(2);
+pub(crate) const DOT: Atom = Atom(1);
 /// `-`
-pub const MINUS: Atom = Atom(12);
+pub(crate) const MINUS: Atom = Atom(12);
 /// `+`
-pub const PLUS: Atom = Atom(13);
+pub(crate) const PLUS: Atom = Atom(13);
 /// `*`
-pub const STAR: Atom = Atom(14);
+pub(crate) const STAR: Atom = Atom(14);
 /// `/`
-pub const SLASH: Atom = Atom(15);
+pub(crate) const SLASH: Atom = Atom(15);
 /// `mod`
-pub const MOD: Atom = Atom(16);
+pub(crate) const MOD: Atom = Atom(16);
 /// `//`
-pub const INT_DIV: Atom = Atom(17);
+pub(crate) const INT_DIV: Atom = Atom(17);
 
 #[cfg(test)]
 mod tests {
@@ -35,15 +33,17 @@ mod tests {
     #[test]
     fn constants_match_the_symbol_table() {
         let t = SymbolTable::new();
-        let wk = t.well_known();
-        assert_eq!(NIL, wk.nil);
-        assert_eq!(DOT, wk.dot);
-        assert_eq!(TRUE, wk.truth);
-        assert_eq!(MINUS, wk.minus);
-        assert_eq!(PLUS, wk.plus);
-        assert_eq!(STAR, wk.star);
-        assert_eq!(SLASH, wk.slash);
-        assert_eq!(MOD, wk.modulo);
-        assert_eq!(INT_DIV, wk.int_div);
+        for (atom, name) in [
+            (NIL, "[]"),
+            (DOT, "."),
+            (MINUS, "-"),
+            (PLUS, "+"),
+            (STAR, "*"),
+            (SLASH, "/"),
+            (MOD, "mod"),
+            (INT_DIV, "//"),
+        ] {
+            assert_eq!(t.lookup(name), Some(atom), "{name}");
+        }
     }
 }

@@ -35,7 +35,7 @@ impl Area {
 
     /// Stable index (used by statistics tables).
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Area::Heap => 0,
             Area::LocalStack => 1,
@@ -150,7 +150,7 @@ impl ObjectKind {
     /// [`ObjectKind::ALL`]).  The discriminant *is* the table position, so
     /// statistics tables index in O(1) instead of scanning `ALL`.
     #[inline(always)]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -249,7 +249,7 @@ impl MemoryConfig {
     }
 
     /// Offset of an area within a Stack Set.
-    pub fn area_offset(&self, area: Area) -> u32 {
+    pub(crate) fn area_offset(&self, area: Area) -> u32 {
         match area {
             Area::Heap => 0,
             Area::LocalStack => self.heap_words,
@@ -271,7 +271,7 @@ impl MemoryConfig {
     }
 
     /// Size of an area in words.
-    pub fn area_size(&self, area: Area) -> u32 {
+    pub(crate) fn area_size(&self, area: Area) -> u32 {
         match area {
             Area::Heap => self.heap_words,
             Area::LocalStack => self.local_words,
@@ -292,27 +292,27 @@ impl MemoryConfig {
 /// the untraced [`crate::mem::Memory::shared_read`] /
 /// [`crate::mem::Memory::shared_write`] accessors, so it never perturbs the
 /// paper's per-Stack-Set reference counts.
-pub const SHARED_REGION_WORDS: u32 = 64;
+pub(crate) const SHARED_REGION_WORDS: u32 = 64;
 
 /// Word offsets within the shared region ("query board").
-pub mod board {
+pub(crate) mod board {
     /// Query status: 0 = running, 1 = succeeded, 2 = failed.
-    pub const STATUS: u32 = 0;
+    pub(crate) const STATUS: u32 = 0;
     /// Worker id that produced the answer (valid when STATUS = 1).
-    pub const ANSWER_PE: u32 = 1;
+    pub(crate) const ANSWER_PE: u32 = 1;
     /// Environment address holding the answer bindings (valid when STATUS = 1).
-    pub const ANSWER_ENV: u32 = 2;
+    pub(crate) const ANSWER_ENV: u32 = 2;
 
-    pub const STATUS_RUNNING: u32 = 0;
-    pub const STATUS_SUCCEEDED: u32 = 1;
-    pub const STATUS_FAILED: u32 = 2;
+    pub(crate) const STATUS_RUNNING: u32 = 0;
+    pub(crate) const STATUS_SUCCEEDED: u32 = 1;
+    pub(crate) const STATUS_FAILED: u32 = 2;
 }
 
 /// Maps global word addresses to (worker, area) and back.
 #[derive(Debug, Clone)]
-pub struct AddressMap {
-    pub config: MemoryConfig,
-    pub num_workers: usize,
+pub(crate) struct AddressMap {
+    pub(crate) config: MemoryConfig,
+    pub(crate) num_workers: usize,
     /// Cached `config.stack_set_words()`: `owner`/`area_of` sit on the
     /// memory-access path, and recomputing the six-term sum per call costs
     /// more than the division it feeds.
@@ -320,43 +320,37 @@ pub struct AddressMap {
 }
 
 impl AddressMap {
-    pub fn new(config: MemoryConfig, num_workers: usize) -> Self {
+    pub(crate) fn new(config: MemoryConfig, num_workers: usize) -> Self {
         let set_words = config.stack_set_words();
         AddressMap { config, num_workers, set_words }
     }
 
-    /// Total size of the data memory in words: one Stack Set per worker plus
-    /// the shared region.
-    pub fn total_words(&self) -> u64 {
-        self.set_words as u64 * self.num_workers as u64 + SHARED_REGION_WORDS as u64
-    }
-
     /// Base address of the shared region (one past the last Stack Set).
-    pub fn shared_base(&self) -> u32 {
+    pub(crate) fn shared_base(&self) -> u32 {
         self.set_words * self.num_workers as u32
     }
 
     /// Base address of `area` in the Stack Set of `worker`.
-    pub fn area_base(&self, worker: usize, area: Area) -> u32 {
+    pub(crate) fn area_base(&self, worker: usize, area: Area) -> u32 {
         debug_assert!(worker < self.num_workers);
         worker as u32 * self.set_words + self.config.area_offset(area)
     }
 
     /// One-past-the-end address of `area` in the Stack Set of `worker`.
-    pub fn area_end(&self, worker: usize, area: Area) -> u32 {
+    pub(crate) fn area_end(&self, worker: usize, area: Area) -> u32 {
         self.area_base(worker, area) + self.config.area_size(area)
     }
 
     /// Which worker owns a global address (must lie inside a Stack Set, not
     /// the shared region).
     #[inline(always)]
-    pub fn owner(&self, addr: u32) -> usize {
+    pub(crate) fn owner(&self, addr: u32) -> usize {
         debug_assert!(addr < self.shared_base(), "address {addr} lies in the shared region");
         (addr / self.set_words) as usize
     }
 
     /// Which area a global address belongs to.
-    pub fn area_of(&self, addr: u32) -> Area {
+    pub(crate) fn area_of(&self, addr: u32) -> Area {
         let within = addr % self.set_words;
         // Walk the areas in layout order; there are only seven.
         for area in Area::ALL {
@@ -446,8 +440,8 @@ mod tests {
     fn total_words_scales_with_workers() {
         let map1 = AddressMap::new(MemoryConfig::small(), 1);
         let map8 = AddressMap::new(MemoryConfig::small(), 8);
-        let shared = SHARED_REGION_WORDS as u64;
-        assert_eq!(map8.total_words() - shared, 8 * (map1.total_words() - shared));
+        // Everything below the shared region is Stack Sets, one per worker.
+        assert_eq!(map8.shared_base(), 8 * map1.shared_base());
     }
 
     #[test]
@@ -458,6 +452,5 @@ mod tests {
                 assert!(map.area_end(w, area) <= map.shared_base());
             }
         }
-        assert_eq!(map.total_words(), map.shared_base() as u64 + SHARED_REGION_WORDS as u64);
     }
 }

@@ -39,36 +39,35 @@
 //! assert_eq!(session.render(f), "55");
 //! ```
 
-pub mod answer;
-pub mod arith;
-pub mod builtins;
-pub mod cell;
-pub mod engine;
-pub mod error;
-pub mod exec;
-pub mod frames;
-pub mod known;
-pub mod layout;
-pub mod mem;
+#![warn(unreachable_pub)]
+
+mod answer;
+mod arith;
+mod builtins;
+mod cell;
+mod engine;
+mod error;
+mod exec;
+mod frames;
+mod known;
+mod layout;
+mod mem;
 #[cfg(test)]
 mod model;
 mod parked;
-pub mod sched;
+mod sched;
 pub mod session;
-pub mod stats;
+mod stats;
 pub mod trace;
-pub mod unify;
-pub mod worker;
+mod unify;
+mod worker;
 
-pub use cell::{Cell, NONE_ADDR};
-pub use engine::{
-    Engine, EngineConfig, EngineCore, HostResult, Outcome, RunOutcome, RunResult, SuspendReason,
-};
-pub use error::{EngineError, EngineResult};
+pub use engine::{Engine, EngineConfig, Outcome, RunOutcome, RunResult, SuspendReason};
+pub use error::EngineError;
 pub use layout::{Area, Locality, MemoryConfig, ObjectKind};
-pub use mem::{Memory, StackSetArena};
-pub use pwam_front::term::Term;
+pub use mem::Memory;
+pub use pwam_front::Term;
 pub use sched::{DeterminismMode, SchedulerKind};
-pub use session::{CursorStep, HostFn, QueryCursor, QueryOptions, Session, SessionError};
+pub use session::{CursorStep, QueryCursor, QueryOptions, Session, SessionError};
 pub use stats::{RunStats, WorkerStats};
 pub use trace::{AreaStats, MemRef};

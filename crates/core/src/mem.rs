@@ -84,7 +84,7 @@ use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
 use crate::layout::{AddressMap, Area, MemoryConfig, SHARED_REGION_WORDS};
 use crate::parked::Parked;
-use pwam_front::atoms::Atom;
+use pwam_front::Atom;
 use pwam_front::{INT_MAX, INT_MIN};
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -273,7 +273,7 @@ type Marks = [AtomicUsize; Area::ALL.len()];
 
 /// The storage of one PE's Stack Set: its words and their reset marks.
 #[derive(Debug)]
-pub struct StackSetArena {
+pub(crate) struct StackSetArena {
     /// Global address of the arena's first word.
     base: u32,
     words: Box<[Word]>,
@@ -425,7 +425,7 @@ pub struct Memory {
     arenas: Vec<StackSetArena>,
     /// The shared coordination region (query board); untraced by design.
     shared: Mutex<Vec<Cell>>,
-    pub map: AddressMap,
+    pub(crate) map: AddressMap,
     /// Next global sequence number (traced references issued so far).
     seq: AtomicU64,
     collect_trace: bool,
@@ -454,14 +454,9 @@ impl Memory {
 
     /// Total number of words in the memory: every Stack Set arena plus the
     /// shared region.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.arenas.iter().map(|a| a.words.len()).sum::<usize>() + SHARED_REGION_WORDS as usize
-    }
-
-    /// True if the memory holds no words.  Since the shared region always
-    /// exists this is never the case in practice.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of Stack Set arenas (one per PE).
@@ -472,7 +467,7 @@ impl Memory {
     /// Whether the run this memory was built or reset for collects a full
     /// trace: every PE then buffers a record per reference, each numbered
     /// by the memory's global sequence counter.
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.collect_trace
     }
 
@@ -589,7 +584,7 @@ impl Memory {
     /// Read one word without making a reference (answer extraction,
     /// debugging, scheduler shadow checks).
     #[inline]
-    pub fn read_untraced(&self, addr: u32) -> Cell {
+    pub(crate) fn read_untraced(&self, addr: u32) -> Cell {
         self.load(addr)
     }
 
@@ -597,35 +592,30 @@ impl Memory {
     /// region is host coordination state, not part of the paper's Table 1
     /// storage model.
     #[inline]
-    pub fn shared_read(&self, slot: u32) -> Cell {
+    pub(crate) fn shared_read(&self, slot: u32) -> Cell {
         self.shared.lock().unwrap()[slot as usize]
     }
 
     /// Write a word of the shared region (query board).  Untraced.
     #[inline]
-    pub fn shared_write(&self, slot: u32, value: Cell) {
+    pub(crate) fn shared_write(&self, slot: u32, value: Cell) {
         self.shared.lock().unwrap()[slot as usize] = value;
     }
 
     /// Check that `addr` (the next free word) still lies inside `area` of
     /// `worker`; produce an out-of-memory error otherwise.
-    pub fn check_top(&self, worker: usize, area: Area, addr: u32) -> EngineResult<()> {
+    pub(crate) fn check_top(&self, worker: usize, area: Area, addr: u32) -> EngineResult<()> {
         if addr >= self.map.area_end(worker, area) {
             Err(EngineError::OutOfMemory { worker, area })
         } else {
             Ok(())
         }
     }
-
-    /// Base address of an area for a worker (convenience forward).
-    pub fn area_base(&self, worker: usize, area: Area) -> u32 {
-        self.map.area_base(worker, area)
-    }
 }
 
 /// A dropped memory's word arrays are swept here — where the layout that
 /// gives the area offsets is still known — and parked, so a parked array is
-/// always all-[`Cell::Empty`] and its length is all a later build must match.
+/// always all-`Cell::Empty` and its length is all a later build must match.
 impl Drop for Memory {
     fn drop(&mut self) {
         self.sweep_words();
@@ -703,7 +693,7 @@ mod tests {
     #[test]
     fn read_write_round_trip() {
         let mut e = traced();
-        let base = e.core.mem.area_base(0, Area::Heap);
+        let base = e.core.mem.map.area_base(0, Area::Heap);
         let mut pe0 = pe(&mut e, 0);
         pe0.mem_write(base, Cell::Int(7), ObjectKind::HeapTerm);
         assert_eq!(pe0.mem_read(base, ObjectKind::HeapTerm), Cell::Int(7));
@@ -715,8 +705,8 @@ mod tests {
     #[test]
     fn trace_records_every_reference_in_order() {
         let mut e = traced();
-        let h = e.core.mem.area_base(1, Area::Heap);
-        let g = e.core.mem.area_base(1, Area::GoalStack);
+        let h = e.core.mem.map.area_base(1, Area::Heap);
+        let g = e.core.mem.map.area_base(1, Area::GoalStack);
         pe(&mut e, 1).mem_write(h, Cell::Int(1), ObjectKind::HeapTerm);
         pe(&mut e, 1).mem_write(g, Cell::Uint(2), ObjectKind::GoalFrame);
         pe(&mut e, 0).mem_read(h, ObjectKind::HeapTerm);
@@ -724,18 +714,18 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t[0].pe, 1);
         assert!(t[0].write);
-        assert_eq!(t[1].area, Area::GoalStack);
-        assert!(t[1].locked);
+        assert_eq!(t[1].area(), Area::GoalStack);
+        assert!(t[1].locked());
         assert_eq!(t[2].pe, 0);
         assert!(!t[2].write);
-        assert_eq!(t[2].locality, Locality::Global);
+        assert_eq!(t[2].locality(), Locality::Global);
     }
 
     #[test]
     fn merged_trace_interleaves_arenas_in_issue_order() {
         let mut e = traced();
-        let h0 = e.core.mem.area_base(0, Area::Heap);
-        let h1 = e.core.mem.area_base(1, Area::Heap);
+        let h0 = e.core.mem.map.area_base(0, Area::Heap);
+        let h1 = e.core.mem.map.area_base(1, Area::Heap);
         // Alternate writes between the two PEs; the merged trace must come
         // back in exactly this order even though the records were buffered
         // by two different workers.
@@ -752,7 +742,7 @@ mod tests {
     #[test]
     fn cross_pe_accesses_land_in_the_owning_arena() {
         let mut e = traced();
-        let h1 = e.core.mem.area_base(1, Area::Heap);
+        let h1 = e.core.mem.map.area_base(1, Area::Heap);
         // PE 0 writes into PE 1's heap: the word and its reset mark land in
         // arena 1 (the owner), the count with PE 0 (the issuer).
         pe(&mut e, 0).mem_write(h1 + 2, Cell::Int(9), ObjectKind::HeapTerm);
@@ -770,7 +760,7 @@ mod tests {
     #[test]
     fn untraced_reads_do_not_count() {
         let mut e = traced();
-        let base = e.core.mem.area_base(0, Area::Heap);
+        let base = e.core.mem.map.area_base(0, Area::Heap);
         pe(&mut e, 0).mem_write(base, Cell::Int(3), ObjectKind::HeapTerm);
         assert_eq!(e.core.mem.read_untraced(base), Cell::Int(3));
         assert_eq!(e.stats().area_stats.total.total(), 1, "only the traced write counts");
@@ -780,7 +770,7 @@ mod tests {
     #[test]
     fn rmw_records_a_read_then_a_write() {
         let mut e = traced();
-        let pf = e.core.mem.area_base(0, Area::LocalStack);
+        let pf = e.core.mem.map.area_base(0, Area::LocalStack);
         pe(&mut e, 0).mem_write(pf, Cell::Uint(3), ObjectKind::ParcallCount);
         let old = pe(&mut e, 1).mem_rmw(pf, ObjectKind::ParcallCount, |v| v + 1).unwrap();
         assert_eq!(old, 3);
@@ -802,7 +792,7 @@ mod tests {
     #[test]
     fn concurrent_rmw_never_loses_increments() {
         let mut e = machine(MemoryConfig::small(), 2, false);
-        let pf = e.core.mem.area_base(0, Area::LocalStack);
+        let pf = e.core.mem.map.area_base(0, Area::LocalStack);
         let rounds = if cfg!(miri) { 50 } else { 1000 };
         pe(&mut e, 0).mem_write(pf, Cell::Uint(0), ObjectKind::ParcallCount);
         let core = &e.core;
@@ -827,9 +817,9 @@ mod tests {
     fn owner_and_remote_writes_and_rmw_share_an_arena() {
         let mut e = machine(MemoryConfig::small(), 2, false);
         let rounds: u32 = if cfg!(miri) { 40 } else { 20_000 };
-        let heap = e.core.mem.area_base(0, Area::Heap);
+        let heap = e.core.mem.map.area_base(0, Area::Heap);
         let (own, remote) = (heap, heap + 1);
-        let count = e.core.mem.area_base(0, Area::LocalStack);
+        let count = e.core.mem.map.area_base(0, Area::LocalStack);
         pe(&mut e, 0).mem_write(count, Cell::Uint(0), ObjectKind::ParcallCount);
         // Each writer cycles through cells only it stores, so a loaded cell
         // is "one that was stored" iff it belongs to its word's own cycle.
@@ -918,7 +908,7 @@ mod tests {
     #[test]
     fn tracing_can_be_disabled() {
         let mut e = machine(MemoryConfig::small(), 1, false);
-        let base = e.core.mem.area_base(0, Area::Heap);
+        let base = e.core.mem.map.area_base(0, Area::Heap);
         pe(&mut e, 0).mem_write(base, Cell::Int(1), ObjectKind::HeapTerm);
         assert!(!e.core.mem.tracing());
         assert!(e.take_trace().is_none());
@@ -930,7 +920,7 @@ mod tests {
         let mut out = Vec::new();
         for w in 0..m.num_arenas() {
             for area in Area::ALL {
-                let (base, end) = (m.area_base(w, area), m.map.area_end(w, area));
+                let (base, end) = (m.map.area_base(w, area), m.map.area_end(w, area));
                 out.extend([base, base + (end - base) / 2, end - 1]);
             }
         }
@@ -962,8 +952,8 @@ mod tests {
     #[test]
     fn reset_clears_touched_words_counters_and_trace() {
         let mut e = traced();
-        let h0 = e.core.mem.area_base(0, Area::Heap);
-        let h1 = e.core.mem.area_base(1, Area::Heap);
+        let h0 = e.core.mem.map.area_base(0, Area::Heap);
+        let h1 = e.core.mem.map.area_base(1, Area::Heap);
         pe(&mut e, 0).mem_write(h0 + 3, Cell::Int(9), ObjectKind::HeapTerm);
         pe(&mut e, 1).mem_write(h1, Cell::Int(7), ObjectKind::HeapTerm);
         e.core.mem.shared_write(0, Cell::Uint(1));
@@ -996,8 +986,8 @@ mod tests {
     #[test]
     fn reset_sweeps_each_area_only_up_to_its_own_mark() {
         let mut e = traced();
-        let h = e.core.mem.area_base(0, Area::Heap);
-        let c = e.core.mem.area_base(0, Area::ControlStack);
+        let h = e.core.mem.map.area_base(0, Area::Heap);
+        let c = e.core.mem.map.area_base(0, Area::ControlStack);
         pe(&mut e, 0).mem_write(h + 1, Cell::Int(1), ObjectKind::HeapTerm);
         pe(&mut e, 0).mem_write(c, Cell::Uint(2), ObjectKind::ChoicePoint);
         let a = &e.core.mem.arenas[0];
@@ -1026,8 +1016,8 @@ mod tests {
     #[test]
     fn reset_honours_the_owner_marks_and_the_recorded_marks() {
         let mut e = machine(MemoryConfig::small(), 2, false);
-        let h = e.core.mem.area_base(0, Area::Heap);
-        let msg = e.core.mem.area_base(0, Area::MessageBuffer);
+        let h = e.core.mem.map.area_base(0, Area::Heap);
+        let msg = e.core.mem.map.area_base(0, Area::MessageBuffer);
         // The owner writes low; a remote PE's writes land above it in the
         // same area (a binding) and in an area the owner never wrote (a
         // Message).
@@ -1084,7 +1074,7 @@ mod tests {
     fn two_remote_pes_storing_into_one_arena_never_lose_a_reset_mark() {
         let mut e = machine(MemoryConfig::small(), 3, false);
         let rounds: usize = if cfg!(miri) { 30 } else { 4000 };
-        let h = e.core.mem.area_base(0, Area::Heap);
+        let h = e.core.mem.map.area_base(0, Area::Heap);
         pe(&mut e, 0).mem_write(h, Cell::Int(1), ObjectKind::HeapTerm);
         let (core, arrived) = (&e.core, AtomicUsize::new(0));
         let mark = &core.mem.arenas[0].remote_marks[Area::Heap.index()];
@@ -1132,7 +1122,7 @@ mod tests {
         let arrays = word_arrays(&e.core.mem);
         // An `Int` from a remote PE and from the owner, so a word is dirty
         // under either kind of mark.
-        let msg = e.core.mem.area_base(1, Area::MessageBuffer);
+        let msg = e.core.mem.map.area_base(1, Area::MessageBuffer);
         pe(&mut e, 0).mem_write(msg + 3, Cell::Int(INT_MIN), ObjectKind::Message);
         pe(&mut e, 0).mem_write(17, Cell::Int(-1), ObjectKind::HeapTerm);
         assert!(!e.core.mem.is_pristine());
@@ -1214,11 +1204,11 @@ mod tests {
         let rounds: u32 = if cfg!(miri) { 20 } else { 2000 };
         // Each PE writes its own heap, reads its neighbour's and bumps a
         // counter in arena 0, so every buffer interleaves with every other.
-        let count = one_thread.core.mem.area_base(0, Area::LocalStack);
+        let count = one_thread.core.mem.map.area_base(0, Area::LocalStack);
         let pe_loop = |mut pe: Step| {
             let w = pe.wk.id as usize;
-            let own = pe.core.mem.area_base(w, Area::Heap);
-            let neighbour = pe.core.mem.area_base((w + 1) % 4, Area::Heap);
+            let own = pe.core.mem.map.area_base(w, Area::Heap);
+            let neighbour = pe.core.mem.map.area_base((w + 1) % 4, Area::Heap);
             for i in 0..rounds {
                 pe.mem_write(own + i % 64, Cell::Uint(i), ObjectKind::HeapTerm);
                 pe.mem_read(neighbour + i % 64, ObjectKind::HeapTerm);
@@ -1248,9 +1238,9 @@ mod tests {
     fn an_untraced_run_counts_identically_to_a_traced_one() {
         let mut traced = machine(MemoryConfig::small(), 2, true);
         let mut untraced = machine(MemoryConfig::small(), 2, false);
-        let h = traced.core.mem.area_base(0, Area::Heap);
-        let t = traced.core.mem.area_base(0, Area::Trail);
-        let count = traced.core.mem.area_base(1, Area::LocalStack);
+        let h = traced.core.mem.map.area_base(0, Area::Heap);
+        let t = traced.core.mem.map.area_base(0, Area::Trail);
+        let count = traced.core.mem.map.area_base(1, Area::LocalStack);
         // Own-arena and cross-arena references of every flavour.
         for e in [&mut traced, &mut untraced] {
             pe(e, 0).mem_write(h, Cell::Int(1), ObjectKind::HeapTerm);
@@ -1398,7 +1388,5 @@ mod tests {
         let m = Memory::new(MemoryConfig::small(), 2, true);
         let expected = 2 * MemoryConfig::small().stack_set_words() as usize + SHARED_REGION_WORDS as usize;
         assert_eq!(m.len(), expected);
-        assert!(!m.is_empty());
-        assert_eq!(m.len() as u64, m.map.total_words());
     }
 }

@@ -15,10 +15,10 @@ use crate::stats::RunStats;
 use crate::trace::MemRef;
 use pwam_compiler::{compile_program_and_query_with_hosts, CompileError, CompileOptions, CompiledProgram};
 use pwam_front::clause::Program;
-use pwam_front::error::FrontError;
-use pwam_front::parser::{parse_program, parse_query};
-use pwam_front::term::Term;
+use pwam_front::FrontError;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
+use pwam_front::{parse_program, parse_query};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -227,15 +227,12 @@ pub struct Session {
     program: Program,
     /// Compiled (program, query) units keyed by query text and the full
     /// compilation mode (parallel × inline-first-goal); invalidated when
-    /// the program changes.
+    /// a host predicate is registered.
     compiled: HashMap<(String, bool, bool), Arc<CompiledProgram>>,
     /// Host predicates: closures the embedding application services when a
     /// query calls them.  Threaded into every compilation, so registering
     /// one invalidates the compiled-query cache.
     hosts: HashMap<(String, u8), Arc<HostFn>>,
-    /// Cache telemetry: (hits, misses) of [`Session::prepare`].
-    prepare_hits: u64,
-    prepare_misses: u64,
 }
 
 /// A host predicate's implementation: called with the goal's argument terms,
@@ -243,21 +240,14 @@ pub struct Session {
 /// `(index, term)` binding unifies `term` with the argument at that 0-based
 /// position (an un-unifiable binding fails the call like any unification
 /// mismatch would).
-pub type HostFn = dyn Fn(&[Term]) -> Option<Vec<(usize, Term)>> + Send + Sync;
+pub(crate) type HostFn = dyn Fn(&[Term]) -> Option<Vec<(usize, Term)>> + Send + Sync;
 
 impl Session {
     /// Parse a program from source text.
     pub fn new(program_src: &str) -> Result<Self, SessionError> {
         let mut syms = SymbolTable::new();
         let program = parse_program(program_src, &mut syms)?;
-        Ok(Session {
-            syms,
-            program,
-            compiled: HashMap::new(),
-            hosts: HashMap::new(),
-            prepare_hits: 0,
-            prepare_misses: 0,
-        })
+        Ok(Session { syms, program, compiled: HashMap::new(), hosts: HashMap::new() })
     }
 
     /// Register a host predicate `name/arity`.  Queries compiled after this
@@ -275,36 +265,9 @@ impl Session {
         self.compiled.clear();
     }
 
-    /// The registered host predicates, sorted (the compile-time registry
-    /// order).
-    pub fn registered_hosts(&self) -> Vec<(String, u8)> {
-        let mut out: Vec<(String, u8)> = self.hosts.keys().cloned().collect();
-        out.sort();
-        out
-    }
-
-    /// Append more clauses to the program (e.g. a driver or extra data).
-    /// Invalidates the compiled-query cache.
-    pub fn add_clauses(&mut self, src: &str) -> Result<(), SessionError> {
-        let extra = parse_program(src, &mut self.syms)?;
-        self.program.extend_from(&extra, &self.syms);
-        self.compiled.clear();
-        Ok(())
-    }
-
     /// The symbol table (needed to render answers).
     pub fn symbols(&self) -> &SymbolTable {
         &self.syms
-    }
-
-    /// Mutable access to the symbol table.
-    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.syms
-    }
-
-    /// The parsed program.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Compile the program with a query without running it.
@@ -323,7 +286,7 @@ impl Session {
         // Deterministic registry order: sorted by (name, arity).
         let mut host_names: Vec<(String, u8)> = self.hosts.keys().cloned().collect();
         host_names.sort();
-        let host_list: Vec<(pwam_front::atoms::Atom, u8)> =
+        let host_list: Vec<(pwam_front::Atom, u8)> =
             host_names.iter().map(|(n, a)| (self.syms.intern(n), *a)).collect();
         Ok(compile_program_and_query_with_hosts(&self.program, &query, &mut self.syms, opts, &host_list)?)
     }
@@ -345,11 +308,9 @@ impl Session {
     ) -> Result<Arc<CompiledProgram>, SessionError> {
         let key = (query_src.to_string(), opts.parallel, opts.inline_first_goal);
         if let Some(c) = self.compiled.get(&key) {
-            self.prepare_hits += 1;
             return Ok(Arc::clone(c));
         }
         let compiled = Arc::new(self.compile_with(query_src, opts)?);
-        self.prepare_misses += 1;
         // Long-lived sessions (the serving layer) see client-supplied query
         // text: bound the cache so it cannot grow without limit.  Overflow
         // drops the map wholesale — recompiling is cheap next to running.
@@ -358,16 +319,6 @@ impl Session {
         }
         self.compiled.insert(key, Arc::clone(&compiled));
         Ok(compiled)
-    }
-
-    /// Number of compiled queries currently cached.
-    pub fn prepared_queries(&self) -> usize {
-        self.compiled.len()
-    }
-
-    /// Cache telemetry of [`Session::prepare`]: `(hits, misses)`.
-    pub fn prepare_stats(&self) -> (u64, u64) {
-        (self.prepare_hits, self.prepare_misses)
     }
 
     /// Compile and run a query.  Compilations are cached, so re-running the
@@ -410,7 +361,7 @@ impl Session {
     }
 
     /// Render an answer term as text.
-    pub fn render(&self, term: &pwam_front::term::Term) -> String {
+    pub fn render(&self, term: &pwam_front::Term) -> String {
         pwam_front::pretty::term_to_string(term, &self.syms)
     }
 
@@ -479,20 +430,20 @@ pub enum CursorStep {
 /// the [`Arc<CompiledProgram>`] it executes, bundled so the pair can move
 /// between threads and outlive any pool slot.
 ///
-/// `engine` borrows the program behind `program`'s `Arc` allocation.  That
+/// `engine` borrows the program behind `_program`'s `Arc` allocation.  That
 /// is sound because the allocation's address is stable for the `Arc`'s
 /// lifetime, the struct keeps the `Arc` alive at least as long as the
 /// engine, and the field order below drops the engine first.  The forged
 /// `'static` lifetime never escapes this struct's API.
 pub struct QueryCursor {
-    /// Declared before `program` so it drops first.
+    /// Declared before `_program` so it drops first.
     engine: Option<Engine<'static>>,
     state: CursorState,
     /// Host implementations resolved at open time, keyed like
     /// `CompiledProgram::hosts` entries.
     host_fns: HashMap<(String, u8), Arc<HostFn>>,
-    /// Keeps the engine's program allocation alive.
-    program: Arc<CompiledProgram>,
+    /// Keeps the engine's program allocation alive; never read.
+    _program: Arc<CompiledProgram>,
 }
 
 impl QueryCursor {
@@ -503,19 +454,14 @@ impl QueryCursor {
         host_fns: HashMap<(String, u8), Arc<HostFn>>,
     ) -> QueryCursor {
         // SAFETY: see the struct-level comment — the referent lives behind
-        // `program`'s Arc allocation, which this struct holds for at least
+        // `_program`'s Arc allocation, which this struct holds for at least
         // the engine's lifetime, and drop order retires the engine first.
         let program_ref: &'static CompiledProgram = unsafe { &*Arc::as_ptr(&program) };
         let engine = match memory {
             Some(m) => Engine::with_recycled_memory(program_ref, config, m).0,
             None => Engine::new(program_ref, config),
         };
-        QueryCursor { engine: Some(engine), state: CursorState::Fresh, host_fns, program }
-    }
-
-    /// The compiled program this cursor executes.
-    pub fn program(&self) -> &Arc<CompiledProgram> {
-        &self.program
+        QueryCursor { engine: Some(engine), state: CursorState::Fresh, host_fns, _program: program }
     }
 
     /// Produce the next answer, or `None` once the stream is exhausted (or
@@ -630,16 +576,6 @@ impl QueryCursor {
     /// True once the stream is exhausted, committed or dead.
     pub fn is_done(&self) -> bool {
         self.state == CursorState::Done
-    }
-
-    /// True while the cursor stands at an unconsumed answer.
-    pub fn at_answer(&self) -> bool {
-        self.state == CursorState::AtAnswer
-    }
-
-    /// True while the cursor is parked at a fuel preemption.
-    pub fn is_preempted(&self) -> bool {
-        self.state == CursorState::Preempted
     }
 
     /// The suspended engine's state fingerprint (see

@@ -120,16 +120,6 @@ impl RunStats {
         }
     }
 
-    /// Average instructions per inference (the paper quotes ~15 for large
-    /// programs).
-    pub fn instructions_per_inference(&self) -> f64 {
-        if self.inferences == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.inferences as f64
-        }
-    }
-
     /// References to a given area.
     pub fn refs_to(&self, area: Area) -> u64 {
         self.area_stats.area(area).total()
@@ -164,7 +154,6 @@ mod tests {
             ..Default::default()
         };
         assert!((stats.refs_per_instruction() - 2.5).abs() < 1e-12);
-        assert!((stats.instructions_per_inference() - 10.0).abs() < 1e-12);
         assert!((stats.utilisation() - 0.5).abs() < 1e-12);
     }
 
@@ -172,7 +161,6 @@ mod tests {
     fn zero_division_is_safe() {
         let stats = RunStats::default();
         assert_eq!(stats.refs_per_instruction(), 0.0);
-        assert_eq!(stats.instructions_per_inference(), 0.0);
         assert_eq!(stats.utilisation(), 0.0);
     }
 }

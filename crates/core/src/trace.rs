@@ -8,38 +8,47 @@
 use crate::layout::{Area, Locality, ObjectKind};
 use serde::{Deserialize, Serialize};
 
-/// One data memory reference.
+/// One data memory reference: the issuing PE, the word address, read or
+/// write, and the Table 1 row of the object referenced.  The area, locality
+/// and lock tags are functions of that row, so the record stores only the
+/// row and derives the three tags on demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemRef {
-    /// Issuing processing element (worker id).
-    pub pe: u8,
     /// Global word address.
     pub addr: u32,
-    /// True for writes.
-    pub write: bool,
-    /// Storage area of the address.
-    pub area: Area,
+    /// Issuing processing element (worker id).
+    pub pe: u8,
     /// Object kind (Table 1 row).
     pub object: ObjectKind,
-    /// Locality tag (drives the hybrid cache protocol).
-    pub locality: Locality,
-    /// Whether the access is performed under a lock.
-    pub locked: bool,
+    /// True for writes.
+    pub write: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<MemRef>() == 8);
+
 impl MemRef {
-    /// The record of PE `pe`'s reference to the `object` word at `addr`: area,
-    /// locality and lock tags follow from the object kind.
-    pub fn new(pe: u8, addr: u32, write: bool, object: ObjectKind) -> Self {
-        MemRef {
-            pe,
-            addr,
-            write,
-            area: object.area(),
-            object,
-            locality: object.locality(),
-            locked: object.locked(),
-        }
+    /// The record of PE `pe`'s reference to the `object` word at `addr`.
+    #[inline(always)]
+    pub(crate) fn new(pe: u8, addr: u32, write: bool, object: ObjectKind) -> Self {
+        MemRef { addr, pe, object, write }
+    }
+
+    /// Storage area of the address.
+    #[inline]
+    pub fn area(&self) -> Area {
+        self.object.area()
+    }
+
+    /// Locality tag (drives the hybrid cache protocol).
+    #[inline]
+    pub fn locality(&self) -> Locality {
+        self.object.locality()
+    }
+
+    /// Whether the access is performed under a lock.
+    #[inline]
+    pub fn locked(&self) -> bool {
+        self.object.locked()
     }
 }
 
@@ -58,10 +67,10 @@ pub fn fingerprint(trace: &[MemRef]) -> u64 {
             mix(b);
         }
         mix(r.write as u8);
-        mix(r.area.index() as u8);
+        mix(r.area().index() as u8);
         mix(r.object.index() as u8);
-        mix(matches!(r.locality, Locality::Global) as u8);
-        mix(r.locked as u8);
+        mix(matches!(r.locality(), Locality::Global) as u8);
+        mix(r.locked() as u8);
     }
     h
 }
@@ -77,6 +86,7 @@ impl RwCount {
     pub fn total(&self) -> u64 {
         self.reads + self.writes
     }
+    #[cfg(test)]
     fn add(&mut self, write: bool) {
         if write {
             self.writes += 1;
@@ -106,20 +116,21 @@ pub struct AreaStats {
 }
 
 impl AreaStats {
-    pub fn new(num_workers: usize) -> Self {
+    pub(crate) fn new(num_workers: usize) -> Self {
         AreaStats { per_pe: vec![RwCount::default(); num_workers], ..Default::default() }
     }
 
     /// Record one reference.
-    pub fn record(&mut self, r: &MemRef) {
+    #[cfg(test)]
+    pub(crate) fn record(&mut self, r: &MemRef) {
         self.total.add(r.write);
-        self.per_area[r.area.index()].add(r.write);
+        self.per_area[r.area().index()].add(r.write);
         self.per_object[r.object.index()].add(r.write);
-        match r.locality {
+        match r.locality() {
             Locality::Global => self.global_refs += 1,
             Locality::Local => self.local_refs += 1,
         }
-        if r.locked {
+        if r.locked() {
             self.locked_refs += 1;
         }
         if let Some(pe) = self.per_pe.get_mut(r.pe as usize) {
@@ -132,7 +143,7 @@ impl AreaStats {
     /// tags are derived from the object kind exactly as [`AreaStats::record`]
     /// derives them per reference, so the totals are identical to having
     /// recorded each access individually.
-    pub fn bulk_record(&mut self, pe: u8, counts: &[[u64; 2]; 12]) {
+    pub(crate) fn bulk_record(&mut self, pe: u8, counts: &[[u64; 2]; 12]) {
         for (oi, &[reads, writes]) in counts.iter().enumerate() {
             let t = reads + writes;
             if t == 0 {
@@ -186,15 +197,15 @@ impl AreaStats {
 /// the PE keeps the table itself and a run's [`AreaStats`] is the sum of its
 /// PEs' tables ([`AreaStats::bulk_record`]).
 #[derive(Debug, Clone, Default)]
-pub struct RefCounts {
+pub(crate) struct RefCounts {
     /// `counts[object.index()]` = `[reads, writes]`.
-    pub counts: [[u64; 2]; 12],
+    pub(crate) counts: [[u64; 2]; 12],
 }
 
 impl RefCounts {
     /// Count one access to `object` (a read unless `write`).
     #[inline(always)]
-    pub fn count(&mut self, object: ObjectKind, write: bool) {
+    pub(crate) fn count(&mut self, object: ObjectKind, write: bool) {
         self.counts[object.index()][write as usize] += 1;
     }
 }

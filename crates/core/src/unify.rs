@@ -394,8 +394,8 @@ mod tests {
     use crate::engine::{Engine, EngineConfig};
     use crate::layout::MemoryConfig;
     use crate::trace::{self, MemRef};
-    use pwam_front::term::Term;
-    use pwam_front::{parser, SymbolTable};
+    use pwam_front::Term;
+    use pwam_front::{parse_term, SymbolTable};
 
     /// The run-time checks of a CGE walk whole terms, and every word they
     /// look at is a reference of the stream: finding the first variable must
@@ -455,7 +455,7 @@ mod tests {
         let program = session.compile("p", true).unwrap();
         let mut syms = SymbolTable::new();
         for &(check, args, answer, refs, fingerprint) in CASES {
-            let Term::Struct(_, args) = parser::parse_term(args, &mut syms).unwrap() else { unreachable!() };
+            let Term::Struct(_, args) = parse_term(args, &mut syms).unwrap() else { unreachable!() };
             // Untraced, then traced: the same answer and references, and the
             // traced leg's records are the recorded ones, one per reference.
             for collect_trace in [false, true] {

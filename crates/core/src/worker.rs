@@ -18,14 +18,14 @@ use crate::trace::{MemRef, RefCounts};
 
 /// Read/write mode of the unify instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     Read,
     Write,
 }
 
 /// What a worker should do once the parallel goal it is executing finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resume {
+pub(crate) enum Resume {
     /// Return to the `pcall_wait` instruction at this code address (the
     /// worker is the parent of some Parcall Frame, executing one of its
     /// own goals through the local path while it waits).
@@ -51,48 +51,48 @@ pub enum Resume {
 /// on goals that are actually executed by another PE.  For those local goals
 /// `marker` is `NONE_ADDR` and the entry state lives only in this record.
 #[derive(Debug, Clone, Copy)]
-pub struct GoalContext {
+pub(crate) struct GoalContext {
     /// Address of the Marker on this worker's Control stack, or `NONE_ADDR`
     /// for locally executed goals (fast path, no Marker).
-    pub marker: u32,
+    pub(crate) marker: u32,
     /// Parcall Frame the goal belongs to.
-    pub pf: u32,
+    pub(crate) pf: u32,
     /// This worker's `pf` register at goal entry.  Restored when the goal
     /// completes *or fails*: on the failure path no `pcall_wait` walks the
     /// `PREV_PF` chain back, and a stale `pf` would make every enclosing
     /// wait re-read the innermost failed Parcall Frame and cascade failure
     /// without draining its own in-flight goals.
-    pub entry_pf: u32,
+    pub(crate) entry_pf: u32,
     /// Slot index within the Parcall Frame.
-    pub slot: u32,
+    pub(crate) slot: u32,
     /// Choice-point register at goal entry (failure boundary).
-    pub entry_b: u32,
+    pub(crate) entry_b: u32,
     /// Trail top at goal entry (for storage recovery on failure).
-    pub entry_tr: u32,
+    pub(crate) entry_tr: u32,
     /// Heap top at goal entry.
-    pub entry_h: u32,
+    pub(crate) entry_h: u32,
     /// Local-stack top at goal entry.
-    pub entry_local_top: u32,
+    pub(crate) entry_local_top: u32,
     /// Continuation pointer to restore when the goal completes.
-    pub prev_cp: u32,
+    pub(crate) prev_cp: u32,
     /// Environment register at goal entry (sanity check / restore).
-    pub entry_e: u32,
+    pub(crate) entry_e: u32,
     /// Heap-backtrack boundary to restore.
-    pub prev_hb: u32,
+    pub(crate) prev_hb: u32,
     /// Stack-trailing boundary to restore.
-    pub prev_stack_boundary: u32,
+    pub(crate) prev_stack_boundary: u32,
     /// What to do after the goal completes.
-    pub resume: Resume,
+    pub(crate) resume: Resume,
     /// True when the goal was taken from another worker's Goal Stack.
-    pub stolen: bool,
+    pub(crate) stolen: bool,
     /// The worker's `marker_top` at goal entry, restored when the goal
     /// completes or fails.
-    pub prev_marker_top: u32,
+    pub(crate) prev_marker_top: u32,
 }
 
 /// Scheduling status of a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerStatus {
+pub(crate) enum WorkerStatus {
     /// Executing instructions.
     Running,
     /// Blocked in `pcall_wait` at `addr` until Parcall Frame `pf` completes
@@ -114,22 +114,22 @@ pub enum WorkerStatus {
 
 /// The complete state of one worker.
 #[derive(Debug, Clone)]
-pub struct Worker {
+pub(crate) struct Worker {
     /// Worker (PE) identifier.
-    pub id: u8,
+    pub(crate) id: u8,
     /// Program counter.
-    pub p: u32,
+    pub(crate) p: u32,
     /// Continuation program counter.
-    pub cp: u32,
+    pub(crate) cp: u32,
     /// Current environment (Local stack address) or `NONE_ADDR`.
-    pub e: u32,
+    pub(crate) e: u32,
     /// Most recent choice point (Control stack address) or `NONE_ADDR`.
-    pub b: u32,
+    pub(crate) b: u32,
     /// Cut barrier: the value of `b` when the current predicate was called
     /// (the WAM's `B0` register).  `get_level` copies it into an environment
     /// slot so that a later cut discards exactly the choice points created
     /// since the call — including the clause-selection choice point.
-    pub b0: u32,
+    pub(crate) b0: u32,
     /// Cached Control-stack extent (one past the last word) of the choice
     /// point `b` currently points at, or `NONE_ADDR` when unknown.  This is
     /// the flattened executor's frame-register cache for the one frame word
@@ -138,178 +138,178 @@ pub struct Worker {
     /// `b` changes: set by `push_choice_point` (the size is known there),
     /// invalidated by cut / pop / goal unwind, and recomputed lazily from
     /// memory on the first recede after an invalidation.
-    pub cp_top: u32,
+    pub(crate) cp_top: u32,
     /// Frozen heap floor: restore targets (`saved H` in choice points, goal
     /// entry state) are clamped to at least this address.  Raised when a
     /// goal executed under [`Resume::ToCancel`] succeeds: its results sit
     /// in this worker's Stack Set but belong to a *different* Parcall
     /// Frame, so the deferred backtrack that follows the cancellation must
     /// not reclaim them.  Never lowered during a run.
-    pub frozen_h: u32,
+    pub(crate) frozen_h: u32,
     /// Local-stack counterpart of `frozen_h`.
-    pub frozen_local: u32,
+    pub(crate) frozen_local: u32,
     /// `cancel_goal` requests `(pf, slot)` delivered to this worker that
     /// were not safely abortable at the batch boundary where they arrived
     /// (the target goal was live but not the innermost context).  They are
     /// re-checked at every subsequent batch boundary until the goal either
     /// becomes abortable or commits.
-    pub pending_cancels: Vec<(u32, u32)>,
+    pub(crate) pending_cancels: Vec<(u32, u32)>,
     /// Heap top.
-    pub h: u32,
+    pub(crate) h: u32,
     /// Heap backtrack boundary (bindings below this must be trailed).
-    pub hb: u32,
+    pub(crate) hb: u32,
     /// Local-stack trailing boundary (stack bindings below this must be trailed).
-    pub stack_boundary: u32,
+    pub(crate) stack_boundary: u32,
     /// Structure pointer (read mode).
-    pub s: u32,
+    pub(crate) s: u32,
     /// Unify mode.
-    pub mode: Mode,
+    pub(crate) mode: Mode,
     /// Trail top.
-    pub tr: u32,
+    pub(crate) tr: u32,
     /// PDL top.
-    pub pdl: u32,
+    pub(crate) pdl: u32,
     /// Argument / temporary registers (index 0 unused; `X1` = `x[1]`).
-    pub x: Vec<Cell>,
+    pub(crate) x: Vec<Cell>,
     /// Number of argument registers live at the last call (for choice points).
-    pub num_args: u8,
+    pub(crate) num_args: u8,
     /// Current Parcall Frame or `NONE_ADDR`.
-    pub pf: u32,
+    pub(crate) pf: u32,
     /// Local-stack allocation top.
-    pub local_top: u32,
+    pub(crate) local_top: u32,
     /// Control-stack allocation top.
-    pub control_top: u32,
+    pub(crate) control_top: u32,
     /// Goal-stack allocation top (the owner's mirror of the authoritative
     /// top on this PE's shared board, refreshed on every own-stack push/pop;
     /// other PEs shrink the board top when they steal).
-    pub goal_top: u32,
+    pub(crate) goal_top: u32,
     /// Scheduling status.
-    pub status: WorkerStatus,
+    pub(crate) status: WorkerStatus,
     /// Host-side stack of in-progress parallel goals.
-    pub goal_contexts: Vec<GoalContext>,
+    pub(crate) goal_contexts: Vec<GoalContext>,
     /// One past the Marker of the innermost goal in `goal_contexts` that was
     /// stolen, or `control_base` when none was: the floor under which
     /// `recede_control_top` never lowers the Control-stack top.  Set by
     /// `start_goal` for a stolen goal and restored from the goal's
     /// `GoalContext::prev_marker_top` when the goal finishes or fails.
-    pub marker_top: u32,
+    pub(crate) marker_top: u32,
     /// The work stack of the `ground/1` and `indep/2` walks
     /// (`Step::each_unbound`), kept between walks so they do not allocate.
     /// Empty outside a walk.
-    pub term_stack: Vec<Cell>,
+    pub(crate) term_stack: Vec<Cell>,
     /// The first term's unbound variables during an `indep/2` check, kept
     /// like `term_stack`.  Empty outside a check.
-    pub indep_vars: Vec<u32>,
+    pub(crate) indep_vars: Vec<u32>,
     /// Executed instruction count.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Cycles spent idle or waiting.
-    pub idle_cycles: u64,
+    pub(crate) idle_cycles: u64,
     /// Logical inferences (user-predicate calls, parallel-goal starts and
     /// host calls) this worker performed.  Worker-local like every per-call
     /// counter here, so a `call` costs no shared read-modify-write;
     /// [`crate::stats::RunStats`] reports the sum over workers.
-    pub inferences: u64,
+    pub(crate) inferences: u64,
     /// Parcall Frames this worker allocated.
-    pub parcalls: u64,
+    pub(crate) parcalls: u64,
     /// Parallel goals this worker started, its own and stolen ones alike.
-    pub parallel_goals: u64,
+    pub(crate) parallel_goals: u64,
     /// Goals this worker took from another worker's Goal Stack.
-    pub goals_stolen: u64,
+    pub(crate) goals_stolen: u64,
     /// Stolen goals this worker aborted mid-flight on a `cancel_goal`
     /// request (each still committed through the completion protocol).
-    pub goals_aborted: u64,
+    pub(crate) goals_aborted: u64,
     /// Goals this worker started while parked in
     /// [`WorkerStatus::Cancelling`] — useful work done while a cancelled
     /// Parcall Frame's completion counter drains.
-    pub goals_while_cancelling: u64,
+    pub(crate) goals_while_cancelling: u64,
     /// Steal scans this worker ran while looking for work (each scan sweeps
     /// the other PEs' Goal Stacks once; `goals_stolen` counts the scans
     /// that found a goal).  Worker-local like every other counter here:
     /// incremented off the dispatch hot path and read only through
     /// [`crate::stats::WorkerStats`].
-    pub steal_attempts: u64,
+    pub(crate) steal_attempts: u64,
     /// Idle-backoff transitions from spinning to yielding (relaxed
     /// backend's idle ladder).
-    pub backoff_yields: u64,
+    pub(crate) backoff_yields: u64,
     /// Idle-backoff transitions from yielding to timed parking (relaxed
     /// backend's idle ladder).
-    pub backoff_parks: u64,
+    pub(crate) backoff_parks: u64,
     /// Microseconds spent in timed parks while idle (relaxed backend).
-    pub park_micros: u64,
+    pub(crate) park_micros: u64,
     /// Batch exits whose cause was the slot's instruction budget running
     /// out while still `Running` (the scheduler will re-enter immediately).
-    pub batch_exits_budget: u64,
+    pub(crate) batch_exits_budget: u64,
     /// Batch exits whose cause was leaving `Running`: parked at a
     /// `pcall_wait`, went idle after goal completion, cancelled, or the
     /// whole query finished.
-    pub batch_exits_park: u64,
+    pub(crate) batch_exits_park: u64,
     /// Per-predicate instruction attribution:
     /// entry address of the predicate currently being charged.  Updated at
     /// call/execute boundaries only, so attribution is call-granular: the
     /// tail of a clause body after its last call is charged to the callee.
-    pub prof_pred: u32,
+    pub(crate) prof_pred: u32,
     /// Value of `instructions` when `prof_pred` last changed; the
     /// difference to the live counter is the run still to be charged.
-    pub prof_mark: u64,
+    pub(crate) prof_mark: u64,
     /// Instructions charged per predicate entry address, indexed by code
     /// address.  Sized by the engine to the program's code length (the
     /// profile rides the existing `instructions` counter, so the dispatch
     /// loop itself is untouched; charging happens on call boundaries and
     /// costs a subtraction and an indexed add).
-    pub prof_counts: Vec<u64>,
+    pub(crate) prof_counts: Vec<u64>,
     /// High-water marks for storage-usage statistics.  Each is raised by
     /// the pushes onto its own area, where the top moves up
     /// (`Engine::check_consistency` holds every one at or above its top).
-    pub max_h: u32,
-    pub max_local_top: u32,
-    pub max_control_top: u32,
-    pub max_tr: u32,
-    pub max_goal_top: u32,
+    pub(crate) max_h: u32,
+    pub(crate) max_local_top: u32,
+    pub(crate) max_control_top: u32,
+    pub(crate) max_tr: u32,
+    pub(crate) max_goal_top: u32,
     // Area bases, cached for bounds checks and pointer classification.
-    pub heap_base: u32,
-    pub local_base: u32,
-    pub control_base: u32,
-    pub trail_base: u32,
-    pub pdl_base: u32,
-    pub goal_base: u32,
-    pub msg_base: u32,
+    pub(crate) heap_base: u32,
+    pub(crate) local_base: u32,
+    pub(crate) control_base: u32,
+    pub(crate) trail_base: u32,
+    pub(crate) pdl_base: u32,
+    pub(crate) goal_base: u32,
+    pub(crate) msg_base: u32,
     // Area ends, cached so overflow checks on the hot allocation paths
     // (`heap_push`, `allocate`, trailing, PDL pushes, choice points) compare
     // against a register instead of recomputing `AddressMap::area_end`.
-    pub heap_end: u32,
-    pub local_end: u32,
-    pub control_end: u32,
-    pub trail_end: u32,
-    pub pdl_end: u32,
+    pub(crate) heap_end: u32,
+    pub(crate) local_end: u32,
+    pub(crate) control_end: u32,
+    pub(crate) trail_end: u32,
+    pub(crate) pdl_end: u32,
     /// One past the last word of this worker's whole Stack Set (equals
     /// `msg_base + message_words`): outside `heap_base..arena_end` a binding
     /// is always trailed.
-    pub arena_end: u32,
+    pub(crate) arena_end: u32,
     /// Every reference this worker has issued, by object kind, wherever the
     /// word lives (`Step::mem_read` / `mem_write` / `mem_rmw` count here).
-    pub refs: RefCounts,
+    pub(crate) refs: RefCounts,
     /// This worker's records of a traced run, in its program order, each
     /// with the global sequence number it claimed; `None` when the run is
     /// not traced.  `Engine::take_trace` merges the workers' buffers and
     /// parks them for the next traced build (see `Worker::arm_trace`).
-    pub trace: Option<Vec<(u64, MemRef)>>,
+    pub(crate) trace: Option<Vec<(u64, MemRef)>>,
     /// E-frame register cache: the environment address whose control words
     /// (CE / CP / NVARS) are cached in the three registers below, or
     /// `NONE_ADDR`.  Written by `allocate` (which creates those words),
     /// consumed by `deallocate`, and invalidated wherever `e` is restored
     /// from saved state (choice points, goal entry/exit) — see the
     /// invariants note on `Step::invalidate_env_cache`.
-    pub env_cache_e: u32,
+    pub(crate) env_cache_e: u32,
     /// Cached continuation environment (`env::CE`) of `env_cache_e`.
-    pub env_cache_ce: u32,
+    pub(crate) env_cache_ce: u32,
     /// Cached continuation pointer (`env::CP`) of `env_cache_e`.
-    pub env_cache_cp: u32,
+    pub(crate) env_cache_cp: u32,
     /// Cached slot count (`env::NVARS`) of `env_cache_e`.
-    pub env_cache_n: u32,
+    pub(crate) env_cache_n: u32,
 }
 
 impl Worker {
     /// Create a worker with empty areas, ready to run.
-    pub fn new(id: u8, map: &AddressMap) -> Self {
+    pub(crate) fn new(id: u8, map: &AddressMap) -> Self {
         let w = id as usize;
         let heap_base = map.area_base(w, Area::Heap);
         let local_base = map.area_base(w, Area::LocalStack);
@@ -397,17 +397,12 @@ impl Worker {
         }
     }
 
-    /// Words of heap currently in use.
-    pub fn heap_used(&self) -> u32 {
-        self.h - self.heap_base
-    }
-
     /// Charge the instruction run since the last predicate switch to the
     /// current predicate and move the attribution key to `entry`.  Called
     /// at call/execute boundaries and at parallel-goal starts — never per
     /// instruction.
     #[inline]
-    pub fn prof_switch(&mut self, entry: u32) {
+    pub(crate) fn prof_switch(&mut self, entry: u32) {
         let run = self.instructions - self.prof_mark;
         if run != 0 {
             if let Some(slot) = self.prof_counts.get_mut(self.prof_pred as usize) {
@@ -421,12 +416,12 @@ impl Worker {
     /// The `(predicate entry, instruction run)` not yet charged to
     /// `prof_counts` — lets read-only stats collection see exact numbers
     /// between batches without mutating the worker.
-    pub fn prof_residual(&self) -> (u32, u64) {
+    pub(crate) fn prof_residual(&self) -> (u32, u64) {
         (self.prof_pred, self.instructions - self.prof_mark)
     }
 
     /// Maximum words of each area ever in use: (heap, local, control, trail, goal).
-    pub fn max_usage(&self) -> (u32, u32, u32, u32, u32) {
+    pub(crate) fn max_usage(&self) -> (u32, u32, u32, u32, u32) {
         (
             self.max_h - self.heap_base,
             self.max_local_top - self.local_base,
@@ -519,6 +514,5 @@ mod tests {
         let (heap, _, _, trail, _) = w.max_usage();
         assert_eq!(heap, 100);
         assert_eq!(trail, 5);
-        assert_eq!(w.heap_used(), 50);
     }
 }

@@ -19,9 +19,9 @@
 //! numbering, so only streams of ground answers compare as strings.
 
 use pwam_front::clause::{Body, CgeCondition, Goal};
-use pwam_front::parser::{parse_program, parse_query};
 use pwam_front::pretty::term_to_string;
-use pwam_front::term::Term;
+use pwam_front::Term;
+use pwam_front::{parse_program, parse_query};
 use pwam_front::{Atom, SymbolTable, INT_MAX, INT_MIN};
 use std::collections::HashMap;
 use std::rc::Rc;

@@ -21,7 +21,7 @@ pub struct Atom(pub u32);
 impl Atom {
     /// Raw index of the atom in its symbol table.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -41,37 +41,21 @@ pub struct WellKnown {
     /// `'.'` — the list constructor functor.
     pub dot: Atom,
     /// `true`
-    pub truth: Atom,
-    /// `fail`
-    pub fail: Atom,
+    pub(crate) truth: Atom,
     /// `','`
-    pub comma: Atom,
+    pub(crate) comma: Atom,
     /// `'&'` — parallel conjunction.
-    pub amp: Atom,
+    pub(crate) amp: Atom,
     /// `'|'` — CGE condition separator.
-    pub bar: Atom,
+    pub(crate) bar: Atom,
     /// `':-'`
-    pub neck: Atom,
+    pub(crate) neck: Atom,
     /// `'!'`
-    pub cut: Atom,
+    pub(crate) cut: Atom,
     /// `ground`
-    pub ground: Atom,
+    pub(crate) ground: Atom,
     /// `indep`
-    pub indep: Atom,
-    /// `is`
-    pub is: Atom,
-    /// `-` (minus, also unary)
-    pub minus: Atom,
-    /// `+`
-    pub plus: Atom,
-    /// `*`
-    pub star: Atom,
-    /// `/`
-    pub slash: Atom,
-    /// `mod`
-    pub modulo: Atom,
-    /// `//` integer division
-    pub int_div: Atom,
+    pub(crate) indep: Atom,
 }
 
 /// A bidirectional name ↔ [`Atom`] mapping.
@@ -101,7 +85,6 @@ impl SymbolTable {
             nil: Atom(0),
             dot: Atom(1),
             truth: Atom(2),
-            fail: Atom(3),
             comma: Atom(4),
             amp: Atom(5),
             bar: Atom(6),
@@ -109,13 +92,6 @@ impl SymbolTable {
             cut: Atom(8),
             ground: Atom(9),
             indep: Atom(10),
-            is: Atom(11),
-            minus: Atom(12),
-            plus: Atom(13),
-            star: Atom(14),
-            slash: Atom(15),
-            modulo: Atom(16),
-            int_div: Atom(17),
         }
     }
 
@@ -142,17 +118,14 @@ impl SymbolTable {
     }
 
     /// Number of interned atoms.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
     }
 
-    /// True if the table only contains the well-known atoms.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Iterate over `(Atom, name)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (Atom, &str)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Atom, &str)> {
         self.names.iter().enumerate().map(|(i, n)| (Atom(i as u32), n.as_str()))
     }
 }
@@ -186,7 +159,6 @@ mod tests {
         assert_eq!(t.name(wk.dot), ".");
         assert_eq!(t.name(wk.cut), "!");
         assert_eq!(t.name(wk.indep), "indep");
-        assert_eq!(t.name(wk.int_div), "//");
     }
 
     #[test]

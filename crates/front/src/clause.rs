@@ -36,7 +36,7 @@ pub struct Body {
 
 impl Body {
     /// An empty (always-true) body.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Body { goals: Vec::new() }
     }
 
@@ -51,18 +51,6 @@ impl Body {
             }
         }
         out
-    }
-
-    /// Total number of `Call` goals, descending into CGE branches.
-    pub fn call_count(&self) -> usize {
-        self.goals
-            .iter()
-            .map(|g| match g {
-                Goal::Call(_) => 1,
-                Goal::Cut => 0,
-                Goal::Cge(c) => c.branches.iter().map(Body::call_count).sum(),
-            })
-            .sum()
     }
 }
 
@@ -90,7 +78,7 @@ pub struct Cge {
 
 impl Cge {
     /// Variables mentioned anywhere in the CGE.
-    pub fn variables(&self) -> BTreeSet<String> {
+    pub(crate) fn variables(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for c in &self.conditions {
             match c {
@@ -106,11 +94,6 @@ impl Cge {
             out.extend(b.variables());
         }
         out
-    }
-
-    /// True if the CGE has no run-time checks.
-    pub fn is_unconditional(&self) -> bool {
-        self.conditions.iter().all(|c| matches!(c, CgeCondition::True)) || self.conditions.is_empty()
     }
 }
 
@@ -128,13 +111,6 @@ impl Clause {
             .functor()
             .ok_or_else(|| FrontError::unpositioned("clause head must be an atom or compound term"))
     }
-
-    /// All variable names in the clause (head and body).
-    pub fn variables(&self) -> BTreeSet<String> {
-        let mut out = self.head.variables();
-        out.extend(self.body.variables());
-        out
-    }
 }
 
 /// A parsed program: clause list plus an index from predicate (functor,
@@ -142,7 +118,7 @@ impl Clause {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     pub clauses: Vec<Clause>,
-    pub predicates: HashMap<(Atom, usize), Vec<usize>>,
+    pub(crate) predicates: HashMap<(Atom, usize), Vec<usize>>,
     /// Predicate definition order (first-clause order), for stable iteration.
     pub predicate_order: Vec<(Atom, usize)>,
 }
@@ -168,14 +144,6 @@ impl Program {
             .unwrap_or_default()
     }
 
-    /// Merge another program into this one (used to combine benchmark
-    /// libraries with driver clauses).
-    pub fn extend_from(&mut self, other: &Program, syms: &SymbolTable) {
-        for c in &other.clauses {
-            self.push(c.clone(), syms);
-        }
-    }
-
     /// Number of CGEs across all clauses (a measure of annotated parallelism).
     pub fn cge_count(&self) -> usize {
         fn count_body(b: &Body) -> usize {
@@ -192,7 +160,7 @@ impl Program {
 }
 
 /// Convert a parsed operator term into a [`Clause`].
-pub fn term_to_clause(term: &Term, syms: &SymbolTable) -> FrontResult<Clause> {
+pub(crate) fn term_to_clause(term: &Term, syms: &SymbolTable) -> FrontResult<Clause> {
     let wk = syms.well_known();
     match term {
         Term::Struct(f, args) if *f == wk.neck && args.len() == 2 => {
@@ -218,7 +186,7 @@ fn validate_head(head: &Term) -> FrontResult<()> {
 }
 
 /// Convert a body term (a `','`/`'&'`/`'|'` tree) into a flat [`Body`].
-pub fn term_to_goal_sequence(term: &Term, syms: &SymbolTable) -> FrontResult<Body> {
+pub(crate) fn term_to_goal_sequence(term: &Term, syms: &SymbolTable) -> FrontResult<Body> {
     let mut body = Body::empty();
     flatten_conj(term, syms, &mut body)?;
     Ok(body)
@@ -356,7 +324,7 @@ mod tests {
             Goal::Cge(cge) => {
                 assert_eq!(cge.conditions.len(), 2);
                 assert_eq!(cge.branches.len(), 2);
-                assert!(!cge.is_unconditional());
+                assert!(!cge.conditions.iter().all(|c| matches!(c, CgeCondition::True)));
             }
             other => panic!("expected CGE, got {other:?}"),
         }
@@ -367,7 +335,7 @@ mod tests {
         let (p, _) = program("f(X,Y) :- (g(X) & h(Y)).");
         match &p.clauses[0].body.goals[0] {
             Goal::Cge(cge) => {
-                assert!(cge.is_unconditional());
+                assert!(cge.conditions.iter().all(|c| matches!(c, CgeCondition::True)));
                 assert_eq!(cge.branches.len(), 2);
             }
             other => panic!("expected CGE, got {other:?}"),

@@ -3,27 +3,27 @@
 use std::fmt;
 
 /// Result alias used throughout the front-end.
-pub type FrontResult<T> = Result<T, FrontError>;
+pub(crate) type FrontResult<T> = Result<T, FrontError>;
 
 /// A front-end (read-time) error with positional information.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontError {
     /// Human readable description of the problem.
-    pub message: String,
+    pub(crate) message: String,
     /// 1-based line on which the error was detected.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column on which the error was detected.
-    pub column: usize,
+    pub(crate) column: usize,
 }
 
 impl FrontError {
     /// Create a new error at the given position.
-    pub fn new(message: impl Into<String>, line: usize, column: usize) -> Self {
+    pub(crate) fn new(message: impl Into<String>, line: usize, column: usize) -> Self {
         FrontError { message: message.into(), line, column }
     }
 
     /// Create an error without a meaningful position (e.g. end of input).
-    pub fn unpositioned(message: impl Into<String>) -> Self {
+    pub(crate) fn unpositioned(message: impl Into<String>) -> Self {
         FrontError { message: message.into(), line: 0, column: 0 }
     }
 }

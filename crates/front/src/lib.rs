@@ -16,7 +16,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use pwam_front::{atoms::SymbolTable, parser::parse_program};
+//! use pwam_front::{parse_program, SymbolTable};
 //!
 //! let mut syms = SymbolTable::new();
 //! let program = parse_program(
@@ -27,16 +27,18 @@
 //! assert_eq!(program.clauses.len(), 2);
 //! ```
 
-pub mod atoms;
+#![warn(unreachable_pub)]
+
+mod atoms;
 pub mod clause;
-pub mod error;
+mod error;
 pub mod lexer;
-pub mod parser;
+mod parser;
 pub mod pretty;
-pub mod term;
+mod term;
 
 pub use atoms::{Atom, SymbolTable};
 pub use clause::{Body, Cge, CgeCondition, Clause, Program};
-pub use error::{FrontError, FrontResult};
+pub use error::FrontError;
 pub use parser::{parse_program, parse_query, parse_term};
 pub use term::{Term, INT_MAX, INT_MIN};

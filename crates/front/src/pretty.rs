@@ -186,7 +186,7 @@ fn write_list(out: &mut String, term: &Term, syms: &SymbolTable) {
 }
 
 /// Render a goal.
-pub fn goal_to_string(goal: &Goal, syms: &SymbolTable) -> String {
+pub(crate) fn goal_to_string(goal: &Goal, syms: &SymbolTable) -> String {
     match goal {
         Goal::Call(t) => term_to_string(t, syms),
         Goal::Cut => "!".to_string(),
@@ -213,7 +213,7 @@ pub fn goal_to_string(goal: &Goal, syms: &SymbolTable) -> String {
 }
 
 /// Render a body as a comma-separated goal sequence.
-pub fn body_to_string(body: &Body, syms: &SymbolTable) -> String {
+pub(crate) fn body_to_string(body: &Body, syms: &SymbolTable) -> String {
     if body.goals.is_empty() {
         return "true".to_string();
     }
@@ -221,7 +221,7 @@ pub fn body_to_string(body: &Body, syms: &SymbolTable) -> String {
 }
 
 /// Render a clause, terminated by a period.
-pub fn clause_to_string(clause: &Clause, syms: &SymbolTable) -> String {
+pub(crate) fn clause_to_string(clause: &Clause, syms: &SymbolTable) -> String {
     if clause.body.goals.is_empty() {
         format!("{}.", term_to_string(&clause.head, syms))
     } else {

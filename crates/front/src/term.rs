@@ -30,7 +30,7 @@ pub enum Term {
 
 impl Term {
     /// Build a list term out of `items`, terminated by `tail`.
-    pub fn list(items: Vec<Term>, tail: Term, syms: &SymbolTable) -> Term {
+    pub(crate) fn list(items: Vec<Term>, tail: Term, syms: &SymbolTable) -> Term {
         let dot = syms.well_known().dot;
         items.into_iter().rev().fold(tail, |acc, item| Term::Struct(dot, vec![item, acc]))
     }
@@ -39,23 +39,6 @@ impl Term {
     pub fn proper_list(items: Vec<Term>, syms: &SymbolTable) -> Term {
         let nil = Term::Atom(syms.well_known().nil);
         Term::list(items, nil, syms)
-    }
-
-    /// If this term is a proper list, return its elements.
-    pub fn as_proper_list(&self, syms: &SymbolTable) -> Option<Vec<&Term>> {
-        let wk = syms.well_known();
-        let mut out = Vec::new();
-        let mut cur = self;
-        loop {
-            match cur {
-                Term::Atom(a) if *a == wk.nil => return Some(out),
-                Term::Struct(f, args) if *f == wk.dot && args.len() == 2 => {
-                    out.push(&args[0]);
-                    cur = &args[1];
-                }
-                _ => return None,
-            }
-        }
     }
 
     /// The functor name and arity of this term.  Atoms have arity 0;
@@ -130,16 +113,7 @@ mod tests {
         let a = s.intern("a");
         let b = s.intern("b");
         let list = Term::proper_list(vec![Term::Atom(a), Term::Atom(b), Term::Int(3)], &s);
-        let elems = list.as_proper_list(&s).expect("should be a proper list");
-        assert_eq!(elems.len(), 3);
-        assert_eq!(*elems[2], Term::Int(3));
-    }
-
-    #[test]
-    fn partial_list_is_not_proper() {
-        let s = syms();
-        let list = Term::list(vec![Term::Int(1)], Term::Var("T".into()), &s);
-        assert!(list.as_proper_list(&s).is_none());
+        assert_eq!(crate::parse_term("[a, b, 3]", &mut s).unwrap(), list);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! again must reproduce the same clauses, and printing must be idempotent.
 
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
-use pwam_front::parser::parse_program;
+use pwam_front::parse_program;
 use pwam_front::pretty::program_to_string;
 use pwam_front::SymbolTable;
 
@@ -46,7 +46,7 @@ fn benchmark_queries_parse() {
         for scale in [Scale::Small, Scale::Paper] {
             let bench = benchmark(id, scale);
             let mut syms = SymbolTable::new();
-            pwam_front::parser::parse_query(&bench.query, &mut syms)
+            pwam_front::parse_query(&bench.query, &mut syms)
                 .unwrap_or_else(|e| panic!("{} {scale:?}: query failed to parse: {e}", id.name()));
         }
     }

@@ -3,10 +3,10 @@
 //! consistently under substitution of structure.
 
 use proptest::prelude::*;
-use pwam_front::parser::parse_term;
+use pwam_front::parse_term;
 use pwam_front::pretty::term_to_string;
-use pwam_front::term::Term;
 use pwam_front::SymbolTable;
+use pwam_front::Term;
 
 /// Generate a random term over a fixed safe alphabet (plain atoms that never
 /// need quoting or collide with operators).
@@ -94,7 +94,7 @@ proptest! {
         let mut syms = SymbolTable::new();
         let term = spec.build(&mut syms);
         let text = format!("wrapper({}).", term_to_string(&term, &syms));
-        let program = pwam_front::parser::parse_program(&text, &mut syms)
+        let program = pwam_front::parse_program(&text, &mut syms)
             .unwrap_or_else(|e| panic!("could not parse {text:?}: {e}"));
         prop_assert_eq!(program.clauses.len(), 1);
         match &program.clauses[0].head {

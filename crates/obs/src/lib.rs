@@ -22,6 +22,8 @@
 //! atomics once per query.  The registry lock is only taken to register a
 //! family, to materialise a new label value, and to render.
 
+#![warn(unreachable_pub)]
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +74,7 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -82,7 +84,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -151,21 +153,11 @@ impl Histogram {
     pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
-
-    /// The upper bound (in observed units) of the bucket containing the
-    /// `p`-th percentile observation (`p` in `0..=100`), or `None` if the
-    /// histogram is empty.  The final bucket reports the last finite bound.
-    ///
-    /// Log₂ buckets bound any percentile to within a factor of two, which
-    /// is exactly the resolution the load generator's cross-check needs.
-    pub fn percentile_bound(&self, p: f64) -> Option<u64> {
-        percentile_bound_of(&self.bucket_counts(), p)
-    }
 }
 
-/// The percentile logic shared by [`Histogram::percentile_bound`] and
-/// [`ParsedHistogram::percentile_bound`]: the bound of the bucket holding
-/// the `p`-th percentile of the (non-cumulative) `counts`.
+/// The percentile logic of [`ParsedHistogram::percentile_bound`]: the
+/// bound of the bucket holding the `p`-th percentile of the
+/// (non-cumulative) `counts`.
 fn percentile_bound_of(counts: &[u64], p: f64) -> Option<u64> {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -197,7 +189,7 @@ impl CounterVec {
     }
 
     /// The label key this family varies over.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         self.label
     }
 
@@ -238,29 +230,13 @@ pub struct GaugeVec {
 }
 
 impl GaugeVec {
-    pub fn new(label: &'static str) -> Self {
+    pub(crate) fn new(label: &'static str) -> Self {
         Self { label, series: Mutex::new(HashMap::new()) }
     }
 
     /// The label key this family varies over.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         self.label
-    }
-
-    /// The gauge for `value`, created at zero on first use.
-    pub fn with(&self, value: &str) -> Arc<Gauge> {
-        let mut series = self.series.lock().unwrap();
-        if let Some(g) = series.get(value) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        series.insert(value.to_string(), Arc::clone(&g));
-        g
-    }
-
-    /// Convenience: publish `v` as the gauge for `value`.
-    pub fn set(&self, value: &str, v: u64) {
-        self.with(value).set(v);
     }
 
     /// Replace the whole family with `entries` (label values absent from
@@ -277,7 +253,7 @@ impl GaugeVec {
     }
 
     /// Snapshot of all `(label value, value)` pairs, sorted by label value.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
+    pub(crate) fn snapshot(&self) -> Vec<(String, u64)> {
         let series = self.series.lock().unwrap();
         let mut out: Vec<(String, u64)> = series.iter().map(|(k, v)| (k.clone(), v.get())).collect();
         out.sort();
@@ -496,7 +472,7 @@ pub fn sum_family(text: &str, family: &str) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct ParsedHistogram {
     /// Non-cumulative per-bucket counts, `HISTOGRAM_BUCKETS` long.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// The family's `_sum` sample.
     pub sum: u64,
     /// The family's `_count` sample.
@@ -519,9 +495,12 @@ impl ParsedHistogram {
         }
     }
 
-    /// The bucket bound holding the `p`-th percentile (`p` in `0..=100`),
-    /// or `None` if no observations.  Same semantics as
-    /// [`Histogram::percentile_bound`].
+    /// The upper bound (in observed units) of the bucket containing the
+    /// `p`-th percentile observation (`p` in `0..=100`), or `None` if there
+    /// are no observations.  The final bucket reports the last finite bound.
+    ///
+    /// Log₂ buckets bound any percentile to within a factor of two, which
+    /// is exactly the resolution the load generator's cross-check needs.
     pub fn percentile_bound(&self, p: f64) -> Option<u64> {
         percentile_bound_of(&self.counts, p)
     }
@@ -577,8 +556,8 @@ mod tests {
         assert_eq!(parsed.counts, h.bucket_counts().to_vec());
         assert_eq!(parsed.sum, h.sum());
         assert_eq!(parsed.count, h.count());
-        assert_eq!(parsed.percentile_bound(50.0), h.percentile_bound(50.0));
-        assert_eq!(parsed.percentile_bound(99.0), h.percentile_bound(99.0));
+        assert_eq!(parsed.percentile_bound(50.0), percentile_bound_of(&h.bucket_counts(), 50.0));
+        assert_eq!(parsed.percentile_bound(99.0), percentile_bound_of(&h.bucket_counts(), 99.0));
         // A window delta against an earlier scrape isolates the new
         // observations.
         let earlier = parsed.clone();
@@ -606,14 +585,14 @@ mod tests {
     #[test]
     fn histogram_percentile_bounds() {
         let h = Histogram::new();
-        assert_eq!(h.percentile_bound(50.0), None);
+        assert_eq!(percentile_bound_of(&h.bucket_counts(), 50.0), None);
         for v in [1u64, 2, 3, 100, 1000] {
             h.observe(v);
         }
         // p50 of {1,2,3,100,1000}: rank 3 → value 3 → bucket le=4.
-        assert_eq!(h.percentile_bound(50.0), Some(4));
+        assert_eq!(percentile_bound_of(&h.bucket_counts(), 50.0), Some(4));
         // p99: rank 5 → value 1000 → bucket le=1024.
-        assert_eq!(h.percentile_bound(99.0), Some(1024));
+        assert_eq!(percentile_bound_of(&h.bucket_counts(), 99.0), Some(1024));
     }
 
     #[test]
@@ -629,8 +608,7 @@ mod tests {
     fn gauge_vec_replaces_and_renders() {
         let r = Registry::new();
         let v = r.gauge_vec("tenants_active", "Active queries per tenant.", "tenant");
-        v.set("a", 2);
-        v.set("b", 1);
+        v.replace(vec![("a".to_string(), 2), ("b".to_string(), 1)]);
         assert_eq!(v.snapshot(), vec![("a".to_string(), 2), ("b".to_string(), 1)]);
         // `replace` mirrors the owning structure exactly: the idle tenant
         // `b` disappears from the exposition instead of exporting 0.

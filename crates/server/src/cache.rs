@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct CacheEntry {
     /// The session holding the parsed program, symbol table and compiled
     /// queries.  Write-lock to compile, read-lock to run.
-    pub session: RwLock<Session>,
+    pub(crate) session: RwLock<Session>,
     /// Compiled-query fast path: a hit here needs neither session lock, so
     /// requests for already-compiled queries never wait behind in-flight
     /// engine runs (which hold the session's read lock for their whole
@@ -51,7 +51,7 @@ impl CacheEntry {
     }
 }
 
-/// The cache: program source text → [`CacheEntry`].
+/// The cache: program source text → `CacheEntry`.
 pub struct ProgramCache {
     entries: Mutex<Inner>,
     /// Lookups that found the program already parsed.
@@ -114,7 +114,7 @@ impl ProgramCache {
     }
 
     /// Programs currently cached.
-    pub fn programs(&self) -> usize {
+    pub(crate) fn programs(&self) -> usize {
         self.entries.lock().unwrap().map.len()
     }
 
@@ -125,7 +125,7 @@ impl ProgramCache {
     /// entries mutex would let one long-running engine (whose read lock
     /// blocks a queued compile writer, which in turn blocks new readers)
     /// stall every cache lookup behind a scrape.
-    pub fn compiled_queries(&self) -> usize {
+    pub(crate) fn compiled_queries(&self) -> usize {
         let entries: Vec<Arc<CacheEntry>> = self.entries.lock().unwrap().map.values().cloned().collect();
         entries.iter().map(|e| e.queries.lock().unwrap().len()).sum()
     }

@@ -14,14 +14,14 @@
 //!   (bounded queueing, per-request deadlines, load shedding);
 //! * a **length-prefixed text protocol** ([`protocol`]) served over
 //!   `std::net::TcpListener` by a readiness-driven event loop
-//!   ([`event_loop`]) that multiplexes every connection through one poller
+//!   (`event_loop.rs`) that multiplexes every connection through one poller
 //!   thread with pipelined, order-preserving responses, plus a small
-//!   blocking [`client::Client`];
+//!   blocking [`Client`];
 //! * **admission and preemption controls**: per-tenant concurrency quotas
-//!   ([`tenant::TenantTable`]) and deterministic instruction fuel (the
+//!   (`tenant.rs`) and deterministic instruction fuel (the
 //!   `fuel` header) so one client can neither hog the pool nor wedge an
 //!   engine;
-//! * an **observability plane** ([`metrics`]): a lock-free metric
+//! * an **observability plane** (`metrics.rs`): a lock-free metric
 //!   registry spanning every layer — request-latency histograms, per-PE
 //!   scheduler telemetry, per-predicate instruction profiles, pool and
 //!   cursor gauges — scraped through the `metrics` verb, and a bounded
@@ -48,19 +48,19 @@
 //! server.shutdown();
 //! ```
 
-pub mod cache;
-pub mod client;
-pub mod event_loop;
-pub mod metrics;
-pub mod pool;
+#![warn(unreachable_pub)]
+
+mod cache;
+mod client;
+mod event_loop;
+mod metrics;
+mod pool;
 pub mod protocol;
-pub mod server;
-pub mod tenant;
+mod server;
+mod tenant;
 
 pub use cache::ProgramCache;
 pub use client::Client;
-pub use metrics::{FlightRecorder, FLIGHT_RECORDER_CAP};
-pub use pool::{AcquireError, CursorTable, EnginePool, ParkedQuery, PoolConfig};
+pub use pool::{AcquireError, EnginePool, PoolConfig};
 pub use protocol::{AnswerResponse, ErrorKind, QueryRequest, Request, Response};
 pub use server::{Server, ServerConfig};
-pub use tenant::TenantTable;

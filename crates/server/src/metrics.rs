@@ -38,7 +38,7 @@ const PROFILE_TOP_PER_RUN: usize = 16;
 const PROFILE_MAX_SERIES: usize = 256;
 
 /// Default capacity of the flight-recorder ring.
-pub const FLIGHT_RECORDER_CAP: usize = 256;
+pub(crate) const FLIGHT_RECORDER_CAP: usize = 256;
 
 /// The metric registry plus handles to every series the server updates.
 pub(crate) struct ServerMetrics {
@@ -46,42 +46,42 @@ pub(crate) struct ServerMetrics {
 
     // --- latency histograms (observed on the request path) ---
     /// Time a plain query spent waiting for a pool slot.
-    pub queue_wait_us: Arc<Histogram>,
+    pub(crate) queue_wait_us: Arc<Histogram>,
     /// Program + query compilation time (cache hits observe ~0).
-    pub compile_us: Arc<Histogram>,
+    pub(crate) compile_us: Arc<Histogram>,
     /// Engine wall-clock of a successful plain query.
-    pub execute_us: Arc<Histogram>,
+    pub(crate) execute_us: Arc<Histogram>,
     /// Engine wall-clock of one `query-next` resume leg.
-    pub resume_us: Arc<Histogram>,
+    pub(crate) resume_us: Arc<Histogram>,
     /// Whole-request wall-clock of a plain query, arrival to response
     /// build.  This is the series `pwam-load` cross-checks its client-side
     /// percentiles against.
-    pub request_us: Arc<Histogram>,
+    pub(crate) request_us: Arc<Histogram>,
 
     // --- request counters (incremented on the request path) ---
     /// Queries preempted before completion, labelled by why: a
     /// `deadline` preemption is a wall-clock kill (terminal, timing
     /// dependent), a `fuel` preemption is the deterministic instruction
     /// budget (terminal for one-shot queries, resumable for cursors).
-    pub query_preempted: Arc<CounterVec>,
-    pub connections: Arc<Counter>,
-    pub queries: Arc<Counter>,
-    pub protocol_errors: Arc<Counter>,
-    pub compile_errors: Arc<Counter>,
-    pub engine_errors: Arc<Counter>,
-    pub deadline_errors: Arc<Counter>,
+    pub(crate) query_preempted: Arc<CounterVec>,
+    pub(crate) connections: Arc<Counter>,
+    pub(crate) queries: Arc<Counter>,
+    pub(crate) protocol_errors: Arc<Counter>,
+    pub(crate) compile_errors: Arc<Counter>,
+    pub(crate) engine_errors: Arc<Counter>,
+    pub(crate) deadline_errors: Arc<Counter>,
     /// One-shot queries killed by fuel exhaustion (terminal).
-    pub fuel_errors: Arc<Counter>,
+    pub(crate) fuel_errors: Arc<Counter>,
     /// Cursor legs preempted by fuel exhaustion (resumable: the cursor
     /// stays parked and the next `query-next` continues it).
-    pub fuel_preemptions: Arc<Counter>,
+    pub(crate) fuel_preemptions: Arc<Counter>,
     /// Requests turned away by their tenant's admission quota.
-    pub quota_rejections: Arc<Counter>,
+    pub(crate) quota_rejections: Arc<Counter>,
     /// Abstract-machine instructions retired by successful queries.
-    pub instructions: Arc<Counter>,
+    pub(crate) instructions: Arc<Counter>,
     /// Wall-clock engine time of successful queries, in microseconds —
     /// `instructions` over this is the cumulative MLIPS.
-    pub engine_micros: Arc<Counter>,
+    pub(crate) engine_micros: Arc<Counter>,
 
     // --- gauges (read from their owners at render time) ---
     pool_busy_slots: Arc<Gauge>,
@@ -111,7 +111,7 @@ pub(crate) struct ServerMetrics {
 
 impl ServerMetrics {
     /// Build the registry, adopting the counters the four subsystems own.
-    pub fn new(
+    pub(crate) fn new(
         pool: &EnginePool,
         cache: &ProgramCache,
         cursors: &CursorTable,
@@ -308,7 +308,7 @@ impl ServerMetrics {
     /// Fold one completed run's engine statistics into the per-PE and
     /// per-predicate families.  Called on run completion — already a cold
     /// path next to arena recycling and response rendering.
-    pub fn record_run(&self, stats: &RunStats) {
+    pub(crate) fn record_run(&self, stats: &RunStats) {
         for (pe, w) in stats.workers.iter().enumerate() {
             let pe = pe.to_string();
             let charge = |vec: &CounterVec, n: u64| {
@@ -355,7 +355,7 @@ impl ServerMetrics {
     /// and `Server::metrics_text`.  Cursors idle past their deadline are
     /// swept first, so no reader counts one as parked; then the gauges take
     /// their readings.
-    pub fn render(&self, state: &ServerState) -> String {
+    pub(crate) fn render(&self, state: &ServerState) -> String {
         sweep_idle_cursors(state);
         self.pool_busy_slots.set(state.pool.busy_slots() as u64);
         self.pool_queue_depth.set(state.pool.queue_depth() as u64);
@@ -385,7 +385,7 @@ impl ServerMetrics {
 /// [`FLIGHT_RECORDER_CAP`] events; older ones fall off the front.  One
 /// mutex guards the ring — event recording happens once per *request*,
 /// not per instruction, so contention is bounded by request throughput.
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     epoch: Instant,
     cap: usize,
     ring: Mutex<VecDeque<String>>,
@@ -393,13 +393,13 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder keeping the last `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         FlightRecorder { epoch: Instant::now(), cap, ring: Mutex::new(VecDeque::new()) }
     }
 
     /// Append one event line, evicting the oldest when full.  `detail` is
     /// free-form `key=value` pairs; it must not contain newlines.
-    pub fn record(&self, event: &str, detail: &str) {
+    pub(crate) fn record(&self, event: &str, detail: &str) {
         let t_ms = self.epoch.elapsed().as_millis();
         let line =
             if detail.is_empty() { format!("{t_ms} {event}") } else { format!("{t_ms} {event} {detail}") };
@@ -412,7 +412,7 @@ impl FlightRecorder {
 
     /// The newest `limit` events (all of them when `None`), oldest first,
     /// one per line.
-    pub fn render(&self, limit: Option<u64>) -> String {
+    pub(crate) fn render(&self, limit: Option<u64>) -> String {
         let ring = self.ring.lock().unwrap();
         let take = limit.map(|l| l as usize).unwrap_or(ring.len()).min(ring.len());
         let mut out = String::new();

@@ -118,24 +118,19 @@ impl EnginePool {
         }
     }
 
-    /// The pool's configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
-    }
-
     /// Slots currently executing a run (configured size minus the free
     /// stack).  A gauge reading for the telemetry plane.
-    pub fn busy_slots(&self) -> usize {
+    pub(crate) fn busy_slots(&self) -> usize {
         self.config.size - self.slots.lock().unwrap().len()
     }
 
     /// Requests currently waiting for a slot.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
     /// High-water mark of the wait queue.
-    pub fn max_queue_depth(&self) -> usize {
+    pub(crate) fn max_queue_depth(&self) -> usize {
         self.max_queue_depth.load(Ordering::Relaxed)
     }
 
@@ -192,7 +187,7 @@ impl EnginePool {
     }
 
     /// Record whether a run reused warm arenas.
-    pub fn record_run(&self, warm: bool) {
+    pub(crate) fn record_run(&self, warm: bool) {
         if warm {
             self.warm_hits.inc();
         } else {
@@ -201,7 +196,7 @@ impl EnginePool {
     }
 
     /// Record a run that died with an engine error (its memory is lost).
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         self.run_errors.inc();
     }
 }
@@ -218,12 +213,12 @@ pub struct SlotGuard<'a> {
 
 impl SlotGuard<'_> {
     /// The slot's recycled memory from a previous run, if any.
-    pub fn take_memory(&mut self) -> Option<Memory> {
+    pub(crate) fn take_memory(&mut self) -> Option<Memory> {
         self.memory.take()
     }
 
     /// Store the memory to recycle on this slot's next run.
-    pub fn put_memory(&mut self, memory: Memory) {
+    pub(crate) fn put_memory(&mut self, memory: Memory) {
         self.memory = Some(memory);
     }
 }
@@ -251,22 +246,22 @@ impl Drop for SlotGuard<'_> {
 /// the engine (with its full Stack Set) moves into this table, the slot
 /// goes back to the pool, and a later `query-next` re-admits the cursor
 /// through the normal acquire path like any other run.
-pub struct ParkedQuery {
+pub(crate) struct ParkedQuery {
     /// The suspended engine + program bundle.
-    pub cursor: QueryCursor,
+    pub(crate) cursor: QueryCursor,
     /// Keeps the program's session (and its symbol table, needed to render
     /// answer terms) alive even if the program cache evicts the entry.
-    pub entry: Arc<CacheEntry>,
+    pub(crate) entry: Arc<CacheEntry>,
     /// Whether the cursor's engine was built on recycled arenas.
-    pub warm: bool,
+    pub(crate) warm: bool,
     /// Cumulative instruction count at the previous answer boundary, so
     /// each `query-next` leg can report a delta into the server counters.
-    pub instructions_seen: u64,
+    pub(crate) instructions_seen: u64,
     /// Engine wall-clock microseconds charged to the server counters so
     /// far.
-    pub micros_seen: u64,
+    pub(crate) micros_seen: u64,
     /// Refreshed on every cursor operation; the eviction clock.
-    pub last_used: Instant,
+    pub(crate) last_used: Instant,
 }
 
 /// The parked-cursor table: id → [`ParkedQuery`], with lazy idle eviction.
@@ -277,7 +272,7 @@ pub struct ParkedQuery {
 /// the deadline plus the gap to the next cursor touch — and since an
 /// abandoned cursor is only a parked struct, not a thread or a slot,
 /// that is purely memory, never capacity.
-pub struct CursorTable {
+pub(crate) struct CursorTable {
     idle_timeout: Duration,
     capacity: usize,
     next_id: AtomicU64,
@@ -293,7 +288,7 @@ pub struct CursorTable {
 impl CursorTable {
     /// A table holding at most `capacity` parked cursors, each evictable
     /// after `idle_timeout` without a touch.
-    pub fn new(idle_timeout: Duration, capacity: usize) -> Self {
+    pub(crate) fn new(idle_timeout: Duration, capacity: usize) -> Self {
         CursorTable {
             idle_timeout,
             capacity,
@@ -305,15 +300,10 @@ impl CursorTable {
         }
     }
 
-    /// The configured idle deadline.
-    pub fn idle_timeout(&self) -> Duration {
-        self.idle_timeout
-    }
-
     /// Drop every cursor idle past the deadline (their engines' arenas are
     /// freed with them).  Returns the ids of the evicted cursors so the
     /// caller can log each eviction to the flight recorder.
-    pub fn evict_idle(&self) -> Vec<u64> {
+    pub(crate) fn evict_idle(&self) -> Vec<u64> {
         let now = Instant::now();
         let mut parked = self.parked.lock().unwrap();
         let mut evicted = Vec::new();
@@ -333,7 +323,7 @@ impl CursorTable {
     /// Park a cursor, assigning its wire id.  `None` when the table is
     /// full — the caller reports an admission rejection and the cursor
     /// (with its arenas) is dropped.
-    pub fn park(&self, parked: ParkedQuery) -> Option<u64> {
+    pub(crate) fn park(&self, parked: ParkedQuery) -> Option<u64> {
         let mut map = self.parked.lock().unwrap();
         if map.len() >= self.capacity {
             return None;
@@ -347,24 +337,24 @@ impl CursorTable {
     /// Remove a cursor for stepping or closing.  While it is out of the
     /// table a concurrent operation on the same id sees "unknown cursor" —
     /// one operation at a time per cursor, by construction.
-    pub fn take(&self, id: u64) -> Option<ParkedQuery> {
+    pub(crate) fn take(&self, id: u64) -> Option<ParkedQuery> {
         self.parked.lock().unwrap().remove(&id)
     }
 
     /// Put a stepped cursor back under its id with a fresh idle clock.
-    pub fn repark(&self, id: u64, mut parked: ParkedQuery) {
+    pub(crate) fn repark(&self, id: u64, mut parked: ParkedQuery) {
         parked.last_used = Instant::now();
         self.parked.lock().unwrap().insert(id, parked);
     }
 
     /// Record a cursor closed (client `query-close`, exhaustion, or death
     /// by engine error).  The caller has already dropped or consumed it.
-    pub fn note_closed(&self) {
+    pub(crate) fn note_closed(&self) {
         self.closed.inc();
     }
 
     /// Cursors currently parked.
-    pub fn parked(&self) -> usize {
+    pub(crate) fn parked(&self) -> usize {
         self.parked.lock().unwrap().len()
     }
 }

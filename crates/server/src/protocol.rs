@@ -102,7 +102,7 @@ impl ErrorKind {
         }
     }
 
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "protocol" => ErrorKind::Protocol,
             "compile" => ErrorKind::Compile,

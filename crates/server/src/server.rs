@@ -101,19 +101,19 @@ impl Default for ServerConfig {
 
 /// State shared by the event loop and its workers.
 pub(crate) struct ServerState {
-    pub config: ServerConfig,
-    pub pool: EnginePool,
-    pub cache: ProgramCache,
-    pub cursors: CursorTable,
-    pub tenants: TenantTable,
+    pub(crate) config: ServerConfig,
+    pub(crate) pool: EnginePool,
+    pub(crate) cache: ProgramCache,
+    pub(crate) cursors: CursorTable,
+    pub(crate) tenants: TenantTable,
     /// Connections open right now (the loop balances increments with
     /// decrements; `metrics` publishes it as a gauge).
-    pub connections_active: AtomicU64,
+    pub(crate) connections_active: AtomicU64,
     /// The registry: the request counters it created and the counters it
     /// adopted from the pool, cache, cursor table and tenants.
-    pub metrics: ServerMetrics,
-    pub flight: FlightRecorder,
-    pub shutdown: AtomicBool,
+    pub(crate) metrics: ServerMetrics,
+    pub(crate) flight: FlightRecorder,
+    pub(crate) shutdown: AtomicBool,
 }
 
 /// A running server.  Dropping the handle does *not* stop it; call
@@ -158,12 +158,6 @@ impl Server {
     /// `metrics` request returns).
     pub fn metrics_text(&self) -> String {
         self.state.metrics.render(&self.state)
-    }
-
-    /// The flight recorder's newest `limit` events (all when `None`), one
-    /// per line — the same text the `events` request returns.
-    pub fn events_text(&self, limit: Option<u64>) -> String {
-        self.state.flight.render(limit)
     }
 
     /// Stop accepting connections and join the event loop, which first

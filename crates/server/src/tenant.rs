@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// The per-tenant in-flight table.
-pub struct TenantTable {
+pub(crate) struct TenantTable {
     /// Per-tenant concurrent-request quota; `0` disables the quota (every
     /// tenant is admitted, counts are still kept for the gauges).
     max_active: usize,
@@ -32,7 +32,7 @@ pub struct TenantTable {
 impl TenantTable {
     /// A table admitting at most `max_active` concurrent requests per
     /// tenant (`0` = unlimited).
-    pub fn new(max_active: usize) -> Self {
+    pub(crate) fn new(max_active: usize) -> Self {
         TenantTable {
             max_active,
             active: Mutex::new(HashMap::new()),
@@ -41,15 +41,10 @@ impl TenantTable {
         }
     }
 
-    /// The configured quota (`0` = unlimited).
-    pub fn max_active(&self) -> usize {
-        self.max_active
-    }
-
     /// Admit a request.  `Ok` returns the guard holding the tenant's slot;
     /// `Err` carries the tenant's current in-flight count for the error
     /// message.  Anonymous requests always get a (no-op) guard.
-    pub fn admit(&self, tenant: Option<&str>) -> Result<TenantGuard<'_>, u64> {
+    pub(crate) fn admit(&self, tenant: Option<&str>) -> Result<TenantGuard<'_>, u64> {
         let Some(name) = tenant else {
             return Ok(TenantGuard { table: self, tenant: None });
         };
@@ -69,7 +64,7 @@ impl TenantTable {
     }
 
     /// Every tenant with in-flight work right now, with its count.
-    pub fn active_snapshot(&self) -> Vec<(String, u64)> {
+    pub(crate) fn active_snapshot(&self) -> Vec<(String, u64)> {
         let active = self.active.lock().unwrap();
         let mut out: Vec<(String, u64)> = active.iter().map(|(k, v)| (k.clone(), *v)).collect();
         out.sort();
@@ -90,7 +85,7 @@ impl TenantTable {
 
 /// An admitted request's hold on its tenant's quota.  Dropping it releases
 /// the slot; the anonymous variant holds nothing.
-pub struct TenantGuard<'a> {
+pub(crate) struct TenantGuard<'a> {
     table: &'a TenantTable,
     tenant: Option<String>,
 }

@@ -35,12 +35,12 @@ fn parallel_answers_match_sequential_answers_for_every_benchmark() {
 fn traces_contain_shared_and_locked_references_when_parallel() {
     let trace = trace_of(BenchmarkId::Qsort, 4);
     assert!(!trace.is_empty());
-    let global = trace.iter().filter(|r| r.locality == Locality::Global).count();
-    let locked = trace.iter().filter(|r| r.locked).count();
+    let global = trace.iter().filter(|r| r.locality() == Locality::Global).count();
+    let locked = trace.iter().filter(|r| r.locked()).count();
     assert!(global > 0, "no globally-tagged references in a parallel run");
     assert!(locked > 0, "no locked references (goal stack / counts) in a parallel run");
     // Goal Stack traffic only exists in the parallel machine (Table 1).
-    assert!(trace.iter().any(|r| r.area == Area::GoalStack));
+    assert!(trace.iter().any(|r| r.area() == Area::GoalStack));
 }
 
 #[test]
