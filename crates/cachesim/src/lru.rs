@@ -9,19 +9,23 @@
 //! lines densely once, in order of first use, and every cache of every
 //! configuration swept over that trace is built for that many line numbers.
 //! Resident lines sit on a doubly linked recency list threaded through a
-//! slot vector (most recently used at the head), and the index from line
-//! number to slot is a vector with one entry per line number, `NIL` where
-//! the line is not resident — so "is this line here?" is one array read, hit
-//! or miss.  A use moves the slot to the head and a full cache evicts the
-//! tail, so every operation costs the same whatever the capacity.  This is
-//! the replacement a last-use stamp per line and a scan for the smallest
-//! would choose: each use would take a fresh stamp, so stamps are distinct
-//! within a cache, and the line with the smallest is the one every other
-//! resident line has been used after — the tail.
+//! slot vector, and the index from line number to slot is a vector with one
+//! entry per line number — so "is this line here?" is one array read, hit or
+//! miss.  A use moves the slot to the head and a full cache evicts the tail,
+//! so every operation costs the same whatever the capacity.  This is the
+//! replacement a last-use stamp per line and a scan for the smallest would
+//! choose: each use would take a fresh stamp, so stamps are distinct within
+//! a cache, and the line with the smallest is the one every other resident
+//! line has been used after — the tail.
+//!
+//! Slot 0 is a sentinel that holds no line.  The recency list is a ring
+//! through it — its `next` is the most recently used line, its `prev` the
+//! least — so linking and unlinking a slot never asks whether a neighbour
+//! exists, and an index entry or a free-chain link of 0 means "none".
 
-/// "No slot": the end of the recency list or of the free chain, and the
-/// index entry of a line that is not resident.
-const NIL: u32 = u32::MAX;
+/// The sentinel slot: the ring's anchor, and "no slot" in the index and the
+/// free chain.
+const SENTINEL: u32 = 0;
 
 /// Coherency state of a resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,9 +44,9 @@ pub(crate) enum LineState {
 struct Slot {
     line: u32,
     state: LineState,
-    /// Towards the head (more recently used).
+    /// Towards the head (more recently used); the sentinel from the head.
     prev: u32,
-    /// Towards the tail (less recently used).
+    /// Towards the tail (less recently used); the sentinel from the tail.
     next: u32,
 }
 
@@ -50,95 +54,103 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub(crate) struct LruCache {
     capacity_lines: u32,
-    /// line number -> slot, [`NIL`] if the line is not resident
+    /// line number -> slot, [`SENTINEL`] if the line is not resident
     index: Vec<u32>,
     /// Number of resident lines.
     resident_count: u32,
-    /// Grows to at most `capacity_lines` slots, as lines first arrive.
+    /// The sentinel, then at most `capacity_lines` slots, grown as lines
+    /// first arrive.
     slots: Vec<Slot>,
-    /// Most recently used resident line.
-    head: u32,
-    /// Least recently used resident line: the next victim.
-    tail: u32,
-    /// First vacated slot.
+    /// First vacated slot, [`SENTINEL`] if none.
     free: u32,
 }
 
 impl LruCache {
     /// A cache of `capacity_lines` lines for line numbers below `lines`.
     pub(crate) fn new(capacity_lines: u32, lines: u32) -> Self {
+        let sentinel = Slot { line: 0, state: LineState::Shared, prev: SENTINEL, next: SENTINEL };
         LruCache {
             capacity_lines: capacity_lines.max(1),
-            index: vec![NIL; lines as usize],
+            index: vec![SENTINEL; lines as usize],
             resident_count: 0,
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: NIL,
+            slots: vec![sentinel],
+            free: SENTINEL,
         }
     }
 
-    /// The slot of a resident line.
-    #[inline]
-    fn slot_of(&self, line: u32) -> Option<u32> {
+    /// The slot of a resident line, without touching LRU order.
+    #[inline(always)]
+    pub(crate) fn slot(&self, line: u32) -> Option<u32> {
         match self.index[line as usize] {
-            NIL => None,
+            SENTINEL => None,
             i => Some(i),
         }
     }
 
-    /// Take slot `i` out of the recency list.
+    /// Take slot `i` out of the recency ring.
+    #[inline(always)]
     fn unlink(&mut self, i: u32) {
         let Slot { prev, next, .. } = self.slots[i as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
-        }
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
     }
 
-    /// Put the unlinked slot `i` at the head of the recency list.
+    /// Put the unlinked slot `i` at the head of the recency ring.
+    #[inline(always)]
     fn link_at_head(&mut self, i: u32) {
-        let old = std::mem::replace(&mut self.head, i);
+        let old = std::mem::replace(&mut self.slots[SENTINEL as usize].next, i);
         let slot = &mut self.slots[i as usize];
-        slot.prev = NIL;
+        slot.prev = SENTINEL;
         slot.next = old;
-        match old {
-            NIL => self.tail = i,
-            h => self.slots[h as usize].prev = i,
-        }
+        self.slots[old as usize].prev = i;
     }
 
     /// Record a use of slot `i`.
-    #[inline]
+    #[inline(always)]
     fn move_to_head(&mut self, i: u32) {
-        if self.head != i {
+        if self.slots[SENTINEL as usize].next != i {
             self.unlink(i);
             self.link_at_head(i);
         }
     }
 
-    /// State of a resident line, touching it for LRU purposes.
-    pub(crate) fn touch(&mut self, line: u32) -> Option<LineState> {
-        let i = self.slot_of(line)?;
+    /// The slot of a resident line, touching it for LRU purposes.
+    #[inline(always)]
+    pub(crate) fn touch_slot(&mut self, line: u32) -> Option<u32> {
+        let i = self.slot(line)?;
         self.move_to_head(i);
-        Some(self.slots[i as usize].state)
+        Some(i)
+    }
+
+    /// State of the line in slot `i`.
+    #[inline]
+    pub(crate) fn state(&self, i: u32) -> LineState {
+        self.slots[i as usize].state
+    }
+
+    /// Change the state of the line in slot `i` (no LRU effect).
+    #[inline]
+    pub(crate) fn set_slot_state(&mut self, i: u32, state: LineState) {
+        self.slots[i as usize].state = state;
+    }
+
+    /// State of a resident line, touching it for LRU purposes.
+    #[cfg(test)]
+    pub(crate) fn touch(&mut self, line: u32) -> Option<LineState> {
+        self.touch_slot(line).map(|i| self.state(i))
     }
 
     /// State of a resident line without touching LRU order.
     pub(crate) fn peek(&self, line: u32) -> Option<LineState> {
-        self.slot_of(line).map(|i| self.slots[i as usize].state)
+        self.slot(line).map(|i| self.state(i))
     }
 
     /// Change the state of a resident line (no LRU effect).  Returns `false`
     /// if the line is not resident.
     pub(crate) fn set_state(&mut self, line: u32, state: LineState) -> bool {
-        match self.slot_of(line) {
+        match self.slot(line) {
             Some(i) => {
-                self.slots[i as usize].state = state;
+                self.set_slot_state(i, state);
                 true
             }
             None => false,
@@ -147,35 +159,35 @@ impl LruCache {
 
     /// Remove a line (invalidation).  Returns its state if it was resident.
     pub(crate) fn invalidate(&mut self, line: u32) -> Option<LineState> {
-        let i = self.slot_of(line)?;
-        self.index[line as usize] = NIL;
+        let i = self.slot(line)?;
+        self.index[line as usize] = SENTINEL;
         self.resident_count -= 1;
         self.unlink(i);
         self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
-        Some(self.slots[i as usize].state)
+        Some(self.state(i))
     }
 
     /// Insert a line, evicting the least recently used one if the cache is
     /// full.  Returns the evicted `(line, state)` if an eviction occurred.
     pub(crate) fn insert(&mut self, line: u32, state: LineState) -> Option<(u32, LineState)> {
-        if let Some(i) = self.slot_of(line) {
-            self.slots[i as usize].state = state;
+        if let Some(i) = self.slot(line) {
+            self.set_slot_state(i, state);
             self.move_to_head(i);
             return None;
         }
-        let fresh = Slot { line, state, prev: NIL, next: NIL };
+        let fresh = Slot { line, state, prev: SENTINEL, next: SENTINEL };
         let mut evicted = None;
         let i = if self.resident_count >= self.capacity_lines {
             // Perfect LRU: the victim's slot takes the new line.
-            let i = self.tail;
+            let i = self.slots[SENTINEL as usize].prev;
             self.unlink(i);
             let victim = std::mem::replace(&mut self.slots[i as usize], fresh);
-            self.index[victim.line as usize] = NIL;
+            self.index[victim.line as usize] = SENTINEL;
             evicted = Some((victim.line, victim.state));
             i
         } else {
             self.resident_count += 1;
-            if self.free != NIL {
+            if self.free != SENTINEL {
                 let i = self.free;
                 self.free = std::mem::replace(&mut self.slots[i as usize], fresh).next;
                 i
@@ -195,8 +207,8 @@ impl LruCache {
         self.index
             .iter()
             .enumerate()
-            .filter(|&(_, &i)| i != NIL)
-            .map(|(line, &i)| (line as u32, self.slots[i as usize].state))
+            .filter(|&(_, &i)| i != SENTINEL)
+            .map(|(line, &i)| (line as u32, self.state(i)))
     }
 }
 

@@ -17,12 +17,26 @@
 //! the convention that makes the conventional write-through cache look as
 //! bad as it does in the paper.
 //!
-//! ## Line numbers
+//! ## The packed stream
 //!
 //! The caches never see an address.  [`simulate`] (and the sweep, once per
-//! line size) first numbers the trace's lines densely in order of first use
-//! — one hash per reference — and the simulator then answers every
-//! coherence question, in every PE's cache, by indexing with that number.
+//! line size) first decodes the trace into a [`Stream`]: one 8-byte record
+//! per reference holding its line number, its PE, a write bit and a global
+//! bit.  Line numbers are dense, in order of first use, so every coherence
+//! question in every PE's cache is answered by indexing with that number;
+//! the bits are all a configuration needs of a [`MemRef`].  Every
+//! configuration replays the same stream, in a loop of its own protocol's
+//! (the `match` on the protocol is made once per replay, not per reference),
+//! and checks once that the stream's PEs are ones it has.
+//!
+//! Decoding also drops the reads that are no-ops in every configuration: a
+//! read whose PE's previous reference was a read of the same line, with no
+//! write to that line by any PE in between.  Only a PE's own fetches evict
+//! from its cache and only writes invalidate, so that line is still resident
+//! in the PE's cache and still at its most recently used position: the read
+//! is a hit whose `touch` moves nothing, whatever the protocol, cache size
+//! or allocation policy.  The stream counts the dropped reads, and every
+//! result adds them to `refs` and `reads`.
 //!
 //! ## Holder masks
 //!
@@ -39,9 +53,110 @@
 use crate::config::{Protocol, SimConfig};
 use crate::lru::{LineState, LruCache};
 use crate::results::SimResult;
-use rapwam::{Locality, MemRef};
+#[cfg(test)]
+use rapwam::Locality;
+use rapwam::MemRef;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// One reference of a [`Stream`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Packed {
+    pub(crate) line: u32,
+    pub(crate) pe: u8,
+    pub(crate) write: bool,
+    /// The referenced object is global (Table 1), which the hybrid protocol
+    /// writes through.
+    pub(crate) global: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 8);
+
+/// Entries of the direct-mapped memo of recent line numbers in
+/// [`Stream::new`] (a power of two).
+const RECENT: usize = 4096;
+
+/// A trace decoded for one line size: what every configuration of that
+/// line size replays.
+#[derive(Debug)]
+pub(crate) struct Stream {
+    pub(crate) line_words: u32,
+    /// The references left after dropping the no-op reads, in trace order.
+    pub(crate) refs: Vec<Packed>,
+    /// Distinct lines: every line number is below this.
+    pub(crate) lines: u32,
+    /// Reads and writes of the whole trace, the dropped reads included.
+    reads: u64,
+    writes: u64,
+    /// One more than the largest PE that issues a reference (0 if none).
+    pes: usize,
+}
+
+impl Stream {
+    /// Number the lines of `line_words` words that `trace` touches, densely
+    /// and in order of first use, and pack every reference that is not a
+    /// no-op read (see the module docs).
+    pub(crate) fn new(trace: &[MemRef], line_words: u32) -> Stream {
+        // Lines are a power of two words in every configuration the paper
+        // sweeps: a shift, not a division per reference.
+        if line_words.is_power_of_two() {
+            let shift = line_words.trailing_zeros();
+            Stream::decode(trace, line_words, |addr| addr >> shift)
+        } else {
+            Stream::decode(trace, line_words, |addr| addr / line_words)
+        }
+    }
+
+    #[inline(always)]
+    fn decode(trace: &[MemRef], line_words: u32, line_of: impl Fn(u32) -> u32) -> Stream {
+        let mut numbers: HashMap<u32, u32, BuildHasherDefault<LineHasher>> = HashMap::default();
+        // (line address, number) of the last line seen at each position:
+        // most references are to a recently used line, and this answers them
+        // without the table.  Entry `k` starts as address `k ^ 1`, which is
+        // looked up at entry `k ^ 1`, never here.
+        let mut recent: Vec<(u32, u32)> = (0..RECENT as u32).map(|k| (k ^ 1, 0)).collect();
+        // Per line number: 1 + the trace position of its last write, 0 if
+        // none yet.
+        let mut written: Vec<usize> = Vec::new();
+        // Per PE: the line of its previous reference and 1 + that
+        // reference's position if it was a read, else position 0.
+        let mut last_read = [(0u32, 0usize); 256];
+        let mut refs = Vec::with_capacity(trace.len());
+        let (mut writes, mut pes) = (0, 0);
+        for (i, r) in trace.iter().enumerate() {
+            let addr = line_of(r.addr);
+            let memo = &mut recent[addr as usize & (RECENT - 1)];
+            let line = if memo.0 == addr {
+                memo.1
+            } else {
+                let next = numbers.len() as u32;
+                let line = *numbers.entry(addr).or_insert(next);
+                if line == next {
+                    written.push(0);
+                }
+                *memo = (addr, line);
+                line
+            };
+            pes = pes.max(r.pe as usize + 1);
+            let last = &mut last_read[r.pe as usize];
+            if r.write {
+                writes += 1;
+                written[line as usize] = i + 1;
+                last.1 = 0;
+            } else {
+                let no_op = last.0 == line && written[line as usize] < last.1;
+                *last = (line, i + 1);
+                if no_op {
+                    continue;
+                }
+            }
+            let global = matches!(r.locality(), rapwam::Locality::Global);
+            refs.push(Packed { line, pe: r.pe, write: r.write, global });
+        }
+        let reads = trace.len() as u64 - writes;
+        Stream { line_words, refs, lines: numbers.len() as u32, reads, writes, pes }
+    }
+}
 
 /// The simulator state: one cache per PE plus the shared-bus counters.
 #[derive(Debug)]
@@ -65,20 +180,60 @@ impl MultiCacheSim {
         MultiCacheSim { config, caches, holders, mask_words, result: SimResult::new(config) }
     }
 
-    /// Feed one reference, to the line numbered `line`, into the simulator.
+    /// Panic unless every PE below `pes` has a cache; `pe` names the first
+    /// reference's PE that has none.
+    fn check_pes(&self, pes: usize, first: impl FnOnce() -> usize) {
+        if pes > self.config.num_pes {
+            panic!("reference from PE {} but only {} PEs configured", first(), self.config.num_pes);
+        }
+    }
+
+    /// Feed one reference, to the line numbered `line`, into the simulator:
+    /// the unfiltered, per-reference path the packed replay is checked
+    /// against.
+    #[cfg(test)]
     pub(crate) fn access(&mut self, pe: usize, line: u32, write: bool, locality: Locality) {
-        assert!(
-            pe < self.config.num_pes,
-            "reference from PE {pe} but only {} PEs configured",
-            self.config.num_pes
-        );
+        self.check_pes(pe + 1, || pe);
         self.result.refs += 1;
+        let slot = self.caches[pe].touch_slot(line);
         if write {
             self.result.writes += 1;
-            self.write_access(pe, line, locality);
+            if slot.is_none() {
+                self.result.write_misses += 1;
+            }
+            match self.config.protocol {
+                Protocol::WriteThrough => self.write_through(pe, line, slot, true),
+                Protocol::Hybrid => match locality {
+                    Locality::Global => self.write_through(pe, line, slot, false),
+                    Locality::Local => self.write_back_private(pe, line, slot),
+                },
+                Protocol::WriteInBroadcast => self.write_invalidate(pe, line, slot),
+                Protocol::WriteThroughBroadcast => self.write_update(pe, line, slot),
+            }
         } else {
             self.result.reads += 1;
-            self.read_access(pe, line);
+            if slot.is_none() {
+                self.read_miss(pe, line);
+            }
+        }
+    }
+
+    /// Replay `refs` with `write` as the protocol's write action, which
+    /// gets the writing PE, the line, the slot the write hit (`None` on a
+    /// miss) and the global bit.
+    #[inline(always)]
+    fn replay(&mut self, refs: &[Packed], mut write: impl FnMut(&mut Self, usize, u32, Option<u32>, bool)) {
+        for r in refs {
+            let pe = r.pe as usize;
+            let slot = self.caches[pe].touch_slot(r.line);
+            if r.write {
+                if slot.is_none() {
+                    self.result.write_misses += 1;
+                }
+                write(self, pe, r.line, slot, r.global);
+            } else if slot.is_none() {
+                self.read_miss(pe, r.line);
+            }
         }
     }
 
@@ -108,6 +263,7 @@ impl MultiCacheSim {
     }
 
     /// Whether a cache other than `pe`'s holds `line`.
+    #[inline(always)]
     fn held_elsewhere(&self, pe: usize, line: u32) -> bool {
         let at = self.mask_at(line);
         (0..self.mask_words).any(|w| self.holders[at + w] & !Self::own_bit(pe, w) != 0)
@@ -128,64 +284,47 @@ impl MultiCacheSim {
         }
     }
 
-    fn read_access(&mut self, pe: usize, line: u32) {
-        if self.caches[pe].touch(line).is_some() {
-            return; // read hit: no bus traffic
-        }
+    /// A read that missed in `pe`'s cache.
+    fn read_miss(&mut self, pe: usize, line: u32) {
         self.result.read_misses += 1;
         // A dirty remote copy supplies the line (and memory snoops the same
         // transfer), so the data words are only counted once — by the fetch
         // below; clean remote copies just become shared.
         let mut remote_copy = false;
         self.each_other_holder(pe, line, |cache, result| {
-            if cache.peek(line) == Some(LineState::Dirty) {
+            let i = cache.slot(line).expect("a holder bit without a resident line");
+            if cache.state(i) == LineState::Dirty {
                 result.write_backs += 1;
             }
-            cache.set_state(line, LineState::Shared);
+            cache.set_slot_state(i, LineState::Shared);
             remote_copy = true;
         });
         // Fetch the line (from memory or the supplying cache).
         self.fetch_line(pe, line, if remote_copy { LineState::Shared } else { LineState::Exclusive });
     }
 
-    fn write_access(&mut self, pe: usize, line: u32, locality: Locality) {
-        let hit = self.caches[pe].touch(line).is_some();
-        if !hit {
-            self.result.write_misses += 1;
-        }
-        match self.config.protocol {
-            Protocol::WriteThrough => self.write_through(pe, line, hit, true),
-            Protocol::Hybrid => match locality {
-                Locality::Global => self.write_through(pe, line, hit, false),
-                Locality::Local => self.write_back_private(pe, line, hit),
-            },
-            Protocol::WriteInBroadcast => self.write_invalidate(pe, line, hit),
-            Protocol::WriteThroughBroadcast => self.write_update(pe, line, hit),
-        }
-    }
-
     /// Conventional write-through: the word always goes to memory and remote
     /// copies are invalidated.  When `allocate_policy` is true the cache's
     /// write-allocate setting decides whether a missing block is fetched;
     /// the hybrid protocol's global writes never allocate.
-    fn write_through(&mut self, pe: usize, line: u32, hit: bool, allocate_policy: bool) {
+    fn write_through(&mut self, pe: usize, line: u32, slot: Option<u32>, allocate_policy: bool) {
         self.invalidate_others(pe, line);
         // The written word travels to memory.
         self.result.write_through_words += 1;
         self.result.bus_words += 1;
         self.result.bus_transactions += 1;
-        if hit {
+        if let Some(i) = slot {
             // Copy stays valid and consistent (memory was just updated).
-            self.caches[pe].set_state(line, LineState::Shared);
+            self.caches[pe].set_slot_state(i, LineState::Shared);
         } else if allocate_policy && self.config.cache.write_allocate {
             self.fetch_line(pe, line, LineState::Shared);
         }
     }
 
     /// Copy-back of local (unshared) data: no coherency actions at all.
-    fn write_back_private(&mut self, pe: usize, line: u32, hit: bool) {
-        if hit {
-            self.caches[pe].set_state(line, LineState::Dirty);
+    fn write_back_private(&mut self, pe: usize, line: u32, slot: Option<u32>) {
+        if let Some(i) = slot {
+            self.caches[pe].set_slot_state(i, LineState::Dirty);
             return;
         }
         if self.config.cache.write_allocate {
@@ -198,16 +337,14 @@ impl MultiCacheSim {
     }
 
     /// Write-in broadcast (invalidate-based write-back).
-    fn write_invalidate(&mut self, pe: usize, line: u32, hit: bool) {
-        if hit {
-            match self.caches[pe].peek(line).expect("hit implies resident") {
+    fn write_invalidate(&mut self, pe: usize, line: u32, slot: Option<u32>) {
+        if let Some(i) = slot {
+            match self.caches[pe].state(i) {
                 LineState::Dirty => {}
-                LineState::Exclusive => {
-                    self.caches[pe].set_state(line, LineState::Dirty);
-                }
+                LineState::Exclusive => self.caches[pe].set_slot_state(i, LineState::Dirty),
                 LineState::Shared => {
                     self.invalidate_others(pe, line);
-                    self.caches[pe].set_state(line, LineState::Dirty);
+                    self.caches[pe].set_slot_state(i, LineState::Dirty);
                 }
             }
             return;
@@ -234,17 +371,17 @@ impl MultiCacheSim {
 
     /// Write-through broadcast (update-based): writes to shared blocks
     /// broadcast the word, private blocks are copied back.
-    fn write_update(&mut self, pe: usize, line: u32, hit: bool) {
+    fn write_update(&mut self, pe: usize, line: u32, slot: Option<u32>) {
         let shared_elsewhere = self.held_elsewhere(pe, line);
-        if hit {
+        if let Some(i) = slot {
             if shared_elsewhere {
                 // Broadcast the word to the other caches and memory.
                 self.result.updates += 1;
                 self.result.bus_words += 1;
                 self.result.bus_transactions += 1;
-                self.caches[pe].set_state(line, LineState::Shared);
+                self.caches[pe].set_slot_state(i, LineState::Shared);
             } else {
-                self.caches[pe].set_state(line, LineState::Dirty);
+                self.caches[pe].set_slot_state(i, LineState::Dirty);
             }
             return;
         }
@@ -275,22 +412,27 @@ impl MultiCacheSim {
         }
     }
 
+    /// Invalidate every copy of `line` but `pe`'s.  Most writes find none,
+    /// and pay one look at the holder mask for it.
+    #[inline(always)]
     fn invalidate_others(&mut self, pe: usize, line: u32) {
-        let mut any = false;
+        if self.held_elsewhere(pe, line) {
+            self.invalidate_copies(pe, line);
+        }
+    }
+
+    fn invalidate_copies(&mut self, pe: usize, line: u32) {
         self.each_other_holder(pe, line, |cache, result| {
             let was = cache.invalidate(line);
             debug_assert!(was.is_some(), "a holder bit without a resident line");
             result.copies_invalidated += 1;
-            any = true;
         });
-        if any {
-            let at = self.mask_at(line);
-            for w in 0..self.mask_words {
-                self.holders[at + w] &= Self::own_bit(pe, w);
-            }
-            self.result.invalidations += 1;
-            self.result.bus_transactions += 1;
+        let at = self.mask_at(line);
+        for w in 0..self.mask_words {
+            self.holders[at + w] &= Self::own_bit(pe, w);
         }
+        self.result.invalidations += 1;
+        self.result.bus_transactions += 1;
     }
 
     /// Bring a line into `pe`'s cache, accounting the fetch and any eviction
@@ -356,35 +498,58 @@ impl MultiCacheSim {
 
 /// Run one configuration over a trace.
 pub fn simulate(config: &SimConfig, trace: &[MemRef]) -> SimResult {
-    let (lines, count) = number_lines(trace, config.cache.line_words);
-    simulate_numbered(config, trace, &lines, count)
+    replay(config, &Stream::new(trace, config.cache.line_words))
 }
 
-/// Number the lines of `line_words` words that a trace touches: the line
-/// number of each reference, in trace order, and how many distinct lines
-/// there are.  Numbers are dense and given in order of first use.
-pub(crate) fn number_lines(trace: &[MemRef], line_words: u32) -> (Vec<u32>, u32) {
-    let mut numbers: HashMap<u32, u32, BuildHasherDefault<LineHasher>> = HashMap::default();
-    let lines = trace
+/// Run one configuration over a stream decoded for its line size.
+pub(crate) fn replay(config: &SimConfig, stream: &Stream) -> SimResult {
+    debug_assert_eq!(stream.line_words, config.cache.line_words, "a stream of another line size");
+    let mut sim = MultiCacheSim::new(*config, stream.lines);
+    // The first reference from a PE without a cache is never a dropped read:
+    // its PE's previous reference was earlier.
+    sim.check_pes(stream.pes, || {
+        let pe = stream.refs.iter().map(|r| r.pe as usize).find(|&pe| pe >= config.num_pes);
+        pe.expect("`pes` counts only the PEs of kept references")
+    });
+    let refs = &stream.refs;
+    match config.protocol {
+        Protocol::WriteThrough => {
+            sim.replay(refs, |sim, pe, line, slot, _| sim.write_through(pe, line, slot, true))
+        }
+        Protocol::Hybrid => sim.replay(refs, |sim, pe, line, slot, global| {
+            if global {
+                sim.write_through(pe, line, slot, false)
+            } else {
+                sim.write_back_private(pe, line, slot)
+            }
+        }),
+        Protocol::WriteInBroadcast => {
+            sim.replay(refs, |sim, pe, line, slot, _| sim.write_invalidate(pe, line, slot))
+        }
+        Protocol::WriteThroughBroadcast => {
+            sim.replay(refs, |sim, pe, line, slot, _| sim.write_update(pe, line, slot))
+        }
+    }
+    let result = &mut sim.result;
+    (result.reads, result.writes, result.refs) = (stream.reads, stream.writes, stream.reads + stream.writes);
+    sim.finish()
+}
+
+/// Run one configuration over a trace with every reference fed through
+/// [`MultiCacheSim::access`]: no packed stream, no dropped reads, the
+/// protocol matched per reference.  The oracle of the replay's tests.
+#[cfg(test)]
+pub(crate) fn simulate_unfiltered(config: &SimConfig, trace: &[MemRef]) -> SimResult {
+    let mut numbers: HashMap<u32, u32> = HashMap::new();
+    let lines: Vec<u32> = trace
         .iter()
         .map(|r| {
             let next = numbers.len() as u32;
-            *numbers.entry(r.addr / line_words).or_insert(next)
+            *numbers.entry(r.addr / config.cache.line_words).or_insert(next)
         })
         .collect();
-    (lines, numbers.len() as u32)
-}
-
-/// Run one configuration over a numbered trace: `lines[i]` is the line
-/// number of `trace[i]`, and every line number is below `count`.
-pub(crate) fn simulate_numbered(
-    config: &SimConfig,
-    trace: &[MemRef],
-    lines: &[u32],
-    count: u32,
-) -> SimResult {
-    let mut sim = MultiCacheSim::new(*config, count);
-    for (r, &line) in trace.iter().zip(lines) {
+    let mut sim = MultiCacheSim::new(*config, numbers.len() as u32);
+    for (r, line) in trace.iter().zip(lines) {
         sim.access(r.pe as usize, line, r.write, r.locality());
     }
     sim.finish()
@@ -574,25 +739,29 @@ mod tests {
 
     #[test]
     fn lines_are_numbered_densely_in_order_of_first_use() {
+        let numbers = |trace: &[MemRef], line_words| {
+            let stream = Stream::new(trace, line_words);
+            (stream.refs.iter().map(|r| r.line).collect::<Vec<_>>(), stream.lines)
+        };
         let addrs = [400, 3, 401, 0, 7, 403, u32::MAX, 2, u32::MAX - 3, 404, u32::MAX - 1];
         let trace: Vec<_> = addrs.iter().map(|&a| r(0, a, false)).collect();
 
         // Four-word lines: 100, 0, 100, 0, 1, 100, max/4, 0, max/4, 101, max/4.
-        let (lines, count) = number_lines(&trace, 4);
+        let (lines, count) = numbers(&trace, 4);
         assert_eq!(lines, [0, 1, 0, 1, 2, 0, 3, 1, 3, 4, 3]);
         assert_eq!(count, 5);
 
         // One-word lines are the addresses, up to `u32::MAX`: every address
-        // gets its own number, below the count and far below `NIL`.
-        let (lines, count) = number_lines(&trace, 1);
+        // gets its own number, below the count.
+        let (lines, count) = numbers(&trace, 1);
         assert_eq!(lines, (0..addrs.len() as u32).collect::<Vec<_>>());
         assert_eq!(count, addrs.len() as u32);
         let top: Vec<_> = (0..4).map(|k| r(0, u32::MAX - k, true)).collect();
-        let (lines, count) = number_lines(&[top.clone(), top].concat(), 1);
+        let (lines, count) = numbers(&[top.clone(), top].concat(), 1);
         assert_eq!(lines, [0, 1, 2, 3, 0, 1, 2, 3]);
         assert_eq!(count, 4);
 
-        assert_eq!(number_lines(&[], 4), (vec![], 0));
+        assert_eq!(numbers(&[], 4), (vec![], 0));
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! Regenerating Figure 4 means simulating every (protocol × cache size ×
 //! PE count) combination over four benchmark traces.  Each configuration is
-//! an independent simulation over the same trace, so the sweep numbers the
-//! trace's lines once per line size among the configurations and shares the
-//! trace and its numberings read-only with scoped OS threads.  The threads
-//! claim configurations from one atomic index and hand their results back
-//! through their join handles.
+//! an independent simulation over the same trace, so the sweep decodes the
+//! trace once per line size among the configurations — into the packed
+//! stream of [`crate::multisim`], lines numbered and no-op reads dropped —
+//! and shares the streams read-only with scoped OS threads.  The calling
+//! thread is one of them.  They claim configurations from one atomic index
+//! and hand their results back through their join handles.
 
 use crate::config::SimConfig;
-use crate::multisim::{number_lines, simulate_numbered};
+use crate::multisim::{replay, Stream};
 use crate::results::SimResult;
 use rapwam::MemRef;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,23 +21,20 @@ pub fn run_sweep(trace: &[MemRef], configs: &[SimConfig]) -> Vec<SimResult> {
     run_sweep_with_threads(trace, configs, num_threads())
 }
 
-/// As [`run_sweep`] but with an explicit worker-thread count (used by the
-/// scaling benchmark).
+/// As [`run_sweep`] but with an explicit thread count, the calling thread
+/// included (used by the scaling benchmark).
 pub fn run_sweep_with_threads(trace: &[MemRef], configs: &[SimConfig], threads: usize) -> Vec<SimResult> {
-    // (line_words, line number of each reference, distinct lines)
-    let mut numberings: Vec<(u32, Vec<u32>, u32)> = Vec::new();
+    let mut streams: Vec<Stream> = Vec::new();
     for c in configs {
         let line_words = c.cache.line_words;
-        if !numberings.iter().any(|(w, ..)| *w == line_words) {
-            let (lines, count) = number_lines(trace, line_words);
-            numberings.push((line_words, lines, count));
+        if !streams.iter().any(|s| s.line_words == line_words) {
+            streams.push(Stream::new(trace, line_words));
         }
     }
     let run = |i: usize| {
         let config = &configs[i];
-        let (_, lines, count) =
-            numberings.iter().find(|(w, ..)| *w == config.cache.line_words).expect("numbered above");
-        simulate_numbered(config, trace, lines, *count)
+        let stream = streams.iter().find(|s| s.line_words == config.cache.line_words).expect("decoded above");
+        replay(config, stream)
     };
 
     let threads = threads.max(1).min(configs.len().max(1));
@@ -44,18 +42,19 @@ pub fn run_sweep_with_threads(trace: &[MemRef], configs: &[SimConfig], threads: 
         return (0..configs.len()).map(run).collect();
     }
     let next = AtomicUsize::new(0);
+    let work = || {
+        // Relaxed: the index only hands out work; the results come back
+        // through `join`, which synchronises.
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < configs.len());
+        std::iter::from_fn(claim).map(|i| (i, run(i))).collect::<Vec<_>>()
+    };
     let mut done: Vec<(usize, SimResult)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Relaxed: the index only hands out work; the results
-                    // come back through `join`, which synchronises.
-                    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < configs.len());
-                    std::iter::from_fn(claim).map(|i| (i, run(i))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("a sweep thread panicked")).collect()
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("a sweep thread panicked"));
+        }
+        done
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
@@ -69,7 +68,7 @@ fn num_threads() -> usize {
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, Protocol};
-    use crate::multisim::simulate;
+    use crate::multisim::{simulate, simulate_unfiltered};
     use proptest::prelude::*;
     use rapwam::ObjectKind;
 
@@ -151,6 +150,38 @@ mod tests {
         prop::collection::vec(config, 1..10)
     }
 
+    /// `(pe, addr, reads, object, interloper)`: `reads` reads by `pe` of
+    /// the words of `addr`'s four-word line, and — when `interloper` is
+    /// `Some((other, after, write))` — one reference by PE `other` to that
+    /// line after the `after`-th read.  Runs of same-PE, same-line reads are
+    /// what the packed stream drops; the interloper's writes are what must
+    /// stop it.
+    type Burst = (u8, u32, u32, ObjectKind, Option<(u8, u32, bool)>);
+
+    fn arb_bursts() -> impl Strategy<Value = Vec<Burst>> {
+        let flag = || prop::sample::select(vec![false, true]);
+        let interloper = (flag(), 0u8..8, 0u32..6, flag())
+            .prop_map(|(on, other, after, write)| on.then_some((other, after, write)));
+        let object = prop::sample::select(ObjectKind::ALL.to_vec());
+        prop::collection::vec((0u8..8, 0u32..300, 1u32..6, object, interloper), 0..300)
+    }
+
+    /// The trace of `bursts` on `pes` PEs.
+    fn burst_trace(bursts: &[Burst], pes: usize) -> Vec<MemRef> {
+        let mut trace = Vec::new();
+        for &(pe, addr, reads, object, interloper) in bursts {
+            let (pe, line) = (pe % pes as u8, addr / 4 * 4);
+            for k in 0..reads {
+                trace.push(MemRef { pe, addr: line + (addr + k) % 4, write: false, object });
+                if let Some((other, after, write)) = interloper.filter(|i| i.1 == k) {
+                    let other = other % pes as u8;
+                    trace.push(MemRef { pe: other, addr: line + after % 4, write, object });
+                }
+            }
+        }
+        trace
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -178,6 +209,28 @@ mod tests {
             prop_assert_eq!(swept.len(), configs.len());
             for (config, result) in configs.iter().zip(&swept) {
                 prop_assert_eq!(result, &simulate(config, &trace), "{:?} at {} threads", config, threads);
+            }
+        }
+
+        #[test]
+        fn dropping_repeated_reads_changes_no_result(
+            bursts in arb_bursts(),
+            configs in arb_configs(),
+            pes in 1usize..9,
+            threads in 1usize..4,
+        ) {
+            let trace = burst_trace(&bursts, pes);
+            let configs: Vec<SimConfig> = configs
+                .iter()
+                .map(|&(line_words, _, size_words, protocol, write_allocate)| SimConfig {
+                    cache: CacheConfig { size_words, line_words, write_allocate },
+                    protocol,
+                    num_pes: pes,
+                })
+                .collect();
+            let swept = run_sweep_with_threads(&trace, &configs, threads);
+            for (config, result) in configs.iter().zip(&swept) {
+                prop_assert_eq!(result, &simulate_unfiltered(config, &trace), "{:?}", config);
             }
         }
     }

@@ -1,6 +1,8 @@
-//! `Step::new`, the memory accessors and the one-slot driver (`run_slot`, `exec_batch`).
+//! `Step::new`, the memory accessors and the scheduling actions of a worker
+//! that is not running (`run_slot`), and the relaxed backend's batch
+//! (`exec_batch`).
 
-use super::{EngineCore, Step, SLOT_CAP};
+use super::{EngineCore, Step};
 use crate::cell::{Cell, NONE_ADDR};
 use crate::error::{EngineError, EngineResult};
 use crate::frames::parcall;
@@ -15,7 +17,7 @@ impl<'a, 'p> Step<'a, 'p> {
     #[inline]
     pub(crate) fn new(core: &'a EngineCore<'p>, wk: &'a mut Worker) -> Self {
         let own = core.mem.arena(wk.id as usize);
-        Step { core, wk, own }
+        Step { core, wk, own, end_on_push: false }
     }
 
     /// This worker's index.
@@ -233,46 +235,16 @@ impl<'a, 'p> Step<'a, 'p> {
         self.wk.env_cache_e = NONE_ADDR;
     }
 
-    /// Give this worker one slot of a strict round: one scheduling action
-    /// when idle or waiting, and when running either `quantum` instructions
-    /// (N PEs: the interleave granularity is what the merged trace means) or
-    /// a run to the next scheduling-relevant event (one PE).  Returns `true`
-    /// if the worker made progress.  A no-op once the query has finished.
-    ///
-    /// With one PE nothing can observe where a slot ends, so the running
-    /// worker executes until it parks, waits, suspends or halts (the batch
-    /// loop's own exits), until the fuel or step budget is due, or for
-    /// `SLOT_CAP` instructions, and `cycles` advances by the instructions
-    /// retired — exactly the rounds an instruction-at-a-time driver would
-    /// have counted.  Every observable therefore matches that driver: the
-    /// checks in `end_round` fire after the same instruction they always did.
+    /// Give this worker that is not running one slot: one scheduling action
+    /// — pick up or steal a goal, resume at a drained wait, finish a drained
+    /// cancellation.  Returns `true` if the worker made progress.  The
+    /// running worker's slot is its driver's: `Engine::step_slot` on the
+    /// strict backend, `exec_batch` on the relaxed one.  Both call this only
+    /// while the query is unfinished.
     pub(crate) fn run_slot(&mut self) -> EngineResult<bool> {
-        let core = self.core;
-        if core.halted() {
-            return Ok(false);
-        }
         Ok(match self.wk.status {
-            WorkerStatus::Stopped => return Ok(false),
-            WorkerStatus::Running => {
-                if core.config.num_workers > 1 {
-                    self.exec_batch(core.config.quantum)?;
-                    return Ok(true);
-                }
-                // Stop where `end_round` would have acted: fuel preempts at
-                // `steps >= fuel_limit`, the step limit errors at
-                // `steps > max_steps`.  At least one instruction always
-                // runs, as in a quantum-1 round.
-                let steps = core.steps();
-                let due = core
-                    .fuel_limit
-                    .load(Ordering::Relaxed)
-                    .min(core.config.max_steps.saturating_add(1))
-                    .saturating_sub(steps);
-                let executed = self.exec_batch(due.clamp(1, SLOT_CAP as u64) as u32)?;
-                // `begin_round` counted the first instruction's cycle.
-                core.cycles.fetch_add((executed as u64).saturating_sub(1), Ordering::Relaxed);
-                return Ok(true);
-            }
+            WorkerStatus::Stopped => false,
+            WorkerStatus::Running => unreachable!("a running worker's slot belongs to its driver"),
             WorkerStatus::Idle => {
                 self.wk.idle_cycles += 1;
                 self.try_dispatch_work(Resume::Idle)?
@@ -325,8 +297,10 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     /// Execute up to `max` instructions while the worker stays `Running` and
-    /// the query unfinished.  Returns the number executed, which the driver
-    /// adds to the shared step count (`Worker::instructions` has them too).
+    /// the query unfinished: a relaxed PE's batch.  Returns the number
+    /// executed, which the driver adds to the shared step count
+    /// (`Worker::instructions` has them too).  `Engine::step_slot` makes the
+    /// same two checks, in the same order, before a strict slot.
     pub(crate) fn exec_batch(&mut self, max: u32) -> EngineResult<u32> {
         if self.core.steps() > self.core.config.max_steps {
             return Err(EngineError::StepLimitExceeded { limit: self.core.config.max_steps });

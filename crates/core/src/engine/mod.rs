@@ -270,8 +270,9 @@ const SUSPENDED: u8 = 3;
 /// [`HostResult::Continue`].
 const PREEMPTED: u8 = 4;
 
-/// Most instructions one slot of a one-PE engine retires before returning
-/// to the round driver (see `Step::run_slot`).  Sized by the benchmark's
+/// Most instructions one run-to-event slot — the running worker's slot of a
+/// one-PE engine or of a solo round — retires before returning to the round
+/// driver (see `Engine::step_slot`).  Sized by the benchmark's
 /// `core.dispatch_ns_per_instr` rung: re-entering the driver per instruction
 /// cost 67–72 ns against 17–20 ns at 4096 instructions per entry, and
 /// anything from 128 up puts the driver's share under 1 ns per instruction.
@@ -416,8 +417,14 @@ impl<'p> EngineCore<'p> {
 
     /// Whether board `w` may hold a Goal Frame (see `goals_waiting`).
     #[inline]
-    fn may_have_goals(&self, w: usize) -> bool {
+    pub(crate) fn may_have_goals(&self, w: usize) -> bool {
         self.goals_waiting[w].load(Ordering::Relaxed) != 0
+    }
+
+    /// Whether every board reads empty: an idle PE has nothing to steal.
+    #[inline]
+    fn no_goals_waiting(&self) -> bool {
+        self.goals_waiting.iter().all(|g| g.load(Ordering::Relaxed) == 0)
     }
 
     /// Instructions executed so far across all PEs (as of the last flush).
@@ -535,6 +542,10 @@ pub(crate) struct Step<'a, 'p> {
     /// `core.mem`'s arena for `wk`, resolved once by [`Step::new`]: where
     /// nearly every reference of this worker lands.
     own: &'a StackSetArena,
+    /// End the batch after the first Goal Frame this worker pushes: set for
+    /// a solo round in which an idle PE would steal the frame in its next
+    /// slot (see `Engine::step_slot`).
+    pub(crate) end_on_push: bool,
 }
 
 impl<'p> Engine<'p> {

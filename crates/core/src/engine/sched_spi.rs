@@ -1,12 +1,13 @@
 //! The scheduler SPI: what the drivers in `crate::sched` and tests call between slots,
 //! and the read-only checks (`state_fingerprint`, `check_consistency`) they run.
 
-use super::{Engine, Step, DEADLINE_CHECK_CYCLES};
+use super::{Engine, Step, DEADLINE_CHECK_CYCLES, SLOT_CAP};
 use crate::cell::{Cell, NONE_ADDR};
 use crate::error::{EngineError, EngineResult};
-use crate::frames::choice;
+use crate::frames::{choice, parcall};
 use crate::layout::Area;
-use crate::worker::{Mode, Resume, WorkerStatus};
+use crate::worker::{Mode, Resume, Worker, WorkerStatus};
+use std::sync::atomic::Ordering;
 
 impl<'p> Engine<'p> {
     // -----------------------------------------------------------------
@@ -22,11 +23,12 @@ impl<'p> Engine<'p> {
     //     engine.end_round(progress)?;
     //
     // repeated until `halted()`.  A slot is one scheduling action for an
-    // idle or waiting worker, `quantum` instructions for a running worker of
-    // an N-PE engine, and a run to the next scheduling-relevant event for
-    // the running worker of a one-PE engine (see `Step::run_slot`).  The
-    // relaxed backend bypasses the round structure and drives each worker's
-    // `Step` directly.
+    // idle or waiting worker, and `quantum` instructions for a running
+    // worker of an N-PE engine — or, when nothing else can act, a run to
+    // the next event that could change that, standing for as many rounds as
+    // it retires instructions (see `Engine::step_slot`).  The relaxed
+    // backend bypasses the round structure and drives each worker's `Step`
+    // directly.
     // -----------------------------------------------------------------
 
     /// `Some(true)` once the query succeeded, `Some(false)` once it failed.
@@ -52,7 +54,37 @@ impl<'p> Engine<'p> {
 
     /// Give worker `w` its slot of the current round.  Returns `true` if the
     /// worker made progress.  A no-op once the query has finished.
+    ///
+    /// A slot that cannot act — see [`Engine::inert`] — is charged to the
+    /// worker's counters without building a `Step`.  A running worker's
+    /// slot is `quantum` instructions; a worker that is not running gets
+    /// one scheduling action (`Step::run_slot`).
+    ///
+    /// **Solo rounds.**  When the running worker is the only one that can
+    /// act — every other worker stopped or inert, no cancel request pending
+    /// for it, and one instruction per slot (the default quantum; with one
+    /// PE the quantum is unobservable and every slot is solo) — nothing can
+    /// observe where its slot ends until it does something another slot
+    /// would see.  So it runs until it pushes a Goal Frame while some idle
+    /// PE could steal it, leaves `Running` (parks, waits, goes idle,
+    /// suspends) or the query halts, until the fuel or step budget is due,
+    /// or for `SLOT_CAP` instructions.  `cycles` then advances by the
+    /// instructions retired, and every inert worker is charged for each
+    /// round the slot stands for but the last, whose remaining slots the
+    /// driver gives as usual: exactly the rounds an instruction-at-a-time
+    /// driver would have run, so every counter, record and check in
+    /// `end_round` lands where it always did.
     pub fn step_slot(&mut self, w: usize) -> EngineResult<bool> {
+        if self.core.halted() {
+            return Ok(false);
+        }
+        if self.workers[w].status == WorkerStatus::Running {
+            return self.running_slot(w);
+        }
+        if let Some(steal) = self.inert(w) {
+            charge_inert(&mut self.workers[w], steal, 1);
+            return Ok(false);
+        }
         let wk = &mut self.workers[w];
         let before = wk.instructions;
         let slot = Step::new(&self.core, wk).run_slot();
@@ -60,6 +92,116 @@ impl<'p> Engine<'p> {
         // shared count through `&mut`, not an atomic read-modify-write.
         *self.core.steps.get_mut() += wk.instructions - before;
         slot
+    }
+
+    /// The running worker `w`'s slot (see [`Engine::step_slot`]).
+    fn running_slot(&mut self, w: usize) -> EngineResult<bool> {
+        let solo = self.solo(w);
+        let core = &self.core;
+        let max = match solo {
+            // Stop where `end_round` would have acted: fuel preempts at
+            // `steps >= fuel_limit`, the step limit errors at
+            // `steps > max_steps`.  At least one instruction always runs,
+            // as in a quantum-1 round.
+            Some(_) => {
+                let due = core
+                    .fuel_limit
+                    .load(Ordering::Relaxed)
+                    .min(core.config.max_steps.saturating_add(1))
+                    .saturating_sub(core.steps());
+                due.clamp(1, SLOT_CAP as u64) as u32
+            }
+            None => core.config.quantum,
+        };
+        // `Step::exec_batch`'s checks, in its order.
+        if core.steps() > core.config.max_steps {
+            return Err(EngineError::StepLimitExceeded { limit: core.config.max_steps });
+        }
+        let mut step = Step::new(core, &mut self.workers[w]);
+        // `cancel_goal` requests are honoured at batch boundaries (see
+        // `Step::exec_batch`); a solo slot has none by definition.
+        if core.cancel_flags[w].load(Ordering::Acquire) || !step.wk.pending_cancels.is_empty() {
+            step.process_cancel_requests()?;
+        }
+        step.end_on_push = solo == Some(true);
+        let before = step.wk.instructions;
+        let batch = step.exec_batch_flat(max);
+        let executed = self.workers[w].instructions - before;
+        *self.core.steps.get_mut() += executed;
+        batch?;
+        if solo.is_some() {
+            // `begin_round` counted the first instruction's round.
+            let rounds = executed.saturating_sub(1);
+            *self.core.cycles.get_mut() += rounds;
+            for (v, wk) in self.workers.iter_mut().enumerate() {
+                match wk.status {
+                    _ if v == w => {}
+                    WorkerStatus::Idle => charge_inert(wk, true, rounds),
+                    WorkerStatus::WaitingAtPcall { .. } => charge_inert(wk, false, rounds),
+                    _ => {}
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Whether running worker `w`'s slot is solo (see [`Engine::step_slot`]):
+    /// `None` if not, else whether an idle PE could steal a Goal Frame `w`
+    /// pushes (so the slot must end at the push).  Run before the slot, so
+    /// the other workers' statuses are what their next slots would see.
+    fn solo(&self, w: usize) -> Option<bool> {
+        let core = &self.core;
+        if (core.config.quantum != 1 && self.workers.len() > 1)
+            || core.cancel_flags[w].load(Ordering::Acquire)
+            || !self.workers[w].pending_cancels.is_empty()
+        {
+            return None;
+        }
+        let mut thief = false;
+        let mut boards_empty = None;
+        for (v, wk) in self.workers.iter().enumerate() {
+            match wk.status {
+                _ if v == w => {}
+                WorkerStatus::Stopped => {}
+                WorkerStatus::Idle if *boards_empty.get_or_insert_with(|| core.no_goals_waiting()) => {
+                    thief = true
+                }
+                WorkerStatus::WaitingAtPcall { pf, .. } if self.parked_at(v, pf) => {}
+                _ => return None,
+            }
+        }
+        Some(thief)
+    }
+
+    /// Whether worker `v`'s slot can change nothing but its own counters,
+    /// and if so how it is charged: `Some(true)` when it is idle and every
+    /// board is empty — an idle cycle and a steal attempt that finds
+    /// nothing, which is all `Step::try_dispatch_work` does then;
+    /// `Some(false)` when it waits at a Parcall Frame that has neither
+    /// drained nor failed, with nothing on its own board — an idle cycle.
+    /// `None` when the slot needs a `Step`.
+    fn inert(&self, v: usize) -> Option<bool> {
+        match self.workers[v].status {
+            WorkerStatus::Idle => self.core.no_goals_waiting().then_some(true),
+            WorkerStatus::WaitingAtPcall { pf, .. } => self.parked_at(v, pf).then_some(false),
+            _ => None,
+        }
+    }
+
+    /// Whether worker `v`, waiting at its Parcall Frame `pf`, stays parked:
+    /// its own board is empty and the frame has neither drained nor failed.
+    /// This is `Step::run_slot`'s shadow check, with the frame's words read
+    /// straight from `v`'s own Stack Set, where its frames lie.
+    fn parked_at(&self, v: usize, pf: u32) -> bool {
+        if self.core.may_have_goals(v) {
+            return false;
+        }
+        let own = self.core.mem.arena(v);
+        let word = |offset: u32, what: &str| {
+            own.load(pf + offset).expect("a Parcall Frame lies in its parent's Stack Set").expect_uint(what)
+        };
+        word(parcall::COMPLETED, "pcall completed") < word(parcall::NGOALS, "pcall ngoals")
+            && word(parcall::STATUS, "pcall status") != parcall::STATUS_FAILED
     }
 
     /// Close a scheduling round: detect deadlock and enforce the step limit.
@@ -354,5 +496,13 @@ impl<'p> Engine<'p> {
             }
         }
         Ok(())
+    }
+}
+
+/// Charge an inert slot (see [`Engine::inert`]) `rounds` times over.
+fn charge_inert(wk: &mut Worker, steal: bool, rounds: u64) {
+    wk.idle_cycles += rounds;
+    if steal {
+        wk.steal_attempts += rounds;
     }
 }

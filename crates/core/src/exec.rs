@@ -89,7 +89,8 @@ impl<'a, 'p> Step<'a, 'p> {
     /// worker (backtracking, goal start/finish) update `wk.p` themselves
     /// and return [`Flow::Reload`].
     /// The loop is two-level: the outer level re-checks the full set of
-    /// exit conditions (budget, worker status, query completion), while the
+    /// exit conditions (budget, worker status, query completion, and in a
+    /// solo round a pushed Goal Frame — `Step::end_on_push`), while the
     /// hot inner level checks only the instruction budget.  This is sound
     /// because every handler that can park the worker or finish the query
     /// returns [`Flow::Reload`] (or an error) — `Next`/`Jump` outcomes
@@ -105,7 +106,11 @@ impl<'a, 'p> Step<'a, 'p> {
         let mut n = 0u32;
         let mut p = self.wk.p;
         let result = 'outer: loop {
-            if n >= max || self.wk.status != WorkerStatus::Running || core.halted() {
+            if n >= max
+                || self.wk.status != WorkerStatus::Running
+                || core.halted()
+                || (self.end_on_push && core.may_have_goals(self.w()))
+            {
                 break Ok(());
             }
             loop {
@@ -454,7 +459,7 @@ impl<'a, 'p> Step<'a, 'p> {
             DenseOp::CallBuiltin => match self.exec_builtin(self.dense_builtin(di.c))? {
                 BuiltinOutcome::Succeed => Ok(Flow::Next),
                 BuiltinOutcome::Fail => self.fail(),
-                BuiltinOutcome::Halted => Ok(Flow::Reload),
+                BuiltinOutcome::Halted => Ok(self.halted_at(p)),
             },
             DenseOp::ExecuteCode => {
                 self.wk.inferences += 1;
@@ -467,7 +472,7 @@ impl<'a, 'p> Step<'a, 'p> {
             DenseOp::ExecuteBuiltin => match self.exec_builtin(self.dense_builtin(di.c))? {
                 BuiltinOutcome::Succeed => Ok(Flow::Jump(self.wk.cp)),
                 BuiltinOutcome::Fail => self.fail(),
-                BuiltinOutcome::Halted => Ok(Flow::Reload),
+                BuiltinOutcome::Halted => Ok(self.halted_at(p)),
             },
             DenseOp::CallHost => {
                 if !self.suspend_host(di.c, di.a, p + 1) {
@@ -615,6 +620,12 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             DenseOp::PcallGoal => {
                 self.pcall_goal(di.c, di.a as u32, di.b as u32)?;
+                if self.end_on_push {
+                    // A solo round ends here: the batch loop's exit check
+                    // sees the frame on the board.
+                    self.wk.p = p + 1;
+                    return Ok(Flow::Reload);
+                }
                 Ok(Flow::Next)
             }
             DenseOp::PcallGoalBad => {
@@ -654,6 +665,14 @@ impl<'a, 'p> Step<'a, 'p> {
             }
             DenseOp::NoOp => Ok(Flow::Next),
         }
+    }
+
+    /// Leave the batch after `halt/0` at `p`: like the `halt` instruction,
+    /// `wk.p` keeps pointing at it, wherever the batch began.
+    #[inline(always)]
+    fn halted_at(&mut self, p: CodeAddr) -> Flow {
+        self.wk.p = p;
+        Flow::Reload
     }
 
     /// Fetch an integer literal from the dense pool.

@@ -14,7 +14,13 @@
 //!   sampled;
 //! * `--leg plain2` — the same mix on two strict interleaved PEs, untraced
 //!   (`QueryOptions::parallel(2)`): the N-PE driver at its default quantum of
-//!   one instruction per slot, without the recording.
+//!   one instruction per slot, without the recording;
+//! * `--leg sweep` — `trace-sim`'s cache sweep: the five traces `trace4`
+//!   records, made once before the profile starts, each replayed in turn
+//!   through `run_sweep_with_threads` over the benchmark's eight
+//!   configurations (the four protocols × 512- and 2048-word caches under
+//!   the paper's allocation policy, four PEs) on `--threads` threads
+//!   (default 2), the calling thread included.
 //!
 //! The process asks for a `SIGPROF` every millisecond of CPU time
 //! (`setitimer(ITIMER_PROF)`; the kernel rounds the interval up to its tick,
@@ -49,20 +55,22 @@
 //! The sampler is Linux on x86-64 only: it reads the interrupted `RIP` out
 //! of the kernel's `ucontext_t`.  Elsewhere the example exits with code 2.
 //!
-//! Usage: `profile_leg [--leg cge|wam|trace4|plain2] [--seconds N]` (defaults
-//! `cge`, 60).
+//! Usage: `profile_leg [--leg cge|wam|trace4|plain2|sweep] [--seconds N]
+//! [--threads N]` (defaults `cge`, 60, 2; `--threads` is the sweep's).
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
     use pwam_bench::cli::{arg_value, num_arg, reject_unknown_flags, usage_error};
     use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
+    use pwam_cachesim::sweep::run_sweep_with_threads;
+    use pwam_cachesim::{CacheConfig, Protocol, SimConfig};
     use rapwam::session::{QueryOptions, Session};
     use std::io::Write;
     use std::time::{Duration, Instant};
     use BenchmarkId::{Boyer, Deriv, Fib, Matrix, Qsort, Queens, Tak};
 
     let args: Vec<String> = std::env::args().collect();
-    reject_unknown_flags(&args, &[("--leg", true), ("--seconds", true)]);
+    reject_unknown_flags(&args, &[("--leg", true), ("--seconds", true), ("--threads", true)]);
     let leg = arg_value(&args, "--leg").unwrap_or_else(|| "cge".to_string());
     // The ladder's mixes, with the program it doubles listed twice.
     let seq_large: &[BenchmarkId] = &[Tak, Fib, Boyer, Boyer, Queens];
@@ -72,9 +80,14 @@ fn main() {
         "wam" => (QueryOptions::sequential(), seq_large, Scale::Large),
         "trace4" => (QueryOptions::parallel(4).with_trace(), trace_sim, Scale::Paper),
         "plain2" => (QueryOptions::parallel(2), trace_sim, Scale::Paper),
-        other => usage_error(&format!("--leg {other} (expected cge, wam, trace4 or plain2)")),
+        "sweep" => (QueryOptions::parallel(4).with_trace(), trace_sim, Scale::Paper),
+        other => usage_error(&format!("--leg {other} (expected cge, wam, trace4, plain2 or sweep)")),
     };
     let seconds = num_arg(&args, "--seconds").unwrap_or(60);
+    let threads = num_arg(&args, "--threads").unwrap_or(2) as usize;
+    if threads == 0 {
+        usage_error("--threads 0 (a sweep needs at least the calling thread)");
+    }
 
     let programs: Vec<_> = mix
         .iter()
@@ -88,16 +101,32 @@ fn main() {
         })
         .collect();
     let mut memory = None;
-    let mut run = |i: usize| {
+    let mut execute = |i: usize| {
         let (id, session, compiled) = &programs[i % programs.len()];
         let (result, recycled, _warm) = session
             .run_prepared_reusing(compiled, &options, memory.take())
             .unwrap_or_else(|e| panic!("{}: run failed: {e}", id.name()));
         assert!(result.outcome.is_success(), "{}: the query failed", id.name());
         memory = Some(recycled);
+        result.trace
     };
-    // Warm the arenas and the caches outside the profile.
-    (0..programs.len()).for_each(&mut run);
+    // Warm the arenas and the caches outside the profile; the sweep leg
+    // keeps the traces and profiles only their replay.
+    let traces: Vec<_> = (0..programs.len()).map(&mut execute).collect();
+    let configs: Vec<SimConfig> = Protocol::ALL
+        .into_iter()
+        .flat_map(|protocol| {
+            [512, 2048].map(|size| SimConfig {
+                cache: CacheConfig::paper_policy(size, protocol),
+                protocol,
+                num_pes: 4,
+            })
+        })
+        .collect();
+    let mut run = |i: usize| match traces[i % traces.len()].as_deref() {
+        Some(trace) if leg == "sweep" => drop(run_sweep_with_threads(trace, &configs, threads)),
+        _ => drop(execute(i)),
+    };
 
     let base = sampler::executable_base();
     sampler::start(Duration::from_millis(1));
