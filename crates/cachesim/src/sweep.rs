@@ -4,7 +4,7 @@
 //! PE count) combination over four benchmark traces.  Each configuration is
 //! an independent simulation over the same trace, so the sweep decodes the
 //! trace once per line size among the configurations — into the packed
-//! stream of [`crate::multisim`], lines numbered and no-op reads dropped —
+//! stream of `multisim`, lines numbered and no-op reads dropped —
 //! and shares the streams read-only with scoped OS threads.  The calling
 //! thread is one of them.  They claim configurations from one atomic index
 //! and hand their results back through their join handles.

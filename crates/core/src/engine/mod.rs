@@ -96,8 +96,8 @@ pub struct EngineConfig {
     /// preemption is prompt but the exact stop point is schedule-dependent
     /// there (same contract as every other relaxed-mode observable).  A
     /// preempted one-shot run
-    /// fails with [`EngineError::FuelExhausted`]; a resumable run suspends
-    /// with [`SuspendReason::FuelExhausted`] and continues via
+    /// fails with [`EngineError::FuelExhausted`]; a cursor's run suspends
+    /// (`SuspendReason::FuelExhausted`) and continues via
     /// `HostResult::Continue`.
     pub fuel: Option<u64>,
 }
@@ -152,10 +152,10 @@ pub struct RunResult {
     pub trace: Option<Vec<MemRef>>,
 }
 
-/// What a resumable run ([`Engine::run_resumable`] / `Engine::resume`)
-/// returned control for.
+/// What a resumable run ([`Engine::run_resumable`] / [`Engine::resume`]) —
+/// a [`crate::QueryCursor`]'s engine — returned control for.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunOutcome {
+pub(crate) enum RunOutcome {
     /// The query ran to a terminal state: either it failed (no/none further
     /// answers) or the caller committed to the last answer.  Read the final
     /// [`RunResult`] with `Engine::take_result` / [`Engine::into_result`].
@@ -166,7 +166,7 @@ pub enum RunOutcome {
 
 /// Why a resumable engine suspended.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SuspendReason {
+pub(crate) enum SuspendReason {
     /// An answer is available (`Engine::answer_bindings`).  Resume with
     /// `HostResult::Redo` to fail back into the engine for the next
     /// answer, or `HostResult::Commit` to accept it and finish.
@@ -665,7 +665,7 @@ impl<'p> Engine<'p> {
         let mut engine = drive(self)?;
         if engine.core.state() == SUSPENDED {
             return Err(EngineError::Internal(
-                "query suspended at a host call; drive it through a cursor (run_resumable/resume)"
+                "query suspended at a host call; drive it through a cursor (Session::open_cursor)"
                     .to_string(),
             ));
         }
@@ -686,7 +686,7 @@ impl<'p> Engine<'p> {
     /// machine state parked between instructions (worker registers, env/cp
     /// caches, [`Memory`] intact) so `Engine::resume` re-enters exactly
     /// where execution left off.
-    pub fn run_resumable(mut self) -> EngineResult<(RunOutcome, Engine<'p>)> {
+    pub(crate) fn run_resumable(mut self) -> EngineResult<(RunOutcome, Engine<'p>)> {
         self.core.start_leg();
         self.drive_resumable()
     }

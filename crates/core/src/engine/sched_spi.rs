@@ -55,7 +55,7 @@ impl<'p> Engine<'p> {
     /// Give worker `w` its slot of the current round.  Returns `true` if the
     /// worker made progress.  A no-op once the query has finished.
     ///
-    /// A slot that cannot act — see [`Engine::inert`] — is charged to the
+    /// A slot that cannot act — see `Engine::inert` — is charged to the
     /// worker's counters without building a `Step`.  A running worker's
     /// slot is `quantum` instructions; a worker that is not running gets
     /// one scheduling action (`Step::run_slot`).

@@ -62,7 +62,7 @@ pub mod trace;
 mod unify;
 mod worker;
 
-pub use engine::{Engine, EngineConfig, Outcome, RunOutcome, RunResult, SuspendReason};
+pub use engine::{Engine, EngineConfig, Outcome, RunResult};
 pub use error::EngineError;
 pub use layout::{Area, Locality, MemoryConfig, ObjectKind};
 pub use mem::Memory;

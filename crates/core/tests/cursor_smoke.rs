@@ -5,7 +5,7 @@
 
 use pwam_front::INT_MAX;
 use rapwam::session::{QueryOptions, Session, SessionError};
-use rapwam::{Engine, EngineConfig, EngineError, RunOutcome, SuspendReason, Term};
+use rapwam::{Engine, EngineConfig, EngineError, Term};
 
 fn atoms(session: &Session, answers: &[Vec<(String, Term)>], var: &str) -> Vec<String> {
     answers
@@ -147,6 +147,20 @@ fn run_rejects_host_suspension() {
     assert!(msg.contains("cursor"), "unexpected error: {msg}");
 }
 
+/// Drive `engine` through `rounds` scheduling rounds by hand.  A run that
+/// suspends — at spent fuel or at a host call — stays parked, and the
+/// rounds after that are no-ops.
+fn drive_rounds(engine: &mut Engine<'_>, rounds: usize) {
+    for _ in 0..rounds {
+        engine.begin_round();
+        let mut progress = false;
+        for w in 0..engine.num_workers() {
+            progress |= engine.step_slot(w).unwrap();
+        }
+        engine.end_round(progress).unwrap();
+    }
+}
+
 #[test]
 fn into_result_rejects_a_suspended_engine() {
     let mut session = Session::new("p(Y) :- h(Y).\nq(X) :- X is 1 + 2.").unwrap();
@@ -155,13 +169,19 @@ fn into_result_rejects_a_suspended_engine() {
 
     let compiled = session.prepare_with("q(X)", opts.compile_options()).unwrap();
     let config = EngineConfig { fuel: Some(1), ..opts.engine_config() };
-    let (outcome, engine) = Engine::new(&compiled, config).run_resumable().unwrap();
-    assert_eq!(outcome, RunOutcome::Suspended(SuspendReason::FuelExhausted));
+    let mut engine = Engine::new(&compiled, config);
+    drive_rounds(&mut engine, 8);
+    assert_eq!(engine.finished(), None, "preempted after one instruction");
+    assert_eq!(engine.stats().instructions, 1);
     assert!(engine.into_result(session.symbols()).is_err());
 
     let compiled = session.prepare_with("p(Y)", opts.compile_options()).unwrap();
-    let (outcome, engine) = Engine::new(&compiled, opts.engine_config()).run_resumable().unwrap();
-    assert!(matches!(outcome, RunOutcome::Suspended(SuspendReason::HostCall { .. })), "{outcome:?}");
+    let mut engine = Engine::new(&compiled, opts.engine_config());
+    drive_rounds(&mut engine, 8);
+    let parked = engine.stats().instructions;
+    drive_rounds(&mut engine, 8);
+    assert_eq!(engine.stats().instructions, parked, "parked at the host call");
+    assert_eq!(engine.finished(), None);
     assert!(engine.into_result(session.symbols()).is_err());
 }
 

@@ -97,7 +97,7 @@ fn run_config(
         determinism,
         ..EngineConfig::default()
     };
-    let (_, engine) = Engine::new(&compiled, config).run_resumable().expect("drive");
+    let (result, engine) = Engine::new(&compiled, config).run_reusable(session.symbols()).expect("drive");
     assert_eq!(
         engine.pending_goal_frames(),
         0,
@@ -106,7 +106,6 @@ fn run_config(
     engine.check_consistency().unwrap_or_else(|e| {
         panic!("inconsistent stack sets ({scheduler:?} {determinism:?} inline={inline_first_goal}): {e}")
     });
-    let result = engine.into_result(session.symbols()).expect("result extraction");
     match &result.outcome {
         Outcome::Success(_) => session.render(result.outcome.binding("R").expect("R bound")),
         Outcome::Failure => "failure".to_string(),

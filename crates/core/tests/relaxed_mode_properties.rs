@@ -45,11 +45,11 @@ fn run_relaxed_checked(program: &str, query: &str, workers: usize) -> String {
         determinism: DeterminismMode::Relaxed,
         ..EngineConfig::default()
     };
-    let (_, engine) = Engine::new(&compiled, config).run_resumable().expect("relaxed drive");
+    let (result, engine) =
+        Engine::new(&compiled, config).run_reusable(session.symbols()).expect("relaxed drive");
     engine
         .check_consistency()
         .unwrap_or_else(|e| panic!("inconsistent stack sets after relaxed run ({workers} workers): {e}"));
-    let result = engine.into_result(session.symbols()).expect("result extraction");
     match &result.outcome {
         Outcome::Success(_) => session.render(result.outcome.binding("R").expect("R bound")),
         Outcome::Failure => "failure".to_string(),
