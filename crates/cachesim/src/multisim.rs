@@ -36,7 +36,9 @@
 //! in the PE's cache and still at its most recently used position: the read
 //! is a hit whose `touch` moves nothing, whatever the protocol, cache size
 //! or allocation policy.  The stream counts the dropped reads, and every
-//! result adds them to `refs` and `reads`.
+//! result adds them to `refs` and `reads`.  The decoder needs no state per
+//! line for this: it keeps, per PE, the line that PE's previous reference
+//! read, and a write clears the entries of every PE that names its line.
 //!
 //! ## Holder masks
 //!
@@ -115,15 +117,12 @@ impl Stream {
         // without the table.  Entry `k` starts as address `k ^ 1`, which is
         // looked up at entry `k ^ 1`, never here.
         let mut recent: Vec<(u32, u32)> = (0..RECENT as u32).map(|k| (k ^ 1, 0)).collect();
-        // Per line number: 1 + the trace position of its last write, 0 if
-        // none yet.
-        let mut written: Vec<usize> = Vec::new();
-        // Per PE: the line of its previous reference and 1 + that
-        // reference's position if it was a read, else position 0.
-        let mut last_read = [(0u32, 0usize); 256];
+        // Per PE: the line its previous reference read, and whether no PE
+        // has written that line since (false after a write by the PE).
+        let mut last_read = [(0u32, false); 256];
         let mut refs = Vec::with_capacity(trace.len());
         let (mut writes, mut pes) = (0, 0);
-        for (i, r) in trace.iter().enumerate() {
+        for r in trace {
             let addr = line_of(r.addr);
             let memo = &mut recent[addr as usize & (RECENT - 1)];
             let line = if memo.0 == addr {
@@ -131,21 +130,20 @@ impl Stream {
             } else {
                 let next = numbers.len() as u32;
                 let line = *numbers.entry(addr).or_insert(next);
-                if line == next {
-                    written.push(0);
-                }
                 *memo = (addr, line);
                 line
             };
             pes = pes.max(r.pe as usize + 1);
-            let last = &mut last_read[r.pe as usize];
             if r.write {
                 writes += 1;
-                written[line as usize] = i + 1;
-                last.1 = 0;
+                for last in &mut last_read[..pes] {
+                    last.1 &= last.0 != line;
+                }
+                last_read[r.pe as usize].1 = false;
             } else {
-                let no_op = last.0 == line && written[line as usize] < last.1;
-                *last = (line, i + 1);
+                let last = &mut last_read[r.pe as usize];
+                let no_op = *last == (line, true);
+                *last = (line, true);
                 if no_op {
                     continue;
                 }
