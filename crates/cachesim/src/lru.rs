@@ -78,6 +78,11 @@ impl LruCache {
         }
     }
 
+    /// Make room for line numbers below `lines`.
+    pub(crate) fn grow(&mut self, lines: u32) {
+        self.index.resize(lines as usize, SENTINEL);
+    }
+
     /// The slot of a resident line, without touching LRU order.
     #[inline(always)]
     pub(crate) fn slot(&self, line: u32) -> Option<u32> {

@@ -26,8 +26,11 @@
 //! question in every PE's cache is answered by indexing with that number;
 //! the bits are all a configuration needs of a [`MemRef`].  Every
 //! configuration replays the same stream, in a loop of its own protocol's
-//! (the `match` on the protocol is made once per replay, not per reference),
-//! and checks once that the stream's PEs are ones it has.
+//! (the `match` on the protocol is made once per replay, not per reference).
+//! The stream is published in chunks of [`CHUNK`] trace references, each
+//! with the line count and the PE count so far, so a replay can run behind
+//! the decoder: per chunk it grows its caches' indexes to the line count
+//! and checks that the chunk's PEs are ones it has.
 //!
 //! Decoding also drops the reads that are no-ops in every configuration: a
 //! read whose PE's previous reference was a read of the same line, with no
@@ -60,6 +63,7 @@ use rapwam::Locality;
 use rapwam::MemRef;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// One reference of a [`Stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,42 +79,71 @@ pub(crate) struct Packed {
 const _: () = assert!(std::mem::size_of::<Packed>() == 8);
 
 /// Entries of the direct-mapped memo of recent line numbers in
-/// [`Stream::new`] (a power of two).
+/// [`Stream::decode`] (a power of two).
 const RECENT: usize = 4096;
 
+/// Trace references per [`Chunk`]; few in unit tests, so that their short
+/// traces cross chunk boundaries.
+const CHUNK: usize = if cfg!(test) { 64 } else { 8192 };
+
+/// Idle polls of a chunk a replay waits for before it parks on it.
+const SPINS: u32 = 1 << 12;
+
+/// The packed references of one [`CHUNK`] of the trace, and what the
+/// stream knows once they are decoded.
+#[derive(Debug)]
+pub(crate) struct Chunk {
+    /// This piece's references that are not no-op reads, in trace order.
+    refs: Vec<Packed>,
+    /// Lines numbered so far: every line number up to here is below this.
+    lines: u32,
+    /// One more than the largest PE that issued a reference so far.
+    pes: usize,
+    /// This piece's reads, the dropped ones included, and writes.
+    reads: u64,
+    writes: u64,
+}
+
 /// A trace decoded for one line size: what every configuration of that
-/// line size replays.
+/// line size replays.  One thread decodes it, chunk by chunk, while others
+/// may already replay the chunks published so far.
 #[derive(Debug)]
 pub(crate) struct Stream {
     pub(crate) line_words: u32,
-    /// The references left after dropping the no-op reads, in trace order.
-    pub(crate) refs: Vec<Packed>,
-    /// Distinct lines: every line number is below this.
-    pub(crate) lines: u32,
-    /// Reads and writes of the whole trace, the dropped reads included.
-    reads: u64,
-    writes: u64,
-    /// One more than the largest PE that issues a reference (0 if none).
-    pes: usize,
+    /// Set in order by [`Stream::decode`]; `None` if the decoder died first.
+    chunks: Vec<OnceLock<Option<Chunk>>>,
 }
 
 impl Stream {
+    /// An empty stream for a trace of `len` references.
+    pub(crate) fn new(len: usize, line_words: u32) -> Stream {
+        Stream { line_words, chunks: (0..len.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// A stream decoded from `trace`.
+    pub(crate) fn of(trace: &[MemRef], line_words: u32) -> Stream {
+        let stream = Stream::new(trace.len(), line_words);
+        stream.decode(trace);
+        stream
+    }
+
     /// Number the lines of `line_words` words that `trace` touches, densely
     /// and in order of first use, and pack every reference that is not a
-    /// no-op read (see the module docs).
-    pub(crate) fn new(trace: &[MemRef], line_words: u32) -> Stream {
+    /// no-op read (see the module docs), publishing chunk after chunk.
+    pub(crate) fn decode(&self, trace: &[MemRef]) {
         // Lines are a power of two words in every configuration the paper
         // sweeps: a shift, not a division per reference.
+        let line_words = self.line_words;
         if line_words.is_power_of_two() {
             let shift = line_words.trailing_zeros();
-            Stream::decode(trace, line_words, |addr| addr >> shift)
+            self.decode_with(trace, |addr| addr >> shift)
         } else {
-            Stream::decode(trace, line_words, |addr| addr / line_words)
+            self.decode_with(trace, |addr| addr / line_words)
         }
     }
 
     #[inline(always)]
-    fn decode(trace: &[MemRef], line_words: u32, line_of: impl Fn(u32) -> u32) -> Stream {
+    fn decode_with(&self, trace: &[MemRef], line_of: impl Fn(u32) -> u32) {
         let mut numbers: HashMap<u32, u32, BuildHasherDefault<LineHasher>> = HashMap::default();
         // (line address, number) of the last line seen at each position:
         // most references are to a recently used line, and this answers them
@@ -120,39 +153,71 @@ impl Stream {
         // Per PE: the line its previous reference read, and whether no PE
         // has written that line since (false after a write by the PE).
         let mut last_read = [(0u32, false); 256];
-        let mut refs = Vec::with_capacity(trace.len());
-        let (mut writes, mut pes) = (0, 0);
-        for r in trace {
-            let addr = line_of(r.addr);
-            let memo = &mut recent[addr as usize & (RECENT - 1)];
-            let line = if memo.0 == addr {
-                memo.1
-            } else {
-                let next = numbers.len() as u32;
-                let line = *numbers.entry(addr).or_insert(next);
-                *memo = (addr, line);
-                line
-            };
-            pes = pes.max(r.pe as usize + 1);
-            if r.write {
-                writes += 1;
-                for last in &mut last_read[..pes] {
-                    last.1 &= last.0 != line;
+        let mut pes = 0;
+        for (slot, piece) in self.chunks.iter().zip(trace.chunks(CHUNK)) {
+            let mut refs = Vec::with_capacity(piece.len());
+            let mut writes = 0;
+            for r in piece {
+                let addr = line_of(r.addr);
+                let memo = &mut recent[addr as usize & (RECENT - 1)];
+                let line = if memo.0 == addr {
+                    memo.1
+                } else {
+                    let next = numbers.len() as u32;
+                    let line = *numbers.entry(addr).or_insert(next);
+                    *memo = (addr, line);
+                    line
+                };
+                pes = pes.max(r.pe as usize + 1);
+                if r.write {
+                    writes += 1;
+                    for last in &mut last_read[..pes] {
+                        last.1 &= last.0 != line;
+                    }
+                    last_read[r.pe as usize].1 = false;
+                } else {
+                    let last = &mut last_read[r.pe as usize];
+                    let no_op = *last == (line, true);
+                    *last = (line, true);
+                    if no_op {
+                        continue;
+                    }
                 }
-                last_read[r.pe as usize].1 = false;
-            } else {
-                let last = &mut last_read[r.pe as usize];
-                let no_op = *last == (line, true);
-                *last = (line, true);
-                if no_op {
-                    continue;
-                }
+                let global = matches!(r.locality(), rapwam::Locality::Global);
+                refs.push(Packed { line, pe: r.pe, write: r.write, global });
             }
-            let global = matches!(r.locality(), rapwam::Locality::Global);
-            refs.push(Packed { line, pe: r.pe, write: r.write, global });
+            let reads = piece.len() as u64 - writes;
+            let chunk = Chunk { refs, lines: numbers.len() as u32, pes, reads, writes };
+            slot.set(Some(chunk)).expect("a stream is decoded once");
         }
-        let reads = trace.len() as u64 - writes;
-        Stream { line_words, refs, lines: numbers.len() as u32, reads, writes, pes }
+    }
+
+    /// Mark every chunk not decoded yet as lost, so that no replay waits
+    /// for it: what a decoding thread that unwinds must leave behind.
+    pub(crate) fn abandon(&self) {
+        for chunk in &self.chunks {
+            let _ = chunk.set(None);
+        }
+    }
+
+    /// The chunks in order, each as soon as it is decoded.
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.chunks.iter().map(|slot| {
+            // The decoder publishes a chunk every few tens of microseconds:
+            // poll a while before parking.
+            let mut spins = 0;
+            let chunk = loop {
+                match slot.get() {
+                    Some(chunk) => break chunk,
+                    None if spins < SPINS => {
+                        spins += 1;
+                        std::hint::spin_loop();
+                    }
+                    None => break slot.wait(),
+                }
+            };
+            chunk.as_ref().expect("the thread decoding the trace panicked")
+        })
     }
 }
 
@@ -176,6 +241,14 @@ impl MultiCacheSim {
         let mask_words = config.num_pes.div_ceil(64);
         let holders = vec![0; lines as usize * mask_words];
         MultiCacheSim { config, caches, holders, mask_words, result: SimResult::new(config) }
+    }
+
+    /// Make room for line numbers below `lines`.
+    fn grow(&mut self, lines: u32) {
+        for cache in &mut self.caches {
+            cache.grow(lines);
+        }
+        self.holders.resize(lines as usize * self.mask_words, 0);
     }
 
     /// Panic unless every PE below `pes` has a cache; `pe` names the first
@@ -216,22 +289,38 @@ impl MultiCacheSim {
         }
     }
 
-    /// Replay `refs` with `write` as the protocol's write action, which
+    /// Replay `stream` with `write` as the protocol's write action, which
     /// gets the writing PE, the line, the slot the write hit (`None` on a
     /// miss) and the global bit.
     #[inline(always)]
-    fn replay(&mut self, refs: &[Packed], mut write: impl FnMut(&mut Self, usize, u32, Option<u32>, bool)) {
-        for r in refs {
-            let pe = r.pe as usize;
-            let slot = self.caches[pe].touch_slot(r.line);
-            if r.write {
-                if slot.is_none() {
-                    self.result.write_misses += 1;
+    fn replay_stream(
+        &mut self,
+        stream: &Stream,
+        mut write: impl FnMut(&mut Self, usize, u32, Option<u32>, bool),
+    ) {
+        for chunk in stream.chunks() {
+            self.grow(chunk.lines);
+            // The first reference from a PE without a cache is never a
+            // dropped read: its PE's previous reference was earlier.
+            self.check_pes(chunk.pes, || {
+                let pe = chunk.refs.iter().map(|r| r.pe as usize).find(|&pe| pe >= self.config.num_pes);
+                pe.expect("`pes` counts only the PEs of kept references")
+            });
+            for r in &chunk.refs {
+                let pe = r.pe as usize;
+                let slot = self.caches[pe].touch_slot(r.line);
+                if r.write {
+                    if slot.is_none() {
+                        self.result.write_misses += 1;
+                    }
+                    write(self, pe, r.line, slot, r.global);
+                } else if slot.is_none() {
+                    self.read_miss(pe, r.line);
                 }
-                write(self, pe, r.line, slot, r.global);
-            } else if slot.is_none() {
-                self.read_miss(pe, r.line);
             }
+            let result = &mut self.result;
+            (result.reads, result.writes) = (result.reads + chunk.reads, result.writes + chunk.writes);
+            result.refs += chunk.reads + chunk.writes;
         }
     }
 
@@ -496,25 +585,19 @@ impl MultiCacheSim {
 
 /// Run one configuration over a trace.
 pub fn simulate(config: &SimConfig, trace: &[MemRef]) -> SimResult {
-    replay(config, &Stream::new(trace, config.cache.line_words))
+    replay(config, &Stream::of(trace, config.cache.line_words))
 }
 
-/// Run one configuration over a stream decoded for its line size.
+/// Run one configuration over a stream of its line size, each chunk as
+/// soon as it is decoded.
 pub(crate) fn replay(config: &SimConfig, stream: &Stream) -> SimResult {
     debug_assert_eq!(stream.line_words, config.cache.line_words, "a stream of another line size");
-    let mut sim = MultiCacheSim::new(*config, stream.lines);
-    // The first reference from a PE without a cache is never a dropped read:
-    // its PE's previous reference was earlier.
-    sim.check_pes(stream.pes, || {
-        let pe = stream.refs.iter().map(|r| r.pe as usize).find(|&pe| pe >= config.num_pes);
-        pe.expect("`pes` counts only the PEs of kept references")
-    });
-    let refs = &stream.refs;
+    let mut sim = MultiCacheSim::new(*config, 0);
     match config.protocol {
         Protocol::WriteThrough => {
-            sim.replay(refs, |sim, pe, line, slot, _| sim.write_through(pe, line, slot, true))
+            sim.replay_stream(stream, |sim, pe, line, slot, _| sim.write_through(pe, line, slot, true))
         }
-        Protocol::Hybrid => sim.replay(refs, |sim, pe, line, slot, global| {
+        Protocol::Hybrid => sim.replay_stream(stream, |sim, pe, line, slot, global| {
             if global {
                 sim.write_through(pe, line, slot, false)
             } else {
@@ -522,14 +605,12 @@ pub(crate) fn replay(config: &SimConfig, stream: &Stream) -> SimResult {
             }
         }),
         Protocol::WriteInBroadcast => {
-            sim.replay(refs, |sim, pe, line, slot, _| sim.write_invalidate(pe, line, slot))
+            sim.replay_stream(stream, |sim, pe, line, slot, _| sim.write_invalidate(pe, line, slot))
         }
         Protocol::WriteThroughBroadcast => {
-            sim.replay(refs, |sim, pe, line, slot, _| sim.write_update(pe, line, slot))
+            sim.replay_stream(stream, |sim, pe, line, slot, _| sim.write_update(pe, line, slot))
         }
     }
-    let result = &mut sim.result;
-    (result.reads, result.writes, result.refs) = (stream.reads, stream.writes, stream.reads + stream.writes);
     sim.finish()
 }
 
@@ -738,8 +819,10 @@ mod tests {
     #[test]
     fn lines_are_numbered_densely_in_order_of_first_use() {
         let numbers = |trace: &[MemRef], line_words| {
-            let stream = Stream::new(trace, line_words);
-            (stream.refs.iter().map(|r| r.line).collect::<Vec<_>>(), stream.lines)
+            let stream = Stream::of(trace, line_words);
+            let chunks: Vec<_> = stream.chunks().collect();
+            let lines = chunks.iter().flat_map(|c| c.refs.iter().map(|r| r.line)).collect::<Vec<_>>();
+            (lines, chunks.last().map_or(0, |c| c.lines))
         };
         let addrs = [400, 3, 401, 0, 7, 403, u32::MAX, 2, u32::MAX - 3, 404, u32::MAX - 1];
         let trace: Vec<_> = addrs.iter().map(|&a| r(0, a, false)).collect();

@@ -4,9 +4,12 @@
 //! PE count) combination over four benchmark traces.  Each configuration is
 //! an independent simulation over the same trace, so the sweep decodes the
 //! trace once per line size among the configurations — into the packed
-//! stream of `multisim`, lines numbered and no-op reads dropped —
-//! and shares the streams read-only with scoped OS threads.  The calling
-//! thread is one of them.  They claim configurations from one atomic index
+//! stream of `multisim`, lines numbered and no-op reads dropped — and
+//! shares the streams read-only with scoped OS threads.  The calling thread
+//! is one of them: it decodes the streams, chunk after chunk, while the
+//! others already replay the chunks decoded so far, and then joins them.
+//! So decoding, the one serial step, overlaps the replays instead of
+//! preceding them.  The threads claim configurations from one atomic index
 //! and hand their results back through their join handles.
 
 use crate::config::SimConfig;
@@ -28,17 +31,30 @@ pub fn run_sweep_with_threads(trace: &[MemRef], configs: &[SimConfig], threads: 
     for c in configs {
         let line_words = c.cache.line_words;
         if !streams.iter().any(|s| s.line_words == line_words) {
-            streams.push(Stream::new(trace, line_words));
+            streams.push(Stream::new(trace.len(), line_words));
         }
     }
+    let decode = || {
+        // A decoder that unwinds leaves no replay waiting for a chunk.
+        struct Abandon<'a>(&'a [Stream]);
+        impl Drop for Abandon<'_> {
+            fn drop(&mut self) {
+                self.0.iter().for_each(Stream::abandon);
+            }
+        }
+        let _abandon = Abandon(&streams);
+        streams.iter().for_each(|stream| stream.decode(trace));
+    };
     let run = |i: usize| {
         let config = &configs[i];
-        let stream = streams.iter().find(|s| s.line_words == config.cache.line_words).expect("decoded above");
+        let stream =
+            streams.iter().find(|s| s.line_words == config.cache.line_words).expect("one per line size");
         replay(config, stream)
     };
 
     let threads = threads.max(1).min(configs.len().max(1));
     if threads == 1 {
+        decode();
         return (0..configs.len()).map(run).collect();
     }
     let next = AtomicUsize::new(0);
@@ -50,6 +66,7 @@ pub fn run_sweep_with_threads(trace: &[MemRef], configs: &[SimConfig], threads: 
     };
     let mut done: Vec<(usize, SimResult)> = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        decode();
         let mut done = work();
         for helper in helpers {
             done.extend(helper.join().expect("a sweep thread panicked"));
@@ -119,6 +136,24 @@ mod tests {
         for (cfg, res) in configs.iter().zip(&results) {
             assert_eq!(&res.config, cfg);
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_decoder_that_panics_fails_the_sweep_instead_of_hanging_it() {
+        // Zero-word lines divide by zero: the zero-word configuration
+        // panics in its replay, the calling thread panics decoding its
+        // stream, and the thread that claims a four-word configuration
+        // waits for a chunk that was to be decoded next.
+        let configs: Vec<SimConfig> = [0, 4, 4]
+            .into_iter()
+            .map(|line_words| SimConfig {
+                cache: CacheConfig { size_words: 64, line_words, write_allocate: true },
+                protocol: Protocol::WriteInBroadcast,
+                num_pes: 2,
+            })
+            .collect();
+        run_sweep_with_threads(&synthetic_trace(1_000), &configs, 3);
     }
 
     #[test]
