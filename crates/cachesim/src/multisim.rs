@@ -86,9 +86,6 @@ const RECENT: usize = 4096;
 /// traces cross chunk boundaries.
 const CHUNK: usize = if cfg!(test) { 64 } else { 8192 };
 
-/// Idle polls of a chunk a replay waits for before it parks on it.
-const SPINS: u32 = 1 << 12;
-
 /// The packed references of one [`CHUNK`] of the trace, and what the
 /// stream knows once they are decoded.
 #[derive(Debug)]
@@ -202,22 +199,7 @@ impl Stream {
 
     /// The chunks in order, each as soon as it is decoded.
     fn chunks(&self) -> impl Iterator<Item = &Chunk> {
-        self.chunks.iter().map(|slot| {
-            // The decoder publishes a chunk every few tens of microseconds:
-            // poll a while before parking.
-            let mut spins = 0;
-            let chunk = loop {
-                match slot.get() {
-                    Some(chunk) => break chunk,
-                    None if spins < SPINS => {
-                        spins += 1;
-                        std::hint::spin_loop();
-                    }
-                    None => break slot.wait(),
-                }
-            };
-            chunk.as_ref().expect("the thread decoding the trace panicked")
-        })
+        self.chunks.iter().map(|slot| slot.wait().as_ref().expect("the thread decoding the trace panicked"))
     }
 }
 

@@ -69,8 +69,9 @@ pub struct EngineConfig {
     /// interleave one instruction at a time, which is what gives the merged
     /// trace its meaning.  With one PE there is nothing to interleave with,
     /// so the value is unobservable and ignored: a slot runs to the next
-    /// scheduling-relevant event instead (see `Step::run_slot`).  The relaxed
-    /// backend never reads it.
+    /// scheduling-relevant event instead.  At quantum 1 so does the running
+    /// worker of a solo round, in which no other worker can act (see
+    /// `Engine::step_slot`).  The relaxed backend never reads it.
     pub quantum: u32,
     /// Which execution backend steps the workers.
     pub scheduler: SchedulerKind,

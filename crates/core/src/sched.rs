@@ -16,6 +16,17 @@
 //!   scheduling-relevant event (park, wait, suspension, halt, fuel or step
 //!   budget due) and sequential work costs what it costs on a sequential
 //!   WAM — see [`EngineConfig::quantum`](crate::EngineConfig::quantum).
+//!   A slot that cannot act — an idle worker when every board is empty, a
+//!   worker waiting at a frame that has neither drained nor failed with
+//!   nothing on its own board — is charged its idle cycle (and steal
+//!   attempt) without being stepped.  A round in which every worker but the
+//!   running one cannot act or has stopped is a *solo round*, the N-PE form
+//!   of the one-PE slot: the runner runs to the next event another slot
+//!   could see (a Goal Frame an idle worker could steal, leaving `Running`,
+//!   a halt, a fuel or step boundary), `cycles` advances by the
+//!   instructions retired and the others are charged for the rounds the
+//!   slot stood for — exactly what quantum-1 rounds would have produced
+//!   (see [`Engine::step_slot`]).
 //!   [`DeterminismMode::Strict`] names exactly this one schedule, so every
 //!   strict run — whatever its [`SchedulerKind`] — is driven here: putting
 //!   the PEs on OS threads and then serialising them to reproduce the same

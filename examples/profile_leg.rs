@@ -10,8 +10,8 @@
 //! * `--leg trace4` — `trace-sim`'s run: its mix (deriv, tak twice, qsort and
 //!   matrix at `Scale::Paper`) on four strict interleaved PEs, traced
 //!   (`QueryOptions::parallel(4).with_trace()`), each run's merged trace
-//!   dropped unread.  The cache sweep that follows it in `trace-sim` is not
-//!   sampled;
+//!   dropped unread.  The cache sweep that follows it in `trace-sim` is the
+//!   `sweep` leg;
 //! * `--leg plain2` — the same mix on two strict interleaved PEs, untraced
 //!   (`QueryOptions::parallel(2)`): the N-PE driver at its default quantum of
 //!   one instruction per slot, without the recording;
