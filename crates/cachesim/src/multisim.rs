@@ -58,9 +58,7 @@
 use crate::config::{Protocol, SimConfig};
 use crate::lru::{LineState, LruCache};
 use crate::results::SimResult;
-#[cfg(test)]
-use rapwam::Locality;
-use rapwam::MemRef;
+use rapwam::{Locality, MemRef};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
@@ -180,7 +178,7 @@ impl Stream {
                         continue;
                     }
                 }
-                let global = matches!(r.locality(), rapwam::Locality::Global);
+                let global = matches!(r.locality(), Locality::Global);
                 refs.push(Packed { line, pe: r.pe, write: r.write, global });
             }
             let reads = piece.len() as u64 - writes;
