@@ -60,7 +60,7 @@ pub enum CallTarget {
     Builtin(Builtin),
     /// A host predicate registered on the session: the index into the
     /// compiled program's host registry ([`crate::CompiledProgram::hosts`]).
-    /// Executing it suspends the engine so the host can service the call.
+    /// The engine calls the session's closure for it on the executing PE.
     Host(u32),
 }
 

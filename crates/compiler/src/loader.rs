@@ -32,8 +32,7 @@ pub fn compile_program_and_query(
 /// Calls to a host predicate compile to `CallTarget::Host(i)` where `i`
 /// indexes [`CompiledProgram::hosts`].  User-defined predicates shadow host
 /// registrations; hosts shadow builtins.  A host predicate cannot appear as
-/// a parallel (CGE) goal — its suspension would park the whole machine while
-/// sibling goals still run.
+/// a parallel (CGE) goal: a host call runs in sequential code only.
 pub fn compile_program_and_query_with_hosts(
     program: &Program,
     query: &Body,

@@ -297,10 +297,10 @@ impl<'a, 'p> Step<'a, 'p> {
     }
 
     /// Execute up to `max` instructions while the worker stays `Running` and
-    /// the query unfinished: a relaxed PE's batch.  Returns the number
-    /// executed, which the driver adds to the shared step count
-    /// (`Worker::instructions` has them too).  `Engine::step_slot` makes the
-    /// same two checks, in the same order, before a strict slot.
+    /// the query unfinished: a relaxed PE's batch, and a strict slot of a
+    /// running worker.  Returns the number executed, which the driver adds
+    /// to the shared step count (`Worker::instructions` has them too).
+    #[inline]
     pub(crate) fn exec_batch(&mut self, max: u32) -> EngineResult<u32> {
         if self.core.steps() > self.core.config.max_steps {
             return Err(EngineError::StepLimitExceeded { limit: self.core.config.max_steps });

@@ -1,10 +1,11 @@
 //! Choice points and backtracking, backward execution across Parcall Frames,
-//! and the query's terminal transitions (success, host suspension).
+//! the query's success, and host-predicate calls.
 
-use super::{PendingHostCall, Step, RUNNING, SUSPENDED};
+use super::Step;
+use crate::answer::extract_cell;
 use crate::arith::in_range;
 use crate::cell::{Cell, NONE_ADDR};
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::frames::{choice, goal_frame, marker, parcall};
 use crate::known;
 use crate::layout::{board, Area, ObjectKind};
@@ -483,36 +484,52 @@ impl<'a, 'p> Step<'a, 'p> {
         self.wk.status = WorkerStatus::Stopped;
     }
 
-    /// Execute a `call_host`: flip the machine RUNNING→SUSPENDED so every
-    /// driver winds down at this instruction boundary, record the call for
-    /// [`Engine::resume`], and point this worker's `p` at the continuation.
-    ///
-    /// Returns `false` on a lost race (another worker succeeded, failed or
-    /// suspended first): the caller must leave `p` at the `call_host`
-    /// instruction so it re-executes when (if) control ever comes back —
-    /// re-execution is idempotent because the argument registers are
-    /// untouched.  The inference is counted only on the winning path for
-    /// the same reason.
-    pub(crate) fn suspend_host(&mut self, host: u32, arity: u8, cont: u32) -> bool {
-        if self
-            .core
-            .finished
-            .compare_exchange(RUNNING, SUSPENDED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        let args: Vec<Cell> = (1..=arity as usize).map(|i| self.wk.x[i]).collect();
-        *self.core.pending_host.lock().unwrap() = Some(PendingHostCall { worker: self.w(), host, args });
+    /// Execute a `call_host` at `p` on this PE, the way `exec_builtin` runs
+    /// `is/2`: call host predicate `host`'s closure with the argument terms
+    /// of `X1..Xn` (read untraced, as an answer is), then unify each
+    /// `(index, term)` binding it returns with the argument at that 0-based
+    /// position — built on this worker's heap, sharing variables by name
+    /// across the reply, and trailed like any binding.  `Ok(false)` when the
+    /// closure fails the call or a binding does not unify.  An engine built
+    /// without its session's closures cannot run the call: that is a
+    /// [`EngineError::BadInstruction`] at `p`.
+    #[inline(never)]
+    pub(crate) fn call_host(&mut self, host: u32, arity: u8, p: u32) -> EngineResult<bool> {
+        let core = self.core;
+        let Some(f) = core.hosts.get(host as usize) else {
+            let name = core.program.hosts.get(host as usize).map_or("?", |(name, _)| name);
+            return Err(EngineError::BadInstruction {
+                addr: p,
+                what: format!("host predicate {name}/{arity} has no closure on this engine"),
+            });
+        };
         self.wk.inferences += 1;
-        self.wk.p = cont;
-        true
+        let arity = arity as usize;
+        let mut args = Vec::with_capacity(arity);
+        for &cell in &self.wk.x[1..=arity] {
+            args.push(extract_cell(&core.mem, cell)?);
+        }
+        let Some(bindings) = f(&args) else { return Ok(false) };
+        let mut var_memo = std::collections::HashMap::new();
+        for (idx, term) in &bindings {
+            if *idx >= arity {
+                return Err(EngineError::Internal(format!(
+                    "host binding index {idx} out of range for {arity} argument(s)"
+                )));
+            }
+            let arg = self.wk.x[idx + 1];
+            let cell = self.build_term(term, &mut var_memo)?;
+            if !self.unify(arg, cell)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Build a source-level [`Term`] on this worker's heap, for unifying a
     /// host predicate's output bindings into the machine.  Variables are
-    /// memoized by name in `memo` so one [`HostResult::Succeed`] reply
-    /// shares variables across its bindings.  An integer the machine cannot
+    /// memoized by name in `memo` so one host reply shares variables
+    /// across its bindings.  An integer the machine cannot
     /// hold is `EngineError::IntegerOverflow`.
     pub(crate) fn build_term(
         &mut self,

@@ -36,6 +36,7 @@ use crate::frames::{choice, env, goal_frame, marker, message};
 use crate::layout::{board, Area, MemoryConfig, ObjectKind};
 use crate::mem::{Memory, StackSetArena};
 use crate::sched::{drive, DeterminismMode, SchedulerKind};
+use crate::session::HostFn;
 use crate::stats::RunStats;
 use crate::trace::MemRef;
 use crate::worker::{Worker, WorkerStatus};
@@ -43,7 +44,7 @@ use pwam_compiler::CompiledProgram;
 use pwam_front::SymbolTable;
 use pwam_front::Term;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 mod access;
@@ -86,8 +87,9 @@ pub struct EngineConfig {
     /// the serving layer sets it to enforce per-request deadlines, reusing
     /// the same periodic progress checks as the stall watchdog.
     pub time_budget: Option<Duration>,
-    /// Deterministic instruction-fuel budget **per execution leg** (each
-    /// `run`/`resume` re-arms it, mirroring the per-leg deadline clock).
+    /// Deterministic instruction-fuel budget **per execution leg** (a run,
+    /// or one step of a cursor, re-arms it, mirroring the per-leg deadline
+    /// clock).
     /// `None` (the default) means unlimited.  Unlike `time_budget`, fuel is
     /// counted in executed instructions, so where a run stops is a pure
     /// function of the program: the strict backend preempts at the first
@@ -96,10 +98,9 @@ pub struct EngineConfig {
     /// relaxed backend checks fuel at its existing batch boundaries, so
     /// preemption is prompt but the exact stop point is schedule-dependent
     /// there (same contract as every other relaxed-mode observable).  A
-    /// preempted one-shot run
-    /// fails with [`EngineError::FuelExhausted`]; a cursor's run suspends
-    /// (`SuspendReason::FuelExhausted`) and continues via
-    /// `HostResult::Continue`.
+    /// preempted one-shot run fails with [`EngineError::FuelExhausted`]; a
+    /// cursor's engine stays parked ([`Engine::finished`] reads `None`,
+    /// [`Engine::halted`] `true`) and its next step continues it in place.
     pub fuel: Option<u64>,
 }
 
@@ -153,77 +154,6 @@ pub struct RunResult {
     pub trace: Option<Vec<MemRef>>,
 }
 
-/// What a resumable run ([`Engine::run_resumable`] / [`Engine::resume`]) —
-/// a [`crate::QueryCursor`]'s engine — returned control for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RunOutcome {
-    /// The query ran to a terminal state: either it failed (no/none further
-    /// answers) or the caller committed to the last answer.  Read the final
-    /// [`RunResult`] with `Engine::take_result` / [`Engine::into_result`].
-    Complete,
-    /// Execution is parked between instructions, waiting on the host.
-    Suspended(SuspendReason),
-}
-
-/// Why a resumable engine suspended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum SuspendReason {
-    /// An answer is available (`Engine::answer_bindings`).  Resume with
-    /// `HostResult::Redo` to fail back into the engine for the next
-    /// answer, or `HostResult::Commit` to accept it and finish.
-    AnswerReady,
-    /// A registered host predicate was called.  `args` are the call's
-    /// argument terms (extracted from the machine state); resume with
-    /// `HostResult::Succeed` (optionally binding arguments) or
-    /// `HostResult::Fail`.
-    HostCall {
-        /// The host predicate's name (from the compiled program's registry).
-        name: String,
-        /// The call's arguments, as terms.  Unbound variables appear as
-        /// `Term::Var("_G…")` and can be bound through
-        /// `HostResult::Succeed` by argument position.
-        args: Vec<Term>,
-    },
-    /// The per-leg instruction-fuel budget ran out before the query produced
-    /// an answer.  The machine state is parked between scheduling rounds;
-    /// resume with `HostResult::Continue` (after re-admitting the query)
-    /// to grant another leg of fuel and keep executing exactly where the
-    /// run left off.
-    FuelExhausted,
-}
-
-/// The host's reply when re-entering a suspended engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum HostResult {
-    /// After [`SuspendReason::AnswerReady`]: reject the answer and
-    /// backtrack for the next one.
-    Redo,
-    /// After [`SuspendReason::AnswerReady`]: accept the answer and finish
-    /// the query (the cursor's cut).
-    Commit,
-    /// After [`SuspendReason::HostCall`]: the host predicate succeeds,
-    /// unifying each `(index, term)` pair with the argument at that
-    /// 0-based position.  A non-unifiable binding fails the call instead.
-    Succeed(Vec<(usize, Term)>),
-    /// After [`SuspendReason::HostCall`]: the host predicate fails;
-    /// execution backtracks.
-    Fail,
-    /// After [`SuspendReason::FuelExhausted`]: grant a fresh leg of fuel
-    /// (per [`EngineConfig::fuel`]) and continue execution in place.
-    Continue,
-}
-
-/// The suspension record `call_host` leaves behind for [`Engine::resume`].
-pub(crate) struct PendingHostCall {
-    /// Worker that executed the `call_host` (its `p` already points at the
-    /// continuation).
-    worker: usize,
-    /// Index into the compiled program's host registry.
-    host: u32,
-    /// The call's argument cells (`X1..Xn` at the suspension point).
-    args: Vec<Cell>,
-}
-
 /// Per-PE scheduling state that other PEs may inspect or update: the mirror
 /// of the Goal Stack (for stealing) and the Message Buffer allocation state
 /// (for completion messages).  Every access takes the board's lock; under
@@ -254,22 +184,17 @@ pub(crate) struct PeBoard {
     pub(crate) cancel_notices: u64,
 }
 
-/// `finished` encoding in [`EngineCore`].
+/// `finished` encoding in [`EngineCore`]: the engine halts in exactly three
+/// ways.  `SUCCEEDED` doubles as a cursor's answer boundary: a first
+/// solution is terminal for [`Engine::run`], while a cursor fails back into
+/// the engine from it (`Engine::redo`) for the next one.
 const RUNNING: u8 = 0;
 const SUCCEEDED: u8 = 1;
 const FAILED: u8 = 2;
-/// Execution stopped at a host-predicate call (`call_host`); the machine
-/// state is parked between instructions and [`Engine::resume`] re-enters it.
-/// Note `SUCCEEDED` doubles as the answer-boundary suspension: a first
-/// solution is terminal for [`Engine::run`] but resumable (via
-/// [`HostResult::Redo`]) for a cursor, so the hot success path needs no new
-/// state.
-const SUSPENDED: u8 = 3;
 /// Execution stopped because the per-leg instruction-fuel budget ran out.
-/// Like `SUSPENDED`, the machine state is parked between instructions (here:
-/// between whole scheduling rounds) and [`Engine::resume`] re-enters it with
-/// [`HostResult::Continue`].
-const PREEMPTED: u8 = 4;
+/// The machine state is parked between whole scheduling rounds, and
+/// `Engine::run_leg` continues it in place.
+const PREEMPTED: u8 = 3;
 
 /// Most instructions one run-to-event slot — the running worker's slot of a
 /// one-PE engine or of a solo round — retires before returning to the round
@@ -310,7 +235,7 @@ pub(crate) struct EngineCore<'p> {
     pub(crate) program: &'p CompiledProgram,
     pub(crate) config: EngineConfig,
     pub(crate) mem: Memory,
-    /// Query status: `RUNNING` / `SUCCEEDED` / `FAILED`.
+    /// Query status: `RUNNING` / `SUCCEEDED` / `FAILED` / `PREEMPTED`.
     finished: AtomicU8,
     /// Instructions executed (all PEs).  The strict driver owns the engine
     /// and adds each slot's count through `&mut` ([`Engine::step_slot`]); a
@@ -355,12 +280,10 @@ pub(crate) struct EngineCore<'p> {
     /// First engine error raised on any thread of the relaxed backend.
     abort: Mutex<Option<EngineError>>,
     aborted: AtomicBool,
-    /// The host call the engine suspended at (`finished == SUSPENDED`).
-    /// Written exactly once per suspension, by the worker that won the
-    /// RUNNING→SUSPENDED race in [`Step::suspend_host`]; taken by
-    /// [`Engine::resume`].  Off the hot path: programs without host
-    /// predicates never touch it.
-    pending_host: Mutex<Option<PendingHostCall>>,
+    /// The closures of the program's host predicates, indexed like
+    /// `CompiledProgram::hosts`: resolved by the session that builds the
+    /// engine (`Engine::with_hosts`), empty for an engine built alone.
+    pub(crate) hosts: Vec<Arc<HostFn>>,
     /// When the run started (re-armed by `run`/`reset`); the reference point
     /// for the `time_budget` deadline.
     started: Instant,
@@ -372,29 +295,23 @@ pub(crate) struct EngineCore<'p> {
 
 impl<'p> EngineCore<'p> {
     /// `Some(true)` once the query succeeded, `Some(false)` once it failed.
-    /// A *suspended* engine (parked at a host call) reports `None`: it has
+    /// A *preempted* engine (parked at spent fuel) reports `None`: it has
     /// no outcome yet.  Drivers must gate on `EngineCore::halted`, which
-    /// also covers suspension.
+    /// also covers preemption.
     pub(crate) fn finished(&self) -> Option<bool> {
         match self.finished.load(Ordering::Acquire) {
-            RUNNING | SUSPENDED | PREEMPTED => None,
+            RUNNING | PREEMPTED => None,
             SUCCEEDED => Some(true),
             _ => Some(false),
         }
     }
 
     /// True once execution must stop handing out slots: the query succeeded,
-    /// failed, or suspended at a host call.  This is the drivers' exit gate;
-    /// [`EngineCore::finished`] stays the *outcome* accessor.
+    /// failed, or was preempted at spent fuel.  This is the drivers' exit
+    /// gate; [`EngineCore::finished`] stays the *outcome* accessor.
     #[inline]
     pub(crate) fn halted(&self) -> bool {
         self.finished.load(Ordering::Acquire) != RUNNING
-    }
-
-    /// Raw `finished` state (RUNNING/SUCCEEDED/FAILED/SUSPENDED).
-    #[inline]
-    fn state(&self) -> u8 {
-        self.finished.load(Ordering::Acquire)
     }
 
     /// Record the query outcome (first writer wins).
@@ -467,8 +384,8 @@ impl<'p> EngineCore<'p> {
 
     /// Preempt the run (RUNNING → PREEMPTED, first writer wins) once the
     /// current leg's instruction fuel is spent.  Unlike the deadline this is
-    /// *not* an error: the machine state stays parked for
-    /// [`Engine::resume`].  The CAS keeps a query that succeeded or failed
+    /// *not* an error: the machine state stays parked for the next leg
+    /// (`Engine::run_leg`).  The CAS keeps a query that succeeded or failed
     /// in the same round ahead of the preemption.  One relaxed load when no
     /// fuel is configured, so it runs unconditionally every round.
     pub(crate) fn check_fuel(&self) {
@@ -477,7 +394,7 @@ impl<'p> EngineCore<'p> {
         }
     }
 
-    /// Start a fresh execution leg (a run, or one `resume`): restart the
+    /// Start a fresh execution leg (a run, or one cursor step): restart the
     /// deadline clock and arm the fuel threshold.
     fn start_leg(&mut self) {
         self.started = Instant::now();
@@ -642,7 +559,7 @@ impl<'p> Engine<'p> {
                 cancel_flags,
                 abort: Mutex::new(None),
                 aborted: AtomicBool::new(false),
-                pending_host: Mutex::new(None),
+                hosts: Vec::new(),
                 started: Instant::now(),
                 fuel_limit: AtomicU64::new(config_fuel.unwrap_or(u64::MAX)),
             },
@@ -661,19 +578,12 @@ impl<'p> Engine<'p> {
     /// caller can [`Engine::reset`] it (same program) or recover its arenas
     /// with [`Engine::into_memory`] (different program).  On error the
     /// engine is lost — a pool simply rebuilds cold on the next request.
-    pub fn run_reusable(mut self, syms: &SymbolTable) -> EngineResult<(RunResult, Engine<'p>)> {
-        self.core.start_leg();
-        let mut engine = drive(self)?;
-        if engine.core.state() == SUSPENDED {
-            return Err(EngineError::Internal(
-                "query suspended at a host call; drive it through a cursor (Session::open_cursor)"
-                    .to_string(),
-            ));
-        }
-        if engine.core.state() == PREEMPTED {
+    pub fn run_reusable(self, syms: &SymbolTable) -> EngineResult<(RunResult, Engine<'p>)> {
+        let mut engine = self.run_leg()?;
+        if engine.finished().is_none() {
             // One-shot callers have no way to grant more fuel, so preemption
             // surfaces as an error (the engine is lost, like any other
-            // errored run).  Resumable callers get a suspension instead.
+            // errored run).  A cursor's next step continues instead.
             let fuel = engine.core.config.fuel.unwrap_or(0);
             return Err(EngineError::FuelExhausted { fuel });
         }
@@ -681,143 +591,43 @@ impl<'p> Engine<'p> {
         Ok((result, engine))
     }
 
-    /// Run the query until it completes **or suspends** — at the first
-    /// answer ([`SuspendReason::AnswerReady`]) or at a host-predicate call
-    /// ([`SuspendReason::HostCall`]).  The engine comes back with its entire
-    /// machine state parked between instructions (worker registers, env/cp
-    /// caches, [`Memory`] intact) so `Engine::resume` re-enters exactly
-    /// where execution left off.
-    pub(crate) fn run_resumable(mut self) -> EngineResult<(RunOutcome, Engine<'p>)> {
+    /// Hand the engine the closures of its program's host predicates,
+    /// indexed like `CompiledProgram::hosts` (see `Step::call_host`).
+    pub(crate) fn with_hosts(mut self, hosts: Vec<Arc<HostFn>>) -> Self {
+        self.core.hosts = hosts;
+        self
+    }
+
+    /// One execution leg: arm a fresh leg of fuel and deadline and drive
+    /// the engine until it halts — at an answer (`finished() == Some(true)`),
+    /// at the end (`Some(false)`) or at spent fuel (`None`).  Starts a fresh
+    /// engine and continues a preempted one, whose machine state is parked
+    /// between whole rounds.  The engine keeps its entire machine state, so
+    /// a cursor reads the answer off it and later legs go on from there.
+    pub(crate) fn run_leg(mut self) -> EngineResult<Engine<'p>> {
         self.core.start_leg();
-        self.drive_resumable()
+        let finished = self.core.finished.get_mut();
+        if *finished == PREEMPTED {
+            *finished = RUNNING;
+        }
+        drive(self)
     }
 
-    /// Re-enter a suspended engine with the host's reply.
-    ///
-    /// Valid pairings: [`SuspendReason::AnswerReady`] takes
-    /// [`HostResult::Redo`] or [`HostResult::Commit`];
-    /// [`SuspendReason::HostCall`] takes [`HostResult::Succeed`] or
-    /// [`HostResult::Fail`].  Anything else (including resuming an engine
-    /// that already completed) is an [`EngineError::Internal`].
-    pub(crate) fn resume(mut self, result: HostResult) -> EngineResult<(RunOutcome, Engine<'p>)> {
-        // Each `resume` leg is a fresh request from the serving layer's point
-        // of view.
+    /// Fail back into an engine halted at an answer for the next one: the
+    /// cursor's redo leg.  Restores `RUNNING`, revives the worker that
+    /// produced the answer (the only stopped one — a worker stops only
+    /// through query success or query failure), backtracks it into its next
+    /// alternative and drives the engine to its next halt, as
+    /// [`Engine::run_leg`] does.
+    pub(crate) fn redo(mut self) -> EngineResult<Engine<'p>> {
+        debug_assert_eq!(self.finished(), Some(true), "redo away from an answer");
         self.core.start_leg();
-        // The worker that fails back into its next alternative, if any.
-        let failing = match self.core.state() {
-            SUCCEEDED => match result {
-                HostResult::Commit => return Ok((RunOutcome::Complete, self)),
-                HostResult::Redo => {
-                    // Fail back into the engine: restore RUNNING, revive the
-                    // worker that produced the answer (the only stopped one
-                    // — a worker stops only through query success or query
-                    // failure) and backtrack it into the next alternative.
-                    self.core.finished.store(RUNNING, Ordering::Release);
-                    self.core.mem.shared_write(board::STATUS, Cell::Uint(board::STATUS_RUNNING));
-                    let w =
-                        self.core.mem.shared_read(board::ANSWER_PE).expect_uint("board answer pe") as usize;
-                    self.workers[w].status = WorkerStatus::Running;
-                    Some(w)
-                }
-                other => {
-                    return Err(EngineError::Internal(format!(
-                        "resume at an answer boundary expects Redo or Commit, got {other:?}"
-                    )))
-                }
-            },
-            SUSPENDED => {
-                if !matches!(result, HostResult::Succeed(_) | HostResult::Fail) {
-                    return Err(EngineError::Internal(format!(
-                        "resume at a host call expects Succeed or Fail, got {result:?}"
-                    )));
-                }
-                let pending = self
-                    .core
-                    .pending_host
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("suspended engine without a pending host call");
-                let w = pending.worker;
-                self.core.finished.store(RUNNING, Ordering::Release);
-                match result {
-                    HostResult::Succeed(bindings) => {
-                        // A binding that does not unify fails the call.
-                        let mut step = Step::new(&self.core, &mut self.workers[w]);
-                        let mut unified = true;
-                        let mut var_memo = std::collections::HashMap::new();
-                        for (idx, term) in &bindings {
-                            let Some(&arg) = pending.args.get(*idx) else {
-                                return Err(EngineError::Internal(format!(
-                                    "host binding index {idx} out of range for {} argument(s)",
-                                    pending.args.len()
-                                )));
-                            };
-                            let cell = step.build_term(term, &mut var_memo)?;
-                            if !step.unify(arg, cell)? {
-                                unified = false;
-                                break;
-                            }
-                        }
-                        (!unified).then_some(w)
-                    }
-                    _ => Some(w),
-                }
-            }
-            PREEMPTED => {
-                if !matches!(result, HostResult::Continue) {
-                    return Err(EngineError::Internal(format!(
-                        "resume at a fuel preemption expects Continue, got {result:?}"
-                    )));
-                }
-                // The machine state is parked between whole rounds; simply
-                // restore RUNNING (the fresh fuel leg is already armed
-                // above) and let the scheduler take the next round.
-                self.core.finished.store(RUNNING, Ordering::Release);
-                None
-            }
-            FAILED => return Err(EngineError::Internal("resume on a completed engine".to_string())),
-            _ => return Err(EngineError::Internal("resume on an engine that is still running".to_string())),
-        };
-        if let Some(w) = failing {
-            Step::new(&self.core, &mut self.workers[w]).backtrack()?;
-        }
-        self.drive_resumable()
-    }
-
-    /// Drive the scheduler until the engine halts, then classify the halt.
-    /// Drivers return immediately when the engine is already halted (e.g. a
-    /// `resume(Redo)` whose backtrack exhausted the last choice point).
-    fn drive_resumable(self) -> EngineResult<(RunOutcome, Engine<'p>)> {
-        let engine = drive(self)?;
-        let outcome = engine.current_outcome()?;
-        Ok((outcome, engine))
-    }
-
-    /// Classify a halted engine's state as a [`RunOutcome`].
-    fn current_outcome(&self) -> EngineResult<RunOutcome> {
-        match self.core.state() {
-            SUCCEEDED => Ok(RunOutcome::Suspended(SuspendReason::AnswerReady)),
-            FAILED => Ok(RunOutcome::Complete),
-            SUSPENDED => {
-                let guard = self.core.pending_host.lock().unwrap();
-                let pending = guard.as_ref().expect("suspended engine without a pending host call");
-                let name = self
-                    .core
-                    .program
-                    .hosts
-                    .get(pending.host as usize)
-                    .map(|(n, _)| n.clone())
-                    .unwrap_or_else(|| format!("$host{}", pending.host));
-                let mut args = Vec::with_capacity(pending.args.len());
-                for &cell in &pending.args {
-                    args.push(crate::answer::extract_cell(&self.core.mem, cell)?);
-                }
-                Ok(RunOutcome::Suspended(SuspendReason::HostCall { name, args }))
-            }
-            PREEMPTED => Ok(RunOutcome::Suspended(SuspendReason::FuelExhausted)),
-            _ => Err(EngineError::Internal("scheduler returned without halting the engine".to_string())),
-        }
+        *self.core.finished.get_mut() = RUNNING;
+        self.core.mem.shared_write(board::STATUS, Cell::Uint(board::STATUS_RUNNING));
+        let w = self.core.mem.shared_read(board::ANSWER_PE).expect_uint("board answer pe") as usize;
+        self.workers[w].status = WorkerStatus::Running;
+        Step::new(&self.core, &mut self.workers[w]).backtrack()?;
+        drive(self)
     }
 
     /// Return a finished engine to a pristine state **without freeing its
@@ -835,9 +645,9 @@ impl<'p> Engine<'p> {
     /// differential suite pins byte-identical answers, per-area counts and
     /// traces between fresh and reset-and-reused engines.
     pub fn reset(self) -> Self {
-        let Engine { core: EngineCore { program, config, mut mem, .. }, workers } = self;
+        let Engine { core: EngineCore { program, config, mut mem, hosts, .. }, workers } = self;
         mem.reset(config.collect_trace);
-        Engine::build(program, config, mem, workers)
+        Engine::build(program, config, mem, workers).with_hosts(hosts)
     }
 
     /// Tear the engine down to its [`Memory`], keeping the arena allocations

@@ -22,7 +22,7 @@ impl<'p> Engine<'p> {
     /// The current answer's query-variable bindings, without symbol-table
     /// rendering (variables print as `_G<addr>`; atoms keep their interned
     /// [`pwam_front::Atom`] inside the returned [`Term`]s).  Only meaningful
-    /// while suspended at [`SuspendReason::AnswerReady`](super::SuspendReason::AnswerReady).
+    /// while the engine stands at an answer (`finished() == Some(true)`).
     pub(crate) fn answer_bindings(&self) -> EngineResult<Vec<(String, Term)>> {
         if self.core.mem.shared_read(board::STATUS) != Cell::Uint(board::STATUS_SUCCEEDED) {
             return Ok(Vec::new());
@@ -75,26 +75,25 @@ impl<'p> Engine<'p> {
 
     /// Extract the [`RunResult`] of a finished engine, leaving the engine
     /// behind for reuse (the trace buffer, if any, is drained).  An engine
-    /// parked at a host call or at spent fuel has no result yet: that is an
+    /// parked at spent fuel has no result yet: that is an
     /// [`EngineError::Internal`].  `_syms` is not read: answers keep their
     /// interned atoms and are rendered later.
     pub(crate) fn take_result(&mut self, _syms: &SymbolTable) -> EngineResult<RunResult> {
         let outcome = match self.core.finished() {
             Some(true) => Outcome::Success(self.answer_bindings()?),
             Some(false) => Outcome::Failure,
-            None => {
-                return Err(EngineError::Internal(
-                    "no result yet: the engine has not completed (a host call or spent fuel suspends it)"
-                        .to_string(),
-                ))
-            }
+            None => return Err(EngineError::Internal(
+                "no result yet: the engine has not completed (it is parked at spent fuel, or has not run)"
+                    .to_string(),
+            )),
         };
         let stats = self.stats();
         let trace = self.take_trace();
         Ok(RunResult { outcome, stats, trace })
     }
 
-    /// Run statistics of the engine as it stands (usable mid-suspension).
+    /// Run statistics of the engine as it stands (usable while it is parked
+    /// at an answer or at spent fuel).
     pub fn stats(&self) -> RunStats {
         let workers: Vec<WorkerStats> = self
             .workers

@@ -17,12 +17,16 @@ impl<'p> Engine<'p> {
     // by hand to inspect the machine between them).
     // A round gives every worker one slot:
     //
-    //     engine.begin_round();
-    //     let mut progress = false;
-    //     for w in 0..n { progress |= engine.step_slot(w)?; }
-    //     engine.end_round(progress)?;
+    //     while !engine.halted() {
+    //         engine.begin_round();
+    //         let mut progress = false;
+    //         for w in 0..n { progress |= engine.step_slot(w)?; }
+    //         engine.end_round(progress)?;
+    //     }
     //
-    // repeated until `halted()`.  A slot is one scheduling action for an
+    // `halted()` is the loop's exit condition, not `finished()`: an engine
+    // preempted at spent fuel (`EngineConfig::fuel`) has halted with no
+    // outcome, and every later round would be a no-op.  A slot is one scheduling action for an
     // idle or waiting worker, and `quantum` instructions for a running
     // worker of an N-PE engine — or, when nothing else can act, a run to
     // the next event that could change that, standing for as many rounds as
@@ -31,14 +35,17 @@ impl<'p> Engine<'p> {
     // directly.
     // -----------------------------------------------------------------
 
-    /// `Some(true)` once the query succeeded, `Some(false)` once it failed.
+    /// `Some(true)` once the query succeeded, `Some(false)` once it failed;
+    /// `None` while it runs and once spent fuel preempted it.  A loop that
+    /// steps rounds by hand exits on [`Engine::halted`], which also covers
+    /// preemption.
     pub fn finished(&self) -> Option<bool> {
         self.core.finished()
     }
 
-    /// True once the engine has succeeded, failed or suspended — the
-    /// drivers' exit condition (see `EngineCore::halted`).
-    pub(crate) fn halted(&self) -> bool {
+    /// True once the engine has succeeded, failed or been preempted at spent
+    /// fuel: the exit condition of every loop that steps rounds.
+    pub fn halted(&self) -> bool {
         self.core.halted()
     }
 
@@ -66,8 +73,8 @@ impl<'p> Engine<'p> {
     /// PE the quantum is unobservable and every slot is solo) — nothing can
     /// observe where its slot ends until it does something another slot
     /// would see.  So it runs until it pushes a Goal Frame while some idle
-    /// PE could steal it, leaves `Running` (parks, waits, goes idle,
-    /// suspends) or the query halts, until the fuel or step budget is due,
+    /// PE could steal it, leaves `Running` (parks, waits, goes idle) or the
+    /// query halts, until the fuel or step budget is due,
     /// or for `SLOT_CAP` instructions.  `cycles` then advances by the
     /// instructions retired, and every inert worker is charged for each
     /// round the slot stands for but the last, whose remaining slots the
@@ -113,19 +120,10 @@ impl<'p> Engine<'p> {
             }
             None => core.config.quantum,
         };
-        // `Step::exec_batch`'s checks, in its order.
-        if core.steps() > core.config.max_steps {
-            return Err(EngineError::StepLimitExceeded { limit: core.config.max_steps });
-        }
         let mut step = Step::new(core, &mut self.workers[w]);
-        // `cancel_goal` requests are honoured at batch boundaries (see
-        // `Step::exec_batch`); a solo slot has none by definition.
-        if core.cancel_flags[w].load(Ordering::Acquire) || !step.wk.pending_cancels.is_empty() {
-            step.process_cancel_requests()?;
-        }
         step.end_on_push = solo == Some(true);
         let before = step.wk.instructions;
-        let batch = step.exec_batch_flat(max);
+        let batch = step.exec_batch(max);
         let executed = self.workers[w].instructions - before;
         *self.core.steps.get_mut() += executed;
         batch?;

@@ -474,22 +474,15 @@ impl<'a, 'p> Step<'a, 'p> {
                 BuiltinOutcome::Fail => self.fail(),
                 BuiltinOutcome::Halted => Ok(self.halted_at(p)),
             },
-            DenseOp::CallHost => {
-                if !self.suspend_host(di.c, di.a, p + 1) {
-                    // Lost the halt race: keep `p` at this instruction so it
-                    // re-executes if control ever comes back.
-                    self.wk.p = p;
-                }
-                Ok(Flow::Reload)
-            }
-            DenseOp::ExecuteHost => {
+            DenseOp::CallHost => match self.call_host(di.c, di.a, p)? {
+                true => Ok(Flow::Next),
+                false => self.fail(),
+            },
+            DenseOp::ExecuteHost => match self.call_host(di.c, di.a, p)? {
                 // Last-call shape: the continuation is the saved `cp`.
-                let cont = self.wk.cp;
-                if !self.suspend_host(di.c, di.a, cont) {
-                    self.wk.p = p;
-                }
-                Ok(Flow::Reload)
-            }
+                true => Ok(Flow::Jump(self.wk.cp)),
+                false => self.fail(),
+            },
             DenseOp::CallUnresolved | DenseOp::ExecuteUnresolved => {
                 Err(EngineError::BadInstruction { addr: p, what: "unresolved call target".into() })
             }

@@ -13,8 +13,8 @@
 //!   running worker's slot is `quantum` instructions (default 1): the
 //!   deterministic software-interleaved methodology of the paper's emulator.
 //!   With one PE there is nothing to interleave, so a slot runs to the next
-//!   scheduling-relevant event (park, wait, suspension, halt, fuel or step
-//!   budget due) and sequential work costs what it costs on a sequential
+//!   scheduling-relevant event (park, wait, halt, fuel or step budget
+//!   due) and sequential work costs what it costs on a sequential
 //!   WAM — see [`EngineConfig::quantum`](crate::EngineConfig::quantum).
 //!   A slot that cannot act — an idle worker when every board is empty, a
 //!   worker waiting at a frame that has neither drained nor failed with
@@ -153,8 +153,8 @@ fn free_running(kind: SchedulerKind, determinism: DeterminismMode) -> bool {
     kind == SchedulerKind::Threaded && determinism == DeterminismMode::Relaxed
 }
 
-/// Drive `engine` until it halts (success, failure, suspension or
-/// preemption) on the backend its own configuration names, returning it for
+/// Drive `engine` until it halts (success, failure or preemption at spent
+/// fuel) on the backend its own configuration names, returning it for
 /// answer and statistics extraction.
 pub(crate) fn drive(engine: Engine<'_>) -> EngineResult<Engine<'_>> {
     let config = &engine.core.config;

@@ -6,7 +6,7 @@
 //! engine, returning the answer bindings, the run statistics and optionally
 //! the full memory-reference trace.
 
-use crate::engine::{Engine, EngineConfig, HostResult, RunOutcome, RunResult, SuspendReason};
+use crate::engine::{Engine, EngineConfig, RunResult};
 use crate::error::EngineError;
 use crate::layout::MemoryConfig;
 use crate::mem::Memory;
@@ -96,7 +96,7 @@ pub struct QueryOptions {
     /// Deterministic instruction-fuel budget per execution leg (`None` =
     /// unlimited).  A one-shot run that exhausts its fuel errors with
     /// [`EngineError::FuelExhausted`];
-    /// a cursor suspends instead ([`CursorStep::FuelExhausted`]) so the
+    /// a cursor parks instead ([`CursorStep::FuelExhausted`]) so the
     /// serving layer can preempt long queries and re-admit them fairly.
     pub fuel: Option<u64>,
 }
@@ -229,9 +229,9 @@ pub struct Session {
     /// compilation mode (parallel × inline-first-goal); invalidated when
     /// a host predicate is registered.
     compiled: HashMap<(String, bool, bool), Arc<CompiledProgram>>,
-    /// Host predicates: closures the embedding application services when a
-    /// query calls them.  Threaded into every compilation, so registering
-    /// one invalidates the compiled-query cache.
+    /// Host predicates: closures the engine calls when a query calls them.
+    /// Threaded into every compilation, so registering one invalidates the
+    /// compiled-query cache.
     hosts: HashMap<(String, u8), Arc<HostFn>>,
 }
 
@@ -252,8 +252,11 @@ impl Session {
 
     /// Register a host predicate `name/arity`.  Queries compiled after this
     /// call resolve matching goals to the engine's `call_host` opcode; when
-    /// one executes, the engine suspends and the cursor machinery calls `f`
-    /// with the argument terms.  User-defined predicates of the same name
+    /// one executes, the engine calls `f` with the argument terms right
+    /// there, on the PE that executes the call, as it runs any builtin —
+    /// whether the query runs one-shot ([`Session::run`]) or through a
+    /// cursor.  Under the relaxed backend that PE is one of the run's
+    /// threads, and several may call `f` at once.  User-defined predicates of the same name
     /// and arity shadow the host; the host shadows builtins.  Registering
     /// invalidates the compiled-query cache (later registrations of the
     /// same `name/arity` replace the closure).
@@ -336,7 +339,8 @@ impl Session {
         compiled: &CompiledProgram,
         options: &QueryOptions,
     ) -> Result<RunResult, SessionError> {
-        let engine = Engine::new(compiled, options.engine_config());
+        let hosts = self.hosts_of(compiled)?;
+        let engine = Engine::new(compiled, options.engine_config()).with_hosts(hosts);
         Ok(engine.run(&self.syms)?)
     }
 
@@ -351,12 +355,13 @@ impl Session {
         options: &QueryOptions,
         memory: Option<Memory>,
     ) -> Result<(RunResult, Memory, bool), SessionError> {
+        let hosts = self.hosts_of(compiled)?;
         let config = options.engine_config();
         let (engine, warm) = match memory {
             Some(m) => Engine::with_recycled_memory(compiled, config, m),
             None => (Engine::new(compiled, config), false),
         };
-        let (result, engine) = engine.run_reusable(&self.syms)?;
+        let (result, engine) = engine.with_hosts(hosts).run_reusable(&self.syms)?;
         Ok((result, engine.into_memory(), warm))
     }
 
@@ -371,26 +376,33 @@ impl Session {
     /// its shape fits) and a handle to the compiled program, so it can be
     /// parked anywhere — out of a pool slot, across requests — and stepped
     /// with [`QueryCursor::next`] whenever the consumer wants another
-    /// answer.  Nothing runs until the first `next`.  Host-predicate calls
-    /// are serviced transparently from this session's registry; opening
-    /// fails if the program references a host predicate that is no longer
-    /// registered.
+    /// answer.  Nothing runs until the first `next`.  Opening fails if the
+    /// program references a host predicate that is no longer registered.
     pub fn open_cursor(
         &self,
         compiled: &Arc<CompiledProgram>,
         options: &QueryOptions,
         memory: Option<Memory>,
     ) -> Result<QueryCursor, SessionError> {
-        let mut host_fns = HashMap::new();
-        for (name, arity) in &compiled.hosts {
-            let f = self.hosts.get(&(name.clone(), *arity)).ok_or_else(|| {
-                SessionError::Engine(EngineError::Internal(format!(
-                    "host predicate {name}/{arity} is not registered on this session"
-                )))
-            })?;
-            host_fns.insert((name.clone(), *arity), Arc::clone(f));
-        }
-        Ok(QueryCursor::open(Arc::clone(compiled), options.engine_config(), memory, host_fns))
+        let hosts = self.hosts_of(compiled)?;
+        Ok(QueryCursor::open(Arc::clone(compiled), options.engine_config(), memory, hosts))
+    }
+
+    /// The closures of `compiled`'s host predicates from this session's
+    /// registry, indexed like `CompiledProgram::hosts`, for the engine that
+    /// runs it.  A program without host predicates allocates nothing here.
+    fn hosts_of(&self, compiled: &CompiledProgram) -> Result<Vec<Arc<HostFn>>, SessionError> {
+        compiled
+            .hosts
+            .iter()
+            .map(|(name, arity)| {
+                self.hosts.get(&(name.clone(), *arity)).cloned().ok_or_else(|| {
+                    SessionError::Engine(EngineError::Internal(format!(
+                        "host predicate {name}/{arity} is not registered on this session"
+                    )))
+                })
+            })
+            .collect()
     }
 }
 
@@ -400,8 +412,8 @@ enum CursorState {
     /// Opened, nothing run yet: the first [`QueryCursor::next`] starts the
     /// query.
     Fresh,
-    /// Suspended at an answer boundary; `next` fails back into the engine
-    /// for the following answer, [`QueryCursor::commit`] accepts this one.
+    /// Halted at an answer; `next` fails back into the engine for the
+    /// following answer, [`QueryCursor::commit`] accepts this one.
     AtAnswer,
     /// Preempted mid-execution by the instruction-fuel budget
     /// ([`QueryOptions::fuel`]); the next step grants a fresh leg of fuel
@@ -426,7 +438,7 @@ pub enum CursorStep {
     FuelExhausted,
 }
 
-/// An owned, parkable all-solutions query: the resumable [`Engine`] plus
+/// An owned, parkable all-solutions query: the [`Engine`] plus
 /// the [`Arc<CompiledProgram>`] it executes, bundled so the pair can move
 /// between threads and outlive any pool slot.
 ///
@@ -439,9 +451,6 @@ pub struct QueryCursor {
     /// Declared before `_program` so it drops first.
     engine: Option<Engine<'static>>,
     state: CursorState,
-    /// Host implementations resolved at open time, keyed like
-    /// `CompiledProgram::hosts` entries.
-    host_fns: HashMap<(String, u8), Arc<HostFn>>,
     /// Keeps the engine's program allocation alive; never read.
     _program: Arc<CompiledProgram>,
 }
@@ -451,7 +460,7 @@ impl QueryCursor {
         program: Arc<CompiledProgram>,
         config: EngineConfig,
         memory: Option<Memory>,
-        host_fns: HashMap<(String, u8), Arc<HostFn>>,
+        hosts: Vec<Arc<HostFn>>,
     ) -> QueryCursor {
         // SAFETY: see the struct-level comment — the referent lives behind
         // `_program`'s Arc allocation, which this struct holds for at least
@@ -461,14 +470,12 @@ impl QueryCursor {
             Some(m) => Engine::with_recycled_memory(program_ref, config, m).0,
             None => Engine::new(program_ref, config),
         };
-        QueryCursor { engine: Some(engine), state: CursorState::Fresh, host_fns, _program: program }
+        QueryCursor { engine: Some(engine.with_hosts(hosts)), state: CursorState::Fresh, _program: program }
     }
 
     /// Produce the next answer, or `None` once the stream is exhausted (or
-    /// the cursor was committed).  Host-predicate suspensions are serviced
-    /// internally; only answer boundaries surface.  On an engine error the
-    /// cursor is dead: the error is returned and every later call yields
-    /// `None`.
+    /// the cursor was committed).  On an engine error the cursor is dead:
+    /// the error is returned and every later call yields `None`.
     // Deliberately named like `Iterator::next`, but fallible — an
     // `Iterator<Item = Result<...>>` impl would invert the natural
     // `Result<Option<_>>` shape.
@@ -488,89 +495,45 @@ impl QueryCursor {
 
     /// Like [`QueryCursor::next`], but surfacing fuel preemptions
     /// ([`CursorStep::FuelExhausted`]) to the caller instead of continuing
-    /// through them.  Host-predicate suspensions are still serviced
-    /// internally.  On an engine error the cursor is dead: the error is
+    /// through them.  On an engine error the cursor is dead: the error is
     /// returned and every later call yields [`CursorStep::Exhausted`].
     pub fn next_step(&mut self) -> Result<CursorStep, SessionError> {
         if self.state == CursorState::Done {
             return Ok(CursorStep::Exhausted);
         }
         let engine = self.engine.take().expect("live cursor without an engine");
-        let mut step = match self.state {
-            CursorState::Fresh => engine.run_resumable(),
-            CursorState::AtAnswer => engine.resume(HostResult::Redo),
-            CursorState::Preempted => engine.resume(HostResult::Continue),
-            CursorState::Done => unreachable!(),
+        // An error leaves the cursor dead, its engine lost.
+        let engine = match std::mem::replace(&mut self.state, CursorState::Done) {
+            CursorState::AtAnswer => engine.redo()?,
+            _ => engine.run_leg()?,
         };
-        loop {
-            match step {
-                Err(e) => {
-                    self.state = CursorState::Done;
-                    return Err(e.into());
-                }
-                Ok((RunOutcome::Complete, engine)) => {
-                    self.engine = Some(engine);
-                    self.state = CursorState::Done;
-                    return Ok(CursorStep::Exhausted);
-                }
-                Ok((RunOutcome::Suspended(SuspendReason::AnswerReady), engine)) => {
-                    match engine.answer_bindings() {
-                        Ok(bindings) => {
-                            self.engine = Some(engine);
-                            self.state = CursorState::AtAnswer;
-                            return Ok(CursorStep::Answer(bindings));
-                        }
-                        Err(e) => {
-                            self.state = CursorState::Done;
-                            return Err(e.into());
-                        }
-                    }
-                }
-                Ok((RunOutcome::Suspended(SuspendReason::FuelExhausted), engine)) => {
-                    self.engine = Some(engine);
-                    self.state = CursorState::Preempted;
-                    return Ok(CursorStep::FuelExhausted);
-                }
-                Ok((RunOutcome::Suspended(SuspendReason::HostCall { name, args }), engine)) => {
-                    let key = (name, args.len() as u8);
-                    let Some(f) = self.host_fns.get(&key) else {
-                        self.state = CursorState::Done;
-                        return Err(SessionError::Engine(EngineError::Internal(format!(
-                            "host predicate {}/{} is not registered on this cursor",
-                            key.0, key.1
-                        ))));
-                    };
-                    let reply = match f(&args) {
-                        Some(bindings) => HostResult::Succeed(bindings),
-                        None => HostResult::Fail,
-                    };
-                    step = engine.resume(reply);
-                }
+        let step = match engine.finished() {
+            Some(true) => {
+                let bindings = engine.answer_bindings()?;
+                self.state = CursorState::AtAnswer;
+                CursorStep::Answer(bindings)
             }
-        }
+            Some(false) => CursorStep::Exhausted,
+            None => {
+                self.state = CursorState::Preempted;
+                CursorStep::FuelExhausted
+            }
+        };
+        self.engine = Some(engine);
+        Ok(step)
     }
 
     /// Accept the answer the cursor currently stands at and finish the
-    /// query (the cursor's cut): the engine halts cleanly and later
-    /// [`QueryCursor::next`] calls return `None`.
+    /// query (the cursor's cut): later [`QueryCursor::next`] calls return
+    /// `None`.  The engine stays halted at the answer.
     pub fn commit(&mut self) -> Result<(), SessionError> {
         if self.state != CursorState::AtAnswer {
             return Err(SessionError::Engine(EngineError::Internal(
                 "commit without a pending answer".to_string(),
             )));
         }
-        let engine = self.engine.take().expect("live cursor without an engine");
-        match engine.resume(HostResult::Commit) {
-            Ok((_, engine)) => {
-                self.engine = Some(engine);
-                self.state = CursorState::Done;
-                Ok(())
-            }
-            Err(e) => {
-                self.state = CursorState::Done;
-                Err(e.into())
-            }
-        }
+        self.state = CursorState::Done;
+        Ok(())
     }
 
     /// True once the stream is exhausted, committed or dead.
@@ -578,7 +541,7 @@ impl QueryCursor {
         self.state == CursorState::Done
     }
 
-    /// The suspended engine's state fingerprint (see
+    /// The parked engine's state fingerprint (see
     /// [`Engine::state_fingerprint`]); `None` if the engine was lost.
     pub fn state_fingerprint(&self) -> Option<u64> {
         self.engine.as_ref().map(|e| e.state_fingerprint())
@@ -591,13 +554,13 @@ impl QueryCursor {
         engine.map(|e| e.into_memory())
     }
 
-    /// Goal Frames still parked on the suspended engine's boards (see
+    /// Goal Frames still on the parked engine's boards (see
     /// [`Engine::pending_goal_frames`]); `0` if the engine was lost.
     pub fn pending_goal_frames(&self) -> usize {
         self.engine.as_ref().map_or(0, |e| e.pending_goal_frames())
     }
 
-    /// Structural invariants of the suspended engine (see
+    /// Structural invariants of the parked engine (see
     /// [`Engine::check_consistency`]); trivially `Ok` if the engine was
     /// lost.
     pub fn check_consistency(&self) -> Result<(), String> {

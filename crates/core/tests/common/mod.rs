@@ -83,8 +83,9 @@ pub fn oracle_stream(c: &Case, cge: Cge) -> Vec<Row> {
     Oracle::new(&program(c, false)).solutions(&query(c), cge, usize::MAX).expect("oracle proves the query")
 }
 
-/// Open a cursor for `c` on a fresh session and hand both back.
-pub fn open(c: &Case, host: bool, opts: &QueryOptions) -> (Session, QueryCursor) {
+/// A fresh session over `c`'s program, with the host predicate `hf/1`
+/// registered when `host` is set.
+pub fn session(c: &Case, host: bool) -> Session {
     let mut s = Session::new(&program(c, host)).expect("program parses");
     if host {
         let table: Vec<i64> = c.facts.iter().map(|(k, _)| *k).collect();
@@ -93,6 +94,12 @@ pub fn open(c: &Case, host: bool, opts: &QueryOptions) -> (Session, QueryCursor)
             (x == 99 || table.contains(&x)).then(Vec::new)
         });
     }
+    s
+}
+
+/// Open a cursor for `c` on a fresh session and hand both back.
+pub fn open(c: &Case, host: bool, opts: &QueryOptions) -> (Session, QueryCursor) {
+    let mut s = session(c, host);
     let compiled = s.prepare_with(&query(c), opts.compile_options()).expect("query compiles");
     let cursor = s.open_cursor(&compiled, opts, None).expect("cursor opens");
     (s, cursor)

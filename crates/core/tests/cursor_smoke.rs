@@ -1,10 +1,12 @@
-//! Fast sanity checks for the resumable-engine cursor API: all-solutions
-//! streaming, commit, host predicates (an out-of-range reply included), the
-//! no-host guard on `run`, and no result from an engine parked at a
-//! suspension.
+//! Fast sanity checks for the cursor API and host predicates: all-solutions
+//! streaming, commit, host predicates called where the query calls them
+//! (through a cursor, through a one-shot `run` on either backend, across
+//! fuel preemptions, an out-of-range reply included), a bare `Engine` that
+//! has no closure for a host call, and no result from an engine parked at
+//! spent fuel.
 
 use pwam_front::INT_MAX;
-use rapwam::session::{QueryOptions, Session, SessionError};
+use rapwam::session::{CursorStep, QueryOptions, Session, SessionError};
 use rapwam::{Engine, EngineConfig, EngineError, Term};
 
 fn atoms(session: &Session, answers: &[Vec<(String, Term)>], var: &str) -> Vec<String> {
@@ -139,50 +141,77 @@ fn user_predicates_shadow_hosts() {
 }
 
 #[test]
-fn run_rejects_host_suspension() {
-    let mut session = Session::new("p(Y) :- h(Y).").unwrap();
-    session.register_host("h", 1, |_| Some(vec![(0, Term::Int(1))]));
-    let err = session.run("p(Y)", &QueryOptions::sequential()).unwrap_err();
-    let msg = format!("{err}");
-    assert!(msg.contains("cursor"), "unexpected error: {msg}");
-}
-
-/// Drive `engine` through `rounds` scheduling rounds by hand.  A run that
-/// suspends — at spent fuel or at a host call — stays parked, and the
-/// rounds after that are no-ops.
-fn drive_rounds(engine: &mut Engine<'_>, rounds: usize) {
-    for _ in 0..rounds {
-        engine.begin_round();
-        let mut progress = false;
-        for w in 0..engine.num_workers() {
-            progress |= engine.step_slot(w).unwrap();
-        }
-        engine.end_round(progress).unwrap();
+fn run_answers_a_host_program() {
+    let mut session = Session::new("p(1).\np(2).\nq(X) :- p(X), even(X).").unwrap();
+    session.register_host("even", 1, |args| matches!(args[0], Term::Int(n) if n % 2 == 0).then(Vec::new));
+    for opts in [QueryOptions::sequential(), QueryOptions::parallel(2), QueryOptions::relaxed(2)] {
+        let result = session.run("q(X)", &opts).unwrap();
+        let x = result.outcome.binding("X").expect("an answer");
+        assert_eq!(session.render(x), "2", "{:?}/{:?}", opts.scheduler, opts.determinism);
     }
 }
 
 #[test]
-fn into_result_rejects_a_suspended_engine() {
-    let mut session = Session::new("p(Y) :- h(Y).\nq(X) :- X is 1 + 2.").unwrap();
-    session.register_host("h", 1, |_| Some(vec![(0, Term::Int(1))]));
-    let opts = QueryOptions::sequential();
+fn a_fuel_of_one_streams_the_host_program_unchanged() {
+    let mut session = Session::new("p(1).\np(2).\np(3).\np(4).\nq(X) :- p(X), even(X).").unwrap();
+    session.register_host("even", 1, |args| matches!(args[0], Term::Int(n) if n % 2 == 0).then(Vec::new));
+    let mut drain = |opts: &QueryOptions| {
+        let compiled = session.prepare_with("q(X)", opts.compile_options()).unwrap();
+        let mut cursor = session.open_cursor(&compiled, opts, None).unwrap();
+        let (mut answers, mut preemptions) = (Vec::new(), 0);
+        loop {
+            match cursor.next_step().unwrap() {
+                CursorStep::Answer(b) => answers.push(b),
+                CursorStep::FuelExhausted => preemptions += 1,
+                CursorStep::Exhausted => break,
+            }
+        }
+        (atoms(&session, &answers, "X"), preemptions)
+    };
+    let (unfueled, none) = drain(&QueryOptions::sequential());
+    assert_eq!(unfueled, ["2", "4"]);
+    assert_eq!(none, 0);
+    let (fueled, preemptions) = drain(&QueryOptions { fuel: Some(1), ..QueryOptions::sequential() });
+    assert_eq!(fueled, unfueled);
+    assert!(preemptions > 0, "a fuel of one preempts every leg");
+}
 
+/// Drive `engine` by hand, the documented way: rounds until it halts.
+fn drive_rounds(engine: &mut Engine<'_>) -> Result<(), EngineError> {
+    while !engine.halted() {
+        engine.begin_round();
+        let mut progress = false;
+        for w in 0..engine.num_workers() {
+            progress |= engine.step_slot(w)?;
+        }
+        engine.end_round(progress)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn into_result_rejects_a_suspended_engine() {
+    let mut session = Session::new("q(X) :- X is 1 + 2.").unwrap();
+    let opts = QueryOptions::sequential();
     let compiled = session.prepare_with("q(X)", opts.compile_options()).unwrap();
     let config = EngineConfig { fuel: Some(1), ..opts.engine_config() };
     let mut engine = Engine::new(&compiled, config);
-    drive_rounds(&mut engine, 8);
+    drive_rounds(&mut engine).unwrap();
     assert_eq!(engine.finished(), None, "preempted after one instruction");
     assert_eq!(engine.stats().instructions, 1);
     assert!(engine.into_result(session.symbols()).is_err());
+}
 
+#[test]
+fn a_bare_engine_over_a_host_program_errors_at_the_call() {
+    let mut session = Session::new("p(Y) :- h(Y).").unwrap();
+    session.register_host("h", 1, |_| Some(vec![(0, Term::Int(1))]));
+    let opts = QueryOptions::sequential();
     let compiled = session.prepare_with("p(Y)", opts.compile_options()).unwrap();
     let mut engine = Engine::new(&compiled, opts.engine_config());
-    drive_rounds(&mut engine, 8);
-    let parked = engine.stats().instructions;
-    drive_rounds(&mut engine, 8);
-    assert_eq!(engine.stats().instructions, parked, "parked at the host call");
+    let err = drive_rounds(&mut engine).unwrap_err();
+    assert!(matches!(&err, EngineError::BadInstruction { what, .. } if what.contains("h/1")), "{err}");
     assert_eq!(engine.finished(), None);
-    assert!(engine.into_result(session.symbols()).is_err());
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn run_checked(list: &[i64], k: i64, workers: usize) -> String {
     let mut engine = Engine::new(&compiled, config);
     let n = engine.num_workers();
     let mut rounds = 0u64;
-    while engine.finished().is_none() {
+    while !engine.halted() {
         engine.begin_round();
         let mut progress = false;
         for w in 0..n {
@@ -94,7 +94,7 @@ fn steals_actually_happen_and_stay_consistent() {
     let compiled = session.compile("try([1,5,2,9,3,7], 4, R)", true).expect("compiles");
     let config = EngineConfig { num_workers: 4, memory: MemoryConfig::small(), ..EngineConfig::default() };
     let mut engine = Engine::new(&compiled, config);
-    while engine.finished().is_none() {
+    while !engine.halted() {
         engine.begin_round();
         let mut progress = false;
         for w in 0..4 {

@@ -1,8 +1,8 @@
-//! Resume-everywhere differential properties for the suspendable engine.
+//! Resume-everywhere differential properties for the cursor's engine.
 //!
-//! The resumable state machine's contract is that suspension is pure
-//! bookkeeping: parking the engine at an answer boundary (or a host-call
-//! site) and re-entering it later must be *invisible* to every observable
+//! The cursor's contract is that parking is pure bookkeeping: halting the
+//! engine at an answer boundary and re-entering it later must be
+//! *invisible* to every observable
 //! the machine reports — answers, aggregate counters, per-area and
 //! per-object reference counts, and the byte-level trace fingerprint.
 //! These properties generate random backtracking programs (the same family
@@ -13,9 +13,10 @@
 //!   suspension point adds nothing to the hot path;
 //! * draining the full answer stream yields the answer oracle's sequence
 //!   (`common::sld`) on the interleaved and the relaxed backend;
-//! * routing a predicate through a registered host function (suspending
-//!   the engine at every call site) leaves the answer stream identical to
-//!   the pure-Prolog version of the same program;
+//! * routing a predicate through a registered host function (called by the
+//!   engine at every call site) leaves the answer stream identical to the
+//!   pure-Prolog version of the same program, through a cursor on every
+//!   backend and through a one-shot run;
 //! * closing a cursor at *every* answer boundary in turn leaves the engine
 //!   consistent (no pending Goal Frames, structural invariants intact) and
 //!   recycles arenas that replay the full stream warm.
@@ -79,11 +80,12 @@ proptest! {
         prop_assert_eq!(&relaxed, &oracle, "relaxed stream vs oracle");
     }
 
-    /// Replacing a compiled predicate with a host function — suspending
-    /// the engine at every call site — changes nothing about the answer
-    /// stream.
+    /// Replacing a compiled predicate with a host function — called by the
+    /// engine at every call site — changes nothing about the answer stream,
+    /// whichever backend runs it and whether a cursor or a one-shot run
+    /// asks for it.
     #[test]
-    fn host_call_suspensions_are_transparent(c in case_strategy()) {
+    fn host_calls_are_transparent(c in case_strategy()) {
         // The pure baseline must use the same (sequential) clause shape the
         // host variant compiles to.
         let sequential = Case { parallel: false, ..c.clone() };
@@ -92,10 +94,21 @@ proptest! {
         let (host_stream, _, _) = drain(&c, true, &QueryOptions::sequential());
         prop_assert_eq!(&pure_stream, &host_stream, "host vs pure streams");
 
-        // Host servicing is backend-independent (the suspension happens in
-        // sequential code; only the engine around it changes).
+        // A host call runs in sequential code on whichever PE reaches it;
+        // only the engine around it changes, threads included.
         let (host_par, _, _) = drain(&c, true, &QueryOptions::parallel(c.workers));
         prop_assert_eq!(&pure_stream, &host_par, "host stream under the interleaved backend");
+        let width = threaded_workers(c.workers.max(2));
+        let (host_relaxed, _, _) = drain(&c, true, &QueryOptions::relaxed(width));
+        prop_assert_eq!(&pure_stream, &host_relaxed, "host stream under the relaxed backend");
+
+        let mut s = session(&c, true);
+        let run = s.run(&query(&c), &QueryOptions::sequential()).expect("one-shot host run");
+        let first = match &run.outcome {
+            Outcome::Success(b) => Some(row(&s, b)),
+            Outcome::Failure => None,
+        };
+        prop_assert_eq!(first.as_ref(), pure_stream.first(), "one-shot host run vs the first answer");
     }
 
     /// The suspension-point fault sweep: abandon the stream at every

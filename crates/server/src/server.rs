@@ -15,7 +15,7 @@ use crate::protocol::{AnswerResponse, ErrorKind, QueryRequest, Response};
 use crate::tenant::{TenantGuard, TenantTable};
 use pwam_compiler::CompiledProgram;
 use rapwam::session::{CursorStep, QueryOptions, SessionError};
-use rapwam::{EngineError, MemoryConfig, Outcome};
+use rapwam::{EngineError, MemoryConfig, Outcome, RunStats};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -255,23 +255,28 @@ fn run_query(state: &ServerState, req: QueryRequest, arrived: Instant) -> Respon
                 parcalls: result.stats.parcalls,
             })
         }
-        Err(e) => {
-            state.pool.record_error();
-            let (kind, counter) = match &e {
-                SessionError::Engine(EngineError::DeadlineExceeded { .. }) => {
-                    state.metrics.query_preempted.add("deadline", 1);
-                    (ErrorKind::Deadline, &state.metrics.deadline_errors)
-                }
-                SessionError::Engine(EngineError::FuelExhausted { .. }) => {
-                    state.metrics.query_preempted.add("fuel", 1);
-                    (ErrorKind::Fuel, &state.metrics.fuel_errors)
-                }
-                _ => (ErrorKind::Engine, &state.metrics.engine_errors),
-            };
-            counter.inc();
-            Response::Error { kind, message: e.to_string() }
-        }
+        Err(e) => engine_error(state, &e),
     }
+}
+
+/// The `error` frame of an engine run that failed — a one-shot query or a
+/// cursor leg — counted as a pool error and by kind; a deadline or spent
+/// fuel also counts as a preemption.
+fn engine_error(state: &ServerState, e: &SessionError) -> Response {
+    state.pool.record_error();
+    let (kind, counter) = match e {
+        SessionError::Engine(EngineError::DeadlineExceeded { .. }) => {
+            state.metrics.query_preempted.add("deadline", 1);
+            (ErrorKind::Deadline, &state.metrics.deadline_errors)
+        }
+        SessionError::Engine(EngineError::FuelExhausted { .. }) => {
+            state.metrics.query_preempted.add("fuel", 1);
+            (ErrorKind::Fuel, &state.metrics.fuel_errors)
+        }
+        _ => (ErrorKind::Engine, &state.metrics.engine_errors),
+    };
+    counter.inc();
+    Response::Error { kind, message: e.to_string() }
 }
 
 /// What a query-shaped request (`query`, `query-open`) settles before it
@@ -451,14 +456,7 @@ pub(crate) fn handle_query_next(state: &ServerState, id: u64) -> Response {
             // with a fresh budget.  The leg's wall-clock and instruction
             // delta are still charged so the throughput counters see the
             // partial work.
-            let elapsed_us = started.elapsed().as_micros() as u64;
-            let stats = parked.cursor.stats().unwrap_or_default();
-            let delta = stats.instructions.saturating_sub(parked.instructions_seen);
-            parked.instructions_seen = stats.instructions;
-            parked.micros_seen += elapsed_us;
-            state.metrics.instructions.add(delta);
-            state.metrics.engine_micros.add(elapsed_us);
-            state.metrics.resume_us.observe(elapsed_us);
+            let (_, elapsed_us, delta) = charge_leg(state, &mut parked, started);
             state.metrics.fuel_preemptions.inc();
             state.metrics.query_preempted.add("fuel", 1);
             state.flight.record("resume", &format!("cursor={id} status=fuel us={elapsed_us}"));
@@ -473,18 +471,9 @@ pub(crate) fn handle_query_next(state: &ServerState, id: u64) -> Response {
         }
         Err(e) => {
             // The engine is dead; so is the cursor (its memory with it).
-            state.pool.record_error();
             state.cursors.note_closed();
             state.flight.record("resume", &format!("cursor={id} status=error"));
-            let (kind, counter) = match &e {
-                SessionError::Engine(EngineError::DeadlineExceeded { .. }) => {
-                    state.metrics.query_preempted.add("deadline", 1);
-                    (ErrorKind::Deadline, &state.metrics.deadline_errors)
-                }
-                _ => (ErrorKind::Engine, &state.metrics.engine_errors),
-            };
-            counter.inc();
-            Response::Error { kind, message: e.to_string() }
+            engine_error(state, &e)
         }
     }
 }
@@ -526,14 +515,7 @@ fn cursor_answer(
     success: bool,
     bindings: Vec<(String, String)>,
 ) -> AnswerResponse {
-    let stats = parked.cursor.stats().unwrap_or_default();
-    let elapsed_us = started.elapsed().as_micros() as u64;
-    let delta = stats.instructions.saturating_sub(parked.instructions_seen);
-    parked.instructions_seen = stats.instructions;
-    parked.micros_seen += elapsed_us;
-    state.metrics.instructions.add(delta);
-    state.metrics.engine_micros.add(elapsed_us);
-    state.metrics.resume_us.observe(elapsed_us);
+    let (stats, elapsed_us, _) = charge_leg(state, parked, started);
     AnswerResponse {
         success,
         bindings,
@@ -545,6 +527,20 @@ fn cursor_answer(
         inferences: stats.inferences,
         parcalls: stats.parcalls,
     }
+}
+
+/// Charge a cursor leg begun at `started` to the throughput counters;
+/// returns the cursor's stats, the leg's micros and its instruction delta.
+fn charge_leg(state: &ServerState, parked: &mut ParkedQuery, started: Instant) -> (RunStats, u64, u64) {
+    let stats = parked.cursor.stats().unwrap_or_default();
+    let elapsed_us = started.elapsed().as_micros() as u64;
+    let delta = stats.instructions.saturating_sub(parked.instructions_seen);
+    parked.instructions_seen = stats.instructions;
+    parked.micros_seen += elapsed_us;
+    state.metrics.instructions.add(delta);
+    state.metrics.engine_micros.add(elapsed_us);
+    state.metrics.resume_us.observe(elapsed_us);
+    (stats, elapsed_us, delta)
 }
 
 /// Close a finished (or explicitly closed) cursor, recovering its arenas
