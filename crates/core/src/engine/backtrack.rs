@@ -492,7 +492,8 @@ impl<'a, 'p> Step<'a, 'p> {
     /// across the reply, and trailed like any binding.  `Ok(false)` when the
     /// closure fails the call or a binding does not unify.  An engine built
     /// without its session's closures cannot run the call: that is a
-    /// [`EngineError::BadInstruction`] at `p`.
+    /// [`EngineError::BadInstruction`] at `p`.  Out of line, so the
+    /// dispatch loop that inlines every handler stays its size.
     #[inline(never)]
     pub(crate) fn call_host(&mut self, host: u32, arity: u8, p: u32) -> EngineResult<bool> {
         let core = self.core;
@@ -528,9 +529,9 @@ impl<'a, 'p> Step<'a, 'p> {
 
     /// Build a source-level [`Term`] on this worker's heap, for unifying a
     /// host predicate's output bindings into the machine.  Variables are
-    /// memoized by name in `memo` so one host reply shares variables
-    /// across its bindings.  An integer the machine cannot
-    /// hold is `EngineError::IntegerOverflow`.
+    /// memoized by name in `memo` so one host reply shares variables across
+    /// its bindings.  An integer the machine cannot hold is
+    /// `EngineError::IntegerOverflow`.
     pub(crate) fn build_term(
         &mut self,
         term: &Term,

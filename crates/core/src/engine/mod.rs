@@ -283,7 +283,7 @@ pub(crate) struct EngineCore<'p> {
     /// The closures of the program's host predicates, indexed like
     /// `CompiledProgram::hosts`: resolved by the session that builds the
     /// engine (`Engine::with_hosts`), empty for an engine built alone.
-    pub(crate) hosts: Vec<Arc<HostFn>>,
+    hosts: Vec<Arc<HostFn>>,
     /// When the run started (re-armed by `run`/`reset`); the reference point
     /// for the `time_budget` deadline.
     started: Instant,
@@ -618,7 +618,8 @@ impl<'p> Engine<'p> {
     /// produced the answer (the only stopped one — a worker stops only
     /// through query success or query failure), backtracks it into its next
     /// alternative and drives the engine to its next halt, as
-    /// [`Engine::run_leg`] does.
+    /// [`Engine::run_leg`] does (a backtrack that exhausts the last choice
+    /// point halts it at `FAILED`, and the driver returns at once).
     pub(crate) fn redo(mut self) -> EngineResult<Engine<'p>> {
         debug_assert_eq!(self.finished(), Some(true), "redo away from an answer");
         self.core.start_leg();

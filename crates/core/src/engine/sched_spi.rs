@@ -26,13 +26,13 @@ impl<'p> Engine<'p> {
     //
     // `halted()` is the loop's exit condition, not `finished()`: an engine
     // preempted at spent fuel (`EngineConfig::fuel`) has halted with no
-    // outcome, and every later round would be a no-op.  A slot is one scheduling action for an
-    // idle or waiting worker, and `quantum` instructions for a running
-    // worker of an N-PE engine — or, when nothing else can act, a run to
-    // the next event that could change that, standing for as many rounds as
-    // it retires instructions (see `Engine::step_slot`).  The relaxed
-    // backend bypasses the round structure and drives each worker's `Step`
-    // directly.
+    // outcome, and every later round would be a no-op.  A slot is one
+    // scheduling action for an idle or waiting worker, and `quantum`
+    // instructions for a running worker of an N-PE engine — or, when
+    // nothing else can act, a run to the next event that could change that,
+    // standing for as many rounds as it retires instructions (see
+    // `Engine::step_slot`).  The relaxed backend bypasses the round
+    // structure and drives each worker's `Step` directly.
     // -----------------------------------------------------------------
 
     /// `Some(true)` once the query succeeded, `Some(false)` once it failed;

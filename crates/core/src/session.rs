@@ -256,10 +256,12 @@ impl Session {
     /// there, on the PE that executes the call, as it runs any builtin —
     /// whether the query runs one-shot ([`Session::run`]) or through a
     /// cursor.  Under the relaxed backend that PE is one of the run's
-    /// threads, and several may call `f` at once.  User-defined predicates of the same name
-    /// and arity shadow the host; the host shadows builtins.  Registering
-    /// invalidates the compiled-query cache (later registrations of the
-    /// same `name/arity` replace the closure).
+    /// threads, and several may call `f` at once.  A host call is not a
+    /// leg boundary: fuel and the deadline clock run across it.
+    /// User-defined predicates of the same name and arity shadow the host;
+    /// the host shadows builtins.  Registering invalidates the
+    /// compiled-query cache (later registrations of the same `name/arity`
+    /// replace the closure).
     pub fn register_host<F>(&mut self, name: &str, arity: u8, f: F)
     where
         F: Fn(&[Term]) -> Option<Vec<(usize, Term)>> + Send + Sync + 'static,
@@ -409,16 +411,14 @@ impl Session {
 /// Where a [`QueryCursor`] stands in its answer stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CursorState {
-    /// Opened, nothing run yet: the first [`QueryCursor::next`] starts the
-    /// query.
-    Fresh,
+    /// Opened with nothing run yet, or preempted mid-execution by the
+    /// instruction-fuel budget ([`QueryOptions::fuel`]): the next step runs
+    /// a leg with fresh fuel, which starts the query or continues it in
+    /// place.
+    Ready,
     /// Halted at an answer; `next` fails back into the engine for the
     /// following answer, [`QueryCursor::commit`] accepts this one.
     AtAnswer,
-    /// Preempted mid-execution by the instruction-fuel budget
-    /// ([`QueryOptions::fuel`]); the next step grants a fresh leg of fuel
-    /// and continues in place.
-    Preempted,
     /// The stream is exhausted, committed, or dead after an error.
     Done,
 }
@@ -470,7 +470,7 @@ impl QueryCursor {
             Some(m) => Engine::with_recycled_memory(program_ref, config, m).0,
             None => Engine::new(program_ref, config),
         };
-        QueryCursor { engine: Some(engine.with_hosts(hosts)), state: CursorState::Fresh, _program: program }
+        QueryCursor { engine: Some(engine.with_hosts(hosts)), state: CursorState::Ready, _program: program }
     }
 
     /// Produce the next answer, or `None` once the stream is exhausted (or
@@ -505,6 +505,7 @@ impl QueryCursor {
         // An error leaves the cursor dead, its engine lost.
         let engine = match std::mem::replace(&mut self.state, CursorState::Done) {
             CursorState::AtAnswer => engine.redo()?,
+            // `Ready`: start the query, or continue it after spent fuel.
             _ => engine.run_leg()?,
         };
         let step = match engine.finished() {
@@ -515,7 +516,7 @@ impl QueryCursor {
             }
             Some(false) => CursorStep::Exhausted,
             None => {
-                self.state = CursorState::Preempted;
+                self.state = CursorState::Ready;
                 CursorStep::FuelExhausted
             }
         };
