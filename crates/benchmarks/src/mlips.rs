@@ -105,7 +105,8 @@ impl MlipsReport {
 /// readings of the gated ratio spread half again as wide — CHANGES.md, PR 19.)
 ///
 /// Only the engine run is timed: compilation is cached by the session, and a
-/// leg's attempts share one engine, reset between them outside the clock.
+/// leg's attempts share one memory, each attempt's engine rebuilt on it
+/// outside the clock.
 /// Arenas are allocated as untouched zero pages, so a leg's first attempt pays
 /// the kernel's page faults for every page the program reaches; from the
 /// second on the Stack Sets are warm and the clock sees the dispatch loop
@@ -149,7 +150,7 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, legs: &[MlipsLe
         .map(|&leg| MlipsReport { id, scale, leg, instructions: 0, best_secs: f64::INFINITY, runs })
         .collect();
     for _ in 0..runs {
-        for (engine, report) in engines.iter_mut().zip(&mut reports) {
+        for ((engine, report), (compiled, config)) in engines.iter_mut().zip(&mut reports).zip(&prepared) {
             let start = Instant::now();
             let (result, finished) = engine
                 .take()
@@ -160,7 +161,8 @@ pub fn measure_mlips(id: BenchmarkId, scale: Scale, runs: usize, legs: &[MlipsLe
             assert!(matches!(result.outcome, Outcome::Success(_)), "{}: benchmark query failed", id.name());
             report.instructions = result.stats.instructions;
             report.best_secs = report.best_secs.min(secs.max(1e-9));
-            *engine = Some(finished.reset());
+            let (warm, _) = Engine::with_recycled_memory(compiled, config.clone(), finished.into_memory());
+            *engine = Some(warm);
         }
     }
     reports

@@ -1,14 +1,15 @@
-//! Differential suite for the reusable-engine paths of the serving layer:
-//! a pooled engine — whether [`rapwam::Engine::reset`] on the same program
-//! or rebuilt around recycled arenas via `Session::run_prepared_reusing` —
-//! must be observationally identical to a fresh engine: byte-identical
-//! answers, per-area/per-object reference counts, and merged traces.
+//! Differential suite for the warm-engine path of the serving layer: an
+//! engine rebuilt around recycled arenas — those of the same program's run
+//! ([`rapwam::Engine::with_recycled_memory`] on its [`Engine::into_memory`])
+//! or another program's (`Session::run_prepared_reusing`) — must be
+//! observationally identical to a fresh engine: byte-identical answers,
+//! per-area/per-object reference counts, and merged traces.
 //!
 //! Covers the extended benchmark registry plus proptest-randomized
 //! program/query pairs (including failing queries and backtracking-heavy
-//! searches), because the reset path has to clear *everything* a previous
-//! run could have left behind — a stale word, counter or trace record shows
-//! up as a diff here.
+//! searches), because the memory's reset has to clear *everything* a
+//! previous run could have left behind — a stale word, counter or trace
+//! record shows up as a diff here.
 
 use proptest::prelude::*;
 use pwam_benchmarks::{benchmark, BenchmarkId, Scale};
@@ -73,19 +74,22 @@ fn reset_engines_match_fresh_engines_on_the_registry() {
 
         let fresh = session.run_prepared(&compiled, &opts).unwrap();
 
-        // Run once, reset, run again: the second (reset) run must match a
-        // fresh engine byte for byte.
-        let engine = Engine::new(&compiled, config);
+        // Run once, rebuild on the reset memory, run again: the second run
+        // must match a fresh engine byte for byte.
+        let engine = Engine::new(&compiled, config.clone());
         let (_first, engine) = engine.run_reusable(session.symbols()).unwrap();
-        let (reused, _) = engine.reset().run_reusable(session.symbols()).unwrap();
+        let (engine, warm) = Engine::with_recycled_memory(&compiled, config, engine.into_memory());
+        assert!(warm, "{}: matching shapes must recycle the arenas", id.name());
+        let (reused, _) = engine.run_reusable(session.symbols()).unwrap();
         assert_identical(&format!("{} (reset)", id.name()), &session, &fresh, &reused);
     }
 }
 
 /// The warm path's starting state is the cold path's: before either runs,
-/// an engine that ran and was reset has the machine state and the
-/// structural invariants of one just built (a field `reset` forgot would
-/// otherwise show only in what the second run does with it).
+/// an engine rebuilt on the memory of one that ran has the machine state
+/// and the structural invariants of one just built (a word the memory's
+/// reset forgot would otherwise show only in what the second run does with
+/// it).
 #[test]
 fn a_reset_engine_starts_where_a_fresh_one_does() {
     for id in [BenchmarkId::Deriv, BenchmarkId::Queens] {
@@ -95,9 +99,10 @@ fn a_reset_engine_starts_where_a_fresh_one_does() {
         let config = small_opts(4).engine_config();
 
         let fresh = Engine::new(&compiled, config.clone());
-        let (_, ran) = Engine::new(&compiled, config).run_reusable(session.symbols()).unwrap();
+        let (_, ran) = Engine::new(&compiled, config.clone()).run_reusable(session.symbols()).unwrap();
         assert_ne!(ran.state_fingerprint(), fresh.state_fingerprint(), "{}: the run left no mark", id.name());
-        let reset = ran.reset();
+        let (reset, warm) = Engine::with_recycled_memory(&compiled, config, ran.into_memory());
+        assert!(warm, "{}: matching shapes must recycle the arenas", id.name());
         assert_eq!(reset.state_fingerprint(), fresh.state_fingerprint(), "{}", id.name());
         assert_eq!(reset.check_consistency(), Ok(()), "{}", id.name());
         assert_eq!(fresh.check_consistency(), Ok(()), "{}", id.name());
@@ -134,7 +139,7 @@ fn mismatched_memory_shapes_fall_back_to_cold_builds() {
     let compiled = session.prepare(&b.query, true).unwrap();
     let opts = small_opts(2);
     // Donor memory with a different worker count: shape mismatch.
-    let donor = Memory::new(MemoryConfig::small(), 3, false);
+    let donor = Memory::new(MemoryConfig::small(), 3);
     let (result, _, warm) = session.run_prepared_reusing(&compiled, &opts, Some(donor)).unwrap();
     assert!(!warm, "mismatched shapes must rebuild cold");
     assert!(result.outcome.is_success());
@@ -143,7 +148,7 @@ fn mismatched_memory_shapes_fall_back_to_cold_builds() {
 /// The randomized program family: nondeterministic `pick/3` searches under
 /// a CGE, driven through failure and backtracking — the same family the
 /// goal-steal property tests use, exercising trail/heap/board state that a
-/// reset must fully clear.
+/// warm build must fully clear.
 const PROGRAM: &str = "\
     pick(X, [X|_]).\n\
     pick(X, [_|T]) :- pick(X, T).\n\
@@ -160,7 +165,7 @@ fn render_list(items: &[i64]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A pooled, reset-and-reused engine produces byte-identical answers,
+    /// An engine rebuilt on recycled arenas produces byte-identical answers,
     /// per-area counts and traces to a fresh engine across randomized
     /// program/query pairs.
     #[test]
@@ -177,10 +182,12 @@ proptest! {
 
         let fresh = session.run_prepared(&compiled, &opts).unwrap();
 
-        // Reset path: same engine, same program, pristine state.
-        let engine = Engine::new(&compiled, config);
+        // Same program, rebuilt on its own memory.
+        let engine = Engine::new(&compiled, config.clone());
         let (_, engine) = engine.run_reusable(session.symbols()).unwrap();
-        let (reset_run, engine) = engine.reset().run_reusable(session.symbols()).unwrap();
+        let (engine, warm) = Engine::with_recycled_memory(&compiled, config, engine.into_memory());
+        prop_assert!(warm, "matching shapes must recycle");
+        let (reset_run, engine) = engine.run_reusable(session.symbols()).unwrap();
         assert_identical("random query (reset)", &session, &fresh, &reset_run);
 
         // Recycled-arena path: tear down to the Memory, rebuild, rerun.

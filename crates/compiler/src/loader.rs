@@ -31,8 +31,9 @@ pub fn compile_program_and_query(
 /// `(name, arity)` pairs the embedding application services at run time.
 /// Calls to a host predicate compile to `CallTarget::Host(i)` where `i`
 /// indexes [`CompiledProgram::hosts`].  User-defined predicates shadow host
-/// registrations; hosts shadow builtins.  A host predicate cannot appear as
-/// a parallel (CGE) goal: a host call runs in sequential code only.
+/// registrations; hosts shadow builtins.  A host predicate called as a
+/// parallel (CGE) goal is entered through a one-instruction predicate the
+/// loader appends, `execute` of the host.
 pub fn compile_program_and_query_with_hosts(
     program: &Program,
     query: &Body,
@@ -114,14 +115,27 @@ pub fn compile_program_and_query_with_hosts(
                         pr.arity
                     )));
                 }
-                if host && !defined && matches!(instr, Instr::PcallGoal { .. }) {
-                    return Err(CompileError::new(format!(
-                        "host predicate {}/{} cannot be a parallel goal",
-                        syms.name(pr.name),
-                        pr.arity
-                    )));
-                }
             }
+        }
+    }
+    // A Goal Frame enters its goal at a code address, with `goal_success` as
+    // the continuation: a host predicate's stub calls the closure there and
+    // proceeds to it, as the last call of a clause body does.
+    let mut host_stubs: HashMap<u32, CodeAddr> = HashMap::new();
+    for i in 0..code.len() {
+        let Instr::PcallGoal { target: CallTarget::Unresolved(pr), .. } = code[i] else { continue };
+        let Some(&h) = host_index.get(&(pr.name, pr.arity)) else { continue };
+        if predicates.contains_key(&(pr.name, pr.arity)) {
+            continue;
+        }
+        let stub = *host_stubs.entry(h).or_insert_with(|| {
+            let addr = code.len() as CodeAddr;
+            code.push(Instr::Execute { target: CallTarget::Host(h), arity: pr.arity });
+            predicate_names.push((syms.name(pr.name).to_string(), pr.arity, addr));
+            addr
+        });
+        if let Instr::PcallGoal { target, .. } = &mut code[i] {
+            *target = CallTarget::Code(stub);
         }
     }
     for instr in code.iter_mut() {
@@ -202,6 +216,29 @@ mod tests {
                 assert!(!matches!(target, CallTarget::Unresolved(_)), "unresolved target: {i:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_host_predicate_as_a_parallel_goal_enters_a_stub() {
+        let mut syms = SymbolTable::new();
+        let p = parse_program("p(X, Y) :- (ground(X) | q(X) & h(Y)).\nq(_).", &mut syms).unwrap();
+        let q = parse_query("p(1, Y)", &mut syms).unwrap();
+        let h = syms.intern("h");
+        let opts = CompileOptions::parallel();
+        let cp = compile_program_and_query_with_hosts(&p, &q, &mut syms, opts, &[(h, 1)]).unwrap();
+        let stubs: Vec<CodeAddr> = cp
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                Instr::PcallGoal { target: CallTarget::Code(a), .. } => Some(*a),
+                _ => None,
+            })
+            .filter(|&a| {
+                matches!(cp.code[a as usize], Instr::Execute { target: CallTarget::Host(0), arity: 1 })
+            })
+            .collect();
+        assert_eq!(stubs.len(), 1, "{:?}", cp.code);
+        assert_eq!(cp.predicate_label_at(stubs[0]).as_deref(), Some("h/1"));
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub struct CompiledProgram {
     /// Predicate entry points in definition order (for stable reporting).
     pub(crate) predicate_order: Vec<((Atom, u8), CodeAddr)>,
     /// Resolved predicate names in definition order, parallel to
-    /// `predicate_order`: `(name, arity, entry)`.  Like [`Self::hosts`],
+    /// `predicate_order`, then the host predicates' parallel-goal entry
+    /// stubs: `(name, arity, entry)`.  Like [`Self::hosts`],
     /// names are materialised at compile time so downstream layers (the
     /// engine's per-predicate profile, the serving tier's metrics) can
     /// label code addresses without the symbol table.

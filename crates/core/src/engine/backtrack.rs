@@ -8,7 +8,7 @@ use crate::cell::{Cell, NONE_ADDR};
 use crate::error::{EngineError, EngineResult};
 use crate::frames::{choice, goal_frame, marker, parcall};
 use crate::known;
-use crate::layout::{board, Area, ObjectKind};
+use crate::layout::{Area, ObjectKind};
 use crate::worker::WorkerStatus;
 use pwam_front::Term;
 use std::sync::atomic::Ordering;
@@ -275,7 +275,6 @@ impl<'a, 'p> Step<'a, 'p> {
             return self.unwind_goal(false);
         }
         if b == NONE_ADDR {
-            self.core.mem.shared_write(board::STATUS, Cell::Uint(board::STATUS_FAILED));
             self.core.set_finished(false);
             self.wk.status = WorkerStatus::Stopped;
             return Ok(());
@@ -472,14 +471,13 @@ impl<'a, 'p> Step<'a, 'p> {
         Ok(())
     }
 
-    /// Called by the `halt` builtin: the query succeeded.  The answer
-    /// location is published on the query board in the shared region, where
-    /// any PE (or the host) can read it, *before* the finished flag flips,
-    /// so every observer of the flag sees the answer.
+    /// Called by the `halt` builtin: the query succeeded.  The answering PE
+    /// and its environment, which holds the answer's bindings, are recorded
+    /// *before* the finished flag flips, so every observer of the flag sees
+    /// where the answer stands.
     pub(crate) fn query_succeeded(&mut self) {
-        self.core.mem.shared_write(board::STATUS, Cell::Uint(board::STATUS_SUCCEEDED));
-        self.core.mem.shared_write(board::ANSWER_PE, Cell::Uint(self.w() as u32));
-        self.core.mem.shared_write(board::ANSWER_ENV, Cell::Uint(self.wk.e));
+        self.core.answer_pe.store(self.w(), Ordering::Relaxed);
+        self.core.answer_env.store(self.wk.e, Ordering::Relaxed);
         self.core.set_finished(true);
         self.wk.status = WorkerStatus::Stopped;
     }
@@ -491,8 +489,9 @@ impl<'a, 'p> Step<'a, 'p> {
     /// position — built on this worker's heap, sharing variables by name
     /// across the reply, and trailed like any binding.  `Ok(false)` when the
     /// closure fails the call or a binding does not unify.  An engine built
-    /// without its session's closures cannot run the call: that is a
-    /// [`EngineError::BadInstruction`] at `p`.  Out of line, so the
+    /// without its session's closures cannot run the call, nor can a reply
+    /// hold a structure wider than a functor cell's 255 arguments: either is
+    /// a [`EngineError::BadInstruction`] at `p`.  Out of line, so the
     /// dispatch loop that inlines every handler stays its size.
     #[inline(never)]
     pub(crate) fn call_host(&mut self, host: u32, arity: u8, p: u32) -> EngineResult<bool> {
@@ -519,7 +518,7 @@ impl<'a, 'p> Step<'a, 'p> {
                 )));
             }
             let arg = self.wk.x[idx + 1];
-            let cell = self.build_term(term, &mut var_memo)?;
+            let cell = self.build_term(term, &mut var_memo, p)?;
             if !self.unify(arg, cell)? {
                 return Ok(false);
             }
@@ -531,11 +530,13 @@ impl<'a, 'p> Step<'a, 'p> {
     /// host predicate's output bindings into the machine.  Variables are
     /// memoized by name in `memo` so one host reply shares variables across
     /// its bindings.  An integer the machine cannot hold is
-    /// `EngineError::IntegerOverflow`.
+    /// `EngineError::IntegerOverflow`; a structure of more than 255
+    /// arguments is a `BadInstruction` at `p`, the host call that replied.
     pub(crate) fn build_term(
         &mut self,
         term: &Term,
         memo: &mut std::collections::HashMap<String, Cell>,
+        p: u32,
     ) -> EngineResult<Cell> {
         match term {
             Term::Int(i) => in_range(Some(*i)).map(Cell::Int),
@@ -549,23 +550,29 @@ impl<'a, 'p> Step<'a, 'p> {
                 Ok(cell)
             }
             Term::Struct(f, args) if *f == known::DOT && args.len() == 2 => {
-                let head = self.build_term(&args[0], memo)?;
-                let tail = self.build_term(&args[1], memo)?;
-                let p = self.heap_push(head)?;
+                let head = self.build_term(&args[0], memo, p)?;
+                let tail = self.build_term(&args[1], memo, p)?;
+                let l = self.heap_push(head)?;
                 self.heap_push(tail)?;
-                Ok(Cell::Lis(p))
+                Ok(Cell::Lis(l))
             }
             Term::Struct(f, args) if args.is_empty() => Ok(Cell::Con(*f)),
             Term::Struct(f, args) => {
+                let Ok(arity) = u8::try_from(args.len()) else {
+                    return Err(EngineError::BadInstruction {
+                        addr: p,
+                        what: format!("a host reply holds a structure of {} arguments, past 255", args.len()),
+                    });
+                };
                 let mut cells = Vec::with_capacity(args.len());
                 for arg in args {
-                    cells.push(self.build_term(arg, memo)?);
+                    cells.push(self.build_term(arg, memo, p)?);
                 }
-                let p = self.heap_push(Cell::Fun(*f, args.len() as u8))?;
+                let s = self.heap_push(Cell::Fun(*f, arity))?;
                 for cell in cells {
                     self.heap_push(cell)?;
                 }
-                Ok(Cell::Str(p))
+                Ok(Cell::Str(s))
             }
         }
     }

@@ -7,9 +7,9 @@
 //!
 //! * [`EngineCore`] — state shared by every PE, behind interior mutability:
 //!   the program, the sharded [`Memory`], atomic run counters, the
-//!   completion flag, and one *board* per PE (its Goal-Stack mirror and
-//!   Message-Buffer allocation state) that other PEs may touch under a
-//!   lock.
+//!   completion flag and the answer's place, and one *board* per PE (its
+//!   Goal-Stack mirror and Message-Buffer allocation state) that other PEs
+//!   may touch under a lock.
 //! * [`Worker`] — one PE's registers and host-side bookkeeping, owned
 //!   exclusively by whichever thread is stepping that PE.
 //! * `Step` — the pairing of `&EngineCore` with `&mut Worker`: every
@@ -30,10 +30,9 @@
 //! counter at its target value is guaranteed to also observe every slot
 //! status, binding and message the finished goals produced.
 
-use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
 use crate::frames::{choice, env, goal_frame, marker, message};
-use crate::layout::{board, Area, MemoryConfig, ObjectKind};
+use crate::layout::{Area, MemoryConfig, ObjectKind};
 use crate::mem::{Memory, StackSetArena};
 use crate::sched::{drive, DeterminismMode, SchedulerKind};
 use crate::session::HostFn;
@@ -43,7 +42,7 @@ use crate::worker::{Worker, WorkerStatus};
 use pwam_compiler::CompiledProgram;
 use pwam_front::SymbolTable;
 use pwam_front::Term;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -237,6 +236,14 @@ pub(crate) struct EngineCore<'p> {
     pub(crate) mem: Memory,
     /// Query status: `RUNNING` / `SUCCEEDED` / `FAILED` / `PREEMPTED`.
     finished: AtomicU8,
+    /// The PE that produced the current answer and the environment holding
+    /// its bindings: stored by `Step::query_succeeded` before `finished`
+    /// flips, read by [`Engine::answer_bindings`] and [`Engine::redo`] once
+    /// the drivers have returned.  `Relaxed` both ways: the outcome's
+    /// compare-exchange (Release) or the relaxed threads' join orders the
+    /// stores before any read.
+    answer_pe: AtomicUsize,
+    answer_env: AtomicU32,
     /// Instructions executed (all PEs).  The strict driver owns the engine
     /// and adds each slot's count through `&mut` ([`Engine::step_slot`]); a
     /// relaxed PE thread adds each batch with one `fetch_add`.
@@ -284,12 +291,12 @@ pub(crate) struct EngineCore<'p> {
     /// `CompiledProgram::hosts`: resolved by the session that builds the
     /// engine (`Engine::with_hosts`), empty for an engine built alone.
     hosts: Vec<Arc<HostFn>>,
-    /// When the run started (re-armed by `run`/`reset`); the reference point
-    /// for the `time_budget` deadline.
+    /// When the current execution leg started (re-armed by `start_leg`); the
+    /// reference point for the `time_budget` deadline.
     started: Instant,
     /// Absolute `steps` threshold at which the current execution leg is
     /// preempted (`u64::MAX` = unlimited).  Re-armed to
-    /// `steps + config.fuel` at the start of every `run`/`resume` leg.
+    /// `steps + config.fuel` by `start_leg`, at the start of every leg.
     fuel_limit: AtomicU64,
 }
 
@@ -314,14 +321,16 @@ impl<'p> EngineCore<'p> {
         self.finished.load(Ordering::Acquire) != RUNNING
     }
 
-    /// Record the query outcome (first writer wins).
+    /// Record the query outcome (the first outcome wins).  An outcome also
+    /// wins over a preemption: a relaxed PE may spend the leg's fuel while
+    /// another is mid-batch on its way to the answer or the end, and that
+    /// outcome must not be lost.  The strict driver never executes an
+    /// instruction after it preempts.
     fn set_finished(&self, success: bool) {
-        let _ = self.finished.compare_exchange(
-            RUNNING,
-            if success { SUCCEEDED } else { FAILED },
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let outcome = if success { SUCCEEDED } else { FAILED };
+        let _ = self.finished.fetch_update(Ordering::AcqRel, Ordering::Acquire, |state| {
+            matches!(state, RUNNING | PREEMPTED).then_some(outcome)
+        });
     }
 
     /// Mirror `board`'s Goal-Frame count into `goals_waiting[w]`.  `board` is
@@ -469,8 +478,8 @@ pub(crate) struct Step<'a, 'p> {
 impl<'p> Engine<'p> {
     /// Create an engine ready to run the program's query.
     pub fn new(program: &'p CompiledProgram, config: EngineConfig) -> Self {
-        let mem = Memory::new(config.memory, config.num_workers, config.collect_trace);
-        Engine::build(program, config, mem, Vec::new())
+        let mem = Memory::new(config.memory, config.num_workers);
+        Engine::build(program, config, mem)
     }
 
     /// Create an engine around a recycled [`Memory`] (the warm-engine path
@@ -485,8 +494,8 @@ impl<'p> Engine<'p> {
         mut memory: Memory,
     ) -> (Self, bool) {
         if memory.map.config == config.memory && memory.map.num_workers == config.num_workers {
-            memory.reset(config.collect_trace);
-            (Engine::build(program, config, memory, Vec::new()), true)
+            memory.reset();
+            (Engine::build(program, config, memory), true)
         } else {
             // Dropped before the build, not after it: a dropped memory parks
             // its word arrays, and only parked arrays can serve the new one.
@@ -497,34 +506,21 @@ impl<'p> Engine<'p> {
 
     /// Assemble an engine around an already-allocated (pristine) memory.
     /// This is the one spelling of the machine's state before its first
-    /// instruction — workers, boards, flags, counters — for a cold build, a
-    /// build on recycled arenas and [`Engine::reset`] alike.  `spent` are the
-    /// workers of an earlier life of this engine (same program, same PEs),
-    /// whose profile and record buffers the new ones clear and reuse; a
-    /// worker without a predecessor allocates its profile and takes a parked
-    /// record buffer.
-    fn build(program: &'p CompiledProgram, config: EngineConfig, mem: Memory, spent: Vec<Worker>) -> Self {
+    /// instruction — workers, boards, flags, counters — for a cold build and
+    /// a build on recycled arenas alike.  A traced build gives each worker a
+    /// parked record buffer where there is one.
+    fn build(program: &'p CompiledProgram, config: EngineConfig, mem: Memory) -> Self {
         assert!(config.num_workers >= 1, "at least one worker is required");
         assert!(config.num_workers <= 255, "at most 255 workers are supported");
         let config_fuel = config.fuel;
         let mut workers: Vec<Worker> =
             (0..config.num_workers).map(|i| Worker::new(i as u8, &mem.map)).collect();
-        let mut spent = spent.into_iter();
         for wk in &mut workers {
-            let (spent_profile, spent_records) =
-                spent.next().map_or((None, None), |old| (Some(old.prof_counts), old.trace));
-            wk.arm_trace(mem.tracing(), spent_records);
+            wk.arm_trace(config.collect_trace);
             // Per-predicate profile storage, indexed by code address (entry
             // points of the predicates actually called).  The query body is
             // charged to `query_start` until the first call.
-            wk.prof_counts = match spent_profile {
-                Some(mut counts) => {
-                    counts.clear();
-                    counts.resize(program.code_len(), 0);
-                    counts
-                }
-                None => vec![0; program.code_len()],
-            };
+            wk.prof_counts = vec![0; program.code_len()];
             wk.prof_pred = program.query_start;
         }
         workers[0].p = program.query_start;
@@ -547,6 +543,8 @@ impl<'p> Engine<'p> {
                 config,
                 mem,
                 finished: AtomicU8::new(RUNNING),
+                answer_pe: AtomicUsize::new(0),
+                answer_env: AtomicU32::new(0),
                 steps: AtomicU64::new(0),
                 cycles: AtomicU64::new(0),
                 next_deadline_check: DEADLINE_CHECK_CYCLES,
@@ -575,8 +573,8 @@ impl<'p> Engine<'p> {
     }
 
     /// Like [`Engine::run`], but also hands the finished engine back so the
-    /// caller can [`Engine::reset`] it (same program) or recover its arenas
-    /// with [`Engine::into_memory`] (different program).  On error the
+    /// caller can recover its arenas with [`Engine::into_memory`] for the
+    /// next build on them ([`Engine::with_recycled_memory`]).  On error the
     /// engine is lost — a pool simply rebuilds cold on the next request.
     pub fn run_reusable(self, syms: &SymbolTable) -> EngineResult<(RunResult, Engine<'p>)> {
         let mut engine = self.run_leg()?;
@@ -624,37 +622,34 @@ impl<'p> Engine<'p> {
         debug_assert_eq!(self.finished(), Some(true), "redo away from an answer");
         self.core.start_leg();
         *self.core.finished.get_mut() = RUNNING;
-        self.core.mem.shared_write(board::STATUS, Cell::Uint(board::STATUS_RUNNING));
-        let w = self.core.mem.shared_read(board::ANSWER_PE).expect_uint("board answer pe") as usize;
+        let w = *self.core.answer_pe.get_mut();
         self.workers[w].status = WorkerStatus::Running;
         Step::new(&self.core, &mut self.workers[w]).backtrack()?;
         drive(self)
     }
 
-    /// Return a finished engine to a pristine state **without freeing its
-    /// arenas**, ready to run the same program's query again: every touched
-    /// memory word is cleared, the workers, boards and counters are reborn
-    /// (by the same private `build` a fresh engine comes from, keeping the
-    /// profile and record buffers), and tracing is re-armed per the
-    /// configuration.
-    /// This is the reusable-engine path of the serving layer — per-PE Stack
-    /// Sets are long-lived resources (the paper's whole locality story), so a
-    /// warm engine skips the arena allocation that dominates cold
-    /// construction.
-    ///
-    /// A reset engine is observationally identical to a fresh one: the
-    /// differential suite pins byte-identical answers, per-area counts and
-    /// traces between fresh and reset-and-reused engines.
-    pub fn reset(self) -> Self {
-        let Engine { core: EngineCore { program, config, mut mem, hosts, .. }, workers } = self;
-        mem.reset(config.collect_trace);
-        Engine::build(program, config, mem, workers).with_hosts(hosts)
-    }
-
     /// Tear the engine down to its [`Memory`], keeping the arena allocations
-    /// alive for [`Engine::with_recycled_memory`] (the pool's warm path
-    /// across *different* compiled programs).
+    /// alive for [`Engine::with_recycled_memory`]: the one warm path, for
+    /// the same compiled program or another.
     pub fn into_memory(self) -> Memory {
         self.core.mem
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_answer_reached_after_a_preemption_is_kept() {
+        // What a relaxed PE does when another PE's batch spent the leg's fuel
+        // while it was on its way to `halt`.
+        let program = crate::session::Session::new("p.").unwrap().compile("p", true).unwrap();
+        let mut engine = Engine::new(&program, EngineConfig { fuel: Some(0), ..EngineConfig::default() });
+        engine.core.check_fuel();
+        assert!(engine.halted() && engine.finished().is_none(), "spent fuel preempts the engine");
+        Step::new(&engine.core, &mut engine.workers[0]).query_succeeded();
+        assert_eq!(engine.finished(), Some(true));
+        assert_eq!(engine.answer_bindings(), Ok(Vec::new()), "`p` binds no variable");
     }
 }

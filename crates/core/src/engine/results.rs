@@ -2,10 +2,9 @@
 
 use super::{Engine, Outcome, RunResult};
 use crate::answer::extract_binding;
-use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
 use crate::frames::env;
-use crate::layout::{board, ObjectKind};
+use crate::layout::ObjectKind;
 use crate::stats::{RunStats, WorkerStats};
 use crate::trace::{AreaStats, MemRef};
 use crate::worker::park_records;
@@ -22,12 +21,10 @@ impl<'p> Engine<'p> {
     /// The current answer's query-variable bindings, without symbol-table
     /// rendering (variables print as `_G<addr>`; atoms keep their interned
     /// [`pwam_front::Atom`] inside the returned [`Term`]s).  Only meaningful
-    /// while the engine stands at an answer (`finished() == Some(true)`).
+    /// while the engine stands at an answer (`finished() == Some(true)`),
+    /// which both callers check first.
     pub(crate) fn answer_bindings(&self) -> EngineResult<Vec<(String, Term)>> {
-        if self.core.mem.shared_read(board::STATUS) != Cell::Uint(board::STATUS_SUCCEEDED) {
-            return Ok(Vec::new());
-        }
-        let env_addr = self.core.mem.shared_read(board::ANSWER_ENV).expect_uint("board answer env");
+        let env_addr = self.core.answer_env.load(Ordering::Relaxed);
         let mut out = Vec::new();
         for (name, slot) in &self.core.program.query_vars {
             let addr = env::y_addr(env_addr, *slot);

@@ -284,30 +284,6 @@ impl MemoryConfig {
     }
 }
 
-/// Words reserved for the shared region that sits above every Stack Set.
-///
-/// The shared region holds host-visible coordination state that belongs to
-/// no PE in particular (the query board: finished flag, answering worker,
-/// answer environment).  It is deliberately tiny and accessed only through
-/// the untraced [`crate::mem::Memory::shared_read`] /
-/// [`crate::mem::Memory::shared_write`] accessors, so it never perturbs the
-/// paper's per-Stack-Set reference counts.
-pub(crate) const SHARED_REGION_WORDS: u32 = 64;
-
-/// Word offsets within the shared region ("query board").
-pub(crate) mod board {
-    /// Query status: 0 = running, 1 = succeeded, 2 = failed.
-    pub(crate) const STATUS: u32 = 0;
-    /// Worker id that produced the answer (valid when STATUS = 1).
-    pub(crate) const ANSWER_PE: u32 = 1;
-    /// Environment address holding the answer bindings (valid when STATUS = 1).
-    pub(crate) const ANSWER_ENV: u32 = 2;
-
-    pub(crate) const STATUS_RUNNING: u32 = 0;
-    pub(crate) const STATUS_SUCCEEDED: u32 = 1;
-    pub(crate) const STATUS_FAILED: u32 = 2;
-}
-
 /// Maps global word addresses to (worker, area) and back.
 #[derive(Debug, Clone)]
 pub(crate) struct AddressMap {
@@ -325,8 +301,9 @@ impl AddressMap {
         AddressMap { config, num_workers, set_words }
     }
 
-    /// Base address of the shared region (one past the last Stack Set).
-    pub(crate) fn shared_base(&self) -> u32 {
+    /// One past the last word of the last Stack Set: the end of the address
+    /// space.
+    pub(crate) fn stack_sets_end(&self) -> u32 {
         self.set_words * self.num_workers as u32
     }
 
@@ -341,11 +318,10 @@ impl AddressMap {
         self.area_base(worker, area) + self.config.area_size(area)
     }
 
-    /// Which worker owns a global address (must lie inside a Stack Set, not
-    /// the shared region).
+    /// Which worker owns a global address (must lie inside a Stack Set).
     #[inline(always)]
     pub(crate) fn owner(&self, addr: u32) -> usize {
-        debug_assert!(addr < self.shared_base(), "address {addr} lies in the shared region");
+        debug_assert!(addr < self.stack_sets_end(), "address {addr} lies past the last Stack Set");
         (addr / self.set_words) as usize
     }
 
@@ -440,16 +416,16 @@ mod tests {
     fn total_words_scales_with_workers() {
         let map1 = AddressMap::new(MemoryConfig::small(), 1);
         let map8 = AddressMap::new(MemoryConfig::small(), 8);
-        // Everything below the shared region is Stack Sets, one per worker.
-        assert_eq!(map8.shared_base(), 8 * map1.shared_base());
+        // The address space is Stack Sets, one per worker.
+        assert_eq!(map8.stack_sets_end(), 8 * map1.stack_sets_end());
     }
 
     #[test]
-    fn shared_region_sits_above_every_stack_set() {
+    fn every_area_ends_at_or_below_the_stack_sets_end() {
         let map = AddressMap::new(MemoryConfig::small(), 3);
         for w in 0..3 {
             for area in Area::ALL {
-                assert!(map.area_end(w, area) <= map.shared_base());
+                assert!(map.area_end(w, area) <= map.stack_sets_end());
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The data memory: one Stack-Set arena per PE plus a small shared region.
+//! The data memory: one Stack-Set arena per PE.
 //!
 //! The memory holds words and nothing about who touched them.  A reference is
 //! made by the PE that issues it, through `Step::mem_read` / `mem_write` /
@@ -77,18 +77,18 @@
 //! arrays.
 //!
 //! Answer extraction and debugging use [`Memory::read_untraced`], which
-//! counts nothing.  The shared region above the Stack Sets holds coordination
-//! state (the query board) and is likewise outside the reference stream.
+//! counts nothing.  The memory holds the Stack Sets' words, their reset marks
+//! and the sequence counter, and no run state: whether a run is traced and
+//! where its answer stands are the engine's.
 
 use crate::cell::Cell;
 use crate::error::{EngineError, EngineResult};
-use crate::layout::{AddressMap, Area, MemoryConfig, SHARED_REGION_WORDS};
+use crate::layout::{AddressMap, Area, MemoryConfig};
 use crate::parked::Parked;
 use pwam_front::Atom;
 use pwam_front::{INT_MAX, INT_MIN};
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 // Tags of the low byte of a `Word` that does not hold an `Int`.  They are
 // even: a word with its low bit set is an `Int` (see `encode`).  `Empty` is
@@ -418,17 +418,13 @@ impl StackSetArena {
 /// The word-addressed data memory, sharded into one arena per PE.
 ///
 /// The public address space is unchanged from the flat layout: word `addr`
-/// belongs to arena `map.owner(addr)` at offset `addr - arena.base`, and the
-/// shared region sits above the last Stack Set.
+/// belongs to arena `map.owner(addr)` at offset `addr - arena.base`.
 #[derive(Debug)]
 pub struct Memory {
     arenas: Vec<StackSetArena>,
-    /// The shared coordination region (query board); untraced by design.
-    shared: Mutex<Vec<Cell>>,
     pub(crate) map: AddressMap,
     /// Next global sequence number (traced references issued so far).
     seq: AtomicU64,
-    collect_trace: bool,
 }
 
 // PE threads share the memory by reference.
@@ -439,36 +435,22 @@ const _: () = {
 
 impl Memory {
     /// Allocate the data memory for `num_workers` Stack Sets.
-    pub fn new(config: MemoryConfig, num_workers: usize, collect_trace: bool) -> Self {
+    pub fn new(config: MemoryConfig, num_workers: usize) -> Self {
         let map = AddressMap::new(config, num_workers);
         let set_words = config.stack_set_words();
         let arenas = (0..num_workers).map(|w| StackSetArena::new(w as u32 * set_words, set_words)).collect();
-        Memory {
-            arenas,
-            shared: Mutex::new(vec![Cell::Empty; SHARED_REGION_WORDS as usize]),
-            map,
-            seq: AtomicU64::new(0),
-            collect_trace,
-        }
+        Memory { arenas, map, seq: AtomicU64::new(0) }
     }
 
-    /// Total number of words in the memory: every Stack Set arena plus the
-    /// shared region.
+    /// Total number of words in the memory: every Stack Set arena.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.arenas.iter().map(|a| a.words.len()).sum::<usize>() + SHARED_REGION_WORDS as usize
+        self.arenas.iter().map(|a| a.words.len()).sum()
     }
 
     /// Number of Stack Set arenas (one per PE).
     pub fn num_arenas(&self) -> usize {
         self.arenas.len()
-    }
-
-    /// Whether the run this memory was built or reset for collects a full
-    /// trace: every PE then buffers a record per reference, each numbered
-    /// by the memory's global sequence counter.
-    pub(crate) fn tracing(&self) -> bool {
-        self.collect_trace
     }
 
     /// Claim the sequence numbers of `n` consecutive traced references (one,
@@ -547,11 +529,9 @@ impl Memory {
     /// freeing the arenas: every word written since allocation (or the last
     /// reset) is cleared and the global sequence counter restarts.  The
     /// warm-engine path of the serving layer goes through here.
-    pub fn reset(&mut self, collect_trace: bool) {
+    pub fn reset(&mut self) {
         self.sweep_words();
-        self.shared.get_mut().unwrap().fill(Cell::Empty);
         *self.seq.get_mut() = 0;
-        self.collect_trace = collect_trace;
     }
 
     /// Clear every arena word written since allocation (or the last sweep)
@@ -586,20 +566,6 @@ impl Memory {
     #[inline]
     pub(crate) fn read_untraced(&self, addr: u32) -> Cell {
         self.load(addr)
-    }
-
-    /// Read a word of the shared region (query board).  Untraced: the shared
-    /// region is host coordination state, not part of the paper's Table 1
-    /// storage model.
-    #[inline]
-    pub(crate) fn shared_read(&self, slot: u32) -> Cell {
-        self.shared.lock().unwrap()[slot as usize]
-    }
-
-    /// Write a word of the shared region (query board).  Untraced.
-    #[inline]
-    pub(crate) fn shared_write(&self, slot: u32, value: Cell) {
-        self.shared.lock().unwrap()[slot as usize] = value;
     }
 
     /// Check that `addr` (the next free word) still lies inside `area` of
@@ -650,6 +616,15 @@ mod tests {
 
     fn pe<'a, 'p>(engine: &'a mut Engine<'p>, w: usize) -> Step<'a, 'p> {
         Step::new(&engine.core, &mut engine.workers[w])
+    }
+
+    /// The same engine built again on its own memory, reset in place: the
+    /// warm path.
+    fn rebuilt(engine: Engine<'_>) -> Engine<'_> {
+        let (program, config) = (engine.core.program, engine.core.config.clone());
+        let (engine, reused) = Engine::with_recycled_memory(program, config, engine.into_memory());
+        assert!(reused, "the memory has the configuration's shape");
+        engine
     }
 
     /// One of every `Cell` variant, with the extreme payloads.
@@ -886,17 +861,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_region_round_trips_without_counting() {
-        let mut e = traced();
-        e.core.mem.shared_write(0, Cell::Uint(42));
-        assert_eq!(e.core.mem.shared_read(0), Cell::Uint(42));
-        assert_eq!(e.stats().area_stats.total.total(), 0);
-        assert_eq!(e.take_trace().unwrap().len(), 0);
-    }
-
-    #[test]
     fn check_top_detects_overflow() {
-        let m = Memory::new(MemoryConfig::small(), 2, true);
+        let m = Memory::new(MemoryConfig::small(), 2);
         let end = m.map.area_end(0, Area::Trail);
         assert!(m.check_top(0, Area::Trail, end - 1).is_ok());
         assert_eq!(
@@ -910,7 +876,6 @@ mod tests {
         let mut e = machine(MemoryConfig::small(), 1, false);
         let base = e.core.mem.map.area_base(0, Area::Heap);
         pe(&mut e, 0).mem_write(base, Cell::Int(1), ObjectKind::HeapTerm);
-        assert!(!e.core.mem.tracing());
         assert!(e.take_trace().is_none());
         assert_eq!(e.stats().area_stats.total.writes, 1);
     }
@@ -943,7 +908,7 @@ mod tests {
             pe(&mut e, issuer).mem_write(addr, Cell::Fun(Atom(u32::MAX), 255), kind);
             assert_ne!(e.core.mem.read_untraced(addr), Cell::Empty);
         }
-        e = e.reset();
+        e = rebuilt(e);
         for &addr in &probes {
             assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "reset word {addr}");
         }
@@ -956,25 +921,19 @@ mod tests {
         let h1 = e.core.mem.map.area_base(1, Area::Heap);
         pe(&mut e, 0).mem_write(h0 + 3, Cell::Int(9), ObjectKind::HeapTerm);
         pe(&mut e, 1).mem_write(h1, Cell::Int(7), ObjectKind::HeapTerm);
-        e.core.mem.shared_write(0, Cell::Uint(1));
-        let records = e.workers[0].trace.as_ref().unwrap().as_ptr();
-        e = e.reset();
-        // PE 0 records into the buffer it had, its record never taken gone.
-        let own = e.workers[0].trace.as_ref().unwrap();
-        assert!(own.is_empty() && own.as_ptr() == records, "the reset did not reuse PE 0's buffer");
+        e = rebuilt(e);
         assert_eq!(e.core.mem.read_untraced(h0 + 3), Cell::Empty);
         assert_eq!(e.core.mem.read_untraced(h1), Cell::Empty);
-        assert_eq!(e.core.mem.shared_read(0), Cell::Empty);
         assert_eq!(e.stats().area_stats.total.total(), 0);
-        assert!(e.core.mem.tracing());
+        assert!(e.workers.iter().all(|w| w.trace.as_ref().is_some_and(Vec::is_empty)));
         // A reset machine behaves exactly like a fresh one.
         pe(&mut e, 0).mem_write(h0, Cell::Int(1), ObjectKind::HeapTerm);
         let t = e.take_trace().unwrap();
         assert_eq!(t, [MemRef::new(0, h0, true, ObjectKind::HeapTerm)]);
-        // Reset can also disarm tracing for the next run.
+        // A rebuild can also disarm tracing for the next run.
         e.core.config.collect_trace = false;
-        e = e.reset();
-        assert!(!e.core.mem.tracing());
+        e = rebuilt(e);
+        assert!(e.workers.iter().all(|w| w.trace.is_none()));
         pe(&mut e, 0).mem_write(h0, Cell::Int(1), ObjectKind::HeapTerm);
         assert!(e.take_trace().is_none());
     }
@@ -1001,7 +960,7 @@ mod tests {
         // that swept the heap up to the Control-stack write (one arena-wide
         // mark) would clear it.
         a.words[5].store(Cell::Int(99));
-        e = e.reset();
+        e = rebuilt(e);
         let mem = &mut e.core.mem;
         assert_eq!(mem.read_untraced(h + 1), Cell::Empty);
         assert_eq!(mem.read_untraced(c), Cell::Empty);
@@ -1037,7 +996,7 @@ mod tests {
         expected[Area::Heap.index()] = 21;
         expected[Area::MessageBuffer.index()] = (msg - a.base) as usize + 5;
         assert_eq!(marks(&a.remote_marks), expected);
-        e = e.reset();
+        e = rebuilt(e);
         for addr in [h + 1, h + 2, h + 3, h + 9, h + 20, h + 40, msg + 4] {
             assert_eq!(e.core.mem.read_untraced(addr), Cell::Empty, "word {addr} survived the reset");
         }
@@ -1094,7 +1053,7 @@ mod tests {
             }
         });
         assert_eq!(marks(&e.core.mem.arenas[0].owner_marks)[Area::Heap.index()], 1);
-        e = e.reset();
+        e = rebuilt(e);
         assert!(e.core.mem.is_pristine());
     }
 
@@ -1129,11 +1088,11 @@ mod tests {
         drop(e);
         assert_eq!(parked_of(config), 2);
         // Another shape of the same Stack-Set size: length is the only key.
-        let next = Memory::new(config, 1, false);
+        let next = Memory::new(config, 1);
         assert_eq!(parked_of(config), 1);
         assert!(arrays.contains(&next.arenas[0].words.as_ptr()), "the array came from the allocator");
         assert!(next.is_pristine());
-        let again = Memory::new(config, 2, false);
+        let again = Memory::new(config, 2);
         assert_eq!(parked_of(config), 0);
         assert_eq!(word_arrays(&again).iter().filter(|a| arrays.contains(a)).count(), 1);
         assert!(again.is_pristine());
@@ -1144,7 +1103,7 @@ mod tests {
         let config = own_size(2);
         // (Miri scans every parked array word by word: two past the bound do.)
         let count = if cfg!(miri) { MAX_PARKED + 2 } else { 40 };
-        let memories: Vec<Memory> = (0..count).map(|_| Memory::new(config, 1, false)).collect();
+        let memories: Vec<Memory> = (0..count).map(|_| Memory::new(config, 1)).collect();
         for m in memories {
             drop(m);
             assert!(PARKED.lock().len() <= MAX_PARKED);
@@ -1160,7 +1119,7 @@ mod tests {
     #[should_panic(expected = "a swept arena still holds a written word")]
     fn parking_a_word_no_mark_covers_is_caught() {
         // (The array is not parked: the unwinding frees it.)
-        let m = Memory::new(MemoryConfig::small(), 1, false);
+        let m = Memory::new(MemoryConfig::small(), 1);
         m.arenas[0].words[5].store(Cell::Uint(1));
     }
 
@@ -1170,7 +1129,7 @@ mod tests {
         let mut session = crate::session::Session::new("p.").unwrap();
         let compiled = session.compile("p", true).unwrap();
         // What a pool slot does when a request changes the worker count.
-        let one = Memory::new(config, 1, false);
+        let one = Memory::new(config, 1);
         let array = one.arenas[0].words.as_ptr();
         let engine_config = EngineConfig { memory: config, num_workers: 2, ..EngineConfig::default() };
         let (engine, reused) = Engine::with_recycled_memory(&compiled, engine_config, one);
@@ -1263,7 +1222,7 @@ mod tests {
         assert_eq!(traced.take_trace().unwrap().len() as u64, ts.total.total());
         // The reset marks are kept either way, so reset clears both.
         for e in [traced, untraced] {
-            assert!(e.reset().core.mem.is_pristine());
+            assert!(rebuilt(e).core.mem.is_pristine());
         }
     }
 
@@ -1278,7 +1237,7 @@ mod tests {
         }
         assert_eq!(runs.core.mem.seqs_claimed(), singles.core.mem.seqs_claimed());
         let (sm, rm) = (&singles.core.mem, &runs.core.mem);
-        for addr in 0..sm.map.shared_base() {
+        for addr in 0..sm.map.stack_sets_end() {
             assert_eq!(rm.read_untraced(addr), sm.read_untraced(addr), "word {addr}");
         }
         for (s, r) in sm.arenas.iter().zip(&rm.arenas) {
@@ -1286,7 +1245,7 @@ mod tests {
             assert_eq!(marks(&r.remote_marks), marks(&s.remote_marks), "remote marks of arena at {}", s.base);
         }
         for e in [singles, runs] {
-            assert!(e.reset().core.mem.is_pristine(), "a written word lies above its area's reset mark");
+            assert!(rebuilt(e).core.mem.is_pristine(), "a written word lies above its area's reset mark");
         }
     }
 
@@ -1384,9 +1343,9 @@ mod tests {
     }
 
     #[test]
-    fn len_counts_every_arena_and_the_shared_region() {
-        let m = Memory::new(MemoryConfig::small(), 2, true);
-        let expected = 2 * MemoryConfig::small().stack_set_words() as usize + SHARED_REGION_WORDS as usize;
+    fn len_counts_every_arena() {
+        let m = Memory::new(MemoryConfig::small(), 2);
+        let expected = 2 * MemoryConfig::small().stack_set_words() as usize;
         assert_eq!(m.len(), expected);
     }
 }

@@ -341,8 +341,7 @@ impl Session {
         compiled: &CompiledProgram,
         options: &QueryOptions,
     ) -> Result<RunResult, SessionError> {
-        let hosts = self.hosts_of(compiled)?;
-        let engine = Engine::new(compiled, options.engine_config()).with_hosts(hosts);
+        let (engine, _) = self.build_engine(compiled, options, None)?;
         Ok(engine.run(&self.syms)?)
     }
 
@@ -357,13 +356,8 @@ impl Session {
         options: &QueryOptions,
         memory: Option<Memory>,
     ) -> Result<(RunResult, Memory, bool), SessionError> {
-        let hosts = self.hosts_of(compiled)?;
-        let config = options.engine_config();
-        let (engine, warm) = match memory {
-            Some(m) => Engine::with_recycled_memory(compiled, config, m),
-            None => (Engine::new(compiled, config), false),
-        };
-        let (result, engine) = engine.with_hosts(hosts).run_reusable(&self.syms)?;
+        let (engine, warm) = self.build_engine(compiled, options, memory)?;
+        let (result, engine) = engine.run_reusable(&self.syms)?;
         Ok((result, engine.into_memory(), warm))
     }
 
@@ -386,8 +380,32 @@ impl Session {
         options: &QueryOptions,
         memory: Option<Memory>,
     ) -> Result<QueryCursor, SessionError> {
+        let program = Arc::clone(compiled);
+        // SAFETY: see `QueryCursor` — the referent lives behind `program`'s
+        // Arc allocation, which the cursor holds for at least the engine's
+        // lifetime, and drop order retires the engine first.
+        let program_ref: &'static CompiledProgram = unsafe { &*Arc::as_ptr(&program) };
+        let (engine, warm) = self.build_engine(program_ref, options, memory)?;
+        Ok(QueryCursor { engine: Some(engine), state: CursorState::Ready, warm, _program: program })
+    }
+
+    /// Build the engine that runs `compiled` under `options`, with the
+    /// closures of its host predicates: cold, or on `memory`'s arenas when
+    /// its shape fits.  Returns the engine and whether `memory` itself was
+    /// reused.
+    fn build_engine<'p>(
+        &self,
+        compiled: &'p CompiledProgram,
+        options: &QueryOptions,
+        memory: Option<Memory>,
+    ) -> Result<(Engine<'p>, bool), SessionError> {
         let hosts = self.hosts_of(compiled)?;
-        Ok(QueryCursor::open(Arc::clone(compiled), options.engine_config(), memory, hosts))
+        let config = options.engine_config();
+        let (engine, warm) = match memory {
+            Some(m) => Engine::with_recycled_memory(compiled, config, m),
+            None => (Engine::new(compiled, config), false),
+        };
+        Ok((engine.with_hosts(hosts), warm))
     }
 
     /// The closures of `compiled`'s host predicates from this session's
@@ -451,26 +469,19 @@ pub struct QueryCursor {
     /// Declared before `_program` so it drops first.
     engine: Option<Engine<'static>>,
     state: CursorState,
+    /// Whether the engine was built on the recycled memory it was opened
+    /// with (see [`QueryCursor::warm`]).
+    warm: bool,
     /// Keeps the engine's program allocation alive; never read.
     _program: Arc<CompiledProgram>,
 }
 
 impl QueryCursor {
-    fn open(
-        program: Arc<CompiledProgram>,
-        config: EngineConfig,
-        memory: Option<Memory>,
-        hosts: Vec<Arc<HostFn>>,
-    ) -> QueryCursor {
-        // SAFETY: see the struct-level comment — the referent lives behind
-        // `_program`'s Arc allocation, which this struct holds for at least
-        // the engine's lifetime, and drop order retires the engine first.
-        let program_ref: &'static CompiledProgram = unsafe { &*Arc::as_ptr(&program) };
-        let engine = match memory {
-            Some(m) => Engine::with_recycled_memory(program_ref, config, m).0,
-            None => Engine::new(program_ref, config),
-        };
-        QueryCursor { engine: Some(engine.with_hosts(hosts)), state: CursorState::Ready, _program: program }
+    /// Whether the cursor's engine was built on the recycled memory it was
+    /// opened with: `false` for a cold build, and for memory of another
+    /// shape, whose arenas could not be reset in place.
+    pub fn warm(&self) -> bool {
+        self.warm
     }
 
     /// Produce the next answer, or `None` once the stream is exhausted (or

@@ -465,7 +465,8 @@ mod tests {
                 let mut step = Step::new(&engine.core, &mut engine.workers[0]);
                 // One memo for both arguments: `t(X, X)` is one variable.
                 let mut memo = std::collections::HashMap::new();
-                let cells: Vec<Cell> = args.iter().map(|a| step.build_term(a, &mut memo).unwrap()).collect();
+                let cells: Vec<Cell> =
+                    args.iter().map(|a| step.build_term(a, &mut memo, 0).unwrap()).collect();
                 let issued = |step: &Step| step.wk.refs.counts.iter().flatten().sum::<u64>();
                 let before = issued(&step);
                 let first_record = step.wk.trace.as_ref().map_or(0, Vec::len);

@@ -431,22 +431,10 @@ impl Worker {
         )
     }
 
-    /// Give this worker an empty record buffer for a traced run, or none for
-    /// an untraced one.  `spent` is the buffer of this worker's previous life
-    /// on the same engine ([`crate::Engine::reset`]): a traced run records
-    /// into it, or else into a parked one, and an untraced run parks it.
-    pub(crate) fn arm_trace(&mut self, tracing: bool, spent: Option<Vec<(u64, MemRef)>>) {
-        self.trace = match spent {
-            Some(mut records) if tracing => {
-                records.clear();
-                Some(records)
-            }
-            Some(records) => {
-                park_records(records);
-                None
-            }
-            None => tracing.then(|| SPARE_RECORDS.take(|_| true).unwrap_or_default()),
-        };
+    /// Give this worker an empty record buffer for a traced run — a parked
+    /// one if there is one — or none for an untraced one.
+    pub(crate) fn arm_trace(&mut self, tracing: bool) {
+        self.trace = tracing.then(|| SPARE_RECORDS.take(|_| true).unwrap_or_default());
     }
 }
 
@@ -488,17 +476,14 @@ mod tests {
         use crate::layout::ObjectKind;
         let map = AddressMap::new(MemoryConfig::small(), 1);
         let mut w = Worker::new(0, &map);
-        let records = |n| vec![(7, MemRef::new(0, 3, true, ObjectKind::HeapTerm)); n];
-        // A traced life records into the buffer of the one before, emptied.
-        let spent = records(3);
-        let buffer = spent.as_ptr();
-        w.arm_trace(true, Some(spent));
-        let own = w.trace.as_ref().unwrap();
-        assert!(own.is_empty() && own.as_ptr() == buffer);
-        // An untraced one parks it; whatever the list holds is empty.
-        w.arm_trace(false, Some(records(5)));
-        assert!(w.trace.is_none());
+        // A merged buffer is parked emptied; whatever the list holds is empty.
+        park_records(vec![(7, MemRef::new(0, 3, true, ObjectKind::HeapTerm)); 3]);
         assert!(SPARE_RECORDS.lock().iter().all(Vec::is_empty), "a parked buffer holds records");
+        // A traced life records into an empty buffer, an untraced one into none.
+        w.arm_trace(true);
+        assert!(w.trace.as_ref().is_some_and(Vec::is_empty));
+        w.arm_trace(false);
+        assert!(w.trace.is_none());
     }
 
     #[test]

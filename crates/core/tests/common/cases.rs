@@ -37,7 +37,9 @@ impl Case {
 }
 
 /// `host`: emit the membership check as a call to the host predicate `hf/1`
-/// instead of consulting the compiled `f/2` table.
+/// instead of consulting the compiled `f/2` table.  A parallel host case
+/// makes that call the second branch of a CGE, so a Goal Frame enters the
+/// host predicate, and searches sequentially around it.
 pub fn program(c: &Case, host: bool) -> String {
     let mut p = String::new();
     // Sentinel clause outside the generated value range, so f/2 exists even
@@ -49,18 +51,19 @@ pub fn program(c: &Case, host: bool) -> String {
     p.push_str("pick(X, [X|_]).\npick(X, [_|T]) :- pick(X, T).\n");
     // The search backtracks through `pick` alternatives, consults the
     // random fact table, and optionally commits with a cut.
-    let check = if host { "hf(X)" } else { "f(X, _)" };
     let commit = if c.cut { ", !" } else { "" };
-    p.push_str(&format!("good(X, L, K) :- pick(X, L), X > K, {check}{commit}.\n"));
+    let good = match (host, c.parallel) {
+        (false, _) => "pick(X, L), X > K, f(X, _)",
+        (true, false) => "pick(X, L), X > K, hf(X)",
+        (true, true) => "pick(X, L), (ground(X), ground(K) | X > K & hf(X))",
+    };
+    p.push_str(&format!("good(X, L, K) :- {good}{commit}.\n"));
     if c.parallel && !host {
         p.push_str(
             "search(L, K, pair(A, B)) :- \
              (ground(L), ground(K) | good(A, L, K) & good(B, L, K)).\n",
         );
     } else {
-        // Host predicates cannot sit inside a parallel goal's subtree in
-        // these differentials (a suspended PE would stall its siblings), so
-        // the host variant always searches sequentially.
         p.push_str("search(L, K, pair(A, B)) :- good(A, L, K), good(B, L, K).\n");
     }
     p.push_str("search(_, _, none).\n");

@@ -1,7 +1,8 @@
 //! Fast sanity checks for the cursor API and host predicates: all-solutions
 //! streaming, commit, host predicates called where the query calls them
 //! (through a cursor, through a one-shot `run` on either backend, across
-//! fuel preemptions, an out-of-range reply included), a bare `Engine` that
+//! fuel preemptions, an out-of-range reply and one too wide for a functor
+//! included), a bare `Engine` that
 //! has no closure for a host call, and no result from an engine parked at
 //! spent fuel.
 
@@ -115,6 +116,28 @@ fn a_host_reply_past_int_max_is_an_integer_overflow() {
     let mut cursor = session.open_cursor(&compiled, &opts, None).unwrap();
     let err = cursor.next().unwrap_err();
     assert!(matches!(err, SessionError::Engine(EngineError::IntegerOverflow)), "{err}");
+}
+
+#[test]
+fn a_host_reply_wider_than_a_functor_is_an_error_at_the_call() {
+    let mut session = Session::new("p(N, T) :- wide(N, T).").unwrap();
+    let f = session.symbols().lookup("p").unwrap();
+    session.register_host("wide", 2, move |args| {
+        let Term::Int(n) = args[0] else { return None };
+        Some(vec![(1, Term::Struct(f, vec![Term::Int(0); n as usize]))])
+    });
+    let opts = QueryOptions::sequential();
+    let mut first = |query: &str| {
+        let compiled = session.prepare_with(query, opts.compile_options()).unwrap();
+        session.open_cursor(&compiled, &opts, None).unwrap().next()
+    };
+    let answer = first("p(255, T)").unwrap().expect("an answer");
+    assert!(matches!(&answer[0].1, Term::Struct(_, args) if args.len() == 255), "{answer:?}");
+    let err = first("p(256, T)").unwrap_err();
+    assert!(
+        matches!(&err, SessionError::Engine(EngineError::BadInstruction { what, .. }) if what.contains("256")),
+        "{err}"
+    );
 }
 
 #[test]

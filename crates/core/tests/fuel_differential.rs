@@ -9,6 +9,7 @@ mod common;
 use common::{state_at_preemption, FUEL_PROGRAMS, PERM, PERM_QUERY, PREEMPTIONS, PREEMPTION_FUEL};
 use rapwam::session::{CursorStep, QueryOptions, Session};
 use rapwam::{EngineError, Term};
+use std::time::Duration;
 
 fn rendered(session: &Session, answers: &[Vec<(String, Term)>]) -> Vec<Vec<(String, String)>> {
     answers.iter().map(|b| b.iter().map(|(n, t)| (n.clone(), session.render(t))).collect()).collect()
@@ -118,6 +119,49 @@ fn relaxed_backend_preempts_and_completes() {
     }
     assert!(preemptions > 0, "fuel budget never preempted the relaxed run");
     assert_eq!(answers.len(), 24, "perm/4 has 4! solutions");
+}
+
+/// Several answers, each the sum of a parallel recursion, so that stolen
+/// goals are in flight around every answer and every last failure.
+const PICKED_SUMS: &str = "pick(X, [X|_]).\n\
+                           pick(X, [_|T]) :- pick(X, T).\n\
+                           upto(0, []).\n\
+                           upto(N, [N|T]) :- N > 0, M is N - 1, upto(M, T).\n\
+                           sum([], 0).\n\
+                           sum([X|Xs], S) :- (ground(Xs) | sum(Xs, S1) & sq(X, X2)), S is S1 + X2.\n\
+                           sq(X, Y) :- Y is X * X.\n\
+                           q(N, S) :- pick(N, [4, 9, 2, 7, 5, 8]), upto(N, L), sum(L, S).";
+
+/// Every answer of `opts`'s cursor over `PICKED_SUMS`, stepping through its
+/// fuel preemptions.
+fn picked_sums(opts: &QueryOptions) -> Vec<Vec<(String, String)>> {
+    let mut session = Session::new(PICKED_SUMS).unwrap();
+    let compiled = session.prepare_with("q(N, S)", opts.compile_options()).unwrap();
+    let mut cursor = session.open_cursor(&compiled, opts, None).unwrap();
+    let mut answers = Vec::new();
+    while let Some(b) = cursor.next().unwrap_or_else(|e| panic!("{opts:?}: {e}")) {
+        answers.push(b);
+    }
+    rendered(&session, &answers)
+}
+
+#[test]
+fn relaxed_preemption_never_swallows_an_outcome() {
+    // On the relaxed backend one PE's batch may spend the leg's fuel while
+    // another is mid-batch on its way to `halt` or to the query's last
+    // failure.  Its outcome must win over the preemption: lost, the cursor
+    // parked with nobody left to run, and its next leg stalled into an
+    // `Internal` error (a one-shot run read `FuelExhausted`).
+    let stall = Duration::from_millis(500);
+    for width in 2..=8 {
+        let unfuelled = picked_sums(&QueryOptions::relaxed(width).with_stall_timeout(stall));
+        assert_eq!(unfuelled.len(), 6, "one answer per picked N");
+        // The race is rare per leg: every fuel, three times over.
+        for fuel in (5..=60).step_by(5).cycle().take(36) {
+            let opts = QueryOptions::relaxed(width).with_fuel(fuel).with_stall_timeout(stall);
+            assert_eq!(picked_sums(&opts), unfuelled, "{width} PEs, fuel {fuel}");
+        }
+    }
 }
 
 #[test]

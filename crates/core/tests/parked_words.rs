@@ -68,11 +68,11 @@ fn memory_after(program: &str, query: &str, opts: &QueryOptions, stop: Stop) -> 
 fn assert_both_sweeps_are_complete(program: &str, query: &str, opts: &QueryOptions, stop: Stop, what: &str) {
     let mut memory = memory_after(program, query, opts, stop);
     assert!(!memory.is_pristine(), "{what}: the run wrote nothing, so it tests nothing");
-    memory.reset(opts.trace);
+    memory.reset();
     assert!(memory.is_pristine(), "{what}: reset left a word behind");
     drop(memory);
     drop(memory_after(program, query, opts, stop));
-    let next = Memory::new(opts.memory, opts.workers, false);
+    let next = Memory::new(opts.memory, opts.workers);
     assert!(next.is_pristine(), "{what}: a word survived the drop into the next memory");
 }
 
@@ -121,7 +121,7 @@ fn registry_programs_leave_nothing_behind_in_full_size_stack_sets() {
                 let memory = memory_after(&b.program, &b.query, &opts, stop);
                 assert!(!memory.is_pristine(), "{what}: the run wrote nothing");
                 drop(memory);
-                let next = Memory::new(opts.memory, opts.workers, false);
+                let next = Memory::new(opts.memory, opts.workers);
                 assert!(next.is_pristine(), "{what}: a word survived the drop into the next memory");
             }
         }
@@ -159,7 +159,7 @@ fn a_run_that_exhausts_its_stack_set_leaves_nothing_behind() {
                     Ok(_) => {}
                     Err(e) => panic!("{what}: {e}"),
                 }
-                let next = Memory::new(memory, opts.workers, false);
+                let next = Memory::new(memory, opts.workers);
                 assert!(next.is_pristine(), "{what}: a word survived the drop into the next memory");
             }
         }

@@ -14,9 +14,9 @@
 //! * draining the full answer stream yields the answer oracle's sequence
 //!   (`common::sld`) on the interleaved and the relaxed backend;
 //! * routing a predicate through a registered host function (called by the
-//!   engine at every call site) leaves the answer stream identical to the
-//!   pure-Prolog version of the same program, through a cursor on every
-//!   backend and through a one-shot run;
+//!   engine at every call site, as a CGE branch too) leaves the answer
+//!   stream identical to the pure-Prolog version of the same program,
+//!   through a cursor on every backend and through a one-shot run;
 //! * closing a cursor at *every* answer boundary in turn leaves the engine
 //!   consistent (no pending Goal Frames, structural invariants intact) and
 //!   recycles arenas that replay the full stream warm.
@@ -81,9 +81,9 @@ proptest! {
     }
 
     /// Replacing a compiled predicate with a host function — called by the
-    /// engine at every call site — changes nothing about the answer stream,
-    /// whichever backend runs it and whether a cursor or a one-shot run
-    /// asks for it.
+    /// engine at every call site, a CGE branch's Goal Frame included —
+    /// changes nothing about the answer stream, whichever backend runs it and
+    /// whether a cursor or a one-shot run asks for it.
     #[test]
     fn host_calls_are_transparent(c in case_strategy()) {
         // The pure baseline must use the same (sequential) clause shape the
@@ -94,10 +94,12 @@ proptest! {
         let (host_stream, _, _) = drain(&c, true, &QueryOptions::sequential());
         prop_assert_eq!(&pure_stream, &host_stream, "host vs pure streams");
 
-        // A host call runs in sequential code on whichever PE reaches it;
-        // only the engine around it changes, threads included.
-        let (host_par, _, _) = drain(&c, true, &QueryOptions::parallel(c.workers));
-        prop_assert_eq!(&pure_stream, &host_par, "host stream under the interleaved backend");
+        // A host call runs on whichever PE reaches it — in a parallel case,
+        // the PE that takes its branch's Goal Frame — threads included.
+        for workers in [c.workers, 2, 4] {
+            let (host_par, _, _) = drain(&c, true, &QueryOptions::parallel(workers));
+            prop_assert_eq!(&pure_stream, &host_par, "host stream on {} interleaved PEs", workers);
+        }
         let width = threaded_workers(c.workers.max(2));
         let (host_relaxed, _, _) = drain(&c, true, &QueryOptions::relaxed(width));
         prop_assert_eq!(&pure_stream, &host_relaxed, "host stream under the relaxed backend");

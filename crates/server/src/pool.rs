@@ -239,15 +239,15 @@ impl Drop for SlotGuard<'_> {
 // Parked cursors
 // ---------------------------------------------------------------------
 
-/// A suspended all-solutions query parked *out of* its pool slot.
+/// An all-solutions query parked *out of* its pool slot.
 ///
-/// The whole point of the resumable engine is that a query waiting for its
+/// A cursor's engine halts at each answer, and a query waiting for its
 /// client to ask for the next answer should not occupy an execution slot:
 /// the engine (with its full Stack Set) moves into this table, the slot
 /// goes back to the pool, and a later `query-next` re-admits the cursor
 /// through the normal acquire path like any other run.
 pub(crate) struct ParkedQuery {
-    /// The suspended engine + program bundle.
+    /// The parked engine + program bundle.
     pub(crate) cursor: QueryCursor,
     /// Keeps the program's session (and its symbol table, needed to render
     /// answer terms) alive even if the program cache evicts the entry.
@@ -374,7 +374,7 @@ mod tests {
         {
             let mut slot = pool.acquire(None).unwrap();
             assert!(slot.take_memory().is_none(), "first acquisition is cold");
-            slot.put_memory(Memory::new(MemoryConfig::small(), 2, false));
+            slot.put_memory(Memory::new(MemoryConfig::small(), 2));
         }
         let mut slot = pool.acquire(None).unwrap();
         let mem = slot.take_memory().expect("second acquisition sees the recycled memory");
@@ -392,7 +392,7 @@ mod tests {
         {
             let mut slot = pool.acquire(None).unwrap();
             assert!(slot.take_memory().is_none(), "first acquisition is cold");
-            slot.put_memory(Memory::new(MemoryConfig::small(), 2, false));
+            slot.put_memory(Memory::new(MemoryConfig::small(), 2));
         }
         for round in 0..3 {
             let mut slot = pool.acquire(None).unwrap();
@@ -412,7 +412,7 @@ mod tests {
         let pool = small_pool(2, 4);
         let mut a = pool.acquire(None).unwrap();
         let b = pool.acquire(None).unwrap();
-        a.put_memory(Memory::new(MemoryConfig::small(), 2, false));
+        a.put_memory(Memory::new(MemoryConfig::small(), 2));
         drop(a); // warm
         drop(b); // cold, now on top
         let mut slot = pool.acquire(None).unwrap();

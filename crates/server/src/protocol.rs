@@ -43,7 +43,7 @@
 //! including newlines from quoted atoms, without escaping).
 //!
 //! All-solutions streaming uses three cursor verbs.  `query-open` carries
-//! the same body as `query` but runs nothing: the server parks a resumable
+//! the same body as `query` but runs nothing: the server parks a cursor's
 //! engine and replies `cursor-opened` with a `cursor` id.  Each
 //! `query-next` (a `cursor N` header, no body) steps that engine to its
 //! next answer and replies with a normal `answer` frame; `outcome failure`
@@ -138,7 +138,7 @@ pub struct QueryRequest {
     pub deadline_ms: Option<u64>,
     /// Deterministic instruction-fuel budget (`None` = server default,
     /// which may itself be unlimited).  One-shot queries that exhaust it
-    /// fail with a `fuel` error; cursor legs suspend resumably instead.
+    /// fail with a `fuel` error; a cursor leg parks for the next `query-next`.
     pub fuel: Option<u64>,
     /// Admission-quota identity.  Anonymous requests (`None`) bypass the
     /// per-tenant quota entirely.
@@ -174,7 +174,7 @@ pub enum Request {
     QueryNext {
         cursor: u64,
     },
-    /// Discard a cursor (and the suspended engine parked behind it).
+    /// Discard a cursor (and the engine parked behind it).
     QueryClose {
         cursor: u64,
     },

@@ -292,7 +292,7 @@ struct Admitted<'a> {
     compile_us: u64,
     /// The engine options of the request, with `deadline` as the time
     /// budget and fuel as sent or defaulted.  Both are *per-leg* budgets:
-    /// the engine re-arms them at every resume, so each `query-next` gets
+    /// the engine re-arms them at every leg, so each `query-next` gets
     /// the full allotment and a preempted leg picks up where it stopped.
     options: QueryOptions,
 }
@@ -364,7 +364,7 @@ fn acquire_error(e: AcquireError) -> Response {
 }
 
 /// Open a cursor: compile, borrow a pool slot just long enough to take its
-/// recycled arenas, build the resumable engine around them, and park it.
+/// recycled arenas, build the cursor's engine around them, and park it.
 /// Nothing executes — the first `query-next` starts the query — so the
 /// slot goes straight back to the pool and open never blocks behind
 /// engine work beyond the acquire itself.
@@ -372,7 +372,7 @@ pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Respo
     sweep_idle_cursors(state);
     // The quota covers the open itself; a *parked* cursor holds no tenant
     // slot (parked means not executing), just as it holds no pool slot.
-    // The request deadline becomes the *per-leg* time budget: `resume`
+    // The request deadline becomes the *per-leg* time budget: every leg
     // re-arms the engine clock, so each `query-next` gets the full budget
     // rather than the whole stream sharing one.
     let Admitted { _tenant, deadline, entry, compiled, options, .. } = match admit(state, &req) {
@@ -386,8 +386,6 @@ pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Respo
         Ok(mut slot) => slot.take_memory(),
         Err(e) => return acquire_error(e),
     };
-    let warm = recycled.is_some();
-    state.pool.record_run(warm);
     let cursor = {
         let session = entry.session.read().unwrap();
         match session.open_cursor(&compiled, &options, recycled) {
@@ -398,6 +396,8 @@ pub(crate) fn handle_query_open(state: &ServerState, req: QueryRequest) -> Respo
             }
         }
     };
+    let warm = cursor.warm();
+    state.pool.record_run(warm);
     let parked =
         ParkedQuery { cursor, entry, warm, instructions_seen: 0, micros_seen: 0, last_used: Instant::now() };
     match state.cursors.park(parked) {

@@ -120,6 +120,25 @@ fn exhausted_cursor_warms_the_pool() {
 }
 
 #[test]
+fn a_cursor_on_memory_of_another_shape_is_a_cold_build() {
+    // The slot's arenas come from a one-PE run; a two-PE cursor cannot
+    // reset them in place, so its engine is built cold and counted so.
+    let server = start(1);
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.query(three_p()).unwrap() {
+        Response::Answer(a) => assert!(a.success),
+        other => panic!("expected an answer, got {other:?}"),
+    }
+    let cold_builds = || parse_sample(&server.metrics_text(), "pwam_pool_cold_builds_total").unwrap();
+    let before = cold_builds();
+    let cursor = client.query_open(QueryRequest { workers: 2, ..three_p() }).unwrap();
+    assert_eq!(cold_builds(), before + 1, "the open was counted as a warm hit");
+    let first = client.query_next(cursor).unwrap().expect("first answer");
+    assert!(!first.warm, "a cursor on memory of another shape reported a warm engine");
+    server.shutdown();
+}
+
+#[test]
 fn idle_cursors_are_evicted() {
     let server = start_with(2, Duration::from_millis(100));
     let mut client = Client::connect(server.addr()).unwrap();

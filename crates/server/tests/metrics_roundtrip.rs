@@ -505,10 +505,11 @@ fn a_scripted_scenario_leaves_the_recorded_samples() {
     for (series, expected) in [
         // Slot grants: 4 plain queries, 2 opens, 4 + 1 cursor steps, the holder.
         ("pwam_pool_requests_total", 12),
-        // Two warm plain queries; both opens found arenas on the slot (the
-        // shape change's, then the exhausted cursor's).
-        ("pwam_pool_warm_hits_total", 4),
-        ("pwam_pool_cold_builds_total", 2),
+        // Two warm plain queries and the second open, on the exhausted
+        // cursor's arenas; the first open found the two-PE query's, of
+        // another shape, and built cold.
+        ("pwam_pool_warm_hits_total", 3),
+        ("pwam_pool_cold_builds_total", 3),
         ("pwam_pool_rejections_total", 1),
         ("pwam_pool_queue_timeouts_total", 0),
         ("pwam_pool_run_errors_total", 1),
